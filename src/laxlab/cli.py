@@ -8,6 +8,7 @@ the same argv and seed are bytewise identical at any thread count.
 """
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aci, ensembles, fredholm, gapodes, pfaff, tau, toda, twotoda, virasoro
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UnderflowError, UsageError
 from .intervals import IntervalUnion
 from .mathcore import integrate, skew_borel
 
@@ -305,6 +306,11 @@ def run_fredholm_gap(args):
             spec, _interval_with_endpoint(args.interval, s),
             order=args.order, estimate_error=True,
         )
+        if not det > err:
+            raise UnderflowError(
+                f"gap determinant {det:.2e} at s = {s:g} is not larger than "
+                f"its error estimate {err:.2e}"
+            )
         rows.append({"s": s, "det": det, "error": err})
         worst_err = max(worst_err, err)
     return _Result(rows, worst_err, tol=1e-10, err=worst_err)
@@ -489,7 +495,11 @@ def _common(p, handler, seed=0, order=64):
     p.set_defaults(handler=handler)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and a fresh parser per command left its reference cycles
+    to the cyclic garbage collector, growing the heap of a long run."""
     top = _Parser(prog="laxlab", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
 

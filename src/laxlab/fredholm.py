@@ -4,7 +4,9 @@ Kernels: Airy (soft edge), Bessel (hard edge), sine (bulk), and the
 finite-N Hermite projection kernel.  The discretization factors the
 symmetrized matrix I - lambda sqrt(w) K sqrt(w); on the Airy half-line the
 tail is truncated where Ai^2 < 1e-18 with nodes placed relative to the
-moving endpoint, so the determinant stays smooth in the endpoints.
+moving endpoint, so the determinant stays smooth in the endpoints.  For
+the Airy and Bessel kernels nystrom_series gives the exact Taylor series
+of the matrix as the finite endpoints move.
 """
 
 import math
@@ -15,8 +17,10 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .mathcore import (
     airy_ai_vec,
+    airy_taylor_coefficients,
     bessel_j,
     bessel_j_prime,
+    bessel_sqrt_taylor_coefficients,
     gauss_jacobi_rule,
     gauss_legendre_rule,
     lu_determinant,
@@ -24,6 +28,13 @@ from .mathcore import (
 
 # Ai(x)^2 < 1e-18 beyond this point; used to truncate (s, inf)
 AIRY_TAIL_CUT = 9.3
+
+# highest order of the endpoint series (tau.logdet_series_derivatives
+# stops at four)
+SERIES_DEGREE = 4
+
+# binomial coefficients C(1/2, j): the series of (1 + z)^{1/2}
+_SQRT_BINOMIAL = (1.0, 0.5, -0.125, 0.0625, -0.0390625)
 
 
 @dataclass(frozen=True)
@@ -136,6 +147,12 @@ def kernel_eval(k, y, z):
     return float(val[0]) if scalar else val
 
 
+def _airy_tail_end(lo):
+    """Where the Airy half-line (lo, inf) is cut: at AIRY_TAIL_CUT, or at
+    lo + 0.5 once that lies beyond it (the cut then moves with lo)."""
+    return max(lo + 0.5, AIRY_TAIL_CUT)
+
+
 def _nystrom_nodes(k, E, order):
     """Nodes and measure weights per interval.
 
@@ -155,7 +172,7 @@ def _nystrom_nodes(k, E, order):
                 raise DomainError(
                     f"the {k.kind} kernel needs a bounded domain"
                 )
-            hi = max(lo + 0.5, AIRY_TAIL_CUT)
+            hi = _airy_tail_end(lo)
         if k.kind == "bessel" and k.nu != 0.0 and lo == 0.0:
             x, w = gauss_jacobi_rule(order, k.nu, (lo, hi))
         else:
@@ -225,6 +242,135 @@ def nystrom_det(k, E, order=64, estimate_error=False):
     mat2, _, _ = nystrom_matrix(k, E, order + order // 2)
     val2 = lu_determinant(np.eye(mat2.shape[0]) - k.lam * mat2)
     return val2, abs(val - val2)
+
+
+def _cauchy(a, b):
+    """Truncated product of two equal-shaped stacks of per-node power
+    series (row j holds the coefficients of eps^j)."""
+    out = np.zeros(a.shape)
+    for j in range(len(out)):
+        for i in range(j + 1):
+            out[j] += a[i] * b[j - i]
+    return out
+
+
+def _node_motion(k, E, x, order, d):
+    """Velocity of each node and growth rate of its interval's length,
+    relative to that length, when the finite endpoints move along d."""
+    d = np.asarray(d, dtype=float).ravel()
+    if d.size != len(E.finite_endpoints()):
+        raise UsageError(
+            f"a direction needs one component per finite endpoint, "
+            f"{len(E.finite_endpoints())}, not {d.size}"
+        )
+    vel = np.empty_like(x)
+    rate = np.empty_like(x)
+    pos = 0
+    for b, (lo, hi) in enumerate(E.intervals):
+        d_lo = d[pos]
+        pos += 1
+        if k.kind == "bessel" and lo == 0.0 and d_lo != 0.0:
+            raise DomainError("the hard edge 0 of a bessel gap set is fixed")
+        if math.isfinite(hi):
+            d_hi = d[pos]
+            pos += 1
+        else:
+            hi = _airy_tail_end(lo)
+            d_hi = d_lo if hi == lo + 0.5 else 0.0
+        block = slice(b * order, (b + 1) * order)
+        length = hi - lo
+        vel[block] = d_lo + (d_hi - d_lo) * (x[block] - lo) / length
+        rate[block] = (d_hi - d_lo) / length
+    return vel, rate
+
+
+def _series_matrices(k, x, r, taylor, diff, vel, rate, degree):
+    """[G_0, ..., G_degree] for one direction, from the Taylor
+    coefficients of f at the nodes and the node motion."""
+    steps = np.arange(degree + 1)[:, None]
+    powers = vel ** steps
+    f = taylor[:degree + 1] * powers
+    fp = (steps + 1) * taylor[1:degree + 2] * powers
+    fpp = (steps + 1) * (steps + 2) * taylor[2:degree + 3] * powers
+    if k.kind == "airy":
+        g, gp = fp, fpp
+    else:
+        xs = np.zeros_like(f)
+        xs[0] = x
+        xs[1:2] = vel
+        g = _cauchy(xs, fp)
+        gp = fp + _cauchy(xs, fpp)
+    scale = r * np.array(_SQRT_BINOMIAL[:degree + 1])[:, None] * rate ** steps
+    p = _cauchy(scale, f)
+    q = _cauchy(scale, g)
+    diag = _cauchy(_cauchy(scale, scale), _cauchy(g, fp) - _cauchy(f, gp))
+    dvel = vel[:, None] - vel[None, :]
+    mats = []
+    for j in range(degree + 1):
+        # (x - y + eps (v_x - v_y)) M(eps) = numerator series, off the
+        # diagonal
+        m = p[:j + 1].T @ q[j::-1] - q[:j + 1].T @ p[j::-1]
+        if j:
+            m -= dvel * mats[-1]
+        m /= diff
+        np.fill_diagonal(m, diag[j])
+        mats.append(m)
+    for m in mats:
+        m *= -k.lam
+    mats[0][np.diag_indices(len(x))] += 1.0
+    return mats
+
+
+def nystrom_series(k, E, order, directions):
+    """Taylor matrices of I - lambda sqrt(w) K sqrt(w), the matrix that
+    nystrom_det factors, as the finite endpoints c of E move to c + eps d.
+
+    ``directions`` lists (d, degree) pairs: d has one component per
+    finite endpoint, in the order of E.finite_endpoints(), and
+    degree <= SERIES_DEGREE.  Returns an iterator that gives, for each
+    pair in turn, [G_0, ..., G_degree] with
+    I - lambda M(eps) = sum_j eps^j G_j + O(eps^(degree + 1)).  It builds
+    a direction's matrices only when it reaches it, so a caller that drops
+    them before asking for the next keeps one direction's matrices alive.
+    Airy and Bessel kernels only; the arguments are checked and the
+    special functions evaluated before this returns.
+
+    Nodes and interval lengths, the Airy tail cut included, are affine in
+    the endpoints, so a node moves as x + eps v and its scale
+    sqrt(w) x^{-nu/2} as r (1 + eps a)^{1/2}, a being the relative growth
+    rate of its interval's length.  Both kernels are integrable,
+    K(x, y) = (f(x) g(y) - g(x) f(y)) / (x - y) with diagonal
+    g f' - f g', for (f, g) = (Ai, Ai') and (J_nu(sqrt x), x f'); the
+    series of f at each node come from its ODE recurrence, so the special
+    functions are evaluated once per node and shared by every direction.
+    """
+    if k.kind not in ("airy", "bessel"):
+        raise UsageError("endpoint series need the airy or bessel kernel")
+    E.require_nonempty()
+    degree = max(deg for _, deg in directions)
+    if min(deg for _, deg in directions) < 0 or degree > SERIES_DEGREE:
+        raise UsageError(f"series degrees must lie in 0..{SERIES_DEGREE}")
+    x, w = _nystrom_nodes(k, E, order)
+    r = np.sqrt(w)
+    if k.kind == "airy":
+        ai, aip = airy_ai_vec(x)
+        taylor = airy_taylor_coefficients(x, ai, aip, degree + 3)
+    else:
+        s = np.sqrt(x)
+        j = np.array([bessel_j(k.nu, t) for t in s])
+        jp = np.array([bessel_j_prime(k.nu, t) for t in s])
+        taylor = bessel_sqrt_taylor_coefficients(
+            k.nu, x, j, 0.5 * jp / s, degree + 3
+        )
+        if k.nu != 0.0:
+            r = r * x ** (-0.5 * k.nu)
+    motions = [(_node_motion(k, E, x, order, d), deg) for d, deg in directions]
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return (
+        _series_matrices(k, x, r, taylor, diff, vel, rate, deg)
+        for (vel, rate), deg in motions
+    )
 
 
 def kernel_trace_powers(k, E, order, jmax):

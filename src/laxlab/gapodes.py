@@ -1,10 +1,16 @@
 """Residual checkers for the gap-probability ODEs and PDEs.
 
-The moving-boundary operators A_n = sum_i coeff(A_i) d/dA_i act on
-log-determinant boundary functions by noise-aware central differences;
-compositions up to total order four feed the Painleve II / V single-gap
-ODEs, their multi-interval PDE generalizations, and the beta-ensemble
-(Gaussian / Laguerre) equations with their coefficient duality.
+The Painleve II / V single-gap ODEs and their multi-interval PDE
+generalizations apply the moving-boundary operators
+A_n = sum_i coeff(A_i) d/dA_i to F = log det(I - K|_E).  Their endpoint
+derivatives, up to total order four, are exact: the Taylor series of the
+Nystrom matrix along a constant endpoint direction
+(fredholm.nystrom_series) gives the directional derivatives of F through
+tau.logdet_series_derivatives, and polarization gives the mixed ones.
+The beta-ensemble (Gaussian / Laguerre) equations, with their
+coefficient duality, differentiate supplied gap probabilities by
+noise-aware central differences, as boundary_op does for any scalar
+function of the endpoints.
 """
 
 import math
@@ -14,8 +20,10 @@ import numpy as np
 
 from .errors import DomainError, PrecisionError, UnderflowError, UsageError
 from .fd import central_diff
-from .fredholm import KernelSpec, nystrom_det
+from .fredholm import KernelSpec, nystrom_det, nystrom_series
 from .intervals import IntervalUnion
+from .mathcore import lu_determinant
+from .tau import logdet_series_derivatives
 
 # determinant evaluations are quadrature-converged; roundoff of the LU
 # and of the log is what remains
@@ -105,10 +113,9 @@ def boundary_op(family, index, F, weight=None):
 
 # ----- single-gap ODE residuals -----
 
-def _logdet_derivatives(logdet, x, orders, noise=DET_LOG_NOISE, h_cap=None):
+def _logdet_derivatives(logdet, x, orders, noise=DET_LOG_NOISE):
     """Derivatives of logdet at x for each requested order, sharing a
-    memoized offset cache.  h_cap bounds the step (stencils reach 2h)
-    when a domain boundary is nearby."""
+    memoized offset cache."""
     cache = {}
 
     def g(d):
@@ -121,8 +128,6 @@ def _logdet_derivatives(logdet, x, orders, noise=DET_LOG_NOISE, h_cap=None):
         # widen the step with the order: the higher stencils divide by
         # h^order, so roundoff jitter dominates truncation at small h
         h = fd_step(noise, order) * {1: 1, 2: 1, 3: 2, 4: 4}[order]
-        if h_cap is not None:
-            h = min(h, h_cap)
         out[order] = central_diff(g, order, h, richardson=True)
     return out
 
@@ -136,24 +141,40 @@ def _check_det_accuracy(kernel, E, order):
         )
 
 
+def _logdet_jets(kernel, E, quad_order, directions):
+    """Exact directional derivatives [D_d F, ..., D_d^degree F] of
+    F = log det(I - K|_E) for each (d, degree) in directions, d moving
+    the finite endpoints of E; UnderflowError when det(I - K|_E) <= 0."""
+
+    def derivatives(g):
+        det = lu_determinant(g[0])
+        if not det > 0.0:
+            raise UnderflowError(
+                f"gap determinant {det:.2e} at the endpoints "
+                f"{E.finite_endpoints()} is not positive: the gap "
+                "probability is below the resolution of the Nystrom quadrature"
+            )
+        return logdet_series_derivatives(g)
+
+    # map drops each direction's matrices before the next are built
+    series = nystrom_series(kernel, E, quad_order, directions)
+    return list(map(derivatives, series))
+
+
 def pii_residual(s_grid, quad_order=96):
     """Normalized residual of R''' - 4AR' + 2R + 6R'^2 = 0 for
     R(A) = d/dA log det(I - K_airy on (A, inf))."""
     kernel = KernelSpec("airy")
-
-    def logdet(a):
-        return math.log(
-            nystrom_det(kernel, IntervalUnion([(a, math.inf)]), quad_order)
-        )
-
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     _check_det_accuracy(
         kernel, IntervalUnion([(float(s_grid.min()), math.inf)]), quad_order
     )
     out = []
     for a in s_grid:
-        d = _logdet_derivatives(logdet, a, (1, 2, 4))
-        terms = [d[4], -4.0 * a * d[2], 2.0 * d[1], 6.0 * d[2] ** 2]
+        (d,) = _logdet_jets(
+            kernel, IntervalUnion([(a, math.inf)]), quad_order, [((1.0,), 4)]
+        )
+        terms = [d[3], -4.0 * a * d[1], 2.0 * d[0], 6.0 * d[1] ** 2]
         out.append(sum(terms) / max(1.0, max(abs(t) for t in terms)))
     return np.array(out)
 
@@ -163,10 +184,6 @@ def pv_residual(nu, a_grid, quad_order=96):
     A^2 R''' + AR'' + (A - nu^2)R' - R/2 + 4RR' - 6AR'^2 = 0
     for R(A) = -A d/dA log det(I - K_bessel on (0, A))."""
     kernel = KernelSpec("bessel", nu=nu)
-
-    def logdet(a):
-        return math.log(nystrom_det(kernel, IntervalUnion([(0.0, a)]), quad_order))
-
     a_grid = np.atleast_1d(np.asarray(a_grid, dtype=float))
     if a_grid.min() <= 0.0:
         raise DomainError("hard-edge gap endpoints must be > 0")
@@ -175,11 +192,13 @@ def pv_residual(nu, a_grid, quad_order=96):
     )
     out = []
     for a in a_grid:
-        d = _logdet_derivatives(logdet, a, (1, 2, 3, 4), h_cap=a / 4.0)
-        r = -a * d[1]
-        rp = -(d[1] + a * d[2])
-        rpp = -(2.0 * d[2] + a * d[3])
-        rppp = -(3.0 * d[3] + a * d[4])
+        (d,) = _logdet_jets(
+            kernel, IntervalUnion([(0.0, a)]), quad_order, [((0.0, 1.0), 4)]
+        )
+        r = -a * d[0]
+        rp = -(d[0] + a * d[1])
+        rpp = -(2.0 * d[1] + a * d[2])
+        rppp = -(3.0 * d[2] + a * d[3])
         terms = [
             a * a * rppp,
             a * rpp,
@@ -193,67 +212,35 @@ def pv_residual(nu, a_grid, quad_order=96):
 
 
 # ----- multi-interval PDE residuals -----
+#
+# D_v is the derivative along the constant endpoint vector v, so a
+# boundary operator sum_i coeff(c_i) d/dc_i is D_coeff(c) at the point c.
+# Mixed second derivatives come from two jets by polarization,
+# D_u D_v F = (D_{u+v}^2 F - D_{u-v}^2 F) / 4.
 
-def _moving_boundary_function(kernel, E, quad_order):
-    """log det(I - K^E) as a function of the finite endpoints of E."""
-    pattern = []
-    base = []
-    for lo, hi in E.intervals:
-        pattern.append((math.isfinite(lo), math.isfinite(hi)))
-        if math.isfinite(lo):
-            base.append(lo)
-        if math.isfinite(hi):
-            base.append(hi)
-
-    def rebuild(c):
-        pieces = []
-        pos = 0
-        for (lo_fin, hi_fin), (lo, hi) in zip(pattern, E.intervals):
-            if lo_fin:
-                lo = c[pos]
-                pos += 1
-            if hi_fin:
-                hi = c[pos]
-                pos += 1
-            pieces.append((lo, hi))
-        return IntervalUnion(pieces)
-
-    cache = {}
-
-    def func(c):
-        # nested stencils revisit the same endpoint lattice points; the
-        # offsets are all >= 2.5e-3 apart, so rounding is collision-free
-        key = tuple(np.round(c, 10))
-        if key not in cache:
-            cache[key] = math.log(nystrom_det(kernel, rebuild(c), quad_order))
-        return cache[key]
-
-    return BoundaryFunction(func, tuple(base))
-
-
-def _require_separated(F, min_gap=0.2):
-    pts = np.sort(np.asarray(F.endpoints, dtype=float))
-    if len(pts) > 1 and np.diff(pts).min() <= min_gap:
+def _require_separated(c, min_gap=0.2):
+    if len(c) > 1 and np.diff(c).min() <= min_gap:
         raise DomainError(
-            "finite endpoints closer than 0.2 leave no room for the "
-            "finite-difference stencils"
+            "finite endpoints closer than 0.2; the PDE residual checks "
+            "need well-separated gap endpoints"
         )
 
 
 def airy_pde_residual(E, quad_order=64):
     """Normalized residual of (A1^3 - 4(A3 - 1/2))R + 6(A1 R)^2 = 0 with
-    R = A1 log det(I - K_airy^E) and A_n = sum_i A_i^{(n-1)/2} d/dA_i."""
-    F = _moving_boundary_function(KernelSpec("airy"), E, quad_order)
-    _require_separated(F)
-    a1 = lambda G: boundary_op("airy", 1, G)
-    a3 = lambda G: boundary_op("airy", 3, G)
-    r = a1(F)
-    terms = [
-        a1(a1(a1(r)))(),
-        -4.0 * a3(r)(),
-        2.0 * r(),
-        6.0 * a1(r)() ** 2,
-    ]
+    R = A1 log det(I - K_airy^E) and A_n = sum_i A_i^{(n-1)/2} d/dA_i.
+
+    A1 = D_1 has constant coefficients, so A1^k F = D_1^k F and
+    A3 A1 F = D_c D_1 F."""
+    c = np.asarray(E.finite_endpoints())
+    _require_separated(c)
+    one = np.ones_like(c)
+    d1, plus, minus = _logdet_jets(
+        KernelSpec("airy"), E, quad_order,
+        [(one, 4), (c + one, 2), (c - one, 2)],
+    )
+    a3r = (plus[1] - minus[1]) / 4.0
+    terms = [d1[3], -4.0 * a3r, 2.0 * d1[0], 6.0 * d1[1] ** 2]
     return sum(terms) / max(1.0, max(abs(t) for t in terms))
 
 
@@ -261,24 +248,34 @@ def bessel_pde_residual(nu, E, quad_order=64):
     """Normalized residual of
     (A1^4 - 2A1^3 + (1-nu^2)A1^2 + A3(A1 - 1/2))F
     - 4(A1 F)(A1^2 F) + 6(A1^2 F)^2 = 0
-    with F = log det(I - K_bessel^E) and A_n = sum_i A_i^{(n+1)/2} d/dA_i."""
+    with F = log det(I - K_bessel^E) and A_n = sum_i A_i^{(n+1)/2} d/dA_i.
+
+    The Euler operator A1 gives A1^k F = sum_j S(k, j) D_c^j F with the
+    Stirling numbers S of the second kind; A3 F = D_{c^2} F and
+    A3 A1 F = D_{c^2} F + D_{c^2} D_c F."""
     for lo, _ in E.intervals:
         if lo < 0.0:
             raise DomainError("hard-edge gap set must lie in [0, inf)")
-    F = _moving_boundary_function(KernelSpec("bessel", nu=nu), E, quad_order)
-    _require_separated(F)
-    a1 = lambda G: boundary_op("bessel", 1, G)
-    a3 = lambda G: boundary_op("bessel", 3, G)
-    p1 = a1(F)
-    p2 = a1(p1)
+    c = np.asarray(E.finite_endpoints())
+    _require_separated(c)
+    e, plus, minus = _logdet_jets(
+        KernelSpec("bessel", nu=nu), E, quad_order,
+        [(c, 4), (c * c + c, 2), (c * c - c, 2)],
+    )
+    p1 = e[0]
+    p2 = e[0] + e[1]
+    p3 = e[0] + 3.0 * e[1] + e[2]
+    p4 = e[0] + 7.0 * e[1] + 6.0 * e[2] + e[3]
+    a3 = (plus[0] + minus[0]) / 2.0
+    a3a1 = a3 + (plus[1] - minus[1]) / 4.0
     terms = [
-        a1(a1(p2))(),
-        -2.0 * a1(p2)(),
-        (1.0 - nu * nu) * p2(),
-        a3(p1)(),
-        -0.5 * a3(F)(),
-        -4.0 * p1() * p2(),
-        6.0 * p2() ** 2,
+        p4,
+        -2.0 * p3,
+        (1.0 - nu * nu) * p2,
+        a3a1,
+        -0.5 * a3,
+        -4.0 * p1 * p2,
+        6.0 * p2 ** 2,
     ]
     return sum(terms) / max(1.0, max(abs(t) for t in terms))
 

@@ -22,8 +22,10 @@ from .special import (
     airy_ai,
     airy_ai_prime,
     airy_ai_vec,
+    airy_taylor_coefficients,
     bessel_j,
     bessel_j_prime,
+    bessel_sqrt_taylor_coefficients,
     special_eval,
 )
 
@@ -45,7 +47,9 @@ __all__ = [
     "airy_ai",
     "airy_ai_prime",
     "airy_ai_vec",
+    "airy_taylor_coefficients",
     "bessel_j",
     "bessel_j_prime",
+    "bessel_sqrt_taylor_coefficients",
     "special_eval",
 ]

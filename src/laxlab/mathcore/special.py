@@ -132,6 +132,46 @@ def airy_ai_vec(xs):
     return ai, aip
 
 
+def airy_taylor_coefficients(x, ai, aip, count):
+    """Taylor coefficients c_0..c_{count-1} of Ai about each point of x,
+    from the values ai = Ai(x) and aip = Ai'(x) there; row n holds
+    Ai^{(n)}(x) / n! by the recurrence of _airy_taylor,
+    c_{n+2} = (x c_n + c_{n-1}) / ((n+1)(n+2))."""
+    x = np.asarray(x, dtype=float)
+    c = np.zeros((max(count, 2),) + x.shape)
+    c[0] = ai
+    c[1] = aip
+    for n in range(count - 2):
+        prev = c[n - 1] if n >= 1 else 0.0
+        c[n + 2] = (x * c[n] + prev) / ((n + 1) * (n + 2))
+    return c[:count]
+
+
+def bessel_sqrt_taylor_coefficients(nu, x, f, fp, count):
+    """Taylor coefficients c_0..c_{count-1} of f(x) = J_nu(sqrt x) about
+    each point x > 0, from f and fp = f'(x) there.
+
+    Matching powers of h in x^2 f'' + x f' + (x - nu^2) f / 4 = 0 about
+    x + h gives
+    x^2 (k+1)(k+2) c_{k+2} = -x (k+1)(2k+1) c_{k+1}
+                             - (k^2 + (x - nu^2)/4) c_k - c_{k-1}/4.
+    The coefficients grow like x^{-k} near the singular point 0, so
+    c_k h^k stays well scaled for steps h proportional to x.
+    """
+    x = np.asarray(x, dtype=float)
+    c = np.zeros((max(count, 2),) + x.shape)
+    c[0] = f
+    c[1] = fp
+    for k in range(count - 2):
+        prev = c[k - 1] if k >= 1 else 0.0
+        c[k + 2] = -(
+            x * (k + 1) * (2 * k + 1) * c[k + 1]
+            + (k * k + 0.25 * (x - nu * nu)) * c[k]
+            + 0.25 * prev
+        ) / (x * x * (k + 1) * (k + 2))
+    return c[:count]
+
+
 def _bessel_series(nu, x):
     """Ascending series; accurate for x <= 8 (cancellation stays mild)."""
     if x == 0.0:

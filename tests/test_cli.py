@@ -120,6 +120,18 @@ def test_out_file_and_format(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_far_tail_gap_probabilities_exit_numerical(capsys):
+    # below the Nystrom resolution the determinant comes out negative
+    assert main(["gapode", "pii", "--grid", "-14:-12:1", "--check"]) == (
+        EXIT_NUMERICAL
+    )
+    assert "-14" in capsys.readouterr().err
+    assert main([
+        "fredholm", "gap", "--s-grid", "-14:-12:1", "--check",
+    ]) == EXIT_NUMERICAL
+    assert "error estimate" in capsys.readouterr().err
+
+
 # ----- spot checks of a few subcommands -----
 
 def test_fredholm_gap_smoke_row():

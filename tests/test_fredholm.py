@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from laxlab.errors import DomainError, UsageError
+from laxlab.fd import central_diff
 from laxlab.fredholm import (
     KernelSpec,
     hermite_functions,
     kernel_eval,
     kernel_trace_powers,
     nystrom_det,
+    nystrom_matrix,
+    nystrom_series,
     scaling_limit_error,
 )
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import airy_ai_vec, gauss_legendre_rule
+from laxlab.tau import logdet_series_derivatives
 
 
 # ----- oracles -----
@@ -222,3 +226,75 @@ def test_scaling_checks_validate_input():
         scaling_limit_error(5, "edge", [0.0])
     with pytest.raises(UsageError):
         scaling_limit_error(50, "corner", [0.0])
+
+
+# ----- endpoint series -----
+
+def moved(E, d, eps):
+    for i, di in enumerate(d):
+        E = E.shift_endpoint(i, eps * di)
+    return E
+
+
+def fd_logdet_derivatives(kernel, E, d, order=64):
+    """D_d^k log det(I - K|_E) for k = 1..4 by Richardson central
+    differences of the plain Nystrom determinant."""
+
+    def F(eps):
+        return math.log(nystrom_det(kernel, moved(E, d, eps), order))
+
+    return [central_diff(F, k, 1e-2 if k < 3 else 2e-2) for k in (1, 2, 3, 4)]
+
+
+ENDPOINT_SERIES_CASES = [
+    (KernelSpec("airy"), "-4:-1,1:inf", (1.0, 0.5, -0.7)),
+    (KernelSpec("bessel"), "0:1.5,2:3", (0.0, 1.5, -2.0, 3.0)),
+    (KernelSpec("bessel", nu=0.25), "0:1.5,2:3", (0.0, 1.5, -2.0, 3.0)),
+    (KernelSpec("bessel", nu=-0.25), "0.5:1.5,2:3", (0.3, 1.5, -2.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("kernel,intervals,d", ENDPOINT_SERIES_CASES)
+def test_series_derivatives_match_finite_differences(kernel, intervals, d):
+    E = IntervalUnion.parse(intervals)
+    (g,) = nystrom_series(kernel, E, 64, [(d, 4)])
+    jet = logdet_series_derivatives(g)
+    fd = fd_logdet_derivatives(kernel, E, d)
+    for k, (a, b) in enumerate(zip(jet, fd), start=1):
+        assert abs(a - b) < 1e-4 * max(1.0, abs(b)), (k, a, b)
+
+
+def test_series_follow_the_moving_airy_tail_cut():
+    # beyond lo = AIRY_TAIL_CUT - 0.5 the cut moves with lo; lambda = 1e16
+    # lifts the tail's determinant above roundoff, and the derivatives
+    # differ from those of a fixed cut
+    kernel = KernelSpec("airy", lam=1e16)
+    E = IntervalUnion([(9.2, math.inf)])
+    (g,) = nystrom_series(kernel, E, 64, [((1.0,), 4)])
+    jet = logdet_series_derivatives(g)
+    fd = fd_logdet_derivatives(kernel, E, (1.0,))
+    for k, (a, b) in enumerate(zip(jet, fd), start=1):
+        assert abs(a - b) < 1e-4 * max(1e-2, abs(b)), (k, a, b)
+    (fixed,) = nystrom_series(kernel, IntervalUnion([(9.2, 9.7)]), 64,
+                              [((1.0, 0.0), 1)])
+    assert abs(logdet_series_derivatives(fixed)[0] - jet[0]) > 1e-2 * jet[0]
+
+
+@pytest.mark.parametrize("kernel,intervals,d", ENDPOINT_SERIES_CASES)
+def test_series_constant_term_is_the_nystrom_matrix(kernel, intervals, d):
+    E = IntervalUnion.parse(intervals)
+    (g,) = nystrom_series(kernel, E, 64, [(d, 2)])
+    want = np.eye(len(g[0])) - kernel.lam * nystrom_matrix(kernel, E, 64)[0]
+    assert np.abs(g[0] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_series_validate_input():
+    E = IntervalUnion([(0.0, 2.0)])
+    with pytest.raises(UsageError):
+        nystrom_series(KernelSpec("sine"), E, 32, [((0.0, 1.0), 2)])
+    with pytest.raises(UsageError):
+        nystrom_series(KernelSpec("bessel"), E, 32, [((0.0, 1.0), 5)])
+    with pytest.raises(UsageError):
+        nystrom_series(KernelSpec("bessel"), E, 32, [((1.0,), 2)])
+    with pytest.raises(DomainError):
+        nystrom_series(KernelSpec("bessel"), E, 32, [((1.0, 1.0), 2)])

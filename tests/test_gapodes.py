@@ -218,6 +218,28 @@ def test_bessel_pde_rejects_negative_set():
         bessel_pde_residual(0.0, IntervalUnion([(-1.0, 1.0)]))
 
 
+@pytest.mark.parametrize("intervals", ["-4:-1,1:inf", "-4:-1"])
+def test_airy_pde_residual_at_roundoff(intervals):
+    assert abs(airy_pde_residual(IntervalUnion.parse(intervals))) < 1e-9
+
+
+@pytest.mark.parametrize("intervals", ["0.5:1.5,2:3", "0:1.5,2:3"])
+def test_bessel_pde_residual_at_roundoff(intervals):
+    assert abs(bessel_pde_residual(0.0, IntervalUnion.parse(intervals))) < 1e-9
+
+
+def test_pii_pv_residuals_at_roundoff_on_default_grids():
+    assert np.abs(pii_residual(np.arange(-6.0, 2.125, 0.25))).max() < 1e-9
+    grid = np.arange(0.5, 5.25, 0.5)
+    assert np.abs(pv_residual(0.0, grid)).max() < 1e-9
+    assert np.abs(pv_residual(0.25, grid)).max() < 1e-9
+
+
+def test_pii_far_tail_underflows():
+    with pytest.raises(UnderflowError, match="-14"):
+        pii_residual([-14.0, -13.0, -12.0])
+
+
 # ----- invariant coefficients -----
 
 def test_gaussian_beta2_coefficients():

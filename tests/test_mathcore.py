@@ -16,8 +16,10 @@ from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import (
     airy_ai,
     airy_ai_prime,
+    airy_taylor_coefficients,
     bessel_j,
     bessel_j_prime,
+    bessel_sqrt_taylor_coefficients,
     block_j,
     cholesky_borel,
     gauss_legendre_rule,
@@ -390,6 +392,36 @@ def test_bessel_domain_errors():
         bessel_j(-1.5, 1.0)
     with pytest.raises(DomainError):
         bessel_j(0.0, -1.0)
+
+
+def test_airy_taylor_coefficients_match_mpmath():
+    xs = np.array([-6.0, -1.0, 0.0, 2.0, 9.0])
+    ai = np.array([airy_ai(x) for x in xs])
+    aip = np.array([airy_ai_prime(x) for x in xs])
+    coef = airy_taylor_coefficients(xs, ai, aip, 7)
+    for i, x in enumerate(xs):
+        for n in range(7):
+            ref = float(mpmath.airyai(x, n)) / math.factorial(n)
+            assert abs(coef[n, i] - ref) < 1e-12 * max(1.0, abs(ref)), (x, n)
+
+
+def test_bessel_sqrt_taylor_coefficients_match_mpmath():
+    # f(x) = J_nu(sqrt x); its coefficients grow like x^{-n} near 0, so
+    # they are compared in the scaled form c_n x^n
+    xs = np.array([0.01, 0.3, 2.0, 9.0])
+    for nu in (0.0, 0.25, -0.5, 1.0):
+        s = np.sqrt(xs)
+        f = np.array([bessel_j(nu, t) for t in s])
+        fp = np.array([bessel_j_prime(nu, t) for t in s]) / (2.0 * s)
+        coef = bessel_sqrt_taylor_coefficients(nu, xs, f, fp, 7)
+        with mpmath.workdps(40):
+            for i, x in enumerate(xs):
+                g = lambda t: mpmath.besselj(nu, mpmath.sqrt(t))
+                for n in range(7):
+                    ref = float(mpmath.diff(g, mpmath.mpf(x), n)
+                                / mpmath.factorial(n) * mpmath.mpf(x) ** n)
+                    got = coef[n, i] * x ** n
+                    assert abs(got - ref) < 1e-12, (nu, x, n)
 
 
 def test_special_eval_dispatch():
