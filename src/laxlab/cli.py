@@ -13,7 +13,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class _Result:
     tol: float
     err: float = 0.0
     ok: bool = True
-    notes: dict = field(default_factory=dict)
 
 
 # ----- canonical serialization -----

@@ -6,9 +6,9 @@ reduces to a ratio of Hankel determinants and, independently, to the
 determinant of the Gram matrix of orthonormal weighted polynomials
 restricted to E; at beta = 1 (even n) and beta = 4 it is a ratio of
 Pfaffians of skew moment matrices.  Monte Carlo samplers of the matching
-dense matrix ensembles provide cross-validation; sampling is blocked
-with counter-based per-block random streams so batches are bitwise
-reproducible at any thread count.
+tridiagonal beta-ensemble models provide cross-validation; sampling is
+blocked with counter-based per-block random streams so batches are
+bitwise reproducible at any thread count.
 """
 
 import math
@@ -29,7 +29,6 @@ from .tau import WeightSpec, hankel_moments
 SAMPLE_BLOCK = 4096
 # two internal beta = 2 routes must agree this well
 ROUTE_AGREEMENT = 1e-10
-KRAMERS_PAIR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -161,33 +160,10 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_normal(rng, scale, shape):
-    return rng.normal(scale=scale, size=shape) + 1j * rng.normal(
-        scale=scale, size=shape
-    )
-
-
-def _quaternion_block(a, bm):
-    """The 2N x 2M complex embedding [[A, B], [-conj(B), conj(A)]]."""
-    top = np.concatenate([a, bm], axis=-1)
-    bot = np.concatenate([-bm.conj(), a.conj()], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
-def _collapse_kramers(eigs):
-    """Adjacent eigenvalue pairs of a quaternion-structured matrix must
-    coincide; report each doubly degenerate level once."""
-    even, odd = eigs[..., 0::2], eigs[..., 1::2]
-    gap = np.abs(even - odd).max()
-    if gap > KRAMERS_PAIR_TOL * (1.0 + np.abs(eigs).max()):
-        raise PrecisionError(
-            f"quaternion eigenvalues failed to pair (split {gap:.2e})"
-        )
-    return 0.5 * (even + odd)
-
-
 def _wishart_shape(beta, a, n):
-    """Number of rows p of the rectangular factor matching exponent a."""
+    """Parameter p of the beta-Laguerre model with exponent a: the number
+    of rows of the matching Wishart factor, and the top chi degree
+    beta p of the bidiagonal model's diagonal."""
     if beta == 1:
         p = 2.0 * a + n + 1.0
     elif beta == 2:
@@ -204,38 +180,38 @@ def _wishart_shape(beta, a, n):
 
 
 def _sample_block(e, seed, block):
+    """SAMPLE_BLOCK sorted eigenvalue tuples from the tridiagonal models of
+    Dumitriu and Edelman (Matrix models for beta-ensembles, J. Math. Phys.
+    43, 2002), which have the joint density |Delta|^beta prod w exactly.
+
+    With s = 1/sqrt(2b) and k = 1..n-1: the Gaussian model has diagonal
+    s N(0, 1) and off-diagonal (s/sqrt 2) chi_{beta(n-k)}; the Laguerre
+    model is B B^T with B lower bidiagonal, diagonal s chi_{beta(p-k)} for
+    k = 0..n-1 and subdiagonal s chi_{beta(n-k)}, p = _wishart_shape.
+    Every beta costs one real symmetric eigensolve per draw.
+    """
     rng = _block_rng(seed, block)
-    n, b = e.n, e.weight.b
-    scale = math.sqrt(1.0 / (2.0 * b))
-    count = SAMPLE_BLOCK
+    n, beta = e.n, e.beta
+    s = math.sqrt(1.0 / (2.0 * e.weight.b))
+    shape = (SAMPLE_BLOCK, n - 1)
+    sub_dof = beta * np.arange(n - 1, 0, -1)
     if e.weight.family == "gaussian":
-        if e.beta == 1:
-            raw = rng.normal(scale=scale, size=(count, n, n))
-            mats = 0.5 * (raw + raw.transpose(0, 2, 1))
-        elif e.beta == 2:
-            raw = _complex_normal(rng, scale, (count, n, n))
-            mats = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-        else:
-            a = _complex_normal(rng, scale, (count, n, n))
-            bm = _complex_normal(rng, scale, (count, n, n))
-            x = _quaternion_block(a, bm)
-            mats = 0.5 * (x + x.conj().transpose(0, 2, 1))
-        eigs = np.linalg.eigvalsh(mats)
-        return _collapse_kramers(eigs) if e.beta == 4 else eigs
-    p = _wishart_shape(e.beta, e.weight.a, n)
-    if e.beta == 1:
-        g = rng.normal(scale=scale, size=(count, p, n))
-        mats = g.transpose(0, 2, 1) @ g
-    elif e.beta == 2:
-        g = _complex_normal(rng, scale, (count, p, n))
-        mats = g.conj().transpose(0, 2, 1) @ g
+        diag = s * rng.standard_normal((SAMPLE_BLOCK, n))
+        off = (s / math.sqrt(2.0)) * np.sqrt(rng.chisquare(sub_dof, shape))
     else:
-        a = _complex_normal(rng, scale, (count, p, n))
-        bm = _complex_normal(rng, scale, (count, p, n))
-        g = _quaternion_block(a, bm)
-        mats = g.conj().transpose(0, 2, 1) @ g
-    eigs = np.linalg.eigvalsh(mats)
-    return _collapse_kramers(eigs) if e.beta == 4 else eigs
+        p = _wishart_shape(beta, e.weight.a, n)
+        d = s * np.sqrt(rng.chisquare(beta * np.arange(p, p - n, -1),
+                                      (SAMPLE_BLOCK, n)))
+        sub = s * np.sqrt(rng.chisquare(sub_dof, shape))
+        diag = d * d
+        diag[:, 1:] += sub * sub
+        off = sub * d[:, :-1]
+    i = np.arange(n)
+    mats = np.zeros((SAMPLE_BLOCK, n, n))
+    mats[:, i, i] = diag
+    mats[:, i[1:], i[:-1]] = off
+    mats[:, i[:-1], i[1:]] = off
+    return np.linalg.eigvalsh(mats)
 
 
 def thread_count():
@@ -253,7 +229,7 @@ def thread_count():
 
 
 def sample_ensemble(e, count, seed):
-    """Eigenvalue batch from dense random matrices of the ensemble.
+    """Eigenvalue batch from tridiagonal random matrices of the ensemble.
 
     Samples are produced in fixed-size blocks; block i uses the
     counter-based stream keyed by (seed, i), so the batch is bitwise

@@ -83,12 +83,6 @@ class IntervalUnion:
                 out.append(hi)
         return out
 
-    def contains(self, x):
-        return any(lo <= x <= hi for lo, hi in self.intervals)
-
-    def contains_all(self, xs):
-        return all(self.contains(x) for x in xs)
-
     def is_bounded(self):
         return all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in self.intervals)
 

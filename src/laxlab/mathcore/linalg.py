@@ -141,9 +141,10 @@ def skew_borel(m):
 
     An exact (object) matrix is factored in rationals, so the sign test on
     each pivot is exact however small the pivot is; only the returned
-    float64 Q is rounded.  A float matrix is factored in float64, and a
-    failing pivot is reported against its rounding floor: the amount by
-    which rounding the entries of m alone can move it.
+    float64 Q is rounded.  A float matrix is factored in float64, and each
+    pivot must also exceed its rounding floor, the amount by which rounding
+    the entries of m alone can move it; a failing pivot is reported
+    against that floor.
     """
     m = _require_skew(m)
     n = m.shape[0]
@@ -168,8 +169,8 @@ def skew_borel(m):
             u = u - form(u, qb) * qa + form(u, qa) * qb
             v = v - form(v, qb) * qa + form(v, qa) * qb
         d = form(u, v)
-        if not d > threshold:
-            floor = n * EPS * float(np.abs(u) @ np.abs(m) @ np.abs(v))
+        floor = n * EPS * float(np.abs(u) @ np.abs(m) @ np.abs(v))
+        if not (d > threshold and d > floor):
             if abs(d) <= floor:
                 verdict = "lies within it, so float64 cannot resolve it"
             elif d < 0:

@@ -8,7 +8,7 @@ the stored sequence.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class HankelMoments:
     mu: np.ndarray
     weight: WeightSpec
     E: IntervalUnion
-    mu_hash: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def depth(self):

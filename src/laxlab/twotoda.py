@@ -187,13 +187,6 @@ def cd_kernel(m, n, y, z):
 
 # ----- exact log-tau derivatives in (t, s) -----
 
-def _h_shift(m, n, dt, ds):
-    """Derivative of the moment block w.r.t. one t_a (dt=a) and/or one
-    s_b (ds=b): row shift a, column shift b, sign (-1)^{#s-derivatives}."""
-    sign = -1.0 if ds else 1.0
-    return sign * m.block(n, rshift=dt, cshift=ds)
-
-
 def dlog_tau2(m, n, tlist=(), slist=()):
     """Exact mixed partial of log tau_n w.r.t. the listed t and s indices
     (total order <= 3), via the derivative formulas for log det."""

@@ -171,6 +171,33 @@ def test_sample_gse_shape_and_scale():
     assert abs(z.var() - 0.5) < 0.01  # var = 1/(2b), b = 1
 
 
+def within_four_stderr(values, want):
+    stderr = values.std() / math.sqrt(len(values))
+    return abs(values.mean() - want) < 4.0 * stderr
+
+
+def test_sample_gaussian_second_moment_all_betas():
+    # density |Delta|^beta prod e^{-b z^2}: E sum z^2 = (n/2b)(1 + beta(n-1)/2)
+    b = 2.0
+    for beta in (1, 2, 4):
+        for n in (1, 2, 3):
+            e = EnsembleSpec(beta, WeightSpec("gaussian", b=b), n)
+            z = sample_ensemble(e, 20_000, seed=61).eigenvalues
+            want = n / (2.0 * b) * (1.0 + beta * (n - 1) / 2.0)
+            assert within_four_stderr((z * z).sum(axis=1), want), (beta, n)
+
+
+def test_sample_laguerre_first_moment_all_betas():
+    # density |Delta|^beta prod z^a e^{-b z}: E sum z = n(a + 1 + beta(n-1)/2)/b
+    a, b = 1.0, 0.5
+    for beta in (1, 2, 4):
+        for n in (1, 2, 3):
+            e = EnsembleSpec(beta, WeightSpec("laguerre", a=a, b=b), n)
+            z = sample_ensemble(e, 20_000, seed=62).eigenvalues
+            want = n * (a + 1.0 + beta * (n - 1) / 2.0) / b
+            assert within_four_stderr(z.sum(axis=1), want), (beta, n)
+
+
 def test_sample_laguerre_constraints():
     with pytest.raises(UsageError):
         sample_ensemble(EnsembleSpec(1, WeightSpec("laguerre", a=0.3), 2), 10, 0)

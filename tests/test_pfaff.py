@@ -256,6 +256,15 @@ def test_uniform_pivots_and_taus_match_mpmath_oracle():
     assert np.abs(table / taus - 1.0).max() < 1e-12
 
 
+def test_uniform_float_pivots_within_rounding_floor_raise():
+    # from the correctly rounded float64 moments, the pivot of block 5
+    # (1.6e-14) already lies within its rounding floor (6.5e-14), and the
+    # deeper ones are positive noise
+    m = skew_inner_products(uniform_weight(), alpha=-1, N=10)
+    with pytest.raises(DegenerateFlagError, match=r"lies within it"):
+        skew_borel(np.asarray(m.m, float))
+
+
 # ----- projections -----
 
 def test_projection_partition_and_idempotence():
