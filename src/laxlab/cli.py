@@ -628,7 +628,7 @@ def build_parser():
     p = g.add_parser("run")
     p.add_argument("--kind", default="neumann",
                    choices=aci.SYSTEM_KINDS)
-    p.add_argument("--f-kind", default=None, choices=aci.F_KINDS)
+    p.add_argument("--f-kind", default=None, choices=aci.SYSTEM_KINDS)
     p.add_argument("--alpha", default="1,2,4")
     p.add_argument("--x", default="0.6,-0.3,0.8")
     p.add_argument("--y", default="0.2,0.5,-0.4")

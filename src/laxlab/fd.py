@@ -1,11 +1,9 @@
 """Central finite differences with one Richardson extrapolation.
 
-Used everywhere a derivative of an exactly-evaluable (or quadrature-noise
-limited) scalar function is needed: tau log-derivatives, boundary
-operators, residual checkers.
+Used where a derivative of a scalar function is known only through its
+values: the beta-ensemble gap ODE checker and the coupled two-Toda
+boundary operators.
 """
-
-import numpy as np
 
 _STENCILS = {
     1: {1.0: 0.5, -1.0: -0.5},
@@ -38,41 +36,3 @@ def central_diff(g, order, h, richardson=True, levels=1):
             for i in range(len(row) - 1)
         ]
     return row[0]
-
-
-def mixed_partial(f, x0, orders, h=1e-2, richardson=True, levels=1):
-    """Mixed partial derivative of f: R^n -> R at x0.
-
-    ``orders`` maps axis index -> derivative order; the total order of all
-    axes must stay <= 4 for the stencils to make sense.  Evaluations are
-    memoized on the integer stencil offsets, so shared points are reused.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    axes = sorted(k for k, v in orders.items() if v > 0)
-    cache = {}
-
-    def call(shift):
-        key = tuple(sorted(shift.items()))
-        if key not in cache:
-            x = x0.copy()
-            for axis, delta in shift.items():
-                x[axis] += delta
-            cache[key] = f(x)
-        return cache[key]
-
-    def recurse(remaining, shift):
-        if not remaining:
-            return call(shift)
-        axis = remaining[0]
-        rest = remaining[1:]
-
-        def g(delta):
-            sub = dict(shift)
-            sub[axis] = sub.get(axis, 0.0) + delta
-            return recurse(rest, sub)
-
-        return central_diff(
-            g, orders[axis], h, richardson=richardson, levels=levels
-        )
-
-    return recurse(axes, {})

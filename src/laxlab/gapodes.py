@@ -9,8 +9,7 @@ Nystrom matrix along a constant endpoint direction
 tau.logdet_series_derivatives, and polarization gives the mixed ones.
 The beta-ensemble (Gaussian / Laguerre) equations, with their
 coefficient duality, differentiate supplied gap probabilities by
-noise-aware central differences, as boundary_op does for any scalar
-function of the endpoints.
+noise-aware central differences.
 """
 
 import math
@@ -33,82 +32,6 @@ DET_LOG_NOISE = 1e-13
 def fd_step(noise, order=1):
     """Step size balancing truncation against evaluation noise."""
     return max(1e-2, noise ** (1.0 / (order + 1)))
-
-
-@dataclass(frozen=True)
-class BoundaryFunction:
-    """A scalar function of the finite endpoints, with an honest noise
-    bound and the total derivative order already applied to it."""
-
-    func: object
-    endpoints: tuple
-    noise: float = DET_LOG_NOISE
-    order: int = 0
-
-    def __post_init__(self):
-        if not math.isfinite(self.noise):
-            raise UsageError("noise bound must be finite")
-
-    def __call__(self, c=None):
-        pts = self.endpoints if c is None else tuple(c)
-        return self.func(np.asarray(pts, dtype=float))
-
-
-def _family_coefficient(family, index, weight):
-    if family == "airy":
-        if index % 2 == 0 or index < 1:
-            raise UsageError("airy boundary operators have odd index >= 1")
-        return lambda c: c ** ((index - 1) // 2)
-    if family == "bessel":
-        if index % 2 == 0 or index < 1:
-            raise UsageError("bessel boundary operators have odd index >= 1")
-        return lambda c: c ** ((index + 1) // 2)
-    if family == "weighted":
-        if weight is None:
-            raise UsageError("weighted boundary operators need a weight callable")
-        return lambda c: c ** (index + 1) * weight(c)
-    raise UsageError(f"unknown boundary-operator family {family!r}")
-
-
-def boundary_op(family, index, F, weight=None):
-    """First-order operator sum_i coeff(c_i) d/dc_i applied to F by
-    central differences with one Richardson extrapolation."""
-    coeff = _family_coefficient(family, index, weight)
-    if F.order >= 4:
-        raise PrecisionError(
-            "boundary-operator compositions beyond total order 4 exceed "
-            "the finite-difference noise budget"
-        )
-    # widen the step at deeper composition levels, as in
-    # _logdet_derivatives: noise accumulated by the inner layers
-    # dominates truncation there
-    h = fd_step(F.noise) * {0: 1, 1: 1, 2: 2, 3: 4}[F.order]
-    inner = F.func
-
-    def applied(c):
-        c = np.asarray(c, dtype=float)
-        gaps = np.diff(np.sort(c))
-        if gaps.size and gaps.min() <= 4.0 * h:
-            raise DomainError(
-                "endpoints collide within the finite-difference stencil"
-            )
-        total = 0.0
-        for i in range(len(c)):
-            w = coeff(c[i])
-            if w == 0.0:
-                continue
-
-            def g(d, i=i):
-                shifted = c.copy()
-                shifted[i] += d
-                return inner(shifted)
-
-            total += w * central_diff(g, 1, h, richardson=True)
-        return total
-
-    return replace(
-        F, func=applied, noise=3.0 * F.noise / h, order=F.order + 1
-    )
 
 
 # ----- single-gap ODE residuals -----

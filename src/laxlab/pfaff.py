@@ -10,6 +10,7 @@ Moments of the uniform weight are kept exact (rational) and are factored
 before they are rounded; every other weight gives float64 moments.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,9 +25,12 @@ from .errors import (
 )
 from .intervals import IntervalUnion
 from .mathcore import block_j, pfaffian, skew_borel, union_rule
+from .mathcore.ode import rk4
 from .tau import (
     WeightSpec,
-    _direction_poly_powers,
+    add_shifted_blocks,
+    direction_matrices,
+    kp_terms,
     logdet_series_derivatives,
     shift_coefficients,
     max_shift_for,
@@ -213,14 +217,9 @@ def evolve_skew(m0, t):
     if m0.exact:
         t = [Fraction(v) for v in t]
     c = shift_coefficients(t, shift)
-    new = np.zeros((keep, keep), dtype=m0.m.dtype)
-    for a, ca in enumerate(c):
-        if ca == 0.0:
-            continue
-        for b, cb in enumerate(c):
-            if cb == 0.0:
-                continue
-            new += ca * cb * m0.m[a : a + keep, b : b + keep]
+    new = add_shifted_blocks(
+        np.zeros((keep, keep), dtype=m0.m.dtype), m0.m, c, c
+    )
     new = (new - new.T) / 2  # rounding-exact skewness
     return SkewMoments(m=new, alpha=m0.alpha, weight=m0.weight, E=m0.E)
 
@@ -265,45 +264,28 @@ def project_minus(a):
     return a - project_plus(a)
 
 
-def _pfaff_rhs(L, k):
+def _pfaff_rhs(state, k):
+    L, Q = state
     b = -project_plus(np.linalg.matrix_power(L, k))
-    return b @ L - L @ b
+    return b @ L - L @ b, b @ Q
 
 
-def pfaff_ode_flow(L0, Q0, k, t_end, step, monitor_size=None):
-    """Integrate dL/dt_k = [-P_+(L^k), L] and dQ/dt_k = -P_+(L^k) Q by RK4.
+def pfaff_ode_flow(L0, Q0, k, t_end, step):
+    """Integrate dL/dt_k = [-P_+(L^k), L] and dQ/dt_k = -P_+(L^k) Q by RK4
+    (Q0 = None starts Q at the identity); t_end may be negative.
 
-    Truncation pollutes the bottom border, so invariants are monitored on
-    the interior ``monitor_size`` block only (default: size - 2k); drift
-    of its characteristic polynomial beyond what the flow itself causes is
-    not checked here — callers compare routes instead.  Returns (L, Q).
+    Truncation pollutes the bottom border of L, so no invariant of L is
+    checked here (callers compare routes instead); a non-finite L raises
+    a stability error.  Returns (L, Q).
     """
-    if step <= 0:
-        raise UsageError("step must be positive")
     L = np.array(L0, dtype=float)
     Q = np.array(Q0, dtype=float) if Q0 is not None else np.eye(L.shape[0])
-    t = 0.0
-    direction = 1.0 if t_end >= 0 else -1.0
-    while abs(t_end - t) > 1e-15:
-        h = direction * min(step, abs(t_end - t))
-        # coupled RK4 on (L, Q)
-        kl1 = _pfaff_rhs(L, k)
-        kq1 = -project_plus(np.linalg.matrix_power(L, k)) @ Q
-        L2, Q2 = L + 0.5 * h * kl1, Q + 0.5 * h * kq1
-        kl2 = _pfaff_rhs(L2, k)
-        kq2 = -project_plus(np.linalg.matrix_power(L2, k)) @ Q2
-        L3, Q3 = L + 0.5 * h * kl2, Q + 0.5 * h * kq2
-        kl3 = _pfaff_rhs(L3, k)
-        kq3 = -project_plus(np.linalg.matrix_power(L3, k)) @ Q3
-        L4, Q4 = L + h * kl3, Q + h * kq3
-        kl4 = _pfaff_rhs(L4, k)
-        kq4 = -project_plus(np.linalg.matrix_power(L4, k)) @ Q4
-        L = L + (h / 6.0) * (kl1 + 2 * kl2 + 2 * kl3 + kl4)
-        Q = Q + (h / 6.0) * (kq1 + 2 * kq2 + 2 * kq3 + kq4)
-        t += h
-        if not np.all(np.isfinite(L)):
+
+    def finite(steps, t, state):
+        if not np.all(np.isfinite(state[0])):
             raise StabilityError(f"flow blew up at t={t:.4g}; reduce the step")
-    return L, Q
+
+    return rk4(lambda state: _pfaff_rhs(state, k), (L, Q), t_end, step, finite)
 
 
 def skew_orthopoly_eval(m, n, z):
@@ -318,38 +300,11 @@ def skew_orthopoly_eval(m, n, z):
     return float(val) if z.ndim == 0 else val
 
 
-def _skew_direction_matrices(m0, n2, d, order=2):
-    """Taylor matrices of the leading n2 block of the evolved skew matrix
-    along t = s*d: m(s) = sum_j s^j G_j, exactly."""
-    powers = _direction_poly_powers(d, order)
-    maxdeg = len(powers[-1]) - 1
-    mu = np.asarray(m0.m, dtype=float)
-    if n2 + maxdeg > m0.size:
-        raise DepthError(
-            f"need moment indices through {n2 + maxdeg - 1}, "
-            f"matrix has size {m0.size}"
-        )
-    gs = []
-    for j in range(order + 1):
-        g = np.zeros((n2, n2))
-        for p in range(j + 1):
-            q = j - p
-            cp, cq = powers[p], powers[q]
-            for a, ca in enumerate(cp):
-                if ca == 0.0:
-                    continue
-                for b, cb in enumerate(cq):
-                    if cb == 0.0:
-                        continue
-                    g += ca * cb * mu[a : a + n2, b : b + n2]
-        gs.append(g)
-    return gs
-
-
 def _dlog_pf_directional(m0, n2, d, order):
     """Exact directional derivatives of log pf(m_{n2}(t)) along d, via
-    log pf = (1/2) log det."""
-    gs = _skew_direction_matrices(m0, n2, d, order)
+    log pf = (1/2) log det; time acts on both indices of the moments."""
+    mu = np.asarray(m0.m, dtype=float)
+    gs = direction_matrices(mu, n2, order, rows=d, cols=d)
     return [0.5 * v for v in logdet_series_derivatives(gs)]
 
 
@@ -369,13 +324,9 @@ def pfaffkp_residual(m, n):
         raise SingularTauError(f"tau_{n} vanishes")
     tau_minus = 1.0 if n == 2 else pfaffian(m.block(n - 2))
     tau_plus = pfaffian(m.block(n + 2))
-    d1 = _dlog_pf_directional(m, n, [1.0], 4)
-    d2 = _dlog_pf_directional(m, n, [0.0, 1.0], 2)
-    plus = _dlog_pf_directional(m, n, [1.0, 0.0, 1.0], 2)
-    minus = _dlog_pf_directional(m, n, [1.0, 0.0, -1.0], 2)
-    t13 = 0.25 * (plus[1] - minus[1])
     rhs = 12.0 * tau_minus * tau_plus / tau_n ** 2
-    terms = [d1[3], 3.0 * d2[1], -4.0 * t13, 6.0 * d1[1] ** 2, -rhs]
+    terms = kp_terms(functools.partial(_dlog_pf_directional, m, n))
+    terms.append(-rhs)
     scale = max(abs(v) for v in terms)
     if scale == 0.0:
         return 0.0

@@ -5,8 +5,16 @@ Moments live as a 1-D sequence mu_0..mu_M (the Hankel structure is
 enforced by construction).  Time evolution acts as the exponential of the
 index shift, expanded to total degree 12 in t, which is exact algebra on
 the stored sequence.
+
+The pieces every moment route shares live here too: the shifted-block
+accumulation behind the evolution of two-sided (skew and bi-moment)
+matrices, the Taylor matrices of a moment block along a time direction,
+exact log-determinant jets with mixed partials by polarization, and the
+four-term KP assembly.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +27,6 @@ from .errors import (
     SingularTauError,
     UsageError,
 )
-from .fd import mixed_partial
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant, union_rule
 
@@ -216,47 +223,21 @@ def log_tau(m, n):
     return math.log(val)
 
 
-def _dlog_first_order_exact(m, n, k):
-    """d/dt_k log tau_n via the trace identity tr(m_n^{-1} dm_n)."""
-    base = m.matrix(n)
-    shifted = m.matrix(n, shift=k)
-    try:
-        sol = np.linalg.solve(base, shifted)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTauError(f"tau_{n} vanishes") from exc
-    return float(np.trace(sol))
+def dlog_tau(m0, n, orders, t=None):
+    """Derivative of log tau_n w.r.t. the times, exact up to total order 4.
 
-
-def dlog_tau(m0, n, orders, t=None, h=None):
-    """Derivative of log tau_n w.r.t. the times.
-
-    ``orders`` maps time index k (1-based) -> derivative order.  First
-    total order is exact via the trace identity; higher orders use
-    Richardson-extrapolated central differences on the exact evolution.
+    ``orders`` maps time index k (1-based) -> derivative order.  Along a
+    single time the derivative is read off the directional log-det jet;
+    a mixed partial is a signed sum of such jets (see :func:`polarized`).
     """
     if t is not None and np.any(np.asarray(t) != 0.0):
         m0 = evolve_hankel(m0, t)
-    orders = {k: v for k, v in orders.items() if v > 0}
-    total = sum(orders.values())
-    if total == 0:
+    ks = [k for k, v in sorted(orders.items()) for _ in range(v)]
+    if not ks:
         return log_tau(m0, n)
-    if total == 1:
-        (k,) = orders.keys()
-        return _dlog_first_order_exact(m0, n, k)
-    kmax = max(orders.keys())
-
-    def f(tvec):
-        return log_tau(evolve_hankel(m0, tvec), n)
-
-    # Higher orders use a larger step plus a second Richardson level to
-    # keep rounding noise (amplified by 1/h^order) below the truncation.
-    if h is None:
-        h = 1e-2 if total <= 2 else 1e-2 * (total - 1)
-    levels = 2 if total >= 3 else 1
-    x0 = np.zeros(kmax)
-    return mixed_partial(
-        f, x0, {k - 1: v for k, v in orders.items()}, h=h, levels=levels
-    )
+    if ks[0] < 1 or len(ks) > 4:
+        raise UsageError("dlog_tau needs times t_k, k >= 1, and total order <= 4")
+    return polarized(functools.partial(dlog_tau_directional, m0, n), ks)
 
 
 def logdet_series_derivatives(g_list):
@@ -294,7 +275,7 @@ def logdet_series_derivatives(g_list):
 
 def _direction_poly_powers(d, order):
     """Coefficient arrays of P(z)^j / j! for P = sum_k d_k z^{k}, j=0..order."""
-    d = np.asarray(d, dtype=float)
+    d = np.trim_zeros(np.asarray(d, dtype=float), "b")
     base = np.concatenate([[0.0], d])  # P as a z-polynomial
     powers = [np.array([1.0])]
     current = np.array([1.0])
@@ -304,26 +285,86 @@ def _direction_poly_powers(d, order):
     return powers
 
 
-def hankel_direction_matrices(m0, n, d, order=4):
-    """Taylor matrices of the leading n-block of the evolved Hankel matrix
-    along t = s*d: H(s) = sum_j s^j G_j exactly."""
-    powers = _direction_poly_powers(d, order)
+def add_shifted_blocks(out, m, c, d):
+    """out += sum_{a,b} c_a d_b m[a:a+r, b:b+s] with (r, s) = out.shape,
+    skipping zero coefficients; exact (object) arrays stay exact."""
+    r, s = out.shape
+    for a, ca in enumerate(c):
+        if ca == 0:
+            continue
+        for b, cb in enumerate(d):
+            if cb == 0:
+                continue
+            out += ca * cb * m[a : a + r, b : b + s]
+    return out
+
+
+def direction_matrices(m, n, order, rows=(), cols=()):
+    """Taylor matrices G_0..G_order of the leading n-block of
+    e^{s P(Lambda)} m e^{s Q(Lambda^T)}, with P = sum_k rows_k z^k acting
+    on the row index and Q = sum_k cols_k z^k on the column index:
+    G_j = sum_{p+q=j} sum_{a,b} [z^a] P^p/p! [z^b] Q^q/q! m[a:a+n, b:b+n].
+    """
+    pr = _direction_poly_powers(rows, order)
+    pc = _direction_poly_powers(cols, order)
+    need = (n + len(pr[-1]) - 1, n + len(pc[-1]) - 1)
+    if need[0] > m.shape[0] or need[1] > m.shape[1]:
+        raise DepthError(
+            f"need a {need[0]} x {need[1]} moment array, have "
+            f"{m.shape[0]} x {m.shape[1]}"
+        )
     gs = []
     for j in range(order + 1):
         g = np.zeros((n, n))
-        for deg, coeff in enumerate(powers[j]):
-            if coeff != 0.0:
-                g += coeff * m0.matrix(n, shift=deg)
+        for p in range(j + 1):
+            add_shifted_blocks(g, m, pr[p], pc[j - p])
         gs.append(g)
     return gs
 
 
 def dlog_tau_directional(m0, n, d, order):
-    """Exact directional derivatives [D, D^2, ...] of log tau_n along d."""
-    return logdet_series_derivatives(hankel_direction_matrices(m0, n, d, order))
+    """Exact directional derivatives [D, D^2, ...] of log tau_n along d.
+    Time shifts the row index of the tall array H[i, j] = mu_{i+j}."""
+    i = np.arange(max(m0.depth - n + 2, 0))
+    tall = m0.mu[np.add.outer(i, np.arange(n))]
+    return logdet_series_derivatives(direction_matrices(tall, n, order, rows=d))
 
 
-def kp_residual(m0, n, t=None, h=None):
+def polarized(directional, ks):
+    """Partial d/dt_{k1} ... d/dt_{kr} from directional jets
+    ``directional(d, order) -> [D_d, D_d^2, ...]``; a mixed one by
+    polarization:
+
+        (2^{r-1} r!)^{-1} sum_{eps, eps_1 = +1} (prod eps) D^r_v,
+        v = sum_i eps_i e_{k_i}.
+    """
+    r = len(ks)
+    if len(set(ks)) == 1:  # a single time: the jet itself
+        return directional(np.eye(ks[0])[-1], r)[r - 1]
+    total = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=r - 1):
+        eps = (1.0,) + signs
+        v = np.zeros(max(ks))
+        for e, k in zip(eps, ks):
+            v[k - 1] += e
+        total += math.prod(eps) * directional(v, r)[r - 1]
+    return total / (2 ** (r - 1) * math.factorial(r))
+
+
+def kp_terms(directional):
+    """The four terms of the first KP equation for a log tau whose jets
+    ``directional(d, order) -> [D_d, D_d^2, ...]`` are given:
+
+        (d/dt1)^4 + 3 (d/dt2)^2 - 4 d^2/dt1 dt3 (by polarization),
+        and 6 (d^2/dt1^2)^2.
+    """
+    d1 = directional([1.0], 4)
+    d2 = directional([0.0, 1.0], 2)
+    return [d1[3], 3.0 * d2[1], -4.0 * polarized(directional, (1, 3)),
+            6.0 * d1[1] ** 2]
+
+
+def kp_residual(m0, n, t=None):
     """Normalized residual of the first KP equation for log tau_n:
 
         (d/dt1)^4 log tau + 3 (d/dt2)^2 log tau - 4 d^2/dt1 dt3 log tau
@@ -336,15 +377,7 @@ def kp_residual(m0, n, t=None, h=None):
         raise UsageError("kp_residual needs n >= 1")
     if t is not None and np.any(np.asarray(t) != 0.0):
         m0 = evolve_hankel(m0, t)
-    d1 = dlog_tau_directional(m0, n, [1.0], 4)
-    d2 = dlog_tau_directional(m0, n, [0.0, 1.0], 2)
-    plus = dlog_tau_directional(m0, n, [1.0, 0.0, 1.0], 2)
-    minus = dlog_tau_directional(m0, n, [1.0, 0.0, -1.0], 2)
-    t1111 = d1[3]
-    t11 = d1[1]
-    t22 = d2[1]
-    t13 = 0.25 * (plus[1] - minus[1])
-    terms = [t1111, 3.0 * t22, -4.0 * t13, 6.0 * t11 ** 2]
+    terms = kp_terms(functools.partial(dlog_tau_directional, m0, n))
     scale = max(abs(v) for v in terms)
     if scale == 0.0:
         return 0.0

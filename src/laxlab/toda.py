@@ -19,7 +19,8 @@ from .mathcore import (
     symmetric_eigen,
     symmetric_eigensystem,
 )
-from .tau import _dlog_first_order_exact, evolve_hankel, tau_table
+from .mathcore.ode import rk4
+from .tau import dlog_tau, evolve_hankel, tau_table
 
 # Scale c in exp(c * t * L0^k) = QR for the factorization route; pinned by
 # matching the small-t Taylor expansion of the ODE route (see tests).
@@ -103,8 +104,7 @@ def lax_from_tau(m, t, n):
     if np.any(taus[1:] <= 0.0):
         raise SingularTauError("tau table is not positive")
     diag = np.array(
-        [_dlog_first_order_exact(m, k + 1, 1)
-         - (_dlog_first_order_exact(m, k, 1) if k else 0.0)
+        [dlog_tau(m, k + 1, {1: 1}) - (dlog_tau(m, k, {1: 1}) if k else 0.0)
          for k in range(n)]
     )
     off = np.array(
@@ -133,27 +133,20 @@ def toda_ode_flow(L0, k, t_end, step):
     is projected back to the banded type; eigenvalue drift beyond 1e-6
     raises a stability error.
     """
-    if step <= 0:
-        raise UsageError("step must be positive")
     if not L0.symmetric:
         L0 = L0.to_symmetric()
     m = L0.matrix()
     ev0 = symmetric_eigen(m)
-    t = 0.0
-    direction = 1.0 if t_end >= 0 else -1.0
-    while abs(t_end - t) > 1e-15:
-        h = direction * min(step, abs(t_end - t))
-        k1 = _toda_rhs(m, k)
-        k2 = _toda_rhs(m + 0.5 * h * k1, k)
-        k3 = _toda_rhs(m + 0.5 * h * k2, k)
-        k4 = _toda_rhs(m + h * k3, k)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        drift = np.abs(symmetric_eigen(m) - ev0).max()
+
+    def drift_check(steps, t, state):
+        drift = np.abs(symmetric_eigen(state[0]) - ev0).max()
         if drift > 1e-6:
             raise StabilityError(
                 f"eigenvalue drift {drift:.3e} at t={t:.4g}; reduce the step"
             )
+
+    (m,) = rk4(lambda state: (_toda_rhs(state[0], k),), (m,), t_end, step,
+               drift_check)
     return _lax_from_dense(m)
 
 

@@ -23,7 +23,9 @@ from .fd import central_diff
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant, union_rule
 from .tau import (
-    _direction_poly_powers,
+    add_shifted_blocks,
+    direction_matrices,
+    kp_terms,
     logdet_series_derivatives,
     max_shift_for,
     shift_coefficients,
@@ -105,14 +107,7 @@ def evolve_bimoments(m0, t, s):
         if shift_s
         else np.array([1.0])
     )
-    new = np.zeros((keep, keep))
-    for a, ca in enumerate(ct):
-        if ca == 0.0:
-            continue
-        for b, cb in enumerate(cs):
-            if cb == 0.0:
-                continue
-            new += ca * cb * m0.m[a : a + keep, b : b + keep]
+    new = add_shifted_blocks(np.zeros((keep, keep)), m0.m, ct, cs)
     return BiMoments(m=new, c=m0.c, E1=m0.E1, E2=m0.E2)
 
 
@@ -202,10 +197,13 @@ def dlog_tau2(m, n, tlist=(), slist=()):
         return sign * m.block(n, rshift=dt, cshift=ds)
 
     base = m.block(n)
-    try:
-        solve = lambda mat: np.linalg.solve(base, mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularTauError(f"tau_{n} vanishes") from exc
+
+    def solve(mat):
+        try:
+            return np.linalg.solve(base, mat)
+        except np.linalg.LinAlgError as exc:
+            raise SingularTauError(f"tau_{n} vanishes") from exc
+
     tr = lambda *ms: float(np.trace(np.linalg.multi_dot(ms))) if len(ms) > 1 \
         else float(np.trace(ms[0]))
     if order == 1:
@@ -237,31 +235,18 @@ def kp_in_t_residual(m, n, direction="t"):
     times (or the s times), all derivatives exact."""
     if n < 1:
         raise UsageError("kp_in_t_residual needs n >= 1")
-    sign = 1.0 if direction == "t" else -1.0
     if direction not in ("t", "s"):
         raise UsageError("direction must be 't' or 's'")
 
     def directional(d, order):
-        powers = _direction_poly_powers([sign * v for v in d], order)
-        maxdeg = len(powers[-1]) - 1
-        gs = []
-        for j in range(order + 1):
-            g = np.zeros((n, n))
-            for deg, coeff in enumerate(powers[j]):
-                if coeff != 0.0:
-                    if direction == "t":
-                        g += coeff * m.block(n, rshift=deg)
-                    else:
-                        g += coeff * m.block(n, cshift=deg)
-            gs.append(g)
+        # t shifts the row index, s the column index with the opposite sign
+        if direction == "t":
+            gs = direction_matrices(m.m, n, order, rows=d)
+        else:
+            gs = direction_matrices(m.m, n, order, cols=[-v for v in d])
         return logdet_series_derivatives(gs)
 
-    d1 = directional([1.0], 4)
-    d2 = directional([0.0, 1.0], 2)
-    plus = directional([1.0, 0.0, 1.0], 2)
-    minus = directional([1.0, 0.0, -1.0], 2)
-    t13 = 0.25 * (plus[1] - minus[1])
-    terms = [d1[3], 3.0 * d2[1], -4.0 * t13, 6.0 * d1[1] ** 2]
+    terms = kp_terms(directional)
     scale = max(abs(v) for v in terms)
     if scale == 0.0:
         return 0.0

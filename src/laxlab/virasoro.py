@@ -29,7 +29,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DepthError, UsageError
-from .intervals import IntervalUnion
 from .mathcore import lu_determinant, pfaffian
 from .pfaff import evolve_skew, skew_inner_products
 from .tau import evolve_hankel, hankel_moments
@@ -262,25 +261,6 @@ def j_apply(kind, k, supplier, t, beta=2.0, n=0, sigma=None, h=1e-4):
 # ----------------------------------------------------------------------
 
 
-def _finite_endpoints(E):
-    out = []
-    for lo, hi in E.intervals:
-        if math.isfinite(lo):
-            out.append(lo)
-        if math.isfinite(hi):
-            out.append(hi)
-    return out
-
-
-def _shift_endpoint(E, c, delta):
-    shifted = []
-    for lo, hi in E.intervals:
-        lo2 = lo + delta if lo == c else lo
-        hi2 = hi + delta if hi == c else hi
-        shifted.append((lo2, hi2))
-    return IntervalUnion(shifted)
-
-
 def virasoro_residual(w, beta, E, n, k, t=None, order=64, step=1e-5):
     """Normalized residual of the k-th linear constraint on the ensemble
     integral over E^n: the boundary operator (finite differences in the
@@ -335,12 +315,12 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64, step=1e-5):
             if idx == 0:
                 part += n * tau
             terms.append(-bi * part)
-    for c in _finite_endpoints(E):
+    for i, c in enumerate(E.finite_endpoints()):
         coeff = c ** (k + 1) * data.f(c)
         if coeff == 0.0:
             continue
-        up = make(_shift_endpoint(E, c, step)).value(t)
-        down = make(_shift_endpoint(E, c, -step)).value(t)
+        up = make(E.shift_endpoint(i, step)).value(t)
+        down = make(E.shift_endpoint(i, -step)).value(t)
         terms.append(-coeff * (up - down) / (2.0 * step))
     scale = max([abs(tau)] + [abs(v) for v in terms])
     if scale == 0.0:

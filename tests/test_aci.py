@@ -206,3 +206,11 @@ def test_commutator_discrepancy_scales_like_step4():
     coarse = commutativity_report(a0, "euler", "neumann", 0.1, step=4e-3)
     fine = commutativity_report(a0, "euler", "neumann", 0.1, step=2e-3)
     assert 8.0 < coarse / fine < 32.0
+
+
+def test_flow_backward_returns_to_start():
+    a0 = build_system("neumann", ALPHA, x=X, y=Y)
+    there = aci_flow(a0, "neumann", 0.5, 1e-3)
+    back = aci_flow(there, "neumann", -0.5, 1e-3)
+    for c0, c1 in zip(a0.coeffs, back.coeffs):
+        assert np.abs(c1 - c0).max() < 1e-12

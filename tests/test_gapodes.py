@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from laxlab.errors import DomainError, PrecisionError, UnderflowError, UsageError
+from laxlab.errors import DomainError, UnderflowError, UsageError
 from laxlab.gapodes import (
-    BoundaryFunction,
     airy_pde_residual,
     bessel_pde_residual,
     beta_ode_residual,
-    boundary_op,
     pii_residual,
     pv_residual,
     q_coefficients,
@@ -83,63 +81,6 @@ def laguerre_b2_supplier(a, b):
     return gram_probability_supplier(
         lambda z: z ** a * np.exp(-b * z), 1e-12, L
     )
-
-
-# ----- boundary operators -----
-
-def test_boundary_op_polynomial():
-    F = BoundaryFunction(lambda c: c[0] ** 2, (3.0,))
-    assert boundary_op("airy", 1, F)() == pytest.approx(6.0, abs=1e-9)
-    # A3 = A d/dA on a single airy endpoint
-    assert boundary_op("airy", 3, F)() == pytest.approx(18.0, abs=1e-8)
-    # bessel A1 = A d/dA
-    assert boundary_op("bessel", 1, F)() == pytest.approx(18.0, abs=1e-8)
-
-
-def test_boundary_op_weighted_family():
-    F = BoundaryFunction(lambda c: c.sum(), (1.0, 2.0))
-    # B_{-1} = sum f(c_i) d/dc_i with f(c) = c, applied to c_0 + c_1
-    val = boundary_op("weighted", -1, F, weight=lambda c: c)()
-    assert val == pytest.approx(3.0, abs=1e-8)
-
-
-def test_boundary_op_two_endpoints():
-    F = BoundaryFunction(lambda c: c[0] * c[1] ** 2, (2.0, 0.5))
-    # A3 = sum A_i d/dA_i applied twice
-    a3 = boundary_op("airy", 3, F)
-    assert a3() == pytest.approx(2.0 * 0.25 + 2.0 * 2.0 * 0.25, abs=1e-7)
-
-
-def test_boundary_op_order_budget():
-    F = BoundaryFunction(lambda c: math.sin(c[0]), (0.3,))
-    for _ in range(4):
-        F = boundary_op("airy", 1, F)
-    with pytest.raises(PrecisionError):
-        boundary_op("airy", 1, F)
-
-
-def test_boundary_op_endpoint_collision():
-    F = BoundaryFunction(lambda c: c.sum(), (0.10, 0.12))
-    with pytest.raises(DomainError):
-        boundary_op("airy", 1, F)()
-
-
-def test_boundary_op_constant_shift_invariant():
-    F = BoundaryFunction(lambda c: c[0] ** 3, (1.2,))
-    G = BoundaryFunction(lambda c: c[0] ** 3 + 7.0, (1.2,))
-    assert boundary_op("airy", 1, F)() == pytest.approx(
-        boundary_op("airy", 1, G)(), abs=1e-12
-    )
-
-
-def test_boundary_op_validates_family():
-    F = BoundaryFunction(lambda c: c[0], (1.0,))
-    with pytest.raises(UsageError):
-        boundary_op("cubic", 1, F)
-    with pytest.raises(UsageError):
-        boundary_op("airy", 2, F)
-    with pytest.raises(UsageError):
-        boundary_op("weighted", 0, F)
 
 
 # ----- Painleve II / V -----

@@ -13,6 +13,7 @@ from laxlab.errors import (
     SymmetryError,
 )
 from laxlab.intervals import IntervalUnion
+from laxlab.mathcore.ode import rk4
 from laxlab.mathcore import (
     airy_ai,
     airy_ai_prime,
@@ -431,3 +432,28 @@ def test_special_eval_dispatch():
     )
     with pytest.raises(DomainError):
         special_eval("nope", 1.0)
+
+
+# ----- ODE driver -----
+
+@pytest.mark.parametrize("t_end", [1.0, -1.0])
+def test_rk4_is_fourth_order(t_end):
+    a = np.array([[0.0, 1.0], [-2.0, -0.3]])
+    y0 = np.array([1.0, 0.5])
+    evals, vecs = np.linalg.eig(a)
+    exact = np.real(vecs @ (np.exp(evals * t_end) * np.linalg.solve(vecs, y0)))
+
+    def error(step):
+        (y,) = rk4(lambda s: (a @ s[0],), (y0,), t_end, step)
+        return np.abs(y - exact).max()
+
+    ratio = error(0.1) / error(0.05)
+    assert 14.0 < ratio < 18.0
+
+
+def test_rk4_steps_land_on_t_end():
+    times = []
+    rk4(lambda s: (np.ones(1),), (np.zeros(1),), -0.25, 0.1,
+        lambda steps, t, state: times.append((steps, t)))
+    assert [k for k, _ in times] == [1, 2, 3]
+    assert times[-1][1] == pytest.approx(-0.25, abs=1e-15)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from laxlab.errors import DepthError, DivergenceError
+from laxlab.errors import DepthError, DivergenceError, UsageError
 from laxlab.fd import central_diff
 from laxlab.intervals import IntervalUnion
 from laxlab.tau import (
@@ -166,6 +166,23 @@ def test_dlog_tau_first_order_exact_vs_fd():
 
     fd = central_diff(f, 1, 1e-2, richardson=True)
     assert dlog_tau(m, 3, {2: 1}) == pytest.approx(fd, abs=1e-8)
+
+
+@pytest.mark.parametrize("orders", [{1: 1, 2: 1}, {1: 2, 2: 1}])
+def test_dlog_tau_mixed_partials_match_fd_of_first_order(orders):
+    m = hankel_moments(WeightSpec("laguerre"), M=60)
+
+    def f(s):
+        return dlog_tau(m, 3, {2: 1}, t=[s])
+
+    fd = central_diff(f, orders[1], 1e-2, richardson=True, levels=2)
+    assert dlog_tau(m, 3, orders) == pytest.approx(fd, rel=1e-8)
+
+
+def test_dlog_tau_rejects_order_above_four():
+    m = hankel_moments(gaussian_weight(), M=60)
+    with pytest.raises(UsageError):
+        dlog_tau(m, 2, {1: 3, 2: 2})
 
 
 # ----- KP -----

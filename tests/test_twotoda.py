@@ -232,6 +232,13 @@ def test_dlog_first_order_against_fd():
     assert dlog_tau2(m, 2, tlist=(1,)) == pytest.approx(fd, abs=1e-9)
 
 
+def test_dlog_tau2_singular_block_is_singular_tau_error():
+    E = IntervalUnion.full_line()
+    m = BiMoments(m=np.zeros((6, 6)), c=0.5, E1=E, E2=E)
+    with pytest.raises(SingularTauError):
+        dlog_tau2(m, 2, tlist=(1,))
+
+
 def test_kp_in_t_and_s():
     m = bimoments(0.5, N=10)
     for n in (2, 3):
