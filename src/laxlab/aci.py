@@ -55,6 +55,8 @@ class LaxPolynomial:
 
 def _check_alpha(alpha):
     alpha = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(alpha)):
+        raise DomainError("alpha entries must be finite")
     n = len(alpha)
     gaps = np.abs(alpha[:, None] - alpha[None, :])[~np.eye(n, dtype=bool)]
     if n > 1 and gaps.min() < 1e-12 * (1.0 + np.abs(alpha).max()):
@@ -79,6 +81,8 @@ def build_system(kind, alpha, gamma=None, x=None, y=None):
     gamma = np.zeros(n) if gamma is None else np.asarray(gamma, dtype=float)
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
     y = np.zeros(n) if y is None else np.asarray(y, dtype=float)
+    if not gamma.shape == x.shape == y.shape == (n,):
+        raise UsageError("gamma, x and y need one entry per alpha entry")
     sub = np.diag(gamma) + skew_pair(x, y)
     if kind == "euler":
         coeffs = (sub, np.diag(alpha))
@@ -104,62 +108,55 @@ def _f_derivatives(f_kind, alpha):
     raise UsageError(f"unknown flow kind {f_kind!r}")
 
 
+def _divided_differences(alpha, beta):
+    """(f'(a_i) - f'(a_j)) / (a_i - a_j) off the diagonal, 0 on it (the
+    numerator vanishes there)."""
+    diff_a = alpha[:, None] - alpha[None, :]
+    np.fill_diagonal(diff_a, 1.0)
+    return (beta[:, None] - beta[None, :]) / diff_a
+
+
 def b_from_a(a, f_kind):
     """b_ij = (f'(a_i) - f'(a_j)) / (a_i - a_j) (a_{m-1})_ij off the
     diagonal, gamma_i f''(a_i) on it."""
-    alpha = a.alpha
-    beta, fpp = _f_derivatives(f_kind, alpha)
-    diff_a = alpha[:, None] - alpha[None, :]
-    np.fill_diagonal(diff_a, 1.0)
-    ratio = (beta[:, None] - beta[None, :]) / diff_a
-    b = ratio * a.coeffs[-2]
-    np.fill_diagonal(b, a.gamma * fpp)
-    return b
-
-
-def _flow_derivative(coeffs, a, f_kind):
-    """Coefficients of [a, b + beta h]: a_j' = [a_j, b] + [a_{j-1}, beta]."""
-    b = b_from_a(
-        LaxPolynomial(coeffs=tuple(coeffs), alpha=a.alpha, gamma=a.gamma),
-        f_kind,
-    )
-    beta = np.diag(_f_derivatives(f_kind, a.alpha)[0])
-    out = []
-    for j, cj in enumerate(coeffs):
-        d = cj @ b - b @ cj
-        if j > 0:
-            prev = coeffs[j - 1]
-            d = d + prev @ beta - beta @ prev
-        out.append(d)
-    return out
+    beta, fpp = _f_derivatives(f_kind, a.alpha)
+    return (_divided_differences(a.alpha, beta) * a.coeffs[-2]
+            + np.diag(a.gamma * fpp))
 
 
 def aci_flow(a0, f_kind, t_end, step):
     """RK4 trajectory endpoint of a' = [a, b + beta h] at t_end (either
     sign), with b rebuilt from the current h^{m-1} coefficient at every
-    stage; the invariant drift is checked every 200 steps and at t_end."""
+    stage; the invariant drift is checked every 200 steps and at t_end.
+    beta, the divided differences and diag(gamma f''(alpha)) depend only on
+    the invariants alpha, gamma, so they are built once per call; the
+    coefficients ride as one (m+1, n, n) stack through batched products.
+    """
+    beta, fpp = _f_derivatives(f_kind, a0.alpha)
+    ratio = _divided_differences(a0.alpha, beta)
+    bdiag = np.diag(a0.gamma * fpp)
 
-    def polynomial(coeffs):
-        return LaxPolynomial(coeffs=tuple(coeffs), alpha=a0.alpha, gamma=a0.gamma)
+    def rhs(state):
+        (c,) = state
+        b = ratio * c[-2] + bdiag
+        d = c @ b - b @ c
+        d[1:] += c[:-1] * beta[None, :]
+        d[1:] -= beta[:, None] * c[:-1]
+        return (d,)
 
-    def drift_check(steps, t, coeffs):
+    def checked(stack, where):
+        out = LaxPolynomial(coeffs=tuple(stack), alpha=a0.alpha, gamma=a0.gamma)
+        drift = out.invariant_drift()
+        if drift > INVARIANT_DRIFT_TOL:
+            raise StabilityError(f"invariant manifold drift {drift:.2e} {where}")
+        return out
+
+    def drift_check(steps, t, state):
         if steps % 200 == 0:
-            drift = polynomial(coeffs).invariant_drift()
-            if drift > INVARIANT_DRIFT_TOL:
-                raise StabilityError(
-                    f"invariant manifold drift {drift:.2e} after {steps} steps"
-                )
+            checked(state[0], f"after {steps} steps")
 
-    coeffs = rk4(
-        lambda coeffs: _flow_derivative(coeffs, a0, f_kind),
-        a0.coeffs, t_end, step, drift_check,
-    )
-    out = polynomial(coeffs)
-    if out.invariant_drift() > INVARIANT_DRIFT_TOL:
-        raise StabilityError(
-            f"invariant manifold drift {out.invariant_drift():.2e} at t_end"
-        )
-    return out
+    (stack,) = rk4(rhs, (np.array(a0.coeffs),), t_end, step, drift_check)
+    return checked(stack, "at t_end")
 
 
 def spectral_curve_coeffs(a):

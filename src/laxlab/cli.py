@@ -124,9 +124,9 @@ def emit_report(report, fmt):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *pos, **kw):
         super().__init__(*pos, **kw)
-        # values like "-inf:0" or "-6:2:0.25" must parse as arguments, not
-        # option names; no registered option starts with a digit or "-inf"
-        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf)")
+        # values like "-inf:0", "-6:2:0.25" or "-s:s" are arguments: no
+        # registered option starts with a digit or "-inf", or has a colon
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|\w*:)")
 
     def error(self, message):
         raise UsageError(message)
@@ -141,8 +141,9 @@ def parse_grid(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"cannot parse grid {text!r}") from exc
-    if step <= 0.0 or stop < start:
-        raise UsageError("grids need step > 0 and stop >= start")
+    # written so that NaN and infinite values fail the test
+    if not (step > 0.0 and 0.0 <= (stop - start) / step < 1e5):
+        raise UsageError("grids need step > 0, stop >= start, <= 1e5 points")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return np.array([start + k * step for k in range(count)])
 

@@ -12,8 +12,8 @@ from .errors import EmptyDomainError, UsageError
 class IntervalUnion:
     """A finite disjoint union of open-ended real intervals [lo, hi].
 
-    Intervals are stored sorted and non-overlapping; zero-length pieces
-    are rejected.
+    Intervals are stored sorted and non-overlapping, with touching pieces
+    merged; zero-length pieces are rejected.
     """
 
     def __init__(self, intervals):
@@ -26,11 +26,14 @@ class IntervalUnion:
             if not lo < hi:
                 raise UsageError(f"interval [{lo}, {hi}] has no interior")
             pieces.append((lo, hi))
-        pieces.sort()
-        for (_, h1), (l2, _) in zip(pieces, pieces[1:]):
-            if l2 < h1:
+        merged = []
+        for lo, hi in sorted(pieces):
+            if merged and lo < merged[-1][1]:
                 raise UsageError("intervals in a union must be disjoint")
-        self.intervals = tuple(pieces)
+            if merged and lo == merged[-1][1]:
+                lo = merged.pop()[0]
+            merged.append((lo, hi))
+        self.intervals = tuple(merged)
 
     @classmethod
     def parse(cls, text):

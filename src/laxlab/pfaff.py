@@ -241,20 +241,26 @@ def pfaff_lax(m):
     return np.linalg.solve(q.T, (q @ lam).T).T
 
 
+@functools.cache
+def _block_grid(n):
+    """Read-only 2x2-block masks (below, on, above the diagonal) and J."""
+    if n % 2:
+        raise UsageError("block projection requires even size")
+    rows = np.arange(n)[:, None] // 2
+    cols = np.arange(n)[None, :] // 2
+    out = (rows > cols, rows == cols, rows < cols, block_j(n))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def project_plus(a):
     """Projection onto the lower-triangular factor of the 2x2-block
     splitting: (a_- - J a_+^T J) + (a_0 - J a_0^T J) / 2, where a_-, a_0,
     a_+ are the strictly-lower, diagonal, and strictly-upper parts in the
     2x2-block grid."""
-    n = a.shape[0]
-    if n % 2:
-        raise UsageError("block projection requires even size")
-    rows = np.arange(n)[:, None] // 2
-    cols = np.arange(n)[None, :] // 2
-    low = np.where(rows > cols, a, 0.0)
-    mid = np.where(rows == cols, a, 0.0)
-    up = np.where(rows < cols, a, 0.0)
-    j = block_j(n)
+    *masks, j = _block_grid(a.shape[0])
+    low, mid, up = (np.where(mask, a, 0.0) for mask in masks)
     inv = lambda x: j @ x.T @ j
     return (low - inv(up)) + 0.5 * (mid - inv(mid))
 
@@ -262,12 +268,6 @@ def project_plus(a):
 def project_minus(a):
     """Complementary projection onto the symplectic factor."""
     return a - project_plus(a)
-
-
-def _pfaff_rhs(state, k):
-    L, Q = state
-    b = -project_plus(np.linalg.matrix_power(L, k))
-    return b @ L - L @ b, b @ Q
 
 
 def pfaff_ode_flow(L0, Q0, k, t_end, step):
@@ -281,11 +281,16 @@ def pfaff_ode_flow(L0, Q0, k, t_end, step):
     L = np.array(L0, dtype=float)
     Q = np.array(Q0, dtype=float) if Q0 is not None else np.eye(L.shape[0])
 
+    def rhs(state):
+        L, Q = state
+        b = -project_plus(L if k == 1 else np.linalg.matrix_power(L, k))
+        return b @ L - L @ b, b @ Q
+
     def finite(steps, t, state):
         if not np.all(np.isfinite(state[0])):
             raise StabilityError(f"flow blew up at t={t:.4g}; reduce the step")
 
-    return rk4(lambda state: _pfaff_rhs(state, k), (L, Q), t_end, step, finite)
+    return rk4(rhs, (L, Q), t_end, step, finite)
 
 
 def skew_orthopoly_eval(m, n, z):

@@ -85,7 +85,6 @@ class TridiagonalLax:
 
 def _lax_from_dense(m):
     """Project a numerically tridiagonal symmetric matrix back to the type."""
-    n = m.shape[0]
     diag = np.diag(m).copy()
     off = 0.5 * (np.diag(m, 1) + np.diag(m, -1))
     return TridiagonalLax(diag, off)
@@ -114,29 +113,25 @@ def lax_from_tau(m, t, n):
     return TridiagonalLax(diag, off)
 
 
-def _project_minus(a):
-    """Skew projection (upper strict) - (upper strict)^T."""
-    up = np.triu(a, 1)
-    return up - up.T
-
-
-def _toda_rhs(m, k):
-    b = 0.5 * _project_minus(np.linalg.matrix_power(m, k))
-    return b @ m - m @ b
-
-
 def toda_ode_flow(L0, k, t_end, step):
     """Integrate dL/dt = [ (1/2)(L^k)_-, L ] with RK4 at fixed step.
 
     (a)_- denotes the skew-symmetric part built from the strictly upper
-    triangle.  The right side is tridiagonal analytically, so the result
+    triangle; its half-weighted mask is built once per call, and L^k only
+    for k > 1.  The right side is tridiagonal analytically, so the result
     is projected back to the banded type; eigenvalue drift beyond 1e-6
-    raises a stability error.
+    after any step raises a stability error.
     """
-    if not L0.symmetric:
-        L0 = L0.to_symmetric()
+    L0 = L0.to_symmetric()
     m = L0.matrix()
     ev0 = symmetric_eigen(m)
+    half_upper = 0.5 * np.triu(np.ones_like(m), 1)
+
+    def rhs(state):
+        (lax,) = state
+        up = half_upper * (lax if k == 1 else np.linalg.matrix_power(lax, k))
+        b = up - up.T
+        return (b @ lax - lax @ b,)
 
     def drift_check(steps, t, state):
         drift = np.abs(symmetric_eigen(state[0]) - ev0).max()
@@ -145,8 +140,7 @@ def toda_ode_flow(L0, k, t_end, step):
                 f"eigenvalue drift {drift:.3e} at t={t:.4g}; reduce the step"
             )
 
-    (m,) = rk4(lambda state: (_toda_rhs(state[0], k),), (m,), t_end, step,
-               drift_check)
+    (m,) = rk4(rhs, (m,), t_end, step, drift_check)
     return _lax_from_dense(m)
 
 
@@ -158,8 +152,7 @@ def toda_factorization_flow(L0, k, t):
     eigendecomposition, with the spectrum shifted before exponentiating
     so overflow cannot occur (shifts only rescale R).
     """
-    if not L0.symmetric:
-        L0 = L0.to_symmetric()
+    L0 = L0.to_symmetric()
     m0 = L0.matrix()
     evals, vecs = symmetric_eigensystem(np.linalg.matrix_power(m0, k))
     expo = FACTORIZATION_FLOW_SCALE * t * evals

@@ -71,6 +71,13 @@ def test_central_force_constant_coefficient_symmetric():
     assert np.abs(a.coeffs[0] - a.coeffs[0].T).max() == 0.0
 
 
+def test_mismatched_or_nonfinite_data_rejected():
+    with pytest.raises(UsageError):
+        build_system("neumann", [1.0, 2.0], x=X, y=Y)
+    with pytest.raises(DomainError):
+        build_system("neumann", [math.nan, 2.0, 4.0], x=X, y=Y)
+
+
 def test_repeated_alpha_rejected():
     with pytest.raises(DegenerateFlagError):
         build_system("euler", [1.0, 1.0, 2.0], x=X, y=Y)
@@ -107,6 +114,53 @@ def test_log_flow_needs_positive_alpha():
 
 
 # ----- flows -----
+
+def first_derivative(kind, alpha):
+    """beta = f'(alpha) for f = (2/3) x^(3/2), ln x or x^2 / 2."""
+    if kind == "euler":
+        return np.sqrt(alpha)
+    if kind == "neumann":
+        return alpha
+    return 1.0 / alpha
+
+
+def reference_rk4_step(a, kind, h):
+    """One RK4 step of a_j' = [a_j, b] + [a_{j-1}, diag beta] with b
+    rebuilt by b_from_a at every stage."""
+    beta = np.diag(first_derivative(kind, a.alpha))
+
+    def rhs(coeffs):
+        b = b_from_a(LaxPolynomial(tuple(coeffs), a.alpha, a.gamma), kind)
+        out = [c @ b - b @ c for c in coeffs]
+        for j in range(1, len(coeffs)):
+            out[j] = out[j] + coeffs[j - 1] @ beta - beta @ coeffs[j - 1]
+        return out
+
+    y = list(a.coeffs)
+    k1 = rhs(y)
+    k2 = rhs([c + 0.5 * h * k for c, k in zip(y, k1)])
+    k3 = rhs([c + 0.5 * h * k for c, k in zip(y, k2)])
+    k4 = rhs([c + h * k for c, k in zip(y, k3)])
+    return [c + (h / 6.0) * (p + 2.0 * q + 2.0 * r + s)
+            for c, p, q, r, s in zip(y, k1, k2, k3, k4)]
+
+
+@pytest.mark.parametrize("kind", ["euler", "geodesic", "neumann", "central_force"])
+def test_one_flow_step_matches_reference_rhs(kind):
+    rng = np.random.default_rng(11)
+    n = len(ALPHA)
+    gamma = rng.standard_normal(n)
+    degree = 1 if kind == "euler" else 2
+    lower = [rng.standard_normal((n, n)) for _ in range(degree - 1)]
+    sub = rng.standard_normal((n, n))
+    np.fill_diagonal(sub, gamma)
+    a0 = LaxPolynomial(tuple(lower) + (sub, np.diag(ALPHA)), ALPHA, gamma)
+    h = 1e-3
+    got = aci_flow(a0, kind, h, h)
+    want = reference_rk4_step(a0, kind, h)
+    for c_got, c_want in zip(got.coeffs, want):
+        assert np.abs(c_got - c_want).max() < 1e-14
+
 
 def test_euler_flow_matches_classical_form():
     a0 = build_system("euler", ALPHA, x=X, y=Y)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxlab.cli import (
     EXIT_NUMERICAL,
@@ -13,9 +17,11 @@ from laxlab.cli import (
     dispatch,
     emit_report,
     main,
+    parse_floats,
     parse_grid,
 )
 from laxlab.errors import UsageError
+from laxlab.intervals import IntervalUnion
 
 PII_SMALL = ["gapode", "pii", "--grid", "0:2:1"]
 
@@ -34,6 +40,63 @@ def test_parse_grid_inclusive():
         parse_grid("1:2")
     with pytest.raises(UsageError):
         parse_grid("2:1:0.5")
+
+
+def test_parse_grid_rejects_nonfinite_and_huge_grids():
+    for text in ("0:0:nan", "0:inf:1", "nan:1:0.5", "0:1e10:1e-5"):
+        with pytest.raises(UsageError):
+            parse_grid(text)
+
+
+# numbers, sentinels and separators, so that examples often reach the
+# checks behind the split and the float parse
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "s", "-s", "1e308", "-0", ""]),
+    st.integers(-9, 9).map(str),
+)
+PARSER_TEXT = st.one_of(
+    st.text(max_size=16),
+    st.lists(NUMBER_TEXT, max_size=4).map(":".join),
+    st.lists(NUMBER_TEXT, max_size=5).map(",".join),
+    st.lists(st.lists(NUMBER_TEXT, max_size=2).map(":".join), max_size=3)
+    .map(",".join),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PARSER_TEXT)
+def test_parsers_return_or_raise_usage_error(text):
+    for parse in (IntervalUnion.parse, parse_grid, parse_floats):
+        try:
+            parse(text)
+        except UsageError:
+            pass
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.text(max_size=12),
+                 st.lists(NUMBER_TEXT, max_size=4).map(",".join)))
+def test_aci_curve_alpha_exits_cleanly(text):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["aci", "curve", "--alpha", text, "--check"])
+    assert code in (0, 2, 3, 4)
+
+
+def test_interval_value_may_start_with_minus():
+    grid = ["--s-grid", "0.1:2:0.1"]
+    spaced, code, _ = dispatch(
+        ["fredholm", "gap", "--kernel", "sine", "--interval", "-s:s"] + grid)
+    joined, _, _ = dispatch(
+        ["fredholm", "gap", "--kernel", "sine", "--interval=-s:s"] + grid)
+    assert code == 0
+    # the command field echoes argv verbatim; every other byte must agree
+    spaced.command = joined.command = ""
+    assert emit_report(spaced, "json") == emit_report(joined, "json")
+    report, _, _ = dispatch(
+        ["gapode", "airy-pde", "--intervals", "-4:-1,1:inf"])
+    assert report.params["intervals"] == "-4:-1,1:inf"
 
 
 def test_unknown_command_is_usage_error():

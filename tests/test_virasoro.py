@@ -205,6 +205,17 @@ def test_constraints_gaussian_beta2():
         ) < 1e-6
 
 
+def test_touching_pieces_merge():
+    touching = IntervalUnion([(1.0, 2.0), (0.0, 1.0)])
+    assert touching.intervals == ((0.0, 2.0),)
+    assert touching.finite_endpoints() == [0.0, 2.0]
+    assert touching.shift_endpoint(1, 1e-5).intervals == ((0.0, 2.0 + 1e-5),)
+    whole = IntervalUnion([(0.0, 2.0)])
+    assert virasoro_residual(GAUSSIAN, 2, touching, 2, 0) == virasoro_residual(
+        GAUSSIAN, 2, whole, 2, 0
+    )
+
+
 def test_constraints_gaussian_beta2_k2():
     assert abs(virasoro_residual(GAUSSIAN, 2, HALF, 3, 2, t=SMALL_T)) < 1e-6
 
