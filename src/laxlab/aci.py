@@ -15,12 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFlagError, DomainError, StabilityError, UsageError
+from .errors import (
+    DegenerateFlagError,
+    DomainError,
+    NumericalError,
+    SingularMatrixError,
+    StabilityError,
+    UsageError,
+)
 from .mathcore.ode import rk4
 
 SYSTEM_KINDS = ("euler", "geodesic", "neumann", "central_force")
 INVARIANT_DRIFT_TOL = 1e-6
 CONDITIONED_SIZE = 6
+# spectral-parameter values outside every Chebyshev grid of the curve fit
+HELD_OUT_H = (-1.0, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,8 @@ def spectral_curve_coeffs(a):
 
     The characteristic polynomial is sampled on a Chebyshev grid in h and
     each z-coefficient is recovered by a Vandermonde solve (exact up to
-    rounding for the polynomial degrees involved).
+    rounding for the polynomial degrees involved).  Non-finite
+    coefficients raise NumericalError.
     """
     N, m = a.size, a.degree
     if N > CONDITIONED_SIZE:
@@ -184,10 +194,31 @@ def spectral_curve_coeffs(a):
         deg = m * (N - ell)
         pts = nodes[: deg + 1]
         vand = np.vander(pts, deg + 1, increasing=True)
-        sol = np.linalg.solve(vand, table[: deg + 1, N - ell])
+        try:
+            sol = np.linalg.solve(vand, table[: deg + 1, N - ell])
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError("singular Vandermonde system") from exc
         for k, q in enumerate(sol):
             out[(k, ell)] = float(q)
+    if not all(math.isfinite(q) for q in out.values()):
+        raise NumericalError("spectral-curve coefficients are not finite")
     return out
+
+
+def spectral_curve_residual(a, q):
+    """max |sum_k q_{k, l} h^k - [z^l] det(z I - a(h))| over l and the
+    points HELD_OUT_H, which no fit in spectral_curve_coeffs uses,
+    relative to max(1, the largest coefficient of det(z I - a(h)))."""
+    N = a.size
+    worst = 0.0
+    scale = 1.0
+    for h in HELD_OUT_H:
+        direct = np.real(np.poly(a(h)))
+        scale = max(scale, float(np.abs(direct).max()))
+        for ell in range(N + 1):
+            fit = sum(v * h**k for (k, l), v in q.items() if l == ell)
+            worst = max(worst, abs(fit - direct[N - ell]))
+    return worst / scale
 
 
 def conservation_report(a0, f_kind, t_end, step, checkpoints=5):

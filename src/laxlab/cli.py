@@ -464,7 +464,8 @@ def run_aci_curve(args):
         {"h_power": k, "z_power": ell, "q": val}
         for (k, ell), val in sorted(q.items())
     ]
-    return _Result(rows, abs(q[(0, len(alpha))] - 1.0), tol=1e-12)
+    residual = aci.spectral_curve_residual(a0, q)
+    return _Result(rows, residual, tol=1e-12, err=residual)
 
 
 def run_tau_kp_check(args):

@@ -8,13 +8,17 @@ restricted to E; at beta = 1 (even n) and beta = 4 it is a ratio of
 Pfaffians of skew moment matrices.  Monte Carlo samplers of the matching
 tridiagonal beta-ensemble models provide cross-validation; sampling is
 blocked with counter-based per-block random streams so batches are
-bitwise reproducible at any thread count.
+bitwise reproducible at any thread count.  A batch keeps the tridiagonal
+matrices it drew, and the empirical gap fraction counts eigenvalues in E
+by Sturm inertia (the signs of the LDL^T pivots of T - sI at each finite
+endpoint), so no eigensolve is needed.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,11 +56,30 @@ class EnsembleSpec:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Sorted eigenvalue tuples, reproducible from (seed, index) alone."""
+    """count symmetric tridiagonal matrices, reproducible from (seed, index)
+    alone: row r of diag (count, n) and off (count, n - 1) holds the
+    diagonal and off-diagonal of draw r."""
 
     seed: int
     count: int
-    eigenvalues: np.ndarray = field(repr=False)
+    diag: np.ndarray = field(repr=False)
+    off: np.ndarray = field(repr=False)
+
+    @cached_property
+    def eigenvalues(self):
+        """(count, n) sorted eigenvalues, one dense eigvalsh per draw, built
+        SAMPLE_BLOCK matrices at a time."""
+        n = self.diag.shape[1]
+        i = np.arange(n)
+        out = np.empty(self.diag.shape)
+        for lo in range(0, self.count, SAMPLE_BLOCK):
+            rows = slice(lo, lo + SAMPLE_BLOCK)
+            mats = np.zeros((len(out[rows]), n, n))
+            mats[:, i, i] = self.diag[rows]
+            mats[:, i[1:], i[:-1]] = self.off[rows]
+            mats[:, i[:-1], i[1:]] = self.off[rows]
+            out[rows] = np.linalg.eigvalsh(mats)
+        return out
 
 
 def _laguerre_orthonormal(n, a, b, x):
@@ -180,15 +203,15 @@ def _wishart_shape(beta, a, n):
 
 
 def _sample_block(e, seed, block):
-    """SAMPLE_BLOCK sorted eigenvalue tuples from the tridiagonal models of
-    Dumitriu and Edelman (Matrix models for beta-ensembles, J. Math. Phys.
-    43, 2002), which have the joint density |Delta|^beta prod w exactly.
+    """(diag, off) of SAMPLE_BLOCK symmetric tridiagonal draws from the
+    models of Dumitriu and Edelman (Matrix models for beta-ensembles,
+    J. Math. Phys. 43, 2002), whose eigenvalues have the joint density
+    |Delta|^beta prod w exactly.
 
     With s = 1/sqrt(2b) and k = 1..n-1: the Gaussian model has diagonal
     s N(0, 1) and off-diagonal (s/sqrt 2) chi_{beta(n-k)}; the Laguerre
     model is B B^T with B lower bidiagonal, diagonal s chi_{beta(p-k)} for
     k = 0..n-1 and subdiagonal s chi_{beta(n-k)}, p = _wishart_shape.
-    Every beta costs one real symmetric eigensolve per draw.
     """
     rng = _block_rng(seed, block)
     n, beta = e.n, e.beta
@@ -206,12 +229,7 @@ def _sample_block(e, seed, block):
         diag = d * d
         diag[:, 1:] += sub * sub
         off = sub * d[:, :-1]
-    i = np.arange(n)
-    mats = np.zeros((SAMPLE_BLOCK, n, n))
-    mats[:, i, i] = diag
-    mats[:, i[1:], i[:-1]] = off
-    mats[:, i[:-1], i[1:]] = off
-    return np.linalg.eigvalsh(mats)
+    return diag, off
 
 
 def thread_count():
@@ -229,38 +247,79 @@ def thread_count():
 
 
 def sample_ensemble(e, count, seed):
-    """Eigenvalue batch from tridiagonal random matrices of the ensemble.
+    """Batch of count tridiagonal random matrices of the ensemble.
 
-    Samples are produced in fixed-size blocks; block i uses the
-    counter-based stream keyed by (seed, i), so the batch is bitwise
-    identical for any thread count and any larger requested count.
+    Samples are drawn in fixed-size blocks; block i uses the
+    counter-based stream keyed by (seed, i) and is written into its rows
+    of the batch, so the batch is bitwise identical for any thread count
+    and any larger requested count.
     """
     if count < 1:
         raise UsageError("sample count must be >= 1")
+    diag = np.empty((count, e.n))
+    off = np.empty((count, e.n - 1))
+
+    def fill(block):
+        d, o = _sample_block(e, seed, block)
+        rows = slice(block * SAMPLE_BLOCK, (block + 1) * SAMPLE_BLOCK)
+        diag[rows] = d[: len(diag[rows])]
+        off[rows] = o[: len(off[rows])]
+
     blocks = range((count + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK)
     workers = min(thread_count(), len(blocks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda i: _sample_block(e, seed, i), blocks))
+            list(pool.map(fill, blocks))
     else:
-        parts = [_sample_block(e, seed, i) for i in blocks]
-    eigs = np.concatenate(parts, axis=0)[:count]
-    return SampleBatch(seed=seed, count=count, eigenvalues=eigs)
+        for block in blocks:
+            fill(block)
+    return SampleBatch(seed=seed, count=count, diag=diag, off=off)
+
+
+def _count_at_most(diag, off2, s):
+    """Per row, the number of eigenvalues <= s of the tridiagonal matrix
+    with diagonal diag and squared off-diagonal off2: the number of LDL^T
+    pivots of T - sI that are <= pivmin.  As in LAPACK dstebz, such a
+    pivot is replaced by -pivmin, pivmin = tiny * max(1, max off2), so a
+    zero pivot counts as an eigenvalue at s and the next quotient stays
+    finite (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)."""
+    pivmin = np.finfo(float).tiny * np.max(off2, axis=1, initial=1.0)
+    count = np.zeros(len(diag), dtype=np.int64)
+    q = diag[:, 0] - s
+    for j in range(diag.shape[1]):
+        if j:
+            q = (diag[:, j] - s) - off2[:, j - 1] / q
+        low = q <= pivmin
+        count += low
+        q = np.where(low, np.minimum(q, -pivmin), q)
+    return count
 
 
 def empirical_gap(batch, E):
-    """(fraction of samples with every eigenvalue in E, binomial stderr)."""
+    """(fraction of samples with every eigenvalue in E, binomial stderr).
+
+    The pieces of E are closed.  The eigenvalues of a draw in [lo, hi]
+    number #(<= hi) - #(< lo), where #(< lo) of T is n - #(<= -lo) of -T;
+    both come from _count_at_most, SAMPLE_BLOCK draws at a time.
+    """
     if batch.count < 1:
         raise UsageError("empirical_gap needs a nonempty batch")
-    eigs = batch.eigenvalues
     if E is None:
         return 1.0, 0.0
     if E.is_empty:
         return 0.0, 0.0
-    inside = np.zeros(eigs.shape, dtype=bool)
-    for lo, hi in E.intervals:
-        inside |= (eigs >= lo) & (eigs <= hi)
-    frac = float(inside.all(axis=1).mean())
+    n = batch.diag.shape[1]
+    hits = 0
+    for lo in range(0, batch.count, SAMPLE_BLOCK):
+        diag = batch.diag[lo : lo + SAMPLE_BLOCK]
+        off2 = batch.off[lo : lo + SAMPLE_BLOCK] ** 2
+        inside = np.zeros(len(diag), dtype=np.int64)
+        for a, b in E.intervals:
+            inside += _count_at_most(diag, off2, b) if b < math.inf else n
+            if a > -math.inf:
+                inside -= n - _count_at_most(-diag, off2, -a)
+        hits += int(np.count_nonzero(inside == n))
+    frac = hits / batch.count
     stderr = math.sqrt(frac * (1.0 - frac) / batch.count)
     return frac, stderr
 

@@ -13,8 +13,16 @@ from laxlab.aci import (
     conservation_report,
     skew_pair,
     spectral_curve_coeffs,
+    spectral_curve_residual,
 )
-from laxlab.errors import DegenerateFlagError, DomainError, StabilityError, UsageError
+from laxlab.errors import (
+    DegenerateFlagError,
+    DomainError,
+    NumericalError,
+    SingularMatrixError,
+    StabilityError,
+    UsageError,
+)
 
 ALPHA = np.array([1.0, 2.0, 4.0])
 X = np.array([0.6, -0.3, 0.8])
@@ -234,6 +242,32 @@ def test_curve_conserved_along_flows():
     ):
         a0 = build_system(kind, ALPHA, x=X, y=Y)
         assert conservation_report(a0, f_kind, 2.0, 1e-3, checkpoints=2) < 1e-9
+
+
+def test_curve_residual_sees_a_wrong_coefficient():
+    for kind in ("euler", "neumann", "central_force"):
+        a = build_system(kind, ALPHA, x=X, y=Y)
+        q = spectral_curve_coeffs(a)
+        assert spectral_curve_residual(a, q) < 1e-13
+        q[(1, 0)] += 1e-9
+        assert spectral_curve_residual(a, q) > 1e-11
+
+
+def test_curve_overflow_is_numerical_error():
+    a = build_system("neumann", np.array([1e308, -1e308, 1.0]), x=X, y=Y)
+    with pytest.raises(NumericalError):
+        spectral_curve_coeffs(a)
+
+
+def test_curve_singular_solve_is_numerical_error(monkeypatch):
+    a = build_system("neumann", ALPHA, x=X, y=Y)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularMatrixError):
+        spectral_curve_coeffs(a)
 
 
 def test_large_size_warns():

@@ -84,6 +84,15 @@ def test_aci_curve_alpha_exits_cleanly(text):
     assert code in (0, 2, 3, 4)
 
 
+def test_aci_curve_gates_on_the_fit():
+    # the residual compares the fit with det(z I - a(h)) at held-out h
+    report, code, _ = dispatch(["aci", "curve", "--check"])
+    assert code == 0 and 0.0 < report.max_abs_residual < 1e-13
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["aci", "curve", "--alpha", "1e308,-1e308,1", "--check"])
+    assert code == 3
+
+
 def test_interval_value_may_start_with_minus():
     grid = ["--s-grid", "0.1:2:0.1"]
     spaced, code, _ = dispatch(

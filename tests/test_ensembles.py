@@ -1,8 +1,11 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from laxlab.ensembles import (
     EnsembleSpec,
@@ -150,6 +153,23 @@ def test_sampling_is_reproducible():
     assert np.array_equal(big.eigenvalues[:5000], one.eigenvalues)
 
 
+def test_threaded_fill_matches_serial(monkeypatch):
+    # more workers than cores, switching threads often, and a partial
+    # last block: every row must hold its own block's draws
+    e = EnsembleSpec(1, LAGUERRE, 3)
+    monkeypatch.setenv("LAXLAB_THREADS", "1")
+    serial = sample_ensemble(e, 9 * 4096 + 17, seed=8)
+    monkeypatch.setenv("LAXLAB_THREADS", "8")
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        threaded = sample_ensemble(e, 9 * 4096 + 17, seed=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial.diag, threaded.diag)
+    assert np.array_equal(serial.off, threaded.off)
+
+
 def test_sample_beta2_n1_moments():
     b = 2.0
     e = EnsembleSpec(2, WeightSpec("gaussian", b=b), 1)
@@ -213,6 +233,74 @@ def test_empirical_gap_trivial():
         IntervalUnion([(3.0, 4.0)])
     )
     assert empirical_gap(batch, empty) == (0.0, 0.0)
+
+
+def batch_of(diag, off):
+    diag = np.array(diag, dtype=float)
+    return SampleBatch(seed=0, count=len(diag), diag=diag,
+                       off=np.array(off, dtype=float).reshape(len(diag), -1))
+
+
+def eigenvalue_fraction(batch, E):
+    eigs = batch.eigenvalues
+    inside = np.zeros(eigs.shape, dtype=bool)
+    for lo, hi in E.intervals:
+        inside |= (eigs >= lo) & (eigs <= hi)
+    return float(inside.all(axis=1).mean())
+
+
+ENTRY = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def tridiagonals_and_unions(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 8))
+    diag = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                         min_size=rows, max_size=rows))
+    off = draw(st.lists(st.lists(ENTRY, min_size=n - 1, max_size=n - 1),
+                        min_size=rows, max_size=rows))
+    ends = sorted(set(draw(st.lists(st.floats(-4.0, 4.0), min_size=2,
+                                    max_size=6))))
+    assume(len(ends) >= 2)
+    ends = ends[: len(ends) // 2 * 2]
+    if draw(st.booleans()):
+        ends[0] = -math.inf
+    if draw(st.booleans()):
+        ends[-1] = math.inf
+    pieces = list(zip(ends[::2], ends[1::2]))
+    return batch_of(diag, off), IntervalUnion(pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tridiagonals_and_unions())
+def test_sturm_counts_match_eigenvalue_counts(case):
+    batch, E = case
+    finite = [x for piece in E.intervals for x in piece if math.isfinite(x)]
+    # an eigenvalue within rounding of an endpoint is a tie, which the
+    # eigenvalue route cannot resolve; the exact ties are tested below
+    gaps = np.abs(batch.eigenvalues[..., None] - np.array(finite))
+    assume(gaps.size == 0 or gaps.min() > 1e-9)
+    assert empirical_gap(batch, E)[0] == eigenvalue_fraction(batch, E)
+
+
+def test_sturm_counts_close_intervals_at_exact_ties():
+    # eigenvalues 0 and 2: the last pivot of T - sI is 0 at s = 0 and 2
+    two = batch_of([[1.0, 1.0]], [[1.0]])
+    for text, want in (("0:2", 1.0), ("-1:0,2:3", 1.0), ("-inf:0,2:inf", 1.0),
+                       ("0:1.5", 0.0), ("0.5:2", 0.0), ("-inf:0", 0.0)):
+        assert empirical_gap(two, IntervalUnion.parse(text))[0] == want, text
+    # n = 1 draws on an endpoint
+    one = batch_of([[0.5], [0.5]], [[], []])
+    for text, want in (("0.5:1", 1.0), ("-1:0.5", 1.0), ("0.6:1", 0.0),
+                       ("-1:0.4", 0.0)):
+        assert empirical_gap(one, IntervalUnion.parse(text))[0] == want, text
+    # eigenvalues 1 - sqrt 2, 1, 1 + sqrt 2; at s = 0 the middle pivot of
+    # T - sI (and of -T + sI) is 0
+    three = batch_of([[1.0, 1.0, 1.0]], [[1.0, 1.0]])
+    for text, want in (("0:3", 0.0), ("-1:3", 1.0), ("-inf:0,0.5:3", 1.0),
+                       ("-1:0", 0.0)):
+        assert empirical_gap(three, IntervalUnion.parse(text))[0] == want, text
 
 
 def mc_vs_quadrature(e, E, count, seed):

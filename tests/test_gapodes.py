@@ -249,13 +249,15 @@ def test_laguerre_beta2_ode():
 def test_laguerre_beta1_ode_calibration():
     # this residual pins the empirically calibrated linear-in-a part of
     # the hard-edge Q2 at beta = 1 (and its duality partner at beta = 4)
-    sup = pfaffian_probability_supplier(
-        WeightSpec("laguerre", a=1.0, b=1.0), alpha=-1
-    )
-    res = beta_ode_residual(
-        "laguerre", 1, 2, [2.0, 4.0, 6.0], sup, a=1.0, b=1.0
-    )
-    assert np.abs(res).max() < 1e-4
+    for n, a in ((2, 1.0), (2, 0.5), (2, 2.0), (2, 3.0),
+                 (4, 0.5), (4, 2.0), (4, 3.0)):
+        sup = pfaffian_probability_supplier(
+            WeightSpec("laguerre", a=a, b=1.0), alpha=-1
+        )
+        res = beta_ode_residual(
+            "laguerre", 1, n, [2.0, 4.0, 6.0], sup, a=a, b=1.0
+        )
+        assert np.abs(res).max() < 1e-4, (n, a)
 
 
 def test_laguerre_beta4_ode():

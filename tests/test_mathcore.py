@@ -17,6 +17,7 @@ from laxlab.mathcore.ode import rk4
 from laxlab.mathcore import (
     airy_ai,
     airy_ai_prime,
+    airy_ai_vec,
     airy_taylor_coefficients,
     bessel_j,
     bessel_j_prime,
@@ -362,6 +363,45 @@ def test_airy_against_mpmath_wide_range():
         refp = float(mpmath.airyai(x, 1))
         assert abs(airy_ai(x) - ref) < 1e-12, x
         assert abs(airy_ai_prime(x) - refp) < 1e-12, x
+
+
+def test_airy_vec_against_mpmath():
+    # 0.05 apart: anchors, midpoints between anchors and points between
+    x = np.linspace(-15.0, 15.0, 601)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.airyai(t)) for t in x])
+        refp = np.array([float(mpmath.airyai(t, 1)) for t in x])
+    ai, aip = airy_ai_vec(x)
+    assert np.abs(ai - ref).max() < 1e-14
+    assert np.abs(aip - refp).max() < 3e-14
+    pos = x > 0.0
+    assert (np.abs(ai[pos] / ref[pos] - 1.0)).max() < 3e-11
+
+
+def test_airy_vec_matches_scalar_in_the_far_tail():
+    x = np.array([20.0, 20.2, 30.0, 50.0, 50.25, 80.0, 80.13, 103.8, 104.0])
+    ai, aip = airy_ai_vec(x.reshape(3, 3))
+    for t, v, d in zip(x, ai.ravel(), aip.ravel()):
+        assert v == pytest.approx(airy_ai(t), rel=1e-12, abs=0.0)
+        assert d == pytest.approx(airy_ai_prime(t), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_airy_ai_rejects_nonfinite(x):
+    with pytest.raises(DomainError):
+        airy_ai(x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_airy_ai_prime_rejects_nonfinite(x):
+    with pytest.raises(DomainError):
+        airy_ai_prime(x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_airy_ai_vec_rejects_nonfinite(x):
+    with pytest.raises(DomainError):
+        airy_ai_vec([0.0, x])
 
 
 def test_airy_negative_envelope():
