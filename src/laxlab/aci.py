@@ -67,8 +67,11 @@ def _check_alpha(alpha):
     if not np.all(np.isfinite(alpha)):
         raise DomainError("alpha entries must be finite")
     n = len(alpha)
-    gaps = np.abs(alpha[:, None] - alpha[None, :])[~np.eye(n, dtype=bool)]
-    if n > 1 and gaps.min() < 1e-12 * (1.0 + np.abs(alpha).max()):
+    # gaps scaled by max|alpha|, so that alpha near +/-1e308 cannot overflow
+    scale = max(np.abs(alpha).max(initial=0.0), 1.0)
+    unit = alpha / scale
+    gaps = np.abs(unit[:, None] - unit[None, :])[~np.eye(n, dtype=bool)]
+    if n > 1 and gaps.min() < 1e-12 * (1.0 / scale + np.abs(unit).max()):
         raise DegenerateFlagError("alpha entries must be distinct")
     return alpha
 

@@ -155,6 +155,13 @@ def parse_floats(text):
         raise UsageError(f"cannot parse float list {text!r}") from exc
 
 
+def parse_ints(text):
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"cannot parse integer list {text!r}") from exc
+
+
 def _interval_with_endpoint(template, s):
     return IntervalUnion.parse(template.replace("s", "%.17g" % s))
 
@@ -246,7 +253,7 @@ def run_pfaff_flow(args):
 def run_pfaff_check_kp(args):
     rows = []
     worst = 0.0
-    for n in (int(v) for v in args.n_list.split(",")):
+    for n in parse_ints(args.n_list):
         if args.beta == 1:
             m = pfaff.skew_inner_products(
                 tau.WeightSpec("gaussian"), alpha=-1, N=n + 4, order=args.order
@@ -334,7 +341,7 @@ def run_fredholm_scaling(args):
     grid = parse_grid(args.grid)
     rows = []
     errs = []
-    for N in (int(v) for v in args.N_list.split(",")):
+    for N in parse_ints(args.N_list):
         err = fredholm.scaling_limit_error(N, args.regime, grid, b=args.b)
         rows.append({"N": N, "sup_error": err})
         errs.append(err)
@@ -368,7 +375,8 @@ def run_gapode_bessel_pde(args):
     return _Result([{"intervals": args.intervals, "residual": res}], res, tol=1e-3)
 
 
-def _inductive_rows(args):
+def run_inductive(args):
+    """gapode beta-ode and ensemble inductive: the same checker."""
     grid = parse_grid(args.grid)
     res = ensembles.inductive_relation_residual(
         args.weight, args.beta, args.n, grid, a=args.a, b=args.b,
@@ -379,10 +387,6 @@ def _inductive_rows(args):
     return _Result(rows, float(np.abs(res).max()), tol=tol)
 
 
-def run_gapode_beta_ode(args):
-    return _inductive_rows(args)
-
-
 def run_virasoro_check(args):
     w = _weight_from(args)
     E = None if args.full_range else IntervalUnion.half_line_below(args.x)
@@ -390,7 +394,7 @@ def run_virasoro_check(args):
         E = IntervalUnion([(0.0, args.x)])
     rows = []
     worst = 0.0
-    for k in (int(v) for v in args.k_list.split(",")):
+    for k in parse_ints(args.k_list):
         res = abs(virasoro.virasoro_residual(w, args.beta, E, args.n, k,
                                              order=args.order))
         rows.append({"k": k, "residual": res})
@@ -437,10 +441,6 @@ def run_ensemble_sample(args):
         "quadrature": exact, "abs_diff": abs(frac - exact),
     }]
     return _Result(rows, abs(frac - exact), tol=3.0 * sigma, err=err)
-
-
-def run_ensemble_inductive(args):
-    return _inductive_rows(args)
 
 
 def run_aci_run(args):
@@ -589,7 +589,7 @@ def build_parser():
     p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--grid", default="-2:2:1")
-    _common(p, run_gapode_beta_ode)
+    _common(p, run_inductive)
 
     g = groups.add_parser("virasoro").add_subparsers(dest="action", required=True)
     p = g.add_parser("check")
@@ -624,7 +624,7 @@ def build_parser():
     p.add_argument("--beta", type=int, default=1, choices=(1, 2, 4))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--grid", default="-1:1.5:0.5")
-    _common(p, run_ensemble_inductive)
+    _common(p, run_inductive)
 
     g = groups.add_parser("aci").add_subparsers(dest="action", required=True)
     p = g.add_parser("run")

@@ -12,6 +12,8 @@ bitwise reproducible at any thread count.  A batch keeps the tridiagonal
 matrices it drew, and the empirical gap fraction counts eigenvalues in E
 by Sturm inertia (the signs of the LDL^T pivots of T - sI at each finite
 endpoint), so no eigensolve is needed.
+The single-boundary gap ODE takes exact x-derivatives of log P_n from
+the endpoint Taylor terms of the moment block (gap_log_jets).
 """
 
 import math
@@ -22,13 +24,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PrecisionError, UsageError
+from .errors import PrecisionError, UnderflowError, UsageError
 from .fredholm import hermite_functions
 from .gapodes import beta_ode_residual
 from .intervals import IntervalUnion
 from .mathcore import gauss_jacobi_rule, gauss_legendre_rule, lu_determinant, pfaffian
-from .pfaff import skew_inner_products
-from .tau import WeightSpec, hankel_moments
+from .pfaff import skew_endpoint_series, skew_inner_products
+from .tau import (
+    WeightSpec,
+    hankel_endpoint_series,
+    hankel_moments,
+    logdet_series_derivatives,
+)
 
 SAMPLE_BLOCK = 4096
 # two internal beta = 2 routes must agree this well
@@ -143,6 +150,18 @@ def _hankel_probability(e, E, order):
     return lu_determinant(num.matrix(e.n)) / lu_determinant(den.matrix(e.n))
 
 
+def _skew_shape(e):
+    """(N, alpha) of the skew moments behind P_n at beta = 1 (n even) or 4."""
+    if e.beta == 4:
+        return e.n, 1
+    if e.n % 2:
+        raise UsageError(
+            "beta = 1 gap probabilities need even n "
+            "(the Pfaffian reduction has no odd-size form here)"
+        )
+    return e.n // 2, -1
+
+
 def gap_probability(e, E, order=64):
     """P_n(E) by determinant (beta = 2) or Pfaffian (beta = 1, 4) ratios.
 
@@ -162,15 +181,7 @@ def gap_probability(e, E, order=64):
                 f"{hankel:.15e} (moment ratio) vs {gram:.15e} (gram)"
             )
         return hankel
-    if e.beta == 1:
-        if e.n % 2:
-            raise UsageError(
-                "beta = 1 gap probabilities need even n "
-                "(the Pfaffian reduction has no odd-size form here)"
-            )
-        half, alpha = e.n // 2, -1
-    else:
-        half, alpha = e.n, 1
+    half, alpha = _skew_shape(e)
     num = skew_inner_products(e.weight, E, alpha=alpha, N=half, order=order)
     den = skew_inner_products(e.weight, None, alpha=alpha, N=half, order=order)
     return pfaffian(num.m) / pfaffian(den.m)
@@ -324,37 +335,51 @@ def empirical_gap(batch, E):
     return frac, stderr
 
 
-def inductive_relation_residual(
-    family, beta, n, x_grid, a=0.0, b=1.0, order=64, E=None
-):
-    """Residual of the single-boundary gap ODE with the inductive
-    P_{n-j} P_{n+j} / P_n^2 coupling supplied by gap_probability
-    (j = 2 at beta = 1, j = 1 at beta = 4; the coupling vanishes at
-    beta = 2).  The differential part is delegated to gapodes.
-    """
-    if E is not None:
-        raise UsageError(
-            "only the single-boundary gap (all eigenvalues below x) "
-            "is supported; pass the boundary points through x_grid"
-        )
+def gap_log_jets(e, x, order=64):
+    """Exact [D, D^2, D^3, D^4] of log P_n in x for the event max
+    eigenvalue <= x: the log-det (log-Pfaffian) jets of the moment block
+    over the support below x as its top endpoint x moves."""
+    w = e.weight
+    E = w.support().intersect(IntervalUnion.half_line_below(x))
+    if e.beta == 2:
+        m = hankel_moments(w, E, M=2 * (e.n - 1), order=order)
+        gs = [m] + hankel_endpoint_series(m, x, 1.0, 4)
+        return logdet_series_derivatives([g.matrix(e.n) for g in gs])
+    half, alpha = _skew_shape(e)
+    m = skew_inner_products(w, E, alpha=alpha, N=half, order=order)
+    gs = [m] + skew_endpoint_series(m, x, 1.0, 4)
+    return [0.5 * v for v in logdet_series_derivatives([g.m for g in gs])]
+
+
+def inductive_relation_residual(family, beta, n, x_grid, a=0.0, b=1.0,
+                                order=64):
+    """Residual of the single-boundary gap ODE (gapodes.beta_ode_residual)
+    on x_grid: jets from gap_log_jets, and the inductive coupling
+    P_{n-j} P_{n+j} / P_n^2 from gap_probability (j = 2 at beta = 1,
+    j = 1 at beta = 4; none at beta = 2)."""
     if family == "gaussian":
         weight, lo = WeightSpec("gaussian", b=b), -math.inf
     elif family == "laguerre":
         weight, lo = WeightSpec("laguerre", a=a, b=b), 0.0
     else:
         raise UsageError(f"unknown ensemble family {family!r}")
-    cache = {}
+    j = 2 if beta == 1 else 1
+    out = []
+    for x in np.atleast_1d(np.asarray(x_grid, dtype=float)):
+        E = IntervalUnion([(lo, x)])
 
-    def p(m, x):
-        if m == 0:
-            return 1.0
-        key = (m, x)
-        if key not in cache:
-            cache[key] = gap_probability(
-                EnsembleSpec(beta, weight, m),
-                IntervalUnion([(lo, x)]),
-                order=order,
+        def p(m):
+            if m == 0:
+                return 1.0
+            return gap_probability(EnsembleSpec(beta, weight, m), E, order)
+
+        e = EnsembleSpec(beta, weight, n)
+        pn = gap_probability(e, E, order)
+        if pn < 1e-12:
+            raise UnderflowError(
+                f"gap probability {pn:.2e} underflowed the usable range"
             )
-        return cache[key]
-
-    return beta_ode_residual(family, beta, n, x_grid, p, a=a, b=b)
+        ratio = 1.0 if beta == 2 else p(n - j) * p(n + j) / pn ** 2
+        d = gap_log_jets(e, x, order)
+        out.append(beta_ode_residual(family, beta, n, x, d, ratio, a=a, b=b))
+    return np.array(out)

@@ -64,7 +64,7 @@ class StabilityError(NumericalError):
 
 
 class PrecisionError(NumericalError):
-    """A finite-difference step cannot meet the noise budget."""
+    """A result cannot meet its accuracy budget."""
 
 
 class UnderflowError(NumericalError):

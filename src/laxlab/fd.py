@@ -1,8 +1,8 @@
 """Central finite differences with one Richardson extrapolation.
 
 Used where a derivative of a scalar function is known only through its
-values: the beta-ensemble gap ODE checker and the coupled two-Toda
-boundary operators.
+values: the coupled two-Toda boundary operators, and the tests, as the
+reference the exact jets are checked against.
 """
 
 _STENCILS = {

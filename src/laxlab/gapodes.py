@@ -7,9 +7,10 @@ derivatives, up to total order four, are exact: the Taylor series of the
 Nystrom matrix along a constant endpoint direction
 (fredholm.nystrom_series) gives the directional derivatives of F through
 tau.logdet_series_derivatives, and polarization gives the mixed ones.
-The beta-ensemble (Gaussian / Laguerre) equations, with their
-coefficient duality, differentiate supplied gap probabilities by
-noise-aware central differences.
+The beta-ensemble (Gaussian / Laguerre) ODE, with its invariant
+coefficients and their beta = 1 <-> 4 duality, is assembled here from
+given x-derivatives of log P_n; ensembles.gap_log_jets supplies them
+exactly from the endpoint Taylor series of the moment matrices.
 """
 
 import math
@@ -18,42 +19,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PrecisionError, UnderflowError, UsageError
-from .fd import central_diff
 from .fredholm import KernelSpec, nystrom_det, nystrom_series
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant
 from .tau import logdet_series_derivatives
 
-# determinant evaluations are quadrature-converged; roundoff of the LU
-# and of the log is what remains
-DET_LOG_NOISE = 1e-13
-
-
-def fd_step(noise, order=1):
-    """Step size balancing truncation against evaluation noise."""
-    return max(1e-2, noise ** (1.0 / (order + 1)))
-
 
 # ----- single-gap ODE residuals -----
-
-def _logdet_derivatives(logdet, x, orders, noise=DET_LOG_NOISE):
-    """Derivatives of logdet at x for each requested order, sharing a
-    memoized offset cache."""
-    cache = {}
-
-    def g(d):
-        if d not in cache:
-            cache[d] = logdet(x + d)
-        return cache[d]
-
-    out = {}
-    for order in orders:
-        # widen the step with the order: the higher stencils divide by
-        # h^order, so roundoff jitter dominates truncation at small h
-        h = fd_step(noise, order) * {1: 1, 2: 1, 3: 2, 4: 4}[order]
-        out[order] = central_diff(g, order, h, richardson=True)
-    return out
-
 
 def _check_det_accuracy(kernel, E, order):
     _, err = nystrom_det(kernel, E, order, estimate_error=True)
@@ -290,66 +262,48 @@ def q_coefficients(family, n, beta, a=0.0, b=1.0):
     return replace(coefs, duality_check=check)
 
 
-def beta_ode_residual(
-    family, beta, n, x_grid, p_supplier, a=0.0, b=1.0, noise=1e-12
-):
-    """Normalized residual of the single-boundary beta-ensemble ODE.
+def beta_ode_residual(family, beta, n, x, d, ratio=1.0, a=0.0, b=1.0):
+    """Normalized residual at x of the single-boundary beta-ensemble ODE
+    for P_n of the event max eigenvalue <= x (Gaussian: E = (-inf, x];
+    Laguerre: E = [0, x]).
 
-    p_supplier(m, x) must return P_m of the event max eigenvalue <= x
-    (Gaussian: E = (-inf, x]; Laguerre: E = [0, x]).  When beta != 2 the
-    companion probabilities P_{n +/- j} enter through the inductive
-    ratio, with j = 2 for beta = 1 (n even) and j = 1 for beta = 4.
+    d = [D, D^2, D^3, D^4] holds the x-derivatives of log P_n at x.  When
+    beta != 2 the companion probabilities enter through the inductive
+    ratio P_{n-j} P_{n+j} / P_n^2, with j = 2 for beta = 1 (n even) and
+    j = 1 for beta = 4; at beta = 2 it is unused.
     """
     coefs = q_coefficients(family, n, beta, a=a, b=b)
     delta = coefs.delta
-    j = 2 if beta == 1 else 1
     if beta == 1 and n % 2:
         raise UsageError("beta = 1 requires even n")
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    out = []
-    for x in x_grid:
-        pn = p_supplier(n, x)
-        if pn < 1e-12:
-            raise UnderflowError(
-                f"gap probability {pn:.2e} underflowed the usable range"
-            )
-        if delta:
-            ratio = p_supplier(n - j, x) * p_supplier(n + j, x) / pn ** 2
-        else:
-            ratio = 1.0
-
-        def logp(t):
-            return math.log(p_supplier(n, t))
-
-        d = _logdet_derivatives(logp, x, (1, 2, 3, 4), noise=noise)
-        if family == "gaussian":
-            lead = 4.0 * b * b / beta * (delta - 2.0)
-            terms = [
-                d[4],
-                6.0 * d[2] ** 2,
-                (lead * x * x + coefs.Q2) * d[2],
-                -lead * x * d[1],
-                -delta * coefs.Q * (ratio - 1.0),
-            ]
-        else:
-            # single-endpoint reduction of the hard-edge PDE, with
-            # B_{-1} = x d/dx and f = B_{-1} log P_n:
-            # B_{-1}^2 F = x f', B_{-1}^3 F = x f' + x^2 f'',
-            # B_{-1}^4 F = x f' + 3x^2 f'' + x^3 f''',
-            # 3B_0^2 - 4B_1 B_{-1} - 2B_1 -> x^2 f - x^3 f',
-            # 2B_0 B_{-1} - B_0 -> 2x^2 f' - x f
-            f = x * d[1]
-            fp = d[1] + x * d[2]
-            fpp = 2.0 * d[2] + x * d[3]
-            fppp = 3.0 * d[3] + x * d[4]
-            terms = [
-                x ** 3 * fppp + 3.0 * x * x * fpp + x * fp,
-                -2.0 * (delta + 1.0) * (x * fp + x * x * fpp),
-                (coefs.Q2 + 6.0 * x * fp - 4.0 * (delta + 1.0) * f) * x * fp,
-                -3.0 * delta * (coefs.Q1 - f) * f,
-                coefs.Qm1 * (x * x * f - x ** 3 * fp),
-                coefs.Q0 * (2.0 * x * x * fp - x * f),
-                -delta * coefs.Q * (ratio - 1.0),
-            ]
-        out.append(sum(terms) / max(1.0, max(abs(t) for t in terms)))
-    return np.array(out)
+    d1, d2, d3, d4 = d
+    if family == "gaussian":
+        lead = 4.0 * b * b / beta * (delta - 2.0)
+        terms = [
+            d4,
+            6.0 * d2 ** 2,
+            (lead * x * x + coefs.Q2) * d2,
+            -lead * x * d1,
+            -delta * coefs.Q * (ratio - 1.0),
+        ]
+    else:
+        # single-endpoint reduction of the hard-edge PDE, with
+        # B_{-1} = x d/dx and f = B_{-1} log P_n:
+        # B_{-1}^2 F = x f', B_{-1}^3 F = x f' + x^2 f'',
+        # B_{-1}^4 F = x f' + 3x^2 f'' + x^3 f''',
+        # 3B_0^2 - 4B_1 B_{-1} - 2B_1 -> x^2 f - x^3 f',
+        # 2B_0 B_{-1} - B_0 -> 2x^2 f' - x f
+        f = x * d1
+        fp = d1 + x * d2
+        fpp = 2.0 * d2 + x * d3
+        fppp = 3.0 * d3 + x * d4
+        terms = [
+            x ** 3 * fppp + 3.0 * x * x * fpp + x * fp,
+            -2.0 * (delta + 1.0) * (x * fp + x * x * fpp),
+            (coefs.Q2 + 6.0 * x * fp - 4.0 * (delta + 1.0) * f) * x * fp,
+            -3.0 * delta * (coefs.Q1 - f) * f,
+            coefs.Qm1 * (x * x * f - x ** 3 * fp),
+            coefs.Q0 * (2.0 * x * x * fp - x * f),
+            -delta * coefs.Q * (ratio - 1.0),
+        ]
+    return sum(terms) / max(1.0, max(abs(t) for t in terms))

@@ -100,25 +100,3 @@ class IntervalUnion:
         out = object.__new__(IntervalUnion)
         out.intervals = tuple(sorted(pieces))
         return out
-
-    def shift_endpoint(self, which, delta):
-        """Return a copy with the ``which``-th finite endpoint moved by delta.
-
-        Endpoints are numbered in increasing order over the finite ones,
-        matching :meth:`finite_endpoints`.
-        """
-        idx = 0
-        new = []
-        for lo, hi in self.intervals:
-            if math.isfinite(lo):
-                if idx == which:
-                    lo = lo + delta
-                idx += 1
-            if math.isfinite(hi):
-                if idx == which:
-                    hi = hi + delta
-                idx += 1
-            new.append((lo, hi))
-        if idx <= which:
-            raise UsageError(f"no finite endpoint number {which}")
-        return IntervalUnion(new)

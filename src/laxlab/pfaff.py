@@ -11,7 +11,7 @@ before they are rounded; every other weight gives float64 moments.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +30,7 @@ from .tau import (
     WeightSpec,
     add_shifted_blocks,
     direction_matrices,
+    hankel_moments,
     kp_terms,
     logdet_series_derivatives,
     shift_coefficients,
@@ -87,9 +88,12 @@ def _weighted_powers(w, nodes, weights, count):
     base = weights * w.density(nodes)
     out = np.empty(count)
     current = np.where(base != 0.0, np.ones_like(base), 0.0)
-    for j in range(count):
-        out[j] = float(np.dot(base, current))
-        current = current * nodes
+    # a power that overflows leaves an inf moment, which the callers
+    # report as divergent
+    with np.errstate(over="ignore"):
+        for j in range(count):
+            out[j] = float(np.dot(base, current))
+            current = current * nodes
     return out
 
 
@@ -196,6 +200,39 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
     if not np.all(np.isfinite(mu)):
         raise DivergenceError("skew moments diverge on this domain")
     return SkewMoments(m=mu, alpha=alpha, weight=w, E=E)
+
+
+def skew_endpoint_series(m, c, sigma, order):
+    """Taylor matrices G_1..G_order of the skew moments m, as SkewMoments,
+    when the endpoint c of m.E moves by s (sigma as in
+    tau.hankel_endpoint_series; u = WeightSpec.jet).
+
+    alpha = +1: G_r[i, j] = (j - i) sigma [s^{r-1}] u_{i+j-1} / r.
+    alpha = -1: d m_ij / ds = sigma (u_j S_i - u_i S_j), where
+    S_i = int_E y^i sign(c + s - y) rho(y) dy starts at the moment of E
+    below c minus the moment of E above c, and grows by int_0^s u_i."""
+    size, w = m.size, m.weight
+    i = np.arange(size)
+    if m.alpha == 1:
+        u = w.jet(c, 2 * size - 3, order)
+        idx = np.maximum(np.add.outer(i, i) - 1, 0)
+        return [replace(m, m=sigma * (i - i[:, None]) * u[idx, r - 1] / r)
+                for r in range(1, order + 1)]
+    u = w.jet(c, size - 1, order)
+
+    def moments(side):
+        part = m.E.intersect(side)
+        return 0.0 if part.is_empty else hankel_moments(w, part, size - 1).mu
+
+    s = np.empty((size, order))
+    s[:, 0] = (moments(IntervalUnion.half_line_below(c))
+               - moments(IntervalUnion([(c, np.inf)])))
+    s[:, 1:] = u[:, :-1] / np.arange(1, order)
+    out = []
+    for r in range(1, order + 1):
+        b = s[:, r - 1 :: -1] @ u[:, :r].T  # sum_p S_i[r-1-p] u_j[p]
+        out.append(replace(m, m=sigma * (b - b.T) / r))
+    return out
 
 
 def evolve_skew(m0, t):

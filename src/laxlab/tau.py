@@ -16,7 +16,7 @@ four-term KP assembly.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +87,34 @@ class WeightSpec:
     def has_decay(self):
         return self.family in ("gaussian", "laguerre")
 
+    def jet(self, c, kmax, order):
+        """Taylor coefficients u[k, r] = [h^r] (c + h)^k rho(c + h) for
+        k = 0..kmax and r < order, from rho(c + h) = rho(c) e^{-b(2ch + h^2)}
+        (gaussian) or rho(c) (1 + h/c)^a e^{-bh} (laguerre, c > 0)."""
+        r = np.arange(1.0, order)
+        series = lambda ratios: np.cumprod(np.concatenate([[1.0], ratios]))
+        if self.family == "gaussian":
+            square = np.zeros(order)
+            square[::2] = series(-self.b / r[: (order - 1) // 2])
+            rho = np.convolve(series(-2.0 * self.b * c / r), square)[:order]
+        elif self.family == "laguerre":
+            if not c > 0.0:
+                raise DomainError("laguerre weight jets need an endpoint c > 0")
+            rho = np.convolve(series((self.a - r + 1.0) / (r * c)),
+                              series(-self.b / r))[:order]
+        else:
+            raise UsageError(f"no endpoint jets for the {self.family} weight")
+        out = np.empty((kmax + 1, order))
+        # Taylor coefficients of rho(c) (c + h)^k: carrying rho(c) from the
+        # start keeps c^k rho(c) finite wherever it is representable
+        power = np.zeros(order)
+        power[0] = self.density(np.array([c]))[0]
+        for k in range(kmax + 1):
+            out[k] = np.convolve(power, rho)[:order]
+            power[1:] = c * power[1:] + power[:-1]
+            power[0] *= c
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class HankelMoments:
@@ -100,15 +128,13 @@ class HankelMoments:
     def depth(self):
         return len(self.mu) - 1
 
-    def matrix(self, n, shift=0):
-        """Leading n x n Hankel block, optionally index-shifted."""
-        if 2 * (n - 1) + shift > self.depth:
+    def matrix(self, n):
+        """Leading n x n Hankel block."""
+        if 2 * (n - 1) > self.depth:
             raise DepthError(
-                f"need moments to index {2 * (n - 1) + shift}, have {self.depth}"
+                f"need moments to index {2 * (n - 1)}, have {self.depth}"
             )
-        return np.array(
-            [[self.mu[i + j + shift] for j in range(n)] for i in range(n)]
-        )
+        return np.array([[self.mu[i + j] for j in range(n)] for i in range(n)])
 
 
 def quadrature_weighted_moments(w, E, M, order, extra_factor=None):
@@ -149,6 +175,14 @@ def hankel_moments(w, E=None, M=16, order=64):
     if not np.all(np.isfinite(current)):
         raise DivergenceError("non-finite moment encountered")
     return HankelMoments(mu=current, weight=w, E=E)
+
+
+def hankel_endpoint_series(m, c, sigma, order):
+    """Taylor coefficients g_1..g_order of the moments m, as HankelMoments,
+    when the endpoint c of m.E moves by s (sigma = +1 at an upper endpoint,
+    -1 at a lower one): g_r = sigma [s^{r-1}] u_k / r, u = WeightSpec.jet."""
+    u = m.weight.jet(c, m.depth, order)
+    return [replace(m, mu=sigma * u[:, r - 1] / r) for r in range(1, order + 1)]
 
 
 def shift_coefficients(t, max_shift, degree=EVOLUTION_DEGREE):

@@ -7,9 +7,12 @@ Three layers:
   boundary decay f(z) rho(z) z^k -> 0 at the ends of the support;
 * numeric operators: the first-order (Heisenberg) and second-order
   (Virasoro) time operators applied to a tau function through a supplier
-  exposing exact first time-derivatives, and the full constraint residual
-  combining them with a finite-difference boundary operator in the
-  endpoints of the spectral window;
+  exposing its exact time and endpoint derivatives, and the full
+  constraint residual combining them with the boundary operator in the
+  endpoints of the spectral window.  A supplier takes time derivatives
+  from the directional log-det jets of its moment block (mixed ones by
+  polarization) and endpoint derivatives from the endpoint Taylor term
+  of the moments, evolved in time like the moments themselves;
 * exact algebra: the same operator family acting on polynomials in
   t_1, t_2, ... with rational coefficients, used to check the commutation
   relations and the central charge without any rounding.
@@ -30,8 +33,20 @@ import numpy as np
 
 from .errors import DepthError, UsageError
 from .mathcore import lu_determinant, pfaffian
-from .pfaff import evolve_skew, skew_inner_products
-from .tau import evolve_hankel, hankel_moments
+from .pfaff import (
+    _dlog_pf_directional,
+    evolve_skew,
+    skew_endpoint_series,
+    skew_inner_products,
+)
+from .tau import (
+    dlog_tau_directional,
+    evolve_hankel,
+    hankel_endpoint_series,
+    hankel_moments,
+    logdet_series_derivatives,
+    polarized,
+)
 
 # ----------------------------------------------------------------------
 # weight data
@@ -94,89 +109,99 @@ def weight_to_fg(w):
 
 
 # ----------------------------------------------------------------------
-# tau suppliers with exact first time-derivatives
+# tau suppliers with exact derivatives
 # ----------------------------------------------------------------------
 
 
-class HankelTauSupplier:
-    """tau_n(t) = det of the n x n Hankel block of E-restricted moments,
-    with the time dependence handled by the exact polynomial evolution.
-    First derivatives are exact: d/dt_k log tau = tr(m^{-1} m^{(k)})."""
+class _MomentTau:
+    """tau(t): det (Hankel) or pf (skew) of the leading block of the
+    moments evolved to the times t.  Every derivative is exact: time
+    derivatives of log tau come from its directional jets, mixed pairs by
+    polarization, and an endpoint derivative from the endpoint Taylor term
+    of the moments, evolved by the same linear map as the moments."""
 
-    def __init__(self, w, E, n, depth, order=64):
-        self.n = n
-        self._m0 = hankel_moments(w, E, M=depth, order=order)
-        self._cache = {}
+    _tfac = 1.0
 
     def _evolved(self, t):
         key = tuple(np.asarray(t, dtype=float))
-        m = self._cache.get(key)
-        if m is None:
-            m = evolve_hankel(self._m0, np.asarray(t, dtype=float))
-            self._cache[key] = m
-        return m
+        if key not in self._cache:
+            self._cache[key] = self._evolve(self._m0, self._tfac * np.array(key))
+        return self._cache[key]
 
     def value(self, t):
-        return lu_determinant(self._evolved(t).matrix(self.n))
+        return self._det(self._block(self._evolved(t)))
+
+    def dlog(self, t, ks):
+        """d/dt_{k_1} ... d/dt_{k_r} log tau at t, r <= 4; a jet along
+        c v is c^r times the jet along v, which carries the time factor."""
+        m = self._evolved(t)
+        return polarized(lambda d, order: self._jets(
+            m, self.size, self._tfac * np.asarray(d, dtype=float), order), ks)
 
     def d1(self, t, k):
-        m = self._evolved(t)
-        base = m.matrix(self.n)
-        shifted = m.matrix(self.n, shift=k)
-        return lu_determinant(base) * float(
-            np.trace(np.linalg.solve(base, shifted))
+        return self.value(t) * self.dlog(t, (k,))
+
+    def d2(self, t, i, j):
+        return self.value(t) * (
+            self.dlog(t, (i, j)) + self.dlog(t, (i,)) * self.dlog(t, (j,))
         )
 
+    def d_endpoint(self, t, c, sigma):
+        """d tau / dc at t for the finite endpoint c of E, an upper
+        (sigma = +1) or a lower (sigma = -1) one."""
+        g0 = self._block(self._evolved(t))
+        g1 = self._series(self._m0, c, sigma, 1)[0]
+        g1 = self._block(self._evolve(g1, self._tfac * np.asarray(t, float)))
+        return self._det(g0) * self._half * logdet_series_derivatives([g0, g1])[0]
 
-class PfaffTauSupplier:
+
+class HankelTauSupplier(_MomentTau):
+    """tau_n(t) = det of the n x n Hankel block of E-restricted moments,
+    with the time dependence handled by the exact polynomial evolution."""
+
+    _det, _half = staticmethod(lu_determinant), 1.0
+    _evolve = staticmethod(evolve_hankel)
+    _jets = staticmethod(dlog_tau_directional)
+    _series = staticmethod(hankel_endpoint_series)
+
+    def __init__(self, w, E, n, depth, order=64):
+        self.size = n
+        self._m0 = hankel_moments(w, E, M=depth, order=order)
+        self._cache = {}
+
+    def _block(self, m):
+        return m.matrix(self.size)
+
+
+class PfaffTauSupplier(_MomentTau):
     """Pfaffian tau of the skew moment matrix: the sign-kernel pairing for
     the beta = 1 integrals (block size n, n even) and the Wronskian
     pairing for beta = 4 (block size 2n, with the times halved so the
     supplier matches integrals carrying one weight factor per variable).
-    First derivatives are exact via d log pf = (1/2) tr(m^{-1} dm)."""
+    Derivatives use log pf = (1/2) log det."""
+
+    _det, _half = staticmethod(pfaffian), 0.5
+    _evolve = staticmethod(evolve_skew)
+    _jets = staticmethod(_dlog_pf_directional)
+    _series = staticmethod(skew_endpoint_series)
 
     def __init__(self, w, E, n, beta, depth, order=64):
         if beta == 1:
             if n % 2:
                 raise UsageError("the beta = 1 Pfaffian form needs even n")
-            self.block, alpha, self._tfac = n, -1, 1.0
+            self.size, alpha = n, -1
         elif beta == 4:
-            self.block, alpha, self._tfac = 2 * n, 1, 0.5
+            self.size, alpha, self._tfac = 2 * n, 1, 0.5
         else:
             raise UsageError("Pfaffian supplier covers beta = 1 and 4 only")
-        size = self.block + depth
-        size += size % 2
-        self._m0 = skew_inner_products(w, E, alpha=alpha, N=size // 2,
+        total = self.size + depth
+        total += total % 2
+        self._m0 = skew_inner_products(w, E, alpha=alpha, N=total // 2,
                                        order=order)
         self._cache = {}
 
-    def _evolved(self, t):
-        t = self._tfac * np.asarray(t, dtype=float)
-        key = tuple(t)
-        m = self._cache.get(key)
-        if m is None:
-            m = evolve_skew(self._m0, t)
-            self._cache[key] = m
-        return m
-
-    def value(self, t):
-        return pfaffian(self._evolved(t).block(self.block))
-
-    def d1(self, t, k):
-        m = self._evolved(t)
-        b = self.block
-        if b + k > m.size:
-            raise DepthError(
-                f"need skew moments to index {b + k - 1}, have {m.size - 1}"
-            )
-        base = m.m[:b, :b]
-        dm = m.m[k : b + k, :b] + m.m[:b, k : b + k]
-        return (
-            self._tfac
-            * 0.5
-            * pfaffian(base)
-            * float(np.trace(np.linalg.solve(base, dm)))
-        )
+    def _block(self, m):
+        return m.block(self.size)
 
 
 # ----------------------------------------------------------------------
@@ -194,17 +219,9 @@ def _j1_numeric(k, sup, t, sigma):
     return sigma * idx * tv * sup.value(t)
 
 
-def _j2_numeric(k, sup, t, sigma, h):
-    total = 0.0
-    # second derivatives d^2/dt_i dt_j, i + j = k, by central differences
-    # of the exact first derivative
-    for i in range(1, k):
-        j = k - i
-        tp = np.array(t, dtype=float)
-        tm = np.array(t, dtype=float)
-        tp[i - 1] += h
-        tm[i - 1] -= h
-        total += (sup.d1(tp, j) - sup.d1(tm, j)) / (2.0 * h)
+def _j2_numeric(k, sup, t, sigma):
+    # second derivatives d^2/dt_i dt_j, i + j = k
+    total = sum(sup.d2(t, i, k - i) for i in range(1, k))
     # dilation part: 2 sigma * m t_m d/dt_{m+k}, literal in t
     for m in range(max(1, 1 - k), len(t) + 1):
         tv = t[m - 1]
@@ -222,13 +239,13 @@ def _j2_numeric(k, sup, t, sigma, h):
     return total
 
 
-def j_apply(kind, k, supplier, t, beta=2.0, n=0, sigma=None, h=1e-4):
+def j_apply(kind, k, supplier, t, beta=2.0, n=0, sigma=None):
     """Apply a time operator to tau at t through its supplier.
 
     kind: "J1" (first order), "J2" (second order), or "betaJ2" (the
-    beta- and n-dressed second-order operator).  First derivatives come
-    exactly from the supplier; second derivatives by central differences
-    of the exact first derivative; multiplication-by-t terms literally.
+    beta- and n-dressed second-order operator).  First and second
+    derivatives come exactly from the supplier; multiplication-by-t terms
+    literally.
     """
     t = np.asarray(t, dtype=float)
     if kind not in ("J1", "J2", "betaJ2"):
@@ -244,7 +261,7 @@ def j_apply(kind, k, supplier, t, beta=2.0, n=0, sigma=None, h=1e-4):
             f"time truncation too short: need at least t_{k + 3}, "
             f"have t_{len(t)}"
         )
-    j2 = _j2_numeric(k, supplier, t, sigma, h)
+    j2 = _j2_numeric(k, supplier, t, sigma)
     if kind == "J2":
         return j2
     out = 0.5 * beta * j2
@@ -261,11 +278,11 @@ def j_apply(kind, k, supplier, t, beta=2.0, n=0, sigma=None, h=1e-4):
 # ----------------------------------------------------------------------
 
 
-def virasoro_residual(w, beta, E, n, k, t=None, order=64, step=1e-5):
+def virasoro_residual(w, beta, E, n, k, t=None, order=64):
     """Normalized residual of the k-th linear constraint on the ensemble
-    integral over E^n: the boundary operator (finite differences in the
-    endpoints) must balance the time-operator combination fixed by the
-    (f, g) data of the weight.
+    integral over E^n: the boundary operator
+    sum_c c^{k+1} f(c) d/dc over the finite endpoints c of E must balance
+    the time-operator combination fixed by the (f, g) data of the weight.
     """
     if beta not in (1, 2, 4):
         raise UsageError("beta must be 1, 2 or 4")
@@ -289,17 +306,10 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64, step=1e-5):
     reach = 12 * span + K + kq + 2
 
     if beta == 2:
-        depth = 2 * (n - 1) + reach
-
-        def make(dom):
-            return HankelTauSupplier(w, dom, n, depth=depth, order=order)
-
+        sup = HankelTauSupplier(w, E, n, depth=2 * (n - 1) + reach,
+                                order=order)
     else:
-        def make(dom):
-            return PfaffTauSupplier(w, dom, n, beta, depth=reach,
-                                    order=order)
-
-    sup = make(E)
+        sup = PfaffTauSupplier(w, E, n, beta, depth=reach, order=order)
     tau = sup.value(t)
     terms = []
     for i, ai in enumerate(data.f_coeffs):
@@ -315,13 +325,13 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64, step=1e-5):
             if idx == 0:
                 part += n * tau
             terms.append(-bi * part)
-    for i, c in enumerate(E.finite_endpoints()):
-        coeff = c ** (k + 1) * data.f(c)
-        if coeff == 0.0:
-            continue
-        up = make(E.shift_endpoint(i, step)).value(t)
-        down = make(E.shift_endpoint(i, -step)).value(t)
-        terms.append(-coeff * (up - down) / (2.0 * step))
+    for lo, hi in E.intervals:
+        for c, sign in ((lo, -1.0), (hi, 1.0)):
+            if math.isinf(c):
+                continue
+            coeff = c ** (k + 1) * data.f(c)
+            if coeff != 0.0:
+                terms.append(-coeff * sup.d_endpoint(t, c, sign))
     scale = max([abs(tau)] + [abs(v) for v in terms])
     if scale == 0.0:
         return 0.0

@@ -259,6 +259,15 @@ def test_curve_overflow_is_numerical_error():
         spectral_curve_coeffs(a)
 
 
+def test_huge_distinct_alpha_passes_without_overflow():
+    # the distinctness check compares gaps scaled by max|alpha|
+    with np.errstate(over="raise", invalid="raise"):
+        build_system("neumann", np.array([1e308, -1e308, 1.0]), x=X, y=Y)
+    with pytest.raises(DegenerateFlagError):
+        build_system("neumann", np.array([1e308, 1e308 * (1 + 1e-15), 1.0]),
+                     x=X, y=Y)
+
+
 def test_curve_singular_solve_is_numerical_error(monkeypatch):
     a = build_system("neumann", ALPHA, x=X, y=Y)
 

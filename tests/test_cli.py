@@ -19,6 +19,7 @@ from laxlab.cli import (
     main,
     parse_floats,
     parse_grid,
+    parse_ints,
 )
 from laxlab.errors import UsageError
 from laxlab.intervals import IntervalUnion
@@ -67,7 +68,7 @@ PARSER_TEXT = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(PARSER_TEXT)
 def test_parsers_return_or_raise_usage_error(text):
-    for parse in (IntervalUnion.parse, parse_grid, parse_floats):
+    for parse in (IntervalUnion.parse, parse_grid, parse_floats, parse_ints):
         try:
             parse(text)
         except UsageError:
@@ -164,6 +165,67 @@ def test_sampling_report_thread_invariant():
 
 
 # ----- exit codes -----
+
+# argv of the moment-route checkers, far tails included: there the moment
+# block is singular or the gap probability underflows
+COORD = st.sampled_from(["-40", "-3", "-1", "0", "1e-9", "0.7", "2", "40",
+                         "1e3", "nan", "x"])
+GRID = st.one_of(
+    COORD.map(lambda x: f"{x}:{x}:1"),
+    st.sampled_from(["-2:2:1", "-1:1.5:0.5", "0.5:3:1.25", "2:1:1", "x"]),
+)
+K_LIST = st.one_of(
+    st.lists(st.integers(-3, 5), min_size=1, max_size=3).map(
+        lambda ks: ",".join(map(str, ks))),
+    st.sampled_from(["x", "", "1,,2"]),
+)
+
+
+@st.composite
+def moment_route_argv(draw):
+    cmd = draw(st.sampled_from([["gapode", "beta-ode"],
+                                ["ensemble", "inductive"],
+                                ["virasoro", "check"]]))
+    argv = cmd + [
+        "--weight", draw(st.sampled_from(["gaussian", "laguerre", "uniform"])),
+        "--a", draw(st.sampled_from(["0", "1", "2.5", "-0.5"])),
+        "--beta", draw(st.sampled_from(["1", "2", "4"])),
+        "--n", str(draw(st.integers(0, 4))),
+    ]
+    if cmd[0] == "virasoro":
+        argv += ["--x", draw(COORD), "--k-list", draw(K_LIST)]
+        if draw(st.booleans()):
+            argv.append("--full-range")
+    else:
+        argv += ["--grid", draw(GRID)]
+    return argv + ["--check"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(moment_route_argv())
+def test_moment_route_commands_exit_cleanly(argv):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+
+
+def test_integer_list_flags_reject_non_integers(capsys):
+    for argv in (["virasoro", "check", "--k-list", "1,x"],
+                 ["pfaff", "check-kp", "--n-list", "2.5"],
+                 ["fredholm", "scaling", "--N-list", ""]):
+        assert main(argv) == EXIT_USAGE
+    assert "integer list" in capsys.readouterr().err
+
+
+def test_far_tail_airy_arguments_exit_cleanly(capsys):
+    # Ai underflows to 0 without forming x^{3/2}; far below the bound of
+    # the oscillatory march the argument is rejected at once
+    assert main(["fredholm", "kernel-table", "--y-grid", "1e300:1e300:1",
+                 "--check"]) == 0
+    assert main(["fredholm", "gap", "--s-grid=-1e7:-1e7:1",
+                 "--check"]) == EXIT_USAGE
+    assert "-200" in capsys.readouterr().err
 
 def test_check_gate_exit_codes():
     _, code, _ = dispatch(PII_SMALL + ["--check"])

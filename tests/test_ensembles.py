@@ -11,11 +11,12 @@ from laxlab.ensembles import (
     EnsembleSpec,
     SampleBatch,
     empirical_gap,
+    gap_log_jets,
     gap_probability,
     inductive_relation_residual,
     sample_ensemble,
 )
-from laxlab.errors import UsageError
+from laxlab.errors import SingularTauError, UnderflowError, UsageError
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import gauss_legendre_rule
 from laxlab.tau import WeightSpec
@@ -342,8 +343,12 @@ def test_inductive_beta2_needs_no_companions():
     assert np.abs(res).max() < 1e-5
 
 
-def test_inductive_rejects_multi_interval():
-    with pytest.raises(UsageError):
-        inductive_relation_residual(
-            "gaussian", 1, 2, [0.0], E=IntervalUnion([(0.0, 1.0)])
-        )
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_singular_moment_block_is_a_numerical_error(beta):
+    # below x = -40 every moment underflows, so the block G_0 is zero
+    e = EnsembleSpec(beta, WeightSpec("gaussian"), 2)
+    with pytest.raises(SingularTauError):
+        gap_log_jets(e, -40.0)
+    with pytest.raises(UnderflowError):
+        inductive_relation_residual("gaussian", beta, 2, [-40.0])

@@ -231,9 +231,12 @@ def test_scaling_checks_validate_input():
 # ----- endpoint series -----
 
 def moved(E, d, eps):
-    for i, di in enumerate(d):
-        E = E.shift_endpoint(i, eps * di)
-    return E
+    """E with its k-th finite endpoint moved by eps * d[k]."""
+    steps = iter([eps * di for di in d])
+    return IntervalUnion([
+        tuple(c + next(steps) if math.isfinite(c) else c for c in piece)
+        for piece in E.intervals
+    ])
 
 
 def fd_logdet_derivatives(kernel, E, d, order=64):

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from laxlab.ensembles import (
+    EnsembleSpec,
+    gap_log_jets,
+    inductive_relation_residual,
+)
 from laxlab.errors import DomainError, UnderflowError, UsageError
+from laxlab.fd import central_diff
 from laxlab.gapodes import (
     airy_pde_residual,
     bessel_pde_residual,
@@ -216,34 +222,72 @@ def test_unsupported_beta():
 
 
 # ----- beta-ensemble ODE residuals -----
+#
+# Each case checks the ODE on an oracle supplier twice: with the x-jets of
+# log P_n taken by Richardson central differences of the oracle, and with
+# the exact jets of ensembles.gap_log_jets, which must match those
+# differences to within their truncation and rounding error.
+
+# |exact - central difference| allowed at derivative order 1..4, relative
+# to max(1, |value|); the steps widen with the order (below), so these
+# mostly bound the truncation of the fourth-order stencil
+FD_JET_TOL = (1e-8, 1e-7, 1e-5, 1e-4)
+# a non-integer Laguerre exponent puts a y^a singularity at 0, which
+# limits the Gauss-Legendre skew moments of oracle and library alike
+# (about 1e-6 relative in D log P_2 at order 96 against mpmath for
+# a = 0.5), so their jets agree only to this
+SINGULAR_WEIGHT_JET_TOL = (1e-4, 1e-3, 1e-3, 1e-2)
+
+
+def fd_log_jets(p, n, x):
+    """[D, ..., D^4] of log p(n, .) at x by Richardson central
+    differences, with offsets shared between the orders."""
+    cache = {}
+
+    def logp(d):
+        if d not in cache:
+            cache[d] = math.log(p(n, x + d))
+        return cache[d]
+
+    return [central_diff(logp, r, h, richardson=True)
+            for r, h in ((1, 1e-2), (2, 1e-2), (3, 2e-2), (4, 4e-2))]
+
+
+def check_beta_ode(family, beta, n, xs, p, bound, a=0.0, b=1.0):
+    w = (WeightSpec("laguerre", a=a, b=b) if family == "laguerre"
+         else WeightSpec("gaussian", b=b))
+    j = 2 if beta == 1 else 1
+    tols = FD_JET_TOL if float(a).is_integer() else SINGULAR_WEIGHT_JET_TOL
+    for x in xs:
+        fd = fd_log_jets(p, n, x)
+        # at the oracles' quadrature order
+        exact = gap_log_jets(EnsembleSpec(beta, w, n), x, order=96)
+        for tol, e, f in zip(tols, exact, fd):
+            assert abs(e - f) <= tol * max(1.0, abs(f)), (x, exact, fd)
+        ratio = p(n - j, x) * p(n + j, x) / p(n, x) ** 2
+        for d in (fd, exact):
+            res = beta_ode_residual(family, beta, n, x, d, ratio, a=a, b=b)
+            assert abs(res) < bound, (x, d)
+
 
 def test_gaussian_beta2_ode():
-    res = beta_ode_residual(
-        "gaussian", 2, 2, np.linspace(-2.0, 2.0, 5), gaussian_b2_supplier(1.0)
-    )
-    assert np.abs(res).max() < 1e-5
+    check_beta_ode("gaussian", 2, 2, np.linspace(-2.0, 2.0, 5),
+                   gaussian_b2_supplier(1.0), 1e-5)
 
 
 def test_gaussian_beta1_ode():
     sup = pfaffian_probability_supplier(WeightSpec("gaussian"), alpha=-1)
-    res = beta_ode_residual(
-        "gaussian", 1, 2, np.linspace(-1.5, 1.5, 4), sup
-    )
-    assert np.abs(res).max() < 1e-4
+    check_beta_ode("gaussian", 1, 2, np.linspace(-1.5, 1.5, 4), sup, 1e-4)
 
 
 def test_gaussian_beta4_ode():
     sup = pfaffian_probability_supplier(WeightSpec("gaussian"), alpha=1)
-    res = beta_ode_residual("gaussian", 4, 2, [-1.0, 0.5, 1.5], sup)
-    assert np.abs(res).max() < 1e-4
+    check_beta_ode("gaussian", 4, 2, [-1.0, 0.5, 1.5], sup, 1e-4)
 
 
 def test_laguerre_beta2_ode():
-    res = beta_ode_residual(
-        "laguerre", 2, 2, [2.0, 4.0, 6.0], laguerre_b2_supplier(1.0, 1.0),
-        a=1.0, b=1.0,
-    )
-    assert np.abs(res).max() < 1e-4
+    check_beta_ode("laguerre", 2, 2, [2.0, 4.0, 6.0],
+                   laguerre_b2_supplier(1.0, 1.0), 1e-4, a=1.0, b=1.0)
 
 
 def test_laguerre_beta1_ode_calibration():
@@ -254,26 +298,26 @@ def test_laguerre_beta1_ode_calibration():
         sup = pfaffian_probability_supplier(
             WeightSpec("laguerre", a=a, b=1.0), alpha=-1
         )
-        res = beta_ode_residual(
-            "laguerre", 1, n, [2.0, 4.0, 6.0], sup, a=a, b=1.0
-        )
-        assert np.abs(res).max() < 1e-4, (n, a)
+        check_beta_ode("laguerre", 1, n, [2.0, 4.0, 6.0], sup, 1e-4,
+                       a=a, b=1.0)
 
 
 def test_laguerre_beta4_ode():
-    sup = pfaffian_probability_supplier(
-        WeightSpec("laguerre", a=1.0, b=1.0), alpha=1
-    )
-    res = beta_ode_residual("laguerre", 4, 2, [1.0, 2.0], sup, a=1.0, b=1.0)
-    assert np.abs(res).max() < 1e-4
+    # the beta = 4 side of LAGUERRE_Q2_LINEAR_BETA1, through the duality
+    for n in (1, 2):
+        for a in (1.0, 2.0, 3.0):
+            sup = pfaffian_probability_supplier(
+                WeightSpec("laguerre", a=a, b=1.0), alpha=1
+            )
+            check_beta_ode("laguerre", 4, n, [1.0, 2.0], sup, 1e-4,
+                           a=a, b=1.0)
 
 
 def test_beta1_needs_even_n():
-    sup = gaussian_b2_supplier(1.0)
     with pytest.raises(UsageError):
-        beta_ode_residual("gaussian", 1, 3, [0.0], sup)
+        beta_ode_residual("gaussian", 1, 3, 0.0, [0.0] * 4)
 
 
 def test_deep_gap_underflow():
     with pytest.raises(UnderflowError):
-        beta_ode_residual("gaussian", 2, 2, [-8.0], gaussian_b2_supplier(1.0))
+        inductive_relation_residual("gaussian", 2, 2, [-8.0])

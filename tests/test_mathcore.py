@@ -14,6 +14,7 @@ from laxlab.errors import (
 )
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore.ode import rk4
+from laxlab.mathcore.special import AIRY_MIN_ARG, AIRY_UNDERFLOW
 from laxlab.mathcore import (
     airy_ai,
     airy_ai_prime,
@@ -402,6 +403,33 @@ def test_airy_ai_prime_rejects_nonfinite(x):
 def test_airy_ai_vec_rejects_nonfinite(x):
     with pytest.raises(DomainError):
         airy_ai_vec([0.0, x])
+
+
+def test_airy_underflow_needs_no_power_of_x():
+    # e^{-zeta} is 0 in float64 from x = 107.7 on; x ** 1.5 overflows at
+    # 1e300, which must not be reached
+    for x in (AIRY_UNDERFLOW, 1e5, 1e300, 1.7e308):
+        assert airy_ai(x) == 0.0 and airy_ai_prime(x) == 0.0
+    ai, aip = airy_ai_vec([107.0, AIRY_UNDERFLOW, 1e300])
+    assert ai[0] == pytest.approx(float(mpmath.airyai(107.0)), rel=1e-9)
+    assert list(ai[1:]) == [0.0, 0.0] and list(aip[1:]) == [0.0, 0.0]
+
+
+def test_airy_accuracy_at_the_negative_bound():
+    x = AIRY_MIN_ARG
+    with mpmath.workdps(40):
+        ref, refp = float(mpmath.airyai(x)), float(mpmath.airyai(x, 1))
+    assert abs(airy_ai(x) - ref) < 1e-12
+    assert abs(airy_ai_prime(x) - refp) < 2e-11
+    ai, aip = airy_ai_vec([x])
+    assert abs(ai[0] - ref) < 1e-12 and abs(aip[0] - refp) < 2e-11
+
+
+@pytest.mark.parametrize("f", [airy_ai, airy_ai_prime, airy_ai_vec])
+def test_airy_rejects_arguments_below_the_bound(f):
+    for x in (AIRY_MIN_ARG - 0.01, -1e7, -1e300):
+        with pytest.raises(DomainError, match="-200"):
+            f(x)
 
 
 def test_airy_negative_envelope():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from laxlab.fd import central_diff
 from laxlab.errors import (
     DegenerateFlagError,
     DepthError,
@@ -23,6 +24,7 @@ from laxlab.pfaff import (
     project_plus,
     skew_from_matrix,
     skew_inner_products,
+    skew_endpoint_series,
     skew_orthopoly_eval,
 )
 from laxlab.tau import WeightSpec
@@ -439,3 +441,36 @@ def test_skew_moments_validation():
             weight=gaussian_weight(),
             E=IntervalUnion.full_line(),
         )
+
+
+# ----- endpoint Taylor matrices -----
+
+@pytest.mark.parametrize("alpha", [-1, 1])
+@pytest.mark.parametrize("w, pieces, which, sigma", [
+    (WeightSpec("gaussian"), [(-math.inf, -1.0), (0.5, 1.5)], 0, 1.0),
+    (WeightSpec("gaussian"), [(-math.inf, -1.0), (0.5, 1.5)], 1, -1.0),
+    (WeightSpec("laguerre", a=1.0), [(0.5, 2.0), (3.0, math.inf)], 0, -1.0),
+    (WeightSpec("laguerre", a=1.0), [(0.0, 2.0)], 1, 1.0),
+])
+def test_skew_endpoint_series_match_central_differences(alpha, w, pieces,
+                                                        which, sigma):
+    """r! G_r is the r-th derivative of the skew moments as the endpoint
+    moves; lower and interior endpoints included."""
+    E = IntervalUnion(pieces)
+    c = E.finite_endpoints()[which]
+
+    def entry(i, j):
+        def f(d):
+            moved = [tuple(x + d if x == c else x for x in p) for p in pieces]
+            return skew_inner_products(w, IntervalUnion(moved), alpha=alpha,
+                                       N=3, order=96).m[i, j]
+        return f
+
+    gs = skew_endpoint_series(
+        skew_inner_products(w, E, alpha=alpha, N=3, order=96), c, sigma, 3)
+    # wider steps at higher order keep the stencils' rounding small
+    for r, h in ((1, 1e-3), (2, 1e-2), (3, 4e-2)):
+        for i, j in ((0, 1), (1, 4), (2, 5)):
+            fd = central_diff(entry(i, j), r, h, richardson=True, levels=2)
+            exact = math.factorial(r) * gs[r - 1].m[i, j]
+            assert exact == pytest.approx(fd, rel=1e-5, abs=1e-7), (r, i, j)
