@@ -23,7 +23,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .mathcore.ode import rk4
+from .mathcore.ode import GUARD_INTERVAL, rk4
 
 SYSTEM_KINDS = ("euler", "geodesic", "neumann", "central_force")
 INVARIANT_DRIFT_TOL = 1e-6
@@ -139,35 +139,35 @@ def b_from_a(a, f_kind):
 def aci_flow(a0, f_kind, t_end, step):
     """RK4 trajectory endpoint of a' = [a, b + beta h] at t_end (either
     sign), with b rebuilt from the current h^{m-1} coefficient at every
-    stage; the invariant drift is checked every 200 steps and at t_end.
-    beta, the divided differences and diag(gamma f''(alpha)) depend only on
-    the invariants alpha, gamma, so they are built once per call; the
-    coefficients ride as one (m+1, n, n) stack through batched products.
+    stage; the invariant drift is checked every GUARD_INTERVAL steps and at
+    t_end.  beta, the divided differences, diag(gamma f''(alpha)) and the
+    beta h mask beta_j - beta_i depend only on alpha, gamma, so they are
+    built once per call; the coefficients ride as one (m+1, n, n) stack.
     """
     beta, fpp = _f_derivatives(f_kind, a0.alpha)
     ratio = _divided_differences(a0.alpha, beta)
     bdiag = np.diag(a0.gamma * fpp)
+    shift = beta[None, :] - beta[:, None]
 
-    def rhs(state):
-        (c,) = state
+    def rhs(c):
         b = ratio * c[-2] + bdiag
-        d = c @ b - b @ c
-        d[1:] += c[:-1] * beta[None, :]
-        d[1:] -= beta[:, None] * c[:-1]
-        return (d,)
+        d = c @ b
+        d -= b @ c
+        d[1:] += c[:-1] * shift
+        return d
 
     def checked(stack, where):
         out = LaxPolynomial(coeffs=tuple(stack), alpha=a0.alpha, gamma=a0.gamma)
         drift = out.invariant_drift()
-        if drift > INVARIANT_DRIFT_TOL:
+        if not drift <= INVARIANT_DRIFT_TOL:  # NaN drift fails too
             raise StabilityError(f"invariant manifold drift {drift:.2e} {where}")
         return out
 
-    def drift_check(steps, t, state):
-        if steps % 200 == 0:
-            checked(state[0], f"after {steps} steps")
+    def drift_check(steps, t, stack):
+        if steps % GUARD_INTERVAL == 0:
+            checked(stack, f"after {steps} steps")
 
-    (stack,) = rk4(rhs, (np.array(a0.coeffs),), t_end, step, drift_check)
+    stack = rk4(rhs, np.array(a0.coeffs), t_end, step, drift_check)
     return checked(stack, "at t_end")
 
 

@@ -148,6 +148,14 @@ def parse_grid(text):
     return np.array([start + k * step for k in range(count)])
 
 
+def finite_float(text):
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def parse_floats(text):
     try:
         return [float(p) for p in text.split(",")]
@@ -189,6 +197,8 @@ def _atomic_hankel(n, seed, depth):
 
 def run_toda_flow(args):
     n, k = args.n, args.k
+    if n < 1 or k < 1:
+        raise UsageError("--n and --k must be at least 1")
     m = _atomic_hankel(n, args.seed, 2 * (n - 1) + 12 * k + 2)
     L0 = toda.lax_from_tau(m, None, n)
     t = [0.0] * (k - 1) + [args.t_end]
@@ -234,6 +244,8 @@ def run_toda_poly(args):
 
 def run_pfaff_flow(args):
     size = args.size
+    if size < 1 or args.k < 1:
+        raise UsageError("--size and --k must be at least 1")
     # one spare block beyond the evolved interior; a wide gaussian keeps the
     # high moments O(1) so the skew-Borel pivots stay well away from zero
     half = size // 2 + 6 * args.k + 1
@@ -443,11 +455,15 @@ def run_ensemble_sample(args):
     return _Result(rows, abs(frac - exact), tol=3.0 * sigma, err=err)
 
 
-def run_aci_run(args):
+def _aci_system(args):
     alpha = parse_floats(args.alpha)
     x = parse_floats(args.x) if args.x else None
     y = parse_floats(args.y) if args.y else None
-    a0 = aci.build_system(args.kind, alpha, x=x, y=y)
+    return aci.build_system(args.kind, alpha, x=x, y=y)
+
+
+def run_aci_run(args):
+    a0 = _aci_system(args)
     drift = aci.conservation_report(a0, args.f_kind or args.kind,
                                     args.t_end, args.step)
     rows = [{"metric": "curve_drift", "value": drift}]
@@ -455,10 +471,7 @@ def run_aci_run(args):
 
 
 def run_aci_curve(args):
-    alpha = parse_floats(args.alpha)
-    x = parse_floats(args.x) if args.x else None
-    y = parse_floats(args.y) if args.y else None
-    a0 = aci.build_system(args.kind, alpha, x=x, y=y)
+    a0 = _aci_system(args)
     q = aci.spectral_curve_coeffs(a0)
     rows = [
         {"h_power": k, "z_power": ell, "q": val}
@@ -508,8 +521,8 @@ def build_parser():
     p = g.add_parser("flow")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--t-end", type=finite_float, default=1.0)
+    p.add_argument("--step", type=finite_float, default=1e-3)
     p.add_argument("--routes", default="tau,ode,qr")
     _common(p, run_toda_flow, seed=42)
     p = g.add_parser("poly")
@@ -522,8 +535,8 @@ def build_parser():
     p = g.add_parser("flow")
     p.add_argument("--size", type=int, default=12)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--t-end", type=float, default=0.1)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--t-end", type=finite_float, default=0.1)
+    p.add_argument("--step", type=finite_float, default=1e-3)
     _common(p, run_pfaff_flow)
     p = g.add_parser("check-kp")
     p.add_argument("--beta", type=int, default=1, choices=(1, 4))
@@ -634,8 +647,8 @@ def build_parser():
     p.add_argument("--alpha", default="1,2,4")
     p.add_argument("--x", default="0.6,-0.3,0.8")
     p.add_argument("--y", default="0.2,0.5,-0.4")
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--t-end", type=finite_float, default=10.0)
+    p.add_argument("--step", type=finite_float, default=1e-3)
     _common(p, run_aci_run)
     p = g.add_parser("curve")
     p.add_argument("--kind", default="neumann", choices=aci.SYSTEM_KINDS)

@@ -28,28 +28,3 @@ from .special import (
     bessel_sqrt_taylor_coefficients,
     special_eval,
 )
-
-__all__ = [
-    "block_j",
-    "cholesky_borel",
-    "lu_determinant",
-    "pfaffian",
-    "qr_decompose",
-    "skew_borel",
-    "symmetric_eigen",
-    "symmetric_eigensystem",
-    "gauss_jacobi_rule",
-    "gauss_legendre_rule",
-    "half_line_rule",
-    "integrate",
-    "interval_rule",
-    "union_rule",
-    "airy_ai",
-    "airy_ai_prime",
-    "airy_ai_vec",
-    "airy_taylor_coefficients",
-    "bessel_j",
-    "bessel_j_prime",
-    "bessel_sqrt_taylor_coefficients",
-    "special_eval",
-]

@@ -19,12 +19,13 @@ import numpy as np
 from .errors import (
     DepthError,
     DivergenceError,
+    SingularMatrixError,
     SingularTauError,
     StabilityError,
     UsageError,
 )
 from .intervals import IntervalUnion
-from .mathcore import block_j, pfaffian, skew_borel, union_rule
+from .mathcore import pfaffian, skew_borel, union_rule
 from .mathcore.ode import rk4
 from .tau import (
     WeightSpec,
@@ -273,19 +274,24 @@ def pfaff_tau_table(m, nmax):
 def pfaff_lax(m):
     """L = Q Lambda Q^{-1} with Q the skew-Borel factor of the moments."""
     q = skew_borel(m.m)
-    n = m.size
-    lam = np.eye(n, k=1)
-    return np.linalg.solve(q.T, (q @ lam).T).T
+    try:
+        return np.linalg.solve(q.T, (q @ np.eye(m.size, k=1)).T).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("skew-Borel factor is singular") from exc
 
 
 @functools.cache
 def _block_grid(n):
-    """Read-only 2x2-block masks (below, on, above the diagonal) and J."""
+    """Read-only weights of the 2x2-block grid (1 below, 1/2 on, 0 above
+    the diagonal), and a flat index and signs: sign * x.take(index) is
+    J x^T J, whose (a, b) entry is -s_a s_b x[b^1, a^1], s = (-1)^a."""
     if n % 2:
         raise UsageError("block projection requires even size")
-    rows = np.arange(n)[:, None] // 2
-    cols = np.arange(n)[None, :] // 2
-    out = (rows > cols, rows == cols, rows < cols, block_j(n))
+    idx = np.arange(n)
+    rows, cols = idx[:, None] // 2, idx[None, :] // 2
+    weight = np.where(rows > cols, 1.0, np.where(rows == cols, 0.5, 0.0))
+    out = (weight, (idx ^ 1)[:, None] + n * (idx ^ 1)[None, :],
+           np.where((idx[:, None] + idx) % 2, 1.0, -1.0))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -295,11 +301,10 @@ def project_plus(a):
     """Projection onto the lower-triangular factor of the 2x2-block
     splitting: (a_- - J a_+^T J) + (a_0 - J a_0^T J) / 2, where a_-, a_0,
     a_+ are the strictly-lower, diagonal, and strictly-upper parts in the
-    2x2-block grid."""
-    *masks, j = _block_grid(a.shape[0])
-    low, mid, up = (np.where(mask, a, 0.0) for mask in masks)
-    inv = lambda x: j @ x.T @ j
-    return (low - inv(up)) + 0.5 * (mid - inv(mid))
+    2x2-block grid; as J x^T J mirrors the grid, that is a - J a^T J
+    weighted 1 below, 1/2 on and 0 above the diagonal blocks."""
+    weight, index, sign = _block_grid(a.shape[0])
+    return weight * (a - sign * a.take(index))
 
 
 def project_minus(a):
@@ -309,7 +314,8 @@ def project_minus(a):
 
 def pfaff_ode_flow(L0, Q0, k, t_end, step):
     """Integrate dL/dt_k = [-P_+(L^k), L] and dQ/dt_k = -P_+(L^k) Q by RK4
-    (Q0 = None starts Q at the identity); t_end may be negative.
+    (Q0 = None starts Q at the identity); t_end may be negative.  L and Q
+    ride as one (2, n, n) stack, so one product applies b to both.
 
     Truncation pollutes the bottom border of L, so no invariant of L is
     checked here (callers compare routes instead); a non-finite L raises
@@ -319,15 +325,17 @@ def pfaff_ode_flow(L0, Q0, k, t_end, step):
     Q = np.array(Q0, dtype=float) if Q0 is not None else np.eye(L.shape[0])
 
     def rhs(state):
-        L, Q = state
+        L = state[0]
         b = -project_plus(L if k == 1 else np.linalg.matrix_power(L, k))
-        return b @ L - L @ b, b @ Q
+        out = b @ state
+        out[0] -= L @ b
+        return out
 
     def finite(steps, t, state):
         if not np.all(np.isfinite(state[0])):
             raise StabilityError(f"flow blew up at t={t:.4g}; reduce the step")
 
-    return rk4(rhs, (L, Q), t_end, step, finite)
+    return tuple(rk4(rhs, np.stack((L, Q)), t_end, step, finite))
 
 
 def skew_orthopoly_eval(m, n, z):

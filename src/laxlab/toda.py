@@ -19,7 +19,7 @@ from .mathcore import (
     symmetric_eigen,
     symmetric_eigensystem,
 )
-from .mathcore.ode import rk4
+from .mathcore.ode import GUARD_INTERVAL, rk4
 from .tau import dlog_tau, evolve_hankel, tau_table
 
 # Scale c in exp(c * t * L0^k) = QR for the factorization route; pinned by
@@ -119,28 +119,33 @@ def toda_ode_flow(L0, k, t_end, step):
     (a)_- denotes the skew-symmetric part built from the strictly upper
     triangle; its half-weighted mask is built once per call, and L^k only
     for k > 1.  The right side is tridiagonal analytically, so the result
-    is projected back to the banded type; eigenvalue drift beyond 1e-6
-    after any step raises a stability error.
+    is projected back to the banded type.  Every GUARD_INTERVAL steps and at
+    t_end, a non-finite state or a drift over 1e-6 raises StabilityError.
     """
     L0 = L0.to_symmetric()
     m = L0.matrix()
     ev0 = symmetric_eigen(m)
     half_upper = 0.5 * np.triu(np.ones_like(m), 1)
 
-    def rhs(state):
-        (lax,) = state
+    def rhs(lax):
         up = half_upper * (lax if k == 1 else np.linalg.matrix_power(lax, k))
         b = up - up.T
-        return (b @ lax - lax @ b,)
+        return b @ lax - lax @ b
 
-    def drift_check(steps, t, state):
-        drift = np.abs(symmetric_eigen(state[0]) - ev0).max()
-        if drift > 1e-6:
+    def guard(lax, t):
+        finite = np.all(np.isfinite(lax))
+        drift = np.abs(symmetric_eigen(lax) - ev0).max() if finite else math.inf
+        if not drift <= 1e-6:
             raise StabilityError(
                 f"eigenvalue drift {drift:.3e} at t={t:.4g}; reduce the step"
             )
 
-    (m,) = rk4(rhs, (m,), t_end, step, drift_check)
+    def drift_check(steps, t, lax):
+        if steps % GUARD_INTERVAL == 0:
+            guard(lax, t)
+
+    m = rk4(rhs, m, t_end, step, drift_check)
+    guard(m, t_end)
     return _lax_from_dense(m)
 
 

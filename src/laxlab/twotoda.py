@@ -16,6 +16,7 @@ from .errors import (
     DivergenceError,
     DepthError,
     PrecisionError,
+    SingularMatrixError,
     SingularTauError,
     UsageError,
 )
@@ -138,17 +139,16 @@ def _monic_coefficients(m, which, n):
         return np.array([1.0])
     # p1_n: <p1_n, y^j> = 0 for j < n; solve the linear system for the
     # non-leading coefficients (p2 is the transpose problem)
-    if which == 1:
-        a = m.block(n)  # rows i, cols j < n  -> equations over j
-        rhs = -m.m[n, :n]
-        coeffs = np.linalg.solve(a.T, rhs)
+    if which == 1:  # rows i, cols j < n -> equations over j
+        a, rhs = m.block(n).T, -m.m[n, :n]
     elif which == 2:
-        a = m.block(n)
-        rhs = -m.m[:n, n]
-        coeffs = np.linalg.solve(a, rhs)
+        a, rhs = m.block(n), -m.m[:n, n]
     else:
         raise UsageError("which must be 1 or 2")
-    return np.concatenate([coeffs, [1.0]])
+    try:
+        return np.append(np.linalg.solve(a, rhs), 1.0)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"bi-moment block of order {n} is singular") from exc
 
 
 def biorthopoly_eval(m, which, n, z):

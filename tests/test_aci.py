@@ -214,6 +214,15 @@ def test_flow_detects_corrupted_invariants():
         aci_flow(bad, "euler", 0.1, 1e-2)
 
 
+def test_flow_blow_up_is_stability_error():
+    # steps this long overflow the coefficients: the NaN drift must fail
+    # the guard, not pass it
+    a0 = build_system("neumann", ALPHA, x=X, y=Y)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StabilityError):
+        aci_flow(a0, "neumann", 20.0, 1.5)
+
+
 # ----- spectral curve -----
 
 def test_curve_is_monic():

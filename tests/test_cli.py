@@ -210,6 +210,52 @@ def test_moment_route_commands_exit_cleanly(argv):
     assert code in (0, 2, 3, 4)
 
 
+# argv of the RK4 flow commands; |t_end| / step <= 2,000 bounds the steps
+FLOW_STEPS = st.sampled_from(["0", "-0.01", "nan", "inf", "0.01", "0.1", "1.5"])
+FLOW_ENDS = st.sampled_from(["-0.5", "0", "0.3", "2", "20", "nan", "inf",
+                             "-inf"])
+
+
+@st.composite
+def flow_argv(draw):
+    step, t_end = draw(FLOW_STEPS), draw(FLOW_ENDS)
+    cmd = draw(st.sampled_from(["toda", "pfaff", "aci"]))
+    k = str(draw(st.integers(-1, 3)))
+    if cmd == "toda":
+        argv = ["toda", "flow", "--n", str(draw(st.integers(-1, 7))),
+                "--k", k]
+    elif cmd == "pfaff":
+        argv = ["pfaff", "flow", "--size", str(draw(st.integers(-2, 14))),
+                "--k", k]
+    else:
+        kinds = st.sampled_from(["euler", "geodesic", "neumann",
+                                 "central_force", "bogus"])
+        argv = ["aci", "run", "--kind", draw(kinds), "--f-kind", draw(kinds)]
+    return argv + ["--step", step, "--t-end", t_end, "--check"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(flow_argv())
+def test_flow_commands_exit_cleanly(argv):
+    with np.errstate(all="ignore"), \
+            contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("argv", [
+    "toda flow --t-end nan",
+    "toda flow --step nan",
+    "aci run --step nan",
+    "aci run --t-end nan --check",
+    "toda flow --t-end inf --routes ode",
+])
+def test_nonfinite_flow_times_and_steps_exit_usage(argv, capsys):
+    assert main(argv.split()) == EXIT_USAGE
+    assert "not a finite number" in capsys.readouterr().err
+
+
 def test_integer_list_flags_reject_non_integers(capsys):
     for argv in (["virasoro", "check", "--k-list", "1,x"],
                  ["pfaff", "check-kp", "--n-list", "2.5"],

@@ -11,6 +11,7 @@ from laxlab.errors import (
     DomainError,
     NotPositiveDefiniteError,
     SymmetryError,
+    UsageError,
 )
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore.ode import rk4
@@ -512,16 +513,25 @@ def test_rk4_is_fourth_order(t_end):
     exact = np.real(vecs @ (np.exp(evals * t_end) * np.linalg.solve(vecs, y0)))
 
     def error(step):
-        (y,) = rk4(lambda s: (a @ s[0],), (y0,), t_end, step)
+        y = rk4(lambda s: a @ s, y0, t_end, step)
         return np.abs(y - exact).max()
 
     ratio = error(0.1) / error(0.05)
     assert 14.0 < ratio < 18.0
 
 
+@pytest.mark.parametrize("t_end, step", [
+    (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+    (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -0.1),
+])
+def test_rk4_rejects_nonfinite_or_nonpositive_steps(t_end, step):
+    with pytest.raises(UsageError):
+        rk4(lambda s: s, np.ones(1), t_end, step)
+
+
 def test_rk4_steps_land_on_t_end():
     times = []
-    rk4(lambda s: (np.ones(1),), (np.zeros(1),), -0.25, 0.1,
+    rk4(lambda s: np.ones(1), np.zeros(1), -0.25, 0.1,
         lambda steps, t, state: times.append((steps, t)))
     assert [k for k, _ in times] == [1, 2, 3]
     assert times[-1][1] == pytest.approx(-0.25, abs=1e-15)

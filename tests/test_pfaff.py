@@ -8,11 +8,13 @@ from laxlab.fd import central_diff
 from laxlab.errors import (
     DegenerateFlagError,
     DepthError,
+    SingularMatrixError,
     SingularTauError,
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import block_j, pfaffian, skew_borel, union_rule
+from laxlab import pfaff
 from laxlab.pfaff import (
     SkewMoments,
     evolve_skew,
@@ -293,6 +295,22 @@ def test_projection_images():
     assert np.abs(j @ x.T @ j - x).max() < 1e-13
 
 
+def dense_project_plus(a):
+    """P_+ with J x^T J formed by two dense products with J."""
+    rows = np.arange(a.shape[0])[:, None] // 2
+    cols = np.arange(a.shape[0])[None, :] // 2
+    low, mid, up = (np.where(mask, a, 0.0)
+                    for mask in (rows > cols, rows == cols, rows < cols))
+    j = block_j(a.shape[0])
+    return (low - j @ up.T @ j) + 0.5 * (mid - j @ mid.T @ j)
+
+
+@pytest.mark.parametrize("n", [2, 6, 8])
+def test_projection_equals_dense_formula_exactly(n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    assert np.array_equal(project_plus(a), dense_project_plus(a))
+
+
 # ----- Lax matrix -----
 
 def test_lax_of_j_is_shift():
@@ -351,6 +369,28 @@ def test_ode_flow_q_consistency():
     k = 6
     recon = q[:k, :8] @ evolved.m @ q[:k, :8].T
     assert np.abs(recon - block_j(8)[:k, :k]).max() < 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_ode_step_matches_reference(k):
+    rng = np.random.default_rng(9)
+    L0, Q0 = rng.normal(size=(2, 8, 8))
+    h = 1e-2
+
+    def rhs(L, Q):
+        b = -dense_project_plus(np.linalg.matrix_power(L, k))
+        return b @ L - L @ b, b @ Q
+
+    y = (L0, Q0)
+    k1 = rhs(*y)
+    k2 = rhs(*(c + 0.5 * h * d for c, d in zip(y, k1)))
+    k3 = rhs(*(c + 0.5 * h * d for c, d in zip(y, k2)))
+    k4 = rhs(*(c + h * d for c, d in zip(y, k3)))
+    want = [c + (h / 6.0) * (p + 2.0 * q + 2.0 * r + s)
+            for c, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    got = pfaff_ode_flow(L0, Q0, k, h, h)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() < 1e-14
 
 
 # ----- skew-orthogonal polynomials -----
@@ -425,6 +465,14 @@ def test_pfaffkp_degenerate_tau_flagged():
         pfaffkp_residual(m, 4)
     with pytest.raises(DegenerateFlagError):
         pfaff_lax(m)
+
+
+def test_pfaff_lax_singular_factor_is_numerical_error(monkeypatch):
+    # skew_borel's Q has nonzero diagonal pivots, so only a broken factor
+    # can reach the solve
+    monkeypatch.setattr(pfaff, "skew_borel", lambda m: np.zeros(m.shape))
+    with pytest.raises(SingularMatrixError):
+        pfaff_lax(skew_from_matrix(block_j(4)))
 
 
 def test_pfaffkp_odd_n_rejected():

@@ -145,6 +145,44 @@ def test_ode_flow_step_too_large():
         toda_ode_flow(L0, 2, 2.0, 0.9)
 
 
+def reference_toda_step(lax, k, h):
+    """One RK4 step of L' = [b, L], b = (1/2)(triu(L^k, 1) - its
+    transpose), written out from the dense formulas."""
+    def rhs(y):
+        up = 0.5 * np.triu(np.linalg.matrix_power(y, k), 1)
+        b = up - up.T
+        return b @ y - y @ b
+
+    k1 = rhs(lax)
+    k2 = rhs(lax + 0.5 * h * k1)
+    k3 = rhs(lax + 0.5 * h * k2)
+    k4 = rhs(lax + h * k3)
+    return lax + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_ode_step_matches_reference(k):
+    L0 = random_lax(6, 5)
+    h = 1e-2
+    got = toda_ode_flow(L0, k, h, h).matrix()
+    assert np.abs(got - reference_toda_step(L0.matrix(), k, h)).max() < 1e-14
+
+
+def test_ode_flow_guard_fires_mid_flow():
+    # the drift passes 1e-6 by the checkpoint after step 200 (t = 20),
+    # long before t_end = 40
+    L0 = random_lax(6, 3)
+    with pytest.raises(StabilityError, match=r"drift .* at t=20;"):
+        toda_ode_flow(L0, 1, 40.0, 0.1)
+
+
+def test_ode_flow_nonfinite_state_is_stability_error():
+    L0 = random_lax(6, 3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StabilityError, match="drift inf"):
+        toda_ode_flow(L0, 2, 2000.0, 5.0)
+
+
 # ----- factorization flow -----
 
 def test_factorization_t0_identity():

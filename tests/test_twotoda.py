@@ -6,6 +6,7 @@ import pytest
 from laxlab.errors import (
     DivergenceError,
     PrecisionError,
+    SingularMatrixError,
     SingularTauError,
     UsageError,
 )
@@ -150,6 +151,16 @@ def test_c0_degenerate_flagged():
         biorthopoly_eval(m, 1, 2, 0.5)
     with pytest.raises(SingularTauError):
         h_norms(m, 2)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_biorthopoly_nan_block_is_singular_matrix_error(which):
+    # NaN taus pass the vanishing-tau test, and the zero column stops LU
+    mat = np.ones((3, 3))
+    mat[:2, :2] = [[np.nan, 0.0], [0.0, 0.0]]
+    E = IntervalUnion.full_line()
+    with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError):
+        biorthopoly_eval(BiMoments(m=mat, c=0.5, E1=E, E2=E), which, 2, 0.5)
 
 
 def test_biorthopoly_monic_degree_zero():
