@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aci, ensembles, fredholm, gapodes, pfaff, tau, toda, twotoda, virasoro
+from . import fd  # noqa: F401  (perfbench/tracer.py traces laxlab.fd)
 from .errors import NumericalError, UnderflowError, UsageError
 from .intervals import IntervalUnion
 from .mathcore import integrate, skew_borel
@@ -500,12 +501,13 @@ def run_tau_kp_check(args):
 
 # ----- parser construction -----
 
-def _common(p, handler, seed=0, order=64):
+def _common(p, handler, **read):
+    """Flags every command takes, and --seed/--order where it reads them."""
     p.add_argument("--out", default=None)
     p.add_argument("--check", action="store_true")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--order", type=int, default=order)
+    for name, default in read.items():
+        p.add_argument(f"--{name}", type=int, default=default)
     p.set_defaults(handler=handler)
 
 
@@ -529,7 +531,7 @@ def build_parser():
     _weight_flags(p)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--grid", default="-2:2:0.5")
-    _common(p, run_toda_poly)
+    _common(p, run_toda_poly, order=64)
 
     g = groups.add_parser("pfaff").add_subparsers(dest="action", required=True)
     p = g.add_parser("flow")
@@ -537,13 +539,13 @@ def build_parser():
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--t-end", type=finite_float, default=0.1)
     p.add_argument("--step", type=finite_float, default=1e-3)
-    _common(p, run_pfaff_flow)
+    _common(p, run_pfaff_flow, order=64)
     p = g.add_parser("check-kp")
     p.add_argument("--beta", type=int, default=1, choices=(1, 4))
     p.add_argument("--n-list", default="2,4")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.0)
-    _common(p, run_pfaff_check_kp)
+    _common(p, run_pfaff_check_kp, order=64)
 
     g = groups.add_parser("twotoda").add_subparsers(dest="action", required=True)
     p = g.add_parser("pde")
@@ -555,7 +557,7 @@ def build_parser():
     p = g.add_parser("identities")
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--n", type=int, default=2)
-    _common(p, run_twotoda_identities)
+    _common(p, run_twotoda_identities, order=64)
 
     g = groups.add_parser("fredholm").add_subparsers(dest="action", required=True)
     p = g.add_parser("gap")
@@ -566,7 +568,7 @@ def build_parser():
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--interval", default="s:inf")
     p.add_argument("--s-grid", default="-6:2:0.25")
-    _common(p, run_fredholm_gap)
+    _common(p, run_fredholm_gap, order=64)
     p = g.add_parser("kernel-table")
     p.add_argument("--kernel", default="airy")
     p.add_argument("--nu", type=float, default=0.0)
@@ -602,7 +604,7 @@ def build_parser():
     p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--grid", default="-2:2:1")
-    _common(p, run_inductive)
+    _common(p, run_inductive, order=64)
 
     g = groups.add_parser("virasoro").add_subparsers(dest="action", required=True)
     p = g.add_parser("check")
@@ -612,7 +614,7 @@ def build_parser():
     p.add_argument("--k-list", default="-1,0,1,2")
     p.add_argument("--x", type=float, default=0.7)
     p.add_argument("--full-range", action="store_true")
-    _common(p, run_virasoro_check)
+    _common(p, run_virasoro_check, order=64)
     p = g.add_parser("commutators")
     p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
     p.add_argument("--n", type=int, default=3)
@@ -624,20 +626,20 @@ def build_parser():
     p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--interval", default="-inf:0")
-    _common(p, run_ensemble_gap)
+    _common(p, run_ensemble_gap, order=64)
     p = g.add_parser("sample")
     _weight_flags(p)
     p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--count", type=int, default=100000)
     p.add_argument("--interval", default="-inf:0")
-    _common(p, run_ensemble_sample, seed=7)
+    _common(p, run_ensemble_sample, seed=7, order=64)
     p = g.add_parser("inductive")
     _weight_flags(p)
     p.add_argument("--beta", type=int, default=1, choices=(1, 2, 4))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--grid", default="-1:1.5:0.5")
-    _common(p, run_inductive)
+    _common(p, run_inductive, order=64)
 
     g = groups.add_parser("aci").add_subparsers(dest="action", required=True)
     p = g.add_parser("run")
@@ -660,7 +662,7 @@ def build_parser():
     g = groups.add_parser("tau").add_subparsers(dest="action", required=True)
     p = g.add_parser("kp-check")
     p.add_argument("--n-max", type=int, default=5)
-    _common(p, run_tau_kp_check, seed=1)
+    _common(p, run_tau_kp_check, seed=1, order=64)
 
     return top
 

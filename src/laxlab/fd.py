@@ -1,8 +1,7 @@
 """Central finite differences with one Richardson extrapolation.
 
-Used where a derivative of a scalar function is known only through its
-values: the coupled two-Toda boundary operators, and the tests, as the
-reference the exact jets are checked against.
+The tests' reference only: the exact jets of the library are checked
+against it, and no library function calls it.
 """
 
 _STENCILS = {

@@ -5,6 +5,7 @@ import math
 from ..errors import UsageError
 
 GUARD_INTERVAL = 200  # steps between the flows' drift guards (and at t_end)
+MAX_STEPS = 10 ** 6  # longest integration rk4 accepts, in steps
 
 
 def rk4(rhs, y, t_end, step, after_step=None):
@@ -13,10 +14,13 @@ def rk4(rhs, y, t_end, step, after_step=None):
     ``y`` is one array and ``rhs`` maps such an array to its derivative.
     Steps have size ``step`` except the last, which ends on ``t_end``.
     ``after_step(steps, t, y)``, if given, runs after every step and may
-    raise to stop the integration.  Returns the final state.
+    raise to stop the integration.  Returns the final state.  More than
+    MAX_STEPS steps is a usage error, raised before the first step.
     """
     if not (abs(t_end) < math.inf and 0.0 < step < math.inf):  # NaN fails
         raise UsageError("t_end must be finite, step finite and positive")
+    if abs(t_end) / step > MAX_STEPS:
+        raise UsageError(f"|t_end| / step exceeds {MAX_STEPS} steps")
     t, steps = 0.0, 0
     direction = 1.0 if t_end >= 0 else -1.0
     while abs(t_end - t) > 1e-15:

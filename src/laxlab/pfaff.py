@@ -32,7 +32,7 @@ from .tau import (
     add_shifted_blocks,
     direction_matrices,
     hankel_moments,
-    kp_terms,
+    kp_normalized,
     logdet_series_derivatives,
     shift_coefficients,
     max_shift_for,
@@ -375,12 +375,7 @@ def pfaffkp_residual(m, n):
     tau_minus = 1.0 if n == 2 else pfaffian(m.block(n - 2))
     tau_plus = pfaffian(m.block(n + 2))
     rhs = 12.0 * tau_minus * tau_plus / tau_n ** 2
-    terms = kp_terms(functools.partial(_dlog_pf_directional, m, n))
-    terms.append(-rhs)
-    scale = max(abs(v) for v in terms)
-    if scale == 0.0:
-        return 0.0
-    return sum(terms) / scale
+    return kp_normalized(functools.partial(_dlog_pf_directional, m, n), -rhs)
 
 
 def skew_from_matrix(mat, alpha=-1, weight=None, E=None):

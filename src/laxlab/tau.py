@@ -307,6 +307,34 @@ def logdet_series_derivatives(g_list):
     return [math.factorial(j + 1) * c for j, c in enumerate(coefs)]
 
 
+def logdet_multilinear(g0, coefficient, r):
+    """Mixed partial d/dx_1 ... d/dx_r of log det G(x) at x = 0, exact.
+
+    ``coefficient(mask)`` is the matrix of the product of the x_i set in the
+    bit mask.  With Y_B = G0^{-1} G_B, G^{-1} G0 has the terms V_S =
+    -sum_{B in S} Y_B V_{S-B}, and the partial is the sum over B owning x_1
+    of tr(V_{S-B} Y_B).  Unlike polarization nothing cancels, so a partial
+    that vanishes by symmetry stays at its own rounding level."""
+    submasks = lambda mask: [b for b in range(1, mask + 1) if b & mask == b]
+
+    @functools.cache
+    def y(mask):
+        try:
+            return np.linalg.solve(g0, coefficient(mask))
+        except np.linalg.LinAlgError as exc:
+            raise SingularTauError("tau vanishes at the expansion point") from exc
+
+    @functools.cache
+    def v(mask):
+        if not mask:
+            return np.eye(len(g0))
+        return -sum(y(b) @ v(mask & ~b) for b in submasks(mask))
+
+    full = (1 << r) - 1
+    return float(sum(np.trace(v(full & ~b) @ y(b))
+                     for b in submasks(full) if b & 1))
+
+
 def _direction_poly_powers(d, order):
     """Coefficient arrays of P(z)^j / j! for P = sum_k d_k z^{k}, j=0..order."""
     d = np.trim_zeros(np.asarray(d, dtype=float), "b")
@@ -385,17 +413,21 @@ def polarized(directional, ks):
     return total / (2 ** (r - 1) * math.factorial(r))
 
 
-def kp_terms(directional):
-    """The four terms of the first KP equation for a log tau whose jets
-    ``directional(d, order) -> [D_d, D_d^2, ...]`` are given:
+def kp_normalized(directional, extra=0.0):
+    """The first KP equation for a log tau whose jets ``directional(d,
+    order) -> [D_d, D_d^2, ...]`` are given, plus ``extra``:
 
-        (d/dt1)^4 + 3 (d/dt2)^2 - 4 d^2/dt1 dt3 (by polarization),
-        and 6 (d^2/dt1^2)^2.
+        (d/dt1)^4 + 3 (d/dt2)^2 - 4 d^2/dt1 dt3 (by polarization)
+        + 6 (d^2/dt1^2)^2 + extra,
+
+    normalized by its largest term (0 if every term vanishes).
     """
     d1 = directional([1.0], 4)
     d2 = directional([0.0, 1.0], 2)
-    return [d1[3], 3.0 * d2[1], -4.0 * polarized(directional, (1, 3)),
-            6.0 * d1[1] ** 2]
+    terms = [d1[3], 3.0 * d2[1], -4.0 * polarized(directional, (1, 3)),
+             6.0 * d1[1] ** 2, extra]
+    scale = max(abs(v) for v in terms)
+    return sum(terms) / scale if scale else 0.0
 
 
 def kp_residual(m0, n, t=None):
@@ -411,11 +443,7 @@ def kp_residual(m0, n, t=None):
         raise UsageError("kp_residual needs n >= 1")
     if t is not None and np.any(np.asarray(t) != 0.0):
         m0 = evolve_hankel(m0, t)
-    terms = kp_terms(functools.partial(dlog_tau_directional, m0, n))
-    scale = max(abs(v) for v in terms)
-    if scale == 0.0:
-        return 0.0
-    return sum(terms) / scale
+    return kp_normalized(functools.partial(dlog_tau_directional, m0, n))
 
 
 def hankel_from_sequence(mu, weight=None, E=None):

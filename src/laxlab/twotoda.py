@@ -7,6 +7,7 @@ identities, and the third-order boundary PDE satisfied by the joint gap
 probability of the coupled ensemble.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,15 +21,16 @@ from .errors import (
     SingularTauError,
     UsageError,
 )
-from .fd import central_diff
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant, union_rule
 from .tau import (
     add_shifted_blocks,
     direction_matrices,
-    kp_terms,
+    kp_normalized,
+    logdet_multilinear,
     logdet_series_derivatives,
     max_shift_for,
+    polarized,
     shift_coefficients,
 )
 
@@ -70,25 +72,43 @@ def bimoments(c, E=None, N=6, order=64):
         E1, E2 = E
     E1.require_nonempty()
     E2.require_nonempty()
-    scale = _coupled_scale(c)
-    x, wx = union_rule(E1, order, scale)
-    y, wy = union_rule(E2, order, scale)
-    kernel = np.exp(
-        -0.5 * x[:, None] ** 2 - 0.5 * y[None, :] ** 2 + c * np.outer(x, y)
-    )
-    vx = np.empty((len(x), N))
-    vy = np.empty((len(y), N))
-    px = np.ones_like(x)
-    py = np.ones_like(y)
-    for k in range(N):
-        vx[:, k] = wx * px
-        vy[:, k] = wy * py
-        px = px * x
-        py = py * y
-    mu = vx.T @ kernel @ vy
+    mu = _bimoment_series(c, E1, E2, N, order)[0]
     if not np.all(np.isfinite(mu)):
         raise DivergenceError("bi-moments diverge on this domain")
     return BiMoments(m=mu, c=float(c), E1=E1, E2=E2)
+
+
+def _bimoment_series(c, E1, E2, N, order, v=(0.0, 0.0, 0.0), degree=0):
+    """Taylor matrices G_0..G_degree of the N x N bi-moments over E1 x E2 as
+    every node moves by s (v_a, v_b) and the coupling by s v_c: on
+    (-inf, a] x (-inf, b] the exact motion of the endpoints, since a
+    half-line rule is a translate of its endpoint.  The exponent is then a
+    cubic phi_0 + s phi_1 + s^2 phi_2 + s^3 phi_3, and K' = phi' K."""
+    scale = _coupled_scale(c)
+    x, wx = union_rule(E1, order, scale)
+    y, wy = union_rule(E2, order, scale)
+    va, vb, vc = v
+    xs, ys, xy = x[:, None], y[None, :], np.outer(x, y)
+    kernel = [np.exp(-0.5 * xs ** 2 - 0.5 * ys ** 2 + c * xy)]
+    phi = [None, (c * vb - va) * xs + (c * va - vb) * ys + vc * xy,
+           c * va * vb - 0.5 * (va ** 2 + vb ** 2) + vc * (vb * xs + va * ys),
+           vc * va * vb]
+    for r in range(1, degree + 1):
+        kernel.append(sum(j * phi[j] * kernel[r - j]
+                          for j in range(1, min(r, 3) + 1)) / r)
+    powers = []  # [s^r] w (z + s dz)^i, one factor z + s dz at a time
+    for z, w, dz in ((x, wx, va), (y, wy, vb)):
+        p = np.zeros((degree + 1, len(z), N))
+        p[0, :, 0] = 1.0
+        for i in range(1, N):
+            p[:, :, i] = p[:, :, i - 1] * z
+            p[1:, :, i] += dz * p[:-1, :, i - 1]
+        powers.append(p * w[:, None])
+    px, py = powers
+    left = [sum(px[p].T @ kernel[r - p] for p in range(r + 1))
+            for r in range(degree + 1)]
+    return [sum(left[u] @ py[r - u] for u in range(r + 1))
+            for r in range(degree + 1)]
 
 
 def evolve_bimoments(m0, t, s):
@@ -129,12 +149,7 @@ def _tau_scale(block):
 def _monic_coefficients(m, which, n):
     """Coefficient vector (length n+1, leading 1) of the monic
     bi-orthogonal polynomial of degree n, from the bordered determinant."""
-    taus = tau2_table(m, n)
-    for k in range(1, n + 1):
-        if abs(taus[k]) <= 1e-12 * _tau_scale(m.block(k)):
-            raise SingularTauError(
-                f"tau_{k} vanishes; Borel factorization breaks down"
-            )
+    h_norms(m, n)  # raises if a tau vanishes: the Borel factorization fails
     if n == 0:
         return np.array([1.0])
     # p1_n: <p1_n, y^j> = 0 for j < n; solve the linear system for the
@@ -184,50 +199,17 @@ def cd_kernel(m, n, y, z):
 
 def dlog_tau2(m, n, tlist=(), slist=()):
     """Exact mixed partial of log tau_n w.r.t. the listed t and s indices
-    (total order <= 3), via the derivative formulas for log det."""
-    labels = [("t", a) for a in tlist] + [("s", b) for b in slist]
-    order = len(labels)
-    if order == 0 or order > 3:
+    (total order <= 3; 0 for n = 0): t_a shifts the row index of the
+    bi-moments by a, s_b the column index by b with a minus sign."""
+    shifts = [(a, 0, 1.0) for a in tlist] + [(0, b, -1.0) for b in slist]
+    if not 1 <= len(shifts) <= 3:
         raise UsageError("total derivative order must be 1..3")
 
-    def h(subset):
-        dt = sum(a for kind, a in subset if kind == "t")
-        ds = sum(b for kind, b in subset if kind == "s")
-        sign = (-1.0) ** sum(1 for kind, _ in subset if kind == "s")
-        return sign * m.block(n, rshift=dt, cshift=ds)
+    def coefficient(mask):
+        rows, cols, signs = zip(*(s for i, s in enumerate(shifts) if mask >> i & 1))
+        return math.prod(signs) * m.block(n, rshift=sum(rows), cshift=sum(cols))
 
-    base = m.block(n)
-
-    def solve(mat):
-        try:
-            return np.linalg.solve(base, mat)
-        except np.linalg.LinAlgError as exc:
-            raise SingularTauError(f"tau_{n} vanishes") from exc
-
-    tr = lambda *ms: float(np.trace(np.linalg.multi_dot(ms))) if len(ms) > 1 \
-        else float(np.trace(ms[0]))
-    if order == 1:
-        return tr(solve(h(labels)))
-    if order == 2:
-        x, y = labels
-        ax = solve(h([x]))
-        ay = solve(h([y]))
-        return tr(solve(h([x, y]))) - tr(ax, ay)
-    x, y, z = labels
-    ax, ay, az = (solve(h([v])) for v in (x, y, z))
-    axy, axz, ayz = (
-        solve(h([x, y])),
-        solve(h([x, z])),
-        solve(h([y, z])),
-    )
-    return (
-        tr(solve(h([x, y, z])))
-        - tr(axy, az)
-        - tr(axz, ay)
-        - tr(ayz, ax)
-        + tr(ax, ay, az)
-        + tr(ax, az, ay)
-    )
+    return logdet_multilinear(m.block(n), coefficient, len(shifts))
 
 
 def kp_in_t_residual(m, n, direction="t"):
@@ -246,11 +228,7 @@ def kp_in_t_residual(m, n, direction="t"):
             gs = direction_matrices(m.m, n, order, cols=[-v for v in d])
         return logdet_series_derivatives(gs)
 
-    terms = kp_terms(directional)
-    scale = max(abs(v) for v in terms)
-    if scale == 0.0:
-        return 0.0
-    return sum(terms) / scale
+    return kp_normalized(directional)
 
 
 def wronskian_identity_residual(m, n):
@@ -268,17 +246,9 @@ def wronskian_identity_residual(m, n):
         raise PrecisionError(
             f"d2 log tau_{n} / dt1 ds1 = {den:.2e} is too close to zero"
         )
-    lhs1 = -(
-        dlog_tau2(m, n + 1, slist=(1,)) - dlog_tau2(m, n - 1, slist=(1,))
-        if n > 1
-        else dlog_tau2(m, n + 1, slist=(1,))
-    )
+    lhs1 = -(dlog_tau2(m, n + 1, slist=(1,)) - dlog_tau2(m, n - 1, slist=(1,)))
     rhs1 = dlog_tau2(m, n, tlist=(1,), slist=(2,)) / den
-    lhs2 = (
-        dlog_tau2(m, n + 1, tlist=(1,)) - dlog_tau2(m, n - 1, tlist=(1,))
-        if n > 1
-        else dlog_tau2(m, n + 1, tlist=(1,))
-    )
+    lhs2 = dlog_tau2(m, n + 1, tlist=(1,)) - dlog_tau2(m, n - 1, tlist=(1,))
     rhs2 = dlog_tau2(m, n, tlist=(2,), slist=(1,)) / den
     r1 = (lhs1 - rhs1) / max(abs(lhs1), abs(rhs1), 1e-30)
     r2 = (lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-30)
@@ -306,77 +276,86 @@ def wronskian_bracket_residual(m, n):
 
 # ----- boundary operators and the coupled PDE -----
 
-FD_STEP = 1e-2
+_DEGREE = np.indices((4, 4, 4)).sum(axis=0)  # total degree of f[i, j, k]
+
+
+def _term(f, axis, var, coeffs):
+    """The partial of f along ``axis`` times sum_k coeffs[k] h^k, h the
+    displacement of variable ``var``, on local Taylor polynomials (axes 0,
+    1, 2 = a, b, c), truncated at total degree 3: each factor is a 4 x 4
+    matrix acting along one axis."""
+    times = sum(ck * np.eye(4, k=-k) for k, ck in enumerate(coeffs))
+    for matrix, ax in ((np.diag([1.0, 2.0, 3.0], 1), axis), (times, var)):
+        f = np.moveaxis(np.tensordot(matrix, f, axes=(1, ax)), 0, ax)
+    return f * (_DEGREE <= 3)
 
 
 class BoundaryOperators:
-    """First-order operators in (a, b, c) used by the coupled-Gaussian PDE.
+    """First-order operators in (a, b, c) used by the coupled-Gaussian PDE,
 
-    Functions are maps (a, b, c) -> float; each operator returns another
-    such map, with derivatives by Richardson-extrapolated central FD so
-    operators compose.
+        A1 = (d_a + c d_b) / (c^2 - 1),   B1 = (c d_a + d_b) / (1 - c^2),
+        A2 = a d_a - c d_c,               B2 = b d_b - c d_c,
+
+    on local Taylor polynomials at p0 = (a0, b0, c0): f[i, j, k] is the
+    coefficient of da^i db^j dc^k, truncated at total degree 3.  The
+    operators' coefficients are expanded at p0 too, so operators compose;
+    after r of them, the terms of degree <= 3 - r are exact.
     """
 
-    def __init__(self, h=FD_STEP):
-        self.h = h
-
-    def _d(self, f, axis):
-        def out(p):
-            def g(delta):
-                q = list(p)
-                q[axis] += delta
-                return f(tuple(q))
-
-            return central_diff(g, 1, self.h, richardson=True, levels=1)
-
-        return out
+    def __init__(self, p0):
+        self.a, self.b, self.c = (float(v) for v in p0)
+        k = np.arange(4)
+        # 1/(c^2 - 1) and c/(c^2 - 1) are (1/(c - 1) -/+ 1/(c + 1)) / 2
+        below = (-1.0) ** k / (self.c - 1.0) ** (k + 1)
+        above = (-1.0) ** k / (self.c + 1.0) ** (k + 1)
+        self.inverse, self.kappa = 0.5 * (below - above), 0.5 * (below + above)
 
     def a1(self, f):
-        da, db = self._d(f, 0), self._d(f, 1)
-        return lambda p: (da(p) + p[2] * db(p)) / (p[2] ** 2 - 1.0)
+        return _term(f, 0, 2, self.inverse) + _term(f, 1, 2, self.kappa)
 
     def b1(self, f):
-        da, db = self._d(f, 0), self._d(f, 1)
-        return lambda p: (p[2] * da(p) + db(p)) / (1.0 - p[2] ** 2)
+        return -_term(f, 0, 2, self.kappa) - _term(f, 1, 2, self.inverse)
 
     def a2(self, f):
-        da, dc = self._d(f, 0), self._d(f, 2)
-        return lambda p: p[0] * da(p) - p[2] * dc(p)
+        return _term(f, 0, 0, (self.a, 1.0)) - _term(f, 2, 2, (self.c, 1.0))
 
     def b2(self, f):
-        db, dc = self._d(f, 1), self._d(f, 2)
-        return lambda p: p[1] * db(p) - p[2] * dc(p)
+        return _term(f, 1, 1, (self.b, 1.0)) - _term(f, 2, 2, (self.c, 1.0))
 
 
-def _memoized(f):
-    cache = {}
+def gap_log_tau_ratio_taylor(c, a, b, n, order=48):
+    """Cubic Taylor polynomial at (a, b, c), as in BoundaryOperators, of
 
-    def wrapped(p):
-        key = tuple(round(v, 12) for v in p)
-        if key not in cache:
-            cache[key] = f(p)
-        return cache[key]
+        F_n = (1/n) log( tau_n^E / tau_n ),  E = (-inf, a] x (-inf, b],
 
-    return wrapped
+    for the coupled Gaussian.  Along v, D_v^r F are log-det jets: the
+    restricted bi-moments move by ``_bimoment_series``, the full-line ones
+    by v_c^r mu[r:r+n, r:r+n] / r!.  Partials come by polarization."""
+    E = (IntervalUnion.half_line_below(a), IntervalUnion.half_line_below(b))
+    mu = bimoments(c, N=n + 3, order=order).m
+    full = [mu[r : r + n, r : r + n] / math.factorial(r) for r in range(4)]
+    taus = [lu_determinant(bimoments(c, E, N=n, order=order).m),
+            lu_determinant(full[0])]
+    if not min(taus) > 0.0:
+        raise SingularTauError("tau must stay positive for the log")
+    full_jet = logdet_series_derivatives(full)
+
+    @functools.cache
+    def jet(v):
+        series = _bimoment_series(c, *E, n, order, v, degree=3)
+        return [(d - v[2] ** r * e) / n for r, (d, e) in
+                enumerate(zip(logdet_series_derivatives(series), full_jet), 1)]
+
+    directional = lambda d, r: jet(tuple(np.pad(d, (0, 3 - len(d)))))
+    f = np.zeros((4, 4, 4))
+    f[0, 0, 0] = math.log(taus[0] / taus[1]) / n
+    for i, j, k in zip(*np.nonzero((_DEGREE >= 1) & (_DEGREE <= 3))):
+        f[i, j, k] = polarized(directional, (1,) * i + (2,) * j + (3,) * k) / (
+            math.factorial(i) * math.factorial(j) * math.factorial(k))
+    return f
 
 
-def gap_log_tau_ratio(n, order=48):
-    """F_n(a, b, c) = (1/n) log( tau_n^E / tau_n ) for the coupled Gaussian
-    with E = (-inf, a] x (-inf, b]."""
-
-    def f(p):
-        a, b, c = p
-        E = (IntervalUnion.half_line_below(a), IntervalUnion.half_line_below(b))
-        restricted = tau2_table(bimoments(c, E, N=n, order=order), n)[n]
-        full = tau2_table(bimoments(c, N=n, order=order), n)[n]
-        if restricted <= 0.0 or full <= 0.0:
-            raise SingularTauError("tau must stay positive for the log")
-        return (math.log(restricted) - math.log(full)) / n
-
-    return _memoized(f)
-
-
-def coupled_pde_residual(c, a, b, n, order=48, h=FD_STEP):
+def coupled_pde_residual(c, a, b, n, order=48):
     """Normalized residual of the third-order PDE for F_n = (1/n) log P_n:
 
         {B2 A1 F, B1 A1 F + c/(c^2-1)}_{A1}
@@ -385,25 +364,13 @@ def coupled_pde_residual(c, a, b, n, order=48, h=FD_STEP):
     with {f, g}_X = X(f) g - f X(g), at the point (a, b, c)."""
     if abs(c) >= 1.0 or c == 0.0:
         raise UsageError("the coupled PDE needs 0 < |c| < 1")
-    F = gap_log_tau_ratio(n, order=order)
-    # quadrature-noise budget: a higher-order rule must agree far below
-    # what three FD levels amplify
-    probe = gap_log_tau_ratio(n, order=order + order // 4)
-    noise = abs(F((a, b, c)) - probe((a, b, c)))
-    if noise > 1e-9:
-        raise PrecisionError(
-            f"quadrature noise {noise:.2e} too large for third-order FD"
-        )
-    ops = BoundaryOperators(h=h)
-    kappa = lambda p: p[2] / (p[2] ** 2 - 1.0)
-    u = _memoized(ops.b2(ops.a1(F)))
-    v = _memoized(lambda p: ops.b1(ops.a1(F))(p) + kappa(p))
-    term1 = lambda p: ops.a1(u)(p) * v(p) - u(p) * ops.a1(v)(p)
-    w = _memoized(ops.a2(ops.b1(F)))
-    x = _memoized(lambda p: ops.a1(ops.b1(F))(p) + kappa(p))
-    term2 = lambda p: ops.b1(w)(p) * x(p) - w(p) * ops.b1(x)(p)
-    p0 = (float(a), float(b), float(c))
-    t1 = term1(p0)
-    t2 = term2(p0)
-    scale = max(abs(t1), abs(t2), 1e-30)
-    return (t1 - t2) / scale
+    F = gap_log_tau_ratio_taylor(c, a, b, n, order=order)
+    ops = BoundaryOperators((a, b, c))
+    kappa = np.zeros((4, 4, 4))
+    kappa[0, 0] = ops.kappa
+    # at (a, b, c), a product's constant term is that of its factors
+    bracket = lambda X, f, g: (X(f)[0, 0, 0] * g[0, 0, 0]
+                               - f[0, 0, 0] * X(g)[0, 0, 0])
+    t1 = bracket(ops.a1, ops.b2(ops.a1(F)), ops.b1(ops.a1(F)) + kappa)
+    t2 = bracket(ops.b1, ops.a2(ops.b1(F)), ops.a1(ops.b1(F)) + kappa)
+    return (t1 - t2) / max(abs(t1), abs(t2), 1e-30)

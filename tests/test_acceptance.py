@@ -165,30 +165,31 @@ def test_coupled_lattice_identities():
     for r in twotoda.wronskian_identity_residual(m, 2):
         assert abs(r) < 1e-8
     assert abs(twotoda.wronskian_bracket_residual(m, 2)) < 1e-8
-    assert abs(twotoda.coupled_pde_residual(0.5, 0.3, 0.3, 1)) < 1e-3
+    assert abs(twotoda.coupled_pde_residual(0.5, 0.3, 0.3, 1)) < 1e-12
     rng = np.random.default_rng(3)
     for _ in range(5):
         a, b = rng.uniform(0.1, 0.6, size=2)
         c = rng.uniform(0.2, 0.7) * rng.choice([-1.0, 1.0])
-        assert abs(twotoda.coupled_pde_residual(c, a, b, 1)) < 1e-3
-    # first-order boundary operators close on smooth test functions
-    ops = twotoda.BoundaryOperators()
+        # exact jets: what remains is the order-48 quadrature (<= 3e-10)
+        assert abs(twotoda.coupled_pde_residual(c, a, b, 1)) < 1e-8
+    # first-order boundary operators close on local cubic polynomials
     p0 = (0.4, -0.3, 0.5)
     c = p0[2]
-    f = lambda p: math.exp(0.3 * p[0] - 0.2 * p[1] + 0.1 * p[2]) + math.sin(
-        p[0] * p[1] + 0.5 * p[2]
-    )
+    ops = twotoda.BoundaryOperators(p0)
+    f = rng.normal(size=(4, 4, 4)) * (np.indices((4, 4, 4)).sum(axis=0) <= 3)
+    a1, b1 = ops.a1(f)[0, 0, 0], ops.b1(f)[0, 0, 0]
     pairs = [
-        ("a1", "b1", lambda p: 0.0),
-        ("a2", "b2", lambda p: 0.0),
-        ("a1", "a2", lambda p: (1 + c * c) / (1 - c * c) * ops.a1(f)(p)),
-        ("a2", "b1", lambda p: 2 * c / (1 - c * c) * ops.a1(f)(p)),
-        ("a1", "b2", lambda p: -2 * c / (1 - c * c) * ops.b1(f)(p)),
-        ("b1", "b2", lambda p: (1 + c * c) / (1 - c * c) * ops.b1(f)(p)),
+        ("a1", "b1", 0.0),
+        ("a2", "b2", 0.0),
+        ("a1", "a2", (1 + c * c) / (1 - c * c) * a1),
+        ("a2", "b1", 2 * c / (1 - c * c) * a1),
+        ("a1", "b2", -2 * c / (1 - c * c) * b1),
+        ("b1", "b2", (1 + c * c) / (1 - c * c) * b1),
     ]
     for name_x, name_y, rhs in pairs:
         X, Y = getattr(ops, name_x), getattr(ops, name_y)
-        assert X(Y(f))(p0) - Y(X(f))(p0) == pytest.approx(rhs(p0), abs=1e-6)
+        lhs = X(Y(f))[0, 0, 0] - Y(X(f))[0, 0, 0]
+        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_scaling_limits():

@@ -7,13 +7,17 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from laxlab import cli
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -71,3 +75,22 @@ def test_tracer_round_trip_and_indexed_names():
     for name, fn in originals.items():
         module, attr = name.rsplit(".", 1)
         assert getattr(importlib.import_module(module), attr) is fn
+
+
+def test_tracer_builds_in_a_fresh_process():
+    # in this process other test modules may already have imported every
+    # module the tracer reads from sys.modules; a fresh one has only what
+    # importing laxlab.cli loads
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('tracer', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "module.Tracer()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(PERFBENCH / "tracer.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

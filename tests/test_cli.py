@@ -13,6 +13,7 @@ from laxlab.cli import (
     EXIT_NUMERICAL,
     EXIT_TOLERANCE,
     EXIT_USAGE,
+    build_parser,
     canonical_json,
     dispatch,
     emit_report,
@@ -254,6 +255,48 @@ def test_flow_commands_exit_cleanly(argv):
 def test_nonfinite_flow_times_and_steps_exit_usage(argv, capsys):
     assert main(argv.split()) == EXIT_USAGE
     assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "aci run --step 1e-300 --check",
+    "toda flow --t-end 1e300 --routes ode --check",
+    "pfaff flow --step 1e-300 --check",
+])
+def test_flow_step_counts_are_bounded(argv, capsys):
+    assert main(argv.split()) == EXIT_USAGE
+    assert "steps" in capsys.readouterr().err
+
+
+COMMANDS = (
+    "toda flow", "toda poly", "pfaff flow", "pfaff check-kp", "twotoda pde",
+    "twotoda identities", "fredholm gap", "fredholm kernel-table",
+    "fredholm scaling", "gapode pii", "gapode pv", "gapode airy-pde",
+    "gapode bessel-pde", "gapode beta-ode", "virasoro check",
+    "virasoro commutators", "ensemble gap", "ensemble sample",
+    "ensemble inductive", "aci run", "aci curve", "tau kp-check",
+)
+READS_SEED = {"toda flow", "ensemble sample", "tau kp-check"}
+READS_ORDER = {
+    "toda poly", "pfaff flow", "pfaff check-kp", "twotoda pde",
+    "twotoda identities", "fredholm gap", "gapode beta-ode", "virasoro check",
+    "ensemble gap", "ensemble sample", "ensemble inductive", "tau kp-check",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_seed_and_order_only_where_read(command):
+    for flag, readers in (("--seed", READS_SEED), ("--order", READS_ORDER)):
+        argv = command.split() + [flag, "5"]
+        if command in readers:
+            assert getattr(build_parser().parse_args(argv), flag[2:]) == 5
+        else:
+            with pytest.raises(UsageError):
+                build_parser().parse_args(argv)
+
+
+def test_ignored_flag_exits_usage():
+    assert main(["gapode", "pii", "--seed", "5"]) == EXIT_USAGE
+    assert main(["aci", "run", "--order", "10"]) == EXIT_USAGE
 
 
 def test_integer_list_flags_reject_non_integers(capsys):

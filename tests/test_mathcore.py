@@ -14,7 +14,7 @@ from laxlab.errors import (
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
-from laxlab.mathcore.ode import rk4
+from laxlab.mathcore.ode import MAX_STEPS, rk4
 from laxlab.mathcore.special import AIRY_MIN_ARG, AIRY_UNDERFLOW
 from laxlab.mathcore import (
     airy_ai,
@@ -527,6 +527,24 @@ def test_rk4_is_fourth_order(t_end):
 def test_rk4_rejects_nonfinite_or_nonpositive_steps(t_end, step):
     with pytest.raises(UsageError):
         rk4(lambda s: s, np.ones(1), t_end, step)
+
+
+def test_rk4_rejects_too_many_steps():
+    calls = []
+    with pytest.raises(UsageError, match="steps"):
+        rk4(lambda s: calls.append(1) or s, np.ones(1), 1.0,
+            1.0 / (MAX_STEPS + 1))
+    assert calls == []
+
+    class Stop(Exception):
+        pass
+
+    def stop(steps, t, y):
+        raise Stop
+
+    # exactly MAX_STEPS steps is accepted
+    with pytest.raises(Stop):
+        rk4(lambda s: s, np.ones(1), -float(MAX_STEPS), 1.0, stop)
 
 
 def test_rk4_steps_land_on_t_end():

@@ -21,6 +21,7 @@ from laxlab.twotoda import (
     coupled_pde_residual,
     dlog_tau2,
     evolve_bimoments,
+    gap_log_tau_ratio_taylor,
     h_norms,
     kp_in_t_residual,
     tau2_table,
@@ -243,6 +244,25 @@ def test_dlog_first_order_against_fd():
     assert dlog_tau2(m, 2, tlist=(1,)) == pytest.approx(fd, abs=1e-9)
 
 
+def test_dlog_tau2_matches_polarized_jets():
+    # at a generic (t, s) no partial vanishes by symmetry, so polarization
+    # of the directional log-det jets is an accurate reference
+    from laxlab.tau import direction_matrices, logdet_series_derivatives, polarized
+
+    m = evolve_bimoments(bimoments(0.5, N=22), [0.1], [-0.07])
+
+    def directional(d, order):  # d = (t1, t2, s1, s2)
+        d = np.pad(d, (0, 4 - len(d)))
+        return logdet_series_derivatives(direction_matrices(
+            m.m, 2, order, rows=d[:2], cols=-d[2:]))
+
+    for tlist, slist in (((1,), (1,)), ((1,), (2,)), ((2,), (1,)),
+                         ((1, 1), (2,)), ((2,), (1, 1)), ((1, 2), (1,))):
+        ks = list(tlist) + [2 + b for b in slist]
+        assert dlog_tau2(m, 2, tlist, slist) == pytest.approx(
+            polarized(directional, ks), rel=1e-10)
+
+
 def test_dlog_tau2_singular_block_is_singular_tau_error():
     E = IntervalUnion.full_line()
     m = BiMoments(m=np.zeros((6, 6)), c=0.5, E1=E, E2=E)
@@ -280,40 +300,109 @@ def test_wronskian_scale_invariance():
 
 # ----- boundary operators and the coupled PDE -----
 
-def smooth_test_function(p):
-    a, b, c = p
-    return math.exp(0.3 * a - 0.2 * b + 0.1 * c) + math.sin(a * b + 0.5 * c)
+DEGREE = np.indices((4, 4, 4)).sum(axis=0)
+
+
+def random_cubic(rng):
+    """Random local Taylor polynomial: coefficients of da^i db^j dc^k,
+    total degree <= 3."""
+    return rng.normal(size=(4, 4, 4)) * (DEGREE <= 3)
 
 
 def test_operator_brackets():
-    ops = BoundaryOperators()
+    rng = np.random.default_rng(11)
     p0 = (0.4, -0.3, 0.5)
     c = p0[2]
-    f = smooth_test_function
-    pairs = [
-        ("a1", "b1", lambda p: 0.0),
-        ("a2", "b2", lambda p: 0.0),
-        ("a1", "a2", lambda p: (1 + c * c) / (1 - c * c) * ops.a1(f)(p)),
-        ("a2", "b1", lambda p: 2 * c / (1 - c * c) * ops.a1(f)(p)),
-        ("a1", "b2", lambda p: -2 * c / (1 - c * c) * ops.b1(f)(p)),
-        ("b1", "b2", lambda p: (1 + c * c) / (1 - c * c) * ops.b1(f)(p)),
-    ]
-    for name_x, name_y, rhs in pairs:
-        X = getattr(ops, name_x)
-        Y = getattr(ops, name_y)
-        lhs = X(Y(f))(p0) - Y(X(f))(p0)
-        assert lhs == pytest.approx(rhs(p0), abs=1e-6)
+    ops = BoundaryOperators(p0)
+    for _ in range(3):
+        f = random_cubic(rng)
+        a1, b1 = ops.a1(f)[0, 0, 0], ops.b1(f)[0, 0, 0]
+        pairs = [
+            ("a1", "b1", 0.0),
+            ("a2", "b2", 0.0),
+            ("a1", "a2", (1 + c * c) / (1 - c * c) * a1),
+            ("a2", "b1", 2 * c / (1 - c * c) * a1),
+            ("a1", "b2", -2 * c / (1 - c * c) * b1),
+            ("b1", "b2", (1 + c * c) / (1 - c * c) * b1),
+        ]
+        for name_x, name_y, rhs in pairs:
+            X = getattr(ops, name_x)
+            Y = getattr(ops, name_y)
+            lhs = X(Y(f))[0, 0, 0] - Y(X(f))[0, 0, 0]
+            assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_boundary_operators_on_polynomials():
+    # A2 = a d_a - c d_c on a - 2c + a c^2 at (a0, b0, c0), expanded exactly
+    p0 = (0.7, 0.1, -0.4)
+    a0, _, c0 = p0
+    f = np.zeros((4, 4, 4))
+    f[0, 0, 0] = a0 - 2 * c0 + a0 * c0 ** 2
+    f[1, 0, 0] = 1 + c0 ** 2
+    f[0, 0, 1] = -2 + 2 * a0 * c0
+    f[1, 0, 1] = 2 * c0
+    f[0, 0, 2] = a0
+    f[1, 0, 2] = 1.0
+    out = BoundaryOperators(p0).a2(f)
+    # a (1 + c^2) - c (-2 + 2 a c) = a + 2c - a c^2
+    assert out[0, 0, 0] == pytest.approx(a0 + 2 * c0 - a0 * c0 ** 2, abs=1e-15)
+    assert out[1, 0, 0] == pytest.approx(1 - c0 ** 2, abs=1e-15)
+    assert out[0, 0, 1] == pytest.approx(2 - 2 * a0 * c0, abs=1e-15)
+
+
+def gap_log_tau_ratio(n, order=48):
+    """F_n(a, b, c) from two tau determinants at every point."""
+
+    def f(p):
+        a, b, c = p
+        E = (IntervalUnion.half_line_below(a), IntervalUnion.half_line_below(b))
+        restricted = np.linalg.slogdet(bimoments(c, E, N=n, order=order).m)
+        full = np.linalg.slogdet(bimoments(c, N=n, order=order).m)
+        assert restricted[0] > 0 and full[0] > 0
+        return (restricted[1] - full[1]) / n
+
+    return f
+
+
+def test_gap_taylor_polynomial_matches_fd():
+    from laxlab.fd import central_diff
+
+    c, a, b, n = 0.5, 0.3, 0.2, 2
+    F = gap_log_tau_ratio(n)
+    taylor = gap_log_tau_ratio_taylor(c, a, b, n)
+    p0 = np.array([a, b, c])
+
+    def nested(p, axes):
+        if not axes:
+            return F(p)
+
+        def g(delta):
+            q = p.copy()
+            q[axes[0]] += delta
+            return nested(q, axes[1:])
+
+        return central_diff(g, 1, 1e-2, richardson=True)
+
+    assert taylor[0, 0, 0] == pytest.approx(F(p0), abs=1e-14)
+    for i, j, k in zip(*np.nonzero((DEGREE >= 1) & (DEGREE <= 3))):
+        exact = (taylor[i, j, k] * math.factorial(i) * math.factorial(j)
+                 * math.factorial(k))
+        fd = nested(p0, [0] * i + [1] * j + [2] * k)
+        # the c stencils re-run the quadrature, whose scale depends on c
+        assert exact == pytest.approx(fd, abs=1e-7 if i + j + k < 3 else 1e-6)
+    assert np.all(taylor[DEGREE > 3] == 0.0)
 
 
 def test_coupled_pde_residual_small():
-    assert abs(coupled_pde_residual(0.5, 0.3, 0.3, 1)) < 1e-3
+    for n in (1, 2):
+        assert abs(coupled_pde_residual(0.5, 0.3, 0.3, n)) <= 1e-12
 
 
 def test_coupled_pde_symmetry():
     r_ab = coupled_pde_residual(0.5, 0.5, 0.1, 1)
     r_ba = coupled_pde_residual(0.5, 0.1, 0.5, 1)
-    # swapping a and b flips the sign of the residual up to FD error
-    assert abs(abs(r_ab) - abs(r_ba)) < 5e-3
+    # swapping a and b flips the sign of the residual
+    assert abs(r_ab + r_ba) < 1e-12
 
 
 def test_coupled_pde_rejects_bad_coupling():
