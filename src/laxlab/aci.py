@@ -7,6 +7,10 @@ top (m = 1), the ellipsoidal geodesic / Neumann systems and the central
 force problem (m = 2).  The coefficients of the characteristic polynomial
 det(z I - a(h)) in (h, z) are conserved along every such flow and serve
 as the integrability certificates.
+
+Two independent routes solve the flow: RK4 on the coefficient stack
+(aci_flow), and the Adler-Kostant-Symes factorization of
+exp(t h f'(a(h) h^-m)) in the loop group (aks_flow).
 """
 
 import math
@@ -30,11 +34,23 @@ INVARIANT_DRIFT_TOL = 1e-6
 CONDITIONED_SIZE = 6
 # spectral-parameter values outside every Chebyshev grid of the curve fit
 HELD_OUT_H = (-1.0, 0.5, 1.0)
+# AKS factorization: the block Toeplitz system has at most AKS_ROWS rows
+# (below 100, LAPACK's solve stays single-threaded in OpenBLAS, so the
+# result does not depend on the thread count); the circle carries 4 points
+# per block
+AKS_ROWS = 96
+AKS_GROWTH = 4.0  # bound on |tau| max|h f'(lambda(h))| on the circle
+AKS_MAX_SUBSTEPS = 10 ** 4
+AKS_MAX_DOUBLINGS = 30  # r = 1, 2, 4, ..., 2^29
 
 
 @dataclass(frozen=True)
 class LaxPolynomial:
-    """a(h) = sum_j coeffs[j] h^j with diagonal leading coefficient."""
+    """a(h) = sum_j coeffs[j] h^j with diagonal leading coefficient.
+
+    The coefficients may carry one leading batch axis: a stack of Lax
+    polynomials sharing alpha and gamma, which aci_flow advances at once.
+    """
 
     coeffs: tuple
     alpha: np.ndarray
@@ -58,7 +74,8 @@ class LaxPolynomial:
         """Distance from the invariant manifold: the leading coefficient
         must stay diag(alpha) and the next diagonal must stay gamma."""
         top = np.abs(self.coeffs[-1] - np.diag(self.alpha)).max()
-        sub = np.abs(np.diag(self.coeffs[-2]) - self.gamma).max()
+        sub = np.abs(np.diagonal(self.coeffs[-2], axis1=-2, axis2=-1)
+                     - self.gamma).max()
         return max(top, sub)
 
 
@@ -95,6 +112,8 @@ def build_system(kind, alpha, gamma=None, x=None, y=None):
     y = np.zeros(n) if y is None else np.asarray(y, dtype=float)
     if not gamma.shape == x.shape == y.shape == (n,):
         raise UsageError("gamma, x and y need one entry per alpha entry")
+    if not np.all(np.isfinite([gamma, x, y])):
+        raise DomainError("gamma, x and y entries must be finite")
     sub = np.diag(gamma) + skew_pair(x, y)
     if kind == "euler":
         coeffs = (sub, np.diag(alpha))
@@ -142,7 +161,8 @@ def aci_flow(a0, f_kind, t_end, step):
     stage; the invariant drift is checked every GUARD_INTERVAL steps and at
     t_end.  beta, the divided differences, diag(gamma f''(alpha)) and the
     beta h mask beta_j - beta_i depend only on alpha, gamma, so they are
-    built once per call; the coefficients ride as one (m+1, n, n) stack.
+    built once per call; the coefficients ride as one (m+1, n, n) stack, or
+    as one (batch, m+1, n, n) stack when a0 is a batch.
     """
     beta, fpp = _f_derivatives(f_kind, a0.alpha)
     ratio = _divided_differences(a0.alpha, beta)
@@ -150,14 +170,15 @@ def aci_flow(a0, f_kind, t_end, step):
     shift = beta[None, :] - beta[:, None]
 
     def rhs(c):
-        b = ratio * c[-2] + bdiag
+        b = (ratio * c[..., -2, :, :] + bdiag)[..., None, :, :]
         d = c @ b
         d -= b @ c
-        d[1:] += c[:-1] * shift
+        d[..., 1:, :, :] += c[..., :-1, :, :] * shift
         return d
 
     def checked(stack, where):
-        out = LaxPolynomial(coeffs=tuple(stack), alpha=a0.alpha, gamma=a0.gamma)
+        out = LaxPolynomial(coeffs=tuple(np.moveaxis(stack, -3, 0)),
+                            alpha=a0.alpha, gamma=a0.gamma)
         drift = out.invariant_drift()
         if not drift <= INVARIANT_DRIFT_TOL:  # NaN drift fails too
             raise StabilityError(f"invariant manifold drift {drift:.2e} {where}")
@@ -167,8 +188,132 @@ def aci_flow(a0, f_kind, t_end, step):
         if steps % GUARD_INTERVAL == 0:
             checked(stack, f"after {steps} steps")
 
-    stack = rk4(rhs, np.array(a0.coeffs), t_end, step, drift_check)
+    stack = rk4(rhs, np.stack(a0.coeffs, axis=-3), t_end, step, drift_check)
     return checked(stack, "at t_end")
+
+
+def _circle_spectrum(stack, radius, points):
+    """(h, a(h), eigenvalues of a(h) h^-m) at h = radius e^{2 pi i p /
+    points}; a non-finite sample raises NumericalError."""
+    m = len(stack) - 1
+    h = radius * np.exp(2j * np.pi * np.arange(points) / points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_h = np.einsum("pj,jkl->pkl", h[:, None] ** np.arange(m + 1), stack)
+        scaled = a_h / h[:, None, None] ** m
+    if not np.all(np.isfinite(scaled)):
+        raise NumericalError("Lax polynomial is not finite on the AKS circle")
+    try:
+        lam, vec = np.linalg.eig(scaled)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"AKS spectrum: {exc}") from exc
+    return h, a_h, lam, vec
+
+
+def _f_prime(f_kind, lam):
+    """f' on complex eigenvalues: sqrt x, 1/x or x."""
+    if f_kind == "euler":
+        return np.sqrt(lam)
+    if f_kind in ("geodesic", "central_force"):
+        return 1.0 / lam
+    return lam
+
+
+def _aks_rule(n):
+    """(Toeplitz blocks K, circle points N) for n x n coefficients."""
+    blocks = AKS_ROWS // n
+    return blocks, 4 * blocks
+
+
+def aks_plan(a, f_kind, t):
+    """(R, sub-steps) of aks_flow(a, f_kind, t).
+
+    f' = x is entire, so R = 1.  sqrt x and 1/x are analytic on Re x > 0;
+    let r be the smallest 2^k (k >= 0) whose circle keeps the spectrum of
+    a(h) h^-m there.  Re lambda is harmonic on the spectral curve over
+    |h| >= r and lambda -> alpha_i > 0 as h -> infinity, so the whole
+    exterior stays in the half plane.  R = r 2^ceil(52 / K) then makes the
+    Laurent coefficients on |h| = R decay below 2^-52 within the K Toeplitz
+    blocks.  The sub-steps tau = t / count keep
+    |tau| max|h f'(lambda(h))| <= AKS_GROWTH on that circle; more than
+    AKS_MAX_SUBSTEPS raises NumericalError.
+    """
+    _f_derivatives(f_kind, a.alpha)  # an unknown f or bad alpha raises
+    stack, (blocks, points) = np.array(a.coeffs), _aks_rule(a.size)
+    radius = 1.0
+    if f_kind != "neumann":
+        for k in range(AKS_MAX_DOUBLINGS):
+            lam = _circle_spectrum(stack, 2.0 ** k, points)[2]
+            if lam.real.min() > 0.0:
+                radius = 2.0 ** (k + math.ceil(52 / blocks))
+                break
+        else:
+            raise NumericalError(
+                "no AKS radius keeps the spectrum in f's domain")
+    h, _, lam, _ = _circle_spectrum(stack, radius, points)
+    with np.errstate(over="ignore"):
+        need = abs(t) * np.abs(h[:, None] * _f_prime(f_kind, lam)).max()
+    if not need <= AKS_GROWTH * AKS_MAX_SUBSTEPS:
+        raise NumericalError(
+            f"AKS flow needs more than {AKS_MAX_SUBSTEPS} sub-steps")
+    return radius, math.ceil(need / AKS_GROWTH)
+
+
+def _aks_step(stack, f_kind, tau, radius):
+    """a(tau) = u^-1 a u with exp(tau h f'(a h^-m)) u = g_+ holomorphic
+    inside |h| = radius and u = I + sum_{k <= K} u_k h^-k: one batched eig,
+    one block Toeplitz (Wiener-Hopf) solve, FFTs.
+
+    Returns the real coefficients of a(tau) and the tail: the largest
+    Laurent coefficient of u^-1 a u on the circle outside h^0 .. h^m, or
+    imaginary part inside, all of which vanish exactly.  A tail above
+    INVARIANT_DRIFT_TOL max(1, max|a|), or a failed solve, raises
+    NumericalError.
+    """
+    m, n = len(stack) - 1, stack.shape[-1]
+    blocks, points = _aks_rule(n)
+    h, a_h, lam, vec = _circle_spectrum(stack, radius, points)
+    k = np.arange(1, blocks + 1)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            grow = np.exp(tau * h[:, None] * _f_prime(f_kind, lam))
+            # G = V diag(grow) V^-1 is the transpose of V^-T (diag(grow) V^T)
+            vt = vec.transpose(0, 2, 1)
+            g = np.linalg.solve(vt, grow[:, :, None] * vt).transpose(0, 2, 1)
+        # coef[j mod points] = G_j, the Laurent coefficient of w^j, h = R w
+        coef = np.fft.fft(g, axis=0) / points
+        toeplitz = coef[(k[None, :] - k[:, None]) % points]  # [l, k]: G_{k-l}
+        u_k = np.linalg.solve(
+            toeplitz.transpose(0, 2, 1, 3).reshape(blocks * n, blocks * n),
+            -coef[-k].reshape(blocks * n, n),
+        ).reshape(blocks, n, n)
+        u = np.fft.fft(np.concatenate([np.eye(n)[None], u_k]), n=points, axis=0)
+        moved = np.linalg.solve(u, a_h @ u)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"AKS factorization: {exc}") from exc
+    out = np.fft.fft(moved, axis=0) / points
+    tail = float(max(np.abs(out[m + 1:]).max(), np.abs(out[:m + 1].imag).max()))
+    limit = INVARIANT_DRIFT_TOL * max(1.0, float(np.abs(stack).max()))
+    if not tail <= limit:  # NaN fails too
+        raise NumericalError(f"AKS factorization tail {tail:.2e}")
+    scale = radius ** -np.arange(m + 1)
+    return out[:m + 1].real * scale[:, None, None], tail
+
+
+def aks_flow(a0, f_kind, t):
+    """a(t) by the Adler-Kostant-Symes factorization, and the summed tail of
+    its sub-steps (the plan is aks_plan's).
+
+    exp(t X(h)), X = h f'(a0(h) h^-m), factors as g_+ g_- with g_+
+    holomorphic inside the circle and g_- = I + O(1/h); then a(t) =
+    g_- a0 g_-^-1 solves a' = [a, X_+] (Adler, van Moerbeke & Vanhaecke,
+    Algebraic Integrability, 2004; Reyman & Semenov-Tian-Shansky, 1994).
+    """
+    radius, count = aks_plan(a0, f_kind, t)
+    stack, total = np.array(a0.coeffs), 0.0
+    for _ in range(count):
+        stack, tail = _aks_step(stack, f_kind, t / count, radius)
+        total += tail
+    return LaxPolynomial(tuple(stack), a0.alpha, a0.gamma), total
 
 
 def spectral_curve_coeffs(a):
@@ -191,7 +336,10 @@ def spectral_curve_coeffs(a):
         [math.cos(math.pi * (r + 0.5) / (hmax + 1)) for r in range(hmax + 1)]
     )
     # char poly coefficients, row r: [1, c_{N-1}, ..., c_0] at h = nodes[r]
-    table = np.array([np.real(np.poly(a(h))) for h in nodes])
+    try:
+        table = np.array([np.real(np.poly(a(h))) for h in nodes])
+    except np.linalg.LinAlgError as exc:  # a non-finite a(h)
+        raise NumericalError(f"spectral curve: {exc}") from exc
     out = {(0, N): 1.0}
     for ell in range(N):
         deg = m * (N - ell)
@@ -224,19 +372,45 @@ def spectral_curve_residual(a, q):
     return worst / scale
 
 
-def conservation_report(a0, f_kind, t_end, step, checkpoints=5):
-    """Max drift of any spectral-curve coefficient along the flow."""
+def route_report(a0, f_kind, t_end, step, checkpoints=5):
+    """The AKS checkpoints a(t_k), t_k = k t_end / checkpoints, checked by
+    RK4 over every segment [t_{k-1}, t_k] at once, each segment starting
+    from its AKS checkpoint (one batched aci_flow).
+
+    Returns curve_drift (max spectral-curve coefficient drift over both
+    routes' checkpoints, relative to max(1, max|q|)), aks_rk4_gap (max
+    coefficient difference of the routes at any checkpoint) and aks_tail
+    (the summed AKS tail).
+    """
+    if checkpoints < 1:
+        raise UsageError("route_report needs at least one checkpoint")
     base = spectral_curve_coeffs(a0)
     scale = max(1.0, max(abs(v) for v in base.values()))
-    drift = 0.0
-    current = a0
+    segment = t_end / checkpoints
+    aks, tail = [a0], 0.0
     for _ in range(checkpoints):
-        current = aci_flow(current, f_kind, t_end / checkpoints, step)
-        now = spectral_curve_coeffs(current)
-        drift = max(
-            drift, max(abs(now[key] - base[key]) for key in base)
-        )
-    return drift / scale
+        nxt, seg_tail = aks_flow(aks[-1], f_kind, segment)
+        aks.append(nxt)
+        tail += seg_tail
+    stacks = np.array([a.coeffs for a in aks])
+    starts = LaxPolynomial(tuple(np.moveaxis(stacks[:-1], 1, 0)),
+                           a0.alpha, a0.gamma)
+    ends = np.stack(aci_flow(starts, f_kind, segment, step).coeffs, axis=1)
+    drift = 0.0
+    for stack in (*stacks[1:], *ends):
+        now = spectral_curve_coeffs(LaxPolynomial(tuple(stack), a0.alpha,
+                                                  a0.gamma))
+        drift = max(drift, max(abs(now[key] - base[key]) for key in base))
+    return {
+        "curve_drift": drift / scale,
+        "aks_rk4_gap": float(np.abs(ends - stacks[1:]).max()),
+        "aks_tail": tail,
+    }
+
+
+def conservation_report(a0, f_kind, t_end, step, checkpoints=5):
+    """Max drift of any spectral-curve coefficient along the flow."""
+    return route_report(a0, f_kind, t_end, step, checkpoints)["curve_drift"]
 
 
 def commutativity_report(a0, f_kind_1, f_kind_2, t_small, step=1e-3):

@@ -85,15 +85,16 @@ class SkewMoments:
 
 
 def _weighted_powers(w, nodes, weights, count):
-    """sum_l weights_l * rho(nodes_l) * nodes_l^j for j = 0..count-1."""
-    base = weights * w.density(nodes)
+    """sum_l weights_l * rho(nodes_l) * nodes_l^j for j = 0..count-1.
+
+    rho nodes^j is accumulated one factor at a time, so a far node where rho
+    has underflowed to 0 stays 0 instead of meeting an overflowing power."""
+    current = weights * w.density(nodes)
     out = np.empty(count)
-    current = np.where(base != 0.0, np.ones_like(base), 0.0)
-    # a power that overflows leaves an inf moment, which the callers
-    # report as divergent
+    # a moment that overflows is inf, which the callers report as divergent
     with np.errstate(over="ignore"):
         for j in range(count):
-            out[j] = float(np.dot(base, current))
+            out[j] = float(current.sum())
             current = current * nodes
     return out
 
@@ -187,13 +188,12 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
                 continue
             sub_nodes, sub_weights = union_rule(lower, order, scale)
             f_table[idx] = _weighted_powers(w, sub_nodes, sub_weights, size)
-        outer = weights * w.density(nodes)
-        ypow = np.where(outer != 0.0, np.ones_like(nodes), 0.0)
+        outer = weights * w.density(nodes)  # times y^i, one factor a row
         ymoments = np.empty((size, size))
         for i in range(size):
             # int y^i rho(y) (T_j - 2 F_j(y)) dy for all j at once
-            ymoments[i] = (outer * ypow) @ (total - 2.0 * f_table)
-            ypow = ypow * nodes
+            ymoments[i] = outer @ (total - 2.0 * f_table)
+            outer = outer * nodes
         for i in range(size):
             for j in range(i + 1, size):
                 mu[i, j] = 0.5 * (ymoments[i, j] - ymoments[j, i])

@@ -185,7 +185,9 @@ def h_norms(m, n):
 
 
 def cd_kernel(m, n, y, z):
-    """Christoffel-Darboux-type kernel sum_{j<n} p1_j(y) p2_j(z) / h_j."""
+    """Christoffel-Darboux-type kernel sum_{j<n} p1_j(y) p2_j(z) / h_j; y
+    and z broadcast (e.g. x[:, None] and y[None, :] give the kernel
+    matrix)."""
     hs = h_norms(m, n)
     total = 0.0
     for j in range(n):

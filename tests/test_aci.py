@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from laxlab import aci
 from laxlab.aci import (
+    SYSTEM_KINDS,
     LaxPolynomial,
     aci_flow,
+    aks_flow,
+    aks_plan,
     b_from_a,
     build_system,
     commutativity_report,
     conservation_report,
+    route_report,
     skew_pair,
     spectral_curve_coeffs,
     spectral_curve_residual,
@@ -320,3 +325,97 @@ def test_flow_backward_returns_to_start():
     back = aci_flow(there, "neumann", -0.5, 1e-3)
     for c0, c1 in zip(a0.coeffs, back.coeffs):
         assert np.abs(c1 - c0).max() < 1e-12
+
+
+# ----- batched RK4 -----
+
+def test_batched_flow_matches_single_flows():
+    a0 = build_system("neumann", ALPHA, x=X, y=Y)
+    a1 = aci_flow(a0, "neumann", 0.3, 1e-2)
+    batch = LaxPolynomial(
+        tuple(np.stack(pair) for pair in zip(a0.coeffs, a1.coeffs)),
+        ALPHA, a0.gamma,
+    )
+    moved = aci_flow(batch, "neumann", 0.2, 1e-2)
+    for i, start in enumerate((a0, a1)):
+        alone = aci_flow(start, "neumann", 0.2, 1e-2)
+        for c_batch, c_alone in zip(moved.coeffs, alone.coeffs):
+            assert np.abs(c_batch[i] - c_alone).max() < 1e-15
+
+
+def test_batched_drift_guard_sees_one_bad_member():
+    a0 = build_system("euler", ALPHA, x=X, y=Y)
+    bad = a0.coeffs[0] + 1e-3 * np.eye(3)
+    batch = LaxPolynomial((np.stack([a0.coeffs[0], bad]),
+                           np.stack([a0.coeffs[1]] * 2)), ALPHA, a0.gamma)
+    with pytest.raises(StabilityError):
+        aci_flow(batch, "euler", 0.1, 1e-2)
+
+
+# ----- AKS factorization route -----
+
+@pytest.mark.parametrize("kind, plan", [
+    ("euler", (4.0, 5)),
+    ("geodesic", (4.0, 3)),
+    ("neumann", (1.0, 3)),
+    ("central_force", (8.0, 5)),
+])
+def test_aks_plan_at_the_defaults(kind, plan):
+    # one aci run segment: t_end 10 over 5 checkpoints
+    a0 = build_system(kind, ALPHA, x=X, y=Y)
+    assert aks_plan(a0, kind, 2.0) == plan
+    assert aks_plan(a0, kind, -2.0) == plan
+    assert aks_plan(a0, kind, 0.0) == (plan[0], 0)
+
+
+def test_aks_agrees_with_rk4_for_every_flow():
+    for kind, f_kind in itertools.product(SYSTEM_KINDS, repeat=2):
+        a0 = build_system(kind, ALPHA, x=X, y=Y)
+        report = route_report(a0, f_kind, 2.0, 1e-3, checkpoints=1)
+        assert report["aks_rk4_gap"] <= 1e-10, (kind, f_kind)
+        assert report["aks_tail"] <= 1e-11, (kind, f_kind)
+        assert report["curve_drift"] <= 1e-12, (kind, f_kind)
+
+
+def test_aks_flow_backward_returns_to_start():
+    a0 = build_system("central_force", ALPHA, x=X, y=Y)
+    there, _ = aks_flow(a0, "central_force", 1.5)
+    back, tail = aks_flow(there, "central_force", -1.5)
+    assert 0.0 < tail < 1e-12
+    for c0, c1 in zip(a0.coeffs, back.coeffs):
+        assert np.abs(c1 - c0).max() < 1e-12
+
+
+def test_aks_step_at_the_singular_radius_is_numerical_error():
+    # on |h| = 1 the spectrum of a(h)/h^2 meets the pole of f' = 1/x
+    a0 = build_system("central_force", ALPHA, x=X, y=Y)
+    with pytest.raises(NumericalError, match="tail"):
+        aci._aks_step(np.array(a0.coeffs), "central_force", 0.5, 1.0)
+
+
+def test_aks_step_too_long_for_its_circle_is_numerical_error():
+    # exp(t R |beta|) on |h| = 3 over t = 5, without sub-steps
+    a0 = build_system("neumann", ALPHA, x=X, y=Y)
+    with pytest.raises(NumericalError, match="tail"):
+        aci._aks_step(np.array(a0.coeffs), "neumann", 5.0, 3.0)
+
+
+def test_aks_nonfinite_sample_is_numerical_error(monkeypatch):
+    a0 = build_system("neumann", ALPHA, x=X, y=Y)
+    bad = LaxPolynomial((a0.coeffs[0] * math.nan,) + a0.coeffs[1:],
+                        ALPHA, a0.gamma)
+    with pytest.raises(NumericalError, match="not finite"):
+        aks_flow(bad, "neumann", 1.0)
+
+    def failing(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    with pytest.raises(NumericalError, match="AKS spectrum"):
+        aks_flow(a0, "neumann", 1.0)
+
+
+def test_aks_substep_count_is_bounded():
+    a0 = build_system("neumann", [1e5, 2e5, 4e5], x=X, y=Y)
+    with pytest.raises(NumericalError, match="sub-steps"):
+        aks_plan(a0, "neumann", 1.0)

@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +220,10 @@ FLOW_ENDS = st.sampled_from(["-0.5", "0", "0.3", "2", "20", "nan", "inf",
                              "-inf"])
 
 
+ACI_ENTRIES = st.sampled_from(["-1", "0", "0.3", "1", "2", "4", "-2.5", "nan",
+                               "1e308"])
+
+
 @st.composite
 def flow_argv(draw):
     step, t_end = draw(FLOW_STEPS), draw(FLOW_ENDS)
@@ -232,6 +239,12 @@ def flow_argv(draw):
         kinds = st.sampled_from(["euler", "geodesic", "neumann",
                                  "central_force", "bogus"])
         argv = ["aci", "run", "--kind", draw(kinds), "--f-kind", draw(kinds)]
+        # mostly equal lengths, so that examples reach both flow routes
+        size = draw(st.integers(1, 4))
+        for flag in ("--alpha", "--x", "--y"):
+            length = draw(st.sampled_from([size, size, size, size + 1]))
+            argv += [flag, ",".join(draw(st.lists(
+                ACI_ENTRIES, min_size=length, max_size=length)))]
     return argv + ["--step", step, "--t-end", t_end, "--check"]
 
 
@@ -243,6 +256,43 @@ def test_flow_commands_exit_cleanly(argv):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("kind", ["neumann", "central_force"])
+def test_aci_run_reports_both_routes(kind):
+    report, code, _ = dispatch(["aci", "run", "--kind", kind, "--check"])
+    rows = {row["metric"]: row["value"] for row in report.rows}
+    assert code == 0
+    assert list(rows) == ["curve_drift", "aks_rk4_gap", "aks_tail"]
+    assert rows["curve_drift"] <= 1e-9 and rows["aks_rk4_gap"] <= 1e-10
+    assert report.max_abs_residual == rows["aks_rk4_gap"]
+    assert report.self_reported_error >= rows["aks_rk4_gap"] > 0.0
+    assert report.self_reported_error >= rows["aks_tail"] > 0.0
+
+
+def test_aci_run_gates_on_the_route_gap():
+    # RK4's error at step 4e-3 is about 2.5e-10 over one segment
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["aci", "run", "--step", "4e-3", "--check"]) \
+            == EXIT_TOLERANCE
+        assert main(["aci", "run", "--step", "2e-3", "--check"]) == 0
+
+
+def test_aci_run_report_independent_of_blas_threads():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "laxlab.cli", "aci", "run", "--kind",
+             "central_force", "--check"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,6 +365,16 @@ def test_far_tail_airy_arguments_exit_cleanly(capsys):
     assert main(["fredholm", "gap", "--s-grid=-1e7:-1e7:1",
                  "--check"]) == EXIT_USAGE
     assert "-200" in capsys.readouterr().err
+
+
+def test_laguerre_beta4_full_range_skew_moments_stay_finite():
+    # rho nodes^j accumulates one factor at a time: far half-line nodes,
+    # where rho underflows, no longer overflow the powers past j ~ 110
+    report, code, _ = dispatch(["virasoro", "check", "--weight", "laguerre",
+                                "--beta", "4", "--n", "1", "--full-range",
+                                "--check"])
+    assert code == 0 and report.max_abs_residual < 1e-10
+
 
 def test_check_gate_exit_codes():
     _, code, _ = dispatch(PII_SMALL + ["--check"])

@@ -11,6 +11,7 @@ from laxlab.errors import (
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
+from laxlab import twotoda
 from laxlab.mathcore import gauss_legendre_rule, union_rule
 from laxlab.twotoda import (
     BiMoments,
@@ -225,7 +226,7 @@ def test_cd_kernel_trace_is_n():
     y, wy = full_plane_rule(c)
     kernel = rho0(c, x[:, None], y[None, :])
     for n in (1, 2, 3):
-        kmat = np.array([[cd_kernel(m, n, xi, yj) for yj in y] for xi in x])
+        kmat = cd_kernel(m, n, x[:, None], y[None, :])
         trace = wx @ (kmat * kernel) @ wy
         assert trace == pytest.approx(n, abs=1e-8)
 
@@ -287,6 +288,29 @@ def test_wronskian_identities():
 def test_wronskian_bracket_identity():
     m = bimoments(0.5, N=8)
     assert abs(wronskian_bracket_residual(m, 2)) < 1e-8
+
+
+def test_quotient_identity_sees_a_wrong_derivative(monkeypatch):
+    # the identities hold for every bi-moment matrix (each one starts a
+    # two-Toda flow), so what they check is the derivative assembly; at
+    # t = s = 0 the (x, y) -> (-x, -y) symmetry makes both sides vanish,
+    # off it they are O(1)
+    n = 2
+    at_zero = bimoments(0.5, N=8)
+    moved = evolve_bimoments(bimoments(0.5, N=30), [0.1], [-0.07])
+    for m, size in ((at_zero, 1e-14), (moved, 0.1)):
+        side = dlog_tau2(m, n + 1, slist=(1,)) - dlog_tau2(m, n - 1, slist=(1,))
+        assert (abs(side) < size) == (m is at_zero)
+    assert max(map(abs, wronskian_identity_residual(moved, n))) < 1e-14
+    exact = twotoda.dlog_tau2
+
+    def skewed(m, n, tlist=(), slist=()):
+        value = exact(m, n, tlist, slist)
+        return value * (1 + 1e-6) if (tlist, slist) == ((1,), (2,)) else value
+
+    monkeypatch.setattr(twotoda, "dlog_tau2", skewed)
+    assert abs(wronskian_identity_residual(moved, n)[0]) == pytest.approx(
+        1e-6, rel=1e-3)
 
 
 def test_wronskian_scale_invariance():
