@@ -188,7 +188,11 @@ def aci_flow(a0, f_kind, t_end, step):
         if steps % GUARD_INTERVAL == 0:
             checked(stack, f"after {steps} steps")
 
-    stack = rk4(rhs, np.stack(a0.coeffs, axis=-3), t_end, step, drift_check)
+    # a blown-up step overflows on its way to the non-finite state that
+    # the drift guard reports as StabilityError
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = rk4(rhs, np.stack(a0.coeffs, axis=-3), t_end, step,
+                    drift_check)
     return checked(stack, "at t_end")
 
 
@@ -299,16 +303,18 @@ def _aks_step(stack, f_kind, tau, radius):
     return out[:m + 1].real * scale[:, None, None], tail
 
 
-def aks_flow(a0, f_kind, t):
+def aks_flow(a0, f_kind, t, plan=None):
     """a(t) by the Adler-Kostant-Symes factorization, and the summed tail of
-    its sub-steps (the plan is aks_plan's).
+    its sub-steps.  plan is (R, sub-steps), aks_plan(a0, f_kind, t) if not
+    given; the spectrum it reads is a flow invariant, so a plan made at any
+    point of the same flow serves, and each sub-step's tail still guards it.
 
     exp(t X(h)), X = h f'(a0(h) h^-m), factors as g_+ g_- with g_+
     holomorphic inside the circle and g_- = I + O(1/h); then a(t) =
     g_- a0 g_-^-1 solves a' = [a, X_+] (Adler, van Moerbeke & Vanhaecke,
     Algebraic Integrability, 2004; Reyman & Semenov-Tian-Shansky, 1994).
     """
-    radius, count = aks_plan(a0, f_kind, t)
+    radius, count = aks_plan(a0, f_kind, t) if plan is None else plan
     stack, total = np.array(a0.coeffs), 0.0
     for _ in range(count):
         stack, tail = _aks_step(stack, f_kind, t / count, radius)
@@ -373,9 +379,10 @@ def spectral_curve_residual(a, q):
 
 
 def route_report(a0, f_kind, t_end, step, checkpoints=5):
-    """The AKS checkpoints a(t_k), t_k = k t_end / checkpoints, checked by
-    RK4 over every segment [t_{k-1}, t_k] at once, each segment starting
-    from its AKS checkpoint (one batched aci_flow).
+    """The AKS checkpoints a(t_k), t_k = k t_end / checkpoints, all on the
+    plan made at a0 for one segment, checked by RK4 over every segment
+    [t_{k-1}, t_k] at once, each segment starting from its AKS checkpoint
+    (one batched aci_flow).
 
     Returns curve_drift (max spectral-curve coefficient drift over both
     routes' checkpoints, relative to max(1, max|q|)), aks_rk4_gap (max
@@ -387,9 +394,10 @@ def route_report(a0, f_kind, t_end, step, checkpoints=5):
     base = spectral_curve_coeffs(a0)
     scale = max(1.0, max(abs(v) for v in base.values()))
     segment = t_end / checkpoints
+    plan = aks_plan(a0, f_kind, segment)
     aks, tail = [a0], 0.0
     for _ in range(checkpoints):
-        nxt, seg_tail = aks_flow(aks[-1], f_kind, segment)
+        nxt, seg_tail = aks_flow(aks[-1], f_kind, segment, plan)
         aks.append(nxt)
         tail += seg_tail
     stacks = np.array([a.coeffs for a in aks])

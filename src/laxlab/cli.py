@@ -422,12 +422,12 @@ def run_virasoro_check(args):
 
 
 def run_virasoro_commutators(args):
-    rows = []
-    worst = 0.0
-    for k, l in ((1, -1), (0, 1), (2, -1), (2, -2), (3, -3), (-1, 3)):
-        res = virasoro.virasoro_commutator_check(args.beta, k, l, n=args.n)
-        rows.append({"k": k, "l": l, "residual": res})
-        worst = max(worst, res)
+    pairs = ((1, -1), (0, 1), (2, -1), (2, -2), (3, -3), (-1, 3))
+    residuals = virasoro.virasoro_commutator_residuals(args.beta, pairs,
+                                                       n=args.n)
+    rows = [{"k": k, "l": l, "residual": res}
+            for (k, l), res in zip(pairs, residuals)]
+    worst = max(residuals)
     charge = virasoro.central_charge(args.beta)
     rows.append({"k": 0, "l": 0, "residual": 0.0,
                  "central_charge": float(charge)})

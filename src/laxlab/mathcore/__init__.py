@@ -11,6 +11,7 @@ from .linalg import (
     symmetric_eigensystem,
 )
 from .quadrature import (
+    cut_rules,
     gauss_jacobi_rule,
     gauss_legendre_rule,
     half_line_rule,

@@ -116,6 +116,43 @@ def union_rule(E, order, scale=1.0):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def cut_rules(E, k, order, scale=1.0):
+    """The rules on E cut at every node y of piece k, one row per node.
+
+    Row r is union_rule(E ∩ (-inf, y_r]), y_r the r-th node of
+    interval_rule on piece k, value for value: the earlier pieces whole,
+    in union_rule order, then piece k up to y_r, lo + half (v + 1) with
+    half = (y_r - lo)/2 on a finite left end lo, or y_r minus the reversed
+    half-line offsets with shared weights on (-inf, y_r].  Rows of one
+    length come as one (nodes, weights) pair of 2-D arrays: the nodes
+    that round onto piece k's left end (a rule on the earlier pieces
+    alone, possibly empty) in a first pair, the others in a second.
+    """
+    lo, hi = E.intervals[k]
+    earlier = [interval_rule(a, b, order, scale) for a, b in E.intervals[:k]]
+    head_x = np.concatenate([x for x, _ in earlier] + [np.empty(0)])
+    head_w = np.concatenate([w for _, w in earlier] + [np.empty(0)])
+    # a node past hi by rounding cuts the piece at hi, as intersect does
+    cut = np.minimum(interval_rule(lo, hi, order, scale)[0], hi)
+    if math.isfinite(lo):
+        v, w = _base_rule(order)
+        half = 0.5 * (cut - lo)[:, None]
+        tail_x, tail_w = lo + half * (v + 1.0), half * w
+    else:
+        offsets, w = half_line_rule(0.0, order, scale)
+        tail_x = cut[:, None] - offsets[::-1]
+        tail_w = np.broadcast_to(w[::-1], tail_x.shape)
+    lead = int(np.count_nonzero(cut <= lo))  # nodes increase along a piece
+    rows = len(cut) - lead
+    return [
+        (np.tile(head_x, (lead, 1)), np.tile(head_w, (lead, 1))),
+        (np.concatenate([np.broadcast_to(head_x, (rows, len(head_x))),
+                         tail_x[lead:]], axis=1),
+         np.concatenate([np.broadcast_to(head_w, (rows, len(head_w))),
+                         tail_w[lead:]], axis=1)),
+    ]
+
+
 def integrate(f, E, order, scale=1.0):
     """Integral of a vectorized callable over an interval union."""
     x, w = union_rule(E, order, scale)

@@ -25,7 +25,7 @@ from .errors import (
     UsageError,
 )
 from .intervals import IntervalUnion
-from .mathcore import pfaffian, skew_borel, union_rule
+from .mathcore import cut_rules, pfaffian, skew_borel, union_rule
 from .mathcore.ode import rk4
 from .tau import (
     WeightSpec,
@@ -85,17 +85,16 @@ class SkewMoments:
 
 
 def _weighted_powers(w, nodes, weights, count):
-    """sum_l weights_l * rho(nodes_l) * nodes_l^j for j = 0..count-1.
+    """sum_l weights_l * rho(nodes_l) * nodes_l^j for j = 0..count-1,
+    along the last axis (one row of the result per rule).
 
     rho nodes^j is accumulated one factor at a time, so a far node where rho
     has underflowed to 0 stays 0 instead of meeting an overflowing power."""
     current = weights * w.density(nodes)
-    out = np.empty(count)
-    # a moment that overflows is inf, which the callers report as divergent
-    with np.errstate(over="ignore"):
-        for j in range(count):
-            out[j] = float(current.sum())
-            current = current * nodes
+    out = np.empty(current.shape[:-1] + (count,))
+    for j in range(count):
+        out[..., j] = current.sum(axis=-1)
+        current = current * nodes
     return out
 
 
@@ -169,35 +168,35 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
         )
     scale = w.decay_scale()
     mu = np.zeros((size, size))
-    if alpha == 1:
-        nodes, weights = union_rule(E, order, scale)
-        raw = _weighted_powers(w, nodes, weights, 2 * size)
-        for i in range(size):
-            for j in range(i + 1, size):
-                mu[i, j] = (j - i) * raw[i + j - 1]
-                mu[j, i] = -mu[i, j]
-    elif alpha == -1:
-        nodes, weights = union_rule(E, order, scale)
-        total = _weighted_powers(w, nodes, weights, size)
-        # antiderivative table: F_j(y) = int_{E, z < y} z^j rho(z) dz,
-        # evaluated by a fresh rule on E cut at y (integrands stay smooth)
-        f_table = np.zeros((len(nodes), size))
-        for idx, y in enumerate(nodes):
-            lower = E.intersect(IntervalUnion.half_line_below(float(y)))
-            if lower.is_empty:
-                continue
-            sub_nodes, sub_weights = union_rule(lower, order, scale)
-            f_table[idx] = _weighted_powers(w, sub_nodes, sub_weights, size)
-        outer = weights * w.density(nodes)  # times y^i, one factor a row
-        ymoments = np.empty((size, size))
-        for i in range(size):
-            # int y^i rho(y) (T_j - 2 F_j(y)) dy for all j at once
-            ymoments[i] = outer @ (total - 2.0 * f_table)
-            outer = outer * nodes
-        for i in range(size):
-            for j in range(i + 1, size):
-                mu[i, j] = 0.5 * (ymoments[i, j] - ymoments[j, i])
-                mu[j, i] = -mu[i, j]
+    nodes, weights = union_rule(E, order, scale)
+    # an overflow below leaves inf or NaN in mu, which raises DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        if alpha == 1:
+            raw = _weighted_powers(w, nodes, weights, 2 * size)
+            for i in range(size):
+                for j in range(i + 1, size):
+                    mu[i, j] = (j - i) * raw[i + j - 1]
+                    mu[j, i] = -mu[i, j]
+        elif alpha == -1:
+            total = _weighted_powers(w, nodes, weights, size)
+            # antiderivative table: F_j(y) = int_{E, z < y} z^j rho(z) dz,
+            # evaluated by the rule on E cut at y (integrands stay smooth)
+            f_table = np.concatenate([
+                _weighted_powers(w, sub_nodes, sub_weights, size)
+                for k in range(len(E.intervals))
+                for sub_nodes, sub_weights in cut_rules(E, k, order, scale)
+            ])
+            inner = total - 2.0 * f_table  # T_j - 2 F_j(y)
+            outer = weights * w.density(nodes)  # times y^i, one factor a row
+            ymoments = np.empty((size, size))
+            for i in range(size):
+                # int y^i rho(y) (T_j - 2 F_j(y)) dy for all j at once
+                ymoments[i] = outer @ inner
+                outer = outer * nodes
+            for i in range(size):
+                for j in range(i + 1, size):
+                    mu[i, j] = 0.5 * (ymoments[i, j] - ymoments[j, i])
+                    mu[j, i] = -mu[i, j]
     if not np.all(np.isfinite(mu)):
         raise DivergenceError("skew moments diverge on this domain")
     return SkewMoments(m=mu, alpha=alpha, weight=w, E=E)

@@ -78,7 +78,10 @@ class WeightSpec:
         if self.family == "laguerre":
             out = np.zeros_like(z)
             pos = z > 0
-            out[pos] = z[pos] ** self.a * np.exp(-self.b * z[pos])
+            # an overflowing z^a gives inf or NaN, which the moment
+            # builders report as divergent
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[pos] = z[pos] ** self.a * np.exp(-self.b * z[pos])
             return out
         if self.family == "uniform":
             return np.where((z >= 0.0) & (z <= 1.0), 1.0, 0.0)

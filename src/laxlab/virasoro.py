@@ -344,22 +344,38 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
 
 
 class TPoly:
-    """Polynomial in t_1, t_2, ... with Fraction coefficients; monomials
-    are exponent tuples with trailing zeros trimmed."""
+    """Polynomial in t_1, t_2, ... with rational coefficients, held as
+    integer numerators over one common positive denominator in lowest
+    terms; monomials are exponent tuples with trailing zeros trimmed."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for exps, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[_trim(exps)] = c
+        coeffs = {}
+        for exps, c in (terms or {}).items():
+            c = Fraction(c)
+            if c != 0:
+                coeffs[_trim(exps)] = c
+        # reduced fractions over the lcm of their denominators are already
+        # in lowest terms
+        self.den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.terms = {e: c.numerator * (self.den // c.denominator)
+                      for e, c in coeffs.items()}
+
+    @classmethod
+    def _of(cls, terms, den):
+        """Nonzero numerators over den > 0, reduced to lowest terms."""
+        g = math.gcd(den, *terms.values())
+        if g > 1:
+            terms = {e: v // g for e, v in terms.items()}
+            den //= g
+        p = object.__new__(cls)
+        p.terms, p.den = terms, den
+        return p
 
     @classmethod
     def monomial(cls, exps, coeff=1):
-        return cls({tuple(exps): Fraction(coeff)})
+        return cls({tuple(exps): coeff})
 
     @property
     def is_zero(self):
@@ -369,54 +385,58 @@ class TPoly:
         return max((len(e) for e in self.terms), default=0)
 
     def max_abs_coeff(self):
-        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
+        return Fraction(max((abs(v) for v in self.terms.values()), default=0),
+                        self.den)
+
+    def _combine(self, other, sign):
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {e: v * fa for e, v in self.terms.items()}
+        for e, v in other.terms.items():
+            s = out.get(e, 0) + v * fb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return TPoly._of(out, den)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        p = TPoly()
-        p.terms = out
-        return p
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self._combine(other, -1)
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        p = TPoly()
-        if scalar != 0:
-            p.terms = {e: scalar * c for e, c in self.terms.items()}
-        return p
+        if not isinstance(scalar, Fraction):
+            scalar = Fraction(scalar)
+        if not scalar:
+            return TPoly()
+        num = scalar.numerator
+        return TPoly._of({e: num * v for e, v in self.terms.items()},
+                         self.den * scalar.denominator)
 
     def mul_var(self, i):
         """Multiply by t_i."""
-        p = TPoly()
-        for e, c in self.terms.items():
-            e2 = list(e) + [0] * max(0, i - len(e))
-            e2[i - 1] += 1
-            p.terms[tuple(e2)] = c
-        return p
+        out = {}
+        for e, v in self.terms.items():
+            e = e + (0,) * (i - len(e))
+            out[e[:i - 1] + (e[i - 1] + 1,) + e[i:]] = v
+        return TPoly._of(out, self.den)
 
     def diff(self, i):
         """d/dt_i."""
-        p = TPoly()
-        for e, c in self.terms.items():
+        out = {}
+        for e, v in self.terms.items():
             if i <= len(e) and e[i - 1] > 0:
-                e2 = list(e)
-                e2[i - 1] -= 1
-                p.terms[_trim(tuple(e2))] = c * e[i - 1]
-        return p
+                out[_trim(e[:i - 1] + (e[i - 1] - 1,) + e[i:])] = v * e[i - 1]
+        return TPoly._of(out, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, TPoly) and self.terms == other.terms
+        return (isinstance(other, TPoly) and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
 
 def _trim(exps):
@@ -489,25 +509,38 @@ def _random_poly(rng, nvars=6, max_degree=6, monomials=10):
     return TPoly(terms)
 
 
-def virasoro_commutator_check(beta, k, l, n, trials=4, seed=7):
-    """Max coefficient, over random test polynomials, of
+def virasoro_commutator_residuals(beta, pairs, n, trials=4, seed=7):
+    """Max coefficient, for each (k, l) in pairs, over random test
+    polynomials, of
 
         ([V_k, V_l] - (k - l) V_{k+l} - c (k^3 - k)/12 delta_{k,-l}) p
 
     for the dressed operators, computed by exact rational polynomial
-    algebra."""
+    algebra.  Every pair meets the same test polynomials, and each
+    first-level V_j p is formed once for all of them."""
     beta = Fraction(beta)
     c = central_charge(beta)
     rng = random.Random(seed)
-
-    def op(kk, p):
-        return dressed_poly(kk, p, beta, n)
-
-    worst = Fraction(0)
+    worst = [Fraction(0)] * len(pairs)
     for _ in range(trials):
         p = _random_poly(rng)
-        res = op(k, op(l, p)) - op(l, op(k, p)) - (k - l) * op(k + l, p)
-        if k + l == 0:
-            res = res - (c * Fraction(k ** 3 - k, 12)) * p
-        worst = max(worst, res.max_abs_coeff())
-    return float(worst)
+        first = {}
+
+        def applied(j):  # V_j p, shared by the pairs
+            if j not in first:
+                first[j] = dressed_poly(j, p, beta, n)
+            return first[j]
+
+        for idx, (k, l) in enumerate(pairs):
+            res = (dressed_poly(k, applied(l), beta, n)
+                   - dressed_poly(l, applied(k), beta, n)
+                   - (k - l) * applied(k + l))
+            if k + l == 0:
+                res = res - (c * Fraction(k ** 3 - k, 12)) * p
+            worst[idx] = max(worst[idx], res.max_abs_coeff())
+    return [float(v) for v in worst]
+
+
+def virasoro_commutator_check(beta, k, l, n, trials=4, seed=7):
+    """virasoro_commutator_residuals for the single pair (k, l)."""
+    return virasoro_commutator_residuals(beta, [(k, l)], n, trials, seed)[0]

@@ -223,8 +223,7 @@ def test_flow_blow_up_is_stability_error():
     # steps this long overflow the coefficients: the NaN drift must fail
     # the guard, not pass it
     a0 = build_system("neumann", ALPHA, x=X, y=Y)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(StabilityError):
+    with pytest.raises(StabilityError):
         aci_flow(a0, "neumann", 20.0, 1.5)
 
 
@@ -375,6 +374,19 @@ def test_aks_agrees_with_rk4_for_every_flow():
         assert report["aks_rk4_gap"] <= 1e-10, (kind, f_kind)
         assert report["aks_tail"] <= 1e-11, (kind, f_kind)
         assert report["curve_drift"] <= 1e-12, (kind, f_kind)
+
+
+def test_route_report_plans_once(monkeypatch):
+    calls, real = [], aci.aks_plan
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(aci, "aks_plan", counted)
+    a0 = build_system("central_force", ALPHA, x=X, y=Y)
+    route_report(a0, "central_force", 10.0, 1e-2, checkpoints=5)
+    assert len(calls) == 1 and calls[0][2] == 2.0
 
 
 def test_aks_flow_backward_returns_to_start():

@@ -214,6 +214,52 @@ def test_moment_route_commands_exit_cleanly(argv):
     assert code in (0, 2, 3, 4)
 
 
+# argv of the commands built on skew moments (batched cut rules) and on the
+# exact operator algebra; unions include unbounded and degenerate pieces
+SIGNED = st.sampled_from(["-1", "0", "0.5", "1", "2.5", "1e3", "nan", "inf",
+                          "x"])
+UNIONS = st.sampled_from([
+    "-inf:0", "-inf:inf", "0:2", "0:inf", "-inf:-1,0:1", "-1:0.5,1:inf",
+    "-inf:-2,-1:1,2:inf", "-3:-1,0:0.5,1:inf", "1e16:1e16,1:2", "2:1",
+    "0:1,1:2", "nan:1", "x",
+])
+
+
+@st.composite
+def skew_and_algebra_argv(draw):
+    cmd = draw(st.sampled_from(["commutators", "check-kp", "gap"]))
+    if cmd == "commutators":
+        argv = ["virasoro", "commutators",
+                "--beta", draw(st.sampled_from(["1", "2", "4", "3"])),
+                "--n", str(draw(st.integers(-2, 6)))]
+    elif cmd == "check-kp":
+        argv = ["pfaff", "check-kp",
+                "--beta", draw(st.sampled_from(["1", "4", "2"])),
+                "--n-list", draw(st.one_of(
+                    st.lists(st.integers(-2, 8), min_size=1, max_size=3).map(
+                        lambda ns: ",".join(map(str, ns))),
+                    st.sampled_from(["x", "", "2,,4"]))),
+                "--a", draw(SIGNED), "--b", draw(SIGNED)]
+    else:
+        argv = ["ensemble", "gap",
+                "--beta", draw(st.sampled_from(["1", "4"])),
+                "--weight", draw(st.sampled_from(["gaussian", "laguerre",
+                                                  "uniform"])),
+                "--a", draw(SIGNED), "--b", draw(SIGNED),
+                "--n", str(draw(st.integers(0, 4))),
+                "--interval", draw(UNIONS)]
+    return argv + ["--check"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_and_algebra_argv())
+def test_skew_and_algebra_commands_exit_cleanly(argv):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+
+
 # argv of the RK4 flow commands; |t_end| / step <= 2,000 bounds the steps
 FLOW_STEPS = st.sampled_from(["0", "-0.01", "nan", "inf", "0.01", "0.1", "1.5"])
 FLOW_ENDS = st.sampled_from(["-0.5", "0", "0.3", "2", "20", "nan", "inf",

@@ -26,8 +26,10 @@ from laxlab.mathcore import (
     bessel_sqrt_taylor_coefficients,
     block_j,
     cholesky_borel,
+    cut_rules,
     gauss_legendre_rule,
     integrate,
+    interval_rule,
     lu_determinant,
     pfaffian,
     qr_decompose,
@@ -350,6 +352,50 @@ def test_union_rule_disjoint_pieces():
     E = IntervalUnion([(0.0, 1.0), (2.0, 3.0)])
     x, w = union_rule(E, 16)
     assert np.dot(w, np.ones_like(x)) == pytest.approx(2.0, abs=1e-13)
+
+
+def cut_rules_reference(E, k, order, scale):
+    """Row per node y of piece k: a fresh union_rule on E cut at y, or an
+    empty rule where the cut leaves nothing."""
+    rows = []
+    for y in interval_rule(*E.intervals[k], order, scale)[0]:
+        lower = E.intersect(IntervalUnion.half_line_below(float(y)))
+        rows.append((np.empty(0), np.empty(0)) if lower.is_empty
+                    else union_rule(lower, order, scale))
+    return rows
+
+
+@pytest.mark.parametrize("E, order, scale", [
+    (IntervalUnion.full_line(), 96, 0.5),
+    (IntervalUnion.half_line_below(0.0), 64, 1.0),
+    (IntervalUnion.half_line_below(1.5), 64, 0.5),
+    (IntervalUnion([(-0.5, 1.25)]), 64, 1.0),
+    (IntervalUnion([(0.0, 2.0)]), 64, 1.0),  # Laguerre [0, 2]
+    (IntervalUnion([(0.0, math.inf)]), 48, 2.0),  # Laguerre [0, inf)
+    (IntervalUnion([(-3.0, -1.0), (0.0, 0.5), (1.0, math.inf)]), 32, 1.0),
+    (IntervalUnion([(-math.inf, -2.0), (-1.0, 1.0), (2.0, math.inf)]), 24,
+     0.7),
+    # the nodes nearest 1e16 round onto it: rules on the earlier pieces
+    (IntervalUnion([(1e16, 1e16 + 8.0)]), 64, 1.0),
+    (IntervalUnion([(0.0, 1.0), (1e16, 1e16 + 8.0)]), 64, 1.0),
+])
+def test_cut_rules_match_a_rule_per_node(E, order, scale):
+    for k in range(len(E.intervals)):
+        rows = [(x[r], w[r]) for x, w in cut_rules(E, k, order, scale)
+                for r in range(len(x))]
+        expect = cut_rules_reference(E, k, order, scale)
+        assert len(rows) == len(expect)
+        for (x, w), (x_ref, w_ref) in zip(rows, expect):
+            assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+
+def test_cut_rules_put_cuts_on_the_left_end_first():
+    E = IntervalUnion([(0.0, 1.0), (1e16, 1e16 + 8.0)])
+    (head_x, head_w), (x, _) = cut_rules(E, 1, 64, 1.0)
+    assert 0 < len(head_x) < 64 and len(head_x) + len(x) == 64
+    assert np.array_equal(head_x[0], union_rule(IntervalUnion([(0.0, 1.0)]),
+                                                64)[0])
+    assert x.shape[1] == 128
 
 
 # ----- special functions -----

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from laxlab.fd import central_diff
 from laxlab.errors import (
     DegenerateFlagError,
     DepthError,
+    DivergenceError,
     SingularMatrixError,
     SingularTauError,
     UsageError,
@@ -159,8 +161,6 @@ def test_uniform_moments_exact_on_interval_union():
 
 
 def test_divergent_rejected():
-    from laxlab.errors import DivergenceError
-
     with pytest.raises(DivergenceError):
         skew_inner_products(
             WeightSpec("custom", func=lambda z: np.ones_like(z)),
@@ -168,6 +168,59 @@ def test_divergent_rejected():
             alpha=-1,
             N=2,
         )
+
+
+def test_overflowing_wronskian_moments_raise_without_a_warning():
+    # (j - i) raw_{i+j-1} overflows where raw itself is still finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            skew_inner_products(WeightSpec("laguerre"), alpha=1, N=48)
+
+
+def eps_moments_per_node(w, E, N, order):
+    """The eps-pairing moments with a fresh union_rule on E cut at every
+    node and one 1-D sum per power: the loop the batched table replaces."""
+    size, scale = 2 * N, w.decay_scale()
+
+    def powers(x, wt):
+        current, out = wt * w.density(x), np.empty(size)
+        for j in range(size):
+            out[j] = current.sum()
+            current = current * x
+        return out
+
+    nodes, weights = union_rule(E, order, scale)
+    f_table = np.zeros((len(nodes), size))
+    for idx, y in enumerate(nodes):
+        lower = E.intersect(IntervalUnion.half_line_below(float(y)))
+        if not lower.is_empty:
+            f_table[idx] = powers(*union_rule(lower, order, scale))
+    outer = weights * w.density(nodes)
+    ymoments = np.empty((size, size))
+    for i in range(size):
+        ymoments[i] = outer @ (powers(nodes, weights) - 2.0 * f_table)
+        outer = outer * nodes
+    mu = np.zeros((size, size))
+    for i in range(size):
+        for j in range(i + 1, size):
+            mu[i, j] = 0.5 * (ymoments[i, j] - ymoments[j, i])
+            mu[j, i] = -mu[i, j]
+    return mu
+
+
+@pytest.mark.parametrize("w, E, order", [
+    (gaussian_weight(4.0), None, 96),
+    (gaussian_weight(), IntervalUnion.half_line_below(1.5), 64),
+    (WeightSpec("laguerre", a=1.0), IntervalUnion([(0.0, 2.0)]), 64),
+    (WeightSpec("laguerre", a=2.5, b=0.5), None, 48),
+    (gaussian_weight(), IntervalUnion([(-3.0, -1.0), (0.0, 0.5),
+                                       (1.0, math.inf)]), 32),
+])
+def test_eps_moments_match_a_rule_per_node_bit_for_bit(w, E, order):
+    E = w.support() if E is None else E.intersect(w.support())
+    m = skew_inner_products(w, E, alpha=-1, N=5, order=order)
+    assert np.array_equal(m.m, eps_moments_per_node(w, E, 5, order))
 
 
 # ----- evolution -----

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,14 @@ def test_ode_flow_step_too_large():
         toda_ode_flow(L0, 2, 2.0, 0.9)
 
 
+def test_ode_flow_step_too_large_raises_without_a_warning():
+    L0 = random_lax(6, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StabilityError):
+            toda_ode_flow(L0, 2, 2.0, 0.9)
+
+
 def reference_toda_step(lax, k, h):
     """One RK4 step of L' = [b, L], b = (1/2)(triu(L^k, 1) - its
     transpose), written out from the dense formulas."""
@@ -178,8 +187,7 @@ def test_ode_flow_guard_fires_mid_flow():
 
 def test_ode_flow_nonfinite_state_is_stability_error():
     L0 = random_lax(6, 3)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(StabilityError, match="drift inf"):
+    with pytest.raises(StabilityError, match="drift inf"):
         toda_ode_flow(L0, 2, 2000.0, 5.0)
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxlab.errors import DepthError, SingularTauError, UsageError
 from laxlab.intervals import IntervalUnion
@@ -20,6 +22,7 @@ from laxlab.virasoro import (
     j_apply,
     quadratic_poly,
     virasoro_commutator_check,
+    virasoro_commutator_residuals,
     virasoro_residual,
     weight_to_fg,
 )
@@ -329,6 +332,105 @@ def test_beta2_dressing_is_plain_sum():
         if k == 0:
             rhs = rhs + Fraction(n * n) * p
         assert (lhs - rhs).is_zero
+
+
+def test_batched_commutators_match_one_pair_at_a_time():
+    pairs = [(1, -1), (0, 1), (2, -1), (2, -2), (3, -3), (-1, 3), (2, 1)]
+    for beta in (1, 2, 4):
+        batched = virasoro_commutator_residuals(beta, pairs, n=3)
+        assert batched == [virasoro_commutator_check(beta, k, l, n=3)
+                           for k, l in pairs]
+
+
+def test_commutators_form_each_first_level_operator_once(monkeypatch):
+    from laxlab import virasoro
+
+    calls, real = [], virasoro.dressed_poly
+
+    def counted(k, p, *args):
+        calls.append(k)
+        return real(k, p, *args)
+
+    monkeypatch.setattr(virasoro, "dressed_poly", counted)
+    pairs = [(1, -1), (0, 1), (2, -1), (2, -2), (3, -3), (-1, 3)]
+    virasoro_commutator_residuals(1, pairs, n=3, trials=2)
+    # per test polynomial: V_j p for j in {-3, ..., 3} once, then V_k V_l p
+    # and V_l V_k p for each pair
+    assert len(calls) == 2 * (7 + 2 * len(pairs))
+
+
+class FractionPoly:
+    """Reference: a dict of exponent tuples (trailing zeros trimmed) to
+    nonzero Fraction coefficients."""
+
+    def __init__(self, terms):
+        self.terms = {}
+        for e, c in terms.items():
+            e = tuple(e)
+            while e and e[-1] == 0:
+                e = e[:-1]
+            if c:
+                self.terms[e] = Fraction(c)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return FractionPoly(out)
+
+    def scale(self, c):
+        return FractionPoly({e: c * v for e, v in self.terms.items()})
+
+    def mul_var(self, i):
+        out = {}
+        for e, c in self.terms.items():
+            e = list(e) + [0] * max(0, i - len(e))
+            e[i - 1] += 1
+            out[tuple(e)] = c
+        return FractionPoly(out)
+
+    def diff(self, i):
+        out = {}
+        for e, c in self.terms.items():
+            if i <= len(e) and e[i - 1]:
+                e2 = list(e)
+                e2[i - 1] -= 1
+                out[tuple(e2)] = c * e[i - 1]
+        return FractionPoly(out)
+
+
+FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+POLY_TERMS = st.dictionaries(
+    st.lists(st.integers(0, 3), max_size=4).map(tuple), FRACTIONS,
+    max_size=6)
+POLY_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("diff"), st.integers(1, 5)),
+    st.tuples(st.just("mul_var"), st.integers(1, 5)),
+    st.tuples(st.just("scale"), FRACTIONS),
+    st.tuples(st.just("add"), POLY_TERMS),
+    st.tuples(st.just("sub"), POLY_TERMS),
+), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_TERMS, POLY_STEPS)
+def test_tpoly_matches_a_fraction_dict(terms, steps):
+    p, ref = TPoly(terms), FractionPoly(terms)
+    for op, arg in steps:
+        if op == "scale":
+            p, ref = arg * p, ref.scale(arg)
+        elif op == "add":
+            p, ref = p + TPoly(arg), ref + FractionPoly(arg)
+        elif op == "sub":
+            p, ref = p - TPoly(arg), ref + FractionPoly(arg).scale(-1)
+        else:
+            p, ref = getattr(p, op)(arg), getattr(ref, op)(arg)
+        values = {e: Fraction(v, p.den) for e, v in p.terms.items()}
+        assert values == ref.terms
+        assert p.is_zero == (not ref.terms)
+        assert p.max_abs_coeff() == max(map(abs, ref.terms.values()),
+                                        default=0)
+        assert p == TPoly(ref.terms)
 
 
 def test_poly_algebra_basics():
