@@ -27,7 +27,8 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .mathcore.ode import GUARD_INTERVAL, rk4
+from .mathcore.ode import GUARD_INTERVAL, SEGMENTS, rk4
+from .mathcore.ode import check_steps, segment_check
 
 SYSTEM_KINDS = ("euler", "geodesic", "neumann", "central_force")
 INVARIANT_DRIFT_TOL = 1e-6
@@ -64,10 +65,24 @@ class LaxPolynomial:
     def size(self):
         return len(self.alpha)
 
+    @property
+    def stack(self):
+        """The coefficients as one (..., m+1, n, n) array."""
+        return np.stack(self.coeffs, axis=-3)
+
+    def like(self, stack):
+        """The Lax polynomial with this alpha and gamma and the coefficients
+        of a (..., m+1, n, n) stack."""
+        return LaxPolynomial(tuple(np.moveaxis(stack, -3, 0)), self.alpha,
+                             self.gamma)
+
     def __call__(self, h):
+        """a(h); an overflow leaves inf or NaN in it, which its callers
+        report as NumericalError."""
         out = np.zeros_like(self.coeffs[0])
-        for c in reversed(self.coeffs):
-            out = out * h + c
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in reversed(self.coeffs):
+                out = out * h + c
         return out
 
     def invariant_drift(self):
@@ -114,13 +129,16 @@ def build_system(kind, alpha, gamma=None, x=None, y=None):
         raise UsageError("gamma, x and y need one entry per alpha entry")
     if not np.all(np.isfinite([gamma, x, y])):
         raise DomainError("gamma, x and y entries must be finite")
-    sub = np.diag(gamma) + skew_pair(x, y)
-    if kind == "euler":
-        coeffs = (sub, np.diag(alpha))
-    elif kind in ("geodesic", "neumann"):
-        coeffs = (-np.outer(x, x), sub, np.diag(alpha))
-    else:
-        coeffs = (sym_pair(x, y) - np.diag(alpha), sub, np.diag(alpha))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        sub = np.diag(gamma) + skew_pair(x, y)
+        if kind == "euler":
+            coeffs = (sub, np.diag(alpha))
+        elif kind in ("geodesic", "neumann"):
+            coeffs = (-np.outer(x, x), sub, np.diag(alpha))
+        else:
+            coeffs = (sym_pair(x, y) - np.diag(alpha), sub, np.diag(alpha))
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericalError("Lax polynomial coefficients overflow")
     return LaxPolynomial(coeffs=coeffs, alpha=alpha, gamma=gamma)
 
 
@@ -133,7 +151,8 @@ def _f_derivatives(f_kind, alpha):
     if f_kind in ("geodesic", "central_force"):  # f = ln x
         if np.any(alpha <= 0.0):
             raise DomainError("f = ln x needs alpha > 0")
-        return 1.0 / alpha, -1.0 / alpha ** 2
+        with np.errstate(over="ignore"):  # f'' underflows to -0 there
+            return 1.0 / alpha, -1.0 / alpha ** 2
     if f_kind == "neumann":  # f = x^2 / 2
         return alpha.copy(), np.ones_like(alpha)
     raise UsageError(f"unknown flow kind {f_kind!r}")
@@ -177,8 +196,7 @@ def aci_flow(a0, f_kind, t_end, step):
         return d
 
     def checked(stack, where):
-        out = LaxPolynomial(coeffs=tuple(np.moveaxis(stack, -3, 0)),
-                            alpha=a0.alpha, gamma=a0.gamma)
+        out = a0.like(stack)
         drift = out.invariant_drift()
         if not drift <= INVARIANT_DRIFT_TOL:  # NaN drift fails too
             raise StabilityError(f"invariant manifold drift {drift:.2e} {where}")
@@ -191,8 +209,7 @@ def aci_flow(a0, f_kind, t_end, step):
     # a blown-up step overflows on its way to the non-finite state that
     # the drift guard reports as StabilityError
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = rk4(rhs, np.stack(a0.coeffs, axis=-3), t_end, step,
-                    drift_check)
+        stack = rk4(rhs, a0.stack, t_end, step, drift_check)
     return checked(stack, "at t_end")
 
 
@@ -242,7 +259,7 @@ def aks_plan(a, f_kind, t):
     AKS_MAX_SUBSTEPS raises NumericalError.
     """
     _f_derivatives(f_kind, a.alpha)  # an unknown f or bad alpha raises
-    stack, (blocks, points) = np.array(a.coeffs), _aks_rule(a.size)
+    stack, (blocks, points) = a.stack, _aks_rule(a.size)
     radius = 1.0
     if f_kind != "neumann":
         for k in range(AKS_MAX_DOUBLINGS):
@@ -315,11 +332,11 @@ def aks_flow(a0, f_kind, t, plan=None):
     Algebraic Integrability, 2004; Reyman & Semenov-Tian-Shansky, 1994).
     """
     radius, count = aks_plan(a0, f_kind, t) if plan is None else plan
-    stack, total = np.array(a0.coeffs), 0.0
+    stack, total = a0.stack, 0.0
     for _ in range(count):
         stack, tail = _aks_step(stack, f_kind, t / count, radius)
         total += tail
-    return LaxPolynomial(tuple(stack), a0.alpha, a0.gamma), total
+    return a0.like(stack), total
 
 
 def spectral_curve_coeffs(a):
@@ -378,11 +395,10 @@ def spectral_curve_residual(a, q):
     return worst / scale
 
 
-def route_report(a0, f_kind, t_end, step, checkpoints=5):
+def route_report(a0, f_kind, t_end, step, checkpoints=SEGMENTS):
     """The AKS checkpoints a(t_k), t_k = k t_end / checkpoints, all on the
-    plan made at a0 for one segment, checked by RK4 over every segment
-    [t_{k-1}, t_k] at once, each segment starting from its AKS checkpoint
-    (one batched aci_flow).
+    plan made at a0 for one segment, each the start of one RK4 segment
+    (segment_check; check_steps bounds the whole run first).
 
     Returns curve_drift (max spectral-curve coefficient drift over both
     routes' checkpoints, relative to max(1, max|q|)), aks_rk4_gap (max
@@ -391,6 +407,7 @@ def route_report(a0, f_kind, t_end, step, checkpoints=5):
     """
     if checkpoints < 1:
         raise UsageError("route_report needs at least one checkpoint")
+    check_steps(t_end, step)
     base = spectral_curve_coeffs(a0)
     scale = max(1.0, max(abs(v) for v in base.values()))
     segment = t_end / checkpoints
@@ -400,23 +417,18 @@ def route_report(a0, f_kind, t_end, step, checkpoints=5):
         nxt, seg_tail = aks_flow(aks[-1], f_kind, segment, plan)
         aks.append(nxt)
         tail += seg_tail
-    stacks = np.array([a.coeffs for a in aks])
-    starts = LaxPolynomial(tuple(np.moveaxis(stacks[:-1], 1, 0)),
-                           a0.alpha, a0.gamma)
-    ends = np.stack(aci_flow(starts, f_kind, segment, step).coeffs, axis=1)
+    stacks = np.array([a.stack for a in aks])
+    ends, gap = segment_check(
+        lambda starts, seg: aci_flow(a0.like(starts), f_kind, seg, step).stack,
+        stacks, segment)
     drift = 0.0
     for stack in (*stacks[1:], *ends):
-        now = spectral_curve_coeffs(LaxPolynomial(tuple(stack), a0.alpha,
-                                                  a0.gamma))
+        now = spectral_curve_coeffs(a0.like(stack))
         drift = max(drift, max(abs(now[key] - base[key]) for key in base))
-    return {
-        "curve_drift": drift / scale,
-        "aks_rk4_gap": float(np.abs(ends - stacks[1:]).max()),
-        "aks_tail": tail,
-    }
+    return {"curve_drift": drift / scale, "aks_rk4_gap": gap, "aks_tail": tail}
 
 
-def conservation_report(a0, f_kind, t_end, step, checkpoints=5):
+def conservation_report(a0, f_kind, t_end, step, checkpoints=SEGMENTS):
     """Max drift of any spectral-curve coefficient along the flow."""
     return route_report(a0, f_kind, t_end, step, checkpoints)["curve_drift"]
 

@@ -22,6 +22,7 @@ from . import fd  # noqa: F401  (perfbench/tracer.py traces laxlab.fd)
 from .errors import NumericalError, UnderflowError, UsageError
 from .intervals import IntervalUnion
 from .mathcore import integrate, skew_borel
+from .mathcore.ode import SEGMENTS, check_steps, segment_check
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_TOLERANCE = 0, 2, 3, 4
 
@@ -157,6 +158,14 @@ def finite_float(text):
     return value
 
 
+def seed_int(text):
+    """argparse type: a non-negative integer, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is negative")
+    return value
+
+
 def parse_floats(text):
     try:
         return [float(p) for p in text.split(",")]
@@ -200,31 +209,46 @@ def run_toda_flow(args):
     n, k = args.n, args.k
     if n < 1 or k < 1:
         raise UsageError("--n and --k must be at least 1")
+    wanted = args.routes.split(",")
+    if "ode" in wanted:
+        check_steps(args.t_end, args.step)
     m = _atomic_hankel(n, args.seed, 2 * (n - 1) + 12 * k + 2)
     L0 = toda.lax_from_tau(m, None, n)
     t = [0.0] * (k - 1) + [args.t_end]
-    routes = {}
-    for name in args.routes.split(","):
+    routes, ends, defect = {}, None, 0.0
+    for name in wanted:
         if name == "tau":
             routes[name] = toda.lax_from_tau(m, t, n).matrix()
-        elif name == "ode":
-            routes[name] = toda.toda_ode_flow(L0, k, args.t_end, args.step).matrix()
-        elif name == "qr":
-            routes[name] = toda.toda_factorization_flow(L0, k, args.t_end).matrix()
-        else:
+        elif name not in ("ode", "qr"):
             raise UsageError(f"unknown toda route {name!r}")
+    if "ode" in wanted or "qr" in wanted:
+        # QR at t_j = j t_end / SEGMENTS; each starts one RK4 segment
+        times = args.t_end * (np.arange(SEGMENTS + 1) / SEGMENTS)
+        checkpoints = toda.toda_factorization_flow(L0, k, times).matrix()
+        if "qr" in wanted:
+            routes["qr"] = checkpoints[-1]
+        if "ode" in wanted:
+            ends, defect = segment_check(
+                lambda starts, segment: toda.toda_ode_flow(
+                    toda.lax_from_dense(starts), k, segment, args.step
+                ).matrix(),
+                checkpoints, args.t_end / SEGMENTS)
+            routes["ode"] = ends[-1]
     rows = []
-    worst = 0.0
+    worst = defect  # gated even when ode is the only route
     names = sorted(routes)
     for i, p in enumerate(names):
         for q in names[i + 1:]:
             gap = float(np.abs(routes[p] - routes[q]).max())
+            if p == "ode":  # the largest segment defect counts too
+                gap = max(gap, defect)
             rows.append({"metric": f"supnorm:{p}-{q}", "value": gap})
             worst = max(worst, gap)
     base = np.linalg.eigvalsh(L0.matrix())
     drift_ok = True
     for name in names:
-        drift = float(np.abs(np.linalg.eigvalsh(routes[name]) - base).max())
+        states = ends if name == "ode" else routes[name]  # every segment end
+        drift = float(np.abs(np.linalg.eigvalsh(states) - base).max())
         rows.append({"metric": f"eig_drift:{name}", "value": drift})
         drift_ok = drift_ok and drift < 1e-8
     return _Result(rows, worst, tol=1e-6, ok=drift_ok)
@@ -515,7 +539,8 @@ def _common(p, handler, **read):
     p.add_argument("--check", action="store_true")
     p.add_argument("--tol", type=float, default=None)
     for name, default in read.items():
-        p.add_argument(f"--{name}", type=int, default=default)
+        p.add_argument(f"--{name}", default=default,
+                       type=seed_int if name == "seed" else int)
     p.set_defaults(handler=handler)
 
 

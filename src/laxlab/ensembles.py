@@ -147,7 +147,16 @@ def _gram_probability(e, E, order):
 def _hankel_probability(e, E, order):
     num = hankel_moments(e.weight, E, M=2 * (e.n - 1), order=order)
     den = hankel_moments(e.weight, None, M=2 * (e.n - 1), order=order)
-    return lu_determinant(num.matrix(e.n)) / lu_determinant(den.matrix(e.n))
+    return _ratio(lu_determinant(num.matrix(e.n)),
+                  lu_determinant(den.matrix(e.n)))
+
+
+def _ratio(num, norm):
+    """num / norm, where the normalizing determinant or Pfaffian norm must
+    be finite and nonzero."""
+    if norm == 0.0 or not math.isfinite(norm):
+        raise UnderflowError(f"normalizing constant {norm:.2e}")
+    return num / norm
 
 
 def _skew_shape(e):
@@ -184,7 +193,7 @@ def gap_probability(e, E, order=64):
     half, alpha = _skew_shape(e)
     num = skew_inner_products(e.weight, E, alpha=alpha, N=half, order=order)
     den = skew_inner_products(e.weight, None, alpha=alpha, N=half, order=order)
-    return pfaffian(num.m) / pfaffian(den.m)
+    return _ratio(pfaffian(num.m), pfaffian(den.m))
 
 
 # ----- Monte Carlo samplers -----

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericalError, UsageError
 from .mathcore import (
     airy_ai_vec,
     airy_taylor_coefficients,
@@ -50,6 +50,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("airy", "bessel", "sine", "hermite"):
             raise UsageError(f"unknown kernel kind {self.kind!r}")
+        if not np.all(np.isfinite([self.nu, self.b, self.lam])):
+            raise DomainError("kernel parameters must be finite")
         if self.kind == "bessel" and self.nu <= -1.0:
             raise DomainError("bessel kernel requires nu > -1")
         if self.kind == "hermite" and (self.N < 1 or self.b <= 0.0):
@@ -121,8 +123,10 @@ def hermite_functions(N, b, z):
 
 
 def _hermite_kernel(N, b, y, z):
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    """K_N(y_i, z_j) = sum_{k < N} phi_k(y_i) phi_k(z_j) for every pair of
+    the flattened points y and z."""
+    y = np.asarray(y, dtype=float).ravel()
+    z = np.asarray(z, dtype=float).ravel()
     py = hermite_functions(N, b, y)
     pz = hermite_functions(N, b, z)
     return py.T @ pz
@@ -173,15 +177,21 @@ def _nystrom_nodes(k, E, order):
                     f"the {k.kind} kernel needs a bounded domain"
                 )
             hi = _airy_tail_end(lo)
+        if k.kind == "bessel" and lo < 0.0:
+            raise DomainError("the bessel kernel lives on z >= 0")
         if k.kind == "bessel" and k.nu != 0.0 and lo == 0.0:
             x, w = gauss_jacobi_rule(order, k.nu, (lo, hi))
         else:
             x, w = gauss_legendre_rule(order, (lo, hi))
             if k.kind == "bessel" and k.nu != 0.0:
-                w = w * x ** k.nu
+                with np.errstate(over="ignore"):  # checked below
+                    w = w * x ** k.nu
         nodes.append(x)
         weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    weights = np.concatenate(weights)
+    if not np.all(np.isfinite(weights)):
+        raise NumericalError("Nystrom weights overflow")
+    return np.concatenate(nodes), weights
 
 
 def _airy_matrix(x):

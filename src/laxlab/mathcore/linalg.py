@@ -30,9 +30,11 @@ def _is_exact(m):
     return isinstance(m, np.ndarray) and m.dtype == object
 
 
-def _as_square(m):
+def _as_square(m, stack=False):
+    """m as a float square matrix; with stack=True, also a stack of them
+    along leading axes."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -51,12 +53,13 @@ def _require_skew(m):
     return 0.5 * (m - m.T)
 
 
-def _require_symmetric(m):
-    m = _as_square(m)
+def _require_symmetric(m, stack=False):
+    m = _as_square(m, stack)
+    mt = m.swapaxes(-1, -2)
     scale = np.abs(m).max() if m.size else 0.0
-    if scale and np.abs(m - m.T).max() > SKEW_TOL * scale:
+    if scale and np.abs(m - mt).max() > SKEW_TOL * scale:
         raise SymmetryError("matrix is not symmetric")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def lu_determinant(m):
@@ -222,19 +225,21 @@ def _skew_borel_exact(m):
 
 
 def qr_decompose(m):
-    """QR factorization with the positive-diagonal-R uniqueness convention."""
-    m = _as_square(m)
+    """QR factorization with the positive-diagonal-R uniqueness convention,
+    of one matrix or of each of a stack."""
+    m = _as_square(m, stack=True)
     q, r = np.linalg.qr(m)
-    diag = np.diag(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     if np.any(np.abs(diag) < 1e-300):
         raise SingularMatrixError("matrix is rank deficient")
     signs = np.sign(diag)
-    return q * signs, signs[:, None] * r
+    return q * signs[..., None, :], signs[..., :, None] * r
 
 
 def symmetric_eigen(m):
-    """Eigenvalues of a symmetric matrix, sorted ascending."""
-    m = _require_symmetric(m)
+    """Eigenvalues of a symmetric matrix, or of each of a stack, sorted
+    ascending."""
+    m = _require_symmetric(m, stack=True)
     return np.sort(np.linalg.eigvalsh(m))
 
 

@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError, UsageError
+from ..errors import DomainError, NumericalError, UsageError
 from ..intervals import IntervalUnion
 
 _BASE_RULES = {}
+# entries (rows x nodes) in one chunk of cut_rules; the ε-pairing rules
+# of every default order fit in one
+CUT_CHUNK = 2 ** 16
 
 
 def _base_rule(order):
@@ -49,6 +52,8 @@ def gauss_jacobi_rule(order, exponent, interval):
         raise UsageError(f"interval [{lo}, {hi}] is not a finite interval")
     if exponent <= -1.0:
         raise DomainError("jacobi exponent must exceed -1")
+    if order < 1:
+        raise UsageError("quadrature order must be >= 1")
     if exponent == 0.0:
         return gauss_legendre_rule(order, (lo, hi))
     nu = float(exponent)
@@ -67,10 +72,13 @@ def gauss_jacobi_rule(order, exponent, interval):
     )
     jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     vals, vecs = np.linalg.eigh(jac)
-    mu0 = 2.0 ** (nu + 1.0) / (nu + 1.0)
     half = 0.5 * (hi - lo)
     nodes = lo + half * (vals + 1.0)
-    weights = half ** (nu + 1.0) * mu0 * vecs[0] ** 2
+    try:
+        mu0 = 2.0 ** (nu + 1.0) / (nu + 1.0)
+        weights = half ** (nu + 1.0) * mu0 * vecs[0] ** 2
+    except OverflowError as exc:
+        raise NumericalError(f"jacobi weights overflow: {exc}") from exc
     return nodes, weights
 
 
@@ -123,10 +131,11 @@ def cut_rules(E, k, order, scale=1.0):
     interval_rule on piece k, value for value: the earlier pieces whole,
     in union_rule order, then piece k up to y_r, lo + half (v + 1) with
     half = (y_r - lo)/2 on a finite left end lo, or y_r minus the reversed
-    half-line offsets with shared weights on (-inf, y_r].  Rows of one
-    length come as one (nodes, weights) pair of 2-D arrays: the nodes
+    half-line offsets with shared weights on (-inf, y_r].  Yields (nodes,
+    weights) pairs of 2-D arrays with rows of one length: first the nodes
     that round onto piece k's left end (a rule on the earlier pieces
-    alone, possibly empty) in a first pair, the others in a second.
+    alone, possibly empty), then the others in chunks of at most
+    CUT_CHUNK entries each.
     """
     lo, hi = E.intervals[k]
     earlier = [interval_rule(a, b, order, scale) for a, b in E.intervals[:k]]
@@ -134,23 +143,25 @@ def cut_rules(E, k, order, scale=1.0):
     head_w = np.concatenate([w for _, w in earlier] + [np.empty(0)])
     # a node past hi by rounding cuts the piece at hi, as intersect does
     cut = np.minimum(interval_rule(lo, hi, order, scale)[0], hi)
+    lead = int(np.count_nonzero(cut <= lo))  # nodes increase along a piece
+    yield np.tile(head_x, (lead, 1)), np.tile(head_w, (lead, 1))
     if math.isfinite(lo):
         v, w = _base_rule(order)
-        half = 0.5 * (cut - lo)[:, None]
-        tail_x, tail_w = lo + half * (v + 1.0), half * w
     else:
         offsets, w = half_line_rule(0.0, order, scale)
-        tail_x = cut[:, None] - offsets[::-1]
-        tail_w = np.broadcast_to(w[::-1], tail_x.shape)
-    lead = int(np.count_nonzero(cut <= lo))  # nodes increase along a piece
-    rows = len(cut) - lead
-    return [
-        (np.tile(head_x, (lead, 1)), np.tile(head_w, (lead, 1))),
-        (np.concatenate([np.broadcast_to(head_x, (rows, len(head_x))),
-                         tail_x[lead:]], axis=1),
-         np.concatenate([np.broadcast_to(head_w, (rows, len(head_w))),
-                         tail_w[lead:]], axis=1)),
-    ]
+    rows = max(1, CUT_CHUNK // (len(head_x) + order))
+    for first in range(lead, len(cut), rows):
+        y = cut[first:first + rows, None]
+        if math.isfinite(lo):
+            half = 0.5 * (y - lo)
+            tail_x, tail_w = lo + half * (v + 1.0), half * w
+        else:
+            tail_x = y - offsets[::-1]
+            tail_w = np.broadcast_to(w[::-1], tail_x.shape)
+        yield (np.concatenate([np.broadcast_to(head_x, (len(y), len(head_x))),
+                               tail_x], axis=1),
+               np.concatenate([np.broadcast_to(head_w, (len(y), len(head_w))),
+                               tail_w], axis=1))
 
 
 def integrate(f, E, order, scale=1.0):

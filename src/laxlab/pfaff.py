@@ -334,7 +334,10 @@ def pfaff_ode_flow(L0, Q0, k, t_end, step):
         if not np.all(np.isfinite(state[0])):
             raise StabilityError(f"flow blew up at t={t:.4g}; reduce the step")
 
-    return tuple(rk4(rhs, np.stack((L, Q)), t_end, step, finite))
+    # a blown-up step overflows on its way to the non-finite state that
+    # finite() reports as StabilityError
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(rk4(rhs, np.stack((L, Q)), t_end, step, finite))
 
 
 def skew_orthopoly_eval(m, n, z):

@@ -45,10 +45,11 @@ class WeightSpec:
     custom_support: object = None
 
     def __post_init__(self):
-        if self.family == "gaussian" and not self.b > 0:
-            raise UsageError("gaussian weight needs b > 0")
-        if self.family == "laguerre" and not (self.a > -1 and self.b > 0):
-            raise UsageError("laguerre weight needs a > -1, b > 0")
+        if self.family == "gaussian" and not 0 < self.b < math.inf:
+            raise UsageError("gaussian weight needs finite b > 0")
+        if self.family == "laguerre" and not (-1 < self.a < math.inf
+                                              and 0 < self.b < math.inf):
+            raise UsageError("laguerre weight needs finite a > -1, b > 0")
         if self.family == "custom" and self.func is None:
             raise UsageError("custom weight needs a callable")
         if self.family not in ("gaussian", "laguerre", "uniform", "custom"):
@@ -167,14 +168,16 @@ def hankel_moments(w, E=None, M=16, order=64):
             f"moments of the {w.family} weight diverge on an unbounded domain"
         )
     current = quadrature_weighted_moments(w, E, M, order)
-    for _ in range(5):
-        order *= 2
-        refined = quadrature_weighted_moments(w, E, M, order)
-        scale = np.abs(refined).max()
-        if np.abs(refined - current).max() <= 1e-12 * max(scale, 1e-300):
+    # an overflowing moment leaves inf or NaN, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(5):
+            order *= 2
+            refined = quadrature_weighted_moments(w, E, M, order)
+            scale = np.abs(refined).max()
+            if np.abs(refined - current).max() <= 1e-12 * max(scale, 1e-300):
+                current = refined
+                break
             current = refined
-            break
-        current = refined
     if not np.all(np.isfinite(current)):
         raise DivergenceError("non-finite moment encountered")
     return HankelMoments(mu=current, weight=w, E=E)

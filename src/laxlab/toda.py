@@ -33,7 +33,9 @@ class TridiagonalLax:
 
     ``symmetric=True`` is the primary gauge: offdiagonal entries positive,
     real spectrum.  The asymmetric band gauge (superdiagonal of ones) is a
-    similarity-transform view only.
+    similarity-transform view only.  diag and offdiag may carry leading
+    batch axes: a stack of Lax matrices, which toda_ode_flow advances at
+    once.
     """
 
     diag: np.ndarray
@@ -43,25 +45,23 @@ class TridiagonalLax:
     def __post_init__(self):
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=float))
-        if len(self.offdiag) != len(self.diag) - 1:
+        if self.offdiag.shape != self.diag.shape[:-1] + (self.n - 1,):
             raise UsageError("offdiag must have length len(diag) - 1")
         if self.symmetric and len(self.offdiag) and np.any(self.offdiag <= 0):
             raise UsageError("symmetric gauge needs positive offdiagonal")
 
     @property
     def n(self):
-        return len(self.diag)
+        return self.diag.shape[-1]
 
     def matrix(self):
         """Dense matrix form."""
-        m = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        if self.symmetric:
-            m[idx, idx + 1] = self.offdiag
-            m[idx + 1, idx] = self.offdiag
-        else:
-            m[idx, idx + 1] = 1.0
-            m[idx + 1, idx] = self.offdiag
+        m = np.zeros(self.diag.shape + (self.n,))
+        idx = np.arange(self.n)
+        m[..., idx, idx] = self.diag
+        idx = idx[:-1]
+        m[..., idx, idx + 1] = self.offdiag if self.symmetric else 1.0
+        m[..., idx + 1, idx] = self.offdiag
         return m
 
     def eigenvalues(self):
@@ -83,11 +83,13 @@ class TridiagonalLax:
         return TridiagonalLax(self.diag.copy(), np.sqrt(self.offdiag))
 
 
-def _lax_from_dense(m):
-    """Project a numerically tridiagonal symmetric matrix back to the type."""
-    diag = np.diag(m).copy()
-    off = 0.5 * (np.diag(m, 1) + np.diag(m, -1))
-    return TridiagonalLax(diag, off)
+def lax_from_dense(m):
+    """Project a numerically tridiagonal symmetric matrix, or a stack of
+    them, back to the type."""
+    def band(offset):
+        return np.diagonal(m, offset, axis1=-2, axis2=-1)
+
+    return TridiagonalLax(band(0).copy(), 0.5 * (band(1) + band(-1)))
 
 
 def lax_from_tau(m, t, n):
@@ -118,23 +120,25 @@ def toda_ode_flow(L0, k, t_end, step):
 
     (a)_- denotes the skew-symmetric part built from the strictly upper
     triangle; its half-weighted mask is built once per call, and L^k only
-    for k > 1.  The right side is tridiagonal analytically, so the result
-    is projected back to the banded type.  Every GUARD_INTERVAL steps and at
-    t_end, a non-finite state or a drift over 1e-6 raises StabilityError.
+    for k > 1.  L0 may be a stack, advanced at once.  The right side is
+    tridiagonal analytically, so the result is projected back to the banded
+    type.  Every GUARD_INTERVAL steps and at t_end, a non-finite state or an
+    eigenvalue drift over 1e-6 in any member raises StabilityError.
     """
-    L0 = L0.to_symmetric()
-    m = L0.matrix()
+    m = L0.to_symmetric().matrix()
     ev0 = symmetric_eigen(m)
-    half_upper = 0.5 * np.triu(np.ones_like(m), 1)
+    half_upper = 0.5 * np.triu(np.ones(m.shape[-2:]), 1)
 
     def rhs(lax):
         up = half_upper * (lax if k == 1 else np.linalg.matrix_power(lax, k))
-        b = up - up.T
+        b = up - up.swapaxes(-1, -2)
         return b @ lax - lax @ b
 
     def guard(lax, t):
+        # the spectrum of the state as lax_from_dense will project it
         finite = np.all(np.isfinite(lax))
-        drift = np.abs(symmetric_eigen(lax) - ev0).max() if finite else math.inf
+        sym = 0.5 * (lax + lax.swapaxes(-1, -2))
+        drift = np.abs(symmetric_eigen(sym) - ev0).max() if finite else math.inf
         if not drift <= 1e-6:
             raise StabilityError(
                 f"eigenvalue drift {drift:.3e} at t={t:.4g}; reduce the step"
@@ -149,7 +153,7 @@ def toda_ode_flow(L0, k, t_end, step):
     with np.errstate(over="ignore", invalid="ignore"):
         m = rk4(rhs, m, t_end, step, drift_check)
     guard(m, t_end)
-    return _lax_from_dense(m)
+    return lax_from_dense(m)
 
 
 def toda_factorization_flow(L0, k, t):
@@ -158,16 +162,18 @@ def toda_factorization_flow(L0, k, t):
     The constant c = FACTORIZATION_FLOW_SCALE makes this match the ODE
     route; the exponential of the symmetric matrix is computed by
     eigendecomposition, with the spectrum shifted before exponentiating
-    so overflow cannot occur (shifts only rescale R).
+    so overflow cannot occur (shifts only rescale R).  For an array of
+    times t, one eigendecomposition serves them all and the result is the
+    stack of L(t), one QR per time.
     """
-    L0 = L0.to_symmetric()
-    m0 = L0.matrix()
+    m0 = L0.to_symmetric().matrix()
     evals, vecs = symmetric_eigensystem(np.linalg.matrix_power(m0, k))
-    expo = FACTORIZATION_FLOW_SCALE * t * evals
-    expo = expo - expo.max()  # det-scaling only; keeps exp() finite
-    big = (vecs * np.exp(expo)) @ vecs.T
+    expo = np.multiply.outer(FACTORIZATION_FLOW_SCALE * np.asarray(t), evals)
+    # det-scaling only; keeps exp() finite
+    expo = expo - expo.max(axis=-1, keepdims=True)
+    big = (vecs * np.exp(expo)[..., None, :]) @ vecs.T
     q, _ = qr_decompose(big)
-    return _lax_from_dense(q.T @ m0 @ q)
+    return lax_from_dense(q.swapaxes(-1, -2) @ m0 @ q)
 
 
 def orthopoly_eval(m, t, n, z):
@@ -176,6 +182,8 @@ def orthopoly_eval(m, t, n, z):
     Computed from the bordered moment determinant, normalized so that
     <p_n, p_n> = 1; p_0 = 1/sqrt(mu_0).
     """
+    if n < 0:
+        raise UsageError("orthopoly_eval needs n >= 0")
     if t is not None and np.any(np.asarray(t) != 0.0):
         m = evolve_hankel(m, t)
     taus = tau_table(m, n + 1)

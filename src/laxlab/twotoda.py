@@ -366,6 +366,8 @@ def coupled_pde_residual(c, a, b, n, order=48):
     with {f, g}_X = X(f) g - f X(g), at the point (a, b, c)."""
     if abs(c) >= 1.0 or c == 0.0:
         raise UsageError("the coupled PDE needs 0 < |c| < 1")
+    if n < 1:
+        raise UsageError("the coupled PDE needs n >= 1")
     F = gap_log_tau_ratio_taylor(c, a, b, n, order=order)
     ops = BoundaryOperators((a, b, c))
     kappa = np.zeros((4, 4, 4))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laxlab import aci, pfaff, toda
 from laxlab.cli import (
     EXIT_NUMERICAL,
     EXIT_TOLERANCE,
@@ -297,11 +298,118 @@ def flow_argv(draw):
 @settings(max_examples=40, deadline=None)
 @given(flow_argv())
 def test_flow_commands_exit_cleanly(argv):
-    with np.errstate(all="ignore"), \
-            contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3, 4)
+
+
+# argv of every other command: the Fredholm tables, the Painleve and PDE
+# residual checkers, the sampler, the orthogonal polynomials, the
+# two-Toda checks and the KP check.  Each value is well formed seven times
+# in eight, so that most draws reach the numerics; grids, counts and
+# orders stay small, and at most two finite interval endpoints keep the
+# PDE checkers cheap
+GRIDS = (["-2:0:1", "0.5:1:0.5", "0:0:1", "-40:-40:1", "1e3:1e3:1"],
+         ["2:1:1", "nan:1:1", "x"])
+ORDERS = (["4", "16", "48"], ["0", "-3"])
+REALS = (["-1", "0", "0.5", "1", "2.5", "1e3"], ["nan", "inf", "x"])
+LISTS = (["0.3", "0.3,-0.2", "0"], ["nan", "x", ""])
+WEIGHTS = (["gaussian", "laguerre", "uniform"], ["bogus"])
+
+
+@st.composite
+def other_command_argv(draw):
+    def pick(valid, invalid=()):
+        bad = invalid and draw(st.integers(0, 7)) == 0
+        return draw(st.sampled_from(invalid if bad else valid))
+
+    def count(lo, hi):
+        return pick([str(n) for n in range(lo, hi + 1)], [str(lo - 1)])
+
+    cmd = draw(st.sampled_from([
+        "fredholm gap", "fredholm scaling", "fredholm kernel-table",
+        "gapode pii", "gapode pv", "gapode airy-pde", "gapode bessel-pde",
+        "ensemble sample", "toda poly", "twotoda pde", "twotoda identities",
+        "tau kp-check"]))
+    argv = cmd.split()
+    if cmd == "fredholm gap":
+        argv += ["--kernel", pick(["airy", "bessel", "sine"], ["bogus"]),
+                 "--nu", pick(*REALS), "--N", count(1, 3),
+                 "--lam", pick(*REALS),
+                 "--interval", pick(["s:inf", "0:s", "-s:s", "s:s"], ["x"]),
+                 "--s-grid", pick(*GRIDS), "--order", pick(*ORDERS)]
+    elif cmd == "fredholm scaling":
+        argv += ["--regime", pick(["bulk", "edge"]),
+                 "--N-list", pick(["20", "3,5"], ["0", "-1", "x"]),
+                 "--b", pick(*REALS), "--grid", pick(*GRIDS)]
+    elif cmd == "fredholm kernel-table":
+        argv += ["--kernel", pick(["airy", "bessel", "sine", "hermite"],
+                                  ["bogus"]),
+                 "--nu", pick(*REALS), "--N", count(1, 12),
+                 "--b", pick(*REALS), "--y-grid", pick(*GRIDS),
+                 "--z-grid", pick(*GRIDS)]
+    elif cmd == "gapode pii":
+        argv += ["--grid", pick(*GRIDS)]
+    elif cmd == "gapode pv":
+        argv += ["--nu", pick(*REALS), "--grid", pick(*GRIDS)]
+    elif cmd == "gapode airy-pde":
+        argv += ["--intervals", pick(["-4:-1", "-2:-1", "1:inf", "-3:-3"],
+                                     ["-1:-4", "nan:1", "x"])]
+    elif cmd == "gapode bessel-pde":
+        argv += ["--nu", pick(*REALS), "--intervals", pick(
+            ["0:1.5", "0.5:1.5", "0:1,2:3"], ["-1:1", "2:1", "1:inf", "x"])]
+    elif cmd == "ensemble sample":
+        argv += ["--beta", pick(["1", "2", "4"]),
+                 "--weight", pick(*WEIGHTS),
+                 "--a", pick(*REALS), "--b", pick(*REALS),
+                 "--n", count(0, 3), "--count", pick(["200", "1"], ["0"]),
+                 "--interval", draw(UNIONS), "--seed", count(0, 3),
+                 "--order", pick(*ORDERS)]
+    elif cmd == "toda poly":
+        argv += ["--weight", pick(*WEIGHTS),
+                 "--a", pick(*REALS), "--b", pick(*REALS),
+                 "--n", count(0, 4), "--grid", pick(*GRIDS),
+                 "--order", pick(*ORDERS)]
+    elif cmd == "twotoda pde":
+        argv += ["--c", pick(*REALS), "--a-list", pick(*LISTS),
+                 "--b-list", pick(*LISTS), "--n", count(1, 2),
+                 "--order", pick(*ORDERS)]
+    elif cmd == "twotoda identities":
+        argv += ["--c", pick(*REALS), "--n", count(0, 3),
+                 "--order", pick(*ORDERS)]
+    else:
+        argv += ["--n-max", count(0, 4), "--seed", count(0, 3),
+                 "--order", pick(*ORDERS)]
+    return argv + ["--check"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(other_command_argv())
+def test_other_commands_exit_cleanly(argv):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("fredholm kernel-table --kernel hermite --N 3", 0),
+    ("fredholm gap --kernel bessel --interval=-s:s --s-grid 0.5:1:0.5",
+     EXIT_USAGE),
+    ("gapode pv --nu nan --grid 0.5:1:0.5", EXIT_USAGE),
+    ("gapode pv --nu 1e3 --grid 1e3:1e3:1", EXIT_NUMERICAL),
+    ("ensemble sample --weight laguerre --a inf", EXIT_USAGE),
+    ("ensemble gap --weight laguerre --a 1e3 --b 1e3 --n 3 --interval 0:0.5 "
+     "--order 16", EXIT_NUMERICAL),
+    ("toda poly --n -1", EXIT_USAGE),
+    ("twotoda pde --n 0", EXIT_USAGE),
+    ("tau kp-check --seed -1", EXIT_USAGE),
+])
+def test_inputs_that_raised_tracebacks_exit_cleanly(argv, code):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main((argv + " --check").split()) == code
 
 
 @pytest.mark.parametrize("kind", ["neumann", "central_force"])
@@ -339,6 +447,64 @@ def test_aci_run_report_independent_of_blas_threads():
         assert done.returncode == 0, done.stderr
         outputs.add(done.stdout)
     assert len(outputs) == 1
+
+
+def report_at_blas_threads(argv, threads):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+    done = subprocess.run([sys.executable, "-m", "laxlab.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_toda_flow_report_independent_of_blas_threads():
+    # every segment of the ODE route runs in one batched RK4 pass
+    argv = ["toda", "flow", "--t-end", "10", "--routes", "ode,qr", "--check"]
+    assert report_at_blas_threads(argv, "1") == report_at_blas_threads(argv, "2")
+
+
+def rk4_with_first_slice_negated(real):
+    """rk4 whose right-hand side has its first slice negated: one segment
+    of a batched flow, or L' of the Pfaff flow, runs backwards.  The
+    flows' invariants hold along it, so no drift guard sees it; only the
+    comparison with an exact route can."""
+    def rk4(rhs, y, *args, **kwargs):
+        def wrong(state):
+            out = rhs(state)
+            out[0] = -out[0]
+            return out
+        return real(wrong, y, *args, **kwargs)
+    return rk4
+
+
+@pytest.mark.parametrize("argv", [
+    "toda flow --routes ode,qr --check",
+    "aci run --check",
+    "pfaff flow --check",
+])
+def test_a_wrong_right_hand_side_fails_the_route_check(argv, monkeypatch):
+    for module in (toda, aci, pfaff):
+        monkeypatch.setattr(module, "rk4",
+                            rk4_with_first_slice_negated(module.rk4))
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv.split()) == EXIT_TOLERANCE
+
+
+@pytest.mark.parametrize("argv", [
+    "toda flow --t-end 30 --step 2e-5 --routes ode --check",
+    "aci run --t-end 30 --step 2e-5 --check",
+])
+def test_step_cap_bounds_the_whole_segmented_run(argv, monkeypatch, capsys):
+    # 1.5e6 steps in all, but only 6e4 in each segment
+    def no_work(*args, **kwargs):
+        raise AssertionError("the exact route ran before the step check")
+
+    monkeypatch.setattr(toda, "toda_factorization_flow", no_work)
+    monkeypatch.setattr(aci, "aks_plan", no_work)
+    assert main(argv.split()) == EXIT_USAGE
+    assert "steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

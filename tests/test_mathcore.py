@@ -14,6 +14,7 @@ from laxlab.errors import (
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
+from laxlab.mathcore import quadrature
 from laxlab.mathcore.ode import MAX_STEPS, rk4
 from laxlab.mathcore.special import AIRY_MIN_ARG, AIRY_UNDERFLOW
 from laxlab.mathcore import (
@@ -387,6 +388,18 @@ def test_cut_rules_match_a_rule_per_node(E, order, scale):
         assert len(rows) == len(expect)
         for (x, w), (x_ref, w_ref) in zip(rows, expect):
             assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("E, order, scale", [
+    (IntervalUnion.full_line(), 96, 0.5),
+    (IntervalUnion([(-0.5, 1.25)]), 64, 1.0),
+    (IntervalUnion([(-3.0, -1.0), (0.0, 0.5), (1.0, math.inf)]), 32, 1.0),
+    (IntervalUnion([(0.0, 1.0), (1e16, 1e16 + 8.0)]), 64, 1.0),
+])
+def test_cut_rules_in_small_chunks_match_a_rule_per_node(E, order, scale,
+                                                          monkeypatch):
+    monkeypatch.setattr(quadrature, "CUT_CHUNK", 500)  # a few rows a chunk
+    test_cut_rules_match_a_rule_per_node(E, order, scale)
 
 
 def test_cut_rules_put_cuts_on_the_left_end_first():

@@ -15,7 +15,13 @@ from laxlab.errors import (
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
-from laxlab.mathcore import block_j, pfaffian, skew_borel, union_rule
+from laxlab.mathcore import (
+    block_j,
+    pfaffian,
+    quadrature,
+    skew_borel,
+    union_rule,
+)
 from laxlab import pfaff
 from laxlab.pfaff import (
     SkewMoments,
@@ -221,6 +227,14 @@ def test_eps_moments_match_a_rule_per_node_bit_for_bit(w, E, order):
     E = w.support() if E is None else E.intersect(w.support())
     m = skew_inner_products(w, E, alpha=-1, N=5, order=order)
     assert np.array_equal(m.m, eps_moments_per_node(w, E, 5, order))
+
+
+def test_eps_moments_in_small_chunks_are_bit_for_bit_the_same(monkeypatch):
+    w, E = gaussian_weight(), IntervalUnion.half_line_below(1.5)
+    whole = skew_inner_products(w, E, alpha=-1, N=5, order=64).m
+    monkeypatch.setattr(quadrature, "CUT_CHUNK", 300)  # 4 rows a chunk
+    chunked = skew_inner_products(w, E, alpha=-1, N=5, order=64).m
+    assert np.array_equal(chunked, whole)
 
 
 # ----- evolution -----

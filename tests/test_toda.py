@@ -191,6 +191,36 @@ def test_ode_flow_nonfinite_state_is_stability_error():
         toda_ode_flow(L0, 2, 2000.0, 5.0)
 
 
+def stack_of(laxes):
+    return TridiagonalLax(np.stack([L.diag for L in laxes]),
+                          np.stack([L.offdiag for L in laxes]))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_batched_ode_flow_matches_single_flows(k):
+    starts = [random_lax(5, seed) for seed in (1, 2, 3)]
+    moved = toda_ode_flow(stack_of(starts), k, 0.3, 1e-2).matrix()
+    for i, start in enumerate(starts):
+        alone = toda_ode_flow(start, k, 0.3, 1e-2).matrix()
+        assert np.abs(moved[i] - alone).max() < 1e-15
+
+
+def test_batched_ode_guard_sees_one_bad_member():
+    # the same start as test_ode_flow_guard_fires_mid_flow, beside a calm one
+    batch = stack_of([random_lax(6, 5), random_lax(6, 3)])
+    with pytest.raises(StabilityError, match=r"drift .* at t=20;"):
+        toda_ode_flow(batch, 1, 40.0, 0.1)
+
+
+def test_factorization_at_many_times_matches_one_time_calls():
+    L0 = random_lax(6, 19)
+    times = np.array([-1.0, 0.0, 0.5, 3.0])
+    many = toda_factorization_flow(L0, 2, times).matrix()
+    for t, got in zip(times, many):
+        alone = toda_factorization_flow(L0, 2, t).matrix()
+        assert np.abs(got - alone).max() < 1e-15
+
+
 # ----- factorization flow -----
 
 def test_factorization_t0_identity():
