@@ -21,7 +21,7 @@ from . import aci, ensembles, fredholm, gapodes, pfaff, tau, toda, twotoda, vira
 from . import fd  # noqa: F401  (perfbench/tracer.py traces laxlab.fd)
 from .errors import NumericalError, UnderflowError, UsageError
 from .intervals import IntervalUnion
-from .mathcore import integrate, skew_borel
+from .mathcore import integrate
 from .mathcore.ode import SEGMENTS, check_steps, segment_check
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_TOLERANCE = 0, 2, 3, 4
@@ -35,7 +35,6 @@ class RunReport:
     max_abs_residual: float
     self_reported_error: float = 0.0
     seed: int = 0
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -107,7 +106,6 @@ def emit_report(report, fmt):
             "max_abs_residual": report.max_abs_residual,
             "self_reported_error": report.self_reported_error,
             "seed": report.seed,
-            "wall_time": report.wall_time,
         }
         return (canonical_json(payload) + "\n").encode()
     if fmt == "csv":
@@ -212,9 +210,10 @@ def run_toda_flow(args):
     wanted = args.routes.split(",")
     if "ode" in wanted:
         check_steps(args.t_end, args.step)
-    m = _atomic_hankel(n, args.seed, 2 * (n - 1) + 12 * k + 2)
-    L0 = toda.lax_from_tau(m, None, n)
     t = [0.0] * (k - 1) + [args.t_end]
+    # the evolved moments must hold the n-block and its first t_1 jet
+    m = _atomic_hankel(n, args.seed, tau.max_shift_for(t) + 2 * n - 1)
+    L0 = toda.lax_from_tau(m, None, n)
     routes, ends, defect = {}, None, 0.0
     for name in wanted:
         if name == "tau":
@@ -271,17 +270,15 @@ def run_pfaff_flow(args):
     size = args.size
     if size < 1 or args.k < 1:
         raise UsageError("--size and --k must be at least 1")
+    t = [0.0] * (args.k - 1) + [args.t_end]
     # one spare block beyond the evolved interior; a wide gaussian keeps the
     # high moments O(1) so the skew-Borel pivots stay well away from zero
-    half = size // 2 + 6 * args.k + 1
     m = pfaff.skew_inner_products(
-        tau.WeightSpec("gaussian", b=4.0), alpha=-1, N=half,
-        order=max(args.order, 96),
+        tau.WeightSpec("gaussian", b=4.0), alpha=-1,
+        N=(size + tau.max_shift_for(t)) // 2 + 1, order=max(args.order, 96),
     )
-    t = [0.0] * (args.k - 1) + [args.t_end]
     via_moments = pfaff.pfaff_lax(pfaff.evolve_skew(m, t))
-    L0 = pfaff.pfaff_lax(m)
-    L, _ = pfaff.pfaff_ode_flow(L0, skew_borel(m.m), args.k, args.t_end, args.step)
+    L = pfaff.pfaff_ode_flow(pfaff.pfaff_lax(m), args.k, args.t_end, args.step)
     gap = float(np.abs(L[:size, :size] - via_moments[:size, :size]).max())
     rows = [{"metric": "interior_supnorm", "value": gap}]
     return _Result(rows, gap, tol=1e-6)
@@ -327,10 +324,13 @@ def run_twotoda_identities(args):
         rows.append({"identity": name, "residual": abs(val)})
     # at t = s = 0 the coupled Gaussian is symmetric under (x, y) -> (-x, -y)
     # and both sides of the quotient identities vanish; away from it they
-    # do not
+    # do not.  The evolved moments must reach the (n + 1)-blocks and the
+    # n-blocks shifted by 2.
+    t, s = [0.1], [-0.07]
+    depth = max(tau.max_shift_for(t), tau.max_shift_for(s))
     moved = twotoda.evolve_bimoments(
-        twotoda.bimoments(args.c, N=args.n + 28, order=args.order),
-        [0.1], [-0.07])
+        twotoda.bimoments(args.c, N=args.n + depth + 2, order=args.order),
+        t, s)
     for i, val in enumerate(twotoda.wronskian_identity_residual(moved, args.n)):
         rows.append({"identity": f"quotient_{i}", "residual": abs(val)})
     rows.append({
@@ -521,7 +521,10 @@ def run_tau_kp_check(args):
     worst = 0.0
     for family in ("gaussian", "uniform"):
         w = tau.WeightSpec(family)
-        m = tau.hankel_moments(w, M=2 * args.n_max + 40, order=args.order)
+        # the evolved moments must hold the n_max-block and its KP jets,
+        # which shift the index by up to 6
+        depth = tau.max_shift_for(small_t) + 2 * args.n_max + 4
+        m = tau.hankel_moments(w, M=depth, order=args.order)
         for n in range(1, args.n_max + 1):
             for label, t in (("0", None), ("small", small_t)):
                 res = abs(tau.kp_residual(m, n, t=t))
@@ -724,8 +727,6 @@ def dispatch(argv):
         max_abs_residual=float(result.residual),
         self_reported_error=float(result.err),
         seed=getattr(args, "seed", 0),
-        # reports must be bytewise reproducible, so timing goes to stderr
-        wall_time=0.0,
     )
     code = EXIT_OK
     if args.check:

@@ -133,7 +133,8 @@ def _hermite_kernel(N, b, y, z):
 
 
 def kernel_eval(k, y, z):
-    """K(y, z) for the chosen kernel (lambda not applied)."""
+    """K(y, z) for the chosen kernel (lambda not applied); y and z
+    broadcast (e.g. x[:, None] and x[None, :] give the kernel matrix)."""
     scalar = np.ndim(y) == 0 and np.ndim(z) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -144,10 +145,9 @@ def kernel_eval(k, y, z):
     elif k.kind == "sine":
         val = _sine_kernel(y, z)
     else:
-        val = _hermite_kernel(k.N, k.b, y, z)
-        if scalar:
-            return float(val[0, 0])
-        return val
+        y, z = np.broadcast_arrays(y, z)
+        val = np.einsum("kp,kp->p", hermite_functions(k.N, k.b, y.ravel()),
+                        hermite_functions(k.N, k.b, z.ravel())).reshape(y.shape)
     return float(val[0]) if scalar else val
 
 
@@ -404,10 +404,10 @@ def scaling_limit_error(N, regime, grid, b=1.0):
     if N < 10:
         raise UsageError("scaling checks need N >= 10")
     grid = np.asarray(grid, dtype=float)
-    k = KernelSpec("hermite", N=N, b=b)
+    KernelSpec("hermite", N=N, b=b)  # rejects a b that is not finite and > 0
     s = math.sqrt(b)
     if regime == "bulk":
-        rho = kernel_eval(k, 0.0, 0.0)
+        rho = float(_hermite_kernel(N, b, 0.0, 0.0)[0, 0])
         pts = grid / rho
         approx = _hermite_kernel(N, b, pts, pts) / rho
         exact = _sine_kernel(grid[:, None], grid[None, :])

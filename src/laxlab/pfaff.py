@@ -29,13 +29,12 @@ from .mathcore import cut_rules, pfaffian, skew_borel, union_rule
 from .mathcore.ode import rk4
 from .tau import (
     WeightSpec,
-    add_shifted_blocks,
     direction_matrices,
+    evolve_array,
     hankel_moments,
     kp_normalized,
     logdet_series_derivatives,
-    shift_coefficients,
-    max_shift_for,
+    weighted_powers,
 )
 
 
@@ -82,20 +81,6 @@ class SkewMoments:
         if n2 > self.size:
             raise DepthError(f"need a {n2} block, matrix has size {self.size}")
         return self.m[:n2, :n2]
-
-
-def _weighted_powers(w, nodes, weights, count):
-    """sum_l weights_l * rho(nodes_l) * nodes_l^j for j = 0..count-1,
-    along the last axis (one row of the result per rule).
-
-    rho nodes^j is accumulated one factor at a time, so a far node where rho
-    has underflowed to 0 stays 0 instead of meeting an overflowing power."""
-    current = weights * w.density(nodes)
-    out = np.empty(current.shape[:-1] + (count,))
-    for j in range(count):
-        out[..., j] = current.sum(axis=-1)
-        current = current * nodes
-    return out
 
 
 def _uniform_skew_moments(E, alpha, size):
@@ -172,17 +157,17 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
     # an overflow below leaves inf or NaN in mu, which raises DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         if alpha == 1:
-            raw = _weighted_powers(w, nodes, weights, 2 * size)
+            raw = weighted_powers(w, nodes, weights, 2 * size)
             for i in range(size):
                 for j in range(i + 1, size):
                     mu[i, j] = (j - i) * raw[i + j - 1]
                     mu[j, i] = -mu[i, j]
         elif alpha == -1:
-            total = _weighted_powers(w, nodes, weights, size)
+            total = weighted_powers(w, nodes, weights, size)
             # antiderivative table: F_j(y) = int_{E, z < y} z^j rho(z) dz,
             # evaluated by the rule on E cut at y (integrands stay smooth)
             f_table = np.concatenate([
-                _weighted_powers(w, sub_nodes, sub_weights, size)
+                weighted_powers(w, sub_nodes, sub_weights, size)
                 for k in range(len(E.intervals))
                 for sub_nodes, sub_weights in cut_rules(E, k, order, scale)
             ])
@@ -239,26 +224,15 @@ def evolve_skew(m0, t):
     """Exact evolution m(t) = e^{sum t_k L^k} m(0) e^{sum t_k L^{T k}}.
 
     The matrix shrinks: border entries whose evolved value would need
-    unknown deeper moments are dropped (kept size stays even).  Exact
-    moments are evolved in rationals at the exact value of each float t_k.
+    unknown deeper moments are dropped (kept size stays even, as the shift
+    is a multiple of the even EVOLUTION_DEGREE), and halving new - new^T
+    makes it skew to the last bit.  Exact moments are evolved in rationals
+    at the exact value of each float t_k.
     """
-    shift = max_shift_for(t)
-    if shift == 0:
-        return m0
-    keep = m0.size - shift
-    keep -= keep % 2
-    if keep <= 0:
-        raise DepthError(
-            f"evolution needs {shift} spare moment indices, have {m0.size}"
-        )
     if m0.exact:
         t = [Fraction(v) for v in t]
-    c = shift_coefficients(t, shift)
-    new = add_shifted_blocks(
-        np.zeros((keep, keep), dtype=m0.m.dtype), m0.m, c, c
-    )
-    new = (new - new.T) / 2  # rounding-exact skewness
-    return SkewMoments(m=new, alpha=m0.alpha, weight=m0.weight, E=m0.E)
+    new = evolve_array(m0.m, t, t)
+    return m0 if new is m0.m else replace(m0, m=(new - new.T) / 2)
 
 
 def pfaff_tau_table(m, nmax):
@@ -311,33 +285,25 @@ def project_minus(a):
     return a - project_plus(a)
 
 
-def pfaff_ode_flow(L0, Q0, k, t_end, step):
-    """Integrate dL/dt_k = [-P_+(L^k), L] and dQ/dt_k = -P_+(L^k) Q by RK4
-    (Q0 = None starts Q at the identity); t_end may be negative.  L and Q
-    ride as one (2, n, n) stack, so one product applies b to both.
+def pfaff_ode_flow(L0, k, t_end, step):
+    """Integrate dL/dt_k = [-P_+(L^k), L] by RK4; t_end may be negative.
 
     Truncation pollutes the bottom border of L, so no invariant of L is
     checked here (callers compare routes instead); a non-finite L raises
-    a stability error.  Returns (L, Q).
+    a stability error.
     """
-    L = np.array(L0, dtype=float)
-    Q = np.array(Q0, dtype=float) if Q0 is not None else np.eye(L.shape[0])
-
-    def rhs(state):
-        L = state[0]
+    def rhs(L):
         b = -project_plus(L if k == 1 else np.linalg.matrix_power(L, k))
-        out = b @ state
-        out[0] -= L @ b
-        return out
+        return b @ L - L @ b
 
-    def finite(steps, t, state):
-        if not np.all(np.isfinite(state[0])):
+    def finite(steps, t, L):
+        if not np.all(np.isfinite(L)):
             raise StabilityError(f"flow blew up at t={t:.4g}; reduce the step")
 
     # a blown-up step overflows on its way to the non-finite state that
     # finite() reports as StabilityError
     with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(rk4(rhs, np.stack((L, Q)), t_end, step, finite))
+        return rk4(rhs, np.array(L0, dtype=float), t_end, step, finite)
 
 
 def skew_orthopoly_eval(m, n, z):

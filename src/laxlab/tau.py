@@ -6,17 +6,18 @@ enforced by construction).  Time evolution acts as the exponential of the
 index shift, expanded to total degree 12 in t, which is exact algebra on
 the stored sequence.
 
-The pieces every moment route shares live here too: the shifted-block
-accumulation behind the evolution of two-sided (skew and bi-moment)
-matrices, the Taylor matrices of a moment block along a time direction,
-exact log-determinant jets with mixed partials by polarization, and the
-four-term KP assembly.
+The pieces every moment route shares live here too: the quadrature power
+sums, the one evolution of Hankel, skew and bi-moment arrays (on the P^j/j!
+series of the jets), the Taylor matrices of a moment block along a time
+direction, exact log-determinant jets with mixed partials by polarization,
+and the four-term KP assembly.
 """
 
 import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -141,19 +142,17 @@ class HankelMoments:
         return np.array([[self.mu[i + j] for j in range(n)] for i in range(n)])
 
 
-def quadrature_weighted_moments(w, E, M, order, extra_factor=None):
-    """Raw quadrature of int_E z^m * rho(z) dz for m = 0..M (no refinement)."""
-    x, wt = union_rule(E, order, scale=w.decay_scale())
-    rho = w.density(x)
-    if extra_factor is not None:
-        rho = rho * extra_factor(x)
-    # Accumulate z^m * rho cumulatively so far-out nodes (where rho has
-    # already underflowed to 0) never produce inf * 0.
-    current = wt * rho
-    out = np.empty(M + 1)
-    for m in range(M + 1):
-        out[m] = current.sum()
-        current = current * x
+def weighted_powers(w, nodes, weights, count):
+    """sum_l weights_l * rho(nodes_l) * nodes_l^j for j = 0..count-1,
+    along the last axis (one row of the result per rule).
+
+    rho nodes^j is accumulated one factor at a time, so a far node where rho
+    has underflowed to 0 stays 0 instead of meeting an overflowing power."""
+    current = weights * w.density(nodes)
+    out = np.empty(current.shape[:-1] + (count,))
+    for j in range(count):
+        out[..., j] = current.sum(axis=-1)
+        current = current * nodes
     return out
 
 
@@ -167,12 +166,14 @@ def hankel_moments(w, E=None, M=16, order=64):
         raise DivergenceError(
             f"moments of the {w.family} weight diverge on an unbounded domain"
         )
-    current = quadrature_weighted_moments(w, E, M, order)
+    moments = lambda order: weighted_powers(
+        w, *union_rule(E, order, scale=w.decay_scale()), M + 1)
+    current = moments(order)
     # an overflowing moment leaves inf or NaN, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(5):
             order *= 2
-            refined = quadrature_weighted_moments(w, E, M, order)
+            refined = moments(order)
             scale = np.abs(refined).max()
             if np.abs(refined - current).max() <= 1e-12 * max(scale, 1e-300):
                 current = refined
@@ -191,37 +192,42 @@ def hankel_endpoint_series(m, c, sigma, order):
     return [replace(m, mu=sigma * u[:, r - 1] / r) for r in range(1, order + 1)]
 
 
-def shift_coefficients(t, max_shift, degree=EVOLUTION_DEGREE):
-    """Coefficients c_d with exp(sum_k t_k z^k) = sum_d c_d z^d, truncated
-    at total degree ``degree`` in t and shift ``max_shift`` in z.  Exact
-    times (``Fraction``) give exact coefficients in an object array."""
-    t = np.asarray(t)
-    if t.dtype != object:
-        t = t.astype(float)
-    c = np.zeros((degree + 1, max_shift + 1), dtype=t.dtype)
-    c[0, 0] = 1
-    for k, tk in enumerate(t, start=1):
-        if tk == 0:
-            continue
-        new = np.zeros_like(c)
-        term = 1
-        for j in range(degree + 1):
-            if k * j > max_shift:
-                break
-            if j > 0:
-                term *= tk / j
-            new[j:, k * j:] += term * c[: degree + 1 - j, : max_shift + 1 - k * j]
-        c = new
-    return c.sum(axis=0)
-
-
-def max_shift_for(t, degree=EVOLUTION_DEGREE):
+def max_shift_for(t):
     """Largest index shift the truncated evolution by t can touch."""
     t = np.asarray(t, dtype=float)
     nonzero = np.nonzero(t)[0]
     if len(nonzero) == 0:
         return 0
-    return int(nonzero[-1] + 1) * degree
+    return int(nonzero[-1] + 1) * EVOLUTION_DEGREE
+
+
+def evolution_coefficients(t):
+    """Coefficients c_d of exp(sum_k t_k z^k) = sum_d c_d z^d, truncated at
+    total degree EVOLUTION_DEGREE in t: the sum of the P^j/j! series of the
+    log-det jets, with max_shift_for(t) + 1 entries.  Exact times
+    (``Fraction``) give exact coefficients in an object array."""
+    powers = _direction_poly_powers(t, EVOLUTION_DEGREE)
+    out = np.zeros(len(powers[-1]), dtype=powers[-1].dtype)
+    for p in powers:
+        out[: len(p)] += p
+    return out
+
+
+def evolve_array(m, rows=(), cols=()):
+    """e^{sum_k rows_k Lambda^k} m e^{sum_k cols_k Lambda^{T k}}, Lambda the
+    index shift, truncated as in evolution_coefficients.  An entry needs m
+    max_shift_for further along each index, so the result loses that many
+    trailing rows and columns; m itself comes back when every time is 0.
+    Exact (object) arrays stay exact."""
+    shape = (m.shape[0] - max_shift_for(rows), m.shape[1] - max_shift_for(cols))
+    if shape == m.shape:
+        return m
+    if min(shape) <= 0:
+        raise DepthError(f"a {m.shape[0]} x {m.shape[1]} moment array is "
+                         f"too shallow for an evolution by {rows}, {cols}")
+    return add_shifted_blocks(np.zeros(shape, dtype=m.dtype), m,
+                              evolution_coefficients(rows),
+                              evolution_coefficients(cols))
 
 
 def evolve_hankel(m0, t):
@@ -230,19 +236,9 @@ def evolve_hankel(m0, t):
     The returned sequence is shorter: indices whose evolved value would
     need unknown deep moments are dropped.
     """
-    shift = max_shift_for(t)
-    if shift == 0:
-        return m0
-    keep = m0.depth + 1 - shift
-    if keep <= 0:
-        raise DepthError(
-            f"evolution needs {shift} spare moments, have only {m0.depth + 1}"
-        )
-    coeffs = shift_coefficients(t, shift)
-    mu = np.array(
-        [np.dot(coeffs, m0.mu[m: m + shift + 1]) for m in range(keep)]
-    )
-    return HankelMoments(mu=mu, weight=m0.weight, E=m0.E)
+    column = m0.mu[:, None]
+    mu = evolve_array(column, rows=t)
+    return m0 if mu is column else replace(m0, mu=mu[:, 0])
 
 
 def tau_table(m, nmax):
@@ -342,11 +338,15 @@ def logdet_multilinear(g0, coefficient, r):
 
 
 def _direction_poly_powers(d, order):
-    """Coefficient arrays of P(z)^j / j! for P = sum_k d_k z^{k}, j=0..order."""
-    d = np.trim_zeros(np.asarray(d, dtype=float), "b")
-    base = np.concatenate([[0.0], d])  # P as a z-polynomial
-    powers = [np.array([1.0])]
-    current = np.array([1.0])
+    """Coefficient arrays of P(z)^j / j! for P = sum_k d_k z^{k}, j=0..order;
+    ``Fraction`` entries give exact object arrays."""
+    d = np.asarray(d)
+    exact = d.dtype == object
+    one = Fraction(1) if exact else 1.0
+    d = np.trim_zeros(d if exact else d.astype(float), "b")
+    base = np.concatenate([[0 * one], d])  # P as a z-polynomial
+    current = np.array([one])
+    powers = [current]
     for j in range(1, order + 1):
         current = np.convolve(current, base) / j
         powers.append(current)

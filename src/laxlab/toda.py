@@ -29,25 +29,20 @@ FACTORIZATION_FLOW_SCALE = 0.5
 
 @dataclass(frozen=True)
 class TridiagonalLax:
-    """Tridiagonal Lax matrix.
-
-    ``symmetric=True`` is the primary gauge: offdiagonal entries positive,
-    real spectrum.  The asymmetric band gauge (superdiagonal of ones) is a
-    similarity-transform view only.  diag and offdiag may carry leading
-    batch axes: a stack of Lax matrices, which toda_ode_flow advances at
-    once.
+    """Symmetric tridiagonal Lax matrix: offdiagonal entries positive,
+    real spectrum.  diag and offdiag may carry leading batch axes: a stack
+    of Lax matrices, which toda_ode_flow advances at once.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-    symmetric: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=float))
         if self.offdiag.shape != self.diag.shape[:-1] + (self.n - 1,):
             raise UsageError("offdiag must have length len(diag) - 1")
-        if self.symmetric and len(self.offdiag) and np.any(self.offdiag <= 0):
+        if len(self.offdiag) and np.any(self.offdiag <= 0):
             raise UsageError("symmetric gauge needs positive offdiagonal")
 
     @property
@@ -60,27 +55,12 @@ class TridiagonalLax:
         idx = np.arange(self.n)
         m[..., idx, idx] = self.diag
         idx = idx[:-1]
-        m[..., idx, idx + 1] = self.offdiag if self.symmetric else 1.0
+        m[..., idx, idx + 1] = self.offdiag
         m[..., idx + 1, idx] = self.offdiag
         return m
 
     def eigenvalues(self):
-        if not self.symmetric:
-            return self.to_symmetric().eigenvalues()
         return symmetric_eigen(self.matrix())
-
-    def to_band(self):
-        """Asymmetric view: superdiagonal of ones, subdiagonal a_k^2."""
-        if not self.symmetric:
-            return self
-        return TridiagonalLax(self.diag.copy(), self.offdiag ** 2, symmetric=False)
-
-    def to_symmetric(self):
-        if self.symmetric:
-            return self
-        if np.any(self.offdiag <= 0):
-            raise UsageError("band gauge must have positive subdiagonal")
-        return TridiagonalLax(self.diag.copy(), np.sqrt(self.offdiag))
 
 
 def lax_from_dense(m):
@@ -125,7 +105,7 @@ def toda_ode_flow(L0, k, t_end, step):
     type.  Every GUARD_INTERVAL steps and at t_end, a non-finite state or an
     eigenvalue drift over 1e-6 in any member raises StabilityError.
     """
-    m = L0.to_symmetric().matrix()
+    m = L0.matrix()
     ev0 = symmetric_eigen(m)
     half_upper = 0.5 * np.triu(np.ones(m.shape[-2:]), 1)
 
@@ -166,7 +146,7 @@ def toda_factorization_flow(L0, k, t):
     times t, one eigendecomposition serves them all and the result is the
     stack of L(t), one QR per time.
     """
-    m0 = L0.to_symmetric().matrix()
+    m0 = L0.matrix()
     evals, vecs = symmetric_eigensystem(np.linalg.matrix_power(m0, k))
     expo = np.multiply.outer(FACTORIZATION_FLOW_SCALE * np.asarray(t), evals)
     # det-scaling only; keeps exp() finite

@@ -9,7 +9,7 @@ probability of the coupled ensemble.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,14 +24,12 @@ from .errors import (
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant, union_rule
 from .tau import (
-    add_shifted_blocks,
     direction_matrices,
+    evolve_array,
     kp_normalized,
     logdet_multilinear,
     logdet_series_derivatives,
-    max_shift_for,
     polarized,
-    shift_coefficients,
 )
 
 
@@ -112,24 +110,13 @@ def _bimoment_series(c, E1, E2, N, order, v=(0.0, 0.0, 0.0), degree=0):
 
 
 def evolve_bimoments(m0, t, s):
-    """Exact evolution m(t,s) = e^{sum t_n L^n} m(0) e^{-sum s_n L^{T n}}."""
-    t = [] if t is None else list(t)
-    s = [] if s is None else list(s)
-    shift_t = max_shift_for(t)
-    shift_s = max_shift_for(s)
-    if shift_t == 0 and shift_s == 0:
-        return m0
-    keep = m0.size - max(shift_t, shift_s)
-    if keep <= 0:
-        raise DepthError("not enough moment depth for this evolution")
-    ct = shift_coefficients(t, shift_t) if shift_t else np.array([1.0])
-    cs = (
-        shift_coefficients([-v for v in s], shift_s)
-        if shift_s
-        else np.array([1.0])
-    )
-    new = add_shifted_blocks(np.zeros((keep, keep)), m0.m, ct, cs)
-    return BiMoments(m=new, c=m0.c, E1=m0.E1, E2=m0.E2)
+    """Exact evolution m(t,s) = e^{sum t_n L^n} m(0) e^{-sum s_n L^{T n}},
+    cut to the square both evolutions keep."""
+    t = () if t is None else t
+    s = () if s is None else [-v for v in s]
+    new = evolve_array(m0.m, t, s)
+    keep = min(new.shape)
+    return m0 if new is m0.m else replace(m0, m=new[:keep, :keep])
 
 
 def tau2_table(m, nmax):

@@ -45,6 +45,7 @@ from .tau import (
     hankel_endpoint_series,
     hankel_moments,
     logdet_series_derivatives,
+    max_shift_for,
     polarized,
 )
 
@@ -301,9 +302,9 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
         t = np.asarray(t, dtype=float)
         if len(t) < K:
             t = np.concatenate([t, np.zeros(K - len(t))])
-    nonzero = np.nonzero(t)[0]
-    span = max(int(nonzero[-1]) + 1 if len(nonzero) else 0, kq)
-    reach = 12 * span + K + kq + 2
+    # the evolved moments must hold the block and its jets, which shift the
+    # index by up to K + kq
+    reach = max_shift_for(t) + K + kq + 2
 
     if beta == 2:
         sup = HankelTauSupplier(w, E, n, depth=2 * (n - 1) + reach,

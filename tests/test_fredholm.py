@@ -112,6 +112,19 @@ def test_kernels_symmetric():
         assert abs(kernel_eval(k, y, z) - kernel_eval(k, z, y)) < 1e-12
 
 
+@pytest.mark.parametrize("spec", [
+    KernelSpec("airy"), KernelSpec("bessel", nu=0.5), KernelSpec("sine"),
+    KernelSpec("hermite", N=5, b=1.0),
+])
+def test_kernel_eval_broadcasts_like_an_elementwise_function(spec):
+    y = np.array([0.3, 1.2, 2.5])
+    z = np.array([0.7, 1.2, 0.4])
+    got = kernel_eval(spec, y, z)
+    assert got.shape == y.shape
+    table = kernel_eval(spec, y[:, None], z[None, :])
+    assert np.array_equal(got, np.diagonal(table))
+
+
 def test_kernel_spec_validation():
     with pytest.raises(UsageError):
         KernelSpec("cauchy")

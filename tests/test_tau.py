@@ -1,22 +1,31 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxlab.errors import DepthError, DivergenceError, UsageError
 from laxlab.fd import central_diff
 from laxlab.intervals import IntervalUnion
+from laxlab.pfaff import evolve_skew, skew_from_matrix, skew_inner_products
 from laxlab.tau import (
+    EVOLUTION_DEGREE,
     HankelMoments,
     WeightSpec,
+    add_shifted_blocks,
     dlog_tau,
+    evolution_coefficients,
     evolve_hankel,
     hankel_from_sequence,
     hankel_moments,
     kp_residual,
     log_tau,
+    max_shift_for,
     tau_table,
 )
+from laxlab.twotoda import BiMoments, evolve_bimoments
 
 
 # ----- oracles -----
@@ -42,6 +51,38 @@ def mc_tau3_oracle(b, rng, count=200_000):
     est = vals.mean() / 6.0
     err = vals.std(ddof=1) / math.sqrt(count) / 6.0
     return est, err
+
+
+def reference_shift_coefficients(t, max_shift, degree=EVOLUTION_DEGREE):
+    """exp(sum_k t_k z^k) = sum_d c_d z^d to total degree ``degree`` in t
+    and shift ``max_shift`` in z, as a product of one exponential per
+    time; exact times give exact coefficients."""
+    t = np.asarray(t)
+    if t.dtype != object:
+        t = t.astype(float)
+    c = np.zeros((degree + 1, max_shift + 1), dtype=t.dtype)
+    c[0, 0] = 1
+    for k, tk in enumerate(t, start=1):
+        if tk == 0:
+            continue
+        new = np.zeros_like(c)
+        term = 1
+        for j in range(degree + 1):
+            if k * j > max_shift:
+                break
+            if j > 0:
+                term *= tk / j
+            new[j:, k * j:] += term * c[: degree + 1 - j, : max_shift + 1 - k * j]
+        c = new
+    return c.sum(axis=0)
+
+
+def reference_evolution(m, rows, cols):
+    """add_shifted_blocks with the reference coefficients."""
+    r, s = max_shift_for(rows), max_shift_for(cols)
+    out = np.zeros((m.shape[0] - r, m.shape[1] - s), dtype=m.dtype)
+    return add_shifted_blocks(out, m, reference_shift_coefficients(rows, r),
+                              reference_shift_coefficients(cols, s))
 
 
 def uniform_weight():
@@ -115,6 +156,74 @@ def test_evolve_depth_error():
     m = hankel_from_sequence(np.ones(5))
     with pytest.raises(DepthError):
         evolve_hankel(m, [0.1])
+
+
+TIMES = st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                 min_size=0, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TIMES)
+def test_evolution_coefficients_match_the_reference(t):
+    c = evolution_coefficients(t)
+    assert len(c) == max_shift_for(t) + 1
+    ref = reference_shift_coefficients(t, max_shift_for(t))
+    assert np.abs(c - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.fractions(-2, 2, max_denominator=50), min_size=1,
+                max_size=3))
+def test_exact_evolution_coefficients_match_the_reference(t):
+    c = evolution_coefficients(t)
+    assert len(c) == max_shift_for(t) + 1
+    assert all(isinstance(v, Fraction) for v in c)
+    assert list(c) == list(reference_shift_coefficients(t, max_shift_for(t)))
+
+
+def test_evolve_hankel_matches_the_reference():
+    rng = np.random.default_rng(3)
+    m = hankel_from_sequence(rng.normal(size=60))
+    for t in ([0.3], [0.1, -0.2], [-0.05, 0.0, 0.07]):
+        want = reference_evolution(m.mu[:, None], t, ())[:, 0]
+        got = evolve_hankel(m, t).mu
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_evolve_skew_matches_the_reference():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(40, 40))
+    m = skew_from_matrix(a - a.T)
+    for t in ([0.3], [0.1, -0.2]):
+        want = reference_evolution(m.m, t, t)
+        want = (want - want.T) / 2
+        got = evolve_skew(m, t).m
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_evolve_skew_of_exact_moments_matches_the_reference_exactly():
+    m = skew_inner_products(uniform_weight(), alpha=-1, N=14)
+    t = [0.05, -0.02]
+    times = [Fraction(v) for v in t]
+    want = reference_evolution(m.m, times, times)
+    got = evolve_skew(m, t).m
+    assert all(isinstance(v, Fraction) for v in got.flat)
+    assert np.array_equal(got, (want - want.T) / 2)
+
+
+def test_evolve_bimoments_matches_the_reference():
+    rng = np.random.default_rng(5)
+    m = BiMoments(m=rng.normal(size=(40, 40)), c=0.5,
+                  E1=IntervalUnion.full_line(), E2=IntervalUnion.full_line())
+    for t, s in (([0.3], [0.1]), ([0.1, -0.2], [0.05]), ([0.2], None)):
+        keep = 40 - max(max_shift_for(t), max_shift_for(s or []))
+        neg = [-v for v in s or []]
+        want = reference_evolution(m.m, t, neg)[:keep, :keep]
+        got = evolve_bimoments(m, t, s).m
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ----- tau tables -----

@@ -10,6 +10,7 @@ from laxlab.tau import WeightSpec, evolve_hankel, hankel_moments
 from laxlab.toda import (
     FACTORIZATION_FLOW_SCALE,
     TridiagonalLax,
+    lax_from_dense,
     lax_from_tau,
     orthopoly_eval,
     toda_factorization_flow,
@@ -66,11 +67,9 @@ def test_matrix_roundtrip_and_gauges():
     L = TridiagonalLax([1.0, 2.0, 3.0], [0.5, 0.25])
     m = L.matrix()
     assert np.array_equal(m, m.T)
-    band = L.to_band()
-    assert not band.symmetric
-    assert np.allclose(band.to_symmetric().matrix(), m)
-    # similarity: same spectrum
-    assert np.allclose(band.eigenvalues(), L.eigenvalues())
+    back = lax_from_dense(m)
+    assert np.array_equal(back.diag, L.diag)
+    assert np.array_equal(back.offdiag, L.offdiag)
 
 
 def test_bad_shapes_rejected():
