@@ -10,7 +10,8 @@ as the integrability certificates.
 
 Two independent routes solve the flow: RK4 on the coefficient stack
 (aci_flow), and the Adler-Kostant-Symes factorization of
-exp(t h f'(a(h) h^-m)) in the loop group (aks_flow).
+exp(t h f'(a(h) h^-m)) in the loop group (aks_flow); route_report checks
+the one against the other.
 """
 
 import math
@@ -395,8 +396,8 @@ def spectral_curve_residual(a, q):
     return worst / scale
 
 
-def route_report(a0, f_kind, t_end, step, checkpoints=SEGMENTS):
-    """The AKS checkpoints a(t_k), t_k = k t_end / checkpoints, all on the
+def route_report(a0, f_kind, t_end, step):
+    """The AKS checkpoints a(t_k), t_k = k t_end / SEGMENTS, all on the
     plan made at a0 for one segment, each the start of one RK4 segment
     (segment_check; check_steps bounds the whole run first).
 
@@ -405,15 +406,13 @@ def route_report(a0, f_kind, t_end, step, checkpoints=SEGMENTS):
     coefficient difference of the routes at any checkpoint) and aks_tail
     (the summed AKS tail).
     """
-    if checkpoints < 1:
-        raise UsageError("route_report needs at least one checkpoint")
     check_steps(t_end, step)
     base = spectral_curve_coeffs(a0)
     scale = max(1.0, max(abs(v) for v in base.values()))
-    segment = t_end / checkpoints
+    segment = t_end / SEGMENTS
     plan = aks_plan(a0, f_kind, segment)
     aks, tail = [a0], 0.0
-    for _ in range(checkpoints):
+    for _ in range(SEGMENTS):
         nxt, seg_tail = aks_flow(aks[-1], f_kind, segment, plan)
         aks.append(nxt)
         tail += seg_tail
@@ -426,17 +425,3 @@ def route_report(a0, f_kind, t_end, step, checkpoints=SEGMENTS):
         now = spectral_curve_coeffs(a0.like(stack))
         drift = max(drift, max(abs(now[key] - base[key]) for key in base))
     return {"curve_drift": drift / scale, "aks_rk4_gap": gap, "aks_tail": tail}
-
-
-def conservation_report(a0, f_kind, t_end, step, checkpoints=SEGMENTS):
-    """Max drift of any spectral-curve coefficient along the flow."""
-    return route_report(a0, f_kind, t_end, step, checkpoints)["curve_drift"]
-
-
-def commutativity_report(a0, f_kind_1, f_kind_2, t_small, step=1e-3):
-    """sup-norm coefficient discrepancy of the two flow orderings."""
-    ab = aci_flow(aci_flow(a0, f_kind_1, t_small, step), f_kind_2, t_small, step)
-    ba = aci_flow(aci_flow(a0, f_kind_2, t_small, step), f_kind_1, t_small, step)
-    return max(
-        float(np.abs(p - q).max()) for p, q in zip(ab.coeffs, ba.coeffs)
-    )

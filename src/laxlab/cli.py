@@ -186,8 +186,8 @@ def _weight_from(args):
     return tau.WeightSpec(args.weight, a=args.a, b=args.b)
 
 
-def _weight_flags(p, default="gaussian"):
-    p.add_argument("--weight", default=default,
+def _weight_flags(p):
+    p.add_argument("--weight", default="gaussian",
                    choices=("gaussian", "laguerre", "uniform"))
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
@@ -257,8 +257,8 @@ def run_toda_poly(args):
     w = _weight_from(args)
     m = tau.hankel_moments(w, M=2 * args.n + 2, order=args.order)
     grid = parse_grid(args.grid)
-    vals = [float(toda.orthopoly_eval(m, None, args.n, z)) for z in grid]
-    rows = [{"z": z, "p_n": v} for z, v in zip(grid.tolist(), vals)]
+    vals = toda.orthopoly_eval(m, None, args.n, grid)
+    rows = [{"z": z, "p_n": v} for z, v in zip(grid.tolist(), vals.tolist())]
     norm = integrate(
         lambda z: toda.orthopoly_eval(m, None, args.n, z) ** 2 * w.density(z),
         w.support(), order=max(args.order, 96), scale=w.decay_scale(),
@@ -290,11 +290,12 @@ def run_pfaff_check_kp(args):
     for n in parse_ints(args.n_list):
         if args.beta == 1:
             m = pfaff.skew_inner_products(
-                tau.WeightSpec("gaussian"), alpha=-1, N=n + 4, order=args.order
+                tau.WeightSpec("gaussian", b=args.b), alpha=-1, N=n + 4,
+                order=args.order,
             )
         else:
             m = pfaff.skew_inner_products(
-                tau.WeightSpec("laguerre", a=args.a or 1.0, b=args.b),
+                tau.WeightSpec("laguerre", a=args.a, b=args.b),
                 alpha=1, N=n + 4, order=args.order,
             )
         res = abs(pfaff.pfaffkp_residual(m, n))

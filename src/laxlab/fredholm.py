@@ -383,17 +383,6 @@ def nystrom_series(k, E, order, directions):
     )
 
 
-def kernel_trace_powers(k, E, order, jmax):
-    """tr(K^j|_E) for j = 1..jmax by quadrature (lambda not applied)."""
-    mat, _, _ = nystrom_matrix(k, E, order)
-    out = []
-    power = np.eye(mat.shape[0])
-    for _ in range(jmax):
-        power = power @ mat
-        out.append(float(np.trace(power)))
-    return out
-
-
 def scaling_limit_error(N, regime, grid, b=1.0):
     """sup over the grid of |rescaled K_N - limit kernel|.
 

@@ -1,7 +1,6 @@
 """Dense linear algebra, quadrature, and special functions."""
 
 from .linalg import (
-    block_j,
     cholesky_borel,
     lu_determinant,
     pfaffian,
@@ -27,5 +26,4 @@ from .special import (
     bessel_j,
     bessel_j_prime,
     bessel_sqrt_taylor_coefficients,
-    special_eval,
 )

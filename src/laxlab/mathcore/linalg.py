@@ -122,17 +122,6 @@ def cholesky_borel(m):
     return np.tril(s)
 
 
-def block_j(n2):
-    """The skew matrix J = diag([[0,1],[-1,0]], ...) of even size n2."""
-    if n2 % 2:
-        raise DimensionError("J requires even dimension")
-    j = np.zeros((n2, n2))
-    for k in range(0, n2, 2):
-        j[k, k + 1] = 1.0
-        j[k + 1, k] = -1.0
-    return j
-
-
 def skew_borel(m):
     """Skew-Borel factor Q with Q m Q^T = J, i.e. m = Q^{-1} J Q^{-T}.
 

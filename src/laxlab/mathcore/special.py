@@ -283,16 +283,3 @@ def bessel_j_prime(nu, x):
         # nu in (-1, 0) u {0}: use J' = J_{nu+1} shifted identity instead.
         return bessel_j(nu + 1.0, x) * -1.0 + (nu / x) * bessel_j(nu, x)
     return 0.5 * (bessel_j(nu - 1.0, x) - bessel_j(nu + 1.0, x))
-
-
-def special_eval(which, x, nu=None):
-    """Dispatch {airy_ai, airy_ai_prime, bessel_j(nu)} at a point."""
-    if which == "airy_ai":
-        return airy_ai(x)
-    if which == "airy_ai_prime":
-        return airy_ai_prime(x)
-    if which == "bessel_j":
-        if nu is None:
-            raise DomainError("bessel_j needs the order nu")
-        return bessel_j(nu, x)
-    raise DomainError(f"unknown special function {which!r}")

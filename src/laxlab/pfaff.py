@@ -1,5 +1,6 @@
-"""The Pfaff lattice: skew moment matrices, Pfaffian tau functions,
-skew-orthogonal polynomials, and the projected Lax flow.
+"""The Pfaff lattice: skew moment matrices, their evolution, the
+skew-Borel route to the Lax matrix, the projected Lax flow, and the
+Pfaff-KP residual of the Pfaffian tau functions.
 
 Two constructions feed the same machinery: ``alpha = -1`` builds the
 sign-kernel double integral (symmetric-ensemble route) and ``alpha = +1``
@@ -235,15 +236,6 @@ def evolve_skew(m0, t):
     return m0 if new is m0.m else replace(m0, m=(new - new.T) / 2)
 
 
-def pfaff_tau_table(m, nmax):
-    """tau_0 = 1, tau_{2n} = pfaffian of the leading 2n block; entry k of
-    the result is tau_{2k}."""
-    taus = [1.0]
-    for n in range(1, nmax + 1):
-        taus.append(pfaffian(m.block(2 * n)))
-    return np.array(taus)
-
-
 def pfaff_lax(m):
     """L = Q Lambda Q^{-1} with Q the skew-Borel factor of the moments."""
     q = skew_borel(m.m)
@@ -280,11 +272,6 @@ def project_plus(a):
     return weight * (a - sign * a.take(index))
 
 
-def project_minus(a):
-    """Complementary projection onto the symplectic factor."""
-    return a - project_plus(a)
-
-
 def pfaff_ode_flow(L0, k, t_end, step):
     """Integrate dL/dt_k = [-P_+(L^k), L] by RK4; t_end may be negative.
 
@@ -304,18 +291,6 @@ def pfaff_ode_flow(L0, k, t_end, step):
     # finite() reports as StabilityError
     with np.errstate(over="ignore", invalid="ignore"):
         return rk4(rhs, np.array(L0, dtype=float), t_end, step, finite)
-
-
-def skew_orthopoly_eval(m, n, z):
-    """Skew-orthogonal polynomial q_n(z): row n of Q applied to the
-    monomial character vector (1, z, z^2, ...)."""
-    q = skew_borel(m.m)
-    if n >= m.size:
-        raise DepthError(f"need degree {n}, moments stop at {m.size - 1}")
-    z = np.asarray(z, dtype=float)
-    powers = np.power.outer(z, np.arange(n + 1))
-    val = powers @ q[n, : n + 1]
-    return float(val) if z.ndim == 0 else val
 
 
 def _dlog_pf_directional(m0, n2, d, order):
@@ -344,13 +319,3 @@ def pfaffkp_residual(m, n):
     tau_plus = pfaffian(m.block(n + 2))
     rhs = 12.0 * tau_minus * tau_plus / tau_n ** 2
     return kp_normalized(functools.partial(_dlog_pf_directional, m, n), -rhs)
-
-
-def skew_from_matrix(mat, alpha=-1, weight=None, E=None):
-    """Wrap a raw skew matrix (testing and synthetic data)."""
-    return SkewMoments(
-        m=np.asarray(mat, dtype=float),
-        alpha=alpha,
-        weight=weight or WeightSpec("custom", func=lambda z: np.ones_like(z)),
-        E=E or IntervalUnion.full_line(),
-    )

@@ -1,4 +1,4 @@
-"""Hankel moment matrices, exact time evolution, tau tables, and the KP
+"""Hankel moment matrices, exact time evolution, log-tau jets, and the KP
 residual.
 
 Moments live as a 1-D sequence mu_0..mu_M (the Hankel structure is
@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
 )
 from .intervals import IntervalUnion
-from .mathcore import lu_determinant, union_rule
+from .mathcore import union_rule
 
 EVOLUTION_DEGREE = 12  # total degree kept in exp(sum t_k Lambda^k)
 
@@ -239,41 +239,6 @@ def evolve_hankel(m0, t):
     column = m0.mu[:, None]
     mu = evolve_array(column, rows=t)
     return m0 if mu is column else replace(m0, mu=mu[:, 0])
-
-
-def tau_table(m, nmax):
-    """tau_0 = 1, tau_n = det of the leading n x n Hankel block."""
-    taus = [1.0]
-    for n in range(1, nmax + 1):
-        taus.append(lu_determinant(m.matrix(n)))
-    return np.array(taus)
-
-
-def log_tau(m, n):
-    """log tau_n; raises if tau_n is not positive."""
-    if n == 0:
-        return 0.0
-    val = lu_determinant(m.matrix(n))
-    if not val > 0:
-        raise SingularTauError(f"tau_{n} = {val} is not positive")
-    return math.log(val)
-
-
-def dlog_tau(m0, n, orders, t=None):
-    """Derivative of log tau_n w.r.t. the times, exact up to total order 4.
-
-    ``orders`` maps time index k (1-based) -> derivative order.  Along a
-    single time the derivative is read off the directional log-det jet;
-    a mixed partial is a signed sum of such jets (see :func:`polarized`).
-    """
-    if t is not None and np.any(np.asarray(t) != 0.0):
-        m0 = evolve_hankel(m0, t)
-    ks = [k for k, v in sorted(orders.items()) for _ in range(v)]
-    if not ks:
-        return log_tau(m0, n)
-    if ks[0] < 1 or len(ks) > 4:
-        raise UsageError("dlog_tau needs times t_k, k >= 1, and total order <= 4")
-    return polarized(functools.partial(dlog_tau_directional, m0, n), ks)
 
 
 def logdet_series_derivatives(g_list):

@@ -3,8 +3,9 @@
 A symmetric tridiagonal Lax matrix can be produced from evolved Hankel
 moments (tau route), integrated directly as a matrix ODE, or obtained by
 QR-factorizing a matrix exponential.  All three agree; cross-checking them
-is the point of this module.  Orthonormal polynomials for the evolved
-weight round out the tau route.
+is the point of this module.  The tau route is one Borel factorization of
+the evolved Hankel block, which gives the orthonormal polynomials for the
+evolved weight too.
 """
 
 import math
@@ -12,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularTauError, StabilityError, UsageError
+from .errors import DepthError, SingularTauError, StabilityError, UsageError
 from .mathcore import (
-    lu_determinant,
+    cholesky_borel,
     qr_decompose,
     symmetric_eigen,
     symmetric_eigensystem,
 )
 from .mathcore.ode import GUARD_INTERVAL, rk4
-from .tau import dlog_tau, evolve_hankel, tau_table
+from .tau import evolve_hankel
 
 # Scale c in exp(c * t * L0^k) = QR for the factorization route; pinned by
 # matching the small-t Taylor expansion of the ODE route (see tests).
@@ -59,9 +60,6 @@ class TridiagonalLax:
         m[..., idx + 1, idx] = self.offdiag
         return m
 
-    def eigenvalues(self):
-        return symmetric_eigen(self.matrix())
-
 
 def lax_from_dense(m):
     """Project a numerically tridiagonal symmetric matrix, or a stack of
@@ -72,27 +70,34 @@ def lax_from_dense(m):
     return TridiagonalLax(band(0).copy(), 0.5 * (band(1) + band(-1)))
 
 
-def lax_from_tau(m, t, n):
-    """Symmetric tridiagonal Lax matrix from the tau functions at time t.
-
-    diag_k = d/dt_1 log(tau_{k+1}/tau_k), offdiag_k = sqrt(tau_{k-1}
-    tau_{k+1} / tau_k^2); this is the Jacobi matrix of the orthonormal
-    polynomials for the evolved weight.
-    """
+def _borel(m, t, size, top):
+    """(S, mu): S = cholesky_borel of the leading size-block H of the
+    moments at time t, so S H S^T = I, and their sequence mu, which must
+    reach index top.  Row j of S holds the coefficients of the orthonormal
+    polynomial p_j for the evolved weight."""
     if t is not None and np.any(np.asarray(t) != 0.0):
         m = evolve_hankel(m, t)
-    taus = tau_table(m, n)
-    if np.any(taus[1:] <= 0.0):
-        raise SingularTauError("tau table is not positive")
-    diag = np.array(
-        [dlog_tau(m, k + 1, {1: 1}) - (dlog_tau(m, k, {1: 1}) if k else 0.0)
-         for k in range(n)]
-    )
-    off = np.array(
-        [math.sqrt(taus[k - 1] * taus[k + 1] / taus[k] ** 2)
-         for k in range(1, n)]
-    )
-    return TridiagonalLax(diag, off)
+    if m.depth < top:
+        raise DepthError(f"need moments to index {top}, have {m.depth}")
+    return cholesky_borel(m.matrix(size)), m.mu
+
+
+def lax_from_tau(m, t, n):
+    """Symmetric tridiagonal Lax matrix from the moments at time t.
+
+    L = S H' S^T with S H S^T = I (the Borel factor of the n-block) and
+    H'_ij = mu_{i+j+1}: multiplication by z in the orthonormal basis, the
+    Jacobi matrix of the evolved weight.  Its offdiagonal is
+    sqrt(tau_{k-1} tau_{k+1}) / tau_k and its diagonal
+    d/dt_1 log(tau_{k+1} / tau_k).
+    """
+    s, mu = _borel(m, t, n, 2 * n - 1)
+    i = np.arange(n)
+    jacobi = s @ mu[np.add.outer(i, i) + 1] @ s.T
+    # the offdiagonal lax_from_dense takes, when rounding has lost it
+    if not np.all(np.diagonal(jacobi, 1) + np.diagonal(jacobi, -1) > 0.0):
+        raise SingularTauError("Jacobi matrix offdiagonal is not positive")
+    return lax_from_dense(jacobi)
 
 
 def toda_ode_flow(L0, k, t_end, step):
@@ -157,27 +162,13 @@ def toda_factorization_flow(L0, k, t):
 
 
 def orthopoly_eval(m, t, n, z):
-    """Orthonormal polynomial p_n(t; z) for the evolved weight.
-
-    Computed from the bordered moment determinant, normalized so that
-    <p_n, p_n> = 1; p_0 = 1/sqrt(mu_0).
-    """
+    """Orthonormal polynomial p_n(t; z) for the evolved weight: row n of
+    the Borel factor of the (n + 1)-block applied to (1, z, ..., z^n), so
+    that <p_n, p_n> = 1 and the leading coefficient is positive;
+    p_0 = 1/sqrt(mu_0)."""
     if n < 0:
         raise UsageError("orthopoly_eval needs n >= 0")
-    if t is not None and np.any(np.asarray(t) != 0.0):
-        m = evolve_hankel(m, t)
-    taus = tau_table(m, n + 1)
-    if taus[n] <= 0.0 or taus[n + 1] <= 0.0:
-        raise SingularTauError("tau_n and tau_{n+1} must be positive")
+    s, _ = _borel(m, t, n + 1, 2 * n)
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    zs = np.atleast_1d(z)
-    out = np.empty(zs.shape)
-    norm = 1.0 / math.sqrt(taus[n] * taus[n + 1])
-    for i, zz in enumerate(zs):
-        bordered = np.empty((n + 1, n + 1))
-        if n:
-            bordered[:n, :] = m.matrix(n + 1)[:n, :]
-        bordered[n, :] = zz ** np.arange(n + 1)
-        out[i] = norm * lu_determinant(bordered)
-    return float(out[0]) if scalar else out
+    val = np.power.outer(z, np.arange(n + 1)) @ s[n]
+    return float(val) if z.ndim == 0 else val

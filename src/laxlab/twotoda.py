@@ -1,10 +1,9 @@
 """Coupled two-matrix (two-Toda) structures.
 
 Bi-moment matrices of the coupled Gaussian weight e^{-(x^2+y^2)/2 + cxy},
-their exact (t, s) evolution, tau determinants, monic bi-orthogonal
-polynomials, the Christoffel-Darboux-type kernel, exact Wronskian tau
-identities, and the third-order boundary PDE satisfied by the joint gap
-probability of the coupled ensemble.
+their exact (t, s) evolution, exact log-tau derivatives, KP residuals in
+t and in s, exact Wronskian tau identities, and the third-order boundary
+PDE satisfied by the joint gap probability of the coupled ensemble.
 """
 
 import functools
@@ -17,7 +16,6 @@ from .errors import (
     DivergenceError,
     DepthError,
     PrecisionError,
-    SingularMatrixError,
     SingularTauError,
     UsageError,
 )
@@ -117,71 +115,6 @@ def evolve_bimoments(m0, t, s):
     new = evolve_array(m0.m, t, s)
     keep = min(new.shape)
     return m0 if new is m0.m else replace(m0, m=new[:keep, :keep])
-
-
-def tau2_table(m, nmax):
-    """tau_0 = 1, tau_n = det of the leading n x n bi-moment block."""
-    taus = [1.0]
-    for n in range(1, nmax + 1):
-        taus.append(lu_determinant(m.block(n)))
-    return np.array(taus)
-
-
-def _tau_scale(block):
-    """Hadamard bound used to decide whether a determinant 'vanishes'."""
-    norms = np.sqrt((block ** 2).sum(axis=1))
-    return float(np.prod(np.maximum(norms, 1e-300)))
-
-
-def _monic_coefficients(m, which, n):
-    """Coefficient vector (length n+1, leading 1) of the monic
-    bi-orthogonal polynomial of degree n, from the bordered determinant."""
-    h_norms(m, n)  # raises if a tau vanishes: the Borel factorization fails
-    if n == 0:
-        return np.array([1.0])
-    # p1_n: <p1_n, y^j> = 0 for j < n; solve the linear system for the
-    # non-leading coefficients (p2 is the transpose problem)
-    if which == 1:  # rows i, cols j < n -> equations over j
-        a, rhs = m.block(n).T, -m.m[n, :n]
-    elif which == 2:
-        a, rhs = m.block(n), -m.m[:n, n]
-    else:
-        raise UsageError("which must be 1 or 2")
-    try:
-        return np.append(np.linalg.solve(a, rhs), 1.0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"bi-moment block of order {n} is singular") from exc
-
-
-def biorthopoly_eval(m, which, n, z):
-    """Monic bi-orthogonal polynomial p^(1)_n(y) (which=1, left string) or
-    p^(2)_n(z) (which=2, right string)."""
-    c = _monic_coefficients(m, which, n)
-    z = np.asarray(z, dtype=float)
-    val = sum(ck * z ** k for k, ck in enumerate(c))
-    return float(val) if z.ndim == 0 else val
-
-
-def h_norms(m, n):
-    """h_j = tau_{j+1} / tau_j for j < n (the bi-orthogonality norms)."""
-    taus = tau2_table(m, n)
-    for k in range(1, n + 1):
-        if abs(taus[k]) <= 1e-12 * _tau_scale(m.block(k)):
-            raise SingularTauError(f"tau_{k} vanishes")
-    return taus[1:] / taus[:-1]
-
-
-def cd_kernel(m, n, y, z):
-    """Christoffel-Darboux-type kernel sum_{j<n} p1_j(y) p2_j(z) / h_j; y
-    and z broadcast (e.g. x[:, None] and y[None, :] give the kernel
-    matrix)."""
-    hs = h_norms(m, n)
-    total = 0.0
-    for j in range(n):
-        total += (
-            biorthopoly_eval(m, 1, j, y) * biorthopoly_eval(m, 2, j, z) / hs[j]
-        )
-    return total
 
 
 # ----- exact log-tau derivatives in (t, s) -----

@@ -374,10 +374,6 @@ class TPoly:
         p.terms, p.den = terms, den
         return p
 
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        return cls({tuple(exps): coeff})
-
     @property
     def is_zero(self):
         return not self.terms
@@ -540,8 +536,3 @@ def virasoro_commutator_residuals(beta, pairs, n, trials=4, seed=7):
                 res = res - (c * Fraction(k ** 3 - k, 12)) * p
             worst[idx] = max(worst[idx], res.max_abs_coeff())
     return [float(v) for v in worst]
-
-
-def virasoro_commutator_check(beta, k, l, n, trials=4, seed=7):
-    """virasoro_commutator_residuals for the single pair (k, l)."""
-    return virasoro_commutator_residuals(beta, [(k, l)], n, trials, seed)[0]

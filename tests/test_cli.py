@@ -651,6 +651,28 @@ def test_toda_flow_routes_agree():
     assert report.max_abs_residual < 1e-6
 
 
+@pytest.mark.parametrize("argv", [
+    "toda flow --n 14",  # a Hankel block that is not positive definite
+    # positive definite, but rounding loses a Jacobi offdiagonal
+    "toda flow --n 13 --seed 14 --routes tau",
+])
+def test_toda_tau_route_failures_exit_numerical(argv):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main((argv + " --check").split()) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("base, changed", [
+    ("--beta 4 --a 1", "--beta 4 --a 0"),
+    ("--beta 4 --b 1", "--beta 4 --b 2"),
+    ("--beta 1 --b 1", "--beta 1 --b 2"),
+])
+def test_pfaff_check_kp_honours_its_weight_flags(base, changed):
+    rows = [dispatch(["pfaff", "check-kp", *argv.split()])[0].rows
+            for argv in (base, changed)]
+    assert rows[0] != rows[1]
+
+
 def test_virasoro_commutators_report():
     report, code, _ = dispatch([
         "virasoro", "commutators", "--beta", "1", "--check",

@@ -25,7 +25,6 @@ from laxlab.mathcore import (
     bessel_j,
     bessel_j_prime,
     bessel_sqrt_taylor_coefficients,
-    block_j,
     cholesky_borel,
     cut_rules,
     gauss_legendre_rule,
@@ -35,10 +34,10 @@ from laxlab.mathcore import (
     pfaffian,
     qr_decompose,
     skew_borel,
-    special_eval,
     symmetric_eigen,
     union_rule,
 )
+from skew_reference import block_j
 
 
 # ----- oracles (written before the implementations they check) -----
@@ -551,15 +550,6 @@ def test_bessel_sqrt_taylor_coefficients_match_mpmath():
                                 / mpmath.factorial(n) * mpmath.mpf(x) ** n)
                     got = coef[n, i] * x ** n
                     assert abs(got - ref) < 1e-12, (nu, x, n)
-
-
-def test_special_eval_dispatch():
-    assert special_eval("airy_ai", 1.0) == pytest.approx(airy_ai(1.0))
-    assert special_eval("bessel_j", 2.0, nu=0.25) == pytest.approx(
-        bessel_j(0.25, 2.0)
-    )
-    with pytest.raises(DomainError):
-        special_eval("nope", 1.0)
 
 
 # ----- ODE driver -----

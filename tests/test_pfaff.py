@@ -15,29 +15,20 @@ from laxlab.errors import (
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
-from laxlab.mathcore import (
-    block_j,
-    pfaffian,
-    quadrature,
-    skew_borel,
-    union_rule,
-)
+from laxlab.mathcore import pfaffian, quadrature, skew_borel, union_rule
 from laxlab import pfaff
 from laxlab.pfaff import (
     SkewMoments,
     evolve_skew,
     pfaff_lax,
     pfaff_ode_flow,
-    pfaff_tau_table,
     pfaffkp_residual,
-    project_minus,
     project_plus,
-    skew_from_matrix,
     skew_inner_products,
     skew_endpoint_series,
-    skew_orthopoly_eval,
 )
 from laxlab.tau import WeightSpec
+from skew_reference import block_j, skew_from_matrix
 
 
 # ----- oracles -----
@@ -293,9 +284,7 @@ def test_evolve_depth_error():
 
 def test_tau2_is_mu01():
     m = skew_inner_products(gaussian_weight(), alpha=-1, N=3)
-    taus = pfaff_tau_table(m, 2)
-    assert taus[0] == 1.0
-    assert taus[1] == m.m[0, 1]
+    assert pfaffian(m.block(2)) == m.m[0, 1]
 
 
 def test_pf_squared_is_det():
@@ -311,7 +300,7 @@ def test_tau4_matches_mc_oracle():
     rng = np.random.default_rng(21)
     est, err = mc_pf4_oracle(rng)
     m = skew_inner_products(gaussian_weight(), alpha=-1, N=2)
-    tau4 = pfaff_tau_table(m, 2)[2]
+    tau4 = pfaffian(m.block(4))
     assert abs(tau4 - est) < 3.0 * err
 
 
@@ -323,7 +312,7 @@ def test_uniform_pivots_and_taus_match_mpmath_oracle():
     q = skew_borel(m.m)
     got = [1.0 / q[2 * k, 2 * k] ** 2 for k in range(10)]
     assert np.abs(np.array(got) / pivots - 1.0).max() < 1e-12
-    table = pfaff_tau_table(m, 10)
+    table = np.array([pfaffian(m.block(2 * k)) for k in range(11)])
     assert np.abs(table / taus - 1.0).max() < 1e-12
 
 
@@ -341,7 +330,8 @@ def test_uniform_float_pivots_within_rounding_floor_raise():
 def test_projection_partition_and_idempotence():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 8))
-    assert np.abs(project_plus(a) + project_minus(a) - a).max() < 1e-13
+    # P_+ annihilates the complement a - P_+(a), so the two split a
+    assert np.abs(project_plus(a - project_plus(a))).max() < 1e-13
     assert np.abs(project_plus(project_plus(a)) - project_plus(a)).max() < 1e-13
 
 
@@ -357,7 +347,7 @@ def test_projection_images():
         assert abs(blk[0, 0] - blk[1, 1]) < 1e-13
         assert abs(blk[0, 1]) < 1e-13 and abs(blk[1, 0]) < 1e-13
     # complementary part is symplectic: J x^T J = x
-    x = project_minus(a)
+    x = a - project_plus(a)
     j = block_j(8)
     assert np.abs(j @ x.T @ j - x).max() < 1e-13
 
@@ -454,11 +444,16 @@ def test_skew_orthopoly_pairing_is_j():
                 assert val == pytest.approx(j[i, k], abs=1e-8)
 
 
+def skew_orthopoly(m, n, z):
+    """q_n(z): row n of the skew-Borel factor applied to (1, z, ..., z^n)."""
+    return np.power.outer(z, np.arange(n + 1)) @ skew_borel(m.m)[n, : n + 1]
+
+
 def test_skew_orthopoly_parity():
     m = skew_inner_products(gaussian_weight(), alpha=-1, N=4)
     for n in (0, 2):
-        vals_p = skew_orthopoly_eval(m, 2 * n, np.array([0.3, 1.1]))
-        vals_m = skew_orthopoly_eval(m, 2 * n, np.array([-0.3, -1.1]))
+        vals_p = skew_orthopoly(m, 2 * n, np.array([0.3, 1.1]))
+        vals_m = skew_orthopoly(m, 2 * n, np.array([-0.3, -1.1]))
         assert np.abs(vals_p - vals_m).max() < 1e-10
 
 
@@ -467,7 +462,7 @@ def test_skew_orthopoly_tau_shift_formula():
     # with the shifted tau computed from the exact moment combination
     # mu'_{ij} = mu_{ij} - (mu_{i+1,j} + mu_{i,j+1})/z + mu_{i+1,j+1}/z^2
     m = skew_inner_products(gaussian_weight(), alpha=-1, N=4)
-    taus = pfaff_tau_table(m, 3)
+    taus = [pfaffian(m.block(2 * k)) for k in range(4)]
     z = 1.7
     for n in (1, 2):
         n2 = 2 * n
@@ -479,7 +474,7 @@ def test_skew_orthopoly_tau_shift_formula():
         )
         h = taus[n + 1] / taus[n]
         expected = z ** n2 * pfaffian(shifted) / (math.sqrt(h) * taus[n])
-        assert skew_orthopoly_eval(m, n2, z) == pytest.approx(
+        assert skew_orthopoly(m, n2, z) == pytest.approx(
             expected, rel=1e-10
         )
 

@@ -4,9 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from laxlab.errors import StabilityError, UsageError
+from laxlab.errors import DepthError, NumericalError, StabilityError, UsageError
 from laxlab.mathcore import integrate
-from laxlab.tau import WeightSpec, evolve_hankel, hankel_moments
+from laxlab.tau import (
+    WeightSpec,
+    evolve_hankel,
+    hankel_from_sequence,
+    hankel_moments,
+)
 from laxlab.toda import (
     FACTORIZATION_FLOW_SCALE,
     TridiagonalLax,
@@ -54,6 +59,10 @@ def gaussian_weight(b=1.0):
 
 def uniform_weight():
     return WeightSpec("uniform")
+
+
+def spectrum(lax):
+    return np.linalg.eigvalsh(lax.matrix())
 
 
 def random_lax(n, seed):
@@ -111,6 +120,24 @@ def test_lax_from_tau_evolved_matches_oracle():
     assert np.abs(L.offdiag - off).max() < 1e-10
 
 
+def test_lax_from_tau_needs_moments_to_index_2n_minus_1():
+    mu = hankel_moments(gaussian_weight(), M=8).mu
+    assert lax_from_tau(hankel_from_sequence(mu), None, 4).n == 4
+    with pytest.raises(DepthError, match="index 7"):
+        lax_from_tau(hankel_from_sequence(mu[:7]), None, 4)
+    with pytest.raises(DepthError, match="index 8"):
+        orthopoly_eval(hankel_from_sequence(mu[:8]), None, 4, 0.5)
+
+
+def test_borel_route_rejects_a_block_that_is_not_positive_definite():
+    # mu_0 mu_2 - mu_1^2 = -1: tau_2 < 0
+    m = hankel_from_sequence([1.0, 0.0, -1.0, 0.0, 1.0])
+    with pytest.raises(NumericalError):
+        lax_from_tau(m, None, 2)
+    with pytest.raises(NumericalError):
+        orthopoly_eval(m, None, 1, 0.3)
+
+
 # ----- ODE flow -----
 
 def test_ode_flow_diagonal_is_stationary():
@@ -122,13 +149,13 @@ def test_ode_flow_diagonal_is_stationary():
 def test_ode_flow_isospectral():
     L0 = random_lax(6, 7)
     out = toda_ode_flow(L0, 1, 1.0, 1e-3)
-    assert np.abs(out.eigenvalues() - L0.eigenvalues()).max() < 1e-8
+    assert np.abs(spectrum(out) - spectrum(L0)).max() < 1e-8
 
 
 def test_ode_flow_n2_spectrum():
     L0 = TridiagonalLax([0.3, -0.4], [0.7])
     out = toda_ode_flow(L0, 1, 0.8, 1e-3)
-    assert np.abs(out.eigenvalues() - L0.eigenvalues()).max() < 1e-10
+    assert np.abs(spectrum(out) - spectrum(L0)).max() < 1e-10
 
 
 def test_ode_flows_commute():
@@ -259,8 +286,6 @@ def test_three_route_agreement():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.0, 1.0, size=n)
     wts = rng.uniform(0.5, 1.5, size=n)
-    from laxlab.tau import hankel_from_sequence
-
     mu = np.array([np.dot(wts, pts ** j) for j in range(61)])
     m = hankel_from_sequence(mu)
     L0 = lax_from_tau(m, None, n)
@@ -302,6 +327,25 @@ def test_orthopoly_orthonormal_under_quadrature():
                 scale=w.decay_scale(),
             )
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
+
+
+def bordered_orthopoly(m, n, z):
+    """p_n(z) = det [[mu_{i+j}]_{i<n}; (1, z, ..., z^n)] / sqrt(tau_n
+    tau_{n+1}), the bordered-determinant formula."""
+    tau = [np.linalg.det(m.matrix(k)) if k else 1.0 for k in (n, n + 1)]
+    bordered = np.vstack([m.matrix(n + 1)[:n], z ** np.arange(n + 1)])
+    return np.linalg.det(bordered) / math.sqrt(tau[0] * tau[1])
+
+
+@pytest.mark.parametrize("w", [gaussian_weight(),
+                               WeightSpec("laguerre", a=1.0)])
+def test_orthopoly_matches_bordered_determinant(w):
+    m = hankel_moments(w, M=14)
+    zs = np.array([-1.7, -0.4, 0.0, 0.9, 2.5])
+    for n in range(7):
+        want = np.array([bordered_orthopoly(m, n, z) for z in zs])
+        got = orthopoly_eval(m, None, n, zs)
+        assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
 
 
 def test_eigenvector_property_three_term_recurrence():

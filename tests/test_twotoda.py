@@ -6,26 +6,21 @@ import pytest
 from laxlab.errors import (
     DivergenceError,
     PrecisionError,
-    SingularMatrixError,
     SingularTauError,
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
 from laxlab import twotoda
-from laxlab.mathcore import gauss_legendre_rule, union_rule
+from laxlab.mathcore import gauss_legendre_rule, lu_determinant
 from laxlab.twotoda import (
     BiMoments,
     BoundaryOperators,
     bimoments,
-    biorthopoly_eval,
-    cd_kernel,
     coupled_pde_residual,
     dlog_tau2,
     evolve_bimoments,
     gap_log_tau_ratio_taylor,
-    h_norms,
     kp_in_t_residual,
-    tau2_table,
     wronskian_bracket_residual,
     wronskian_identity_residual,
 )
@@ -64,11 +59,6 @@ def gram_schmidt_h_oracle(mu, n):
         right.append(b)
         hs.append(a @ mu[:size, :size] @ b)
     return np.array(hs)
-
-
-def full_plane_rule(c, order=64):
-    scale = math.sqrt(2.0 / (1.0 - abs(c)))
-    return union_rule(IntervalUnion.full_line(), order, scale)
 
 
 def rho0(c, x, y):
@@ -134,101 +124,25 @@ def test_evolution_matches_quadrature_on_box():
             assert out.m[i, j] == pytest.approx(direct, abs=1e-9)
 
 
-# ----- tau tables and bi-orthogonality -----
+# ----- tau determinants -----
 
 def test_tau1_is_mu00():
     m = bimoments(0.2, N=3)
-    assert tau2_table(m, 1)[1] == m.m[0, 0]
+    assert lu_determinant(m.block(1)) == m.m[0, 0]
 
 
 def test_tau2_matches_gram_schmidt_oracle():
     m = bimoments(0.5, N=5)
     hs = gram_schmidt_h_oracle(m.m, 2)
-    assert tau2_table(m, 2)[2] == pytest.approx(hs[0] * hs[1], rel=1e-10)
-
-
-def test_c0_degenerate_flagged():
-    m = bimoments(0.0, N=5)
-    with pytest.raises(SingularTauError):
-        biorthopoly_eval(m, 1, 2, 0.5)
-    with pytest.raises(SingularTauError):
-        h_norms(m, 2)
-
-
-@pytest.mark.parametrize("which", [1, 2])
-def test_biorthopoly_nan_block_is_singular_matrix_error(which):
-    # NaN taus pass the vanishing-tau test, and the zero column stops LU
-    mat = np.ones((3, 3))
-    mat[:2, :2] = [[np.nan, 0.0], [0.0, 0.0]]
-    E = IntervalUnion.full_line()
-    with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError):
-        biorthopoly_eval(BiMoments(m=mat, c=0.5, E1=E, E2=E), which, 2, 0.5)
-
-
-def test_biorthopoly_monic_degree_zero():
-    m = bimoments(0.5, N=4)
-    assert biorthopoly_eval(m, 1, 0, 0.7) == 1.0
-    assert biorthopoly_eval(m, 2, 0, -0.3) == 1.0
-
-
-def test_biorthogonality_under_quadrature():
-    c = 0.5
-    m = bimoments(c, N=8)
-    hs = h_norms(m, 4)
-    x, wx = full_plane_rule(c)
-    y, wy = full_plane_rule(c)
-    kernel = rho0(c, x[:, None], y[None, :])
-    for i in range(4):
-        pi = biorthopoly_eval(m, 1, i, x)
-        for j in range(4):
-            qj = biorthopoly_eval(m, 2, j, y)
-            val = (wx * pi) @ kernel @ (wy * qj)
-            target = hs[i] if i == j else 0.0
-            assert val == pytest.approx(target, abs=1e-9 * max(1.0, abs(hs[i])))
+    assert lu_determinant(m.block(2)) == pytest.approx(hs[0] * hs[1], rel=1e-10)
 
 
 def test_h_matches_tau_ratio():
     m = bimoments(0.5, N=6)
-    taus = tau2_table(m, 4)
-    hs = h_norms(m, 4)
+    taus = [1.0] + [lu_determinant(m.block(k)) for k in range(1, 5)]
+    hs = gram_schmidt_h_oracle(m.m, 4)
     for j in range(4):
-        assert hs[j] == pytest.approx(taus[j + 1] / taus[j], rel=1e-12)
-
-
-# ----- CD kernel -----
-
-def test_cd_kernel_n1():
-    m = bimoments(0.3, N=3)
-    assert cd_kernel(m, 1, 0.4, -0.2) == pytest.approx(1.0 / m.m[0, 0], rel=1e-12)
-
-
-def test_cd_kernel_projects_low_degree_polynomials():
-    c = 0.5
-    n = 3
-    m = bimoments(c, N=8)
-    x, wx = full_plane_rule(c)
-    y, wy = full_plane_rule(c)
-    kernel = rho0(c, x[:, None], y[None, :])  # rho0(w, z) on (w=x, z=y)
-    rng = np.random.default_rng(7)
-    coeffs = rng.normal(size=n)  # random polynomial of degree < n
-    f = sum(ck * x ** k for k, ck in enumerate(coeffs))
-    for y0 in (-0.8, 0.3, 1.1):
-        kvals = np.array([cd_kernel(m, n, y0, z) for z in y])
-        g = (wx * f) @ kernel @ (wy * kvals)
-        target = sum(ck * y0 ** k for k, ck in enumerate(coeffs))
-        assert g == pytest.approx(target, abs=1e-8 * max(1.0, abs(target)))
-
-
-def test_cd_kernel_trace_is_n():
-    c = 0.5
-    m = bimoments(c, N=8)
-    x, wx = full_plane_rule(c)
-    y, wy = full_plane_rule(c)
-    kernel = rho0(c, x[:, None], y[None, :])
-    for n in (1, 2, 3):
-        kmat = cd_kernel(m, n, x[:, None], y[None, :])
-        trace = wx @ (kmat * kernel) @ wy
-        assert trace == pytest.approx(n, abs=1e-8)
+        assert hs[j] == pytest.approx(taus[j + 1] / taus[j], rel=1e-10)
 
 
 # ----- exact derivative identities -----
@@ -237,7 +151,7 @@ def test_dlog_first_order_against_fd():
     m = bimoments(0.5, N=30)
 
     def f(t1):
-        return math.log(tau2_table(evolve_bimoments(m, [t1], None), 2)[2])
+        return math.log(lu_determinant(evolve_bimoments(m, [t1], None).block(2)))
 
     from laxlab.fd import central_diff
 
