@@ -4,12 +4,8 @@ Standard factorizations (LU determinant, QR, Cholesky, symmetric
 eigensolve) wrap numpy's LAPACK bindings behind the conventions the rest
 of the library relies on.  The skew-symmetric pieces (Pfaffian via
 Parlett-Reid elimination, skew-Borel decomposition onto the block
-lower-triangular group) are implemented here directly.  They also accept
-an exact matrix, an object array of rationals (``fractions.Fraction``),
-and factor it in rational arithmetic before rounding the result once.
+lower-triangular group) are implemented here directly.
 """
-
-import math
 
 import numpy as np
 
@@ -25,11 +21,6 @@ SKEW_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
 
 
-def _is_exact(m):
-    """An object array is taken to hold exact rationals."""
-    return isinstance(m, np.ndarray) and m.dtype == object
-
-
 def _as_square(m, stack=False):
     """m as a float square matrix; with stack=True, also a stack of them
     along leading axes."""
@@ -40,12 +31,6 @@ def _as_square(m, stack=False):
 
 
 def _require_skew(m):
-    if _is_exact(m):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-        if any((m + m.T).flat):
-            raise SymmetryError("matrix is not skew-symmetric")
-        return m.copy()
     m = _as_square(m)
     scale = np.abs(m).max() if m.size else 0.0
     if scale and np.abs(m + m.T).max() > SKEW_TOL * scale:
@@ -74,17 +59,16 @@ def pfaffian(m):
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
     Parlett-Reid-style skew elimination with partial pivoting and exact
-    sign tracking; sign convention pf([[0,1],[-1,0]]) = +1.  An exact
-    (object) matrix is eliminated in rationals and rounded once.
+    sign tracking; sign convention pf([[0,1],[-1,0]]) = +1.
     """
-    a = _require_skew(m).copy()
+    a = _require_skew(m)
     n = a.shape[0]
     if n % 2:
         raise DimensionError("pfaffian requires even dimension")
     if n == 0:
         return 1.0
     sign = 1.0
-    value = 1
+    value = 1.0
     for k in range(0, n - 1, 2):
         # Pivot: bring the largest entry of column k below the diagonal
         # into position (k+1, k) by a symmetric row/column swap.
@@ -129,21 +113,15 @@ def skew_borel(m):
     identity.  Built by skew Gram-Schmidt against the form <x,y> = x m y^T,
     normalizing consecutive pairs.  A nonpositive pair pivot (ratio of
     consecutive leading Pfaffians) cannot be scaled onto +J by a real
-    block of this shape and raises the degenerate flag.
-
-    An exact (object) matrix is factored in rationals, so the sign test on
-    each pivot is exact however small the pivot is; only the returned
-    float64 Q is rounded.  A float matrix is factored in float64, and each
-    pivot must also exceed its rounding floor, the amount by which rounding
-    the entries of m alone can move it; a failing pivot is reported
-    against that floor.
+    block of this shape and raises the degenerate flag.  Each pivot must
+    also exceed its rounding floor, the amount by which rounding the
+    entries of m alone can move it; a failing pivot is reported against
+    that floor.
     """
     m = _require_skew(m)
     n = m.shape[0]
     if n % 2:
         raise DimensionError("skew_borel requires even dimension")
-    if _is_exact(m):
-        return _skew_borel_exact(m)
     q = np.zeros((n, n))
     scale = np.abs(m).max() if n else 1.0
     threshold = SKEW_TOL * max(scale, 1.0) * 1e-4
@@ -176,40 +154,6 @@ def skew_borel(m):
         s = np.sqrt(d)
         q[k] = u / s
         q[k + 1] = v / s
-    return q
-
-
-def _skew_borel_exact(m):
-    """Skew Gram-Schmidt in rationals.  Rows stay unnormalised and the
-    projections divide by the exact pivots d; row pair k of Q is
-    (u, v) / sqrt(d), formed in float64 at the end."""
-    n = m.shape[0]
-    q = np.zeros((n, n))
-    done = []  # (u, v, m u, m v, d) for each finished pair
-    for k in range(0, n, 2):
-        u = np.zeros(n, dtype=object)
-        v = np.zeros(n, dtype=object)
-        u[k] = 1
-        v[k + 1] = 1
-        for a, b, ma, mb, d in done:
-            u = u - ((u @ mb) * a - (u @ ma) * b) / d
-            v = v - ((v @ mb) * a - (v @ ma) * b) / d
-        mv = m @ v
-        d = u @ mv
-        if not d > 0:
-            kind = "vanishes" if d == 0 else f"is negative ({float(d):.3g})"
-            raise DegenerateFlagError(
-                f"exact skew-Borel pair pivot at block {k // 2} {kind}"
-            )
-        s = math.sqrt(d)
-        if not 0.0 < s < math.inf:
-            raise DegenerateFlagError(
-                f"exact skew-Borel pair pivot at block {k // 2} is positive "
-                "but outside the float64 range"
-            )
-        q[k] = np.asarray(u, dtype=float) / s
-        q[k + 1] = np.asarray(v, dtype=float) / s
-        done.append((u, v, m @ u, mv, d))
     return q
 
 

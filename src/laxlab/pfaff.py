@@ -6,14 +6,10 @@ Two constructions feed the same machinery: ``alpha = -1`` builds the
 sign-kernel double integral (symmetric-ensemble route) and ``alpha = +1``
 the Wronskian single integral (symplectic-ensemble route, with the t/2
 rescaling absorbed so downstream identities use plain t).
-
-Moments of the uniform weight are kept exact (rational) and are factored
-before they are rounded; every other weight gives float64 moments.
 """
 
 import functools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,13 +37,8 @@ from .tau import (
 
 @dataclass(frozen=True, eq=False)
 class SkewMoments:
-    """Skew-symmetric moment matrix of even size with its provenance.
-
-    ``m`` is either float64 or exact: an object array of ``Fraction``
-    (see :func:`skew_inner_products`).  Exact moments stay exact under
-    :func:`evolve_skew`, and ``skew_borel``/``pfaffian`` factor them in
-    rationals before rounding.
-    """
+    """Skew-symmetric float64 moment matrix of even size with its
+    provenance."""
 
     m: np.ndarray
     alpha: int
@@ -55,24 +46,14 @@ class SkewMoments:
     E: IntervalUnion
 
     def __post_init__(self):
-        m = np.asarray(self.m)
-        if m.dtype != object:
-            m = m.astype(float, copy=False)
+        m = np.asarray(self.m, dtype=float)
         object.__setattr__(self, "m", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise UsageError("skew moment matrix must be square of even size")
-        if self.exact:
-            skew = not any((m + m.T).flat)
-        else:
-            skew = np.abs(m + m.T).max() <= 1e-12 * max(1.0, np.abs(m).max())
-        if not skew:
+        if not np.abs(m + m.T).max() <= 1e-12 * max(1.0, np.abs(m).max()):
             raise UsageError("moment matrix must be skew-symmetric")
         if self.alpha not in (-1, 1):
             raise UsageError("alpha must be -1 or +1")
-
-    @property
-    def exact(self):
-        return self.m.dtype == object
 
     @property
     def size(self):
@@ -82,42 +63,6 @@ class SkewMoments:
         if n2 > self.size:
             raise DepthError(f"need a {n2} block, matrix has size {self.size}")
         return self.m[:n2, :n2]
-
-
-def _uniform_skew_moments(E, alpha, size):
-    """Exact skew moments of the uniform weight on a bounded E.  Each
-    endpoint is a float, hence exactly a Fraction, and both pairings are
-    finite sums of rationals:
-
-    alpha = +1: mu_ij = (j - i) * int_E y^{i+j-1} dy;
-    alpha = -1: mu_ij = I_ij - I_ji with I_ij = double integral of
-    y^i z^j over y < z in E^2, summed piece by piece.
-    """
-    pieces = [(Fraction(lo), Fraction(hi)) for lo, hi in E.intervals]
-    # integrals[p][k] = int y^p dy over piece k of E
-    integrals = [
-        [(hi ** (p + 1) - lo ** (p + 1)) / (p + 1) for lo, hi in pieces]
-        for p in range(2 * size)
-    ]
-    if alpha == 1:
-        mu = np.full((size, size), Fraction(0), dtype=object)
-        for i in range(size):
-            for j in range(i + 1, size):
-                mu[i, j] = (j - i) * sum(integrals[i + j - 1])
-        return mu - mu.T
-    inner = np.empty((size, size), dtype=object)
-    for i in range(size):
-        for j in range(size):
-            # on piece k, y runs over the earlier pieces whole and over
-            # [lo_k, z] on piece k itself
-            total, below = Fraction(0), Fraction(0)
-            for (lo, _), pi, pj, pij in zip(
-                pieces, integrals[i], integrals[j], integrals[i + j + 1]
-            ):
-                total += (below - lo ** (i + 1) / (i + 1)) * pj + pij / (i + 1)
-                below += pi
-            inner[i, j] = total
-    return inner - inner.T
 
 
 def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
@@ -133,12 +78,6 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
     The orientation of both pairings is pinned by requiring tau_2 > 0 for
     a positive weight, so that the Pfaffian tau functions match the
     positive ensemble integrals they represent.
-
-    For the uniform weight the moments are rational and are returned
-    exact, as an object array of ``Fraction`` (``order`` is then unused).
-    Their deep skew-Borel pivots fall below the float64 rounding of the
-    moments themselves, so only the exact matrix has a usable factor.
-    Every other weight is integrated by quadrature into float64.
     """
     if E is None:
         E = w.support()
@@ -148,10 +87,6 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
     if not w.has_decay() and not E.is_bounded():
         raise DivergenceError("weight does not decay on an unbounded domain")
     size = 2 * N
-    if w.family == "uniform":
-        return SkewMoments(
-            m=_uniform_skew_moments(E, alpha, size), alpha=alpha, weight=w, E=E
-        )
     scale = w.decay_scale()
     mu = np.zeros((size, size))
     nodes, weights = union_rule(E, order, scale)
@@ -227,11 +162,8 @@ def evolve_skew(m0, t):
     The matrix shrinks: border entries whose evolved value would need
     unknown deeper moments are dropped (kept size stays even, as the shift
     is a multiple of the even EVOLUTION_DEGREE), and halving new - new^T
-    makes it skew to the last bit.  Exact moments are evolved in rationals
-    at the exact value of each float t_k.
+    makes it skew to the last bit.
     """
-    if m0.exact:
-        t = [Fraction(v) for v in t]
     new = evolve_array(m0.m, t, t)
     return m0 if new is m0.m else replace(m0, m=(new - new.T) / 2)
 
@@ -296,8 +228,7 @@ def pfaff_ode_flow(L0, k, t_end, step):
 def _dlog_pf_directional(m0, n2, d, order):
     """Exact directional derivatives of log pf(m_{n2}(t)) along d, via
     log pf = (1/2) log det; time acts on both indices of the moments."""
-    mu = np.asarray(m0.m, dtype=float)
-    gs = direction_matrices(mu, n2, order, rows=d, cols=d)
+    gs = direction_matrices(m0.m, n2, order, rows=d, cols=d)
     return [0.5 * v for v in logdet_series_derivatives(gs)]
 
 

@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -204,10 +203,9 @@ def max_shift_for(t):
 def evolution_coefficients(t):
     """Coefficients c_d of exp(sum_k t_k z^k) = sum_d c_d z^d, truncated at
     total degree EVOLUTION_DEGREE in t: the sum of the P^j/j! series of the
-    log-det jets, with max_shift_for(t) + 1 entries.  Exact times
-    (``Fraction``) give exact coefficients in an object array."""
+    log-det jets, with max_shift_for(t) + 1 entries."""
     powers = _direction_poly_powers(t, EVOLUTION_DEGREE)
-    out = np.zeros(len(powers[-1]), dtype=powers[-1].dtype)
+    out = np.zeros(len(powers[-1]))
     for p in powers:
         out[: len(p)] += p
     return out
@@ -217,15 +215,14 @@ def evolve_array(m, rows=(), cols=()):
     """e^{sum_k rows_k Lambda^k} m e^{sum_k cols_k Lambda^{T k}}, Lambda the
     index shift, truncated as in evolution_coefficients.  An entry needs m
     max_shift_for further along each index, so the result loses that many
-    trailing rows and columns; m itself comes back when every time is 0.
-    Exact (object) arrays stay exact."""
+    trailing rows and columns; m itself comes back when every time is 0."""
     shape = (m.shape[0] - max_shift_for(rows), m.shape[1] - max_shift_for(cols))
     if shape == m.shape:
         return m
     if min(shape) <= 0:
         raise DepthError(f"a {m.shape[0]} x {m.shape[1]} moment array is "
                          f"too shallow for an evolution by {rows}, {cols}")
-    return add_shifted_blocks(np.zeros(shape, dtype=m.dtype), m,
+    return add_shifted_blocks(np.zeros(shape), m,
                               evolution_coefficients(rows),
                               evolution_coefficients(cols))
 
@@ -281,15 +278,22 @@ def logdet_multilinear(g0, coefficient, r):
     bit mask.  With Y_B = G0^{-1} G_B, G^{-1} G0 has the terms V_S =
     -sum_{B in S} Y_B V_{S-B}, and the partial is the sum over B owning x_1
     of tr(V_{S-B} Y_B).  Unlike polarization nothing cancels, so a partial
-    that vanishes by symmetry stays at its own rounding level."""
+    that vanishes by symmetry stays at its own rounding level.
+
+    A G0 singular to working precision raises SingularTauError: solving
+    against it returns finite noise, not an error."""
     submasks = lambda mask: [b for b in range(1, mask + 1) if b & mask == b]
+    try:
+        sv = np.linalg.svd(g0, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # the SVD of a non-finite G0
+        raise DivergenceError("tau is not finite at the expansion point") from exc
+    if len(sv) and not sv[-1] > np.finfo(float).eps * sv[0]:
+        raise SingularTauError("tau vanishes to working precision at the "
+                               "expansion point")
 
     @functools.cache
     def y(mask):
-        try:
-            return np.linalg.solve(g0, coefficient(mask))
-        except np.linalg.LinAlgError as exc:
-            raise SingularTauError("tau vanishes at the expansion point") from exc
+        return np.linalg.solve(g0, coefficient(mask))
 
     @functools.cache
     def v(mask):
@@ -303,14 +307,10 @@ def logdet_multilinear(g0, coefficient, r):
 
 
 def _direction_poly_powers(d, order):
-    """Coefficient arrays of P(z)^j / j! for P = sum_k d_k z^{k}, j=0..order;
-    ``Fraction`` entries give exact object arrays."""
-    d = np.asarray(d)
-    exact = d.dtype == object
-    one = Fraction(1) if exact else 1.0
-    d = np.trim_zeros(d if exact else d.astype(float), "b")
-    base = np.concatenate([[0 * one], d])  # P as a z-polynomial
-    current = np.array([one])
+    """Coefficient arrays of P(z)^j / j! for P = sum_k d_k z^{k}, j=0..order."""
+    d = np.trim_zeros(np.asarray(d, dtype=float), "b")
+    base = np.concatenate([[0.0], d])  # P as a z-polynomial
+    current = np.array([1.0])
     powers = [current]
     for j in range(1, order + 1):
         current = np.convolve(current, base) / j
@@ -320,7 +320,7 @@ def _direction_poly_powers(d, order):
 
 def add_shifted_blocks(out, m, c, d):
     """out += sum_{a,b} c_a d_b m[a:a+r, b:b+s] with (r, s) = out.shape,
-    skipping zero coefficients; exact (object) arrays stay exact."""
+    skipping zero coefficients."""
     r, s = out.shape
     for a, ca in enumerate(c):
         if ca == 0:

@@ -240,32 +240,26 @@ def _j2_numeric(k, sup, t, sigma):
     return total
 
 
-def j_apply(kind, k, supplier, t, beta=2.0, n=0, sigma=None):
-    """Apply a time operator to tau at t through its supplier.
+def j_apply(k, supplier, t, beta=2.0, n=0):
+    """Apply the beta- and n-dressed second-order time operator to tau at t
+    through its supplier, with sigma = 1/beta:
 
-    kind: "J1" (first order), "J2" (second order), or "betaJ2" (the
-    beta- and n-dressed second-order operator).  First and second
-    derivatives come exactly from the supplier; multiplication-by-t terms
-    literally.
+        (beta/2) J2_k + (n beta + (k + 1)(1 - beta/2)) J1_k
+        + [k = 0] n ((n - 1) beta/2 + 1).
+
+    First and second derivatives come exactly from the supplier;
+    multiplication-by-t terms literally.
     """
     t = np.asarray(t, dtype=float)
-    if kind not in ("J1", "J2", "betaJ2"):
-        raise UsageError(f"unknown operator kind {kind!r}")
     if abs(k) > 4:
         raise UsageError("operator index must satisfy |k| <= 4")
-    if sigma is None:
-        sigma = 1.0 / beta
-    if kind == "J1":
-        return _j1_numeric(k, supplier, t, sigma)
     if k >= 0 and len(t) < k + 3:
         raise DepthError(
             f"time truncation too short: need at least t_{k + 3}, "
             f"have t_{len(t)}"
         )
-    j2 = _j2_numeric(k, supplier, t, sigma)
-    if kind == "J2":
-        return j2
-    out = 0.5 * beta * j2
+    sigma = 1.0 / beta
+    out = 0.5 * beta * _j2_numeric(k, supplier, t, sigma)
     coeff = n * beta + (k + 1) * (1.0 - 0.5 * beta)
     if coeff != 0.0:
         out += coeff * _j1_numeric(k, supplier, t, sigma)
@@ -316,8 +310,7 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
     for i, ai in enumerate(data.f_coeffs):
         if ai != 0.0:
             terms.append(
-                ai * j_apply("betaJ2", k + i, sup, t, beta=beta, n=n,
-                             sigma=sigma)
+                ai * j_apply(k + i, sup, t, beta=beta, n=n)
             )
     for i, bi in enumerate(data.g_coeffs):
         if bi != 0.0:

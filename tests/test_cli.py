@@ -404,6 +404,8 @@ def test_other_commands_exit_cleanly(argv):
      "--order 16", EXIT_NUMERICAL),
     ("toda poly --n -1", EXIT_USAGE),
     ("twotoda pde --n 0", EXIT_USAGE),
+    # at c = 0 every bi-moment block beyond 1 x 1 has rank one
+    ("twotoda identities --c 0", EXIT_NUMERICAL),
     ("tau kp-check --seed -1", EXIT_USAGE),
 ])
 def test_inputs_that_raised_tracebacks_exit_cleanly(argv, code):

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -142,22 +141,6 @@ def test_pfaffian_rejects_non_skew():
         pfaffian(np.eye(4))
 
 
-def exact(a):
-    """Object array of Fractions holding the float entries of a exactly."""
-    return np.vectorize(Fraction, otypes=[object])(a)
-
-
-def test_pfaffian_exact_input_rounds_once():
-    # integer entries: the expansion is an exact integer, and the rational
-    # elimination must reproduce it exactly whatever the pivots divide by
-    rng = np.random.default_rng(8)
-    a = rng.integers(-9, 10, size=(4, 4)).astype(float)
-    a = a - a.T
-    assert pfaffian(exact(a)) == pfaffian_4x4_oracle(a)
-    with pytest.raises(SymmetryError):
-        pfaffian(exact(np.eye(4)))
-
-
 # ----- cholesky-borel -----
 
 def test_cholesky_borel_identity():
@@ -241,22 +224,6 @@ def test_skew_borel_flag_names_block_pivot_and_floor():
     with pytest.raises(DegenerateFlagError,
                        match=r"block 1 .*float64 cannot resolve it"):
         skew_borel(vanishing)
-
-
-def test_skew_borel_exact_input():
-    rng = np.random.default_rng(12)
-    a = rng.normal(size=(6, 6))
-    a = a - a.T + 4.0 * block_j(6)
-    q = skew_borel(a)
-    assert np.abs(skew_borel(exact(a)) - q).max() < 1e-12 * np.abs(q).max()
-    # the sign test is exact: a pivot of 2^-200 is positive, one of
-    # -2^-200 is not, although float64 could not tell either from 0
-    tiny = exact(block_j(4))
-    tiny[2, 3], tiny[3, 2] = Fraction(1, 2 ** 200), -Fraction(1, 2 ** 200)
-    assert skew_borel(tiny)[2, 2] == 2.0 ** 100
-    tiny[2, 3], tiny[3, 2] = tiny[3, 2], tiny[2, 3]
-    with pytest.raises(DegenerateFlagError, match="block 1 is negative"):
-        skew_borel(tiny)
 
 
 # ----- qr -----

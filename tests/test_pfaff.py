@@ -1,6 +1,5 @@
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,29 +87,18 @@ def quadrature_pairing(m, i, j, order=96):
     return float(np.dot(weights * rho * poly(ci, nodes), tj - 2.0 * fj))
 
 
-def mp_uniform_eps_oracle(n2):
-    """Pair pivots and leading Pfaffians sqrt(det_{2k}) of the uniform
-    eps-pairing on [0, 1], mu_ij = (j - i) / ((i + 1)(j + 1)(i + j + 2)),
-    at 60 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        pfs = [mpmath.mpf(1)]
-        for k in range(2, n2 + 1, 2):
-            block = mpmath.matrix(
-                [[mpmath.mpf(j - i) / ((i + 1) * (j + 1) * (i + j + 2))
-                  for j in range(k)] for i in range(k)]
-            )
-            pfs.append(mpmath.sqrt(mpmath.det(block)))
-        pivots = [float(pfs[k + 1] / pfs[k]) for k in range(len(pfs) - 1)]
-        return pivots, [float(p) for p in pfs]
-
-
 def gaussian_weight(b=1.0):
     return WeightSpec("gaussian", b=b)
 
 
 def uniform_weight():
     return WeightSpec("uniform")
+
+
+def pfaff_flow_moments():
+    """The eps-pairing moments of ``pfaff flow``: a wide gaussian keeps the
+    skew-Borel pivots well away from zero."""
+    return skew_inner_products(gaussian_weight(4.0), alpha=-1, N=10, order=96)
 
 
 # ----- construction -----
@@ -139,22 +127,17 @@ def test_eps_mu01_matches_mc_oracle():
     assert abs(m.m[0, 1] - est) < 3.0 * err
 
 
-def test_uniform_moments_exact_on_interval_union():
-    # piecewise double integrals over a two-piece E against the quadrature
-    # route (the same weight given as a custom callable)
-    E = IntervalUnion([(0.1, 0.3), (0.5, 0.9)])
-    ones = WeightSpec(
-        "custom",
-        func=lambda z: np.ones_like(z),
-        custom_support=IntervalUnion([(0.0, 1.0)]),
-    )
-    for alpha in (-1, 1):
-        m = skew_inner_products(uniform_weight(), E, alpha=alpha, N=3)
-        assert m.exact and isinstance(m.m[0, 1], Fraction)
-        quad = skew_inner_products(ones, E, alpha=alpha, N=3)
-        assert np.abs(np.asarray(m.m, dtype=float) - quad.m).max() < 1e-14
-    m = skew_inner_products(uniform_weight(), alpha=1, N=2)
-    assert m.m[1, 2] == Fraction(1, 3)  # (2 - 1) * int_0^1 y^2 dy
+def test_uniform_moments_match_closed_forms():
+    # the uniform weight on [0, 1] takes the quadrature route of every
+    # other weight; both pairings have rational closed forms
+    i, j = np.indices((20, 20))
+    closed = {
+        -1: (j - i) / ((i + 1) * (j + 1) * (i + j + 2)),
+        1: (j - i) / np.maximum(i + j, 1),
+    }
+    for alpha, want in closed.items():
+        m = skew_inner_products(uniform_weight(), alpha=alpha, N=10)
+        assert np.abs(m.m - want).max() < 1e-13, alpha
 
 
 def test_divergent_rejected():
@@ -304,25 +287,13 @@ def test_tau4_matches_mc_oracle():
     assert abs(tau4 - est) < 3.0 * err
 
 
-def test_uniform_pivots_and_taus_match_mpmath_oracle():
-    # the deep pivots (2e-24 at block 9) are far below the float64 rounding
-    # of the moments; only factoring the exact moments resolves them
-    pivots, taus = mp_uniform_eps_oracle(20)
-    m = skew_inner_products(uniform_weight(), alpha=-1, N=10)
-    q = skew_borel(m.m)
-    got = [1.0 / q[2 * k, 2 * k] ** 2 for k in range(10)]
-    assert np.abs(np.array(got) / pivots - 1.0).max() < 1e-12
-    table = np.array([pfaffian(m.block(2 * k)) for k in range(11)])
-    assert np.abs(table / taus - 1.0).max() < 1e-12
-
-
 def test_uniform_float_pivots_within_rounding_floor_raise():
-    # from the correctly rounded float64 moments, the pivot of block 5
+    # from the float64 quadrature moments, the pivot of block 5
     # (1.6e-14) already lies within its rounding floor (6.5e-14), and the
     # deeper ones are positive noise
     m = skew_inner_products(uniform_weight(), alpha=-1, N=10)
     with pytest.raises(DegenerateFlagError, match=r"lies within it"):
-        skew_borel(np.asarray(m.m, float))
+        skew_borel(m.m)
 
 
 # ----- projections -----
@@ -388,7 +359,7 @@ def test_lax_nilpotent_char_poly_along_flow():
     # L = Q Lambda Q^{-1} is similar to the shift, so every characteristic
     # polynomial coefficient except the leading one vanishes; check the
     # computed coefficients stay tiny along the moment flow
-    m = skew_inner_products(uniform_weight(), alpha=-1, N=10)
+    m = pfaff_flow_moments()
     for t1 in (0.0, 0.04, 0.08):
         mm = evolve_skew(m, [t1]) if t1 else m
         L = pfaff_lax(mm)
@@ -406,7 +377,7 @@ def test_ode_flow_t0_identity():
 
 
 def test_route_agreement_moment_vs_ode():
-    m = skew_inner_products(uniform_weight(), alpha=-1, N=10)
+    m = pfaff_flow_moments()
     t1 = 0.1
     via_moments = pfaff_lax(evolve_skew(m, [t1]))  # size 8
     L = pfaff_ode_flow(pfaff_lax(m), 1, t1, 1e-3)

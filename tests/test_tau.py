@@ -1,6 +1,5 @@
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from laxlab.errors import DepthError, DivergenceError
 from laxlab.fd import central_diff
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import lu_determinant
-from laxlab.pfaff import SkewMoments, evolve_skew, skew_inner_products
+from laxlab.pfaff import SkewMoments, evolve_skew
 from laxlab.tau import (
     EVOLUTION_DEGREE,
     HankelMoments,
@@ -57,11 +56,9 @@ def mc_tau3_oracle(b, rng, count=200_000):
 def reference_shift_coefficients(t, max_shift, degree=EVOLUTION_DEGREE):
     """exp(sum_k t_k z^k) = sum_d c_d z^d to total degree ``degree`` in t
     and shift ``max_shift`` in z, as a product of one exponential per
-    time; exact times give exact coefficients."""
-    t = np.asarray(t)
-    if t.dtype != object:
-        t = t.astype(float)
-    c = np.zeros((degree + 1, max_shift + 1), dtype=t.dtype)
+    time."""
+    t = np.asarray(t, dtype=float)
+    c = np.zeros((degree + 1, max_shift + 1))
     c[0, 0] = 1
     for k, tk in enumerate(t, start=1):
         if tk == 0:
@@ -172,16 +169,6 @@ def test_evolution_coefficients_match_the_reference(t):
     assert np.abs(c - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.fractions(-2, 2, max_denominator=50), min_size=1,
-                max_size=3))
-def test_exact_evolution_coefficients_match_the_reference(t):
-    c = evolution_coefficients(t)
-    assert len(c) == max_shift_for(t) + 1
-    assert all(isinstance(v, Fraction) for v in c)
-    assert list(c) == list(reference_shift_coefficients(t, max_shift_for(t)))
-
-
 def test_evolve_hankel_matches_the_reference():
     rng = np.random.default_rng(3)
     m = hankel_from_sequence(rng.normal(size=60))
@@ -203,16 +190,6 @@ def test_evolve_skew_matches_the_reference():
         got = evolve_skew(m, t).m
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-def test_evolve_skew_of_exact_moments_matches_the_reference_exactly():
-    m = skew_inner_products(uniform_weight(), alpha=-1, N=14)
-    t = [0.05, -0.02]
-    times = [Fraction(v) for v in t]
-    want = reference_evolution(m.m, times, times)
-    got = evolve_skew(m, t).m
-    assert all(isinstance(v, Fraction) for v in got.flat)
-    assert np.array_equal(got, (want - want.T) / 2)
 
 
 def test_evolve_bimoments_matches_the_reference():
