@@ -24,6 +24,10 @@ from .intervals import IntervalUnion
 from .mathcore import lu_determinant
 from .tau import logdet_series_derivatives
 
+ODE_ORDER = 96  # quadrature order of the Painleve II / V checks
+PDE_ORDER = 64  # and of the multi-interval PDE checks
+MIN_ENDPOINT_GAP = 0.2  # the PDE checks need well-separated endpoints
+
 
 # ----- single-gap ODE residuals -----
 
@@ -56,25 +60,25 @@ def _logdet_jets(kernel, E, quad_order, directions):
     return list(map(derivatives, series))
 
 
-def pii_residual(s_grid, quad_order=96):
+def pii_residual(s_grid):
     """Normalized residual of R''' - 4AR' + 2R + 6R'^2 = 0 for
     R(A) = d/dA log det(I - K_airy on (A, inf))."""
     kernel = KernelSpec("airy")
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     _check_det_accuracy(
-        kernel, IntervalUnion([(float(s_grid.min()), math.inf)]), quad_order
+        kernel, IntervalUnion([(float(s_grid.min()), math.inf)]), ODE_ORDER
     )
     out = []
     for a in s_grid:
         (d,) = _logdet_jets(
-            kernel, IntervalUnion([(a, math.inf)]), quad_order, [((1.0,), 4)]
+            kernel, IntervalUnion([(a, math.inf)]), ODE_ORDER, [((1.0,), 4)]
         )
         terms = [d[3], -4.0 * a * d[1], 2.0 * d[0], 6.0 * d[1] ** 2]
         out.append(sum(terms) / max(1.0, max(abs(t) for t in terms)))
     return np.array(out)
 
 
-def pv_residual(nu, a_grid, quad_order=96):
+def pv_residual(nu, a_grid):
     """Normalized residual of
     A^2 R''' + AR'' + (A - nu^2)R' - R/2 + 4RR' - 6AR'^2 = 0
     for R(A) = -A d/dA log det(I - K_bessel on (0, A))."""
@@ -83,12 +87,12 @@ def pv_residual(nu, a_grid, quad_order=96):
     if a_grid.min() <= 0.0:
         raise DomainError("hard-edge gap endpoints must be > 0")
     _check_det_accuracy(
-        kernel, IntervalUnion([(0.0, float(a_grid.max()))]), quad_order
+        kernel, IntervalUnion([(0.0, float(a_grid.max()))]), ODE_ORDER
     )
     out = []
     for a in a_grid:
         (d,) = _logdet_jets(
-            kernel, IntervalUnion([(0.0, a)]), quad_order, [((0.0, 1.0), 4)]
+            kernel, IntervalUnion([(0.0, a)]), ODE_ORDER, [((0.0, 1.0), 4)]
         )
         r = -a * d[0]
         rp = -(d[0] + a * d[1])
@@ -113,15 +117,15 @@ def pv_residual(nu, a_grid, quad_order=96):
 # Mixed second derivatives come from two jets by polarization,
 # D_u D_v F = (D_{u+v}^2 F - D_{u-v}^2 F) / 4.
 
-def _require_separated(c, min_gap=0.2):
-    if len(c) > 1 and np.diff(c).min() <= min_gap:
+def _require_separated(c):
+    if len(c) > 1 and np.diff(c).min() <= MIN_ENDPOINT_GAP:
         raise DomainError(
-            "finite endpoints closer than 0.2; the PDE residual checks "
-            "need well-separated gap endpoints"
+            f"finite endpoints closer than {MIN_ENDPOINT_GAP}; the PDE "
+            "residual checks need well-separated gap endpoints"
         )
 
 
-def airy_pde_residual(E, quad_order=64):
+def airy_pde_residual(E):
     """Normalized residual of (A1^3 - 4(A3 - 1/2))R + 6(A1 R)^2 = 0 with
     R = A1 log det(I - K_airy^E) and A_n = sum_i A_i^{(n-1)/2} d/dA_i.
 
@@ -131,7 +135,7 @@ def airy_pde_residual(E, quad_order=64):
     _require_separated(c)
     one = np.ones_like(c)
     d1, plus, minus = _logdet_jets(
-        KernelSpec("airy"), E, quad_order,
+        KernelSpec("airy"), E, PDE_ORDER,
         [(one, 4), (c + one, 2), (c - one, 2)],
     )
     a3r = (plus[1] - minus[1]) / 4.0
@@ -139,7 +143,7 @@ def airy_pde_residual(E, quad_order=64):
     return sum(terms) / max(1.0, max(abs(t) for t in terms))
 
 
-def bessel_pde_residual(nu, E, quad_order=64):
+def bessel_pde_residual(nu, E):
     """Normalized residual of
     (A1^4 - 2A1^3 + (1-nu^2)A1^2 + A3(A1 - 1/2))F
     - 4(A1 F)(A1^2 F) + 6(A1^2 F)^2 = 0
@@ -154,7 +158,7 @@ def bessel_pde_residual(nu, E, quad_order=64):
     c = np.asarray(E.finite_endpoints())
     _require_separated(c)
     e, plus, minus = _logdet_jets(
-        KernelSpec("bessel", nu=nu), E, quad_order,
+        KernelSpec("bessel", nu=nu), E, PDE_ORDER,
         [(c, 4), (c * c + c, 2), (c * c - c, 2)],
     )
     p1 = e[0]

@@ -25,13 +25,14 @@ _SQRT_PI = math.sqrt(math.pi)
 
 AIRY_MIN_ARG = -200.0  # the march from -4.5 loses digits beyond
 AIRY_UNDERFLOW = 108.0  # zeta = (2/3) x^{3/2} > 748 from here on
+AIRY_TAYLOR_TERMS = 300  # cap on the terms of one Taylor step
 
 # Ai(0) and Ai'(0) from the Gamma-function closed forms.
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 
 
-def _airy_taylor(x0, y, yp, h, nmax=300):
+def _airy_taylor(x0, y, yp, h):
     """Taylor series of the Airy ODE y'' = x y about x0, evaluated at x0+h.
 
     Coefficients follow c_{n+2} = (x0*c_n + c_{n-1}) / ((n+1)(n+2)); the sum
@@ -45,7 +46,7 @@ def _airy_taylor(x0, y, yp, h, nmax=300):
     scale = max(abs(val), abs(y), 1e-300)
     hn = h  # h**n for the value term just added
     quiet = 0
-    for n in range(nmax):
+    for n in range(AIRY_TAYLOR_TERMS):
         prev = c[n - 1] if n >= 1 else 0.0
         cn = (x0 * c[n] + prev) / ((n + 1) * (n + 2))
         c.append(cn)

@@ -417,10 +417,10 @@ def kp_residual(m0, n, t=None):
     return kp_normalized(functools.partial(dlog_tau_directional, m0, n))
 
 
-def hankel_from_sequence(mu, weight=None, E=None):
-    """Wrap a raw moment sequence (testing and synthetic data)."""
+def hankel_from_sequence(mu):
+    """Wrap a raw moment sequence: a unit weight on the full line."""
     return HankelMoments(
         mu=np.asarray(mu, dtype=float),
-        weight=weight or WeightSpec("custom", func=lambda z: np.ones_like(z)),
-        E=E or IntervalUnion.full_line(),
+        weight=WeightSpec("custom", func=lambda z: np.ones_like(z)),
+        E=IntervalUnion.full_line(),
     )

@@ -68,7 +68,8 @@ def bimoments(c, E=None, N=6, order=64):
         E1, E2 = E
     E1.require_nonempty()
     E2.require_nonempty()
-    mu = _bimoment_series(c, E1, E2, N, order)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _bimoment_series(c, E1, E2, N, order)[0]
     if not np.all(np.isfinite(mu)):
         raise DivergenceError("bi-moments diverge on this domain")
     return BiMoments(m=mu, c=float(c), E1=E1, E2=E2)

@@ -3,19 +3,17 @@
 Three layers:
 
 * weight data: the rational logarithmic derivative -rho'/rho = g/f of a
-  weight, as coefficient lists of f and g, with a numerical check of the
-  boundary decay f(z) rho(z) z^k -> 0 at the ends of the support;
-* numeric operators: the first-order (Heisenberg) and second-order
-  (Virasoro) time operators applied to a tau function through a supplier
-  exposing its exact time and endpoint derivatives, and the full
-  constraint residual combining them with the boundary operator in the
-  endpoints of the spectral window.  A supplier takes time derivatives
-  from the directional log-det jets of its moment block (mixed ones by
-  polarization) and endpoint derivatives from the endpoint Taylor term
-  of the moments, evolved in time like the moments themselves;
-* exact algebra: the same operator family acting on polynomials in
-  t_1, t_2, ... with rational coefficients, used to check the commutation
-  relations and the central charge without any rounding.
+  weight, as coefficient lists of f and g;
+* the operators, each defined once as a list of terms (c, mul, diff)
+  meaning c * prod_{i in mul} t_i * d/dt_{diff}: the first-order
+  (Heisenberg) operators J1_k and the beta- and n-dressed second-order
+  (Virasoro) operators, with coefficients in the type of beta;
+* two evaluators of those lists: ``_MomentTau.apply`` on a tau function,
+  with exact time derivatives from the log-det jets of its moment block
+  and endpoint derivatives from the endpoint Taylor term of the moments,
+  for the constraint residual; ``apply_poly`` on polynomials in t_1,
+  t_2, ... with rational coefficients, for the commutation relations and
+  the central charge without any rounding.
 
 Throughout, the multiplication-by-t terms carry the weight
 sigma = 1/beta: that weight is pinned by the translation and dilation
@@ -31,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DepthError, UsageError
+from .errors import UsageError
 from .mathcore import lu_determinant, pfaffian
 from .pfaff import (
     _dlog_pf_directional,
@@ -56,12 +54,10 @@ from .tau import (
 
 @dataclass(frozen=True)
 class VirasoroWeightData:
-    """Coefficients of f and g in -rho'/rho = g/f, lowest degree first,
-    plus the numerically verified boundary-decay flag."""
+    """Coefficients of f and g in -rho'/rho = g/f, lowest degree first."""
 
     f_coeffs: tuple
     g_coeffs: tuple
-    boundary_ok: bool
 
     def f(self, z):
         return sum(c * z ** i for i, c in enumerate(self.f_coeffs))
@@ -70,32 +66,10 @@ class VirasoroWeightData:
         return sum(c * z ** i for i, c in enumerate(self.g_coeffs))
 
 
-def _boundary_decay_ok(w, f_coeffs, kmax=6):
-    """Check numerically that f(z) rho(z) z^k -> 0 at both support ends."""
-
-    def worst(z):
-        fz = sum(c * z ** i for i, c in enumerate(f_coeffs))
-        rho = float(w.density(np.asarray([z]))[0])
-        return max(abs(fz * rho * z ** k) for k in range(kmax + 1))
-
-    for lo, hi in w.support().intervals:
-        for end, inward in ((lo, +1.0), (hi, -1.0)):
-            if math.isinf(end):
-                scale = w.decay_scale()
-                probes = [math.copysign(r * scale, end)
-                          for r in (60.0, 80.0, 100.0)]
-            else:
-                probes = [end + inward * eps for eps in (1e-4, 1e-6, 1e-8)]
-            vals = [worst(z) for z in probes]
-            if not all(a >= b for a, b in zip(vals, vals[1:])):
-                return False
-            if vals[-1] > 1e-10 * (1.0 + vals[0]):
-                return False
-    return True
-
-
 def weight_to_fg(w):
-    """Extract (f, g) with -rho'/rho = g/f for the supported families."""
+    """Extract (f, g) with -rho'/rho = g/f for the supported families.
+    Each has f(z) rho(z) z^k -> 0 at both ends of its support, for every
+    a > -1 and b > 0 that WeightSpec accepts."""
     if w.family == "gaussian":
         fc, gc = (1.0,), (0.0, 2.0 * w.b)
     elif w.family == "laguerre":
@@ -104,9 +78,7 @@ def weight_to_fg(w):
         raise UsageError(
             f"no rational-log-derivative data for the {w.family} weight"
         )
-    return VirasoroWeightData(
-        f_coeffs=fc, g_coeffs=gc, boundary_ok=_boundary_decay_ok(w, fc)
-    )
+    return VirasoroWeightData(f_coeffs=fc, g_coeffs=gc)
 
 
 # ----------------------------------------------------------------------
@@ -139,13 +111,25 @@ class _MomentTau:
         return polarized(lambda d, order: self._jets(
             m, self.size, self._tfac * np.asarray(d, dtype=float), order), ks)
 
-    def d1(self, t, k):
-        return self.value(t) * self.dlog(t, (k,))
+    def derivative(self, t, ks):
+        """d/dt_{k_1} ... d/dt_{k_r} tau at t, r <= 2."""
+        value = self.value(t)
+        if len(ks) == 2:
+            i, j = ks
+            return value * (self.dlog(t, ks)
+                            + self.dlog(t, (i,)) * self.dlog(t, (j,)))
+        return value * self.dlog(t, ks) if ks else value
 
-    def d2(self, t, i, j):
-        return self.value(t) * (
-            self.dlog(t, (i, j)) + self.dlog(t, (i,)) * self.dlog(t, (j,))
-        )
+    def apply(self, terms, t):
+        """The operator of a term list applied to tau at t; a time beyond
+        the end of t reads as zero."""
+        total = 0.0
+        for c, mul, diff in terms:
+            for i in mul:
+                c = c * (t[i - 1] if i <= len(t) else 0.0)
+            if c:
+                total += c * self.derivative(t, diff)
+        return total
 
     def d_endpoint(self, t, c, sigma):
         """d tau / dc at t for the finite endpoint c of E, an upper
@@ -206,66 +190,43 @@ class PfaffTauSupplier(_MomentTau):
 
 
 # ----------------------------------------------------------------------
-# numeric operators
+# the operators, as term lists
 # ----------------------------------------------------------------------
 
 
-def _j1_numeric(k, sup, t, sigma):
-    if k == 0:
-        return 0.0
+def heisenberg_terms(k, sigma):
+    """J1_k: d/dt_k for k > 0, sigma (-k) t_{-k} for k < 0, zero at 0."""
     if k > 0:
-        return sup.d1(t, k)
-    idx = -k
-    tv = t[idx - 1] if idx <= len(t) else 0.0
-    return sigma * idx * tv * sup.value(t)
+        return [(1, (), (k,))]
+    if k < 0:
+        return [(sigma * -k, (-k,), ())]
+    return []
 
 
-def _j2_numeric(k, sup, t, sigma):
-    # second derivatives d^2/dt_i dt_j, i + j = k
-    total = sum(sup.d2(t, i, k - i) for i in range(1, k))
-    # dilation part: 2 sigma * m t_m d/dt_{m+k}, literal in t
-    for m in range(max(1, 1 - k), len(t) + 1):
-        tv = t[m - 1]
-        if tv != 0.0:
-            total += 2.0 * sigma * m * tv * sup.d1(t, m + k)
-    # pure multiplication part
-    if k <= -2:
-        val = sup.value(t)
-        for i in range(1, -k):
-            j = -k - i
-            ti = t[i - 1] if i <= len(t) else 0.0
-            tj = t[j - 1] if j <= len(t) else 0.0
-            if ti != 0.0 and tj != 0.0:
-                total += sigma * sigma * i * j * ti * tj * val
-    return total
-
-
-def j_apply(k, supplier, t, beta=2.0, n=0):
-    """Apply the beta- and n-dressed second-order time operator to tau at t
-    through its supplier, with sigma = 1/beta:
+def dressed_terms(k, beta, n, top):
+    """The beta- and n-dressed second-order operator, sigma = 1/beta:
 
         (beta/2) J2_k + (n beta + (k + 1)(1 - beta/2)) J1_k
-        + [k = 0] n ((n - 1) beta/2 + 1).
+        + [k = 0] n ((n - 1) beta/2 + 1),
 
-    First and second derivatives come exactly from the supplier;
-    multiplication-by-t terms literally.
-    """
-    t = np.asarray(t, dtype=float)
-    if abs(k) > 4:
-        raise UsageError("operator index must satisfy |k| <= 4")
-    if k >= 0 and len(t) < k + 3:
-        raise DepthError(
-            f"time truncation too short: need at least t_{k + 3}, "
-            f"have t_{len(t)}"
-        )
-    sigma = 1.0 / beta
-    out = 0.5 * beta * _j2_numeric(k, supplier, t, sigma)
-    coeff = n * beta + (k + 1) * (1.0 - 0.5 * beta)
-    if coeff != 0.0:
-        out += coeff * _j1_numeric(k, supplier, t, sigma)
+    where J2_k holds the derivative pairs i + j = k, the dilation part
+    2 sigma m t_m d/dt_{m+k} and the multiplication pairs
+    sigma^2 i j t_i t_j, i + j = -k.  The dilation part runs over
+    m <= top - min(k, 0), which covers every nonzero term when t_i = 0
+    for i > top, or when the operand involves no t_i with i > top."""
+    sigma, half = 1 / beta, beta / 2
+    terms = [(half, (), (i, k - i)) for i in range(1, k)]
+    terms += [(half * (2 * sigma * m), (m,), (m + k,))
+              for m in range(max(1, 1 - k), top - min(k, 0) + 1)]
+    terms += [(half * (sigma * sigma * i * (-k - i)), (i, -k - i), ())
+              for i in range(1, -k)]
+    coeff = n * beta + (k + 1) * (1 - half)
+    if coeff:
+        terms += [(coeff * c, mul, diff)
+                  for c, mul, diff in heisenberg_terms(k, sigma)]
     if k == 0:
-        out += n * ((n - 1) * 0.5 * beta + 1.0) * supplier.value(t)
-    return out
+        terms.append((n * ((n - 1) * half + 1), (), ()))
+    return terms
 
 
 # ----------------------------------------------------------------------
@@ -284,18 +245,15 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
     if k < -1:
         raise UsageError("constraints exist for k >= -1 only")
     data = weight_to_fg(w)
+    if k + len(data.f_coeffs) - 1 > 4:
+        raise UsageError(f"constraint k = {k} uses operator index "
+                         f"{k + len(data.f_coeffs) - 1}; the limit is 4")
     E = (E if E is not None else w.support()).intersect(w.support())
     E.require_nonempty()
-    sigma = 1.0 / beta
 
     kq = k + len(data.f_coeffs)  # largest second-order index used
     K = max(kq + 3, 4)
-    if t is None:
-        t = np.zeros(K)
-    else:
-        t = np.asarray(t, dtype=float)
-        if len(t) < K:
-            t = np.concatenate([t, np.zeros(K - len(t))])
+    t = np.zeros(K) if t is None else np.asarray(t, dtype=float)
     # the evolved moments must hold the block and its jets, which shift the
     # index by up to K + kq
     reach = max_shift_for(t) + K + kq + 2
@@ -309,13 +267,12 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
     terms = []
     for i, ai in enumerate(data.f_coeffs):
         if ai != 0.0:
-            terms.append(
-                ai * j_apply(k + i, sup, t, beta=beta, n=n)
-            )
+            op = dressed_terms(k + i, beta, n, len(t))
+            terms.append(ai * sup.apply(op, t))
     for i, bi in enumerate(data.g_coeffs):
         if bi != 0.0:
             idx = k + i + 1
-            part = _j1_numeric(idx, sup, t, sigma)
+            part = sup.apply(heisenberg_terms(idx, 1 / beta), t)
             if idx == 0:
                 part += n * tau
             terms.append(-bi * part)
@@ -425,9 +382,6 @@ class TPoly:
         return (isinstance(other, TPoly) and self.den == other.den
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.den))
-
 
 def _trim(exps):
     exps = tuple(exps)
@@ -436,45 +390,18 @@ def _trim(exps):
     return exps
 
 
-def heisenberg_poly(k, p, sigma=Fraction(1, 2)):
-    """First-order operator d/dt_k + sigma (-k) t_{-k} on a polynomial
-    (the k = 0 component is zero)."""
-    if k == 0:
-        return TPoly()
-    if k > 0:
-        return p.diff(k)
-    return (Fraction(sigma) * (-k)) * p.mul_var(-k)
-
-
-def quadratic_poly(k, p, sigma=Fraction(1, 2)):
-    """Second-order operator: derivative pairs i + j = k, the dilation
-    part 2 sigma m t_m d/dt_{m+k}, and the multiplication pairs."""
-    sigma = Fraction(sigma)
+def apply_poly(terms, p):
+    """The operator of a term list applied to a polynomial."""
     out = TPoly()
-    for i in range(1, k):
-        out = out + p.diff(i).diff(k - i)
-    top = p.max_index()
-    for m in range(max(1, 1 - k), top - k + 1):
-        d = p.diff(m + k)
-        if not d.is_zero:
-            out = out + (2 * sigma * m) * d.mul_var(m)
-    for i in range(1, -k):
-        j = -k - i
-        out = out + (sigma * sigma * i * j) * p.mul_var(i).mul_var(j)
-    return out
-
-
-def dressed_poly(k, p, beta, n, sigma=None):
-    """The beta- and n-dressed second-order operator on a polynomial."""
-    beta = Fraction(beta)
-    if sigma is None:
-        sigma = 1 / beta
-    out = (beta / 2) * quadratic_poly(k, p, sigma)
-    coeff = n * beta + (k + 1) * (1 - beta / 2)
-    if coeff != 0:
-        out = out + coeff * heisenberg_poly(k, p, sigma)
-    if k == 0:
-        out = out + (n * ((n - 1) * beta / 2 + 1)) * p
+    for c, mul, diff in terms:
+        q = p
+        for i in diff:
+            q = q.diff(i)
+        if q.is_zero:
+            continue
+        for i in mul:
+            q = q.mul_var(i)
+        out = out + c * q
     return out
 
 
@@ -486,20 +413,22 @@ def central_charge(beta):
     return 1 - 3 * (beta - 2) ** 2 / beta
 
 
-def _random_poly(rng, nvars=6, max_degree=6, monomials=10):
+def _random_poly(rng):
+    """Ten random monomials of degree <= 6 in t_1..t_6 (a repeat keeps the
+    last), with integer coefficients in [-9, 9]."""
     terms = {}
-    for _ in range(monomials):
-        exps = [0] * nvars
-        budget = rng.randint(0, max_degree)
+    for _ in range(10):
+        exps = [0] * 6
+        budget = rng.randint(0, 6)
         while budget > 0:
-            i = rng.randrange(nvars)
+            i = rng.randrange(6)
             exps[i] += 1
             budget -= 1
         terms[tuple(exps)] = Fraction(rng.randint(-9, 9))
     return TPoly(terms)
 
 
-def virasoro_commutator_residuals(beta, pairs, n, trials=4, seed=7):
+def virasoro_commutator_residuals(beta, pairs, n, trials=4):
     """Max coefficient, for each (k, l) in pairs, over random test
     polynomials, of
 
@@ -510,20 +439,23 @@ def virasoro_commutator_residuals(beta, pairs, n, trials=4, seed=7):
     first-level V_j p is formed once for all of them."""
     beta = Fraction(beta)
     c = central_charge(beta)
-    rng = random.Random(seed)
+    rng = random.Random(7)
     worst = [Fraction(0)] * len(pairs)
+
+    def dressed(j, q):  # V_j q
+        return apply_poly(dressed_terms(j, beta, n, q.max_index()), q)
+
     for _ in range(trials):
         p = _random_poly(rng)
         first = {}
 
         def applied(j):  # V_j p, shared by the pairs
             if j not in first:
-                first[j] = dressed_poly(j, p, beta, n)
+                first[j] = dressed(j, p)
             return first[j]
 
         for idx, (k, l) in enumerate(pairs):
-            res = (dressed_poly(k, applied(l), beta, n)
-                   - dressed_poly(l, applied(k), beta, n)
+            res = (dressed(k, applied(l)) - dressed(l, applied(k))
                    - (k - l) * applied(k + l))
             if k + l == 0:
                 res = res - (c * Fraction(k ** 3 - k, 12)) * p

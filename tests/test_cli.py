@@ -406,6 +406,8 @@ def test_other_commands_exit_cleanly(argv):
     ("twotoda pde --n 0", EXIT_USAGE),
     # at c = 0 every bi-moment block beyond 1 x 1 has rank one
     ("twotoda identities --c 0", EXIT_NUMERICAL),
+    # the bi-moments overflow to inf
+    ("twotoda identities --n 80", EXIT_NUMERICAL),
     ("tau kp-check --seed -1", EXIT_USAGE),
 ])
 def test_inputs_that_raised_tracebacks_exit_cleanly(argv, code):

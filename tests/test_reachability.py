@@ -9,12 +9,18 @@ re-export reaches nothing) and the REFERENCES below.  A reached class
 reaches its dunder methods and CALLBACKS, which Python or the standard
 library call for it.  Name-level matching over-approximates the real
 graph, so a def this test calls unreached is unreached for certain.
+
+The same walk backs a knob lint: every default parameter of a def must
+be passed, by keyword or by position, by some call in src/, tests/ or
+perfbench/; a default that nothing overrides is a constant.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "laxlab"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "laxlab"
+CALLERS = ("src", "tests", "perfbench")
 
 # Kept although no command reaches them: each is the reference a test
 # compares the library against, or a name the benchmark tracer lists.
@@ -194,3 +200,80 @@ def test_the_graph_sees_calls():
     assert _reached(defs, top_level) == {
         "cli.main", "cli.main.inner", "cli.helper", "cli.K.method",
         "cli.limit", "cli.K", "cli.K.__init__", "cli.Base"}
+
+
+# ----- knob lint -----
+
+def _calls(texts):
+    """Call name -> (positional count, keyword names, starred) of every
+    call in the source texts, by the name of a bare or attribute callee."""
+    calls = {}
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def _unset_defaults(defs, calls):
+    """'qualname:parameter' of every default parameter that no call
+    passes.  A call passes a parameter by keyword, by position (a method's
+    positions skip self; __init__ answers to its class's name), or by
+    unpacking * or ** arguments, which passes all."""
+    unset = []
+    for d in defs.values():
+        if isinstance(d.node, ast.ClassDef):
+            continue
+        args = d.node.args
+        pos = [*args.posonlyargs, *args.args]
+        method = (d.parent is not None
+                  and isinstance(d.parent.node, ast.ClassDef)
+                  and not any(getattr(x, "id", None) == "staticmethod"
+                              for x in d.node.decorator_list))
+        name = d.node.name
+        if method and name == "__init__":
+            name = d.parent.node.name
+        first = len(pos) - len(args.defaults)
+        knobs = [(a.arg, i - method) for i, a in enumerate(pos) if i >= first]
+        knobs += [(a.arg, None) for a, default in
+                  zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        for param, index in knobs:
+            if not any(starred or param in keywords
+                       or (index is not None and npos > index)
+                       for npos, keywords, starred in calls.get(name, ())):
+                unset.append(f"{d.qualname}:{param}")
+    return sorted(unset)
+
+
+def test_every_default_parameter_is_passed_by_some_call():
+    defs, _ = _collect(_sources())
+    texts = (path.read_text() for top in CALLERS
+             for path in sorted((REPO / top).rglob("*.py")))
+    assert _unset_defaults(defs, _calls(texts)) == []
+
+
+def test_the_knob_lint_sees_calls():
+    """Keyword, positional (past self for a method or a class) and
+    starred calls pass a default; nothing else does."""
+    defs, _ = _collect([("m", (
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    pass\n"
+        "def g(e=0):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0):\n"
+        "        pass\n"
+        "    def method(self, y=0, z=0):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def static(u=0):\n"
+        "        pass\n"
+    ))])
+    calls = _calls(["f(0, 1, d=4)\ng(*args)\nK(1)\nk.method(1)\n"
+                    "K.static(1)\n"])
+    assert _unset_defaults(defs, calls) == ["m.K.method:z", "m.f:c"]

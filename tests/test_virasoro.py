@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxlab.errors import DepthError, SingularTauError, UsageError
+from laxlab.errors import SingularTauError, UsageError
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import gauss_legendre_rule
 from laxlab.tau import WeightSpec
@@ -15,14 +15,12 @@ from laxlab.virasoro import (
     HankelTauSupplier,
     PfaffTauSupplier,
     TPoly,
-    _j1_numeric,
-    _j2_numeric,
+    _MomentTau,
     _random_poly,
+    apply_poly,
     central_charge,
-    dressed_poly,
-    heisenberg_poly,
-    j_apply,
-    quadratic_poly,
+    dressed_terms,
+    heisenberg_terms,
     virasoro_commutator_residuals,
     virasoro_residual,
     weight_to_fg,
@@ -93,14 +91,12 @@ def test_weight_to_fg_gaussian():
     data = weight_to_fg(WeightSpec("gaussian", b=1.5))
     assert data.f_coeffs == (1.0,)
     assert data.g_coeffs == (0.0, 3.0)
-    assert data.boundary_ok
 
 
 def test_weight_to_fg_laguerre():
     data = weight_to_fg(WeightSpec("laguerre", a=0.5, b=2.0))
     assert data.f_coeffs == (0.0, 1.0)
     assert data.g_coeffs == (-0.5, 2.0)
-    assert data.boundary_ok
 
 
 def test_weight_to_fg_matches_log_slope():
@@ -126,7 +122,7 @@ def test_hankel_supplier_d1_matches_fd():
     sup = make_supplier()
     t = np.zeros(4)
     for k in (1, 2, 3):
-        assert sup.d1(t, k) == pytest.approx(
+        assert sup.derivative(t, (k,)) == pytest.approx(
             fd_value_derivative(sup, t, k), abs=1e-8
         )
 
@@ -148,7 +144,7 @@ def test_pfaffian_supplier_d1_matches_fd():
     )
     t = np.array([0.01, -0.01, 0.0])
     for k in (1, 2):
-        assert sup.d1(t, k) == pytest.approx(
+        assert sup.derivative(t, (k,)) == pytest.approx(
             fd_value_derivative(sup, t, k), abs=1e-7
         )
 
@@ -160,41 +156,38 @@ def test_beta1_supplier_needs_even_n():
 
 # ----- numeric operators -----
 
-def test_j_apply_first_order():
+def test_heisenberg_terms_first_order():
     sup = make_supplier()
     t = np.zeros(4)
-    assert _j1_numeric(2, sup, t, 0.5) == pytest.approx(
+    assert sup.apply(heisenberg_terms(2, 0.5), t) == pytest.approx(
         fd_value_derivative(sup, t, 2), abs=1e-8
     )
     # negative index is pure multiplication: (1/2) t_1 tau at beta = 2
     t = np.array([0.3, 0.0, 0.0, 0.0])
-    assert _j1_numeric(-1, sup, t, 0.5) == pytest.approx(
+    assert sup.apply(heisenberg_terms(-1, 0.5), t) == pytest.approx(
         0.5 * 0.3 * sup.value(t), rel=1e-12
     )
-    assert _j1_numeric(0, sup, t, 0.5) == 0.0
+    assert sup.apply(heisenberg_terms(0, 0.5), t) == 0.0
 
 
-def test_j_apply_second_order_vs_fd_hessian():
+def j2_terms(k, t):
+    """J2_k alone: at beta = 2, n = 0 the J1 and constant parts vanish."""
+    return dressed_terms(k, 2.0, 0, len(t))
+
+
+def test_dressed_terms_second_order_vs_fd_hessian():
     sup = make_supplier()
     t = np.zeros(5)
-    got = _j2_numeric(2, sup, t, 0.5)
+    got = sup.apply(j2_terms(2, t), t)
     assert got == pytest.approx(fd_value_second(sup, t, 1, 1), abs=1e-8)
     # dilation part, literal in t
     t = np.array([0.05, -0.02, 0.01, 0.0, 0.0])
-    got = _j2_numeric(0, sup, t, 0.5)
+    got = sup.apply(j2_terms(0, t), t)
     want = sum(
         (m + 1) * t[m] * fd_value_derivative(sup, t, m + 1)
         for m in range(3)
     )
     assert got == pytest.approx(want, abs=1e-8)
-
-
-def test_j_apply_validates_input():
-    sup = make_supplier()
-    with pytest.raises(UsageError):
-        j_apply(5, sup, np.zeros(8))
-    with pytest.raises(DepthError):
-        j_apply(2, sup, np.zeros(4))
 
 
 # ----- constraint residuals -----
@@ -274,6 +267,9 @@ def test_constraint_validation():
         virasoro_residual(GAUSSIAN, 2, HALF, 2, -2)
     with pytest.raises(UsageError):
         virasoro_residual(GAUSSIAN, 1, HALF, 3, 0)
+    # the operator index k + deg f is at most 4
+    with pytest.raises(UsageError):
+        virasoro_residual(GAUSSIAN, 2, HALF, 2, 5)
 
 
 # ----- exact operator algebra -----
@@ -298,7 +294,8 @@ def test_central_term_is_needed():
     beta, k, l, n = 1, 2, -2, 3
     rng = random.Random(7)
     p = _random_poly(rng)
-    op = lambda kk, q: dressed_poly(kk, q, beta, n)
+    op = lambda kk, q: apply_poly(dressed_terms(kk, Fraction(beta), n,
+                                                q.max_index()), q)
     res = op(k, op(l, p)) - op(l, op(k, p)) - (k - l) * op(k + l, p)
     assert float(res.max_abs_coeff()) > 0.1
     res = res - (central_charge(beta) * Fraction(k ** 3 - k, 12)) * p
@@ -310,10 +307,9 @@ def test_heisenberg_commutator():
     p = _random_poly(rng)
     for beta in (1, 2, 4):
         s = Fraction(1, beta)
+        op = lambda kk, q: apply_poly(heisenberg_terms(kk, s), q)
         for k, l in ((1, -1), (2, -2), (1, 2)):
-            res = heisenberg_poly(
-                k, heisenberg_poly(l, p, s), s
-            ) - heisenberg_poly(l, heisenberg_poly(k, p, s), s)
+            res = op(k, op(l, p)) - op(l, op(k, p))
             expect = (Fraction(k) / beta) * p if k + l == 0 else TPoly()
             assert (res - expect).is_zero
 
@@ -324,10 +320,11 @@ def test_beta2_dressing_is_plain_sum():
     p = _random_poly(rng)
     n = 3
     for k in (-2, -1, 0, 1, 2):
-        lhs = dressed_poly(k, p, 2, n)
-        rhs = quadratic_poly(k, p, Fraction(1, 2)) + (2 * n) * heisenberg_poly(
-            k, p, Fraction(1, 2)
-        )
+        top = p.max_index()
+        lhs = apply_poly(dressed_terms(k, Fraction(2), n, top), p)
+        # J2_k alone: at beta = 2, n = 0 the J1 and constant parts vanish
+        rhs = apply_poly(dressed_terms(k, Fraction(2), 0, top), p) + (
+            2 * n) * apply_poly(heisenberg_terms(k, Fraction(1, 2)), p)
         if k == 0:
             rhs = rhs + Fraction(n * n) * p
         assert (lhs - rhs).is_zero
@@ -344,18 +341,59 @@ def test_batched_commutators_match_one_pair_at_a_time():
 def test_commutators_form_each_first_level_operator_once(monkeypatch):
     from laxlab import virasoro
 
-    calls, real = [], virasoro.dressed_poly
+    calls, real = [], virasoro.dressed_terms
 
-    def counted(k, p, *args):
+    def counted(k, *args):
         calls.append(k)
-        return real(k, p, *args)
+        return real(k, *args)
 
-    monkeypatch.setattr(virasoro, "dressed_poly", counted)
+    monkeypatch.setattr(virasoro, "dressed_terms", counted)
     pairs = [(1, -1), (0, 1), (2, -1), (2, -2), (3, -3), (-1, 3)]
     virasoro_commutator_residuals(1, pairs, n=3, trials=2)
     # per test polynomial: V_j p for j in {-3, ..., 3} once, then V_k V_l p
     # and V_l V_k p for each pair
     assert len(calls) == 2 * (7 + 2 * len(pairs))
+
+
+def evaluate(p, t):
+    """p at the point t, in exact rationals, rounded once; a time beyond
+    the end of t reads as zero."""
+    x = [Fraction(v) for v in t]
+    total = sum(v * math.prod((x[i] if i < len(x) else 0) ** e
+                              for i, e in enumerate(exps))
+                for exps, v in p.terms.items())
+    return float(Fraction(total, p.den))
+
+
+class PolyTau(_MomentTau):
+    """A supplier whose tau is the polynomial p, so that the numeric
+    evaluator apply acts on the same function as apply_poly."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def value(self, t):
+        return self.derivative(t, ())
+
+    def derivative(self, t, ks):
+        q = self.p
+        for k in ks:
+            q = q.diff(k)
+        return evaluate(q, t)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_numeric_and_exact_evaluators_agree(beta):
+    rng = random.Random(5)
+    for _ in range(3):
+        p = _random_poly(rng)
+        t = np.array([rng.uniform(-1.0, 1.0) for _ in range(6)])
+        for k in range(-4, 5):
+            got = PolyTau(p).apply(dressed_terms(k, float(beta), 3, len(t)),
+                                   t)
+            exact = dressed_terms(k, Fraction(beta), 3, p.max_index())
+            assert got == pytest.approx(evaluate(apply_poly(exact, p), t),
+                                        rel=1e-12)
 
 
 class FractionPoly:
@@ -437,5 +475,6 @@ def test_poly_algebra_basics():
     assert p.diff(1) == TPoly({(1, 1): 6})
     assert p.mul_var(3) == TPoly({(2, 1, 1): 3})
     assert (p - p).is_zero
-    assert heisenberg_poly(0, p).is_zero
-    assert heisenberg_poly(-2, p) == TPoly({(2, 2): 3})
+    half = Fraction(1, 2)
+    assert apply_poly(heisenberg_terms(0, half), p).is_zero
+    assert apply_poly(heisenberg_terms(-2, half), p) == TPoly({(2, 2): 3})
