@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxlab.errors import SingularTauError, UsageError
+from laxlab.errors import DepthError, SingularTauError, UsageError
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import gauss_legendre_rule
 from laxlab.tau import WeightSpec
@@ -190,6 +190,16 @@ def test_dressed_terms_second_order_vs_fd_hessian():
     assert got == pytest.approx(want, abs=1e-8)
 
 
+def test_j_apply_validates_input():
+    # the operator index k + deg f is at most 4
+    with pytest.raises(UsageError):
+        virasoro_residual(GAUSSIAN, 2, HALF, 2, 5)
+    # an operator reaching past the stored moments is a depth error
+    t = np.zeros(4)
+    with pytest.raises(DepthError):
+        make_supplier(depth=3).apply(j2_terms(2, t), t)
+
+
 # ----- constraint residuals -----
 
 def test_constraints_gaussian_beta2():
@@ -267,9 +277,6 @@ def test_constraint_validation():
         virasoro_residual(GAUSSIAN, 2, HALF, 2, -2)
     with pytest.raises(UsageError):
         virasoro_residual(GAUSSIAN, 1, HALF, 3, 0)
-    # the operator index k + deg f is at most 4
-    with pytest.raises(UsageError):
-        virasoro_residual(GAUSSIAN, 2, HALF, 2, 5)
 
 
 # ----- exact operator algebra -----
