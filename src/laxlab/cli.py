@@ -195,12 +195,9 @@ def _weight_flags(p):
 
 # ----- subcommand handlers -----
 
-def _atomic_hankel(n, seed, depth):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=n)
-    wts = rng.uniform(0.5, 1.5, size=n)
-    mu = np.array([np.dot(wts, pts ** j) for j in range(depth + 1)])
-    return tau.hankel_from_sequence(mu)
+def _largest(residuals):
+    """The largest residual, 0 for none, NaN if any is NaN: the gate fails."""
+    return float(np.max(residuals, initial=0.0))
 
 
 def run_toda_flow(args):
@@ -210,14 +207,15 @@ def run_toda_flow(args):
     wanted = args.routes.split(",")
     if "ode" in wanted:
         check_steps(args.t_end, args.step)
-    t = [0.0] * (k - 1) + [args.t_end]
-    # the evolved moments must hold the n-block and its first t_1 jet
-    m = _atomic_hankel(n, args.seed, tau.max_shift_for(t) + 2 * n - 1)
-    L0 = toda.lax_from_tau(m, None, n)
+    # the spectral measure of L0: n seeded atoms
+    rng = np.random.default_rng(args.seed)
+    pts = rng.uniform(-1.0, 1.0, size=n)
+    wts = rng.uniform(0.5, 1.5, size=n)
+    L0 = toda.toda_measure_flow(pts, wts, k, 0.0)
     routes, ends, defect = {}, None, 0.0
     for name in wanted:
         if name == "tau":
-            routes[name] = toda.lax_from_tau(m, t, n).matrix()
+            routes[name] = toda.toda_measure_flow(pts, wts, k, args.t_end).matrix()
         elif name not in ("ode", "qr"):
             raise UsageError(f"unknown toda route {name!r}")
     if "ode" in wanted or "qr" in wanted:
@@ -234,7 +232,7 @@ def run_toda_flow(args):
                 checkpoints, args.t_end / SEGMENTS)
             routes["ode"] = ends[-1]
     rows = []
-    worst = defect  # gated even when ode is the only route
+    gaps = [defect]  # gated even when ode is the only route
     names = sorted(routes)
     for i, p in enumerate(names):
         for q in names[i + 1:]:
@@ -242,7 +240,7 @@ def run_toda_flow(args):
             if p == "ode":  # the largest segment defect counts too
                 gap = max(gap, defect)
             rows.append({"metric": f"supnorm:{p}-{q}", "value": gap})
-            worst = max(worst, gap)
+            gaps.append(gap)
     base = np.linalg.eigvalsh(L0.matrix())
     drift_ok = True
     for name in names:
@@ -250,19 +248,28 @@ def run_toda_flow(args):
         drift = float(np.abs(np.linalg.eigvalsh(states) - base).max())
         rows.append({"metric": f"eig_drift:{name}", "value": drift})
         drift_ok = drift_ok and drift < 1e-8
-    return _Result(rows, worst, tol=1e-6, ok=drift_ok)
+    worst = _largest(gaps)
+    return _Result(rows, worst, tol=1e-6, err=worst, ok=drift_ok)
 
 
 def run_toda_poly(args):
+    if args.n < 0:
+        raise UsageError("--n must be at least 0")
     w = _weight_from(args)
-    m = tau.hankel_moments(w, M=2 * args.n + 2, order=args.order)
+    # the recurrence of the weight's quadrature rule, rho in its weights
+    ab = tau.refine_on_rule(w, w.support(), args.order, lambda x, wx: (
+        toda.lanczos(x, wx * w.density(x), args.n + 1)))
     grid = parse_grid(args.grid)
-    vals = toda.orthopoly_eval(m, None, args.n, grid)
+    vals = toda.orthopoly_eval(ab, grid)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(f"p_{args.n} overflows on the grid")
     rows = [{"z": z, "p_n": v} for z, v in zip(grid.tolist(), vals.tolist())]
-    norm = integrate(
-        lambda z: toda.orthopoly_eval(m, None, args.n, z) ** 2 * w.density(z),
-        w.support(), order=max(args.order, 96), scale=w.decay_scale(),
-    )
+    # an overflowing p_n at a far node leaves a NaN norm, which fails the gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = integrate(
+            lambda z: toda.orthopoly_eval(ab, z) ** 2 * w.density(z),
+            w.support(), order=max(args.order, 96), scale=w.decay_scale(),
+        )
     return _Result(rows, abs(norm - 1.0), tol=1e-8)
 
 
@@ -286,7 +293,6 @@ def run_pfaff_flow(args):
 
 def run_pfaff_check_kp(args):
     rows = []
-    worst = 0.0
     for n in parse_ints(args.n_list):
         if args.beta == 1:
             m = pfaff.skew_inner_products(
@@ -300,19 +306,16 @@ def run_pfaff_check_kp(args):
             )
         res = abs(pfaff.pfaffkp_residual(m, n))
         rows.append({"n": n, "residual": res})
-        worst = max(worst, res)
-    return _Result(rows, worst, tol=1e-6)
+    return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-6)
 
 
 def run_twotoda_pde(args):
     rows = []
-    worst = 0.0
     for a, b in zip(parse_floats(args.a_list), parse_floats(args.b_list)):
         res = abs(twotoda.coupled_pde_residual(args.c, a, b, args.n,
                                                order=args.order))
         rows.append({"a": a, "b": b, "residual": res})
-        worst = max(worst, res)
-    return _Result(rows, worst, tol=1e-3)
+    return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-3)
 
 
 def run_twotoda_identities(args):
@@ -338,8 +341,7 @@ def run_twotoda_identities(args):
         "identity": "bracket",
         "residual": abs(twotoda.wronskian_bracket_residual(moved, args.n)),
     })
-    worst = max(r["residual"] for r in rows)
-    return _Result(rows, worst, tol=1e-8)
+    return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-8)
 
 
 def run_fredholm_gap(args):
@@ -351,7 +353,6 @@ def run_fredholm_gap(args):
         order=args.order,
     )
     rows = [{"s": math.nan, "det": smoke, "error": abs(smoke - 1.0)}]
-    worst_err = abs(smoke - 1.0)
     for s in parse_grid(args.s_grid).tolist():
         det, err = fredholm.nystrom_det(
             spec, _interval_with_endpoint(args.interval, s),
@@ -363,7 +364,7 @@ def run_fredholm_gap(args):
                 f"its error estimate {err:.2e}"
             )
         rows.append({"s": s, "det": det, "error": err})
-        worst_err = max(worst_err, err)
+    worst_err = _largest([r["error"] for r in rows])
     return _Result(rows, worst_err, tol=1e-10, err=worst_err)
 
 
@@ -437,13 +438,12 @@ def run_virasoro_check(args):
     if args.weight == "laguerre" and E is not None:
         E = IntervalUnion([(0.0, args.x)])
     rows = []
-    worst = 0.0
     for k in parse_ints(args.k_list):
         res = abs(virasoro.virasoro_residual(w, args.beta, E, args.n, k,
                                              order=args.order))
         rows.append({"k": k, "residual": res})
-        worst = max(worst, res)
-    return _Result(rows, worst, tol=1e-6 if args.beta == 2 else 1e-4)
+    return _Result(rows, _largest([r["residual"] for r in rows]),
+                   tol=1e-6 if args.beta == 2 else 1e-4)
 
 
 def run_virasoro_commutators(args):
@@ -452,7 +452,7 @@ def run_virasoro_commutators(args):
                                                        n=args.n)
     rows = [{"k": k, "l": l, "residual": res}
             for (k, l), res in zip(pairs, residuals)]
-    worst = max(residuals)
+    worst = _largest(residuals)
     charge = virasoro.central_charge(args.beta)
     rows.append({"k": 0, "l": 0, "residual": 0.0,
                  "central_charge": float(charge)})
@@ -519,7 +519,6 @@ def run_tau_kp_check(args):
     rng = np.random.default_rng(args.seed)
     small_t = (0.02 * rng.standard_normal(3)).tolist()
     rows = []
-    worst = 0.0
     for family in ("gaussian", "uniform"):
         w = tau.WeightSpec(family)
         # the evolved moments must hold the n_max-block and its KP jets,
@@ -531,8 +530,7 @@ def run_tau_kp_check(args):
                 res = abs(tau.kp_residual(m, n, t=t))
                 rows.append({"family": family, "n": n, "t": label,
                              "residual": res})
-                worst = max(worst, res)
-    return _Result(rows, worst, tol=1e-6)
+    return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-6)
 
 
 # ----- parser construction -----

@@ -147,8 +147,9 @@ def _gram_probability(e, E, order):
 def _hankel_probability(e, E, order):
     num = hankel_moments(e.weight, E, M=2 * (e.n - 1), order=order)
     den = hankel_moments(e.weight, None, M=2 * (e.n - 1), order=order)
-    return _ratio(lu_determinant(num.matrix(e.n)),
-                  lu_determinant(den.matrix(e.n)))
+    with np.errstate(over="ignore"):  # inf, which _ratio rejects
+        return _ratio(lu_determinant(num.matrix(e.n)),
+                      lu_determinant(den.matrix(e.n)))
 
 
 def _ratio(num, norm):

@@ -35,10 +35,6 @@ class EmptyDomainError(UsageError):
     """An integration domain with no interior was supplied."""
 
 
-class NotPositiveDefiniteError(NumericalError):
-    """A Cholesky pivot was nonpositive (tau determinant <= 0)."""
-
-
 class DegenerateFlagError(NumericalError):
     """A leading Pfaffian vanished (or went nonpositive) during skew-Borel."""
 

@@ -1,7 +1,6 @@
 """Dense linear algebra, quadrature, and special functions."""
 
 from .linalg import (
-    cholesky_borel,
     lu_determinant,
     pfaffian,
     qr_decompose,

@@ -1,10 +1,10 @@
-"""Dense linear algebra: determinants, Pfaffians, Borel-type factorizations.
+"""Dense linear algebra: determinants, Pfaffians, skew-Borel factorization.
 
-Standard factorizations (LU determinant, QR, Cholesky, symmetric
-eigensolve) wrap numpy's LAPACK bindings behind the conventions the rest
-of the library relies on.  The skew-symmetric pieces (Pfaffian via
-Parlett-Reid elimination, skew-Borel decomposition onto the block
-lower-triangular group) are implemented here directly.
+Standard factorizations (LU determinant, QR, symmetric eigensolve) wrap
+numpy's LAPACK bindings behind the conventions the rest of the library
+relies on.  The skew-symmetric pieces (Pfaffian via Parlett-Reid
+elimination, skew-Borel decomposition onto the block lower-triangular
+group) are implemented here directly.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import numpy as np
 from ..errors import (
     DegenerateFlagError,
     DimensionError,
-    NotPositiveDefiniteError,
     SingularMatrixError,
     SymmetryError,
 )
@@ -33,9 +32,11 @@ def _as_square(m, stack=False):
 def _require_skew(m):
     m = _as_square(m)
     scale = np.abs(m).max() if m.size else 0.0
-    if scale and np.abs(m + m.T).max() > SKEW_TOL * scale:
+    # halves first, so entries near the float range cannot overflow
+    half, half_t = 0.5 * m, 0.5 * m.T
+    if scale and np.abs(half + half_t).max() > 0.5 * SKEW_TOL * scale:
         raise SymmetryError("matrix is not skew-symmetric")
-    return 0.5 * (m - m.T)
+    return half - half_t
 
 
 def _require_symmetric(m, stack=False):
@@ -59,7 +60,8 @@ def pfaffian(m):
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
     Parlett-Reid-style skew elimination with partial pivoting and exact
-    sign tracking; sign convention pf([[0,1],[-1,0]]) = +1.
+    sign tracking; sign convention pf([[0,1],[-1,0]]) = +1.  A Pfaffian
+    past the float range comes back as inf or NaN, without a warning.
     """
     a = _require_skew(m)
     n = a.shape[0]
@@ -69,41 +71,25 @@ def pfaffian(m):
         return 1.0
     sign = 1.0
     value = 1.0
-    for k in range(0, n - 1, 2):
-        # Pivot: bring the largest entry of column k below the diagonal
-        # into position (k+1, k) by a symmetric row/column swap.
-        col = np.abs(a[k + 1:, k])
-        p = k + 1 + int(np.argmax(col))
-        if a[p, k] == 0.0:
-            return 0.0
-        if p != k + 1:
-            a[[k + 1, p], :] = a[[p, k + 1], :]
-            a[:, [k + 1, p]] = a[:, [p, k + 1]]
-            sign = -sign
-        value *= a[k, k + 1]
-        if k + 2 < n:
-            # Gauss-transform congruence: zero row/column k beyond k+1.
-            tau = a[k, k + 2:] / a[k, k + 1]
-            col1 = a[k + 2:, k + 1]
-            a[k + 2:, k + 2:] += np.outer(tau, col1) - np.outer(col1, tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, n - 1, 2):
+            # Pivot: bring the largest entry of column k below the diagonal
+            # into position (k+1, k) by a symmetric row/column swap.
+            col = np.abs(a[k + 1:, k])
+            p = k + 1 + int(np.argmax(col))
+            if a[p, k] == 0.0:
+                return 0.0
+            if p != k + 1:
+                a[[k + 1, p], :] = a[[p, k + 1], :]
+                a[:, [k + 1, p]] = a[:, [p, k + 1]]
+                sign = -sign
+            value *= a[k, k + 1]
+            if k + 2 < n:
+                # Gauss-transform congruence: zero row/column k beyond k+1.
+                tau = a[k, k + 2:] / a[k, k + 1]
+                col1 = a[k + 2:, k + 1]
+                a[k + 2:, k + 2:] += np.outer(tau, col1) - np.outer(col1, tau)
     return float(sign * value)
-
-
-def cholesky_borel(m):
-    """Lower-triangular S with S m S^T = I for symmetric positive definite m.
-
-    S is the inverse of the Cholesky factor L (m = L L^T).
-    """
-    m = _require_symmetric(m)
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "matrix is not positive definite (nonpositive pivot)"
-        ) from exc
-    n = m.shape[0]
-    s = np.linalg.solve(chol, np.eye(n))
-    return np.tril(s)
 
 
 def skew_borel(m):

@@ -248,5 +248,10 @@ def pfaffkp_residual(m, n):
         raise SingularTauError(f"tau_{n} vanishes")
     tau_minus = 1.0 if n == 2 else pfaffian(m.block(n - 2))
     tau_plus = pfaffian(m.block(n + 2))
-    rhs = 12.0 * tau_minus * tau_plus / tau_n ** 2
+    try:
+        rhs = 12.0 * tau_minus * tau_plus / tau_n ** 2
+    except OverflowError:  # tau_n ** 2 of a float
+        rhs = np.inf
+    if not np.all(np.isfinite([tau_minus, tau_n, tau_plus, rhs])):
+        raise DivergenceError(f"tau_{n} or its neighbours overflow")
     return kp_normalized(functools.partial(_dlog_pf_directional, m, n), -rhs)

@@ -7,7 +7,8 @@ index shift, expanded to total degree 12 in t, which is exact algebra on
 the stored sequence.
 
 The pieces every moment route shares live here too: the quadrature power
-sums, the one evolution of Hankel, skew and bi-moment arrays (on the P^j/j!
+sums, the order-doubling refinement of a value on a weight's quadrature
+rule, the one evolution of Hankel, skew and bi-moment arrays (on the P^j/j!
 series of the jets), the Taylor matrices of a moment block along a time
 direction, exact log-determinant jets with mixed partials by polarization,
 and the four-term KP assembly.
@@ -155,6 +156,26 @@ def weighted_powers(w, nodes, weights, count):
     return out
 
 
+def refine_on_rule(w, E, order, value):
+    """value(nodes, weights) on the union rule over E at the weight's decay
+    scale, the order doubled until two successive values agree to 1e-12 of
+    their largest entry, at most five times.  A non-finite value raises
+    DivergenceError."""
+    at = lambda order: value(*union_rule(E, order, scale=w.decay_scale()))
+    # an overflow leaves inf or NaN, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = at(order)
+        for _ in range(5):
+            order *= 2
+            current, previous = at(order), current
+            scale = max(np.abs(current).max(), 1e-300)
+            if np.abs(current - previous).max() <= 1e-12 * scale:
+                break
+    if not np.all(np.isfinite(current)):
+        raise DivergenceError("non-finite value on the quadrature rule")
+    return current
+
+
 def hankel_moments(w, E=None, M=16, order=64):
     """Moments of a weight over an interval union, auto-refined."""
     if E is None:
@@ -165,22 +186,9 @@ def hankel_moments(w, E=None, M=16, order=64):
         raise DivergenceError(
             f"moments of the {w.family} weight diverge on an unbounded domain"
         )
-    moments = lambda order: weighted_powers(
-        w, *union_rule(E, order, scale=w.decay_scale()), M + 1)
-    current = moments(order)
-    # an overflowing moment leaves inf or NaN, which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(5):
-            order *= 2
-            refined = moments(order)
-            scale = np.abs(refined).max()
-            if np.abs(refined - current).max() <= 1e-12 * max(scale, 1e-300):
-                current = refined
-                break
-            current = refined
-    if not np.all(np.isfinite(current)):
-        raise DivergenceError("non-finite moment encountered")
-    return HankelMoments(mu=current, weight=w, E=E)
+    mu = refine_on_rule(w, E, order,
+                        lambda x, wx: weighted_powers(w, x, wx, M + 1))
+    return HankelMoments(mu=mu, weight=w, E=E)
 
 
 def hankel_endpoint_series(m, c, sigma, order):
@@ -415,12 +423,3 @@ def kp_residual(m0, n, t=None):
     if t is not None and np.any(np.asarray(t) != 0.0):
         m0 = evolve_hankel(m0, t)
     return kp_normalized(functools.partial(dlog_tau_directional, m0, n))
-
-
-def hankel_from_sequence(mu):
-    """Wrap a raw moment sequence: a unit weight on the full line."""
-    return HankelMoments(
-        mu=np.asarray(mu, dtype=float),
-        weight=WeightSpec("custom", func=lambda z: np.ones_like(z)),
-        E=IntervalUnion.full_line(),
-    )

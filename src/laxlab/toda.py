@@ -1,11 +1,11 @@
 """The finite Toda lattice by three routes.
 
-A symmetric tridiagonal Lax matrix can be produced from evolved Hankel
-moments (tau route), integrated directly as a matrix ODE, or obtained by
-QR-factorizing a matrix exponential.  All three agree; cross-checking them
-is the point of this module.  The tau route is one Borel factorization of
-the evolved Hankel block, which gives the orthonormal polynomials for the
-evolved weight too.
+A symmetric tridiagonal Lax matrix can be produced from its evolved
+spectral measure (tau route), integrated directly as a matrix ODE, or
+obtained by QR-factorizing a matrix exponential.  All three agree;
+cross-checking them is the point of this module.  One Lanczos run gives
+the Jacobi matrix of a measure, and so the recurrence of its orthonormal
+polynomials too.
 """
 
 import math
@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthError, SingularTauError, StabilityError, UsageError
-from .mathcore import (
-    cholesky_borel,
-    qr_decompose,
-    symmetric_eigen,
-    symmetric_eigensystem,
-)
+from .errors import NumericalError, SingularTauError, StabilityError, UsageError
+from .mathcore import qr_decompose, symmetric_eigen, symmetric_eigensystem
 from .mathcore.ode import GUARD_INTERVAL, rk4
-from .tau import evolve_hankel
 
 # Scale c in exp(c * t * L0^k) = QR for the factorization route; pinned by
 # matching the small-t Taylor expansion of the ODE route (see tests).
@@ -63,41 +57,56 @@ class TridiagonalLax:
 
 def lax_from_dense(m):
     """Project a numerically tridiagonal symmetric matrix, or a stack of
-    them, back to the type."""
+    them, back to the type; a lost offdiagonal is a numerical failure."""
     def band(offset):
         return np.diagonal(m, offset, axis1=-2, axis2=-1)
 
-    return TridiagonalLax(band(0).copy(), 0.5 * (band(1) + band(-1)))
+    offdiag = 0.5 * (band(1) + band(-1))
+    if not np.all(offdiag > 0.0):
+        raise NumericalError("a Lax offdiagonal underflowed or lost its sign")
+    return TridiagonalLax(band(0).copy(), offdiag)
 
 
-def _borel(m, t, size, top):
-    """(S, mu): S = cholesky_borel of the leading size-block H of the
-    moments at time t, so S H S^T = I, and their sequence mu, which must
-    reach index top.  Row j of S holds the coefficients of the orthonormal
-    polynomial p_j for the evolved weight."""
-    if t is not None and np.any(np.asarray(t) != 0.0):
-        m = evolve_hankel(m, t)
-    if m.depth < top:
-        raise DepthError(f"need moments to index {top}, have {m.depth}")
-    return cholesky_borel(m.matrix(size)), m.mu
+def lanczos(nodes, weights, n):
+    """Recurrence coefficients (a, b), the rows of a (2, n) array, of the
+    orthonormal polynomials of the measure sum_l weights_l delta(z - nodes_l):
+    p_0 = 1 / b_0 and b_{j+1} p_{j+1} = (z - a_j) p_j - b_j p_{j-1}, so b_0^2
+    is the mass and a, b_1..b_{n-1} make the n x n Jacobi matrix.
 
-
-def lax_from_tau(m, t, n):
-    """Symmetric tridiagonal Lax matrix from the moments at time t.
-
-    L = S H' S^T with S H S^T = I (the Borel factor of the n-block) and
-    H'_ij = mu_{i+j+1}: multiplication by z in the orthonormal basis, the
-    Jacobi matrix of the evolved weight.  Its offdiagonal is
-    sqrt(tau_{k-1} tau_{k+1}) / tau_k and its diagonal
-    d/dt_1 log(tau_{k+1} / tau_k).
+    Lanczos on diag(nodes) from sqrt(weights), each new vector orthogonalized
+    twice against all earlier ones (Gragg & Harrod, Numer. Math. 44, 1984).
+    A b_j at the rounding level of z p_{j-1} means the measure has fewer than
+    n atoms to working precision: a breakdown, raised as SingularTauError.
     """
-    s, mu = _borel(m, t, n, 2 * n - 1)
-    i = np.arange(n)
-    jacobi = s @ mu[np.add.outer(i, i) + 1] @ s.T
-    # the offdiagonal lax_from_dense takes, when rounding has lost it
-    if not np.all(np.diagonal(jacobi, 1) + np.diagonal(jacobi, -1) > 0.0):
-        raise SingularTauError("Jacobi matrix offdiagonal is not positive")
-    return lax_from_dense(jacobi)
+    v = np.sqrt(weights)
+    q = np.zeros((n, len(nodes)))
+    ab = np.zeros((2, n))
+    floor = 0.0
+    for j in range(n):
+        b = np.linalg.norm(v)
+        if not floor < b < math.inf:
+            raise SingularTauError(f"Lanczos breaks down at step {j}: the "
+                                   f"measure has fewer than {n} atoms")
+        q[j] = v / b
+        ab[1, j] = b
+        v = nodes * q[j]
+        ab[0, j] = q[j] @ v
+        floor = len(nodes) * np.finfo(float).eps * np.linalg.norm(v)
+        for _ in range(2):
+            v -= (q[: j + 1] @ v) @ q[: j + 1]
+    return ab
+
+
+def toda_measure_flow(nodes, weights, k, t):
+    """Toda flow from the spectral measure (Moser 1975): L(0) is the Jacobi
+    matrix of sum_l weights_l delta(z - nodes_l), one row per node, and L(t)
+    that of the weights times e^{t z^k}.  The exponent is shifted by its
+    maximum, which rescales the measure only."""
+    with np.errstate(over="ignore"):
+        expo = t * nodes ** k
+        evolved = weights * np.exp(expo - expo.max())
+    a, b = lanczos(nodes, evolved, len(nodes))
+    return TridiagonalLax(a, b[1:])
 
 
 def toda_ode_flow(L0, k, t_end, step):
@@ -161,14 +170,15 @@ def toda_factorization_flow(L0, k, t):
     return lax_from_dense(q.swapaxes(-1, -2) @ m0 @ q)
 
 
-def orthopoly_eval(m, t, n, z):
-    """Orthonormal polynomial p_n(t; z) for the evolved weight: row n of
-    the Borel factor of the (n + 1)-block applied to (1, z, ..., z^n), so
-    that <p_n, p_n> = 1 and the leading coefficient is positive;
-    p_0 = 1/sqrt(mu_0)."""
-    if n < 0:
-        raise UsageError("orthopoly_eval needs n >= 0")
-    s, _ = _borel(m, t, n + 1, 2 * n)
+def orthopoly_eval(ab, z):
+    """p_m(z) for m = ab.shape[1] - 1, by the three-term recurrence on the
+    coefficients lanczos returns: <p_m, p_m> = 1 and the leading
+    coefficient is positive.  A value past the float range comes back as
+    inf or NaN, without a warning."""
+    a, b = ab
     z = np.asarray(z, dtype=float)
-    val = np.power.outer(z, np.arange(n + 1)) @ s[n]
-    return float(val) if z.ndim == 0 else val
+    prev, cur = np.zeros_like(z), np.full_like(z, 1.0 / b[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(a) - 1):
+            prev, cur = cur, ((z - a[j]) * cur - b[j] * prev) / b[j + 1]
+    return cur

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DivergenceError, UsageError
 from .mathcore import lu_determinant, pfaffian
 from .pfaff import (
     _dlog_pf_directional,
@@ -102,7 +102,11 @@ class _MomentTau:
         return self._cache[key]
 
     def value(self, t):
-        return self._det(self._block(self._evolved(t)))
+        with np.errstate(over="ignore"):
+            tau = self._det(self._block(self._evolved(t)))
+        if not math.isfinite(tau):
+            raise DivergenceError("tau overflows: the moment block is too large")
+        return tau
 
     def dlog(self, t, ks):
         """d/dt_{k_1} ... d/dt_{k_r} log tau at t, r <= 4; a jet along
@@ -137,7 +141,7 @@ class _MomentTau:
         g0 = self._block(self._evolved(t))
         g1 = self._series(self._m0, c, sigma, 1)[0]
         g1 = self._block(self._evolve(g1, self._tfac * np.asarray(t, float)))
-        return self._det(g0) * self._half * logdet_series_derivatives([g0, g1])[0]
+        return self.value(t) * self._half * logdet_series_derivatives([g0, g1])[0]
 
 
 class HankelTauSupplier(_MomentTau):

@@ -171,6 +171,20 @@ def test_sampling_report_thread_invariant():
 
 # ----- exit codes -----
 
+def assert_exits_cleanly(argv, nan_rows=False):
+    """main(argv) exits 0, 2, 3 or 4, and never 0 on a report with a NaN
+    row unless nan_rows."""
+    stdout = io.BytesIO()
+    with contextlib.redirect_stdout(io.TextIOWrapper(stdout)), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+        payload = stdout.getvalue()
+    assert code in (0, 2, 3, 4)
+    if code == 0 and not nan_rows:
+        rows = json.loads(payload)["rows"]
+        assert "nan" not in [v for row in rows for v in row.values()], argv
+
+
 # argv of the moment-route checkers, far tails included: there the moment
 # block is singular or the gap probability underflows
 COORD = st.sampled_from(["-40", "-3", "-1", "0", "1e-9", "0.7", "2", "40",
@@ -179,6 +193,8 @@ GRID = st.one_of(
     COORD.map(lambda x: f"{x}:{x}:1"),
     st.sampled_from(["-2:2:1", "-1:1.5:0.5", "0.5:3:1.25", "2:1:1", "x"]),
 )
+# small sizes, and large ones where moment blocks overflow or lose rank
+SIZES = st.one_of(st.integers(0, 4), st.integers(5, 120))
 K_LIST = st.one_of(
     st.lists(st.integers(-3, 5), min_size=1, max_size=3).map(
         lambda ks: ",".join(map(str, ks))),
@@ -195,7 +211,8 @@ def moment_route_argv(draw):
         "--weight", draw(st.sampled_from(["gaussian", "laguerre", "uniform"])),
         "--a", draw(st.sampled_from(["0", "1", "2.5", "-0.5"])),
         "--beta", draw(st.sampled_from(["1", "2", "4"])),
-        "--n", str(draw(st.integers(0, 4))),
+        "--n", str(draw(st.integers(0, 4) if cmd[0] != "virasoro"
+                        else SIZES)),
     ]
     if cmd[0] == "virasoro":
         argv += ["--x", draw(COORD), "--k-list", draw(K_LIST)]
@@ -209,10 +226,7 @@ def moment_route_argv(draw):
 @settings(max_examples=40, deadline=None)
 @given(moment_route_argv())
 def test_moment_route_commands_exit_cleanly(argv):
-    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 2, 3, 4)
+    assert_exits_cleanly(argv)
 
 
 # argv of the commands built on skew moments (batched cut rules) and on the
@@ -239,15 +253,17 @@ def skew_and_algebra_argv(draw):
                 "--n-list", draw(st.one_of(
                     st.lists(st.integers(-2, 8), min_size=1, max_size=3).map(
                         lambda ns: ",".join(map(str, ns))),
+                    st.integers(9, 120).map(str),
                     st.sampled_from(["x", "", "2,,4"]))),
                 "--a", draw(SIGNED), "--b", draw(SIGNED)]
     else:
         argv = ["ensemble", "gap",
-                "--beta", draw(st.sampled_from(["1", "4"])),
+                "--beta", draw(st.sampled_from(["1", "2", "4"])),
                 "--weight", draw(st.sampled_from(["gaussian", "laguerre",
                                                   "uniform"])),
                 "--a", draw(SIGNED), "--b", draw(SIGNED),
-                "--n", str(draw(st.integers(0, 4))),
+                "--n", str(draw(st.one_of(st.integers(0, 4),
+                                          st.integers(5, 200)))),
                 "--interval", draw(UNIONS)]
     return argv + ["--check"]
 
@@ -255,10 +271,7 @@ def skew_and_algebra_argv(draw):
 @settings(max_examples=60, deadline=None)
 @given(skew_and_algebra_argv())
 def test_skew_and_algebra_commands_exit_cleanly(argv):
-    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 2, 3, 4)
+    assert_exits_cleanly(argv)
 
 
 # argv of the RK4 flow commands; |t_end| / step <= 2,000 bounds the steps
@@ -276,6 +289,13 @@ def flow_argv(draw):
     step, t_end = draw(FLOW_STEPS), draw(FLOW_ENDS)
     cmd = draw(st.sampled_from(["toda", "pfaff", "aci"]))
     k = str(draw(st.integers(-1, 3)))
+    if cmd == "toda" and draw(st.booleans()):
+        # without the ODE route, large sizes and times stay cheap
+        return ["toda", "flow", "--n", str(draw(st.integers(-1, 60))),
+                "--k", k, "--routes", "tau,qr",
+                "--t-end", draw(st.sampled_from(["3", "10", "50", "1e3",
+                                                 "-1e3", "1e300"])),
+                "--seed", str(draw(st.integers(0, 99))), "--check"]
     if cmd == "toda":
         argv = ["toda", "flow", "--n", str(draw(st.integers(-1, 7))),
                 "--k", k]
@@ -298,10 +318,7 @@ def flow_argv(draw):
 @settings(max_examples=40, deadline=None)
 @given(flow_argv())
 def test_flow_commands_exit_cleanly(argv):
-    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 2, 3, 4)
+    assert_exits_cleanly(argv)
 
 
 # argv of every other command: the Fredholm tables, the Painleve and PDE
@@ -369,7 +386,8 @@ def other_command_argv(draw):
     elif cmd == "toda poly":
         argv += ["--weight", pick(*WEIGHTS),
                  "--a", pick(*REALS), "--b", pick(*REALS),
-                 "--n", count(0, 4), "--grid", pick(*GRIDS),
+                 "--n", pick([count(0, 4), count(5, 200)]),
+                 "--grid", pick(*GRIDS),
                  "--order", pick(*ORDERS)]
     elif cmd == "twotoda pde":
         argv += ["--c", pick(*REALS), "--a-list", pick(*LISTS),
@@ -387,10 +405,8 @@ def other_command_argv(draw):
 @settings(max_examples=100, deadline=None)
 @given(other_command_argv())
 def test_other_commands_exit_cleanly(argv):
-    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 2, 3, 4)
+    # the first row of fredholm gap is its lam = 0 smoke test, at s = NaN
+    assert_exits_cleanly(argv, nan_rows=argv[:2] == ["fredholm", "gap"])
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -409,6 +425,10 @@ def test_other_commands_exit_cleanly(argv):
     # the bi-moments overflow to inf
     ("twotoda identities --n 80", EXIT_NUMERICAL),
     ("tau kp-check --seed -1", EXIT_USAGE),
+    # tau_40 ** 2 overflows a float
+    ("pfaff check-kp --n-list 40", EXIT_NUMERICAL),
+    # the moments overflow inside the refinement
+    ("ensemble gap --beta 2 --n 200", EXIT_NUMERICAL),
 ])
 def test_inputs_that_raised_tracebacks_exit_cleanly(argv, code):
     with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
@@ -656,14 +676,57 @@ def test_toda_flow_routes_agree():
 
 
 @pytest.mark.parametrize("argv", [
-    "toda flow --n 14",  # a Hankel block that is not positive definite
-    # positive definite, but rounding loses a Jacobi offdiagonal
-    "toda flow --n 13 --seed 14 --routes tau",
+    # the evolved weights underflow at all atoms but one: Lanczos breaks down
+    "toda flow --t-end 1000 --routes tau",
+    # the QR route's offdiagonals underflow
+    "toda flow --t-end 1000 --routes qr",
 ])
 def test_toda_tau_route_failures_exit_numerical(argv):
     with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
             contextlib.redirect_stderr(io.StringIO()):
         assert main((argv + " --check").split()) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("extra, seeds", [
+    ("--routes tau,qr", range(100)),
+    ("--routes tau,qr --t-end 3", range(100)),
+    ("--t-end 10", range(3)),
+    ("--n 12", range(3)),
+    ("--n 40", range(2)),
+    ("--k 2", range(3)),
+])
+def test_toda_flow_routes_agree_where_the_moment_route_failed(extra, seeds):
+    for seed in seeds:
+        _, code, _ = dispatch(f"toda flow {extra} --seed {seed} --check".split())
+        assert code == 0, seed
+
+
+def test_toda_flow_reports_its_largest_route_gap():
+    report, _, _ = dispatch(["toda", "flow"])
+    gaps = [r["value"] for r in report.rows if r["metric"].startswith("sup")]
+    assert report.self_reported_error == report.max_abs_residual == max(gaps)
+    assert report.self_reported_error > 0.0
+
+
+def test_toda_poly_uniform_at_degree_12():
+    assert dispatch("toda poly --weight uniform --n 12 --check".split())[1] == 0
+
+
+@pytest.mark.parametrize("argv", ["virasoro check --n 39",
+                                  "virasoro check --n 120"])
+def test_an_overflowing_tau_exits_numerical(argv):
+    # its NaN residuals used to pass the gate
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main((argv + " --check").split()) == EXIT_NUMERICAL
+
+
+def test_a_nan_residual_after_a_finite_one_fails_the_gate(monkeypatch):
+    real = pfaff.pfaffkp_residual
+    monkeypatch.setattr(pfaff, "pfaffkp_residual",
+                        lambda m, n: real(m, n) if n == 2 else math.nan)
+    report, code, _ = dispatch("pfaff check-kp --n-list 2,4 --check".split())
+    assert math.isnan(report.max_abs_residual) and code == EXIT_TOLERANCE
 
 
 @pytest.mark.parametrize("base, changed", [

@@ -8,7 +8,6 @@ from laxlab.errors import (
     DegenerateFlagError,
     DimensionError,
     DomainError,
-    NotPositiveDefiniteError,
     SymmetryError,
     UsageError,
 )
@@ -24,7 +23,6 @@ from laxlab.mathcore import (
     bessel_j,
     bessel_j_prime,
     bessel_sqrt_taylor_coefficients,
-    cholesky_borel,
     cut_rules,
     gauss_legendre_rule,
     integrate,
@@ -139,30 +137,6 @@ def test_pfaffian_odd_dimension_is_error():
 def test_pfaffian_rejects_non_skew():
     with pytest.raises(SymmetryError):
         pfaffian(np.eye(4))
-
-
-# ----- cholesky-borel -----
-
-def test_cholesky_borel_identity():
-    assert np.allclose(cholesky_borel(np.eye(4)), np.eye(4))
-
-
-def test_cholesky_borel_diagonal():
-    s = cholesky_borel(np.diag([4.0, 9.0]))
-    assert np.allclose(s, np.diag([0.5, 1.0 / 3.0]))
-
-
-def test_cholesky_borel_reconstructs_identity():
-    mu = [1.0 / (k + 1) for k in range(8)]
-    m = np.array([[mu[i + j] for j in range(4)] for i in range(4)])
-    s = cholesky_borel(m)
-    assert np.abs(s @ m @ s.T - np.eye(4)).max() < 1e-10
-    assert np.allclose(s, np.tril(s))
-
-
-def test_cholesky_borel_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky_borel(np.diag([1.0, -1.0]))
 
 
 # ----- skew-borel -----

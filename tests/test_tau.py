@@ -19,7 +19,6 @@ from laxlab.tau import (
     dlog_tau_directional,
     evolution_coefficients,
     evolve_hankel,
-    hankel_from_sequence,
     hankel_moments,
     kp_residual,
     max_shift_for,
@@ -29,6 +28,15 @@ from laxlab.twotoda import BiMoments, evolve_bimoments
 
 
 # ----- oracles -----
+
+def hankel_from_sequence(mu):
+    """Wrap a raw moment sequence: a unit weight on the full line."""
+    return HankelMoments(
+        mu=np.asarray(mu, dtype=float),
+        weight=WeightSpec("custom", func=lambda z: np.ones_like(z)),
+        E=IntervalUnion.full_line(),
+    )
+
 
 def gaussian_moment_oracle(m, b=1.0):
     """Closed form int z^m e^{-b z^2} dz over R via the Gamma function."""

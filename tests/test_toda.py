@@ -4,21 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
-from laxlab.errors import DepthError, NumericalError, StabilityError, UsageError
-from laxlab.mathcore import integrate
-from laxlab.tau import (
-    WeightSpec,
-    evolve_hankel,
-    hankel_from_sequence,
-    hankel_moments,
+from laxlab.errors import (
+    NumericalError,
+    SingularTauError,
+    StabilityError,
+    UsageError,
 )
+from laxlab.mathcore import integrate
+from laxlab.tau import WeightSpec, evolve_hankel, hankel_moments, refine_on_rule
 from laxlab.toda import (
     FACTORIZATION_FLOW_SCALE,
     TridiagonalLax,
+    lanczos,
     lax_from_dense,
-    lax_from_tau,
     orthopoly_eval,
     toda_factorization_flow,
+    toda_measure_flow,
     toda_ode_flow,
 )
 
@@ -51,6 +52,20 @@ def gram_schmidt_jacobi_oracle(mu, n):
         if k < n - 1:
             off[k] = coeffs[k + 1] @ g @ zp
     return diag, off
+
+
+def weight_recurrence(w, n, t):
+    """lanczos(..., n) on the weight's refined quadrature rule, with
+    rho(z) e^{sum_k t_k z^k} in its weights."""
+    def on_rule(x, wx):
+        evolution = sum(tk * x ** (k + 1) for k, tk in enumerate(t))
+        return lanczos(x, wx * w.density(x) * np.exp(evolution), n)
+
+    return refine_on_rule(w, w.support(), 64, on_rule)
+
+
+def jacobi(ab):
+    return TridiagonalLax(ab[0], ab[1, 1:])
 
 
 def gaussian_weight(b=1.0):
@@ -88,24 +103,22 @@ def test_bad_shapes_rejected():
         TridiagonalLax([1.0, 2.0], [-0.1])
 
 
-# ----- lax_from_tau -----
+# ----- the tau route: the Jacobi matrix of a (evolved) measure -----
 
 def test_lax_from_tau_gaussian_diag_zero():
-    m = hankel_moments(gaussian_weight(), M=12)
-    L = lax_from_tau(m, None, 4)
+    L = jacobi(weight_recurrence(gaussian_weight(), 4, ()))
     assert np.abs(L.diag).max() < 1e-12
 
 
 def test_lax_from_tau_uniform_first_diag():
-    m = hankel_moments(uniform_weight(), M=12)
-    L = lax_from_tau(m, None, 2)
+    L = jacobi(weight_recurrence(uniform_weight(), 2, ()))
     assert L.diag[0] == pytest.approx(0.5, abs=1e-13)
 
 
 def test_lax_from_tau_matches_gram_schmidt_oracle():
     m = hankel_moments(gaussian_weight(), M=12)
     diag, off = gram_schmidt_jacobi_oracle(m.mu, 4)
-    L = lax_from_tau(m, None, 4)
+    L = jacobi(weight_recurrence(gaussian_weight(), 4, ()))
     assert np.abs(L.diag - diag).max() < 1e-10
     assert np.abs(L.offdiag - off).max() < 1e-10
 
@@ -115,27 +128,26 @@ def test_lax_from_tau_evolved_matches_oracle():
     t = [0.08, -0.03]
     evolved = evolve_hankel(m, t)
     diag, off = gram_schmidt_jacobi_oracle(evolved.mu, 3)
-    L = lax_from_tau(m, t, 3)
+    L = jacobi(weight_recurrence(gaussian_weight(), 3, t))
     assert np.abs(L.diag - diag).max() < 1e-10
     assert np.abs(L.offdiag - off).max() < 1e-10
 
 
-def test_lax_from_tau_needs_moments_to_index_2n_minus_1():
-    mu = hankel_moments(gaussian_weight(), M=8).mu
-    assert lax_from_tau(hankel_from_sequence(mu), None, 4).n == 4
-    with pytest.raises(DepthError, match="index 7"):
-        lax_from_tau(hankel_from_sequence(mu[:7]), None, 4)
-    with pytest.raises(DepthError, match="index 8"):
-        orthopoly_eval(hankel_from_sequence(mu[:8]), None, 4, 0.5)
+def test_lanczos_breaks_down_on_too_few_atoms():
+    nodes = np.array([-0.5, 0.1, 0.7])
+    assert jacobi(lanczos(nodes, np.ones(3), 3)).n == 3
+    with pytest.raises(SingularTauError, match="fewer than 4 atoms"):
+        lanczos(nodes, np.ones(3), 4)
+    # e^{1000 (x - 0.7)} underflows at the other two atoms
+    with pytest.raises(SingularTauError, match="step 1"):
+        toda_measure_flow(nodes, np.ones(3), 1, 1000.0)
 
 
-def test_borel_route_rejects_a_block_that_is_not_positive_definite():
-    # mu_0 mu_2 - mu_1^2 = -1: tau_2 < 0
-    m = hankel_from_sequence([1.0, 0.0, -1.0, 0.0, 1.0])
-    with pytest.raises(NumericalError):
-        lax_from_tau(m, None, 2)
-    with pytest.raises(NumericalError):
-        orthopoly_eval(m, None, 1, 0.3)
+def test_lax_from_dense_rejects_a_lost_offdiagonal():
+    m = TridiagonalLax([1.0, 2.0, 3.0], [0.5, 0.25]).matrix()
+    m[1, 2] = m[2, 1] = 0.0
+    with pytest.raises(NumericalError, match="offdiagonal"):
+        lax_from_dense(m)
 
 
 # ----- ODE flow -----
@@ -281,17 +293,18 @@ def test_factorization_scale_constant_taylor_match():
 
 def test_three_route_agreement():
     # measure with exactly n atoms: the Jacobi matrix is genuinely n x n,
-    # so the truncated ODE/factorization flows match the moment route
+    # so the truncated ODE/factorization flows match the measure route
     n = 4
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.0, 1.0, size=n)
     wts = rng.uniform(0.5, 1.5, size=n)
-    mu = np.array([np.dot(wts, pts ** j) for j in range(61)])
-    m = hankel_from_sequence(mu)
-    L0 = lax_from_tau(m, None, n)
+    mu = np.array([np.dot(wts, pts ** j) for j in range(2 * n + 1)])
+    L0 = toda_measure_flow(pts, wts, 1, 0.0)
+    diag, off = gram_schmidt_jacobi_oracle(mu, n)
+    assert np.abs(L0.diag - diag).max() < 1e-10
+    assert np.abs(L0.offdiag - off).max() < 1e-10
     for k in (1, 2):
-        t = [0.0] * (k - 1) + [0.3]
-        via_tau = lax_from_tau(m, t, n)
+        via_tau = toda_measure_flow(pts, wts, k, 0.3)
         via_ode = toda_ode_flow(L0, k, 0.3, 1e-3)
         via_fac = toda_factorization_flow(L0, k, 0.3)
         assert np.abs(via_tau.matrix() - via_ode.matrix()).max() < 1e-6
@@ -300,29 +313,30 @@ def test_three_route_agreement():
 
 # ----- orthonormal polynomials -----
 
+def orthopoly(w, n, z):
+    return orthopoly_eval(weight_recurrence(w, n + 1, ()), z)
+
+
 def test_orthopoly_degree_zero():
-    m = hankel_moments(uniform_weight(), M=6)
-    assert orthopoly_eval(m, None, 0, 0.7) == pytest.approx(1.0, abs=1e-13)
+    assert orthopoly(uniform_weight(), 0, 0.7) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_orthopoly_gaussian_degree_one():
     m = hankel_moments(gaussian_weight(), M=6)
     z = 0.9
     expected = z * math.sqrt(m.mu[0] / (m.mu[0] * m.mu[2] - m.mu[1] ** 2))
-    assert orthopoly_eval(m, None, 1, z) == pytest.approx(expected, abs=1e-12)
+    assert orthopoly(gaussian_weight(), 1, z) == pytest.approx(expected,
+                                                              abs=1e-12)
 
 
 def test_orthopoly_orthonormal_under_quadrature():
     w = gaussian_weight()
-    m = hankel_moments(w, M=14)
-    E = m.E
     for i in range(6):
         for j in range(i, 6):
             val = integrate(
-                lambda z: orthopoly_eval(m, None, i, z)
-                * orthopoly_eval(m, None, j, z)
+                lambda z: orthopoly(w, i, z) * orthopoly(w, j, z)
                 * w.density(z),
-                E,
+                w.support(),
                 order=96,
                 scale=w.decay_scale(),
             )
@@ -344,15 +358,14 @@ def test_orthopoly_matches_bordered_determinant(w):
     zs = np.array([-1.7, -0.4, 0.0, 0.9, 2.5])
     for n in range(7):
         want = np.array([bordered_orthopoly(m, n, z) for z in zs])
-        got = orthopoly_eval(m, None, n, zs)
+        got = orthopoly(w, n, zs)
         assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
 
 
 def test_eigenvector_property_three_term_recurrence():
-    m = hankel_moments(gaussian_weight(), M=16)
     n = 6
-    L = lax_from_tau(m, None, n).matrix()
+    L = jacobi(weight_recurrence(gaussian_weight(), n, ())).matrix()
     for z in (-1.3, 0.2, 2.1):
-        p = np.array([orthopoly_eval(m, None, j, z) for j in range(n)])
+        p = np.array([orthopoly(gaussian_weight(), j, z) for j in range(n)])
         resid = L @ p - z * p
         assert np.abs(resid[: n - 1]).max() < 1e-9
