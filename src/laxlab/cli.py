@@ -21,10 +21,12 @@ from . import aci, ensembles, fredholm, gapodes, pfaff, tau, toda, twotoda, vira
 from . import fd  # noqa: F401  (perfbench/tracer.py traces laxlab.fd)
 from .errors import NumericalError, UnderflowError, UsageError
 from .intervals import IntervalUnion
-from .mathcore import integrate
 from .mathcore.ode import SEGMENTS, check_steps, segment_check
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_TOLERANCE = 0, 2, 3, 4
+# rows per unit of k beyond the compared block that pfaff flow's Lax ODE
+# carries: with none, its interior is off by 0.093 at t = 0.1
+PFAFF_ODE_MARGIN = 12
 
 
 @dataclass
@@ -220,8 +222,7 @@ def run_toda_flow(args):
             raise UsageError(f"unknown toda route {name!r}")
     if "ode" in wanted or "qr" in wanted:
         # QR at t_j = j t_end / SEGMENTS; each starts one RK4 segment
-        times = args.t_end * (np.arange(SEGMENTS + 1) / SEGMENTS)
-        checkpoints = toda.toda_factorization_flow(L0, k, times).matrix()
+        checkpoints = toda.toda_factorization_flow(L0, k, args.t_end).matrix()
         if "qr" in wanted:
             routes["qr"] = checkpoints[-1]
         if "ode" in wanted:
@@ -264,12 +265,10 @@ def run_toda_poly(args):
     if not np.all(np.isfinite(vals)):
         raise NumericalError(f"p_{args.n} overflows on the grid")
     rows = [{"z": z, "p_n": v} for z, v in zip(grid.tolist(), vals.tolist())]
-    # an overflowing p_n at a far node leaves a NaN norm, which fails the gate
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = integrate(
-            lambda z: toda.orthopoly_eval(ab, z) ** 2 * w.density(z),
-            w.support(), order=max(args.order, 96), scale=w.decay_scale(),
-        )
+    # on rules of 1.5 order 2^i nodes, none of them a rule behind ab
+    norm = tau.refine_on_rule(
+        w, w.support(), args.order + args.order // 2,
+        lambda x, wx: wx @ (toda.orthopoly_eval(ab, x) ** 2 * w.density(x)))
     return _Result(rows, abs(norm - 1.0), tol=1e-8)
 
 
@@ -277,15 +276,17 @@ def run_pfaff_flow(args):
     size = args.size
     if size < 1 or args.k < 1:
         raise UsageError("--size and --k must be at least 1")
-    t = [0.0] * (args.k - 1) + [args.t_end]
-    # one spare block beyond the evolved interior; a wide gaussian keeps the
-    # high moments O(1) so the skew-Borel pivots stay well away from zero
-    m = pfaff.skew_inner_products(
-        tau.WeightSpec("gaussian", b=4.0), alpha=-1,
-        N=(size + tau.max_shift_for(t)) // 2 + 1, order=max(args.order, 96),
-    )
-    via_moments = pfaff.pfaff_lax(pfaff.evolve_skew(m, t))
-    L = pfaff.pfaff_ode_flow(pfaff.pfaff_lax(m), args.k, args.t_end, args.step)
+    # a wide gaussian keeps the high moments O(1) so the skew-Borel pivots
+    # stay well away from zero; each route has one spare block, the ODE's
+    # matrix a margin too, as its truncation pollutes L from the bottom up
+    moments = lambda times, rows: pfaff.skew_inner_products(
+        tau.WeightSpec("gaussian", b=4.0, times=times), alpha=-1,
+        N=rows // 2 + 1, order=args.order)
+    via_moments = pfaff.pfaff_lax(
+        moments([0.0] * (args.k - 1) + [args.t_end], size))
+    L = pfaff.pfaff_ode_flow(
+        pfaff.pfaff_lax(moments((), size + PFAFF_ODE_MARGIN * args.k)),
+        args.k, args.t_end, args.step)
     gap = float(np.abs(L[:size, :size] - via_moments[:size, :size]).max())
     rows = [{"metric": "interior_supnorm", "value": gap}]
     return _Result(rows, gap, tol=1e-6)
@@ -328,13 +329,10 @@ def run_twotoda_identities(args):
         rows.append({"identity": name, "residual": abs(val)})
     # at t = s = 0 the coupled Gaussian is symmetric under (x, y) -> (-x, -y)
     # and both sides of the quotient identities vanish; away from it they
-    # do not.  The evolved moments must reach the (n + 1)-blocks and the
-    # n-blocks shifted by 2.
-    t, s = [0.1], [-0.07]
-    depth = max(tau.max_shift_for(t), tau.max_shift_for(s))
-    moved = twotoda.evolve_bimoments(
-        twotoda.bimoments(args.c, N=args.n + depth + 2, order=args.order),
-        t, s)
+    # do not.  The moments must reach the (n + 1)-blocks and the n-blocks
+    # shifted by 2.
+    moved = twotoda.bimoments(args.c, N=args.n + 2, order=args.order,
+                              t=[0.1], s=[-0.07])
     for i, val in enumerate(twotoda.wronskian_identity_residual(moved, args.n)):
         rows.append({"identity": f"quotient_{i}", "residual": abs(val)})
     rows.append({
@@ -520,16 +518,15 @@ def run_tau_kp_check(args):
     small_t = (0.02 * rng.standard_normal(3)).tolist()
     rows = []
     for family in ("gaussian", "uniform"):
-        w = tau.WeightSpec(family)
-        # the evolved moments must hold the n_max-block and its KP jets,
-        # which shift the index by up to 6
-        depth = tau.max_shift_for(small_t) + 2 * args.n_max + 4
-        m = tau.hankel_moments(w, M=depth, order=args.order)
+        # the moments must hold the n_max-block and its KP jets, which shift
+        # the index by up to 6
+        ms = {label: tau.hankel_moments(tau.WeightSpec(family, times=t),
+                                        M=2 * args.n_max + 4, order=args.order)
+              for label, t in (("0", ()), ("small", small_t))}
         for n in range(1, args.n_max + 1):
-            for label, t in (("0", None), ("small", small_t)):
-                res = abs(tau.kp_residual(m, n, t=t))
+            for label, m in ms.items():
                 rows.append({"family": family, "n": n, "t": label,
-                             "residual": res})
+                             "residual": abs(tau.kp_residual(m, n))})
     return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-6)
 
 
@@ -574,7 +571,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--t-end", type=finite_float, default=0.1)
     p.add_argument("--step", type=finite_float, default=1e-3)
-    _common(p, run_pfaff_flow, order=64)
+    _common(p, run_pfaff_flow, order=96)
     p = g.add_parser("check-kp")
     p.add_argument("--beta", type=int, default=1, choices=(1, 4))
     p.add_argument("--n-list", default="2,4")

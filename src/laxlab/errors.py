@@ -48,7 +48,7 @@ class SingularMatrixError(NumericalError):
 
 
 class DepthError(UsageError):
-    """Not enough moments stored to evolve or extract the requested block."""
+    """Not enough moments stored for the requested block or its jets."""
 
 
 class DivergenceError(NumericalError):

@@ -13,7 +13,6 @@ from .quadrature import (
     gauss_jacobi_rule,
     gauss_legendre_rule,
     half_line_rule,
-    integrate,
     interval_rule,
     union_rule,
 )

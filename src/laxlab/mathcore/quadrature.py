@@ -163,8 +163,3 @@ def cut_rules(E, k, order, scale=1.0):
                np.concatenate([np.broadcast_to(head_w, (len(y), len(head_w))),
                                tail_w], axis=1))
 
-
-def integrate(f, E, order, scale=1.0):
-    """Integral of a vectorized callable over an interval union."""
-    x, w = union_rule(E, order, scale)
-    return float(np.dot(w, f(x)))

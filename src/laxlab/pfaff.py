@@ -1,11 +1,14 @@
-"""The Pfaff lattice: skew moment matrices, their evolution, the
-skew-Borel route to the Lax matrix, the projected Lax flow, and the
-Pfaff-KP residual of the Pfaffian tau functions.
+"""The Pfaff lattice: skew moment matrices, the skew-Borel route to the
+Lax matrix, the projected Lax flow, and the Pfaff-KP residual of the
+Pfaffian tau functions.
 
 Two constructions feed the same machinery: ``alpha = -1`` builds the
 sign-kernel double integral (symmetric-ensemble route) and ``alpha = +1``
-the Wronskian single integral (symplectic-ensemble route, with the t/2
-rescaling absorbed so downstream identities use plain t).
+the Wronskian single integral (symplectic-ensemble route).  Moments of a
+weight evolved to the times t are the evolved moments, with one weight
+factor per variable: the sign-kernel ones move by e^{sum t_k Lambda^k} on
+both indices, the Wronskian ones by half of that, so their time jets
+take t/2.
 """
 
 import functools
@@ -27,7 +30,6 @@ from .mathcore.ode import rk4
 from .tau import (
     WeightSpec,
     direction_matrices,
-    evolve_array,
     hankel_moments,
     kp_normalized,
     logdet_series_derivatives,
@@ -156,18 +158,6 @@ def skew_endpoint_series(m, c, sigma, order):
     return out
 
 
-def evolve_skew(m0, t):
-    """Exact evolution m(t) = e^{sum t_k L^k} m(0) e^{sum t_k L^{T k}}.
-
-    The matrix shrinks: border entries whose evolved value would need
-    unknown deeper moments are dropped (kept size stays even, as the shift
-    is a multiple of the even EVOLUTION_DEGREE), and halving new - new^T
-    makes it skew to the last bit.
-    """
-    new = evolve_array(m0.m, t, t)
-    return m0 if new is m0.m else replace(m0, m=(new - new.T) / 2)
-
-
 def pfaff_lax(m):
     """L = Q Lambda Q^{-1} with Q the skew-Borel factor of the moments."""
     q = skew_borel(m.m)
@@ -238,8 +228,8 @@ def pfaffkp_residual(m, n):
         ((d/dt1)^4 + 3 (d/dt2)^2 - 4 d^2/dt1 dt3) log tau_n
         + 6 ((d/dt1)^2 log tau_n)^2 - 12 tau_{n-2} tau_{n+2} / tau_n^2 = 0,
 
-    n even.  All derivatives are exact (trace-log series on the moment
-    evolution); the mixed term uses polarization.
+    n even.  All derivatives are exact (trace-log series on the index
+    shift); the mixed term uses polarization.
     """
     if n < 2 or n % 2:
         raise UsageError("pfaffkp_residual needs even n >= 2")

@@ -1,17 +1,19 @@
-"""Hankel moment matrices, exact time evolution, log-tau jets, and the KP
-residual.
+"""Weights and their time evolution, Hankel moment matrices, log-tau jets,
+and the KP residual.
 
 Moments live as a 1-D sequence mu_0..mu_M (the Hankel structure is
-enforced by construction).  Time evolution acts as the exponential of the
-index shift, expanded to total degree 12 in t, which is exact algebra on
-the stored sequence.
+enforced by construction).  Time evolution lives in the weight: a
+WeightSpec evolved to the times t has the density rho(z) E_t(z), E_t the
+expansion of exp(sum_k t_k z^k) to total degree 12 in t.  E_t is a
+polynomial, so it is integrable against every decaying weight, and every
+moment built from the weight (Hankel, skew, endpoint series) evolves with
+no code of its own and no spare depth.
 
 The pieces every moment route shares live here too: the quadrature power
 sums, the order-doubling refinement of a value on a weight's quadrature
-rule, the one evolution of Hankel, skew and bi-moment arrays (on the P^j/j!
-series of the jets), the Taylor matrices of a moment block along a time
-direction, exact log-determinant jets with mixed partials by polarization,
-and the four-term KP assembly.
+rule, the Taylor matrices of a moment block along a time direction (on the
+same P^j/j! series as E_t), exact log-determinant jets with mixed partials
+by polarization, and the four-term KP assembly.
 """
 
 import functools
@@ -31,21 +33,25 @@ from .errors import (
 from .intervals import IntervalUnion
 from .mathcore import union_rule
 
-EVOLUTION_DEGREE = 12  # total degree kept in exp(sum t_k Lambda^k)
+EVOLUTION_DEGREE = 12  # total degree in t kept in exp(sum t_k z^k)
 
 
 @dataclass(frozen=True)
 class WeightSpec:
     """A 1-D weight rho(z): gaussian e^{-b z^2}, laguerre z^a e^{-b z},
-    uniform 1 on [0,1], or a custom callable."""
+    uniform 1 on [0,1], or a custom callable, evolved to the times t_1,
+    t_2, ...: the density is rho(z) E_t(z), unchanged when every time is 0.
+    """
 
     family: str
     a: float = 0.0
     b: float = 1.0
     func: object = None
     custom_support: object = None
+    times: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "times", tuple(map(float, self.times)))
         if self.family == "gaussian" and not 0 < self.b < math.inf:
             raise UsageError("gaussian weight needs finite b > 0")
         if self.family == "laguerre" and not (-1 < self.a < math.inf
@@ -76,18 +82,21 @@ class WeightSpec:
     def density(self, z):
         z = np.asarray(z, dtype=float)
         if self.family == "gaussian":
-            return np.exp(-self.b * z * z)
-        if self.family == "laguerre":
-            out = np.zeros_like(z)
+            rho = np.exp(-self.b * z * z)
+        elif self.family == "laguerre":
+            rho = np.zeros_like(z)
             pos = z > 0
             # an overflowing z^a gives inf or NaN, which the moment
             # builders report as divergent
             with np.errstate(over="ignore", invalid="ignore"):
-                out[pos] = z[pos] ** self.a * np.exp(-self.b * z[pos])
-            return out
-        if self.family == "uniform":
-            return np.where((z >= 0.0) & (z <= 1.0), 1.0, 0.0)
-        return np.asarray(self.func(z), dtype=float)
+                rho[pos] = z[pos] ** self.a * np.exp(-self.b * z[pos])
+        elif self.family == "uniform":
+            rho = np.where((z >= 0.0) & (z <= 1.0), 1.0, 0.0)
+        else:
+            rho = np.asarray(self.func(z), dtype=float)
+        if any(self.times):
+            rho = rho * evolution_factor(self.times)(z)
+        return rho
 
     def has_decay(self):
         return self.family in ("gaussian", "laguerre")
@@ -95,7 +104,8 @@ class WeightSpec:
     def jet(self, c, kmax, order):
         """Taylor coefficients u[k, r] = [h^r] (c + h)^k rho(c + h) for
         k = 0..kmax and r < order, from rho(c + h) = rho(c) e^{-b(2ch + h^2)}
-        (gaussian) or rho(c) (1 + h/c)^a e^{-bh} (laguerre, c > 0)."""
+        (gaussian) or rho(c) (1 + h/c)^a e^{-bh} (laguerre, c > 0), times
+        E_t(c + h) / E_t(c) for an evolved weight."""
         r = np.arange(1.0, order)
         series = lambda ratios: np.cumprod(np.concatenate([[1.0], ratios]))
         if self.family == "gaussian":
@@ -109,6 +119,10 @@ class WeightSpec:
                               series(-self.b / r))[:order]
         else:
             raise UsageError(f"no endpoint jets for the {self.family} weight")
+        if any(self.times):
+            shifted = evolution_factor(self.times)(
+                np.polynomial.Polynomial([c, 1.0])).coef
+            rho = np.convolve(rho, shifted / shifted[0])[:order]
         out = np.empty((kmax + 1, order))
         # Taylor coefficients of rho(c) (c + h)^k: carrying rho(c) from the
         # start keeps c^k rho(c) finite wherever it is representable
@@ -199,19 +213,11 @@ def hankel_endpoint_series(m, c, sigma, order):
     return [replace(m, mu=sigma * u[:, r - 1] / r) for r in range(1, order + 1)]
 
 
-def max_shift_for(t):
-    """Largest index shift the truncated evolution by t can touch."""
-    t = np.asarray(t, dtype=float)
-    nonzero = np.nonzero(t)[0]
-    if len(nonzero) == 0:
-        return 0
-    return int(nonzero[-1] + 1) * EVOLUTION_DEGREE
-
-
 def evolution_coefficients(t):
     """Coefficients c_d of exp(sum_k t_k z^k) = sum_d c_d z^d, truncated at
     total degree EVOLUTION_DEGREE in t: the sum of the P^j/j! series of the
-    log-det jets, with max_shift_for(t) + 1 entries."""
+    log-det jets, with EVOLUTION_DEGREE K + 1 entries, t_K the last nonzero
+    time."""
     powers = _direction_poly_powers(t, EVOLUTION_DEGREE)
     out = np.zeros(len(powers[-1]))
     for p in powers:
@@ -219,31 +225,11 @@ def evolution_coefficients(t):
     return out
 
 
-def evolve_array(m, rows=(), cols=()):
-    """e^{sum_k rows_k Lambda^k} m e^{sum_k cols_k Lambda^{T k}}, Lambda the
-    index shift, truncated as in evolution_coefficients.  An entry needs m
-    max_shift_for further along each index, so the result loses that many
-    trailing rows and columns; m itself comes back when every time is 0."""
-    shape = (m.shape[0] - max_shift_for(rows), m.shape[1] - max_shift_for(cols))
-    if shape == m.shape:
-        return m
-    if min(shape) <= 0:
-        raise DepthError(f"a {m.shape[0]} x {m.shape[1]} moment array is "
-                         f"too shallow for an evolution by {rows}, {cols}")
-    return add_shifted_blocks(np.zeros(shape), m,
-                              evolution_coefficients(rows),
-                              evolution_coefficients(cols))
-
-
-def evolve_hankel(m0, t):
-    """Exact polynomial-in-t evolution of the moment sequence.
-
-    The returned sequence is shorter: indices whose evolved value would
-    need unknown deep moments are dropped.
-    """
-    column = m0.mu[:, None]
-    mu = evolve_array(column, rows=t)
-    return m0 if mu is column else replace(m0, mu=mu[:, 0])
+def evolution_factor(t):
+    """E_t = sum_d c_d z^d, c = evolution_coefficients(t), as a numpy
+    Polynomial: exp truncated at the even degree 12 in sum_k t_k z^k, so
+    positive on the real line."""
+    return np.polynomial.Polynomial(evolution_coefficients(t))
 
 
 def logdet_series_derivatives(g_list):
@@ -409,17 +395,16 @@ def kp_normalized(directional, extra=0.0):
     return sum(terms) / scale if scale else 0.0
 
 
-def kp_residual(m0, n, t=None):
-    """Normalized residual of the first KP equation for log tau_n:
+def kp_residual(m0, n):
+    """Normalized residual of the first KP equation for log tau_n at the
+    times of m0's weight:
 
         (d/dt1)^4 log tau + 3 (d/dt2)^2 log tau - 4 d^2/dt1 dt3 log tau
         + 6 (d^2/dt1^2 log tau)^2 = 0.
 
-    All derivatives are exact (trace-log series on the polynomial moment
-    evolution); the mixed t1-t3 term uses polarization.
+    All derivatives are exact (trace-log series on the index shift); the
+    mixed t1-t3 term uses polarization.
     """
     if n < 1:
         raise UsageError("kp_residual needs n >= 1")
-    if t is not None and np.any(np.asarray(t) != 0.0):
-        m0 = evolve_hankel(m0, t)
     return kp_normalized(functools.partial(dlog_tau_directional, m0, n))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, SingularTauError, StabilityError, UsageError
 from .mathcore import qr_decompose, symmetric_eigen, symmetric_eigensystem
-from .mathcore.ode import GUARD_INTERVAL, rk4
+from .mathcore.ode import GUARD_INTERVAL, SEGMENTS, rk4
 
 # Scale c in exp(c * t * L0^k) = QR for the factorization route; pinned by
 # matching the small-t Taylor expansion of the ODE route (see tests).
@@ -150,23 +150,26 @@ def toda_ode_flow(L0, k, t_end, step):
     return lax_from_dense(m)
 
 
-def toda_factorization_flow(L0, k, t):
-    """Toda flow by factorization: exp(c t L0^k) = QR, L(t) = Q^T L0 Q.
+def toda_factorization_flow(L0, k, t_end):
+    """Toda flow by factorization, exp(c t L0^k) = QR and L(t) = Q^T L0 Q,
+    at the checkpoints t_j = j t_end / SEGMENTS, j = 0..SEGMENTS, as a
+    stack of Lax matrices.
 
     The constant c = FACTORIZATION_FLOW_SCALE makes this match the ODE
-    route; the exponential of the symmetric matrix is computed by
-    eigendecomposition, with the spectrum shifted before exponentiating
-    so overflow cannot occur (shifts only rescale R).  For an array of
-    times t, one eigendecomposition serves them all and the result is the
-    stack of L(t), one QR per time.
+    route.  The Q factors come by orthogonal iteration: with
+    S = exp(c h L0^k), h = t_end / SEGMENTS, from one eigendecomposition,
+    Q_{j+1} is the Q factor of S Q_j.  No exponent exceeds one segment, so
+    the columns of S Q_j stay within a segment's spread of magnitudes; the
+    spectrum is shifted before exponentiating, which only rescales R.
     """
     m0 = L0.matrix()
     evals, vecs = symmetric_eigensystem(np.linalg.matrix_power(m0, k))
-    expo = np.multiply.outer(FACTORIZATION_FLOW_SCALE * np.asarray(t), evals)
-    # det-scaling only; keeps exp() finite
-    expo = expo - expo.max(axis=-1, keepdims=True)
-    big = (vecs * np.exp(expo)[..., None, :]) @ vecs.T
-    q, _ = qr_decompose(big)
+    expo = FACTORIZATION_FLOW_SCALE * t_end / SEGMENTS * evals
+    step = (vecs * np.exp(expo - expo.max())) @ vecs.T
+    qs = [np.eye(L0.n)]
+    for _ in range(SEGMENTS):
+        qs.append(qr_decompose(step @ qs[-1])[0])
+    q = np.stack(qs)
     return lax_from_dense(q.swapaxes(-1, -2) @ m0 @ q)
 
 

@@ -1,14 +1,15 @@
 """Coupled two-matrix (two-Toda) structures.
 
 Bi-moment matrices of the coupled Gaussian weight e^{-(x^2+y^2)/2 + cxy},
-their exact (t, s) evolution, exact log-tau derivatives, KP residuals in
-t and in s, exact Wronskian tau identities, and the third-order boundary
-PDE satisfied by the joint gap probability of the coupled ensemble.
+evolved to the times (t, s) by the factor E_t(x) E_{-s}(y) in the weight
+(tau.evolution_factor), exact log-tau derivatives, KP residuals in t and s,
+exact Wronskian tau identities, and the third-order boundary PDE
+satisfied by the joint gap probability of the coupled ensemble.
 """
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .intervals import IntervalUnion
 from .mathcore import lu_determinant, union_rule
 from .tau import (
     direction_matrices,
-    evolve_array,
+    evolution_factor,
     kp_normalized,
     logdet_multilinear,
     logdet_series_derivatives,
@@ -57,9 +58,10 @@ def _coupled_scale(c):
     return math.sqrt(2.0 / (1.0 - abs(c)))
 
 
-def bimoments(c, E=None, N=6, order=64):
+def bimoments(c, E=None, N=6, order=64, t=(), s=()):
     """mu_{ij} = double integral of x^i y^j e^{-(x^2+y^2)/2 + c x y} over
-    E1 x E2 by tensor quadrature; requires |c| < 1."""
+    E1 x E2 by tensor quadrature, the weight times E_t(x) E_{-s}(y) at the
+    times (t, s); requires |c| < 1."""
     if abs(c) >= 1.0:
         raise DivergenceError("the coupled Gaussian needs |c| < 1")
     if E is None:
@@ -69,21 +71,25 @@ def bimoments(c, E=None, N=6, order=64):
     E1.require_nonempty()
     E2.require_nonempty()
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = _bimoment_series(c, E1, E2, N, order)[0]
+        mu = _bimoment_series(c, E1, E2, N, order, t=t, s=s)[0]
     if not np.all(np.isfinite(mu)):
         raise DivergenceError("bi-moments diverge on this domain")
     return BiMoments(m=mu, c=float(c), E1=E1, E2=E2)
 
 
-def _bimoment_series(c, E1, E2, N, order, v=(0.0, 0.0, 0.0), degree=0):
+def _bimoment_series(c, E1, E2, N, order, v=(0.0, 0.0, 0.0), degree=0,
+                     t=(), s=()):
     """Taylor matrices G_0..G_degree of the N x N bi-moments over E1 x E2 as
-    every node moves by s (v_a, v_b) and the coupling by s v_c: on
+    every node moves by h (v_a, v_b) and the coupling by h v_c: on
     (-inf, a] x (-inf, b] the exact motion of the endpoints, since a
     half-line rule is a translate of its endpoint.  The exponent is then a
-    cubic phi_0 + s phi_1 + s^2 phi_2 + s^3 phi_3, and K' = phi' K."""
+    cubic phi_0 + h phi_1 + h^2 phi_2 + h^3 phi_3, and K' = phi' K.  At the
+    times (t, s) the rule weights carry E_t(x) and E_{-s}(y)."""
     scale = _coupled_scale(c)
     x, wx = union_rule(E1, order, scale)
     y, wy = union_rule(E2, order, scale)
+    wx = wx * evolution_factor(t)(x)
+    wy = wy * evolution_factor([-v for v in s])(y)
     va, vb, vc = v
     xs, ys, xy = x[:, None], y[None, :], np.outer(x, y)
     kernel = [np.exp(-0.5 * xs ** 2 - 0.5 * ys ** 2 + c * xy)]
@@ -93,7 +99,7 @@ def _bimoment_series(c, E1, E2, N, order, v=(0.0, 0.0, 0.0), degree=0):
     for r in range(1, degree + 1):
         kernel.append(sum(j * phi[j] * kernel[r - j]
                           for j in range(1, min(r, 3) + 1)) / r)
-    powers = []  # [s^r] w (z + s dz)^i, one factor z + s dz at a time
+    powers = []  # [h^r] w (z + h dz)^i, one factor z + h dz at a time
     for z, w, dz in ((x, wx, va), (y, wy, vb)):
         p = np.zeros((degree + 1, len(z), N))
         p[0, :, 0] = 1.0
@@ -106,16 +112,6 @@ def _bimoment_series(c, E1, E2, N, order, v=(0.0, 0.0, 0.0), degree=0):
             for r in range(degree + 1)]
     return [sum(left[u] @ py[r - u] for u in range(r + 1))
             for r in range(degree + 1)]
-
-
-def evolve_bimoments(m0, t, s):
-    """Exact evolution m(t,s) = e^{sum t_n L^n} m(0) e^{-sum s_n L^{T n}},
-    cut to the square both evolutions keep."""
-    t = () if t is None else t
-    s = () if s is None else [-v for v in s]
-    new = evolve_array(m0.m, t, s)
-    keep = min(new.shape)
-    return m0 if new is m0.m else replace(m0, m=new[:keep, :keep])
 
 
 # ----- exact log-tau derivatives in (t, s) -----

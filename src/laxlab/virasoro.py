@@ -11,9 +11,10 @@ Three layers:
 * two evaluators of those lists: ``_MomentTau.apply`` on a tau function,
   with exact time derivatives from the log-det jets of its moment block
   and endpoint derivatives from the endpoint Taylor term of the moments,
-  for the constraint residual; ``apply_poly`` on polynomials in t_1,
-  t_2, ... with rational coefficients, for the commutation relations and
-  the central charge without any rounding.
+  both of the weight evolved to the times t, for the constraint residual;
+  ``apply_poly`` on polynomials in t_1, t_2, ... with rational
+  coefficients, for the commutation relations and the central charge
+  without any rounding.
 
 Throughout, the multiplication-by-t terms carry the weight
 sigma = 1/beta: that weight is pinned by the translation and dilation
@@ -24,7 +25,7 @@ standard normalization.
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,17 +34,14 @@ from .errors import DivergenceError, UsageError
 from .mathcore import lu_determinant, pfaffian
 from .pfaff import (
     _dlog_pf_directional,
-    evolve_skew,
     skew_endpoint_series,
     skew_inner_products,
 )
 from .tau import (
     dlog_tau_directional,
-    evolve_hankel,
     hankel_endpoint_series,
     hankel_moments,
     logdet_series_derivatives,
-    max_shift_for,
     polarized,
 )
 
@@ -88,89 +86,79 @@ def weight_to_fg(w):
 
 class _MomentTau:
     """tau(t): det (Hankel) or pf (skew) of the leading block of the
-    moments evolved to the times t.  Every derivative is exact: time
-    derivatives of log tau come from its directional jets, mixed pairs by
-    polarization, and an endpoint derivative from the endpoint Taylor term
-    of the moments, evolved by the same linear map as the moments."""
+    moments of a weight evolved to the times t.  Every derivative is exact:
+    time derivatives of log tau come from its directional jets, mixed
+    pairs by polarization, and an endpoint derivative from the endpoint
+    Taylor term of the moments."""
 
     _tfac = 1.0
 
-    def _evolved(self, t):
-        key = tuple(np.asarray(t, dtype=float))
-        if key not in self._cache:
-            self._cache[key] = self._evolve(self._m0, self._tfac * np.array(key))
-        return self._cache[key]
-
-    def value(self, t):
+    def value(self):
         with np.errstate(over="ignore"):
-            tau = self._det(self._block(self._evolved(t)))
+            tau = self._det(self._block(self._m))
         if not math.isfinite(tau):
             raise DivergenceError("tau overflows: the moment block is too large")
         return tau
 
-    def dlog(self, t, ks):
-        """d/dt_{k_1} ... d/dt_{k_r} log tau at t, r <= 4; a jet along
-        c v is c^r times the jet along v, which carries the time factor."""
-        m = self._evolved(t)
+    def dlog(self, ks):
+        """d/dt_{k_1} ... d/dt_{k_r} log tau, r <= 4; a jet along c v is
+        c^r times the jet along v, which carries the time factor."""
         return polarized(lambda d, order: self._jets(
-            m, self.size, self._tfac * np.asarray(d, dtype=float), order), ks)
+            self._m, self.size, self._tfac * np.asarray(d, dtype=float),
+            order), ks)
 
-    def derivative(self, t, ks):
-        """d/dt_{k_1} ... d/dt_{k_r} tau at t, r <= 2."""
-        value = self.value(t)
+    def derivative(self, ks):
+        """d/dt_{k_1} ... d/dt_{k_r} tau, r <= 2."""
+        value = self.value()
         if len(ks) == 2:
             i, j = ks
-            return value * (self.dlog(t, ks)
-                            + self.dlog(t, (i,)) * self.dlog(t, (j,)))
-        return value * self.dlog(t, ks) if ks else value
+            return value * (self.dlog(ks) + self.dlog((i,)) * self.dlog((j,)))
+        return value * self.dlog(ks) if ks else value
 
-    def apply(self, terms, t):
-        """The operator of a term list applied to tau at t; a time beyond
-        the end of t reads as zero."""
-        total = 0.0
+    def apply(self, terms):
+        """The operator of a term list applied to tau; a time beyond the
+        end of the weight's times reads as zero."""
+        t, total = self.times, 0.0
         for c, mul, diff in terms:
             for i in mul:
                 c = c * (t[i - 1] if i <= len(t) else 0.0)
             if c:
-                total += c * self.derivative(t, diff)
+                total += c * self.derivative(diff)
         return total
 
-    def d_endpoint(self, t, c, sigma):
-        """d tau / dc at t for the finite endpoint c of E, an upper
-        (sigma = +1) or a lower (sigma = -1) one."""
-        g0 = self._block(self._evolved(t))
-        g1 = self._series(self._m0, c, sigma, 1)[0]
-        g1 = self._block(self._evolve(g1, self._tfac * np.asarray(t, float)))
-        return self.value(t) * self._half * logdet_series_derivatives([g0, g1])[0]
+    def d_endpoint(self, c, sigma):
+        """d tau / dc for the finite endpoint c of E, an upper (sigma = +1)
+        or a lower (sigma = -1) one."""
+        g0 = self._block(self._m)
+        g1 = self._block(self._series(self._m, c, sigma, 1)[0])
+        jet = logdet_series_derivatives([g0, g1])[0]
+        return self.value() * self._half * jet
 
 
 class HankelTauSupplier(_MomentTau):
-    """tau_n(t) = det of the n x n Hankel block of E-restricted moments,
-    with the time dependence handled by the exact polynomial evolution."""
+    """tau_n(t) = det of the n x n Hankel block of the E-restricted
+    moments of the weight w, evolved to its times, to index depth."""
 
     _det, _half = staticmethod(lu_determinant), 1.0
-    _evolve = staticmethod(evolve_hankel)
     _jets = staticmethod(dlog_tau_directional)
     _series = staticmethod(hankel_endpoint_series)
 
     def __init__(self, w, E, n, depth, order=64):
-        self.size = n
-        self._m0 = hankel_moments(w, E, M=depth, order=order)
-        self._cache = {}
+        self.size, self.times = n, w.times
+        self._m = hankel_moments(w, E, M=depth, order=order)
 
     def _block(self, m):
         return m.matrix(self.size)
 
 
 class PfaffTauSupplier(_MomentTau):
-    """Pfaffian tau of the skew moment matrix: the sign-kernel pairing for
-    the beta = 1 integrals (block size n, n even) and the Wronskian
-    pairing for beta = 4 (block size 2n, with the times halved so the
-    supplier matches integrals carrying one weight factor per variable).
+    """Pfaffian tau of the skew moment matrix of the weight w, evolved to
+    its times: the sign-kernel pairing for the beta = 1 integrals (block
+    size n, n even) and the Wronskian pairing for beta = 4 (block size 2n,
+    one weight factor per variable, so the time jets are halved).
     Derivatives use log pf = (1/2) log det."""
 
     _det, _half = staticmethod(pfaffian), 0.5
-    _evolve = staticmethod(evolve_skew)
     _jets = staticmethod(_dlog_pf_directional)
     _series = staticmethod(skew_endpoint_series)
 
@@ -183,11 +171,11 @@ class PfaffTauSupplier(_MomentTau):
             self.size, alpha, self._tfac = 2 * n, 1, 0.5
         else:
             raise UsageError("Pfaffian supplier covers beta = 1 and 4 only")
+        self.times = w.times
         total = self.size + depth
         total += total % 2
-        self._m0 = skew_inner_products(w, E, alpha=alpha, N=total // 2,
-                                       order=order)
-        self._cache = {}
+        self._m = skew_inner_products(w, E, alpha=alpha, N=total // 2,
+                                      order=order)
 
     def _block(self, m):
         return m.block(self.size)
@@ -258,25 +246,26 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
     kq = k + len(data.f_coeffs)  # largest second-order index used
     K = max(kq + 3, 4)
     t = np.zeros(K) if t is None else np.asarray(t, dtype=float)
-    # the evolved moments must hold the block and its jets, which shift the
-    # index by up to K + kq
-    reach = max_shift_for(t) + K + kq + 2
+    w = replace(w, times=t)
+    # the moments must hold the block and its jets, which shift the index
+    # by up to K + kq
+    reach = K + kq + 2
 
     if beta == 2:
         sup = HankelTauSupplier(w, E, n, depth=2 * (n - 1) + reach,
                                 order=order)
     else:
         sup = PfaffTauSupplier(w, E, n, beta, depth=reach, order=order)
-    tau = sup.value(t)
+    tau = sup.value()
     terms = []
     for i, ai in enumerate(data.f_coeffs):
         if ai != 0.0:
             op = dressed_terms(k + i, beta, n, len(t))
-            terms.append(ai * sup.apply(op, t))
+            terms.append(ai * sup.apply(op))
     for i, bi in enumerate(data.g_coeffs):
         if bi != 0.0:
             idx = k + i + 1
-            part = sup.apply(heisenberg_terms(idx, 1 / beta), t)
+            part = sup.apply(heisenberg_terms(idx, 1 / beta))
             if idx == 0:
                 part += n * tau
             terms.append(-bi * part)
@@ -286,7 +275,7 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
                 continue
             coeff = c ** (k + 1) * data.f(c)
             if coeff != 0.0:
-                terms.append(-coeff * sup.d_endpoint(t, c, sign))
+                terms.append(-coeff * sup.d_endpoint(c, sign))
     scale = max([abs(tau)] + [abs(v) for v in terms])
     if scale == 0.0:
         return 0.0

@@ -1,0 +1,53 @@
+"""The truncated time evolution as a shift series on deep moments: the
+reference every evolved-weight moment builder is checked against.
+
+exp(sum_k t_k z^k) is expanded here as a product of one exponential per
+time, cut at total degree EVOLUTION_DEGREE in t, and applied to a stored
+moment array as a sum of index-shifted blocks."""
+
+import numpy as np
+
+from laxlab.tau import EVOLUTION_DEGREE, add_shifted_blocks
+
+
+def shift_depth(t):
+    """The largest index shift the truncated evolution by t reaches."""
+    nonzero = np.nonzero(np.asarray(t, dtype=float))[0]
+    return int(nonzero[-1] + 1) * EVOLUTION_DEGREE if len(nonzero) else 0
+
+
+def reference_shift_coefficients(t, max_shift, degree=EVOLUTION_DEGREE):
+    """exp(sum_k t_k z^k) = sum_d c_d z^d to total degree ``degree`` in t
+    and shift ``max_shift`` in z, as a product of one exponential per
+    time."""
+    t = np.asarray(t, dtype=float)
+    c = np.zeros((degree + 1, max_shift + 1))
+    c[0, 0] = 1
+    for k, tk in enumerate(t, start=1):
+        if tk == 0:
+            continue
+        new = np.zeros_like(c)
+        term = 1
+        for j in range(degree + 1):
+            if k * j > max_shift:
+                break
+            if j > 0:
+                term *= tk / j
+            new[j:, k * j:] += term * c[: degree + 1 - j, : max_shift + 1 - k * j]
+        c = new
+    return c.sum(axis=0)
+
+
+def reference_evolution(m, rows, cols=()):
+    """e^{sum rows_k Lambda^k} m e^{sum cols_k Lambda^{T k}} with the
+    reference coefficients, Lambda the index shift: the array loses the
+    shift_depth of each evolution along its index."""
+    r, s = shift_depth(rows), shift_depth(cols)
+    out = np.zeros((m.shape[0] - r, m.shape[1] - s), dtype=m.dtype)
+    return add_shifted_blocks(out, m, reference_shift_coefficients(rows, r),
+                              reference_shift_coefficients(cols, s))
+
+
+def reference_hankel(mu, t):
+    """The moment sequence mu evolved by t, shift_depth(t) entries shorter."""
+    return reference_evolution(np.asarray(mu)[:, None], t)[:, 0]

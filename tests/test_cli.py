@@ -712,6 +712,30 @@ def test_toda_poly_uniform_at_degree_12():
     assert dispatch("toda poly --weight uniform --n 12 --check".split())[1] == 0
 
 
+@pytest.mark.parametrize("seed", [53, 60, 73, 79])
+def test_toda_qr_route_holds_at_large_t(seed):
+    # QR of e^{t L0 / 2} in one piece lost 3e-7 to 3e-6 here at t = 30
+    argv = f"toda flow --t-end 30 --routes ode,qr --seed {seed} --check"
+    assert dispatch(argv.split())[1] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    "toda poly --n 15", "toda poly --n 30",
+    "toda poly --weight laguerre --a 1 --n 6",
+    "toda poly --weight laguerre --a 1 --n 20",
+])
+def test_toda_poly_norm_gate_resolves_unbounded_weights(argv):
+    report, code, _ = dispatch((argv + " --check").split())
+    assert code == 0 and report.max_abs_residual < 1e-12
+
+
+def test_pfaff_flow_honours_its_order():
+    reports = [dispatch(f"pfaff flow --order {order}".split())[0]
+               for order in (80, 96)]
+    assert [r.params["order"] for r in reports] == [80, 96]
+    assert reports[0].rows != reports[1].rows
+
+
 @pytest.mark.parametrize("argv", ["virasoro check --n 39",
                                   "virasoro check --n 120"])
 def test_an_overflowing_tau_exits_numerical(argv):

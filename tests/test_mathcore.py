@@ -25,7 +25,6 @@ from laxlab.mathcore import (
     bessel_sqrt_taylor_coefficients,
     cut_rules,
     gauss_legendre_rule,
-    integrate,
     interval_rule,
     lu_determinant,
     pfaffian,
@@ -285,7 +284,8 @@ def test_gauss_legendre_rejects_infinite_interval():
 
 def test_union_rule_gaussian_integral():
     E = IntervalUnion.full_line()
-    val = integrate(lambda z: np.exp(-z * z), E, 80, scale=1.0)
+    x, w = union_rule(E, 80, scale=1.0)
+    val = np.dot(w, np.exp(-x * x))
     assert val == pytest.approx(math.sqrt(math.pi), abs=1e-12)
 
 

@@ -7,7 +7,6 @@ import pytest
 from laxlab.fd import central_diff
 from laxlab.errors import (
     DegenerateFlagError,
-    DepthError,
     DivergenceError,
     SingularMatrixError,
     SingularTauError,
@@ -18,7 +17,6 @@ from laxlab.mathcore import pfaffian, quadrature, skew_borel, union_rule
 from laxlab import pfaff
 from laxlab.pfaff import (
     SkewMoments,
-    evolve_skew,
     pfaff_lax,
     pfaff_ode_flow,
     pfaffkp_residual,
@@ -95,10 +93,11 @@ def uniform_weight():
     return WeightSpec("uniform")
 
 
-def pfaff_flow_moments():
-    """The eps-pairing moments of ``pfaff flow``: a wide gaussian keeps the
-    skew-Borel pivots well away from zero."""
-    return skew_inner_products(gaussian_weight(4.0), alpha=-1, N=10, order=96)
+def pfaff_flow_moments(t=(), N=10):
+    """The eps-pairing moments of ``pfaff flow``, at the times t: a wide
+    gaussian keeps the skew-Borel pivots well away from zero."""
+    return skew_inner_products(WeightSpec("gaussian", b=4.0, times=t),
+                               alpha=-1, N=N, order=96)
 
 
 # ----- construction -----
@@ -215,19 +214,21 @@ def test_eps_moments_in_small_chunks_are_bit_for_bit_the_same(monkeypatch):
 
 def test_evolve_zero_identity():
     m = skew_inner_products(uniform_weight(), alpha=-1, N=4)
-    assert evolve_skew(m, [0.0]) is m
+    still = skew_inner_products(WeightSpec("uniform", times=[0.0]),
+                                alpha=-1, N=4)
+    assert np.array_equal(still.m, m.m)
 
 
 def test_evolve_preserves_skewness_exactly():
-    m = skew_inner_products(uniform_weight(), alpha=-1, N=14)
-    out = evolve_skew(m, [0.05, -0.02])
+    out = skew_inner_products(WeightSpec("uniform", times=[0.05, -0.02]),
+                              alpha=-1, N=4)
     assert np.abs(out.m + out.m.T).max() == 0.0
 
 
 def test_evolve_alpha_minus_matches_quadrature():
     t1 = 0.06
-    m = skew_inner_products(uniform_weight(), alpha=-1, N=9)
-    out = evolve_skew(m, [t1])
+    out = skew_inner_products(WeightSpec("uniform", times=[t1]), alpha=-1,
+                              N=3)
     shifted = skew_inner_products(
         WeightSpec(
             "custom",
@@ -241,26 +242,19 @@ def test_evolve_alpha_minus_matches_quadrature():
 
 
 def test_evolve_alpha_plus_matches_quadrature():
-    # plain-t evolution corresponds to the weight picking up e^{2 sum t z^k}
+    # the Wronskian pairing has one weight factor: e^{sum t z^k}
     t1 = 0.06
-    m = skew_inner_products(uniform_weight(), alpha=1, N=9)
-    out = evolve_skew(m, [t1])
+    out = skew_inner_products(WeightSpec("uniform", times=[t1]), alpha=1, N=3)
     shifted = skew_inner_products(
         WeightSpec(
             "custom",
-            func=lambda z: np.exp(2.0 * t1 * z),
+            func=lambda z: np.exp(t1 * z),
             custom_support=IntervalUnion([(0.0, 1.0)]),
         ),
         alpha=1,
         N=3,
     )
     assert np.abs(out.m[:6, :6] - shifted.m).max() < 1e-9
-
-
-def test_evolve_depth_error():
-    m = skew_inner_products(uniform_weight(), alpha=-1, N=3)
-    with pytest.raises(DepthError):
-        evolve_skew(m, [0.1])
 
 
 # ----- tau tables -----
@@ -359,10 +353,8 @@ def test_lax_nilpotent_char_poly_along_flow():
     # L = Q Lambda Q^{-1} is similar to the shift, so every characteristic
     # polynomial coefficient except the leading one vanishes; check the
     # computed coefficients stay tiny along the moment flow
-    m = pfaff_flow_moments()
     for t1 in (0.0, 0.04, 0.08):
-        mm = evolve_skew(m, [t1]) if t1 else m
-        L = pfaff_lax(mm)
+        L = pfaff_lax(pfaff_flow_moments([t1]))
         coeffs = np.poly(L)[1:]
         assert np.abs(coeffs).max() < 1e-8
 
@@ -377,10 +369,9 @@ def test_ode_flow_t0_identity():
 
 
 def test_route_agreement_moment_vs_ode():
-    m = pfaff_flow_moments()
     t1 = 0.1
-    via_moments = pfaff_lax(evolve_skew(m, [t1]))  # size 8
-    L = pfaff_ode_flow(pfaff_lax(m), 1, t1, 1e-3)
+    via_moments = pfaff_lax(pfaff_flow_moments([t1], N=4))  # size 8
+    L = pfaff_ode_flow(pfaff_lax(pfaff_flow_moments()), 1, t1, 1e-3)
     assert np.abs(L[:6, :6] - via_moments[:6, :6]).max() < 1e-6
 
 

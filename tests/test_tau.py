@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -6,25 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxlab.errors import DepthError, DivergenceError
+from evolution_reference import (
+    reference_evolution,
+    reference_hankel,
+    reference_shift_coefficients,
+    shift_depth,
+)
+from laxlab.errors import DivergenceError
 from laxlab.fd import central_diff
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import lu_determinant
-from laxlab.pfaff import SkewMoments, evolve_skew
+from laxlab.pfaff import skew_inner_products
 from laxlab.tau import (
-    EVOLUTION_DEGREE,
     HankelMoments,
     WeightSpec,
-    add_shifted_blocks,
     dlog_tau_directional,
     evolution_coefficients,
-    evolve_hankel,
+    hankel_endpoint_series,
     hankel_moments,
     kp_residual,
-    max_shift_for,
     polarized,
 )
-from laxlab.twotoda import BiMoments, evolve_bimoments
+from laxlab.twotoda import bimoments
 
 
 # ----- oracles -----
@@ -59,36 +63,6 @@ def mc_tau3_oracle(b, rng, count=200_000):
     est = vals.mean() / 6.0
     err = vals.std(ddof=1) / math.sqrt(count) / 6.0
     return est, err
-
-
-def reference_shift_coefficients(t, max_shift, degree=EVOLUTION_DEGREE):
-    """exp(sum_k t_k z^k) = sum_d c_d z^d to total degree ``degree`` in t
-    and shift ``max_shift`` in z, as a product of one exponential per
-    time."""
-    t = np.asarray(t, dtype=float)
-    c = np.zeros((degree + 1, max_shift + 1))
-    c[0, 0] = 1
-    for k, tk in enumerate(t, start=1):
-        if tk == 0:
-            continue
-        new = np.zeros_like(c)
-        term = 1
-        for j in range(degree + 1):
-            if k * j > max_shift:
-                break
-            if j > 0:
-                term *= tk / j
-            new[j:, k * j:] += term * c[: degree + 1 - j, : max_shift + 1 - k * j]
-        c = new
-    return c.sum(axis=0)
-
-
-def reference_evolution(m, rows, cols):
-    """add_shifted_blocks with the reference coefficients."""
-    r, s = max_shift_for(rows), max_shift_for(cols)
-    out = np.zeros((m.shape[0] - r, m.shape[1] - s), dtype=m.dtype)
-    return add_shifted_blocks(out, m, reference_shift_coefficients(rows, r),
-                              reference_shift_coefficients(cols, s))
 
 
 def uniform_weight():
@@ -130,14 +104,13 @@ def test_divergent_moment_rejected():
 
 def test_evolve_zero_is_identity():
     m = hankel_moments(uniform_weight(), M=10)
-    m2 = evolve_hankel(m, [0.0, 0.0])
+    m2 = hankel_moments(WeightSpec("uniform", times=[0.0, 0.0]), M=10)
     assert np.array_equal(m.mu, m2.mu)
 
 
 def test_evolve_t1_matches_quadrature():
     s = 0.05
-    m = hankel_moments(uniform_weight(), M=30)
-    evolved = evolve_hankel(m, [s])
+    evolved = hankel_moments(WeightSpec("uniform", times=[s]), M=10)
     # direct quadrature of e^{s z} on [0,1]
     shifted = hankel_moments(
         WeightSpec("custom", func=lambda z: np.exp(s * z),
@@ -145,23 +118,19 @@ def test_evolve_t1_matches_quadrature():
         E=IntervalUnion([(0.0, 1.0)]),
         M=10,
     )
-    assert np.abs(evolved.mu[:11] - shifted.mu).max() < 1e-10
+    assert np.abs(evolved.mu - shifted.mu).max() < 1e-10
 
 
 def test_evolution_semigroup():
-    m = hankel_moments(uniform_weight(), M=100)
     t1 = np.array([0.03, -0.02])
     t2 = np.array([-0.01, 0.04])
-    a = evolve_hankel(evolve_hankel(m, t1), t2)
-    b = evolve_hankel(m, t1 + t2)
-    k = min(len(a.mu), len(b.mu))
-    assert np.abs(a.mu[:k] - b.mu[:k]).max() < 1e-12
-
-
-def test_evolve_depth_error():
-    m = hankel_from_sequence(np.ones(5))
-    with pytest.raises(DepthError):
-        evolve_hankel(m, [0.1])
+    # the weight evolved by t1, then evolved by t2
+    first = WeightSpec("uniform", times=t1)
+    a = hankel_moments(WeightSpec("custom", func=first.density,
+                                  custom_support=first.support(), times=t2),
+                       M=30)
+    b = hankel_moments(WeightSpec("uniform", times=t1 + t2), M=30)
+    assert np.abs(a.mu - b.mu).max() < 1e-12
 
 
 TIMES = st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
@@ -172,45 +141,74 @@ TIMES = st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
 @given(TIMES)
 def test_evolution_coefficients_match_the_reference(t):
     c = evolution_coefficients(t)
-    assert len(c) == max_shift_for(t) + 1
-    ref = reference_shift_coefficients(t, max_shift_for(t))
+    assert len(c) == shift_depth(t) + 1
+    ref = reference_shift_coefficients(t, shift_depth(t))
     assert np.abs(c - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+EVOLVED_WEIGHTS = [
+    (WeightSpec("gaussian"), None),
+    (WeightSpec("uniform"), None),
+    (WeightSpec("laguerre", a=1.0), IntervalUnion([(0.0, 2.5)])),
+    (WeightSpec("gaussian"), IntervalUnion([(-math.inf, -0.5), (0.3, 1.2)])),
+]
+EVOLUTION_TIMES = ([0.3], [0.1, -0.2], [-0.05, 0.0, 0.07])
+
+
+def evolved(w, t):
+    return WeightSpec(w.family, a=w.a, b=w.b, times=t)
+
+
+def assert_close(got, want, rel=1e-11):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
 def test_evolve_hankel_matches_the_reference():
-    rng = np.random.default_rng(3)
-    m = hankel_from_sequence(rng.normal(size=60))
-    for t in ([0.3], [0.1, -0.2], [-0.05, 0.0, 0.07]):
-        want = reference_evolution(m.mu[:, None], t, ())[:, 0]
-        got = evolve_hankel(m, t).mu
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the moments of the evolved weight against the shift series on deep
+    # moments of the weight itself
+    for (w, E), t in itertools.product(EVOLVED_WEIGHTS, EVOLUTION_TIMES):
+        deep = hankel_moments(w, E, M=20 + shift_depth(t))
+        got = hankel_moments(evolved(w, t), E, M=20).mu
+        assert_close(got, reference_hankel(deep.mu, t))
 
 
 def test_evolve_skew_matches_the_reference():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(40, 40))
-    m = SkewMoments(m=a - a.T, alpha=-1, weight=gaussian_weight(),
-                    E=IntervalUnion.full_line())
-    for t in ([0.3], [0.1, -0.2]):
-        want = reference_evolution(m.m, t, t)
-        want = (want - want.T) / 2
-        got = evolve_skew(m, t).m
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for (w, E), t in itertools.product(EVOLVED_WEIGHTS, EVOLUTION_TIMES[:2]):
+        # the eps-pairing moves by t on both indices
+        deep = skew_inner_products(w, E, alpha=-1, N=6 + shift_depth(t) // 2)
+        got = skew_inner_products(evolved(w, t), E, alpha=-1, N=6).m
+        assert_close(got, reference_evolution(deep.m, t, t))
+        # the Wronskian pairing (j - i) r_{i+j-1} carries one weight factor:
+        # r_k = m_{0,k+1} / (k + 1) moves as a Hankel sequence
+        deep = skew_inner_products(w, E, alpha=1, N=12 + shift_depth(t) // 2)
+        r = reference_hankel(deep.m[0, 1:] / np.arange(1, deep.size), t)
+        i = np.arange(12)
+        want = (i - i[:, None]) * r[np.maximum(np.add.outer(i, i) - 1, 0)]
+        got = skew_inner_products(evolved(w, t), E, alpha=1, N=6).m
+        assert_close(got, want)
 
 
 def test_evolve_bimoments_matches_the_reference():
-    rng = np.random.default_rng(5)
-    m = BiMoments(m=rng.normal(size=(40, 40)), c=0.5,
-                  E1=IntervalUnion.full_line(), E2=IntervalUnion.full_line())
-    for t, s in (([0.3], [0.1]), ([0.1, -0.2], [0.05]), ([0.2], None)):
-        keep = 40 - max(max_shift_for(t), max_shift_for(s or []))
-        neg = [-v for v in s or []]
-        want = reference_evolution(m.m, t, neg)[:keep, :keep]
-        got = evolve_bimoments(m, t, s).m
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    E = (IntervalUnion.full_line(), IntervalUnion.half_line_below(0.4))
+    for c in (0.5, -0.4):
+        for t, s in (([0.3], [0.1]), ([0.1, -0.2], [0.05]), ([0.2], ())):
+            deep = bimoments(c, E, N=8 + max(shift_depth(t), shift_depth(s)))
+            neg = [-v for v in s]
+            want = reference_evolution(deep.m, t, neg)[:8, :8]
+            assert_close(bimoments(c, E, N=8, t=t, s=s).m, want)
+
+
+def test_evolved_endpoint_series_match_the_reference():
+    # the Taylor terms of the evolved moments as the last endpoint c moves
+    for (w, E), t in itertools.product(EVOLVED_WEIGHTS[2:], EVOLUTION_TIMES):
+        c = E.intervals[-1][1]
+        deep = hankel_moments(w, E, M=10 + shift_depth(t))
+        want = hankel_endpoint_series(deep, c, 1.0, 3)
+        got = hankel_endpoint_series(hankel_moments(evolved(w, t), E, M=10),
+                                     c, 1.0, 3)
+        for g, ref in zip(got, want):
+            assert_close(g.mu, reference_hankel(ref.mu, t))
 
 
 # ----- tau tables -----
@@ -255,7 +253,8 @@ def test_dlog_tau_second_order_matches_fd_oracle():
     m = hankel_moments(uniform_weight(), M=40)
 
     def f(s):
-        return log_tau(evolve_hankel(m, [s]), 2)
+        return log_tau(hankel_moments(WeightSpec("uniform", times=[s]), M=4),
+                       2)
 
     oracle = central_diff(f, 2, 1e-2, richardson=True)
     assert dlog_tau(m, 2, [1, 1]) == pytest.approx(oracle, abs=1e-9)
@@ -265,7 +264,8 @@ def test_dlog_tau_first_order_exact_vs_fd():
     m = hankel_moments(gaussian_weight(), M=30)
 
     def f(s):
-        return log_tau(evolve_hankel(m, [0.0, s]), 3)
+        return log_tau(hankel_moments(WeightSpec("gaussian", times=[0.0, s]),
+                                      M=6), 3)
 
     fd = central_diff(f, 1, 1e-2, richardson=True)
     assert dlog_tau(m, 3, [2]) == pytest.approx(fd, abs=1e-8)
@@ -276,7 +276,8 @@ def test_dlog_tau_mixed_partials_match_fd_of_first_order(orders):
     m = hankel_moments(WeightSpec("laguerre"), M=60)
 
     def f(s):
-        return dlog_tau(evolve_hankel(m, [s]), 3, [2])
+        return dlog_tau(hankel_moments(WeightSpec("laguerre", times=[s]),
+                                       M=10), 3, [2])
 
     fd = central_diff(f, orders.count(1), 1e-2, richardson=True, levels=2)
     assert dlog_tau(m, 3, orders) == pytest.approx(fd, rel=1e-8)
@@ -307,9 +308,9 @@ def test_kp_residual_gaussian_n3():
 
 def test_kp_residual_small_t():
     rng = np.random.default_rng(9)
-    m = hankel_moments(uniform_weight(), M=100)
     t = rng.uniform(-0.05, 0.05, size=3)
-    assert abs(kp_residual(m, 2, t=t)) < 1e-6
+    m = hankel_moments(WeightSpec("uniform", times=t), M=100)
+    assert abs(kp_residual(m, 2)) < 1e-6
 
 
 def test_kp_residual_scale_invariant():

@@ -10,8 +10,10 @@ from laxlab.errors import (
     StabilityError,
     UsageError,
 )
-from laxlab.mathcore import integrate
-from laxlab.tau import WeightSpec, evolve_hankel, hankel_moments, refine_on_rule
+from evolution_reference import reference_hankel
+from laxlab.mathcore import union_rule
+from laxlab.mathcore.ode import SEGMENTS
+from laxlab.tau import WeightSpec, hankel_moments, refine_on_rule
 from laxlab.toda import (
     FACTORIZATION_FLOW_SCALE,
     TridiagonalLax,
@@ -126,8 +128,7 @@ def test_lax_from_tau_matches_gram_schmidt_oracle():
 def test_lax_from_tau_evolved_matches_oracle():
     m = hankel_moments(gaussian_weight(), M=40)
     t = [0.08, -0.03]
-    evolved = evolve_hankel(m, t)
-    diag, off = gram_schmidt_jacobi_oracle(evolved.mu, 3)
+    diag, off = gram_schmidt_jacobi_oracle(reference_hankel(m.mu, t), 3)
     L = jacobi(weight_recurrence(gaussian_weight(), 3, t))
     assert np.abs(L.diag - diag).max() < 1e-10
     assert np.abs(L.offdiag - off).max() < 1e-10
@@ -250,34 +251,53 @@ def test_batched_ode_guard_sees_one_bad_member():
         toda_ode_flow(batch, 1, 40.0, 0.1)
 
 
-def test_factorization_at_many_times_matches_one_time_calls():
-    L0 = random_lax(6, 19)
-    times = np.array([-1.0, 0.0, 0.5, 3.0])
-    many = toda_factorization_flow(L0, 2, times).matrix()
-    for t, got in zip(times, many):
-        alone = toda_factorization_flow(L0, 2, t).matrix()
-        assert np.abs(got - alone).max() < 1e-15
-
-
 # ----- factorization flow -----
+
+def factorized(L0, k, t):
+    """L(t) by the factorization route: the last checkpoint."""
+    return toda_factorization_flow(L0, k, t).matrix()[-1]
+
+
+def test_factorization_checkpoints_match_direct_calls():
+    L0 = random_lax(6, 19)
+    for t_end in (3.0, -1.0):
+        many = toda_factorization_flow(L0, 2, t_end).matrix()
+        assert len(many) == SEGMENTS + 1
+        for j in (0, 1, 7, SEGMENTS):
+            alone = factorized(L0, 2, t_end * j / SEGMENTS)
+            assert np.abs(many[j] - alone).max() < 1e-13
+
+
+def test_factorization_holds_at_large_t():
+    # a single exponent e^{c t L0} spans too many magnitudes at t = 30 for
+    # its Q factor; one segment at a time keeps QR on the measure route
+    for seed in (53, 60, 73, 79):
+        rng = np.random.default_rng(seed)
+        pts, wts = rng.uniform(-1.0, 1.0, 6), rng.uniform(0.5, 1.5, 6)
+        L0 = toda_measure_flow(pts, wts, 1, 0.0)
+        for t_end in (30.0, 50.0):
+            qr = factorized(L0, 1, t_end)
+            exact = toda_measure_flow(pts, wts, 1, t_end).matrix()
+            assert np.abs(qr - exact).max() < 1e-12
+
 
 def test_factorization_t0_identity():
     L0 = random_lax(5, 2)
-    out = toda_factorization_flow(L0, 1, 0.0)
-    assert np.abs(out.matrix() - L0.matrix()).max() < 1e-12
+    out = factorized(L0, 1, 0.0)
+    assert np.abs(out - L0.matrix()).max() < 1e-12
 
 
 def test_factorization_diagonal_fixed_point():
     L0 = TridiagonalLax([2.0, 1.0, -1.0], [1e-13, 1e-13])
-    out = toda_factorization_flow(L0, 1, 3.0)
-    assert np.abs(np.sort(out.diag) - np.sort(L0.diag)).max() < 1e-9
+    out = np.diagonal(factorized(L0, 1, 3.0))
+    assert np.abs(np.sort(out) - np.sort(L0.diag)).max() < 1e-9
 
 
 def test_factorization_matches_ode():
     L0 = random_lax(6, 19)
-    a = toda_factorization_flow(L0, 1, 1.0)
+    a = factorized(L0, 1, 1.0)
     b = toda_ode_flow(L0, 1, 1.0, 5e-4)
-    assert np.abs(a.matrix() - b.matrix()).max() < 1e-6
+    assert np.abs(a - b.matrix()).max() < 1e-6
 
 
 def test_factorization_scale_constant_taylor_match():
@@ -286,7 +306,7 @@ def test_factorization_scale_constant_taylor_match():
     assert FACTORIZATION_FLOW_SCALE == 0.5
     L0 = random_lax(4, 23)
     eps = 1e-4
-    a = toda_factorization_flow(L0, 2, eps).matrix()
+    a = factorized(L0, 2, eps)
     b = toda_ode_flow(L0, 2, eps, eps / 8.0).matrix()
     assert np.abs(a - b).max() < 1e-10
 
@@ -306,9 +326,9 @@ def test_three_route_agreement():
     for k in (1, 2):
         via_tau = toda_measure_flow(pts, wts, k, 0.3)
         via_ode = toda_ode_flow(L0, k, 0.3, 1e-3)
-        via_fac = toda_factorization_flow(L0, k, 0.3)
+        via_fac = factorized(L0, k, 0.3)
         assert np.abs(via_tau.matrix() - via_ode.matrix()).max() < 1e-6
-        assert np.abs(via_fac.matrix() - via_ode.matrix()).max() < 1e-6
+        assert np.abs(via_fac - via_ode.matrix()).max() < 1e-6
 
 
 # ----- orthonormal polynomials -----
@@ -333,13 +353,8 @@ def test_orthopoly_orthonormal_under_quadrature():
     w = gaussian_weight()
     for i in range(6):
         for j in range(i, 6):
-            val = integrate(
-                lambda z: orthopoly(w, i, z) * orthopoly(w, j, z)
-                * w.density(z),
-                w.support(),
-                order=96,
-                scale=w.decay_scale(),
-            )
+            z, wz = union_rule(w.support(), 96, scale=w.decay_scale())
+            val = wz @ (orthopoly(w, i, z) * orthopoly(w, j, z) * w.density(z))
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
 

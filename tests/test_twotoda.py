@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from evolution_reference import reference_evolution
 from laxlab.errors import (
     DivergenceError,
     PrecisionError,
@@ -18,7 +19,6 @@ from laxlab.twotoda import (
     bimoments,
     coupled_pde_residual,
     dlog_tau2,
-    evolve_bimoments,
     gap_log_tau_ratio_taylor,
     kp_in_t_residual,
     wronskian_bracket_residual,
@@ -99,20 +99,20 @@ def test_coupling_bound_enforced():
 
 def test_evolution_identity_and_group_law():
     m = bimoments(0.3, N=40)
-    assert evolve_bimoments(m, None, None) is m
+    assert np.array_equal(bimoments(0.3, N=40, t=[0.0], s=[0.0]).m, m.m)
     t1, t2 = [0.04], [-0.02]
     s1, s2 = [0.03], [0.01]
-    a = evolve_bimoments(evolve_bimoments(m, t1, s1), t2, s2)
-    b = evolve_bimoments(m, [t1[0] + t2[0]], [s1[0] + s2[0]])
-    k = min(a.size, b.size)
-    assert np.abs(a.m[:k, :k] - b.m[:k, :k]).max() < 1e-12 * np.abs(b.m).max()
+    # moments at (t1, s1), moved on by (t2, s2) with the shift series
+    a = reference_evolution(bimoments(0.3, N=40, t=t1, s=s1).m, t2,
+                            [-v for v in s2])
+    b = bimoments(0.3, N=28, t=[t1[0] + t2[0]], s=[s1[0] + s2[0]])
+    assert np.abs(a - b.m).max() < 1e-12 * np.abs(b.m).max()
 
 
 def test_evolution_matches_quadrature_on_box():
     c, t1, s1 = 0.5, 0.07, -0.05
     box = IntervalUnion([(0.0, 1.0)])
-    m = bimoments(c, (box, box), N=16, order=48)
-    out = evolve_bimoments(m, [t1], [s1])
+    out = bimoments(c, (box, box), N=4, order=48, t=[t1], s=[s1])
     x, wx = gauss_legendre_rule(48, (0.0, 1.0))
     y, wy = gauss_legendre_rule(48, (0.0, 1.0))
     kernel = rho0(c, x[:, None], y[None, :]) * np.exp(
@@ -151,7 +151,7 @@ def test_dlog_first_order_against_fd():
     m = bimoments(0.5, N=30)
 
     def f(t1):
-        return math.log(lu_determinant(evolve_bimoments(m, [t1], None).block(2)))
+        return math.log(lu_determinant(bimoments(0.5, N=2, t=[t1]).block(2)))
 
     from laxlab.fd import central_diff
 
@@ -164,7 +164,7 @@ def test_dlog_tau2_matches_polarized_jets():
     # of the directional log-det jets is an accurate reference
     from laxlab.tau import direction_matrices, logdet_series_derivatives, polarized
 
-    m = evolve_bimoments(bimoments(0.5, N=22), [0.1], [-0.07])
+    m = bimoments(0.5, N=10, t=[0.1], s=[-0.07])
 
     def directional(d, order):  # d = (t1, t2, s1, s2)
         d = np.pad(d, (0, 4 - len(d)))
@@ -211,7 +211,7 @@ def test_quotient_identity_sees_a_wrong_derivative(monkeypatch):
     # off it they are O(1)
     n = 2
     at_zero = bimoments(0.5, N=8)
-    moved = evolve_bimoments(bimoments(0.5, N=30), [0.1], [-0.07])
+    moved = bimoments(0.5, N=18, t=[0.1], s=[-0.07])
     for m, size in ((at_zero, 1e-14), (moved, 0.1)):
         side = dlog_tau2(m, n + 1, slist=(1,)) - dlog_tau2(m, n - 1, slist=(1,))
         assert (abs(side) < size) == (m is at_zero)

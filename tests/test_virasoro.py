@@ -55,21 +55,22 @@ def pair_integral_oracle(w, hi, order=120):
     return 2.0 * total
 
 
-def fd_value_derivative(sup, t, k, h=1e-6):
+def fd_value_derivative(make, t, k, h=1e-6):
+    """d tau / dt_k of the suppliers make(t) by central differences."""
     tp = np.array(t, dtype=float)
     tm = np.array(t, dtype=float)
     tp[k - 1] += h
     tm[k - 1] -= h
-    return (sup.value(tp) - sup.value(tm)) / (2.0 * h)
+    return (make(tp).value() - make(tm).value()) / (2.0 * h)
 
 
-def fd_value_second(sup, t, i, j, h=2e-3):
+def fd_value_second(make, t, i, j, h=2e-3):
     def stencil(hh):
         def shift(di, dj):
             tt = np.array(t, dtype=float)
             tt[i - 1] += di * hh
             tt[j - 1] += dj * hh
-            return sup.value(tt)
+            return make(tt).value()
 
         return (
             shift(1, 1) - shift(1, -1) - shift(-1, 1) + shift(-1, -1)
@@ -79,9 +80,11 @@ def fd_value_second(sup, t, i, j, h=2e-3):
     return (4.0 * fine - coarse) / 3.0
 
 
-def make_supplier(n=2, hi=0.7, depth=60):
+def make_supplier(t, depth=60):
+    """tau_2 of the gaussian weight evolved to t, on (-inf, 0.7]."""
     return HankelTauSupplier(
-        GAUSSIAN, IntervalUnion([(-math.inf, hi)]), n, depth=depth
+        WeightSpec("gaussian", times=t), IntervalUnion([(-math.inf, 0.7)]), 2,
+        depth=depth
     )
 
 
@@ -119,11 +122,11 @@ def test_weight_to_fg_rejects_unsupported():
 # ----- suppliers -----
 
 def test_hankel_supplier_d1_matches_fd():
-    sup = make_supplier()
     t = np.zeros(4)
+    sup = make_supplier(t)
     for k in (1, 2, 3):
-        assert sup.derivative(t, (k,)) == pytest.approx(
-            fd_value_derivative(sup, t, k), abs=1e-8
+        assert sup.derivative((k,)) == pytest.approx(
+            fd_value_derivative(make_supplier, t, k), abs=1e-8
         )
 
 
@@ -133,19 +136,21 @@ def test_pfaffian_supplier_matches_quadrature():
             GAUSSIAN, IntervalUnion([(-math.inf, hi)]), 2, 1, depth=6
         )
         # the pairing halves the symmetrized double integral
-        assert sup.value(np.zeros(3)) == pytest.approx(
+        assert sup.value() == pytest.approx(
             0.5 * pair_integral_oracle(GAUSSIAN, hi), rel=1e-9
         )
 
 
 def test_pfaffian_supplier_d1_matches_fd():
-    sup = PfaffTauSupplier(
-        GAUSSIAN, IntervalUnion([(-math.inf, 0.5)]), 2, 4, depth=30
-    )
+    def make(t):
+        return PfaffTauSupplier(WeightSpec("gaussian", times=t),
+                                IntervalUnion([(-math.inf, 0.5)]), 2, 4,
+                                depth=30)
+
     t = np.array([0.01, -0.01, 0.0])
     for k in (1, 2):
-        assert sup.derivative(t, (k,)) == pytest.approx(
-            fd_value_derivative(sup, t, k), abs=1e-7
+        assert make(t).derivative((k,)) == pytest.approx(
+            fd_value_derivative(make, t, k), abs=1e-7
         )
 
 
@@ -157,17 +162,16 @@ def test_beta1_supplier_needs_even_n():
 # ----- numeric operators -----
 
 def test_heisenberg_terms_first_order():
-    sup = make_supplier()
     t = np.zeros(4)
-    assert sup.apply(heisenberg_terms(2, 0.5), t) == pytest.approx(
-        fd_value_derivative(sup, t, 2), abs=1e-8
+    assert make_supplier(t).apply(heisenberg_terms(2, 0.5)) == pytest.approx(
+        fd_value_derivative(make_supplier, t, 2), abs=1e-8
     )
     # negative index is pure multiplication: (1/2) t_1 tau at beta = 2
-    t = np.array([0.3, 0.0, 0.0, 0.0])
-    assert sup.apply(heisenberg_terms(-1, 0.5), t) == pytest.approx(
-        0.5 * 0.3 * sup.value(t), rel=1e-12
+    sup = make_supplier(np.array([0.3, 0.0, 0.0, 0.0]))
+    assert sup.apply(heisenberg_terms(-1, 0.5)) == pytest.approx(
+        0.5 * 0.3 * sup.value(), rel=1e-12
     )
-    assert sup.apply(heisenberg_terms(0, 0.5), t) == 0.0
+    assert sup.apply(heisenberg_terms(0, 0.5)) == 0.0
 
 
 def j2_terms(k, t):
@@ -176,15 +180,15 @@ def j2_terms(k, t):
 
 
 def test_dressed_terms_second_order_vs_fd_hessian():
-    sup = make_supplier()
     t = np.zeros(5)
-    got = sup.apply(j2_terms(2, t), t)
-    assert got == pytest.approx(fd_value_second(sup, t, 1, 1), abs=1e-8)
+    got = make_supplier(t).apply(j2_terms(2, t))
+    assert got == pytest.approx(fd_value_second(make_supplier, t, 1, 1),
+                                abs=1e-8)
     # dilation part, literal in t
     t = np.array([0.05, -0.02, 0.01, 0.0, 0.0])
-    got = sup.apply(j2_terms(0, t), t)
+    got = make_supplier(t).apply(j2_terms(0, t))
     want = sum(
-        (m + 1) * t[m] * fd_value_derivative(sup, t, m + 1)
+        (m + 1) * t[m] * fd_value_derivative(make_supplier, t, m + 1)
         for m in range(3)
     )
     assert got == pytest.approx(want, abs=1e-8)
@@ -197,7 +201,7 @@ def test_j_apply_validates_input():
     # an operator reaching past the stored moments is a depth error
     t = np.zeros(4)
     with pytest.raises(DepthError):
-        make_supplier(depth=3).apply(j2_terms(2, t), t)
+        make_supplier(t, depth=3).apply(j2_terms(2, t))
 
 
 # ----- constraint residuals -----
@@ -373,20 +377,20 @@ def evaluate(p, t):
 
 
 class PolyTau(_MomentTau):
-    """A supplier whose tau is the polynomial p, so that the numeric
-    evaluator apply acts on the same function as apply_poly."""
+    """A supplier whose tau is the polynomial p, at the times t, so that
+    the numeric evaluator apply acts on the same function as apply_poly."""
 
-    def __init__(self, p):
-        self.p = p
+    def __init__(self, p, t):
+        self.p, self.times = p, t
 
-    def value(self, t):
-        return self.derivative(t, ())
+    def value(self):
+        return self.derivative(())
 
-    def derivative(self, t, ks):
+    def derivative(self, ks):
         q = self.p
         for k in ks:
             q = q.diff(k)
-        return evaluate(q, t)
+        return evaluate(q, self.times)
 
 
 @pytest.mark.parametrize("beta", [1, 2, 4])
@@ -396,8 +400,8 @@ def test_numeric_and_exact_evaluators_agree(beta):
         p = _random_poly(rng)
         t = np.array([rng.uniform(-1.0, 1.0) for _ in range(6)])
         for k in range(-4, 5):
-            got = PolyTau(p).apply(dressed_terms(k, float(beta), 3, len(t)),
-                                   t)
+            got = PolyTau(p, t).apply(dressed_terms(k, float(beta), 3,
+                                                    len(t)))
             exact = dressed_terms(k, Fraction(beta), 3, p.max_index())
             assert got == pytest.approx(evaluate(apply_poly(exact, p), t),
                                         rel=1e-12)
