@@ -518,10 +518,10 @@ def run_tau_kp_check(args):
     small_t = (0.02 * rng.standard_normal(3)).tolist()
     rows = []
     for family in ("gaussian", "uniform"):
-        # the moments must hold the n_max-block and its KP jets, which shift
-        # the index by up to 6
+        # the moments must hold the n_max-block and its KP partials, which
+        # shift the index by up to 4
         ms = {label: tau.hankel_moments(tau.WeightSpec(family, times=t),
-                                        M=2 * args.n_max + 4, order=args.order)
+                                        M=2 * args.n_max + 2, order=args.order)
               for label, t in (("0", ()), ("small", small_t))}
         for n in range(1, args.n_max + 1):
             for label, m in ms.items():

@@ -29,8 +29,8 @@ from .mathcore import (
 # Ai(x)^2 < 1e-18 beyond this point; used to truncate (s, inf)
 AIRY_TAIL_CUT = 9.3
 
-# highest order of the endpoint series (tau.logdet_series_derivatives
-# stops at four)
+# highest order of the endpoint series: the node scales' series
+# (_SQRT_BINOMIAL) stop at four
 SERIES_DEGREE = 4
 
 # binomial coefficients C(1/2, j): the series of (1 + z)^{1/2}

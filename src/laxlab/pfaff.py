@@ -7,8 +7,9 @@ sign-kernel double integral (symmetric-ensemble route) and ``alpha = +1``
 the Wronskian single integral (symplectic-ensemble route).  Moments of a
 weight evolved to the times t are the evolved moments, with one weight
 factor per variable: the sign-kernel ones move by e^{sum t_k Lambda^k} on
-both indices, the Wronskian ones by half of that, so their time jets
-take t/2.
+both indices, the Wronskian ones by half of that, so t_k shifts both
+indices with the weight 1/2.  Time partials of log pf = (1/2) log det are
+exact, by tau.dlog_block.
 """
 
 import functools
@@ -29,10 +30,9 @@ from .mathcore import cut_rules, pfaffian, skew_borel, union_rule
 from .mathcore.ode import rk4
 from .tau import (
     WeightSpec,
-    direction_matrices,
+    dlog_block,
     hankel_moments,
     kp_normalized,
-    logdet_series_derivatives,
     weighted_powers,
 )
 
@@ -215,21 +215,14 @@ def pfaff_ode_flow(L0, k, t_end, step):
         return rk4(rhs, np.array(L0, dtype=float), t_end, step, finite)
 
 
-def _dlog_pf_directional(m0, n2, d, order):
-    """Exact directional derivatives of log pf(m_{n2}(t)) along d, via
-    log pf = (1/2) log det; time acts on both indices of the moments."""
-    gs = direction_matrices(m0.m, n2, order, rows=d, cols=d)
-    return [0.5 * v for v in logdet_series_derivatives(gs)]
-
-
 def pfaffkp_residual(m, n):
     """Normalized residual of the first Pfaff-KP equation for tau_n:
 
         ((d/dt1)^4 + 3 (d/dt2)^2 - 4 d^2/dt1 dt3) log tau_n
         + 6 ((d/dt1)^2 log tau_n)^2 - 12 tau_{n-2} tau_{n+2} / tau_n^2 = 0,
 
-    n even.  All derivatives are exact (trace-log series on the index
-    shift); the mixed term uses polarization.
+    n even.  Every partial is exact: log pf = (1/2) log det, and time
+    shifts both indices of the moments.
     """
     if n < 2 or n % 2:
         raise UsageError("pfaffkp_residual needs even n >= 2")
@@ -244,4 +237,5 @@ def pfaffkp_residual(m, n):
         rhs = np.inf
     if not np.all(np.isfinite([tau_minus, tau_n, tau_plus, rhs])):
         raise DivergenceError(f"tau_{n} or its neighbours overflow")
-    return kp_normalized(functools.partial(_dlog_pf_directional, m, n), -rhs)
+    return kp_normalized(lambda ks: 0.5 * dlog_block(
+        m.m, n, [(k, 1.0, 1.0) for k in ks]), -rhs)

@@ -11,9 +11,10 @@ no code of its own and no spare depth.
 
 The pieces every moment route shares live here too: the quadrature power
 sums, the order-doubling refinement of a value on a weight's quadrature
-rule, the Taylor matrices of a moment block along a time direction (on the
-same P^j/j! series as E_t), exact log-determinant jets with mixed partials
-by polarization, and the four-term KP assembly.
+rule, exact log-determinant jets along one direction, and exact mixed
+time partials of log det of a moment block (``dlog_block``: a time moves
+the block by index shifts, so each mixed partial is one multilinear
+log-det expansion), and the four-term KP assembly on those partials.
 """
 
 import functools
@@ -155,6 +156,12 @@ class HankelMoments:
             )
         return np.array([[self.mu[i + j] for j in range(n)] for i in range(n)])
 
+    def rows(self, n):
+        """The tall array H[i, j] = mu_{i+j}, j < n, as deep as the moments
+        reach: time shifts its row index."""
+        i = np.arange(max(self.depth - n + 2, 0))
+        return self.mu[np.add.outer(i, np.arange(n))]
+
 
 def weighted_powers(w, nodes, weights, count):
     """sum_l weights_l * rho(nodes_l) * nodes_l^j for j = 0..count-1,
@@ -215,13 +222,16 @@ def hankel_endpoint_series(m, c, sigma, order):
 
 def evolution_coefficients(t):
     """Coefficients c_d of exp(sum_k t_k z^k) = sum_d c_d z^d, truncated at
-    total degree EVOLUTION_DEGREE in t: the sum of the P^j/j! series of the
-    log-det jets, with EVOLUTION_DEGREE K + 1 entries, t_K the last nonzero
-    time."""
-    powers = _direction_poly_powers(t, EVOLUTION_DEGREE)
-    out = np.zeros(len(powers[-1]))
-    for p in powers:
-        out[: len(p)] += p
+    total degree EVOLUTION_DEGREE in t: the sum of P^j/j!, P = sum_k t_k z^k,
+    with EVOLUTION_DEGREE K + 1 entries, t_K the last nonzero time."""
+    d = np.trim_zeros(np.asarray(t, dtype=float), "b")
+    base = np.concatenate([[0.0], d])  # P as a z-polynomial
+    term = np.array([1.0])
+    out = np.zeros(EVOLUTION_DEGREE * len(d) + 1)
+    out[0] = 1.0
+    for j in range(1, EVOLUTION_DEGREE + 1):
+        term = np.convolve(term, base) / j
+        out[: len(term)] += term
     return out
 
 
@@ -236,33 +246,24 @@ def logdet_series_derivatives(g_list):
     """Directional derivatives of log det H(s) at s=0, to machine precision.
 
     ``g_list`` holds the Taylor matrices H(s) = G0 + s G1 + s^2 G2 + ...;
-    returns [d/ds, d^2/ds^2, ...] of log det up to the available order,
-    via log det H = log det G0 + tr log(I + G0^{-1}(H - G0)).
+    returns [d/ds, d^2/ds^2, ...] of log det up to the available order.
+    With Y_i = G0^{-1} G_i, H^{-1} G0 = sum_j s^j V_j has V_0 = I and
+    V_j = -sum_{i=1..j} Y_i V_{j-i}, and d/ds log det H = tr(H^{-1} H'),
+    so the j-th derivative is (j - 1)! sum_{i=1..j} i tr(V_{j-i} Y_i).
     """
     g0 = g_list[0]
     try:
         y = [None] + [np.linalg.solve(g0, g) for g in g_list[1:]]
     except np.linalg.LinAlgError as exc:
         raise SingularTauError("tau vanishes at the expansion point") from exc
-    order = len(g_list) - 1
-    tr = lambda *ms: float(np.trace(np.linalg.multi_dot(ms))) if len(ms) > 1 \
-        else float(np.trace(ms[0]))
-    coefs = []
-    if order >= 1:
-        coefs.append(tr(y[1]))
-    if order >= 2:
-        coefs.append(tr(y[2]) - 0.5 * tr(y[1], y[1]))
-    if order >= 3:
-        coefs.append(tr(y[3]) - tr(y[1], y[2]) + tr(y[1], y[1], y[1]) / 3.0)
-    if order >= 4:
-        coefs.append(
-            tr(y[4])
-            - tr(y[1], y[3])
-            - 0.5 * tr(y[2], y[2])
-            + tr(y[1], y[1], y[2])
-            - 0.25 * tr(y[1], y[1], y[1], y[1])
-        )
-    return [math.factorial(j + 1) * c for j, c in enumerate(coefs)]
+    v, out = [np.eye(len(g0))], []
+    for j in range(1, len(g_list)):
+        # tr(A B) as the sum of A * B^T: no product is formed
+        out.append(math.factorial(j - 1) * float(sum(
+            i * (v[j - i] * y[i].T).sum() for i in range(1, j + 1))))
+        if j < len(g_list) - 1:
+            v.append(-y[j] - sum(y[i] @ v[j - i] for i in range(1, j)))
+    return out
 
 
 def logdet_multilinear(g0, coefficient, r):
@@ -272,22 +273,33 @@ def logdet_multilinear(g0, coefficient, r):
     bit mask.  With Y_B = G0^{-1} G_B, G^{-1} G0 has the terms V_S =
     -sum_{B in S} Y_B V_{S-B}, and the partial is the sum over B owning x_1
     of tr(V_{S-B} Y_B).  Unlike polarization nothing cancels, so a partial
-    that vanishes by symmetry stays at its own rounding level.
+    that vanishes by symmetry stays at its own rounding level.  A 0 x 0 G0
+    (tau_0 = 1) has every partial 0.
 
-    A G0 singular to working precision raises SingularTauError: solving
-    against it returns finite noise, not an error."""
+    G0 and every coefficient are taken as D G D, D_ii a power of 2 within
+    a factor 2 of the inverse square root of row i's largest entry.  That
+    is exact and leaves every partial unchanged, but it evens out much of
+    the growth of a moment block along its index, which alone would make
+    the test below judge G0 singular.  A scaled G0 singular to working
+    precision raises SingularTauError: solving against it returns finite
+    noise, not an error."""
+    if not len(g0):
+        return 0.0
     submasks = lambda mask: [b for b in range(1, mask + 1) if b & mask == b]
+    d = np.ldexp(1.0, -(np.frexp(np.abs(g0).max(axis=1))[1] // 2))
+    scaled = lambda g: d[:, None] * g * d
+    g0 = scaled(g0)
     try:
         sv = np.linalg.svd(g0, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # the SVD of a non-finite G0
         raise DivergenceError("tau is not finite at the expansion point") from exc
-    if len(sv) and not sv[-1] > np.finfo(float).eps * sv[0]:
+    if not sv[-1] > np.finfo(float).eps * sv[0]:
         raise SingularTauError("tau vanishes to working precision at the "
                                "expansion point")
 
     @functools.cache
     def y(mask):
-        return np.linalg.solve(g0, coefficient(mask))
+        return np.linalg.solve(g0, scaled(coefficient(mask)))
 
     @functools.cache
     def v(mask):
@@ -300,61 +312,36 @@ def logdet_multilinear(g0, coefficient, r):
                      for b in submasks(full) if b & 1))
 
 
-def _direction_poly_powers(d, order):
-    """Coefficient arrays of P(z)^j / j! for P = sum_k d_k z^{k}, j=0..order."""
-    d = np.trim_zeros(np.asarray(d, dtype=float), "b")
-    base = np.concatenate([[0.0], d])  # P as a z-polynomial
-    current = np.array([1.0])
-    powers = [current]
-    for j in range(1, order + 1):
-        current = np.convolve(current, base) / j
-        powers.append(current)
-    return powers
+def dlog_block(m, n, factors):
+    """Mixed partial of log det of the leading n x n block of the moment
+    array m, one factor (k, a, b) per derivative: the time t_k moves m to
+    e^{t_k a Lambda^k} m e^{t_k b Lambda^{T k}}, Lambda the index shift, so
+    it shifts the row index by k with weight a and the column index by k
+    with weight b.  For a set of factors the coefficient sums, over every
+    split of them between rows and columns, the block shifted by the row
+    sum and the column sum, times the weights.  Exact, by
+    logdet_multilinear; a shift past the array raises DepthError."""
 
+    def block(i, j):
+        if n + i > m.shape[0] or n + j > m.shape[1]:
+            raise DepthError(f"need a {n + i} x {n + j} moment array, have "
+                             f"{m.shape[0]} x {m.shape[1]}")
+        return m[i : i + n, j : j + n]
 
-def add_shifted_blocks(out, m, c, d):
-    """out += sum_{a,b} c_a d_b m[a:a+r, b:b+s] with (r, s) = out.shape,
-    skipping zero coefficients."""
-    r, s = out.shape
-    for a, ca in enumerate(c):
-        if ca == 0:
-            continue
-        for b, cb in enumerate(d):
-            if cb == 0:
-                continue
-            out += ca * cb * m[a : a + r, b : b + s]
-    return out
+    def coefficient(mask):
+        # the product of the chosen factors, {(row, column shift): weight}
+        terms = {(0, 0): 1.0}
+        for i, (k, a, b) in enumerate(factors):
+            if mask >> i & 1:
+                step = {}
+                for (r, c), w in terms.items():
+                    for key, x in (((r + k, c), a), ((r, c + k), b)):
+                        if x:
+                            step[key] = step.get(key, 0.0) + w * x
+                terms = step
+        return sum(w * block(r, c) for (r, c), w in terms.items())
 
-
-def direction_matrices(m, n, order, rows=(), cols=()):
-    """Taylor matrices G_0..G_order of the leading n-block of
-    e^{s P(Lambda)} m e^{s Q(Lambda^T)}, with P = sum_k rows_k z^k acting
-    on the row index and Q = sum_k cols_k z^k on the column index:
-    G_j = sum_{p+q=j} sum_{a,b} [z^a] P^p/p! [z^b] Q^q/q! m[a:a+n, b:b+n].
-    """
-    pr = _direction_poly_powers(rows, order)
-    pc = _direction_poly_powers(cols, order)
-    need = (n + len(pr[-1]) - 1, n + len(pc[-1]) - 1)
-    if need[0] > m.shape[0] or need[1] > m.shape[1]:
-        raise DepthError(
-            f"need a {need[0]} x {need[1]} moment array, have "
-            f"{m.shape[0]} x {m.shape[1]}"
-        )
-    gs = []
-    for j in range(order + 1):
-        g = np.zeros((n, n))
-        for p in range(j + 1):
-            add_shifted_blocks(g, m, pr[p], pc[j - p])
-        gs.append(g)
-    return gs
-
-
-def dlog_tau_directional(m0, n, d, order):
-    """Exact directional derivatives [D, D^2, ...] of log tau_n along d.
-    Time shifts the row index of the tall array H[i, j] = mu_{i+j}."""
-    i = np.arange(max(m0.depth - n + 2, 0))
-    tall = m0.mu[np.add.outer(i, np.arange(n))]
-    return logdet_series_derivatives(direction_matrices(tall, n, order, rows=d))
+    return logdet_multilinear(block(0, 0), coefficient, len(factors))
 
 
 def polarized(directional, ks):
@@ -378,19 +365,16 @@ def polarized(directional, ks):
     return total / (2 ** (r - 1) * math.factorial(r))
 
 
-def kp_normalized(directional, extra=0.0):
-    """The first KP equation for a log tau whose jets ``directional(d,
-    order) -> [D_d, D_d^2, ...]`` are given, plus ``extra``:
+def kp_normalized(dlog, extra=0.0):
+    """The first KP equation for a log tau whose partials ``dlog(ks)`` =
+    d/dt_{k_1} ... d/dt_{k_r} log tau are given, plus ``extra``:
 
-        (d/dt1)^4 + 3 (d/dt2)^2 - 4 d^2/dt1 dt3 (by polarization)
-        + 6 (d^2/dt1^2)^2 + extra,
+        (d/dt1)^4 + 3 (d/dt2)^2 - 4 d^2/dt1 dt3 + 6 (d^2/dt1^2)^2 + extra,
 
     normalized by its largest term (0 if every term vanishes).
     """
-    d1 = directional([1.0], 4)
-    d2 = directional([0.0, 1.0], 2)
-    terms = [d1[3], 3.0 * d2[1], -4.0 * polarized(directional, (1, 3)),
-             6.0 * d1[1] ** 2, extra]
+    terms = [dlog((1, 1, 1, 1)), 3.0 * dlog((2, 2)), -4.0 * dlog((1, 3)),
+             6.0 * dlog((1, 1)) ** 2, extra]
     scale = max(abs(v) for v in terms)
     return sum(terms) / scale if scale else 0.0
 
@@ -402,9 +386,10 @@ def kp_residual(m0, n):
         (d/dt1)^4 log tau + 3 (d/dt2)^2 log tau - 4 d^2/dt1 dt3 log tau
         + 6 (d^2/dt1^2 log tau)^2 = 0.
 
-    All derivatives are exact (trace-log series on the index shift); the
-    mixed t1-t3 term uses polarization.
+    Every partial is exact: time shifts the row index of m0.rows(n).
     """
     if n < 1:
         raise UsageError("kp_residual needs n >= 1")
-    return kp_normalized(functools.partial(dlog_tau_directional, m0, n))
+    rows = m0.rows(n)
+    return kp_normalized(
+        lambda ks: dlog_block(rows, n, [(k, 1.0, 0.0) for k in ks]))

@@ -2,9 +2,11 @@
 
 Bi-moment matrices of the coupled Gaussian weight e^{-(x^2+y^2)/2 + cxy},
 evolved to the times (t, s) by the factor E_t(x) E_{-s}(y) in the weight
-(tau.evolution_factor), exact log-tau derivatives, KP residuals in t and s,
-exact Wronskian tau identities, and the third-order boundary PDE
-satisfied by the joint gap probability of the coupled ensemble.
+(tau.evolution_factor), exact log-tau partials in (t, s) by
+tau.dlog_block (t_a shifts the row index, s_b the column index), KP
+residuals in t and s, exact Wronskian tau identities, and the third-order
+boundary PDE satisfied by the joint gap probability of the coupled
+ensemble, whose (a, b, c) partials are still mixed by polarization.
 """
 
 import functools
@@ -23,10 +25,9 @@ from .errors import (
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant, union_rule
 from .tau import (
-    direction_matrices,
+    dlog_block,
     evolution_factor,
     kp_normalized,
-    logdet_multilinear,
     logdet_series_derivatives,
     polarized,
 )
@@ -45,13 +46,10 @@ class BiMoments:
     def size(self):
         return self.m.shape[0]
 
-    def block(self, n, rshift=0, cshift=0):
-        if n + max(rshift, cshift) > self.size:
-            raise DepthError(
-                f"need moment indices through {n + max(rshift, cshift) - 1}, "
-                f"matrix has size {self.size}"
-            )
-        return self.m[rshift : rshift + n, cshift : cshift + n]
+    def block(self, n):
+        if n > self.size:
+            raise DepthError(f"need a {n} block, matrix has size {self.size}")
+        return self.m[:n, :n]
 
 
 def _coupled_scale(c):
@@ -120,34 +118,23 @@ def dlog_tau2(m, n, tlist=(), slist=()):
     """Exact mixed partial of log tau_n w.r.t. the listed t and s indices
     (total order <= 3; 0 for n = 0): t_a shifts the row index of the
     bi-moments by a, s_b the column index by b with a minus sign."""
-    shifts = [(a, 0, 1.0) for a in tlist] + [(0, b, -1.0) for b in slist]
-    if not 1 <= len(shifts) <= 3:
+    factors = [(a, 1.0, 0.0) for a in tlist] + [(b, 0.0, -1.0) for b in slist]
+    if not 1 <= len(factors) <= 3:
         raise UsageError("total derivative order must be 1..3")
-
-    def coefficient(mask):
-        rows, cols, signs = zip(*(s for i, s in enumerate(shifts) if mask >> i & 1))
-        return math.prod(signs) * m.block(n, rshift=sum(rows), cshift=sum(cols))
-
-    return logdet_multilinear(m.block(n), coefficient, len(shifts))
+    return dlog_block(m.m, n, factors)
 
 
 def kp_in_t_residual(m, n, direction="t"):
     """Normalized residual of the first KP equation for log tau_n in the t
-    times (or the s times), all derivatives exact."""
+    times (or the s times), all derivatives exact: t shifts the row index,
+    s the column index with the opposite sign."""
     if n < 1:
         raise UsageError("kp_in_t_residual needs n >= 1")
     if direction not in ("t", "s"):
         raise UsageError("direction must be 't' or 's'")
-
-    def directional(d, order):
-        # t shifts the row index, s the column index with the opposite sign
-        if direction == "t":
-            gs = direction_matrices(m.m, n, order, rows=d)
-        else:
-            gs = direction_matrices(m.m, n, order, cols=[-v for v in d])
-        return logdet_series_derivatives(gs)
-
-    return kp_normalized(directional)
+    weights = (1.0, 0.0) if direction == "t" else (0.0, -1.0)
+    return kp_normalized(
+        lambda ks: dlog_block(m.m, n, [(k, *weights) for k in ks]))
 
 
 def wronskian_identity_residual(m, n):

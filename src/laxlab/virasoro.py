@@ -9,9 +9,10 @@ Three layers:
   (Heisenberg) operators J1_k and the beta- and n-dressed second-order
   (Virasoro) operators, with coefficients in the type of beta;
 * two evaluators of those lists: ``_MomentTau.apply`` on a tau function,
-  with exact time derivatives from the log-det jets of its moment block
-  and endpoint derivatives from the endpoint Taylor term of the moments,
-  both of the weight evolved to the times t, for the constraint residual;
+  with exact time partials of log det of its moment block
+  (tau.dlog_block) and endpoint derivatives from the endpoint Taylor term
+  of the moments, both of the weight evolved to the times t, for the
+  constraint residual;
   ``apply_poly`` on polynomials in t_1, t_2, ... with rational
   coefficients, for the commutation relations and the central charge
   without any rounding.
@@ -32,17 +33,12 @@ import numpy as np
 
 from .errors import DivergenceError, UsageError
 from .mathcore import lu_determinant, pfaffian
-from .pfaff import (
-    _dlog_pf_directional,
-    skew_endpoint_series,
-    skew_inner_products,
-)
+from .pfaff import skew_endpoint_series, skew_inner_products
 from .tau import (
-    dlog_tau_directional,
+    dlog_block,
     hankel_endpoint_series,
     hankel_moments,
     logdet_series_derivatives,
-    polarized,
 )
 
 # ----------------------------------------------------------------------
@@ -87,11 +83,10 @@ def weight_to_fg(w):
 class _MomentTau:
     """tau(t): det (Hankel) or pf (skew) of the leading block of the
     moments of a weight evolved to the times t.  Every derivative is exact:
-    time derivatives of log tau come from its directional jets, mixed
-    pairs by polarization, and an endpoint derivative from the endpoint
-    Taylor term of the moments."""
-
-    _tfac = 1.0
+    time partials of log tau come from tau.dlog_block on the supplier's
+    moment array, t_k shifting the row index by k with the weight
+    _weights[0] and the column index with _weights[1], and an endpoint
+    derivative from the endpoint Taylor term of the moments."""
 
     def value(self):
         with np.errstate(over="ignore"):
@@ -101,11 +96,9 @@ class _MomentTau:
         return tau
 
     def dlog(self, ks):
-        """d/dt_{k_1} ... d/dt_{k_r} log tau, r <= 4; a jet along c v is
-        c^r times the jet along v, which carries the time factor."""
-        return polarized(lambda d, order: self._jets(
-            self._m, self.size, self._tfac * np.asarray(d, dtype=float),
-            order), ks)
+        """d/dt_{k_1} ... d/dt_{k_r} log tau."""
+        return self._half * dlog_block(
+            self._array, self.size, [(k, *self._weights) for k in ks])
 
     def derivative(self, ks):
         """d/dt_{k_1} ... d/dt_{k_r} tau, r <= 2."""
@@ -140,12 +133,13 @@ class HankelTauSupplier(_MomentTau):
     moments of the weight w, evolved to its times, to index depth."""
 
     _det, _half = staticmethod(lu_determinant), 1.0
-    _jets = staticmethod(dlog_tau_directional)
     _series = staticmethod(hankel_endpoint_series)
+    _weights = (1.0, 0.0)
 
     def __init__(self, w, E, n, depth, order=64):
         self.size, self.times = n, w.times
         self._m = hankel_moments(w, E, M=depth, order=order)
+        self._array = self._m.rows(n)
 
     def _block(self, m):
         return m.matrix(self.size)
@@ -155,12 +149,12 @@ class PfaffTauSupplier(_MomentTau):
     """Pfaffian tau of the skew moment matrix of the weight w, evolved to
     its times: the sign-kernel pairing for the beta = 1 integrals (block
     size n, n even) and the Wronskian pairing for beta = 4 (block size 2n,
-    one weight factor per variable, so the time jets are halved).
-    Derivatives use log pf = (1/2) log det."""
+    one weight factor per variable, so each time moves both indices with
+    the weight 1/2).  Derivatives use log pf = (1/2) log det."""
 
     _det, _half = staticmethod(pfaffian), 0.5
-    _jets = staticmethod(_dlog_pf_directional)
     _series = staticmethod(skew_endpoint_series)
+    _weights = (1.0, 1.0)
 
     def __init__(self, w, E, n, beta, depth, order=64):
         if beta == 1:
@@ -168,7 +162,7 @@ class PfaffTauSupplier(_MomentTau):
                 raise UsageError("the beta = 1 Pfaffian form needs even n")
             self.size, alpha = n, -1
         elif beta == 4:
-            self.size, alpha, self._tfac = 2 * n, 1, 0.5
+            self.size, alpha, self._weights = 2 * n, 1, (0.5, 0.5)
         else:
             raise UsageError("Pfaffian supplier covers beta = 1 and 4 only")
         self.times = w.times
@@ -176,6 +170,7 @@ class PfaffTauSupplier(_MomentTau):
         total += total % 2
         self._m = skew_inner_products(w, E, alpha=alpha, N=total // 2,
                                       order=order)
+        self._array = self._m.m
 
     def _block(self, m):
         return m.block(self.size)

@@ -3,11 +3,28 @@ reference every evolved-weight moment builder is checked against.
 
 exp(sum_k t_k z^k) is expanded here as a product of one exponential per
 time, cut at total degree EVOLUTION_DEGREE in t, and applied to a stored
-moment array as a sum of index-shifted blocks."""
+moment array as a sum of index-shifted blocks.  The Taylor matrices of a
+moment block along one time direction, on the same sums, are the
+directional jets that polarization turns into a reference for mixed
+partials."""
 
 import numpy as np
 
-from laxlab.tau import EVOLUTION_DEGREE, add_shifted_blocks
+from laxlab.tau import EVOLUTION_DEGREE
+
+
+def add_shifted_blocks(out, m, c, d):
+    """out += sum_{a,b} c_a d_b m[a:a+r, b:b+s] with (r, s) = out.shape,
+    skipping zero coefficients."""
+    r, s = out.shape
+    for a, ca in enumerate(c):
+        if ca == 0:
+            continue
+        for b, cb in enumerate(d):
+            if cb == 0:
+                continue
+            out += ca * cb * m[a : a + r, b : b + s]
+    return out
 
 
 def shift_depth(t):
@@ -51,3 +68,21 @@ def reference_evolution(m, rows, cols=()):
 def reference_hankel(mu, t):
     """The moment sequence mu evolved by t, shift_depth(t) entries shorter."""
     return reference_evolution(np.asarray(mu)[:, None], t)[:, 0]
+
+
+def direction_matrices(m, n, order, rows=(), cols=()):
+    """Taylor matrices G_0..G_order of the leading n-block of
+    e^{s P(Lambda)} m e^{s Q(Lambda^T)}, with P = sum_k rows_k z^k acting
+    on the row index and Q = sum_k cols_k z^k on the column index:
+    G_j = sum_{p+q=j} sum_{a,b} [z^a] P^p/p! [z^b] Q^q/q! m[a:a+n, b:b+n].
+    """
+    def powers(d):  # P^j / j! for j = 0..order
+        base = np.concatenate([[0.0], np.trim_zeros(np.asarray(d, float), "b")])
+        out = [np.array([1.0])]
+        for j in range(1, order + 1):
+            out.append(np.convolve(out[-1], base) / j)
+        return out
+
+    pr, pc = powers(rows), powers(cols)
+    return [sum(add_shifted_blocks(np.zeros((n, n)), m, pr[p], pc[j - p])
+                for p in range(j + 1)) for j in range(order + 1)]

@@ -425,6 +425,14 @@ def test_other_commands_exit_cleanly(argv):
     # the bi-moments overflow to inf
     ("twotoda identities --n 80", EXIT_NUMERICAL),
     ("tau kp-check --seed -1", EXIT_USAGE),
+    # tau_0 = 1: the empty block's partials are 0
+    ("twotoda identities --n 1", 0),
+    # the 20 x 20 Wronskian block is singular to working precision only
+    # through the growth of its entries along the index
+    ("pfaff check-kp --beta 4 --n-list 10", 0),
+    # the uniform weight's 12 x 12 Hankel block is singular to working
+    # precision
+    ("tau kp-check --n-max 12", EXIT_NUMERICAL),
     # tau_40 ** 2 overflows a float
     ("pfaff check-kp --n-list 40", EXIT_NUMERICAL),
     # the moments overflow inside the refinement

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 
@@ -13,7 +12,7 @@ from evolution_reference import (
     reference_shift_coefficients,
     shift_depth,
 )
-from laxlab.errors import DivergenceError
+from laxlab.errors import DepthError, DivergenceError
 from laxlab.fd import central_diff
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import lu_determinant
@@ -21,12 +20,13 @@ from laxlab.pfaff import skew_inner_products
 from laxlab.tau import (
     HankelMoments,
     WeightSpec,
-    dlog_tau_directional,
+    dlog_block,
     evolution_coefficients,
     hankel_endpoint_series,
     hankel_moments,
     kp_residual,
-    polarized,
+    logdet_multilinear,
+    logdet_series_derivatives,
 )
 from laxlab.twotoda import bimoments
 
@@ -235,8 +235,8 @@ def test_hankel_positivity():
 # ----- derivatives -----
 
 def dlog_tau(m, n, ks):
-    """d/dt_{k1} ... d/dt_{kr} log tau_n from the exact jets."""
-    return polarized(functools.partial(dlog_tau_directional, m, n), ks)
+    """d/dt_{k1} ... d/dt_{kr} log tau_n, exact: time shifts the rows."""
+    return dlog_block(m.rows(n), n, [(k, 1.0, 0.0) for k in ks])
 
 
 def log_tau(m, n):
@@ -283,6 +283,48 @@ def test_dlog_tau_mixed_partials_match_fd_of_first_order(orders):
     assert dlog_tau(m, 3, orders) == pytest.approx(fd, rel=1e-8)
 
 
+def test_dlog_block_shift_past_the_array_is_a_depth_error():
+    rows = hankel_moments(uniform_weight(), M=8).rows(3)  # mu_0..mu_8: 7 x 3
+    assert np.isfinite(dlog_block(rows, 3, [(1, 1.0, 0.0)] * 4))
+    # numpy slicing would silently truncate the shifted block
+    with pytest.raises(DepthError):
+        dlog_block(rows, 3, [(1, 1.0, 0.0)] * 5)
+    with pytest.raises(DepthError):
+        dlog_block(rows, 3, [(1, 0.0, 1.0)])
+
+
+def test_empty_block_has_partial_zero():
+    # tau_0 = 1
+    assert dlog_block(np.ones((4, 4)), 0, [(1, 1.0, 0.0)]) == 0.0
+
+
+def test_logdet_multilinear_judges_the_scaled_block():
+    # G0 = D A D, D = diag(1, 2^30, 2^60), has singular values 2^120 apart,
+    # but each row's largest entry is its diagonal one, so scaling every
+    # row and column by the inverse square root of that entry gives A back
+    a = np.array([[1.0, 2.0 ** -40, 2.0 ** -70],
+                  [2.0 ** -40, 1.0, 2.0 ** -40],
+                  [2.0 ** -70, 2.0 ** -40, 1.0]])
+    c = np.arange(1.0, 10.0).reshape(3, 3)
+    d = np.diag(2.0 ** np.array([0.0, 30.0, 60.0]))
+    for r in (1, 2):
+        graded = logdet_multilinear(d @ a @ d, lambda mask: d @ c @ d, r)
+        assert graded == logdet_multilinear(a, lambda mask: c, r)
+
+
+def test_logdet_series_derivatives_at_any_order():
+    # G(s) = P diag(e^{a s}) P^{-1} to order 6: log det G = s sum(a) + O(s^7)
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1.0, 1.0, 4)
+    p = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    g = [p @ np.diag(a ** j / math.factorial(j)) @ np.linalg.inv(p)
+         for j in range(7)]
+    jets = logdet_series_derivatives(g)
+    assert len(jets) == 6
+    assert jets[0] == pytest.approx(a.sum(), abs=1e-13)
+    assert np.abs(jets[1:]).max() < 1e-12
+
+
 # ----- KP -----
 
 def test_kp_residual_uniform_n1():
@@ -311,6 +353,16 @@ def test_kp_residual_small_t():
     t = rng.uniform(-0.05, 0.05, size=3)
     m = hankel_moments(WeightSpec("uniform", times=t), M=100)
     assert abs(kp_residual(m, 2)) < 1e-6
+
+
+def test_kp_residual_uniform_is_at_rounding_level():
+    # the uniform weight's Hankel blocks are Hilbert-like; exact partials
+    # keep the residual at its rounding level through n = 5
+    t = (0.02 * np.random.default_rng(0).standard_normal(3)).tolist()
+    for times in ((), t):
+        m = hankel_moments(WeightSpec("uniform", times=times), M=14)
+        for n in range(1, 6):
+            assert abs(kp_residual(m, n)) <= 1e-12
 
 
 def test_kp_residual_scale_invariant():

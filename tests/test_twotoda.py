@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evolution_reference import reference_evolution
+from evolution_reference import direction_matrices, reference_evolution
 from laxlab.errors import (
     DivergenceError,
     PrecisionError,
@@ -162,7 +162,7 @@ def test_dlog_first_order_against_fd():
 def test_dlog_tau2_matches_polarized_jets():
     # at a generic (t, s) no partial vanishes by symmetry, so polarization
     # of the directional log-det jets is an accurate reference
-    from laxlab.tau import direction_matrices, logdet_series_derivatives, polarized
+    from laxlab.tau import logdet_series_derivatives, polarized
 
     m = bimoments(0.5, N=10, t=[0.1], s=[-0.07])
 
