@@ -474,8 +474,7 @@ def run_ensemble_gap(args):
 def run_ensemble_sample(args):
     e = _ensemble_from(args)
     E = IntervalUnion.parse(args.interval)
-    batch = ensembles.sample_ensemble(e, args.count, args.seed)
-    frac, err = ensembles.empirical_gap(batch, E)
+    frac, err = ensembles.sample_ensemble(e, args.count, args.seed, E)
     exact = ensembles.gap_probability(e, E, order=args.order)
     sigma = max(err, math.sqrt(max(exact * (1.0 - exact), 1e-12) / args.count))
     rows = [{

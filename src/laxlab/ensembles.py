@@ -6,12 +6,13 @@ reduces to a ratio of Hankel determinants and, independently, to the
 determinant of the Gram matrix of orthonormal weighted polynomials
 restricted to E; at beta = 1 (even n) and beta = 4 it is a ratio of
 Pfaffians of skew moment matrices.  Monte Carlo samplers of the matching
-tridiagonal beta-ensemble models provide cross-validation; sampling is
-blocked with counter-based per-block random streams so batches are
-bitwise reproducible at any thread count.  A batch keeps the tridiagonal
-matrices it drew, and the empirical gap fraction counts eigenvalues in E
-by Sturm inertia (the signs of the LDL^T pivots of T - sI at each finite
-endpoint), so no eigensolve is needed.
+tridiagonal beta-ensemble models provide cross-validation: the Monte
+Carlo estimator draws fixed-size blocks from counter-based per-block
+random streams and counts, block by block, the draws whose eigenvalues
+all lie in E by Sturm inertia (the signs of the LDL^T pivots of T - sI at
+each finite endpoint), so no eigensolve is needed, memory does not grow
+with the sample count and the estimate is bitwise reproducible at any
+thread count.
 The single-boundary gap ODE takes exact x-derivatives of log P_n from
 the endpoint Taylor terms of the moment block (gap_log_jets).
 """
@@ -19,8 +20,7 @@ the endpoint Taylor terms of the moment block (gap_log_jets).
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,34 +59,6 @@ class EnsembleSpec:
             raise UsageError(
                 "ensembles support gaussian and laguerre weights only"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """count symmetric tridiagonal matrices, reproducible from (seed, index)
-    alone: row r of diag (count, n) and off (count, n - 1) holds the
-    diagonal and off-diagonal of draw r."""
-
-    seed: int
-    count: int
-    diag: np.ndarray = field(repr=False)
-    off: np.ndarray = field(repr=False)
-
-    @cached_property
-    def eigenvalues(self):
-        """(count, n) sorted eigenvalues, one dense eigvalsh per draw, built
-        SAMPLE_BLOCK matrices at a time."""
-        n = self.diag.shape[1]
-        i = np.arange(n)
-        out = np.empty(self.diag.shape)
-        for lo in range(0, self.count, SAMPLE_BLOCK):
-            rows = slice(lo, lo + SAMPLE_BLOCK)
-            mats = np.zeros((len(out[rows]), n, n))
-            mats[:, i, i] = self.diag[rows]
-            mats[:, i[1:], i[:-1]] = self.off[rows]
-            mats[:, i[:-1], i[1:]] = self.off[rows]
-            out[rows] = np.linalg.eigvalsh(mats)
-        return out
 
 
 def _laguerre_orthonormal(n, a, b, x):
@@ -254,7 +226,8 @@ def _sample_block(e, seed, block):
 
 
 def thread_count():
-    """Worker cap: LAXLAB_THREADS if set, otherwise the hardware count."""
+    """Worker cap: LAXLAB_THREADS if set, otherwise the number of CPUs this
+    process may run on."""
     env = os.environ.get("LAXLAB_THREADS", "").strip()
     if env:
         try:
@@ -264,37 +237,9 @@ def thread_count():
         if cap < 1:
             raise UsageError("LAXLAB_THREADS must be >= 1")
         return cap
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def sample_ensemble(e, count, seed):
-    """Batch of count tridiagonal random matrices of the ensemble.
-
-    Samples are drawn in fixed-size blocks; block i uses the
-    counter-based stream keyed by (seed, i) and is written into its rows
-    of the batch, so the batch is bitwise identical for any thread count
-    and any larger requested count.
-    """
-    if count < 1:
-        raise UsageError("sample count must be >= 1")
-    diag = np.empty((count, e.n))
-    off = np.empty((count, e.n - 1))
-
-    def fill(block):
-        d, o = _sample_block(e, seed, block)
-        rows = slice(block * SAMPLE_BLOCK, (block + 1) * SAMPLE_BLOCK)
-        diag[rows] = d[: len(diag[rows])]
-        off[rows] = o[: len(off[rows])]
-
-    blocks = range((count + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK)
-    workers = min(thread_count(), len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
-    return SampleBatch(seed=seed, count=count, diag=diag, off=off)
 
 
 def _count_at_most(diag, off2, s):
@@ -316,32 +261,61 @@ def _count_at_most(diag, off2, s):
     return count
 
 
-def empirical_gap(batch, E):
-    """(fraction of samples with every eigenvalue in E, binomial stderr).
+def _block_hits(diag, off, E):
+    """The number of rows of (diag, off), the diagonals and off-diagonals
+    of symmetric tridiagonal matrices, with every eigenvalue in E.
 
-    The pieces of E are closed.  The eigenvalues of a draw in [lo, hi]
+    The pieces of E are closed.  The eigenvalues of a row in [lo, hi]
     number #(<= hi) - #(< lo), where #(< lo) of T is n - #(<= -lo) of -T;
-    both come from _count_at_most, SAMPLE_BLOCK draws at a time.
+    both come from _count_at_most.
     """
-    if batch.count < 1:
-        raise UsageError("empirical_gap needs a nonempty batch")
+    n = diag.shape[1]
+    off2 = off ** 2
+    inside = np.zeros(len(diag), dtype=np.int64)
+    for a, b in E.intervals:
+        inside += _count_at_most(diag, off2, b) if b < math.inf else n
+        if a > -math.inf:
+            inside -= n - _count_at_most(-diag, off2, -a)
+    return int(np.count_nonzero(inside == n))
+
+
+def sample_ensemble(e, count, seed, E):
+    """(fraction of count draws of the ensemble with every eigenvalue in E,
+    binomial stderr).
+
+    Draws come in fixed-size blocks; block i uses the counter-based stream
+    keyed by (seed, i).  Worker w of k draws blocks w, w + k, ... one at a
+    time, trims the partial last one and sums their integer hit counts, so
+    nothing of size count is held and the estimate is bitwise identical
+    for any thread count.
+    """
+    if count < 1:
+        raise UsageError("sample count must be >= 1")
+    if e.weight.family == "laguerre":
+        _wishart_shape(e.beta, e.weight.a, e.n)
     if E is None:
         return 1.0, 0.0
     if E.is_empty:
         return 0.0, 0.0
-    n = batch.diag.shape[1]
-    hits = 0
-    for lo in range(0, batch.count, SAMPLE_BLOCK):
-        diag = batch.diag[lo : lo + SAMPLE_BLOCK]
-        off2 = batch.off[lo : lo + SAMPLE_BLOCK] ** 2
-        inside = np.zeros(len(diag), dtype=np.int64)
-        for a, b in E.intervals:
-            inside += _count_at_most(diag, off2, b) if b < math.inf else n
-            if a > -math.inf:
-                inside -= n - _count_at_most(-diag, off2, -a)
-        hits += int(np.count_nonzero(inside == n))
-    frac = hits / batch.count
-    stderr = math.sqrt(frac * (1.0 - frac) / batch.count)
+
+    blocks = (count + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
+    workers = min(thread_count(), blocks)
+
+    def hits(first):
+        total = 0
+        for block in range(first, blocks, workers):
+            diag, off = _sample_block(e, seed, block)
+            rows = count - block * SAMPLE_BLOCK
+            total += _block_hits(diag[:rows], off[:rows], E)
+        return total
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            total = sum(pool.map(hits, range(workers)))
+    else:
+        total = hits(0)
+    frac = total / count
+    stderr = math.sqrt(frac * (1.0 - frac) / count)
     return frac, stderr
 
 

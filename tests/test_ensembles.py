@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +9,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from laxlab.ensembles import (
+    SAMPLE_BLOCK,
     EnsembleSpec,
-    SampleBatch,
-    empirical_gap,
+    _block_hits,
+    _sample_block,
     gap_log_jets,
     gap_probability,
     inductive_relation_residual,
     sample_ensemble,
+    thread_count,
 )
 from laxlab.errors import SingularTauError, UnderflowError, UsageError
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import gauss_legendre_rule
 from laxlab.tau import WeightSpec
+from sample_reference import dense_draws, eigenvalue_hits, eigenvalues
 
 GAUSSIAN = WeightSpec("gaussian")
 LAGUERRE = WeightSpec("laguerre", a=1.0, b=1.0)
@@ -132,50 +136,79 @@ def test_gap_validation():
 
 # ----- samplers -----
 
-def test_sampling_is_reproducible():
+def test_sampling_is_reproducible(monkeypatch):
     e = EnsembleSpec(2, GAUSSIAN, 2)
-    one = sample_ensemble(e, 5000, seed=42)
-    two = sample_ensemble(e, 5000, seed=42)
-    assert np.array_equal(one.eigenvalues, two.eigenvalues)
-    prev = os.environ.get("LAXLAB_THREADS")
-    try:
-        os.environ["LAXLAB_THREADS"] = "1"
-        serial = sample_ensemble(e, 5000, seed=42)
-        os.environ["LAXLAB_THREADS"] = "3"
-        threaded = sample_ensemble(e, 5000, seed=42)
-    finally:
-        if prev is None:
-            os.environ.pop("LAXLAB_THREADS", None)
-        else:
-            os.environ["LAXLAB_THREADS"] = prev
-    assert np.array_equal(serial.eigenvalues, threaded.eigenvalues)
-    # prefixes agree with larger batches (per-block streams)
-    big = sample_ensemble(e, 6000, seed=42)
-    assert np.array_equal(big.eigenvalues[:5000], one.eigenvalues)
-
-
-def test_threaded_fill_matches_serial(monkeypatch):
-    # more workers than cores, switching threads often, and a partial
-    # last block: every row must hold its own block's draws
-    e = EnsembleSpec(1, LAGUERRE, 3)
+    E = below(0.0)
+    one = _sample_block(e, 42, 1)
+    two = _sample_block(e, 42, 1)
+    assert all(np.array_equal(a, b) for a, b in zip(one, two))
+    assert sample_ensemble(e, 5000, 42, E) == sample_ensemble(e, 5000, 42, E)
     monkeypatch.setenv("LAXLAB_THREADS", "1")
-    serial = sample_ensemble(e, 9 * 4096 + 17, seed=8)
+    serial = sample_ensemble(e, 5000, 42, E)
+    monkeypatch.setenv("LAXLAB_THREADS", "3")
+    assert sample_ensemble(e, 5000, 42, E) == serial
+    # prefixes agree with larger batches (per-block streams)
+    diag, off = dense_draws(e, 6000, 42)
+    assert np.array_equal(dense_draws(e, 5000, 42)[0], diag[:5000])
+    assert serial[0] == eigenvalue_hits(diag[:5000], off[:5000], E) / 5000
+
+
+def test_threaded_estimate_matches_serial_and_dense(monkeypatch):
+    # more workers than cores, switching threads often, and a partial
+    # last block: the hit count must not depend on the schedule, and must
+    # be the dense eigenvalue count on the same draws
+    e = EnsembleSpec(1, LAGUERRE, 3)
+    count, E = 9 * 4096 + 17, IntervalUnion([(0.5, 10.0)])
+    monkeypatch.setenv("LAXLAB_THREADS", "1")
+    serial = sample_ensemble(e, count, 8, E)
     monkeypatch.setenv("LAXLAB_THREADS", "8")
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        threaded = sample_ensemble(e, 9 * 4096 + 17, seed=8)
+        threaded = sample_ensemble(e, count, 8, E)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(serial.diag, threaded.diag)
-    assert np.array_equal(serial.off, threaded.off)
+    assert threaded == serial
+    hits = eigenvalue_hits(*dense_draws(e, count, 8), E)
+    assert 0 < hits < count
+    assert serial[0] == hits / count
+
+
+def test_estimator_memory_does_not_grow_with_count(monkeypatch):
+    # the 64 blocks' draws alone would take 64 * 4096 * 3 * 8 B = 6 MiB
+    monkeypatch.setenv("LAXLAB_THREADS", "2")
+    e = EnsembleSpec(2, GAUSSIAN, 2)
+    tracemalloc.start()
+    try:
+        sample_ensemble(e, 64 * SAMPLE_BLOCK, 4, below(0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_thread_count_defaults_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv("LAXLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert thread_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert thread_count() == 1
+    monkeypatch.setenv("LAXLAB_THREADS", "5")
+    assert thread_count() == 5
+    for bad in ("0", "two"):
+        monkeypatch.setenv("LAXLAB_THREADS", bad)
+        with pytest.raises(UsageError):
+            thread_count()
 
 
 def test_sample_beta2_n1_moments():
     b = 2.0
     e = EnsembleSpec(2, WeightSpec("gaussian", b=b), 1)
-    batch = sample_ensemble(e, 200_000, seed=11)
-    z = batch.eigenvalues[:, 0]
+    z = eigenvalues(*dense_draws(e, 200_000, 11))[:, 0]
     mean_abs = 1.0 / math.sqrt(math.pi * b)
     sigma = z.std() / math.sqrt(len(z))
     assert abs(np.abs(z).mean() - mean_abs) < 3.0 * sigma
@@ -183,12 +216,12 @@ def test_sample_beta2_n1_moments():
 
 def test_sample_gse_shape_and_scale():
     e = EnsembleSpec(4, GAUSSIAN, 2)
-    batch = sample_ensemble(e, 2000, seed=3)
-    assert batch.eigenvalues.shape == (2000, 2)
-    assert np.all(np.diff(batch.eigenvalues, axis=1) >= 0.0)
+    eigs = eigenvalues(*dense_draws(e, 2000, 3))
+    assert eigs.shape == (2000, 2)
+    assert np.all(np.diff(eigs, axis=1) >= 0.0)
     # beta = 4, n = 1 is a plain e^{-b z^2} scalar: check the scale
-    one = sample_ensemble(EnsembleSpec(4, GAUSSIAN, 1), 200_000, seed=5)
-    z = one.eigenvalues[:, 0]
+    one = EnsembleSpec(4, GAUSSIAN, 1)
+    z = eigenvalues(*dense_draws(one, 200_000, 5))[:, 0]
     assert abs(z.var() - 0.5) < 0.01  # var = 1/(2b), b = 1
 
 
@@ -203,7 +236,7 @@ def test_sample_gaussian_second_moment_all_betas():
     for beta in (1, 2, 4):
         for n in (1, 2, 3):
             e = EnsembleSpec(beta, WeightSpec("gaussian", b=b), n)
-            z = sample_ensemble(e, 20_000, seed=61).eigenvalues
+            z = eigenvalues(*dense_draws(e, 20_000, 61))
             want = n / (2.0 * b) * (1.0 + beta * (n - 1) / 2.0)
             assert within_four_stderr((z * z).sum(axis=1), want), (beta, n)
 
@@ -214,40 +247,39 @@ def test_sample_laguerre_first_moment_all_betas():
     for beta in (1, 2, 4):
         for n in (1, 2, 3):
             e = EnsembleSpec(beta, WeightSpec("laguerre", a=a, b=b), n)
-            z = sample_ensemble(e, 20_000, seed=62).eigenvalues
+            z = eigenvalues(*dense_draws(e, 20_000, 62))
             want = n * (a + 1.0 + beta * (n - 1) / 2.0) / b
             assert within_four_stderr(z.sum(axis=1), want), (beta, n)
 
 
 def test_sample_laguerre_constraints():
-    with pytest.raises(UsageError):
-        sample_ensemble(EnsembleSpec(1, WeightSpec("laguerre", a=0.3), 2), 10, 0)
-    with pytest.raises(UsageError):
-        sample_ensemble(EnsembleSpec(2, WeightSpec("laguerre", a=0.5), 2), 10, 0)
+    empty = IntervalUnion([(1.0, 2.0)]).intersect(IntervalUnion([(3.0, 4.0)]))
+    for beta, a in ((1, 0.3), (2, 0.5)):
+        e = EnsembleSpec(beta, WeightSpec("laguerre", a=a), 2)
+        with pytest.raises(UsageError):
+            dense_draws(e, 10, 0)
+        # the shape is checked before the estimator's early returns
+        for E in (None, empty, IntervalUnion([(0.0, 3.0)])):
+            with pytest.raises(UsageError):
+                sample_ensemble(e, 10, 0, E)
 
 
 def test_empirical_gap_trivial():
-    batch = sample_ensemble(EnsembleSpec(2, GAUSSIAN, 2), 100, seed=1)
-    assert empirical_gap(batch, None) == (1.0, 0.0)
-    assert empirical_gap(batch, IntervalUnion.full_line()) == (1.0, 0.0)
+    e = EnsembleSpec(2, GAUSSIAN, 2)
+    assert sample_ensemble(e, 100, 1, None) == (1.0, 0.0)
+    assert sample_ensemble(e, 100, 1, IntervalUnion.full_line()) == (1.0, 0.0)
     empty = IntervalUnion.full_line().intersect(IntervalUnion([(1.0, 2.0)])).intersect(
         IntervalUnion([(3.0, 4.0)])
     )
-    assert empirical_gap(batch, empty) == (0.0, 0.0)
+    assert sample_ensemble(e, 100, 1, empty) == (0.0, 0.0)
+    for count in (0, -1):
+        with pytest.raises(UsageError):
+            sample_ensemble(e, count, 1, None)
 
 
-def batch_of(diag, off):
+def draws_of(diag, off):
     diag = np.array(diag, dtype=float)
-    return SampleBatch(seed=0, count=len(diag), diag=diag,
-                       off=np.array(off, dtype=float).reshape(len(diag), -1))
-
-
-def eigenvalue_fraction(batch, E):
-    eigs = batch.eigenvalues
-    inside = np.zeros(eigs.shape, dtype=bool)
-    for lo, hi in E.intervals:
-        inside |= (eigs >= lo) & (eigs <= hi)
-    return float(inside.all(axis=1).mean())
+    return diag, np.array(off, dtype=float).reshape(len(diag), -1)
 
 
 ENTRY = st.floats(-3.0, 3.0, allow_nan=False)
@@ -270,42 +302,45 @@ def tridiagonals_and_unions(draw):
     if draw(st.booleans()):
         ends[-1] = math.inf
     pieces = list(zip(ends[::2], ends[1::2]))
-    return batch_of(diag, off), IntervalUnion(pieces)
+    return draws_of(diag, off), IntervalUnion(pieces)
 
 
 @settings(max_examples=200, deadline=None)
 @given(tridiagonals_and_unions())
 def test_sturm_counts_match_eigenvalue_counts(case):
-    batch, E = case
+    (diag, off), E = case
     finite = [x for piece in E.intervals for x in piece if math.isfinite(x)]
     # an eigenvalue within rounding of an endpoint is a tie, which the
     # eigenvalue route cannot resolve; the exact ties are tested below
-    gaps = np.abs(batch.eigenvalues[..., None] - np.array(finite))
+    gaps = np.abs(eigenvalues(diag, off)[..., None] - np.array(finite))
     assume(gaps.size == 0 or gaps.min() > 1e-9)
-    assert empirical_gap(batch, E)[0] == eigenvalue_fraction(batch, E)
+    assert _block_hits(diag, off, E) == eigenvalue_hits(diag, off, E)
 
 
 def test_sturm_counts_close_intervals_at_exact_ties():
+    def hit_fraction(draws, text):
+        return _block_hits(*draws, IntervalUnion.parse(text)) / len(draws[0])
+
     # eigenvalues 0 and 2: the last pivot of T - sI is 0 at s = 0 and 2
-    two = batch_of([[1.0, 1.0]], [[1.0]])
+    two = draws_of([[1.0, 1.0]], [[1.0]])
     for text, want in (("0:2", 1.0), ("-1:0,2:3", 1.0), ("-inf:0,2:inf", 1.0),
                        ("0:1.5", 0.0), ("0.5:2", 0.0), ("-inf:0", 0.0)):
-        assert empirical_gap(two, IntervalUnion.parse(text))[0] == want, text
+        assert hit_fraction(two, text) == want, text
     # n = 1 draws on an endpoint
-    one = batch_of([[0.5], [0.5]], [[], []])
+    one = draws_of([[0.5], [0.5]], [[], []])
     for text, want in (("0.5:1", 1.0), ("-1:0.5", 1.0), ("0.6:1", 0.0),
                        ("-1:0.4", 0.0)):
-        assert empirical_gap(one, IntervalUnion.parse(text))[0] == want, text
+        assert hit_fraction(one, text) == want, text
     # eigenvalues 1 - sqrt 2, 1, 1 + sqrt 2; at s = 0 the middle pivot of
     # T - sI (and of -T + sI) is 0
-    three = batch_of([[1.0, 1.0, 1.0]], [[1.0, 1.0]])
+    three = draws_of([[1.0, 1.0, 1.0]], [[1.0, 1.0]])
     for text, want in (("0:3", 0.0), ("-1:3", 1.0), ("-inf:0,0.5:3", 1.0),
                        ("-1:0", 0.0)):
-        assert empirical_gap(three, IntervalUnion.parse(text))[0] == want, text
+        assert hit_fraction(three, text) == want, text
 
 
 def mc_vs_quadrature(e, E, count, seed):
-    frac, err = empirical_gap(sample_ensemble(e, count, seed), E)
+    frac, err = sample_ensemble(e, count, seed, E)
     exact = gap_probability(e, E)
     return abs(frac - exact), max(err, math.sqrt(exact * (1 - exact) / count))
 

@@ -30,8 +30,6 @@ REFERENCES = {
     "mathcore.special.airy_ai_prime",
     # aci_flow's right-hand side, written out once
     "aci.b_from_a",
-    # the dense eigensolve that empirical_gap's Sturm counts replace
-    "ensembles.SampleBatch.eigenvalues",
     # finite differences for the exact jets; perfbench/tracer.py lists fd
     "fd.central_diff",
 }
