@@ -311,8 +311,11 @@ def run_pfaff_check_kp(args):
 
 
 def run_twotoda_pde(args):
+    a_list, b_list = parse_floats(args.a_list), parse_floats(args.b_list)
+    if len(a_list) != len(b_list):
+        raise UsageError("--a-list and --b-list need equal lengths")
     rows = []
-    for a, b in zip(parse_floats(args.a_list), parse_floats(args.b_list)):
+    for a, b in zip(a_list, b_list):
         res = abs(twotoda.coupled_pde_residual(args.c, a, b, args.n,
                                                order=args.order))
         rows.append({"a": a, "b": b, "residual": res})
@@ -474,8 +477,11 @@ def run_ensemble_gap(args):
 def run_ensemble_sample(args):
     e = _ensemble_from(args)
     E = IntervalUnion.parse(args.interval)
-    frac, err = ensembles.sample_ensemble(e, args.count, args.seed, E)
+    # the quadrature before any draw: it rejects an ensemble it cannot
+    # integrate at once
+    ensembles.check_sample(e, args.count)
     exact = ensembles.gap_probability(e, E, order=args.order)
+    frac, err = ensembles.sample_ensemble(e, args.count, args.seed, E)
     sigma = max(err, math.sqrt(max(exact * (1.0 - exact), 1e-12) / args.count))
     rows = [{
         "interval": args.interval, "empirical": frac, "stderr": err,

@@ -34,7 +34,7 @@ from .tau import (
     WeightSpec,
     hankel_endpoint_series,
     hankel_moments,
-    logdet_series_derivatives,
+    logdet_partials,
 )
 
 SAMPLE_BLOCK = 4096
@@ -279,6 +279,14 @@ def _block_hits(diag, off, E):
     return int(np.count_nonzero(inside == n))
 
 
+def check_sample(e, count):
+    """UsageError unless count draws of the ensemble e can be sampled."""
+    if count < 1:
+        raise UsageError("sample count must be >= 1")
+    if e.weight.family == "laguerre":
+        _wishart_shape(e.beta, e.weight.a, e.n)
+
+
 def sample_ensemble(e, count, seed, E):
     """(fraction of count draws of the ensemble with every eigenvalue in E,
     binomial stderr).
@@ -289,10 +297,7 @@ def sample_ensemble(e, count, seed, E):
     nothing of size count is held and the estimate is bitwise identical
     for any thread count.
     """
-    if count < 1:
-        raise UsageError("sample count must be >= 1")
-    if e.weight.family == "laguerre":
-        _wishart_shape(e.beta, e.weight.a, e.n)
+    check_sample(e, count)
     if E is None:
         return 1.0, 0.0
     if E.is_empty:
@@ -325,14 +330,16 @@ def gap_log_jets(e, x, order=64):
     over the support below x as its top endpoint x moves."""
     w = e.weight
     E = w.support().intersect(IntervalUnion.half_line_below(x))
+    orders = [(1,), (2,), (3,), (4,)]
     if e.beta == 2:
         m = hankel_moments(w, E, M=2 * (e.n - 1), order=order)
         gs = [m] + hankel_endpoint_series(m, x, 1.0, 4)
-        return logdet_series_derivatives([g.matrix(e.n) for g in gs])
+        return logdet_partials(m.matrix(e.n),
+                               lambda r: gs[r[0]].matrix(e.n), orders)
     half, alpha = _skew_shape(e)
     m = skew_inner_products(w, E, alpha=alpha, N=half, order=order)
     gs = [m] + skew_endpoint_series(m, x, 1.0, 4)
-    return [0.5 * v for v in logdet_series_derivatives([g.m for g in gs])]
+    return [0.5 * v for v in logdet_partials(m.m, lambda r: gs[r[0]].m, orders)]
 
 
 def inductive_relation_residual(family, beta, n, x_grid, a=0.0, b=1.0,

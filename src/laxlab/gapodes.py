@@ -6,7 +6,7 @@ A_n = sum_i coeff(A_i) d/dA_i to F = log det(I - K|_E).  Their endpoint
 derivatives, up to total order four, are exact: the Taylor series of the
 Nystrom matrix along a constant endpoint direction
 (fredholm.nystrom_series) gives the directional derivatives of F through
-tau.logdet_series_derivatives, and polarization gives the mixed ones.
+tau.logdet_partials, and polarization gives the mixed ones.
 The beta-ensemble (Gaussian / Laguerre) ODE, with its invariant
 coefficients and their beta = 1 <-> 4 duality, is assembled here from
 given x-derivatives of log P_n; ensembles.gap_log_jets supplies them
@@ -22,7 +22,7 @@ from .errors import DomainError, PrecisionError, UnderflowError, UsageError
 from .fredholm import KernelSpec, nystrom_det, nystrom_series
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant
-from .tau import logdet_series_derivatives
+from .tau import logdet_partials
 
 ODE_ORDER = 96  # quadrature order of the Painleve II / V checks
 PDE_ORDER = 64  # and of the multi-interval PDE checks
@@ -53,7 +53,8 @@ def _logdet_jets(kernel, E, quad_order, directions):
                 f"{E.finite_endpoints()} is not positive: the gap "
                 "probability is below the resolution of the Nystrom quadrature"
             )
-        return logdet_series_derivatives(g)
+        return logdet_partials(g[0], lambda n: g[n[0]],
+                               [(r,) for r in range(1, len(g))])
 
     # map drops each direction's matrices before the next are built
     series = nystrom_series(kernel, E, quad_order, directions)

@@ -11,15 +11,17 @@ no code of its own and no spare depth.
 
 The pieces every moment route shares live here too: the quadrature power
 sums, the order-doubling refinement of a value on a weight's quadrature
-rule, exact log-determinant jets along one direction, and exact mixed
-time partials of log det of a moment block (``dlog_block``: a time moves
-the block by index shifts, so each mixed partial is one multilinear
-log-det expansion), and the four-term KP assembly on those partials.
+rule, the one exact log-det partial kernel (``logdet_partials``: any
+partial of log det G(x) at x = 0, in any number of variables, from the
+Taylor matrices of G), the exact mixed time partials of log det of a
+moment block it gives (``dlog_block``: a time moves the block by index
+shifts, one variable per derivative factor), and the four-term KP
+assembly on those partials.
 """
 
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -242,74 +244,45 @@ def evolution_factor(t):
     return np.polynomial.Polynomial(evolution_coefficients(t))
 
 
-def logdet_series_derivatives(g_list):
-    """Directional derivatives of log det H(s) at s=0, to machine precision.
+def logdet_partials(g0, coefficient, monomials):
+    """Partials d^n log det G(x) at x = 0, exact, for each exponent tuple n
+    in ``monomials``; ``coefficient(n)`` is the Taylor matrix G_n of G at
+    x^n, and G0 = G_{(0, ..., 0)}.
 
-    ``g_list`` holds the Taylor matrices H(s) = G0 + s G1 + s^2 G2 + ...;
-    returns [d/ds, d^2/ds^2, ...] of log det up to the available order.
-    With Y_i = G0^{-1} G_i, H^{-1} G0 = sum_j s^j V_j has V_0 = I and
-    V_j = -sum_{i=1..j} Y_i V_{j-i}, and d/ds log det H = tr(H^{-1} H'),
-    so the j-th derivative is (j - 1)! sum_{i=1..j} i tr(V_{j-i} Y_i).
-    """
-    g0 = g_list[0]
+    With Y_n = G0^{-1} G_n, G^{-1} G0 = sum_n V_n x^n has V_0 = I and
+    V_n = -sum_{0 < b <= n} Y_b V_{n-b}.  d/dx_q log det G = tr(G^{-1}
+    d/dx_q G), so with q the first variable of n, the Taylor coefficient
+    c_n of log det G has n_q c_n = sum_{b <= n, b_q > 0} b_q tr(V_{n-b} Y_b),
+    and the partial is c_n prod_i n_i!.  Y and V are kept per tuple and
+    built only as the requested partials need them: the partial at n
+    needs every Y_b, b <= n, and every V_m, m <= n with m_q < n_q.  Unlike
+    polarization nothing cancels, so a partial that vanishes by symmetry
+    stays at its own rounding level.  A 0 x 0 G0 (tau_0 = 1) has every
+    partial 0."""
+    monomials = [tuple(n) for n in monomials]
+    first = [next(i for i, k in enumerate(n) if k) for n in monomials]
+    box = lambda n: itertools.product(*(range(k + 1) for k in n))  # 0 first
+    minus = lambda n, b: tuple(map(operator.sub, n, b))
+    # lexicographic order puts every m - b before m
+    needed = lambda tops: sorted({m for top in tops for m in box(top)})
     try:
-        y = [None] + [np.linalg.solve(g0, g) for g in g_list[1:]]
+        y = {b: np.linalg.solve(g0, coefficient(b))
+             for b in needed(monomials) if any(b)}
     except np.linalg.LinAlgError as exc:
         raise SingularTauError("tau vanishes at the expansion point") from exc
-    v, out = [np.eye(len(g0))], []
-    for j in range(1, len(g_list)):
-        # tr(A B) as the sum of A * B^T: no product is formed
-        out.append(math.factorial(j - 1) * float(sum(
-            i * (v[j - i] * y[i].T).sum() for i in range(1, j + 1))))
-        if j < len(g_list) - 1:
-            v.append(-y[j] - sum(y[i] @ v[j - i] for i in range(1, j)))
-    return out
-
-
-def logdet_multilinear(g0, coefficient, r):
-    """Mixed partial d/dx_1 ... d/dx_r of log det G(x) at x = 0, exact.
-
-    ``coefficient(mask)`` is the matrix of the product of the x_i set in the
-    bit mask.  With Y_B = G0^{-1} G_B, G^{-1} G0 has the terms V_S =
-    -sum_{B in S} Y_B V_{S-B}, and the partial is the sum over B owning x_1
-    of tr(V_{S-B} Y_B).  Unlike polarization nothing cancels, so a partial
-    that vanishes by symmetry stays at its own rounding level.  A 0 x 0 G0
-    (tau_0 = 1) has every partial 0.
-
-    G0 and every coefficient are taken as D G D, D_ii a power of 2 within
-    a factor 2 of the inverse square root of row i's largest entry.  That
-    is exact and leaves every partial unchanged, but it evens out much of
-    the growth of a moment block along its index, which alone would make
-    the test below judge G0 singular.  A scaled G0 singular to working
-    precision raises SingularTauError: solving against it returns finite
-    noise, not an error."""
-    if not len(g0):
-        return 0.0
-    submasks = lambda mask: [b for b in range(1, mask + 1) if b & mask == b]
-    d = np.ldexp(1.0, -(np.frexp(np.abs(g0).max(axis=1))[1] // 2))
-    scaled = lambda g: d[:, None] * g * d
-    g0 = scaled(g0)
-    try:
-        sv = np.linalg.svd(g0, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # the SVD of a non-finite G0
-        raise DivergenceError("tau is not finite at the expansion point") from exc
-    if not sv[-1] > np.finfo(float).eps * sv[0]:
-        raise SingularTauError("tau vanishes to working precision at the "
-                               "expansion point")
-
-    @functools.cache
-    def y(mask):
-        return np.linalg.solve(g0, scaled(coefficient(mask)))
-
-    @functools.cache
-    def v(mask):
-        if not mask:
-            return np.eye(len(g0))
-        return -sum(y(b) @ v(mask & ~b) for b in submasks(mask))
-
-    full = (1 << r) - 1
-    return float(sum(np.trace(v(full & ~b) @ y(b))
-                     for b in submasks(full) if b & 1))
+    v = {}
+    for m in needed(tuple(k - (i == q) for i, k in enumerate(n))
+                    for n, q in zip(monomials, first)):
+        if not any(m):
+            v[m] = np.eye(len(g0))
+        else:  # the b = m term is Y_m V_0 = Y_m
+            v[m] = -y[m] - sum(y[b] @ v[minus(m, b)]
+                               for b in box(m) if any(b) and b != m)
+    # tr(A B) as the sum of A * B^T: no product is formed
+    return [float(sum(b[q] * (v[minus(n, b)] * y[b].T).sum()
+                      for b in box(n) if b[q]))
+            * (math.prod(map(math.factorial, n)) // n[q])
+            for n, q in zip(monomials, first)]
 
 
 def dlog_block(m, n, factors):
@@ -317,10 +290,19 @@ def dlog_block(m, n, factors):
     array m, one factor (k, a, b) per derivative: the time t_k moves m to
     e^{t_k a Lambda^k} m e^{t_k b Lambda^{T k}}, Lambda the index shift, so
     it shifts the row index by k with weight a and the column index by k
-    with weight b.  For a set of factors the coefficient sums, over every
-    split of them between rows and columns, the block shifted by the row
-    sum and the column sum, times the weights.  Exact, by
-    logdet_multilinear; a shift past the array raises DepthError."""
+    with weight b.  Each factor is a variable of its own, so the partial
+    needs only the square-free Taylor matrices: for a set of factors, the
+    sum over every split of them between rows and columns of the block
+    shifted by the row sum and the column sum, times the weights.  Exact,
+    by logdet_partials; a shift past the array raises DepthError.
+
+    The block and its Taylor matrices are taken as D G D, D_ii a power of
+    2 within a factor 2 of the inverse square root of row i's largest
+    entry of the block.  That is exact and leaves every partial unchanged,
+    but it evens out much of the growth of a moment block along its index,
+    which alone would make the test below judge the block singular.  A
+    scaled block singular to working precision raises SingularTauError:
+    solving against it returns finite noise, not an error."""
 
     def block(i, j):
         if n + i > m.shape[0] or n + j > m.shape[1]:
@@ -328,41 +310,33 @@ def dlog_block(m, n, factors):
                              f"{m.shape[0]} x {m.shape[1]}")
         return m[i : i + n, j : j + n]
 
-    def coefficient(mask):
+    if not n:  # tau_0 = 1
+        return 0.0
+    d = np.ldexp(1.0, -(np.frexp(np.abs(block(0, 0)).max(axis=1))[1] // 2))
+    scaled = lambda g: d[:, None] * g * d
+    g0 = scaled(block(0, 0))
+    try:
+        sv = np.linalg.svd(g0, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # the SVD of a non-finite block
+        raise DivergenceError("tau is not finite at the expansion point") from exc
+    if not sv[-1] > np.finfo(float).eps * sv[0]:
+        raise SingularTauError("tau vanishes to working precision at the "
+                               "expansion point")
+
+    def coefficient(chosen):
         # the product of the chosen factors, {(row, column shift): weight}
         terms = {(0, 0): 1.0}
-        for i, (k, a, b) in enumerate(factors):
-            if mask >> i & 1:
+        for (k, a, b), pick in zip(factors, chosen):
+            if pick:
                 step = {}
                 for (r, c), w in terms.items():
                     for key, x in (((r + k, c), a), ((r, c + k), b)):
                         if x:
                             step[key] = step.get(key, 0.0) + w * x
                 terms = step
-        return sum(w * block(r, c) for (r, c), w in terms.items())
+        return scaled(sum(w * block(r, c) for (r, c), w in terms.items()))
 
-    return logdet_multilinear(block(0, 0), coefficient, len(factors))
-
-
-def polarized(directional, ks):
-    """Partial d/dt_{k1} ... d/dt_{kr} from directional jets
-    ``directional(d, order) -> [D_d, D_d^2, ...]``; a mixed one by
-    polarization:
-
-        (2^{r-1} r!)^{-1} sum_{eps, eps_1 = +1} (prod eps) D^r_v,
-        v = sum_i eps_i e_{k_i}.
-    """
-    r = len(ks)
-    if len(set(ks)) == 1:  # a single time: the jet itself
-        return directional(np.eye(ks[0])[-1], r)[r - 1]
-    total = 0.0
-    for signs in itertools.product((1.0, -1.0), repeat=r - 1):
-        eps = (1.0,) + signs
-        v = np.zeros(max(ks))
-        for e, k in zip(eps, ks):
-            v[k - 1] += e
-        total += math.prod(eps) * directional(v, r)[r - 1]
-    return total / (2 ** (r - 1) * math.factorial(r))
+    return logdet_partials(g0, coefficient, [(1,) * len(factors)])[0]
 
 
 def kp_normalized(dlog, extra=0.0):

@@ -6,10 +6,12 @@ evolved to the times (t, s) by the factor E_t(x) E_{-s}(y) in the weight
 tau.dlog_block (t_a shifts the row index, s_b the column index), KP
 residuals in t and s, exact Wronskian tau identities, and the third-order
 boundary PDE satisfied by the joint gap probability of the coupled
-ensemble, whose (a, b, c) partials are still mixed by polarization.
+ensemble, whose (a, b, c) partials are exact too: the endpoint motion of
+the restricted bi-moments is a set of index operators on one bi-moment
+matrix, and tau.logdet_partials turns their Taylor matrices into every
+partial of log tau up to order 3.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +30,7 @@ from .tau import (
     dlog_block,
     evolution_factor,
     kp_normalized,
-    logdet_series_derivatives,
-    polarized,
+    logdet_partials,
 )
 
 
@@ -52,10 +53,6 @@ class BiMoments:
         return self.m[:n, :n]
 
 
-def _coupled_scale(c):
-    return math.sqrt(2.0 / (1.0 - abs(c)))
-
-
 def bimoments(c, E=None, N=6, order=64, t=(), s=()):
     """mu_{ij} = double integral of x^i y^j e^{-(x^2+y^2)/2 + c x y} over
     E1 x E2 by tensor quadrature, the weight times E_t(x) E_{-s}(y) at the
@@ -68,48 +65,20 @@ def bimoments(c, E=None, N=6, order=64, t=(), s=()):
         E1, E2 = E
     E1.require_nonempty()
     E2.require_nonempty()
+    scale = math.sqrt(2.0 / (1.0 - abs(c)))  # the weight's decay length
+    x, wx = union_rule(E1, order, scale)
+    y, wy = union_rule(E2, order, scale)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = _bimoment_series(c, E1, E2, N, order, t=t, s=s)[0]
+        px = np.vander(x, N, increasing=True) * (
+            wx * evolution_factor(t)(x))[:, None]
+        py = np.vander(y, N, increasing=True) * (
+            wy * evolution_factor([-v for v in s])(y))[:, None]
+        kernel = np.exp(-0.5 * x[:, None] ** 2 - 0.5 * y[None, :] ** 2
+                        + c * np.outer(x, y))
+        mu = px.T @ kernel @ py
     if not np.all(np.isfinite(mu)):
         raise DivergenceError("bi-moments diverge on this domain")
     return BiMoments(m=mu, c=float(c), E1=E1, E2=E2)
-
-
-def _bimoment_series(c, E1, E2, N, order, v=(0.0, 0.0, 0.0), degree=0,
-                     t=(), s=()):
-    """Taylor matrices G_0..G_degree of the N x N bi-moments over E1 x E2 as
-    every node moves by h (v_a, v_b) and the coupling by h v_c: on
-    (-inf, a] x (-inf, b] the exact motion of the endpoints, since a
-    half-line rule is a translate of its endpoint.  The exponent is then a
-    cubic phi_0 + h phi_1 + h^2 phi_2 + h^3 phi_3, and K' = phi' K.  At the
-    times (t, s) the rule weights carry E_t(x) and E_{-s}(y)."""
-    scale = _coupled_scale(c)
-    x, wx = union_rule(E1, order, scale)
-    y, wy = union_rule(E2, order, scale)
-    wx = wx * evolution_factor(t)(x)
-    wy = wy * evolution_factor([-v for v in s])(y)
-    va, vb, vc = v
-    xs, ys, xy = x[:, None], y[None, :], np.outer(x, y)
-    kernel = [np.exp(-0.5 * xs ** 2 - 0.5 * ys ** 2 + c * xy)]
-    phi = [None, (c * vb - va) * xs + (c * va - vb) * ys + vc * xy,
-           c * va * vb - 0.5 * (va ** 2 + vb ** 2) + vc * (vb * xs + va * ys),
-           vc * va * vb]
-    for r in range(1, degree + 1):
-        kernel.append(sum(j * phi[j] * kernel[r - j]
-                          for j in range(1, min(r, 3) + 1)) / r)
-    powers = []  # [h^r] w (z + h dz)^i, one factor z + h dz at a time
-    for z, w, dz in ((x, wx, va), (y, wy, vb)):
-        p = np.zeros((degree + 1, len(z), N))
-        p[0, :, 0] = 1.0
-        for i in range(1, N):
-            p[:, :, i] = p[:, :, i - 1] * z
-            p[1:, :, i] += dz * p[:-1, :, i - 1]
-        powers.append(p * w[:, None])
-    px, py = powers
-    left = [sum(px[p].T @ kernel[r - p] for p in range(r + 1))
-            for r in range(degree + 1)]
-    return [sum(left[u] @ py[r - u] for u in range(r + 1))
-            for r in range(degree + 1)]
 
 
 # ----- exact log-tau derivatives in (t, s) -----
@@ -229,35 +198,58 @@ class BoundaryOperators:
         return _term(f, 1, 1, (self.b, 1.0)) - _term(f, 2, 2, (self.c, 1.0))
 
 
+def _bimoment_taylor(m, c, n):
+    """Taylor matrices of the leading n-block of the bi-moments m over
+    (-inf, a] x (-inf, b] as (a, b, c) move: coefficient((p, q, k)), the
+    matrix at da^p db^q dc^k, is (T_a^p T_b^q m)[k:k+n, k:k+n] / (p! q! k!)
+    for p + q + k <= m.shape[0] - n.  A half-line rule is a translate of
+    its endpoint, so on the tensor rule d/da moves every node x, and
+    d/dx [x^i K] = (i x^{i-1} + (c y - x) x^i) K gives
+    (T_a m)_{ij} = i m_{i-1,j} - m_{i+1,j} + c m_{i,j+1}; T_b is the same
+    with i and j swapped, and d/dc shifts both indices by 1, on any
+    domain."""
+
+    def translate(m):  # T_a, one row and one column shorter
+        out = c * m[:-1, 1:] - m[1:, :-1]
+        out[1:] += np.arange(1.0, len(out))[:, None] * m[:-2, :-1]
+        return out
+
+    def coefficient(pqk):
+        p, q, k = pqk
+        moved = m
+        for _ in range(q):
+            moved = translate(moved.T).T
+        for _ in range(p):
+            moved = translate(moved)
+        return moved[k : k + n, k : k + n] / math.prod(map(math.factorial, pqk))
+
+    return coefficient
+
+
 def gap_log_tau_ratio_taylor(c, a, b, n, order=48):
     """Cubic Taylor polynomial at (a, b, c), as in BoundaryOperators, of
 
         F_n = (1/n) log( tau_n^E / tau_n ),  E = (-inf, a] x (-inf, b],
 
-    for the coupled Gaussian.  Along v, D_v^r F are log-det jets: the
-    restricted bi-moments move by ``_bimoment_series``, the full-line ones
-    by v_c^r mu[r:r+n, r:r+n] / r!.  Partials come by polarization."""
+    for the coupled Gaussian, every partial exact by tau.logdet_partials
+    on the Taylor matrices of _bimoment_taylor: the restricted bi-moments
+    move with (a, b, c), the full-line ones with c alone."""
     E = (IntervalUnion.half_line_below(a), IntervalUnion.half_line_below(b))
+    restricted = bimoments(c, E, N=n + 3, order=order).m
     mu = bimoments(c, N=n + 3, order=order).m
-    full = [mu[r : r + n, r : r + n] / math.factorial(r) for r in range(4)]
-    taus = [lu_determinant(bimoments(c, E, N=n, order=order).m),
-            lu_determinant(full[0])]
+    taus = [lu_determinant(restricted[:n, :n]), lu_determinant(mu[:n, :n])]
     if not min(taus) > 0.0:
         raise SingularTauError("tau must stay positive for the log")
-    full_jet = logdet_series_derivatives(full)
-
-    @functools.cache
-    def jet(v):
-        series = _bimoment_series(c, *E, n, order, v, degree=3)
-        return [(d - v[2] ** r * e) / n for r, (d, e) in
-                enumerate(zip(logdet_series_derivatives(series), full_jet), 1)]
-
-    directional = lambda d, r: jet(tuple(np.pad(d, (0, 3 - len(d)))))
+    monomials = np.argwhere((_DEGREE >= 1) & (_DEGREE <= 3)).tolist()
+    partials = logdet_partials(restricted[:n, :n],
+                               _bimoment_taylor(restricted, c, n), monomials)
+    full = logdet_partials(mu[:n, :n], _bimoment_taylor(mu, c, n),
+                           [(0, 0, 1), (0, 0, 2), (0, 0, 3)])
     f = np.zeros((4, 4, 4))
     f[0, 0, 0] = math.log(taus[0] / taus[1]) / n
-    for i, j, k in zip(*np.nonzero((_DEGREE >= 1) & (_DEGREE <= 3))):
-        f[i, j, k] = polarized(directional, (1,) * i + (2,) * j + (3,) * k) / (
-            math.factorial(i) * math.factorial(j) * math.factorial(k))
+    for (i, j, k), d in zip(monomials, partials):
+        d -= 0.0 if i + j else full[k - 1]
+        f[i, j, k] = d / n / math.prod(map(math.factorial, (i, j, k)))
     return f
 
 

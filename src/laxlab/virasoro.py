@@ -38,7 +38,7 @@ from .tau import (
     dlog_block,
     hankel_endpoint_series,
     hankel_moments,
-    logdet_series_derivatives,
+    logdet_partials,
 )
 
 # ----------------------------------------------------------------------
@@ -124,7 +124,7 @@ class _MomentTau:
         or a lower (sigma = -1) one."""
         g0 = self._block(self._m)
         g1 = self._block(self._series(self._m, c, sigma, 1)[0])
-        jet = logdet_series_derivatives([g0, g1])[0]
+        (jet,) = logdet_partials(g0, lambda n: g1, [(1,)])
         return self.value() * self._half * jet
 
 

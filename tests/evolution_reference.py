@@ -4,9 +4,11 @@ reference every evolved-weight moment builder is checked against.
 exp(sum_k t_k z^k) is expanded here as a product of one exponential per
 time, cut at total degree EVOLUTION_DEGREE in t, and applied to a stored
 moment array as a sum of index-shifted blocks.  The Taylor matrices of a
-moment block along one time direction, on the same sums, are the
-directional jets that polarization turns into a reference for mixed
-partials."""
+moment block along one time direction, on the same sums, give directional
+jets, and polarization turns those into a reference for mixed partials."""
+
+import itertools
+import math
 
 import numpy as np
 
@@ -86,3 +88,24 @@ def direction_matrices(m, n, order, rows=(), cols=()):
     pr, pc = powers(rows), powers(cols)
     return [sum(add_shifted_blocks(np.zeros((n, n)), m, pr[p], pc[j - p])
                 for p in range(j + 1)) for j in range(order + 1)]
+
+
+def polarized(directional, ks):
+    """Partial d/dt_{k1} ... d/dt_{kr} from directional jets
+    ``directional(d, order) -> [D_d, D_d^2, ...]``; a mixed one by
+    polarization:
+
+        (2^{r-1} r!)^{-1} sum_{eps, eps_1 = +1} (prod eps) D^r_v,
+        v = sum_i eps_i e_{k_i}.
+    """
+    r = len(ks)
+    if len(set(ks)) == 1:  # a single time: the jet itself
+        return directional(np.eye(ks[0])[-1], r)[r - 1]
+    total = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=r - 1):
+        eps = (1.0,) + signs
+        v = np.zeros(max(ks))
+        for e, k in zip(eps, ks):
+            v[k - 1] += e
+        total += math.prod(eps) * directional(v, r)[r - 1]
+    return total / (2 ** (r - 1) * math.factorial(r))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxlab import aci, pfaff, toda
+from laxlab import aci, ensembles, pfaff, toda
 from laxlab.cli import (
     EXIT_NUMERICAL,
     EXIT_TOLERANCE,
@@ -390,8 +390,10 @@ def other_command_argv(draw):
                  "--grid", pick(*GRIDS),
                  "--order", pick(*ORDERS)]
     elif cmd == "twotoda pde":
-        argv += ["--c", pick(*REALS), "--a-list", pick(*LISTS),
-                 "--b-list", pick(*LISTS), "--n", count(1, 2),
+        a_list = pick(*LISTS)  # a well-formed --b-list of its length
+        same = [v for v in LISTS[0] if v.count(",") == a_list.count(",")]
+        argv += ["--c", pick(*REALS), "--a-list", a_list,
+                 "--b-list", pick(same, LISTS[1]), "--n", count(1, 2),
                  "--order", pick(*ORDERS)]
     elif cmd == "twotoda identities":
         argv += ["--c", pick(*REALS), "--n", count(0, 3),
@@ -788,6 +790,28 @@ def test_ensemble_gap_report():
     ])
     assert code == 0
     assert report.rows[0]["probability"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_twotoda_pde_rejects_unequal_lists():
+    # zip would drop the unmatched 0.4 and pass on one row
+    argv = "twotoda pde --a-list 0.3,0.4 --b-list 0.3 --check".split()
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) == EXIT_USAGE
+    assert "equal lengths" in err.getvalue()
+
+
+def test_ensemble_sample_rejects_before_drawing(monkeypatch):
+    # beta = 1 needs even n: the quadrature says so before a single draw
+    def no_draws(*args):
+        raise AssertionError("drew samples for a rejected ensemble")
+
+    monkeypatch.setattr(ensembles, "sample_ensemble", no_draws)
+    argv = "ensemble sample --beta 1 --n 3 --count 10000000 --check".split()
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) == EXIT_USAGE
+    assert "even n" in err.getvalue()
 
 
 def test_aci_curve_monic():

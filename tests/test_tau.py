@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -25,8 +26,7 @@ from laxlab.tau import (
     hankel_endpoint_series,
     hankel_moments,
     kp_residual,
-    logdet_multilinear,
-    logdet_series_derivatives,
+    logdet_partials,
 )
 from laxlab.twotoda import bimoments
 
@@ -298,31 +298,84 @@ def test_empty_block_has_partial_zero():
     assert dlog_block(np.ones((4, 4)), 0, [(1, 1.0, 0.0)]) == 0.0
 
 
-def test_logdet_multilinear_judges_the_scaled_block():
+def test_dlog_block_judges_the_scaled_block():
     # G0 = D A D, D = diag(1, 2^30, 2^60), has singular values 2^120 apart,
     # but each row's largest entry is its diagonal one, so scaling every
-    # row and column by the inverse square root of that entry gives A back
+    # row and column by the inverse square root of that entry gives A back.
+    # The moment array stacks G0 over the Taylor matrices D C_i D, which
+    # the factors (3, 1, 0) reach by row shifts of 3 and 6
     a = np.array([[1.0, 2.0 ** -40, 2.0 ** -70],
                   [2.0 ** -40, 1.0, 2.0 ** -40],
                   [2.0 ** -70, 2.0 ** -40, 1.0]])
     c = np.arange(1.0, 10.0).reshape(3, 3)
     d = np.diag(2.0 ** np.array([0.0, 30.0, 60.0]))
+    plain = np.vstack([a, c, c.T])
+    graded = np.vstack([d @ g @ d for g in (a, c, c.T)])
     for r in (1, 2):
-        graded = logdet_multilinear(d @ a @ d, lambda mask: d @ c @ d, r)
-        assert graded == logdet_multilinear(a, lambda mask: c, r)
+        factors = [(3, 1.0, 0.0)] * r
+        assert dlog_block(graded, 3, factors) == dlog_block(plain, 3, factors)
 
 
-def test_logdet_series_derivatives_at_any_order():
+def test_logdet_partials_at_any_order():
     # G(s) = P diag(e^{a s}) P^{-1} to order 6: log det G = s sum(a) + O(s^7)
     rng = np.random.default_rng(3)
     a = rng.uniform(-1.0, 1.0, 4)
     p = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
     g = [p @ np.diag(a ** j / math.factorial(j)) @ np.linalg.inv(p)
          for j in range(7)]
-    jets = logdet_series_derivatives(g)
+    jets = logdet_partials(g[0], lambda n: g[n[0]],
+                           [(j,) for j in range(1, 7)])
     assert len(jets) == 6
     assert jets[0] == pytest.approx(a.sum(), abs=1e-13)
     assert np.abs(jets[1:]).max() < 1e-12
+
+
+def test_logdet_partials_closed_form_in_three_variables():
+    # G(x) = P diag(prod_v e^{a_iv x_v}) P^{-1}: log det G = sum a_iv x_v,
+    # so every first partial is sum_i a_iv and every higher one vanishes
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, (4, 3))
+    p = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    inverse = np.linalg.inv(p)
+
+    def coefficient(n):
+        diagonal = np.prod(a ** np.array(n), axis=1) / math.prod(
+            map(math.factorial, n))
+        return p @ np.diag(diagonal) @ inverse
+
+    monomials = [n for n in itertools.product(range(4), repeat=3)
+                 if 1 <= sum(n) <= 3]
+    assert (2, 1, 0) in monomials and (1, 1, 1) in monomials
+    partials = dict(zip(monomials,
+                        logdet_partials(coefficient((0, 0, 0)), coefficient,
+                                        monomials)))
+    for v in range(3):
+        first = tuple(int(i == v) for i in range(3))
+        assert partials.pop(first) == pytest.approx(a[:, v].sum(), abs=1e-13)
+    assert max(map(abs, partials.values())) < 1e-12
+    # G(x) = P diag(1 + sum_v a_iv x_v) P^{-1}: the partial at n of
+    # log det G is sum_i (-1)^{|n|-1} (|n|-1)! prod_v a_iv^{n_v}
+    linear = lambda n: coefficient(n) if sum(n) == 1 else np.zeros((4, 4))
+    for n, partial in zip(monomials, logdet_partials(np.eye(4), linear,
+                                                     monomials)):
+        exact = (-1) ** (sum(n) - 1) * math.factorial(sum(n) - 1) * np.prod(
+            a ** np.array(n), axis=1).sum()
+        assert partial == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
+def test_logdet_partials_leave_no_reference_cycle():
+    # a cycle would keep every Taylor matrix, order-96 ones for a Fredholm
+    # series, until the cyclic collector runs, and raise the peak memory
+    # of the Painleve checks by a third
+    g = [np.eye(3) + 0.1 * j for j in range(5)]
+    gc.collect()
+    gc.disable()
+    try:
+        logdet_partials(g[0], lambda n: g[n[0]], [(1,), (2,), (3,), (4,)])
+        dlog_block(np.vstack(g), 3, [(3, 1.0, 0.0)] * 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ----- KP -----

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from evolution_reference import direction_matrices, reference_evolution
+from evolution_reference import (
+    direction_matrices,
+    polarized,
+    reference_evolution,
+)
 from laxlab.errors import (
     DivergenceError,
     PrecisionError,
@@ -12,7 +16,8 @@ from laxlab.errors import (
 )
 from laxlab.intervals import IntervalUnion
 from laxlab import twotoda
-from laxlab.mathcore import gauss_legendre_rule, lu_determinant
+from laxlab.mathcore import gauss_legendre_rule, lu_determinant, union_rule
+from laxlab.tau import logdet_partials
 from laxlab.twotoda import (
     BiMoments,
     BoundaryOperators,
@@ -63,6 +68,39 @@ def gram_schmidt_h_oracle(mu, n):
 
 def rho0(c, x, y):
     return np.exp(-0.5 * x ** 2 - 0.5 * y ** 2 + c * x * y)
+
+
+def bimoment_series_oracle(c, E1, E2, N, order, v, degree):
+    """Taylor matrices G_0..G_degree of the N x N bi-moments over E1 x E2
+    as every node moves by h (v_a, v_b) and the coupling by h v_c: on
+    (-inf, a] x (-inf, b] the exact motion of the endpoints, since a
+    half-line rule is a translate of its endpoint.  The exponent is then a
+    cubic phi_0 + h phi_1 + h^2 phi_2 + h^3 phi_3, and K' = phi' K."""
+    scale = math.sqrt(2.0 / (1.0 - abs(c)))
+    x, wx = union_rule(E1, order, scale)
+    y, wy = union_rule(E2, order, scale)
+    va, vb, vc = v
+    xs, ys, xy = x[:, None], y[None, :], np.outer(x, y)
+    kernel = [rho0(c, xs, ys)]
+    phi = [None, (c * vb - va) * xs + (c * va - vb) * ys + vc * xy,
+           c * va * vb - 0.5 * (va ** 2 + vb ** 2) + vc * (vb * xs + va * ys),
+           vc * va * vb]
+    for r in range(1, degree + 1):
+        kernel.append(sum(j * phi[j] * kernel[r - j]
+                          for j in range(1, min(r, 3) + 1)) / r)
+    powers = []  # [h^r] w (z + h dz)^i, one factor z + h dz at a time
+    for z, w, dz in ((x, wx, va), (y, wy, vb)):
+        p = np.zeros((degree + 1, len(z), N))
+        p[0, :, 0] = 1.0
+        for i in range(1, N):
+            p[:, :, i] = p[:, :, i - 1] * z
+            p[1:, :, i] += dz * p[:-1, :, i - 1]
+        powers.append(p * w[:, None])
+    px, py = powers
+    left = [sum(px[p].T @ kernel[r - p] for p in range(r + 1))
+            for r in range(degree + 1)]
+    return [sum(left[u] @ py[r - u] for u in range(r + 1))
+            for r in range(degree + 1)]
 
 
 # ----- construction -----
@@ -162,14 +200,13 @@ def test_dlog_first_order_against_fd():
 def test_dlog_tau2_matches_polarized_jets():
     # at a generic (t, s) no partial vanishes by symmetry, so polarization
     # of the directional log-det jets is an accurate reference
-    from laxlab.tau import logdet_series_derivatives, polarized
-
     m = bimoments(0.5, N=10, t=[0.1], s=[-0.07])
 
     def directional(d, order):  # d = (t1, t2, s1, s2)
         d = np.pad(d, (0, 4 - len(d)))
-        return logdet_series_derivatives(direction_matrices(
-            m.m, 2, order, rows=d[:2], cols=-d[2:]))
+        g = direction_matrices(m.m, 2, order, rows=d[:2], cols=-d[2:])
+        return logdet_partials(g[0], lambda r: g[r[0]],
+                               [(r,) for r in range(1, order + 1)])
 
     for tlist, slist in (((1,), (1,)), ((1,), (2,)), ((2,), (1,)),
                          ((1, 1), (2,)), ((2,), (1, 1)), ((1, 2), (1,))):
@@ -331,9 +368,55 @@ def test_gap_taylor_polynomial_matches_fd():
     assert np.all(taylor[DEGREE > 3] == 0.0)
 
 
+@pytest.mark.parametrize("c", [0.5, -0.5])
+def test_index_operators_match_the_directional_series(c):
+    # along v, the Taylor matrix of h^r is sum_{p+q+k=r} v_a^p v_b^q v_c^k
+    # G_pqk, against the series of the moving tensor rule
+    n, order = 3, 48
+    for a, b in ((0.3, 0.2), (-0.4, 0.7)):
+        E = (IntervalUnion.half_line_below(a),
+             IntervalUnion.half_line_below(b))
+        coefficient = twotoda._bimoment_taylor(
+            bimoments(c, E, N=n + 3, order=order).m, c, n)
+        for v in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                  (0.7, -1.3, 0.4), (-0.5, 0.2, -1.1)):
+            series = bimoment_series_oracle(c, *E, n, order, v, 3)
+            for r, reference in enumerate(series):
+                moved = sum(
+                    math.prod(x ** e for x, e in zip(v, pqk))
+                    * coefficient(pqk) for pqk in np.argwhere(DEGREE == r)
+                    .tolist())
+                assert np.abs(moved - reference).max() <= (
+                    1e-12 * np.abs(reference).max()), (a, b, v, r)
+
+
 def test_coupled_pde_residual_small():
     for n in (1, 2):
         assert abs(coupled_pde_residual(0.5, 0.3, 0.3, n)) <= 1e-12
+
+
+def test_coupled_pde_holds_through_n6():
+    # at the CLI's default a = b the residual sees only the a <-> b
+    # asymmetry of the rounding (see below); exact partials keep it under
+    # the CLI's 1e-3 gate at n = 6, where polarized jets did not (4.6e-3)
+    for n in range(1, 7):
+        assert abs(coupled_pde_residual(0.5, 0.3, 0.3, n)) <= 1e-3
+
+
+def test_coupled_pde_holds_off_the_diagonal():
+    # the residual flips sign under a <-> b, so at a = b it vanishes for
+    # every a <-> b symmetric Taylor tensor, a wrong one included; off the
+    # diagonal it checks the identity, to the order-48 rule's accuracy
+    # (about 1e-9 at n = 1)
+    for a, b in ((0.3, 0.2), (0.1, 0.5)):
+        for n in range(1, 6):
+            assert abs(coupled_pde_residual(0.5, a, b, n)) <= 1e-3
+        wrong = gap_log_tau_ratio_taylor(0.5, a, b, 2)
+        wrong[1, 1, 0] *= 2.0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(twotoda, "gap_log_tau_ratio_taylor",
+                          lambda *args, **kwargs: wrong)
+            assert abs(coupled_pde_residual(0.5, a, b, 2)) > 1e-3
 
 
 def test_coupled_pde_symmetry():
