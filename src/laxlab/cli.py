@@ -470,8 +470,12 @@ def run_ensemble_gap(args):
     E = IntervalUnion.parse(args.interval)
     p = ensembles.gap_probability(e, E, order=args.order)
     refined = ensembles.gap_probability(e, E, order=args.order + args.order // 2)
+    err = abs(p - refined)
+    if not p > err:
+        raise UnderflowError(f"gap probability {p:.2e} is not larger than "
+                             f"its error estimate {err:.2e}")
     rows = [{"interval": args.interval, "probability": p}]
-    return _Result(rows, abs(p - refined), tol=1e-8, err=abs(p - refined))
+    return _Result(rows, err, tol=1e-8, err=err)
 
 
 def run_ensemble_sample(args):
@@ -750,8 +754,12 @@ def main(argv=None):
     fmt = "csv" if out and out.endswith(".csv") else "json"
     payload = emit_report(report, fmt)
     if out:
-        with open(out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

@@ -1,20 +1,23 @@
 """Finite-n gap probabilities and samplers for beta = 1, 2, 4 ensembles.
 
 P_n(E) is the probability that every eigenvalue lies in E, for the joint
-density proportional to |Delta(z)|^beta prod rho(z_k).  At beta = 2 it
-reduces to a ratio of Hankel determinants and, independently, to the
-determinant of the Gram matrix of orthonormal weighted polynomials
-restricted to E; at beta = 1 (even n) and beta = 4 it is a ratio of
-Pfaffians of skew moment matrices.  Monte Carlo samplers of the matching
-tridiagonal beta-ensemble models provide cross-validation: the Monte
-Carlo estimator draws fixed-size blocks from counter-based per-block
+density proportional to |Delta(z)|^beta prod rho(z_k): the ratio of the
+taus of E and of the whole support.  EnsembleTau is the one owner of the
+choice of tau at each beta: the Hankel determinant (beta = 2) or the
+Pfaffian of skew moments (beta = 1, even n, and beta = 4), with its
+exact time and endpoint derivatives, for the gap probabilities, the gap
+ODE jets and the Virasoro constraints.  At beta = 2 P_n(E) is also,
+independently, the determinant of the Gram matrix of orthonormal
+weighted polynomials restricted to E.  Monte Carlo samplers of the
+matching tridiagonal beta-ensemble models provide cross-validation: the
+Monte Carlo estimator draws fixed-size blocks from counter-based per-block
 random streams and counts, block by block, the draws whose eigenvalues
 all lie in E by Sturm inertia (the signs of the LDL^T pivots of T - sI at
 each finite endpoint), so no eigensolve is needed, memory does not grow
 with the sample count and the estimate is bitwise reproducible at any
 thread count.
 The single-boundary gap ODE takes exact x-derivatives of log P_n from
-the endpoint Taylor terms of the moment block (gap_log_jets).
+EnsembleTau.endpoint_jets (gap_log_jets).
 """
 
 import math
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PrecisionError, UnderflowError, UsageError
+from .errors import DivergenceError, PrecisionError, UnderflowError, UsageError
 from .fredholm import hermite_functions
 from .gapodes import beta_ode_residual
 from .intervals import IntervalUnion
@@ -32,6 +35,7 @@ from .mathcore import gauss_jacobi_rule, gauss_legendre_rule, lu_determinant, pf
 from .pfaff import skew_endpoint_series, skew_inner_products
 from .tau import (
     WeightSpec,
+    dlog_block,
     hankel_endpoint_series,
     hankel_moments,
     logdet_partials,
@@ -116,57 +120,99 @@ def _gram_probability(e, E, order):
     return lu_determinant(G)
 
 
-def _hankel_probability(e, E, order):
-    num = hankel_moments(e.weight, E, M=2 * (e.n - 1), order=order)
-    den = hankel_moments(e.weight, None, M=2 * (e.n - 1), order=order)
-    with np.errstate(over="ignore"):  # inf, which _ratio rejects
-        return _ratio(lu_determinant(num.matrix(e.n)),
-                      lu_determinant(den.matrix(e.n)))
+class EnsembleTau:
+    """tau_n of the beta-ensemble integral over E^n for the weight w,
+    evolved to its times: det of the n x n Hankel block of the moments
+    (beta = 2), or pf of the leading block of the skew moments, of the
+    sign-kernel pairing (beta = 1, block n, n even) or of the Wronskian
+    pairing (beta = 4, block 2n).  The moments reach depth indices past
+    the block, for the jets.  E = None means the weight's support.
 
+    Every derivative is exact.  Time partials of log tau come from
+    tau.dlog_block on the moment array, t_k shifting the row index by k
+    with the first time weight and the column index with the second: rows
+    only for Hankel moments, both indices for the skew moments, with the
+    weight 1/2 at beta = 4, one weight factor per variable.  Endpoint jets
+    come from the endpoint Taylor terms of the moments.  log pf is
+    (1/2) log det."""
 
-def _ratio(num, norm):
-    """num / norm, where the normalizing determinant or Pfaffian norm must
-    be finite and nonzero."""
-    if norm == 0.0 or not math.isfinite(norm):
-        raise UnderflowError(f"normalizing constant {norm:.2e}")
-    return num / norm
+    def __init__(self, w, E, beta, n, depth=0, order=64):
+        self.times = w.times
+        if beta == 2:
+            self.size, self._weights, self._half = n, (1.0, 0.0), 1.0
+            self._det, self._series = lu_determinant, hankel_endpoint_series
+            self._m = hankel_moments(w, E, M=2 * (n - 1) + depth, order=order)
+            self._array = self._m.rows(n)
+        elif beta in (1, 4):
+            if beta == 1 and n % 2:
+                raise UsageError("the beta = 1 Pfaffian form needs even n")
+            self.size, alpha = (n, -1) if beta == 1 else (2 * n, 1)
+            self._weights = (1.0, 1.0) if beta == 1 else (0.5, 0.5)
+            self._det, self._series = pfaffian, skew_endpoint_series
+            self._half = 0.5
+            self._m = skew_inner_products(w, E, alpha=alpha, order=order,
+                                          N=(self.size + depth + 1) // 2)
+            self._array = self._m.m
+        else:
+            raise UsageError("beta must be 1, 2 or 4")
 
+    def value(self):
+        with np.errstate(over="ignore"):
+            tau = self._det(self._m.block(self.size))
+        if not math.isfinite(tau):
+            raise DivergenceError("tau overflows: the moment block is too large")
+        return tau
 
-def _skew_shape(e):
-    """(N, alpha) of the skew moments behind P_n at beta = 1 (n even) or 4."""
-    if e.beta == 4:
-        return e.n, 1
-    if e.n % 2:
-        raise UsageError(
-            "beta = 1 gap probabilities need even n "
-            "(the Pfaffian reduction has no odd-size form here)"
-        )
-    return e.n // 2, -1
+    def dlog(self, ks):
+        """d/dt_{k_1} ... d/dt_{k_r} log tau."""
+        return self._half * dlog_block(
+            self._array, self.size, [(k, *self._weights) for k in ks])
+
+    def derivative(self, ks):
+        """d/dt_{k_1} ... d/dt_{k_r} tau, r <= 2."""
+        value = self.value()
+        if len(ks) == 2:
+            i, j = ks
+            return value * (self.dlog(ks) + self.dlog((i,)) * self.dlog((j,)))
+        return value * self.dlog(ks) if ks else value
+
+    def endpoint_jets(self, c, sigma, degree):
+        """[D, ..., D^degree] of log tau as the finite endpoint c of E
+        moves, an upper (sigma = +1) or a lower (sigma = -1) one."""
+        gs = [self._m] + self._series(self._m, c, sigma, degree)
+        jets = logdet_partials(self._m.block(self.size),
+                               lambda r: gs[r[0]].block(self.size),
+                               [(r,) for r in range(1, degree + 1)])
+        return [self._half * v for v in jets]
 
 
 def gap_probability(e, E, order=64):
-    """P_n(E) by determinant (beta = 2) or Pfaffian (beta = 1, 4) ratios.
+    """P_n(E) as the ratio of the taus of E and of the whole support.
 
-    E = None means the full weight support.  At beta = 2 the Hankel-ratio
-    and Gram routes are both evaluated and must agree to 1e-10.
+    E = None means the full weight support.  At beta = 2 the Gram route
+    is evaluated too and must agree to 1e-10.  A ratio that is not
+    positive over a nonempty E has underflowed.
     """
     support = e.weight.support()
     E = support if E is None else E.intersect(support)
     if E.is_empty:
         return 0.0
+    num, norm = (EnsembleTau(e.weight, D, e.beta, e.n, order=order).value()
+                 for D in (E, None))
+    if norm == 0.0:
+        raise UnderflowError("the normalizing tau underflowed to 0")
+    p = num / norm
+    if not p > 0.0:
+        raise UnderflowError(f"gap probability {p:.2e} over a nonempty set "
+                             "is not positive")
     if e.beta == 2:
-        hankel = _hankel_probability(e, E, order)
         gram = _gram_probability(e, E, max(order, 96))
-        if abs(hankel - gram) > ROUTE_AGREEMENT * max(1.0, abs(hankel)):
+        if abs(p - gram) > ROUTE_AGREEMENT * max(1.0, abs(p)):
             raise PrecisionError(
                 "determinant routes disagree: "
-                f"{hankel:.15e} (moment ratio) vs {gram:.15e} (gram)"
+                f"{p:.15e} (moment ratio) vs {gram:.15e} (gram)"
             )
-        return hankel
-    half, alpha = _skew_shape(e)
-    num = skew_inner_products(e.weight, E, alpha=alpha, N=half, order=order)
-    den = skew_inner_products(e.weight, None, alpha=alpha, N=half, order=order)
-    return _ratio(pfaffian(num.m), pfaffian(den.m))
+    return p
 
 
 # ----- Monte Carlo samplers -----
@@ -326,20 +372,11 @@ def sample_ensemble(e, count, seed, E):
 
 def gap_log_jets(e, x, order=64):
     """Exact [D, D^2, D^3, D^4] of log P_n in x for the event max
-    eigenvalue <= x: the log-det (log-Pfaffian) jets of the moment block
-    over the support below x as its top endpoint x moves."""
-    w = e.weight
-    E = w.support().intersect(IntervalUnion.half_line_below(x))
-    orders = [(1,), (2,), (3,), (4,)]
-    if e.beta == 2:
-        m = hankel_moments(w, E, M=2 * (e.n - 1), order=order)
-        gs = [m] + hankel_endpoint_series(m, x, 1.0, 4)
-        return logdet_partials(m.matrix(e.n),
-                               lambda r: gs[r[0]].matrix(e.n), orders)
-    half, alpha = _skew_shape(e)
-    m = skew_inner_products(w, E, alpha=alpha, N=half, order=order)
-    gs = [m] + skew_endpoint_series(m, x, 1.0, 4)
-    return [0.5 * v for v in logdet_partials(m.m, lambda r: gs[r[0]].m, orders)]
+    eigenvalue <= x: the jets of log tau_n over the support below x as
+    its top endpoint x moves."""
+    E = e.weight.support().intersect(IntervalUnion.half_line_below(x))
+    return EnsembleTau(e.weight, E, e.beta, e.n, order=order).endpoint_jets(
+        x, 1.0, 4)
 
 
 def inductive_relation_residual(family, beta, n, x_grid, a=0.0, b=1.0,

@@ -73,24 +73,28 @@ def _airy_kernel(y, z):
     return np.where(close, diag, off)
 
 
+def _bessel_at_sqrt(nu, x):
+    """(sqrt x, J_nu(sqrt x), J_nu'(sqrt x)), one scalar call per entry."""
+    s = np.sqrt(x)
+    flat = s.ravel()
+    j = np.array([bessel_j(nu, t) for t in flat]).reshape(s.shape)
+    jp = np.array([bessel_j_prime(nu, t) for t in flat]).reshape(s.shape)
+    return s, j, jp
+
+
 def _bessel_kernel(nu, y, z):
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any(y <= 0.0) or np.any(z <= 0.0):
         raise DomainError("bessel kernel needs arguments > 0")
-    sy, sz = np.sqrt(y), np.sqrt(z)
-    jy = np.vectorize(lambda t: bessel_j(nu, t))(sy)
-    jz = np.vectorize(lambda t: bessel_j(nu, t))(sz)
-    jpy = np.vectorize(lambda t: bessel_j_prime(nu, t))(sy)
-    jpz = np.vectorize(lambda t: bessel_j_prime(nu, t))(sz)
+    sy, jy, jpy = _bessel_at_sqrt(nu, y)
+    sz, jz, jpz = _bessel_at_sqrt(nu, z)
     diff = y - z
     close = np.abs(diff) < 1e-8
     safe = np.where(close, 1.0, diff)
     off = (jy * sz * jpz - jz * sy * jpy) / (2.0 * safe)
     m = 0.5 * (y + z)
-    sm = np.sqrt(m)
-    jm = np.vectorize(lambda t: bessel_j(nu, t))(sm)
-    jpm = np.vectorize(lambda t: bessel_j_prime(nu, t))(sm)
+    _, jm, jpm = _bessel_at_sqrt(nu, m)
     diag = 0.25 * (jpm ** 2 + (1.0 - nu ** 2 / m) * jm ** 2)
     return np.where(close, diag, off)
 
@@ -206,9 +210,7 @@ def _airy_matrix(x):
 
 
 def _bessel_matrix(nu, x):
-    s = np.sqrt(x)
-    j = np.array([bessel_j(nu, t) for t in s])
-    jp = np.array([bessel_j_prime(nu, t) for t in s])
+    s, j, jp = _bessel_at_sqrt(nu, x)
     diff = x[:, None] - x[None, :]
     num = j[:, None] * (s * jp)[None, :] - j[None, :] * (s * jp)[:, None]
     np.fill_diagonal(diff, 1.0)
@@ -366,9 +368,7 @@ def nystrom_series(k, E, order, directions):
         ai, aip = airy_ai_vec(x)
         taylor = airy_taylor_coefficients(x, ai, aip, degree + 3)
     else:
-        s = np.sqrt(x)
-        j = np.array([bessel_j(k.nu, t) for t in s])
-        jp = np.array([bessel_j_prime(k.nu, t) for t in s])
+        s, j, jp = _bessel_at_sqrt(k.nu, x)
         taylor = bessel_sqrt_taylor_coefficients(
             k.nu, x, j, 0.5 * jp / s, degree + 3
         )

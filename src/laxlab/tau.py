@@ -150,7 +150,7 @@ class HankelMoments:
     def depth(self):
         return len(self.mu) - 1
 
-    def matrix(self, n):
+    def block(self, n):
         """Leading n x n Hankel block."""
         if 2 * (n - 1) > self.depth:
             raise DepthError(

@@ -8,11 +8,9 @@ Three layers:
   meaning c * prod_{i in mul} t_i * d/dt_{diff}: the first-order
   (Heisenberg) operators J1_k and the beta- and n-dressed second-order
   (Virasoro) operators, with coefficients in the type of beta;
-* two evaluators of those lists: ``_MomentTau.apply`` on a tau function,
-  with exact time partials of log det of its moment block
-  (tau.dlog_block) and endpoint derivatives from the endpoint Taylor term
-  of the moments, both of the weight evolved to the times t, for the
-  constraint residual;
+* two evaluators of those lists: ``apply`` on a tau function, for the
+  constraint residual on ensembles.EnsembleTau of the weight evolved to
+  the times t, whose time partials and endpoint derivatives are exact;
   ``apply_poly`` on polynomials in t_1, t_2, ... with rational
   coefficients, for the commutation relations and the central charge
   without any rounding.
@@ -31,15 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DivergenceError, UsageError
-from .mathcore import lu_determinant, pfaffian
-from .pfaff import skew_endpoint_series, skew_inner_products
-from .tau import (
-    dlog_block,
-    hankel_endpoint_series,
-    hankel_moments,
-    logdet_partials,
-)
+from .ensembles import EnsembleTau
+from .errors import UsageError
 
 # ----------------------------------------------------------------------
 # weight data
@@ -73,107 +64,6 @@ def weight_to_fg(w):
             f"no rational-log-derivative data for the {w.family} weight"
         )
     return VirasoroWeightData(f_coeffs=fc, g_coeffs=gc)
-
-
-# ----------------------------------------------------------------------
-# tau suppliers with exact derivatives
-# ----------------------------------------------------------------------
-
-
-class _MomentTau:
-    """tau(t): det (Hankel) or pf (skew) of the leading block of the
-    moments of a weight evolved to the times t.  Every derivative is exact:
-    time partials of log tau come from tau.dlog_block on the supplier's
-    moment array, t_k shifting the row index by k with the weight
-    _weights[0] and the column index with _weights[1], and an endpoint
-    derivative from the endpoint Taylor term of the moments."""
-
-    def value(self):
-        with np.errstate(over="ignore"):
-            tau = self._det(self._block(self._m))
-        if not math.isfinite(tau):
-            raise DivergenceError("tau overflows: the moment block is too large")
-        return tau
-
-    def dlog(self, ks):
-        """d/dt_{k_1} ... d/dt_{k_r} log tau."""
-        return self._half * dlog_block(
-            self._array, self.size, [(k, *self._weights) for k in ks])
-
-    def derivative(self, ks):
-        """d/dt_{k_1} ... d/dt_{k_r} tau, r <= 2."""
-        value = self.value()
-        if len(ks) == 2:
-            i, j = ks
-            return value * (self.dlog(ks) + self.dlog((i,)) * self.dlog((j,)))
-        return value * self.dlog(ks) if ks else value
-
-    def apply(self, terms):
-        """The operator of a term list applied to tau; a time beyond the
-        end of the weight's times reads as zero."""
-        t, total = self.times, 0.0
-        for c, mul, diff in terms:
-            for i in mul:
-                c = c * (t[i - 1] if i <= len(t) else 0.0)
-            if c:
-                total += c * self.derivative(diff)
-        return total
-
-    def d_endpoint(self, c, sigma):
-        """d tau / dc for the finite endpoint c of E, an upper (sigma = +1)
-        or a lower (sigma = -1) one."""
-        g0 = self._block(self._m)
-        g1 = self._block(self._series(self._m, c, sigma, 1)[0])
-        (jet,) = logdet_partials(g0, lambda n: g1, [(1,)])
-        return self.value() * self._half * jet
-
-
-class HankelTauSupplier(_MomentTau):
-    """tau_n(t) = det of the n x n Hankel block of the E-restricted
-    moments of the weight w, evolved to its times, to index depth."""
-
-    _det, _half = staticmethod(lu_determinant), 1.0
-    _series = staticmethod(hankel_endpoint_series)
-    _weights = (1.0, 0.0)
-
-    def __init__(self, w, E, n, depth, order=64):
-        self.size, self.times = n, w.times
-        self._m = hankel_moments(w, E, M=depth, order=order)
-        self._array = self._m.rows(n)
-
-    def _block(self, m):
-        return m.matrix(self.size)
-
-
-class PfaffTauSupplier(_MomentTau):
-    """Pfaffian tau of the skew moment matrix of the weight w, evolved to
-    its times: the sign-kernel pairing for the beta = 1 integrals (block
-    size n, n even) and the Wronskian pairing for beta = 4 (block size 2n,
-    one weight factor per variable, so each time moves both indices with
-    the weight 1/2).  Derivatives use log pf = (1/2) log det."""
-
-    _det, _half = staticmethod(pfaffian), 0.5
-    _series = staticmethod(skew_endpoint_series)
-    _weights = (1.0, 1.0)
-
-    def __init__(self, w, E, n, beta, depth, order=64):
-        if beta == 1:
-            if n % 2:
-                raise UsageError("the beta = 1 Pfaffian form needs even n")
-            self.size, alpha = n, -1
-        elif beta == 4:
-            self.size, alpha, self._weights = 2 * n, 1, (0.5, 0.5)
-        else:
-            raise UsageError("Pfaffian supplier covers beta = 1 and 4 only")
-        self.times = w.times
-        total = self.size + depth
-        total += total % 2
-        self._m = skew_inner_products(w, E, alpha=alpha, N=total // 2,
-                                      order=order)
-        self._array = self._m.m
-
-    def _block(self, m):
-        return m.block(self.size)
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +106,19 @@ def dressed_terms(k, beta, n, top):
     return terms
 
 
+def apply(tau, terms):
+    """The operator of a term list applied to tau, anything with the
+    ``times`` it is taken at and a ``derivative(ks)``; a time beyond the
+    end of the times reads as zero."""
+    t, total = tau.times, 0.0
+    for c, mul, diff in terms:
+        for i in mul:
+            c = c * (t[i - 1] if i <= len(t) else 0.0)
+        if c:
+            total += c * tau.derivative(diff)
+    return total
+
+
 # ----------------------------------------------------------------------
 # constraint residual
 # ----------------------------------------------------------------------
@@ -227,8 +130,6 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
     sum_c c^{k+1} f(c) d/dc over the finite endpoints c of E must balance
     the time-operator combination fixed by the (f, g) data of the weight.
     """
-    if beta not in (1, 2, 4):
-        raise UsageError("beta must be 1, 2 or 4")
     if k < -1:
         raise UsageError("constraints exist for k >= -1 only")
     data = weight_to_fg(w)
@@ -246,21 +147,17 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
     # by up to K + kq
     reach = K + kq + 2
 
-    if beta == 2:
-        sup = HankelTauSupplier(w, E, n, depth=2 * (n - 1) + reach,
-                                order=order)
-    else:
-        sup = PfaffTauSupplier(w, E, n, beta, depth=reach, order=order)
+    sup = EnsembleTau(w, E, beta, n, depth=reach, order=order)
     tau = sup.value()
     terms = []
     for i, ai in enumerate(data.f_coeffs):
         if ai != 0.0:
             op = dressed_terms(k + i, beta, n, len(t))
-            terms.append(ai * sup.apply(op))
+            terms.append(ai * apply(sup, op))
     for i, bi in enumerate(data.g_coeffs):
         if bi != 0.0:
             idx = k + i + 1
-            part = sup.apply(heisenberg_terms(idx, 1 / beta))
+            part = apply(sup, heisenberg_terms(idx, 1 / beta))
             if idx == 0:
                 part += n * tau
             terms.append(-bi * part)
@@ -270,7 +167,8 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
                 continue
             coeff = c ** (k + 1) * data.f(c)
             if coeff != 0.0:
-                terms.append(-coeff * sup.d_endpoint(c, sign))
+                (jet,) = sup.endpoint_jets(c, sign, 1)
+                terms.append(-coeff * (tau * jet))
     scale = max([abs(tau)] + [abs(v) for v in terms])
     if scale == 0.0:
         return 0.0

@@ -439,6 +439,15 @@ def test_other_commands_exit_cleanly(argv):
     ("pfaff check-kp --n-list 40", EXIT_NUMERICAL),
     # the moments overflow inside the refinement
     ("ensemble gap --beta 2 --n 200", EXIT_NUMERICAL),
+    # the ratio of taus is negative: the gap probability underflowed
+    ("ensemble gap --n 6 --interval=-inf:-6", EXIT_NUMERICAL),
+    ("ensemble gap --beta 4 --n 4 --interval=5:inf", EXIT_NUMERICAL),
+    # p = 2.7e-41 at the base order, negative at the refined one
+    ("ensemble gap --beta 4 --n 6 --interval=-inf:-2", EXIT_NUMERICAL),
+    # p = 1.8e-36 is positive at both orders but below its error estimate
+    ("ensemble gap --beta 4 --n 6 --interval=-inf:-1.62", EXIT_NUMERICAL),
+    # a report path that cannot be opened
+    ("ensemble gap --out /nonexistent/x.json", EXIT_USAGE),
 ])
 def test_inputs_that_raised_tracebacks_exit_cleanly(argv, code):
     with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \

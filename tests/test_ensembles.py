@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from laxlab.ensembles import (
     SAMPLE_BLOCK,
     EnsembleSpec,
+    EnsembleTau,
     _block_hits,
     _sample_block,
     gap_log_jets,
@@ -20,6 +21,7 @@ from laxlab.ensembles import (
     thread_count,
 )
 from laxlab.errors import SingularTauError, UnderflowError, UsageError
+from laxlab.fd import central_diff
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import gauss_legendre_rule
 from laxlab.tau import WeightSpec
@@ -132,6 +134,26 @@ def test_gap_validation():
         EnsembleSpec(2, WeightSpec("uniform"), 2)
     with pytest.raises(UsageError):
         gap_probability(EnsembleSpec(1, GAUSSIAN, 3), below(0.0))
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("w, lo, hi", [(GAUSSIAN, -0.5, 1.5),
+                                       (LAGUERRE, 0.5, 3.0)])
+def test_lower_endpoint_jets_match_central_differences(beta, w, lo, hi):
+    # no command moves a lower endpoint of E through the tau's jets; the
+    # upper endpoint hi stays where it is
+    def tau(d):
+        return EnsembleTau(w, IntervalUnion([(lo + d, hi)]), beta, 2,
+                           order=96)
+
+    exact = tau(0.0).endpoint_jets(lo, -1.0, 4)
+    log_tau = lambda d: math.log(tau(d).value())
+    # the steps widen with the order; the bounds mostly hold the
+    # truncation of the fourth-order stencil
+    for (r, h), tol, e in zip(((1, 1e-2), (2, 1e-2), (3, 2e-2), (4, 4e-2)),
+                              (1e-8, 1e-7, 1e-5, 1e-4), exact):
+        fd = central_diff(log_tau, r, h)
+        assert abs(e - fd) <= tol * max(1.0, abs(fd)), (r, e, fd)
 
 
 # ----- samplers -----

@@ -215,21 +215,21 @@ def test_evolved_endpoint_series_match_the_reference():
 
 def test_tau_table_small_cases():
     m = hankel_moments(uniform_weight(), M=8)
-    assert lu_determinant(m.matrix(1)) == pytest.approx(1.0, abs=1e-14)
-    assert lu_determinant(m.matrix(2)) == pytest.approx(1.0 / 12.0, abs=1e-14)
+    assert lu_determinant(m.block(1)) == pytest.approx(1.0, abs=1e-14)
+    assert lu_determinant(m.block(2)) == pytest.approx(1.0 / 12.0, abs=1e-14)
 
 
 def test_tau3_matches_mc_oracle():
     rng = np.random.default_rng(42)
     est, err = mc_tau3_oracle(1.0, rng)
     m = hankel_moments(gaussian_weight(), M=8)
-    tau3 = lu_determinant(m.matrix(3))
+    tau3 = lu_determinant(m.block(3))
     assert abs(tau3 - est) < 3.0 * err
 
 
 def test_hankel_positivity():
     m = hankel_moments(gaussian_weight(), M=14)
-    assert all(lu_determinant(m.matrix(n)) > 0 for n in range(1, 7))
+    assert all(lu_determinant(m.block(n)) > 0 for n in range(1, 7))
 
 
 # ----- derivatives -----
@@ -240,7 +240,7 @@ def dlog_tau(m, n, ks):
 
 
 def log_tau(m, n):
-    return math.log(lu_determinant(m.matrix(n)))
+    return math.log(lu_determinant(m.block(n)))
 
 
 def test_dlog_tau_first_order_trivial():

@@ -361,8 +361,8 @@ def test_orthopoly_orthonormal_under_quadrature():
 def bordered_orthopoly(m, n, z):
     """p_n(z) = det [[mu_{i+j}]_{i<n}; (1, z, ..., z^n)] / sqrt(tau_n
     tau_{n+1}), the bordered-determinant formula."""
-    tau = [np.linalg.det(m.matrix(k)) if k else 1.0 for k in (n, n + 1)]
-    bordered = np.vstack([m.matrix(n + 1)[:n], z ** np.arange(n + 1)])
+    tau = [np.linalg.det(m.block(k)) if k else 1.0 for k in (n, n + 1)]
+    bordered = np.vstack([m.block(n + 1)[:n], z ** np.arange(n + 1)])
     return np.linalg.det(bordered) / math.sqrt(tau[0] * tau[1])
 
 

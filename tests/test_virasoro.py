@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laxlab.ensembles import EnsembleTau
 from laxlab.errors import DepthError, SingularTauError, UsageError
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import gauss_legendre_rule
 from laxlab.tau import WeightSpec
 from laxlab.virasoro import (
-    HankelTauSupplier,
-    PfaffTauSupplier,
     TPoly,
-    _MomentTau,
     _random_poly,
+    apply,
     apply_poly,
     central_charge,
     dressed_terms,
@@ -56,7 +55,7 @@ def pair_integral_oracle(w, hi, order=120):
 
 
 def fd_value_derivative(make, t, k, h=1e-6):
-    """d tau / dt_k of the suppliers make(t) by central differences."""
+    """d tau / dt_k of the taus make(t) by central differences."""
     tp = np.array(t, dtype=float)
     tm = np.array(t, dtype=float)
     tp[k - 1] += h
@@ -80,11 +79,12 @@ def fd_value_second(make, t, i, j, h=2e-3):
     return (4.0 * fine - coarse) / 3.0
 
 
-def make_supplier(t, depth=60):
-    """tau_2 of the gaussian weight evolved to t, on (-inf, 0.7]."""
-    return HankelTauSupplier(
+def make_supplier(t, depth=58):
+    """tau_2 of the gaussian weight evolved to t, on (-inf, 0.7], with
+    moments to index 2 + depth."""
+    return EnsembleTau(
         WeightSpec("gaussian", times=t), IntervalUnion([(-math.inf, 0.7)]), 2,
-        depth=depth
+        2, depth=depth
     )
 
 
@@ -119,7 +119,7 @@ def test_weight_to_fg_rejects_unsupported():
         weight_to_fg(WeightSpec("uniform"))
 
 
-# ----- suppliers -----
+# ----- EnsembleTau -----
 
 def test_hankel_supplier_d1_matches_fd():
     t = np.zeros(4)
@@ -132,8 +132,8 @@ def test_hankel_supplier_d1_matches_fd():
 
 def test_pfaffian_supplier_matches_quadrature():
     for hi in (0.0, 0.8):
-        sup = PfaffTauSupplier(
-            GAUSSIAN, IntervalUnion([(-math.inf, hi)]), 2, 1, depth=6
+        sup = EnsembleTau(
+            GAUSSIAN, IntervalUnion([(-math.inf, hi)]), 1, 2, depth=6
         )
         # the pairing halves the symmetrized double integral
         assert sup.value() == pytest.approx(
@@ -143,9 +143,8 @@ def test_pfaffian_supplier_matches_quadrature():
 
 def test_pfaffian_supplier_d1_matches_fd():
     def make(t):
-        return PfaffTauSupplier(WeightSpec("gaussian", times=t),
-                                IntervalUnion([(-math.inf, 0.5)]), 2, 4,
-                                depth=30)
+        return EnsembleTau(WeightSpec("gaussian", times=t),
+                           IntervalUnion([(-math.inf, 0.5)]), 4, 2, depth=30)
 
     t = np.array([0.01, -0.01, 0.0])
     for k in (1, 2):
@@ -156,22 +155,22 @@ def test_pfaffian_supplier_d1_matches_fd():
 
 def test_beta1_supplier_needs_even_n():
     with pytest.raises(UsageError):
-        PfaffTauSupplier(GAUSSIAN, HALF, 3, 1, depth=6)
+        EnsembleTau(GAUSSIAN, HALF, 1, 3, depth=6)
 
 
 # ----- numeric operators -----
 
 def test_heisenberg_terms_first_order():
     t = np.zeros(4)
-    assert make_supplier(t).apply(heisenberg_terms(2, 0.5)) == pytest.approx(
+    assert apply(make_supplier(t), heisenberg_terms(2, 0.5)) == pytest.approx(
         fd_value_derivative(make_supplier, t, 2), abs=1e-8
     )
     # negative index is pure multiplication: (1/2) t_1 tau at beta = 2
     sup = make_supplier(np.array([0.3, 0.0, 0.0, 0.0]))
-    assert sup.apply(heisenberg_terms(-1, 0.5)) == pytest.approx(
+    assert apply(sup, heisenberg_terms(-1, 0.5)) == pytest.approx(
         0.5 * 0.3 * sup.value(), rel=1e-12
     )
-    assert sup.apply(heisenberg_terms(0, 0.5)) == 0.0
+    assert apply(sup, heisenberg_terms(0, 0.5)) == 0.0
 
 
 def j2_terms(k, t):
@@ -181,12 +180,12 @@ def j2_terms(k, t):
 
 def test_dressed_terms_second_order_vs_fd_hessian():
     t = np.zeros(5)
-    got = make_supplier(t).apply(j2_terms(2, t))
+    got = apply(make_supplier(t), j2_terms(2, t))
     assert got == pytest.approx(fd_value_second(make_supplier, t, 1, 1),
                                 abs=1e-8)
     # dilation part, literal in t
     t = np.array([0.05, -0.02, 0.01, 0.0, 0.0])
-    got = make_supplier(t).apply(j2_terms(0, t))
+    got = apply(make_supplier(t), j2_terms(0, t))
     want = sum(
         (m + 1) * t[m] * fd_value_derivative(make_supplier, t, m + 1)
         for m in range(3)
@@ -201,7 +200,7 @@ def test_j_apply_validates_input():
     # an operator reaching past the stored moments is a depth error
     t = np.zeros(4)
     with pytest.raises(DepthError):
-        make_supplier(t, depth=3).apply(j2_terms(2, t))
+        apply(make_supplier(t, depth=1), j2_terms(2, t))
 
 
 # ----- constraint residuals -----
@@ -376,15 +375,12 @@ def evaluate(p, t):
     return float(Fraction(total, p.den))
 
 
-class PolyTau(_MomentTau):
-    """A supplier whose tau is the polynomial p, at the times t, so that
-    the numeric evaluator apply acts on the same function as apply_poly."""
+class PolyTau:
+    """A tau that is the polynomial p, at the times t, so that the numeric
+    evaluator apply acts on the same function as apply_poly."""
 
     def __init__(self, p, t):
         self.p, self.times = p, t
-
-    def value(self):
-        return self.derivative(())
 
     def derivative(self, ks):
         q = self.p
@@ -400,8 +396,8 @@ def test_numeric_and_exact_evaluators_agree(beta):
         p = _random_poly(rng)
         t = np.array([rng.uniform(-1.0, 1.0) for _ in range(6)])
         for k in range(-4, 5):
-            got = PolyTau(p, t).apply(dressed_terms(k, float(beta), 3,
-                                                    len(t)))
+            got = apply(PolyTau(p, t), dressed_terms(k, float(beta), 3,
+                                                     len(t)))
             exact = dressed_terms(k, Fraction(beta), 3, p.max_index())
             assert got == pytest.approx(evaluate(apply_poly(exact, p), t),
                                         rel=1e-12)
