@@ -345,25 +345,23 @@ def run_twotoda_identities(args):
     return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-8)
 
 
+def _require_resolved(value, err, what):
+    """Raise UnderflowError unless value exceeds ten times its refinement
+    error err: a smaller value has no correct digit to report."""
+    if not value > 10.0 * err:
+        raise UnderflowError(f"{what} is {value:.2e}, not larger than ten "
+                             f"times its error estimate {err:.2e}")
+
+
 def run_fredholm_gap(args):
     spec = fredholm.KernelSpec(args.kernel, nu=args.nu, N=args.N, b=args.b,
                                lam=args.lam)
-    smoke = fredholm.nystrom_det(
-        fredholm.KernelSpec(args.kernel, nu=args.nu, N=args.N, b=args.b, lam=0.0),
-        _interval_with_endpoint(args.interval, parse_grid(args.s_grid)[0]),
-        order=args.order,
-    )
-    rows = [{"s": math.nan, "det": smoke, "error": abs(smoke - 1.0)}]
+    rows = []
     for s in parse_grid(args.s_grid).tolist():
-        det, err = fredholm.nystrom_det(
-            spec, _interval_with_endpoint(args.interval, s),
-            order=args.order, estimate_error=True,
-        )
-        if not det > err:
-            raise UnderflowError(
-                f"gap determinant {det:.2e} at s = {s:g} is not larger than "
-                f"its error estimate {err:.2e}"
-            )
+        E = _interval_with_endpoint(args.interval, s)
+        det = fredholm.nystrom_det(spec, E, args.order + args.order // 2)
+        err = abs(fredholm.nystrom_det(spec, E, args.order) - det)
+        _require_resolved(det, err, f"gap determinant at s = {s:g}")
         rows.append({"s": s, "det": det, "error": err})
     worst_err = _largest([r["error"] for r in rows])
     return _Result(rows, worst_err, tol=1e-10, err=worst_err)
@@ -471,9 +469,7 @@ def run_ensemble_gap(args):
     p = ensembles.gap_probability(e, E, order=args.order)
     refined = ensembles.gap_probability(e, E, order=args.order + args.order // 2)
     err = abs(p - refined)
-    if not p > err:
-        raise UnderflowError(f"gap probability {p:.2e} is not larger than "
-                             f"its error estimate {err:.2e}")
+    _require_resolved(p, err, "gap probability")
     rows = [{"interval": args.interval, "probability": p}]
     return _Result(rows, err, tol=1e-8, err=err)
 

@@ -4,9 +4,13 @@ Kernels: Airy (soft edge), Bessel (hard edge), sine (bulk), and the
 finite-N Hermite projection kernel.  The discretization factors the
 symmetrized matrix I - lambda sqrt(w) K sqrt(w); on the Airy half-line the
 tail is truncated where Ai^2 < 1e-18 with nodes placed relative to the
-moving endpoint, so the determinant stays smooth in the endpoints.  For
-the Airy and Bessel kernels nystrom_series gives the exact Taylor series
-of the matrix as the finite endpoints move.
+moving endpoint, so the determinant stays smooth in the endpoints.  The
+Airy and Bessel kernels are integrable, K(y, z) = (f(y) g(z) - g(y) f(z))
+/ (y - z); each is written once, as (f, g, diagonal) at given points, for
+the kernel table and the Nystrom matrix alike, and nystrom_series gives
+the exact Taylor series of that matrix as the finite endpoints move.
+nystrom_det returns one determinant; a caller that wants an error
+estimate compares two orders.
 """
 
 import math
@@ -58,21 +62,6 @@ class KernelSpec:
             raise DomainError("hermite kernel requires N >= 1 and b > 0")
 
 
-def _airy_kernel(y, z):
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ay, apy = airy_ai_vec(y)
-    az, apz = airy_ai_vec(z)
-    diff = y - z
-    close = np.abs(diff) < 1e-8
-    safe = np.where(close, 1.0, diff)
-    off = (ay * apz - apy * az) / safe
-    mid = 0.5 * (y + z)
-    am, apm = airy_ai_vec(mid)
-    diag = apm ** 2 - mid * am ** 2
-    return np.where(close, diag, off)
-
-
 def _bessel_at_sqrt(nu, x):
     """(sqrt x, J_nu(sqrt x), J_nu'(sqrt x)), one scalar call per entry."""
     s = np.sqrt(x)
@@ -82,30 +71,18 @@ def _bessel_at_sqrt(nu, x):
     return s, j, jp
 
 
-def _bessel_kernel(nu, y, z):
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.any(y <= 0.0) or np.any(z <= 0.0):
+def _integrable(k, x):
+    """(f, g, K(x, x)) at the points x for the integrable kernels
+    K(y, z) = (f(y) g(z) - g(y) f(z)) / (y - z): (Ai, Ai') for airy and
+    (J_nu(sqrt x), x d/dx J_nu(sqrt x)) for bessel."""
+    if k.kind == "airy":
+        ai, aip = airy_ai_vec(x)
+        return ai, aip, aip ** 2 - x * ai ** 2
+    if np.any(x <= 0.0):
         raise DomainError("bessel kernel needs arguments > 0")
-    sy, jy, jpy = _bessel_at_sqrt(nu, y)
-    sz, jz, jpz = _bessel_at_sqrt(nu, z)
-    diff = y - z
-    close = np.abs(diff) < 1e-8
-    safe = np.where(close, 1.0, diff)
-    off = (jy * sz * jpz - jz * sy * jpy) / (2.0 * safe)
-    m = 0.5 * (y + z)
-    _, jm, jpm = _bessel_at_sqrt(nu, m)
-    diag = 0.25 * (jpm ** 2 + (1.0 - nu ** 2 / m) * jm ** 2)
-    return np.where(close, diag, off)
-
-
-def _sine_kernel(y, z):
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    diff = np.pi * (y - z)
-    close = np.abs(diff) < 1e-10
-    safe = np.where(close, 1.0, diff)
-    return np.where(close, 1.0, np.sin(safe) / safe)
+    s, j, jp = _bessel_at_sqrt(k.nu, x)
+    diag = 0.25 * (jp ** 2 + (1.0 - k.nu * k.nu / x) * j ** 2)
+    return j, 0.5 * s * jp, diag
 
 
 def hermite_functions(N, b, z):
@@ -142,16 +119,23 @@ def kernel_eval(k, y, z):
     scalar = np.ndim(y) == 0 and np.ndim(z) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if k.kind == "airy":
-        val = _airy_kernel(y, z)
-    elif k.kind == "bessel":
-        val = _bessel_kernel(k.nu, y, z)
-    elif k.kind == "sine":
-        val = _sine_kernel(y, z)
-    else:
+    if k.kind == "sine":
+        diff = np.pi * (y - z)
+        close = np.abs(diff) < 1e-10
+        safe = np.where(close, 1.0, diff)
+        val = np.where(close, 1.0, np.sin(safe) / safe)
+    elif k.kind == "hermite":
         y, z = np.broadcast_arrays(y, z)
         val = np.einsum("kp,kp->p", hermite_functions(k.N, k.b, y.ravel()),
                         hermite_functions(k.N, k.b, z.ravel())).reshape(y.shape)
+    else:
+        fy, gy, _ = _integrable(k, y)
+        fz, gz, _ = _integrable(k, z)
+        diff = y - z
+        close = np.abs(diff) < 1e-8
+        off = (fy * gz - gy * fz) / np.where(close, 1.0, diff)
+        _, _, diag = _integrable(k, 0.5 * (y + z))
+        val = np.where(close, diag, off)
     return float(val[0]) if scalar else val
 
 
@@ -198,27 +182,6 @@ def _nystrom_nodes(k, E, order):
     return np.concatenate(nodes), weights
 
 
-def _airy_matrix(x):
-    """K(x_i, x_j) from one pass of Ai over the distinct 1-D nodes."""
-    ai, aip = airy_ai_vec(x)
-    diff = x[:, None] - x[None, :]
-    num = ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]
-    np.fill_diagonal(diff, 1.0)
-    kernel = num / diff
-    np.fill_diagonal(kernel, aip ** 2 - x * ai ** 2)
-    return kernel
-
-
-def _bessel_matrix(nu, x):
-    s, j, jp = _bessel_at_sqrt(nu, x)
-    diff = x[:, None] - x[None, :]
-    num = j[:, None] * (s * jp)[None, :] - j[None, :] * (s * jp)[:, None]
-    np.fill_diagonal(diff, 1.0)
-    kernel = num / (2.0 * diff)
-    np.fill_diagonal(kernel, 0.25 * (jp ** 2 + (1.0 - nu * nu / x) * j ** 2))
-    return kernel
-
-
 def nystrom_matrix(k, E, order):
     """The symmetrized discretization sqrt(w) K sqrt(w) and its nodes
     (for bessel: the similarity-transformed smooth kernel against the
@@ -227,33 +190,26 @@ def nystrom_matrix(k, E, order):
     sw = np.sqrt(w)
     if k.kind == "hermite":
         kernel = _hermite_kernel(k.N, k.b, x, x)
-    elif k.kind == "airy":
-        kernel = _airy_matrix(x)
-    elif k.kind == "bessel":
-        kernel = _bessel_matrix(k.nu, x)
-        if k.nu != 0.0:
+    elif k.kind == "sine":
+        kernel = kernel_eval(k, x[:, None], x[None, :])
+    else:
+        f, g, diag = _integrable(k, x)
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, 1.0)
+        kernel = (f[:, None] * g[None, :] - g[:, None] * f[None, :]) / diff
+        np.fill_diagonal(kernel, diag)
+        if k.kind == "bessel" and k.nu != 0.0:
             scale = x ** (-0.5 * k.nu)
             kernel = scale[:, None] * kernel * scale[None, :]
-    else:
-        kernel = kernel_eval(k, x[:, None], x[None, :])
     return sw[:, None] * kernel * sw[None, :], x, w
 
 
-def nystrom_det(k, E, order=64, estimate_error=False):
-    """det(I - lambda K|_E) via LU of the symmetrized Nystrom matrix.
-
-    With estimate_error=True returns (det, err) where err compares
-    against a rule of 1.5x the order.
-    """
+def nystrom_det(k, E, order=64):
+    """det(I - lambda K|_E) via LU of the symmetrized Nystrom matrix."""
     if E.is_empty:
-        return (1.0, 0.0) if estimate_error else 1.0
+        return 1.0
     mat, _, _ = nystrom_matrix(k, E, order)
-    val = lu_determinant(np.eye(mat.shape[0]) - k.lam * mat)
-    if not estimate_error:
-        return val
-    mat2, _, _ = nystrom_matrix(k, E, order + order // 2)
-    val2 = lu_determinant(np.eye(mat2.shape[0]) - k.lam * mat2)
-    return val2, abs(val - val2)
+    return lu_determinant(np.eye(mat.shape[0]) - k.lam * mat)
 
 
 def _cauchy(a, b):
@@ -399,13 +355,13 @@ def scaling_limit_error(N, regime, grid, b=1.0):
         rho = float(_hermite_kernel(N, b, 0.0, 0.0)[0, 0])
         pts = grid / rho
         approx = _hermite_kernel(N, b, pts, pts) / rho
-        exact = _sine_kernel(grid[:, None], grid[None, :])
+        exact = kernel_eval(KernelSpec("sine"), grid[:, None], grid[None, :])
     elif regime == "edge":
         center = math.sqrt(2.0 * N) / s
         sigma = math.sqrt(2.0) * N ** (1.0 / 6.0) * s
         pts = center + grid / sigma
         approx = _hermite_kernel(N, b, pts, pts) / sigma
-        exact = _airy_kernel(grid[:, None], grid[None, :])
+        exact = kernel_eval(KernelSpec("airy"), grid[:, None], grid[None, :])
     else:
         raise UsageError("regime must be 'bulk' or 'edge'")
     return float(np.abs(approx - exact).max())

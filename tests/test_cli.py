@@ -171,16 +171,16 @@ def test_sampling_report_thread_invariant():
 
 # ----- exit codes -----
 
-def assert_exits_cleanly(argv, nan_rows=False):
+def assert_exits_cleanly(argv):
     """main(argv) exits 0, 2, 3 or 4, and never 0 on a report with a NaN
-    row unless nan_rows."""
+    row."""
     stdout = io.BytesIO()
     with contextlib.redirect_stdout(io.TextIOWrapper(stdout)), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
         payload = stdout.getvalue()
     assert code in (0, 2, 3, 4)
-    if code == 0 and not nan_rows:
+    if code == 0:
         rows = json.loads(payload)["rows"]
         assert "nan" not in [v for row in rows for v in row.values()], argv
 
@@ -407,8 +407,7 @@ def other_command_argv(draw):
 @settings(max_examples=100, deadline=None)
 @given(other_command_argv())
 def test_other_commands_exit_cleanly(argv):
-    # the first row of fredholm gap is its lam = 0 smoke test, at s = NaN
-    assert_exits_cleanly(argv, nan_rows=argv[:2] == ["fredholm", "gap"])
+    assert_exits_cleanly(argv)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -446,6 +445,8 @@ def test_other_commands_exit_cleanly(argv):
     ("ensemble gap --beta 4 --n 6 --interval=-inf:-2", EXIT_NUMERICAL),
     # p = 1.8e-36 is positive at both orders but below its error estimate
     ("ensemble gap --beta 4 --n 6 --interval=-inf:-1.62", EXIT_NUMERICAL),
+    # p = 4.57e-34 against an error of 2.06e-34: no digit of p is known
+    ("ensemble gap --beta 4 --n 6 --interval=-inf:-1.5", EXIT_NUMERICAL),
     # a report path that cannot be opened
     ("ensemble gap --out /nonexistent/x.json", EXIT_USAGE),
 ])
@@ -673,15 +674,14 @@ def test_far_tail_gap_probabilities_exit_numerical(capsys):
 
 # ----- spot checks of a few subcommands -----
 
-def test_fredholm_gap_smoke_row():
+def test_fredholm_gap_rows_are_the_grid():
     report, code, _ = dispatch([
         "fredholm", "gap", "--kernel", "airy", "--interval", "s:inf",
         "--s-grid", "0:1:0.5", "--order", "48", "--check",
     ])
     assert code == 0
-    smoke = report.rows[0]
-    assert math.isnan(smoke["s"])
-    assert smoke["det"] == 1.0
+    assert [row["s"] for row in report.rows] == [0.0, 0.5, 1.0]
+    assert all(math.isfinite(v) for row in report.rows for v in row.values())
     assert report.self_reported_error < 1e-10
 
 
