@@ -28,8 +28,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .mathcore.ode import GUARD_INTERVAL, SEGMENTS, rk4
-from .mathcore.ode import check_steps, segment_check
+from .mathcore.ode import SEGMENTS, check_steps, rk4, segment_check
 
 SYSTEM_KINDS = ("euler", "geodesic", "neumann", "central_force")
 INVARIANT_DRIFT_TOL = 1e-6
@@ -178,11 +177,11 @@ def b_from_a(a, f_kind):
 def aci_flow(a0, f_kind, t_end, step):
     """RK4 trajectory endpoint of a' = [a, b + beta h] at t_end (either
     sign), with b rebuilt from the current h^{m-1} coefficient at every
-    stage; the invariant drift is checked every GUARD_INTERVAL steps and at
-    t_end.  beta, the divided differences, diag(gamma f''(alpha)) and the
-    beta h mask beta_j - beta_i depend only on alpha, gamma, so they are
-    built once per call; the coefficients ride as one (m+1, n, n) stack, or
-    as one (batch, m+1, n, n) stack when a0 is a batch.
+    stage; the invariant drift is checked at rk4's guard cadence.  beta,
+    the divided differences, diag(gamma f''(alpha)) and the beta h mask
+    beta_j - beta_i depend only on alpha, gamma, so they are built once per
+    call; the coefficients ride as one (m+1, n, n) stack, or as one
+    (batch, m+1, n, n) stack when a0 is a batch.
     """
     beta, fpp = _f_derivatives(f_kind, a0.alpha)
     ratio = _divided_differences(a0.alpha, beta)
@@ -196,22 +195,13 @@ def aci_flow(a0, f_kind, t_end, step):
         d[..., 1:, :, :] += c[..., :-1, :, :] * shift
         return d
 
-    def checked(stack, where):
-        out = a0.like(stack)
-        drift = out.invariant_drift()
+    def guard(t, stack):
+        drift = a0.like(stack).invariant_drift()
         if not drift <= INVARIANT_DRIFT_TOL:  # NaN drift fails too
-            raise StabilityError(f"invariant manifold drift {drift:.2e} {where}")
-        return out
+            raise StabilityError(
+                f"invariant manifold drift {drift:.2e} at t={t:.4g}")
 
-    def drift_check(steps, t, stack):
-        if steps % GUARD_INTERVAL == 0:
-            checked(stack, f"after {steps} steps")
-
-    # a blown-up step overflows on its way to the non-finite state that
-    # the drift guard reports as StabilityError
-    with np.errstate(over="ignore", invalid="ignore"):
-        stack = rk4(rhs, a0.stack, t_end, step, drift_check)
-    return checked(stack, "at t_end")
+    return a0.like(rk4(rhs, a0.stack, t_end, step, guard))
 
 
 def _circle_spectrum(stack, radius, points):

@@ -217,19 +217,18 @@ def run_toda_flow(args):
     routes, ends, defect = {}, None, 0.0
     for name in wanted:
         if name == "tau":
-            routes[name] = toda.toda_measure_flow(pts, wts, k, args.t_end).matrix()
+            routes[name] = toda.toda_measure_flow(pts, wts, k, args.t_end)
         elif name not in ("ode", "qr"):
             raise UsageError(f"unknown toda route {name!r}")
     if "ode" in wanted or "qr" in wanted:
         # QR at t_j = j t_end / SEGMENTS; each starts one RK4 segment
-        checkpoints = toda.toda_factorization_flow(L0, k, args.t_end).matrix()
+        checkpoints = toda.toda_factorization_flow(L0, k, args.t_end)
         if "qr" in wanted:
             routes["qr"] = checkpoints[-1]
         if "ode" in wanted:
             ends, defect = segment_check(
                 lambda starts, segment: toda.toda_ode_flow(
-                    toda.lax_from_dense(starts), k, segment, args.step
-                ).matrix(),
+                    starts, k, segment, args.step),
                 checkpoints, args.t_end / SEGMENTS)
             routes["ode"] = ends[-1]
     rows = []
@@ -242,7 +241,7 @@ def run_toda_flow(args):
                 gap = max(gap, defect)
             rows.append({"metric": f"supnorm:{p}-{q}", "value": gap})
             gaps.append(gap)
-    base = np.linalg.eigvalsh(L0.matrix())
+    base = np.linalg.eigvalsh(L0)
     drift_ok = True
     for name in names:
         states = ends if name == "ode" else routes[name]  # every segment end
@@ -587,8 +586,8 @@ def build_parser():
     g = groups.add_parser("twotoda").add_subparsers(dest="action", required=True)
     p = g.add_parser("pde")
     p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--a-list", default="0.3")
-    p.add_argument("--b-list", default="0.3")
+    p.add_argument("--a-list", default="0.3,0.3")
+    p.add_argument("--b-list", default="0.3,0.2")
     p.add_argument("--n", type=int, default=1)
     _common(p, run_twotoda_pde, order=48)
     p = g.add_parser("identities")

@@ -133,9 +133,8 @@ def kernel_eval(k, y, z):
         fz, gz, _ = _integrable(k, z)
         diff = y - z
         close = np.abs(diff) < 1e-8
-        off = (fy * gz - gy * fz) / np.where(close, 1.0, diff)
-        _, _, diag = _integrable(k, 0.5 * (y + z))
-        val = np.where(close, diag, off)
+        val = (fy * gz - gy * fz) / np.where(close, 1.0, diff)
+        val[close] = _integrable(k, 0.5 * (y + z)[close])[2]
     return float(val[0]) if scalar else val
 
 

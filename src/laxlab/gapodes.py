@@ -8,13 +8,13 @@ Nystrom matrix along a constant endpoint direction
 (fredholm.nystrom_series) gives the directional derivatives of F through
 tau.logdet_partials, and polarization gives the mixed ones.
 The beta-ensemble (Gaussian / Laguerre) ODE, with its invariant
-coefficients and their beta = 1 <-> 4 duality, is assembled here from
-given x-derivatives of log P_n; ensembles.gap_log_jets supplies them
-exactly from the endpoint Taylor series of the moment matrices.
+coefficients, is assembled here from given x-derivatives of log P_n;
+ensembles.gap_log_jets supplies them exactly from the endpoint Taylor
+series of the moment matrices.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,7 +205,6 @@ class QCoefficients:
     Q1: float
     Q0: float = None
     Qm1: float = None
-    duality_check: bool = None
 
 
 def _gaussian_q(n, beta, b):
@@ -240,32 +239,15 @@ def _laguerre_q(n, beta, a, b):
 
 
 def q_coefficients(family, n, beta, a=0.0, b=1.0):
-    """All invariant coefficients, plus a direct check of the
-    beta = 1 <-> 4 duality (n, a, b) -> (-2n, -a/2, -b/2)."""
+    """All invariant coefficients of the beta-ensemble equations."""
     if beta not in (1, 2, 4):
         raise UsageError("beta must be 1, 2 or 4")
     if family == "gaussian":
-        delta, Q, Q2, Q1 = _gaussian_q(n, beta, b)
-        vals = (Q, Q2, Q1)
-        dual = _gaussian_q(-2 * n, 1, -b / 2.0)[1:] if beta == 4 else None
-        coefs = QCoefficients(family, n, beta, a, b, delta, Q, Q2, Q1)
-    elif family == "laguerre":
-        delta, Q, Q2, Q1, Q0, Qm1 = _laguerre_q(n, beta, a, b)
-        vals = (Q, Q2, Q1, Q0, Qm1)
-        dual = (
-            _laguerre_q(-2 * n, 1, -a / 2.0, -b / 2.0)[1:]
-            if beta == 4
-            else None
-        )
-        coefs = QCoefficients(family, n, beta, a, b, delta, Q, Q2, Q1, Q0, Qm1)
-    else:
-        raise UsageError(f"unknown ensemble family {family!r}")
-    check = None
-    if dual is not None:
-        check = all(
-            abs(x - y) <= 1e-10 * max(1.0, abs(y)) for x, y in zip(dual, vals)
-        )
-    return replace(coefs, duality_check=check)
+        return QCoefficients(family, n, beta, a, b, *_gaussian_q(n, beta, b))
+    if family == "laguerre":
+        return QCoefficients(family, n, beta, a, b,
+                             *_laguerre_q(n, beta, a, b))
+    raise UsageError(f"unknown ensemble family {family!r}")
 
 
 def beta_ode_residual(family, beta, n, x, d, ratio=1.0, a=0.0, b=1.0):

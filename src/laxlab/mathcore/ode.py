@@ -7,7 +7,7 @@ import numpy as np
 
 from ..errors import UsageError
 
-GUARD_INTERVAL = 200  # steps between the flows' drift guards (and at t_end)
+GUARD_INTERVAL = 200  # steps between rk4's guard calls (and at t_end)
 MAX_STEPS = 10 ** 6  # longest integration rk4 accepts, in steps
 SEGMENTS = 25  # segments of a run checked by segment_check
 
@@ -21,29 +21,35 @@ def check_steps(t_end, step):
         raise UsageError(f"|t_end| / step exceeds {MAX_STEPS} steps")
 
 
-def rk4(rhs, y, t_end, step, after_step=None):
+def rk4(rhs, y, t_end, step, guard=None):
     """Integrate y' = rhs(y) from t = 0 to ``t_end`` (either sign) by RK4.
 
     ``y`` is one array and ``rhs`` maps such an array to its derivative.
     Steps have size ``step`` except the last, which ends on ``t_end``.
-    ``after_step(steps, t, y)``, if given, runs after every step and may
-    raise to stop the integration.  Returns the final state.  check_steps
-    runs before the first step.
+    ``guard(t, y)``, if given, runs every GUARD_INTERVAL steps and once
+    more after the last step, and may raise to stop the integration.
+    Steps and guards run with overflow and invalid operations silenced: a
+    blown-up step overflows on its way to the non-finite state that the
+    guard reports.  Returns the final state.  check_steps runs before the
+    first step.
     """
     check_steps(t_end, step)
     t, steps = 0.0, 0
     direction = 1.0 if t_end >= 0 else -1.0
-    while abs(t_end - t) > 1e-15:
-        h = direction * min(step, abs(t_end - t))
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        steps += 1
-        if after_step is not None:
-            after_step(steps, t, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while abs(t_end - t) > 1e-15:
+            h = direction * min(step, abs(t_end - t))
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            steps += 1
+            if guard is not None and steps % GUARD_INTERVAL == 0:
+                guard(t, y)
+        if guard is not None:
+            guard(t_end, y)
     return y
 
 

@@ -198,21 +198,18 @@ def pfaff_ode_flow(L0, k, t_end, step):
     """Integrate dL/dt_k = [-P_+(L^k), L] by RK4; t_end may be negative.
 
     Truncation pollutes the bottom border of L, so no invariant of L is
-    checked here (callers compare routes instead); a non-finite L raises
-    a stability error.
+    checked here (callers compare routes instead); a non-finite L at rk4's
+    guard cadence raises a stability error.
     """
     def rhs(L):
         b = -project_plus(L if k == 1 else np.linalg.matrix_power(L, k))
         return b @ L - L @ b
 
-    def finite(steps, t, L):
+    def finite(t, L):
         if not np.all(np.isfinite(L)):
             raise StabilityError(f"flow blew up at t={t:.4g}; reduce the step")
 
-    # a blown-up step overflows on its way to the non-finite state that
-    # finite() reports as StabilityError
-    with np.errstate(over="ignore", invalid="ignore"):
-        return rk4(rhs, np.array(L0, dtype=float), t_end, step, finite)
+    return rk4(rhs, np.array(L0, dtype=float), t_end, step, finite)
 
 
 def pfaffkp_residual(m, n):

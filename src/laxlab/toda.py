@@ -9,62 +9,42 @@ polynomials too.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, SingularTauError, StabilityError, UsageError
+from .errors import NumericalError, SingularTauError, StabilityError
 from .mathcore import qr_decompose, symmetric_eigen, symmetric_eigensystem
-from .mathcore.ode import GUARD_INTERVAL, SEGMENTS, rk4
+from .mathcore.ode import SEGMENTS, rk4
 
 # Scale c in exp(c * t * L0^k) = QR for the factorization route; pinned by
 # matching the small-t Taylor expansion of the ODE route (see tests).
 FACTORIZATION_FLOW_SCALE = 0.5
 
 
-@dataclass(frozen=True)
-class TridiagonalLax:
-    """Symmetric tridiagonal Lax matrix: offdiagonal entries positive,
-    real spectrum.  diag and offdiag may carry leading batch axes: a stack
-    of Lax matrices, which toda_ode_flow advances at once.
-    """
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
-        object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=float))
-        if self.offdiag.shape != self.diag.shape[:-1] + (self.n - 1,):
-            raise UsageError("offdiag must have length len(diag) - 1")
-        if len(self.offdiag) and np.any(self.offdiag <= 0):
-            raise UsageError("symmetric gauge needs positive offdiagonal")
-
-    @property
-    def n(self):
-        return self.diag.shape[-1]
-
-    def matrix(self):
-        """Dense matrix form."""
-        m = np.zeros(self.diag.shape + (self.n,))
-        idx = np.arange(self.n)
-        m[..., idx, idx] = self.diag
-        idx = idx[:-1]
-        m[..., idx, idx + 1] = self.offdiag
-        m[..., idx + 1, idx] = self.offdiag
-        return m
+def jacobi_matrix(diag, off):
+    """Dense symmetric tridiagonal matrix with diagonal ``diag`` and off
+    diagonal ``off``; both may carry the same leading batch axes."""
+    diag = np.asarray(diag, dtype=float)
+    n = diag.shape[-1]
+    m = np.zeros(diag.shape + (n,))
+    idx = np.arange(n)
+    m[..., idx, idx] = diag
+    m[..., idx[:-1], idx[1:]] = off
+    m[..., idx[1:], idx[:-1]] = off
+    return m
 
 
-def lax_from_dense(m):
+def tridiagonal(m):
     """Project a numerically tridiagonal symmetric matrix, or a stack of
-    them, back to the type; a lost offdiagonal is a numerical failure."""
+    them, onto the band: off = (band(1) + band(-1)) / 2.  A lost or
+    non-positive off diagonal is a numerical failure."""
     def band(offset):
         return np.diagonal(m, offset, axis1=-2, axis2=-1)
 
-    offdiag = 0.5 * (band(1) + band(-1))
-    if not np.all(offdiag > 0.0):
+    off = 0.5 * (band(1) + band(-1))
+    if not np.all(off > 0.0):
         raise NumericalError("a Lax offdiagonal underflowed or lost its sign")
-    return TridiagonalLax(band(0).copy(), offdiag)
+    return jacobi_matrix(band(0), off)
 
 
 def lanczos(nodes, weights, n):
@@ -106,7 +86,7 @@ def toda_measure_flow(nodes, weights, k, t):
         expo = t * nodes ** k
         evolved = weights * np.exp(expo - expo.max())
     a, b = lanczos(nodes, evolved, len(nodes))
-    return TridiagonalLax(a, b[1:])
+    return jacobi_matrix(a, b[1:])
 
 
 def toda_ode_flow(L0, k, t_end, step):
@@ -114,22 +94,22 @@ def toda_ode_flow(L0, k, t_end, step):
 
     (a)_- denotes the skew-symmetric part built from the strictly upper
     triangle; its half-weighted mask is built once per call, and L^k only
-    for k > 1.  L0 may be a stack, advanced at once.  The right side is
-    tridiagonal analytically, so the result is projected back to the banded
-    type.  Every GUARD_INTERVAL steps and at t_end, a non-finite state or an
-    eigenvalue drift over 1e-6 in any member raises StabilityError.
+    for k > 1.  L0 is a dense Lax matrix or a stack of them, advanced at
+    once.  The right side is tridiagonal analytically, so the result is
+    projected back onto the band.  At rk4's guard cadence, a non-finite
+    state or an eigenvalue drift over 1e-6 in any member raises
+    StabilityError.
     """
-    m = L0.matrix()
-    ev0 = symmetric_eigen(m)
-    half_upper = 0.5 * np.triu(np.ones(m.shape[-2:]), 1)
+    ev0 = symmetric_eigen(L0)
+    half_upper = 0.5 * np.triu(np.ones(L0.shape[-2:]), 1)
 
     def rhs(lax):
         up = half_upper * (lax if k == 1 else np.linalg.matrix_power(lax, k))
         b = up - up.swapaxes(-1, -2)
         return b @ lax - lax @ b
 
-    def guard(lax, t):
-        # the spectrum of the state as lax_from_dense will project it
+    def guard(t, lax):
+        # the spectrum of the state as tridiagonal will project it
         finite = np.all(np.isfinite(lax))
         sym = 0.5 * (lax + lax.swapaxes(-1, -2))
         drift = np.abs(symmetric_eigen(sym) - ev0).max() if finite else math.inf
@@ -138,16 +118,7 @@ def toda_ode_flow(L0, k, t_end, step):
                 f"eigenvalue drift {drift:.3e} at t={t:.4g}; reduce the step"
             )
 
-    def drift_check(steps, t, lax):
-        if steps % GUARD_INTERVAL == 0:
-            guard(lax, t)
-
-    # a blown-up step overflows on its way to the non-finite state that
-    # the guard reports as StabilityError
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = rk4(rhs, m, t_end, step, drift_check)
-    guard(m, t_end)
-    return lax_from_dense(m)
+    return tridiagonal(rk4(rhs, L0, t_end, step, guard))
 
 
 def toda_factorization_flow(L0, k, t_end):
@@ -162,15 +133,14 @@ def toda_factorization_flow(L0, k, t_end):
     the columns of S Q_j stay within a segment's spread of magnitudes; the
     spectrum is shifted before exponentiating, which only rescales R.
     """
-    m0 = L0.matrix()
-    evals, vecs = symmetric_eigensystem(np.linalg.matrix_power(m0, k))
+    evals, vecs = symmetric_eigensystem(np.linalg.matrix_power(L0, k))
     expo = FACTORIZATION_FLOW_SCALE * t_end / SEGMENTS * evals
     step = (vecs * np.exp(expo - expo.max())) @ vecs.T
-    qs = [np.eye(L0.n)]
+    qs = [np.eye(len(L0))]
     for _ in range(SEGMENTS):
         qs.append(qr_decompose(step @ qs[-1])[0])
     q = np.stack(qs)
-    return lax_from_dense(q.swapaxes(-1, -2) @ m0 @ q)
+    return tridiagonal(q.swapaxes(-1, -2) @ L0 @ q)
 
 
 def orthopoly_eval(ab, z):

@@ -13,17 +13,10 @@ partial of log tau up to order 3.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DivergenceError,
-    DepthError,
-    PrecisionError,
-    SingularTauError,
-    UsageError,
-)
+from .errors import DivergenceError, PrecisionError, SingularTauError, UsageError
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant, union_rule
 from .tau import (
@@ -34,29 +27,10 @@ from .tau import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class BiMoments:
-    """Bi-moment matrix mu_{ij} = <x^i, y^j> over E1 x E2 with coupling c."""
-
-    m: np.ndarray
-    c: float
-    E1: IntervalUnion
-    E2: IntervalUnion
-
-    @property
-    def size(self):
-        return self.m.shape[0]
-
-    def block(self, n):
-        if n > self.size:
-            raise DepthError(f"need a {n} block, matrix has size {self.size}")
-        return self.m[:n, :n]
-
-
 def bimoments(c, E=None, N=6, order=64, t=(), s=()):
     """mu_{ij} = double integral of x^i y^j e^{-(x^2+y^2)/2 + c x y} over
     E1 x E2 by tensor quadrature, the weight times E_t(x) E_{-s}(y) at the
-    times (t, s); requires |c| < 1."""
+    times (t, s), as an N x N array; requires |c| < 1."""
     if abs(c) >= 1.0:
         raise DivergenceError("the coupled Gaussian needs |c| < 1")
     if E is None:
@@ -78,7 +52,7 @@ def bimoments(c, E=None, N=6, order=64, t=(), s=()):
         mu = px.T @ kernel @ py
     if not np.all(np.isfinite(mu)):
         raise DivergenceError("bi-moments diverge on this domain")
-    return BiMoments(m=mu, c=float(c), E1=E1, E2=E2)
+    return mu
 
 
 # ----- exact log-tau derivatives in (t, s) -----
@@ -90,7 +64,7 @@ def dlog_tau2(m, n, tlist=(), slist=()):
     factors = [(a, 1.0, 0.0) for a in tlist] + [(b, 0.0, -1.0) for b in slist]
     if not 1 <= len(factors) <= 3:
         raise UsageError("total derivative order must be 1..3")
-    return dlog_block(m.m, n, factors)
+    return dlog_block(m, n, factors)
 
 
 def kp_in_t_residual(m, n, direction="t"):
@@ -103,7 +77,7 @@ def kp_in_t_residual(m, n, direction="t"):
         raise UsageError("direction must be 't' or 's'")
     weights = (1.0, 0.0) if direction == "t" else (0.0, -1.0)
     return kp_normalized(
-        lambda ks: dlog_block(m.m, n, [(k, *weights) for k in ks]))
+        lambda ks: dlog_block(m, n, [(k, *weights) for k in ks]))
 
 
 def wronskian_identity_residual(m, n):
@@ -235,8 +209,8 @@ def gap_log_tau_ratio_taylor(c, a, b, n, order=48):
     on the Taylor matrices of _bimoment_taylor: the restricted bi-moments
     move with (a, b, c), the full-line ones with c alone."""
     E = (IntervalUnion.half_line_below(a), IntervalUnion.half_line_below(b))
-    restricted = bimoments(c, E, N=n + 3, order=order).m
-    mu = bimoments(c, N=n + 3, order=order).m
+    restricted = bimoments(c, E, N=n + 3, order=order)
+    mu = bimoments(c, N=n + 3, order=order)
     taus = [lu_determinant(restricted[:n, :n]), lu_determinant(mu[:n, :n])]
     if not min(taus) > 0.0:
         raise SingularTauError("tau must stay positive for the log")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxlab import aci, ensembles, pfaff, toda
+from laxlab import aci, ensembles, pfaff, toda, twotoda
 from laxlab.cli import (
     EXIT_NUMERICAL,
     EXIT_TOLERANCE,
@@ -808,6 +808,25 @@ def test_twotoda_pde_rejects_unequal_lists():
             contextlib.redirect_stderr(io.StringIO()) as err:
         assert main(argv) == EXIT_USAGE
     assert "equal lengths" in err.getvalue()
+
+
+def test_twotoda_pde_default_sees_a_symmetric_taylor_error(monkeypatch):
+    # 1e-2 added to every Taylor coefficient of degree 1 to 3 is symmetric
+    # under a <-> b and cancels from the PDE at a = b (residual 4e-15);
+    # the default point (0.3, 0.2) reads 1.3e-2 against the 1e-3 gate
+    exact = twotoda.gap_log_tau_ratio_taylor
+    degree = np.indices((4, 4, 4)).sum(axis=0)
+    junk = 1e-2 * ((degree >= 1) & (degree <= 3))
+
+    def wrong(*args, **kwargs):
+        return exact(*args, **kwargs) + junk
+
+    monkeypatch.setattr(twotoda, "gap_log_tau_ratio_taylor", wrong)
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main("twotoda pde --a-list 0.3 --b-list 0.3 --check"
+                    .split()) == 0
+        assert main("twotoda pde --check".split()) == EXIT_TOLERANCE
 
 
 def test_ensemble_sample_rejects_before_drawing(monkeypatch):

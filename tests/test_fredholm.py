@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from laxlab import fredholm
 from laxlab.errors import DomainError, UsageError
 from laxlab.fd import central_diff
 from laxlab.fredholm import (
@@ -123,6 +124,25 @@ def test_kernel_eval_broadcasts_like_an_elementwise_function(spec):
     assert got.shape == y.shape
     table = kernel_eval(spec, y[:, None], z[None, :])
     assert np.array_equal(got, np.diagonal(table))
+
+
+def test_kernel_table_takes_the_diagonal_form_only_where_it_is_used(
+        monkeypatch):
+    # a 6 x 6 Bessel table: one J_nu per point of each axis, and one at the
+    # midpoint of each of the 6 pairs with y = z
+    calls, real = [], fredholm.bessel_j
+
+    def counted(nu, x):
+        calls.append(x)
+        return real(nu, x)
+
+    monkeypatch.setattr(fredholm, "bessel_j", counted)
+    x = np.arange(0.5, 3.01, 0.5)
+    table = kernel_eval(KernelSpec("bessel"), x[:, None], x[None, :])
+    assert len(calls) == 18
+    monkeypatch.undo()
+    assert np.array_equal(np.diagonal(table),
+                          [kernel_eval(KernelSpec("bessel"), v, v) for v in x])
 
 
 def test_kernel_spec_validation():

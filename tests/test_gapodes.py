@@ -22,6 +22,7 @@ from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import gauss_legendre_rule, pfaffian
 from laxlab.pfaff import skew_inner_products
 from laxlab.tau import WeightSpec
+from duality_reference import assert_beta_duality
 
 
 # ----- oracles: gap-probability suppliers -----
@@ -199,7 +200,7 @@ def test_gaussian_beta2_coefficients():
 def test_gaussian_duality():
     for n in range(1, 7):
         for b in (1.0, 2.0):
-            assert q_coefficients("gaussian", n, 4, b=b).duality_check
+            assert_beta_duality("gaussian", n, b=b)
 
 
 def test_laguerre_beta4_q():
@@ -213,7 +214,7 @@ def test_laguerre_beta4_q():
 def test_laguerre_duality():
     for n in range(1, 5):
         for a in (0.5, 1.0, 2.0):
-            assert q_coefficients("laguerre", n, 4, a=a, b=1.5).duality_check
+            assert_beta_duality("laguerre", n, a=a, b=1.5)
 
 
 def test_unsupported_beta():

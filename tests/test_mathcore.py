@@ -13,7 +13,7 @@ from laxlab.errors import (
 )
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import quadrature
-from laxlab.mathcore.ode import MAX_STEPS, rk4
+from laxlab.mathcore.ode import GUARD_INTERVAL, MAX_STEPS, rk4
 from laxlab.mathcore.special import AIRY_MIN_ARG, AIRY_UNDERFLOW
 from laxlab.mathcore import (
     airy_ai,
@@ -529,17 +529,35 @@ def test_rk4_rejects_too_many_steps():
     class Stop(Exception):
         pass
 
-    def stop(steps, t, y):
+    def stop(t, y):
         raise Stop
 
-    # exactly MAX_STEPS steps is accepted
+    # exactly MAX_STEPS steps is accepted: the first guard call stops it
     with pytest.raises(Stop):
         rk4(lambda s: s, np.ones(1), -float(MAX_STEPS), 1.0, stop)
 
 
 def test_rk4_steps_land_on_t_end():
-    times = []
-    rk4(lambda s: np.ones(1), np.zeros(1), -0.25, 0.1,
-        lambda steps, t, state: times.append((steps, t)))
-    assert [k for k, _ in times] == [1, 2, 3]
-    assert times[-1][1] == pytest.approx(-0.25, abs=1e-15)
+    calls, seen = [], []
+    y = rk4(lambda s: calls.append(1) or np.ones(1), np.zeros(1), -0.25, 0.1,
+            lambda t, state: seen.append((t, state[0])))
+    assert len(calls) == 4 * 3  # steps of 0.1, 0.1 and 0.05
+    assert seen == [(-0.25, y[0])]  # fewer steps than GUARD_INTERVAL
+    assert y[0] == pytest.approx(-0.25, abs=1e-15)
+
+
+def test_rk4_guards_every_interval_and_at_t_end():
+    # 450 steps of 1/8, exact in binary: the guard runs after steps 200
+    # and 400 and at t_end, each time inside the overflow errstate
+    calls, seen = [], []
+
+    def guard(t, y):
+        seen.append((len(calls) // 4, t, y[0], np.geterr()["over"],
+                     np.geterr()["invalid"]))
+
+    rk4(lambda s: calls.append(1) or np.ones(1), np.zeros(1), 450 * 0.125,
+        0.125, guard)
+    assert GUARD_INTERVAL == 200
+    assert seen == [(200, 25.0, 25.0, "ignore", "ignore"),
+                    (400, 50.0, 50.0, "ignore", "ignore"),
+                    (450, 56.25, 56.25, "ignore", "ignore")]

@@ -10,6 +10,7 @@ from laxlab.errors import (
     DivergenceError,
     SingularMatrixError,
     SingularTauError,
+    StabilityError,
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
@@ -373,6 +374,16 @@ def test_route_agreement_moment_vs_ode():
     via_moments = pfaff_lax(pfaff_flow_moments([t1], N=4))  # size 8
     L = pfaff_ode_flow(pfaff_lax(pfaff_flow_moments()), 1, t1, 1e-3)
     assert np.abs(L[:6, :6] - via_moments[:6, :6]).max() < 1e-6
+
+
+def test_ode_flow_blow_up_is_stability_error_without_a_warning():
+    # the state overflows within the 100 steps, before any guard call but
+    # the last; every step and the guard run inside rk4's errstate
+    m = skew_inner_products(WeightSpec("gaussian", b=4.0), N=8, order=96)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StabilityError, match="blew up at t=50"):
+            pfaff_ode_flow(pfaff_lax(m), 1, 50.0, 0.5)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -4,25 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from laxlab.errors import (
-    NumericalError,
-    SingularTauError,
-    StabilityError,
-    UsageError,
-)
+from laxlab.errors import NumericalError, SingularTauError, StabilityError
 from evolution_reference import reference_hankel
 from laxlab.mathcore import union_rule
 from laxlab.mathcore.ode import SEGMENTS
 from laxlab.tau import WeightSpec, hankel_moments, refine_on_rule
 from laxlab.toda import (
     FACTORIZATION_FLOW_SCALE,
-    TridiagonalLax,
+    jacobi_matrix,
     lanczos,
-    lax_from_dense,
     orthopoly_eval,
     toda_factorization_flow,
     toda_measure_flow,
     toda_ode_flow,
+    tridiagonal,
 )
 
 
@@ -67,7 +62,15 @@ def weight_recurrence(w, n, t):
 
 
 def jacobi(ab):
-    return TridiagonalLax(ab[0], ab[1, 1:])
+    return jacobi_matrix(ab[0], ab[1, 1:])
+
+
+def diag(lax):
+    return np.diagonal(lax, axis1=-2, axis2=-1)
+
+
+def offdiag(lax):
+    return np.diagonal(lax, 1, axis1=-2, axis2=-1)
 
 
 def gaussian_weight(b=1.0):
@@ -79,64 +82,64 @@ def uniform_weight():
 
 
 def spectrum(lax):
-    return np.linalg.eigvalsh(lax.matrix())
+    return np.linalg.eigvalsh(lax)
 
 
 def random_lax(n, seed):
     rng = np.random.default_rng(seed)
-    return TridiagonalLax(rng.normal(size=n), rng.uniform(0.3, 1.0, size=n - 1))
+    return jacobi_matrix(rng.normal(size=n), rng.uniform(0.3, 1.0, size=n - 1))
 
 
-# ----- type -----
+# ----- dense Jacobi matrices -----
 
 def test_matrix_roundtrip_and_gauges():
-    L = TridiagonalLax([1.0, 2.0, 3.0], [0.5, 0.25])
-    m = L.matrix()
+    m = jacobi_matrix([1.0, 2.0, 3.0], [0.5, 0.25])
     assert np.array_equal(m, m.T)
-    back = lax_from_dense(m)
-    assert np.array_equal(back.diag, L.diag)
-    assert np.array_equal(back.offdiag, L.offdiag)
-
-
-def test_bad_shapes_rejected():
-    with pytest.raises(UsageError):
-        TridiagonalLax([1.0, 2.0], [0.1, 0.2])
-    with pytest.raises(UsageError):
-        TridiagonalLax([1.0, 2.0], [-0.1])
+    assert np.array_equal(diag(m), [1.0, 2.0, 3.0])
+    assert np.array_equal(offdiag(m), [0.5, 0.25])
+    assert np.array_equal(np.triu(m, 2), np.zeros((3, 3)))
+    assert np.array_equal(tridiagonal(m), m)
+    # a stack, and the band of a slightly asymmetric, filled-in matrix
+    stack = jacobi_matrix([[1.0, 2.0], [3.0, 4.0]], [[0.5], [0.25]])
+    assert np.array_equal(stack[1], jacobi_matrix([3.0, 4.0], [0.25]))
+    noisy = stack + np.array([[0.0, 0.1], [0.3, 0.0]])
+    assert np.array_equal(tridiagonal(noisy),
+                          jacobi_matrix(diag(stack), [[0.7], [0.45]]))
 
 
 # ----- the tau route: the Jacobi matrix of a (evolved) measure -----
 
 def test_lax_from_tau_gaussian_diag_zero():
     L = jacobi(weight_recurrence(gaussian_weight(), 4, ()))
-    assert np.abs(L.diag).max() < 1e-12
+    assert np.abs(diag(L)).max() < 1e-12
 
 
 def test_lax_from_tau_uniform_first_diag():
     L = jacobi(weight_recurrence(uniform_weight(), 2, ()))
-    assert L.diag[0] == pytest.approx(0.5, abs=1e-13)
+    assert L[0, 0] == pytest.approx(0.5, abs=1e-13)
 
 
 def test_lax_from_tau_matches_gram_schmidt_oracle():
     m = hankel_moments(gaussian_weight(), M=12)
-    diag, off = gram_schmidt_jacobi_oracle(m.mu, 4)
+    want_diag, want_off = gram_schmidt_jacobi_oracle(m.mu, 4)
     L = jacobi(weight_recurrence(gaussian_weight(), 4, ()))
-    assert np.abs(L.diag - diag).max() < 1e-10
-    assert np.abs(L.offdiag - off).max() < 1e-10
+    assert np.abs(diag(L) - want_diag).max() < 1e-10
+    assert np.abs(offdiag(L) - want_off).max() < 1e-10
 
 
 def test_lax_from_tau_evolved_matches_oracle():
     m = hankel_moments(gaussian_weight(), M=40)
     t = [0.08, -0.03]
-    diag, off = gram_schmidt_jacobi_oracle(reference_hankel(m.mu, t), 3)
+    want_diag, want_off = gram_schmidt_jacobi_oracle(
+        reference_hankel(m.mu, t), 3)
     L = jacobi(weight_recurrence(gaussian_weight(), 3, t))
-    assert np.abs(L.diag - diag).max() < 1e-10
-    assert np.abs(L.offdiag - off).max() < 1e-10
+    assert np.abs(diag(L) - want_diag).max() < 1e-10
+    assert np.abs(offdiag(L) - want_off).max() < 1e-10
 
 
 def test_lanczos_breaks_down_on_too_few_atoms():
     nodes = np.array([-0.5, 0.1, 0.7])
-    assert jacobi(lanczos(nodes, np.ones(3), 3)).n == 3
+    assert jacobi(lanczos(nodes, np.ones(3), 3)).shape == (3, 3)
     with pytest.raises(SingularTauError, match="fewer than 4 atoms"):
         lanczos(nodes, np.ones(3), 4)
     # e^{1000 (x - 0.7)} underflows at the other two atoms
@@ -144,19 +147,21 @@ def test_lanczos_breaks_down_on_too_few_atoms():
         toda_measure_flow(nodes, np.ones(3), 1, 1000.0)
 
 
-def test_lax_from_dense_rejects_a_lost_offdiagonal():
-    m = TridiagonalLax([1.0, 2.0, 3.0], [0.5, 0.25]).matrix()
+def test_tridiagonal_rejects_a_lost_offdiagonal():
+    m = jacobi_matrix([1.0, 2.0, 3.0], [0.5, 0.25])
     m[1, 2] = m[2, 1] = 0.0
     with pytest.raises(NumericalError, match="offdiagonal"):
-        lax_from_dense(m)
+        tridiagonal(m)
+    with pytest.raises(NumericalError, match="offdiagonal"):
+        tridiagonal(jacobi_matrix([1.0, 2.0], [-0.1]))
 
 
 # ----- ODE flow -----
 
 def test_ode_flow_diagonal_is_stationary():
-    L0 = TridiagonalLax([1.0, -2.0, 0.5], [1e-12, 1e-12])
+    L0 = jacobi_matrix([1.0, -2.0, 0.5], [1e-12, 1e-12])
     out = toda_ode_flow(L0, 1, 0.5, 1e-2)
-    assert np.abs(out.diag - L0.diag).max() < 1e-9
+    assert np.abs(diag(out) - diag(L0)).max() < 1e-9
 
 
 def test_ode_flow_isospectral():
@@ -166,7 +171,7 @@ def test_ode_flow_isospectral():
 
 
 def test_ode_flow_n2_spectrum():
-    L0 = TridiagonalLax([0.3, -0.4], [0.7])
+    L0 = jacobi_matrix([0.3, -0.4], [0.7])
     out = toda_ode_flow(L0, 1, 0.8, 1e-3)
     assert np.abs(spectrum(out) - spectrum(L0)).max() < 1e-10
 
@@ -176,7 +181,7 @@ def test_ode_flows_commute():
     s = 5e-4
     a = toda_ode_flow(toda_ode_flow(L0, 1, 0.05, s), 2, 0.04, s)
     b = toda_ode_flow(toda_ode_flow(L0, 2, 0.04, s), 1, 0.05, s)
-    assert np.abs(a.matrix() - b.matrix()).max() < s ** 4 + 1e-8
+    assert np.abs(a - b).max() < s ** 4 + 1e-8
 
 
 def test_ode_flow_step_too_large():
@@ -212,8 +217,8 @@ def reference_toda_step(lax, k, h):
 def test_one_ode_step_matches_reference(k):
     L0 = random_lax(6, 5)
     h = 1e-2
-    got = toda_ode_flow(L0, k, h, h).matrix()
-    assert np.abs(got - reference_toda_step(L0.matrix(), k, h)).max() < 1e-14
+    got = toda_ode_flow(L0, k, h, h)
+    assert np.abs(got - reference_toda_step(L0, k, h)).max() < 1e-14
 
 
 def test_ode_flow_guard_fires_mid_flow():
@@ -230,23 +235,18 @@ def test_ode_flow_nonfinite_state_is_stability_error():
         toda_ode_flow(L0, 2, 2000.0, 5.0)
 
 
-def stack_of(laxes):
-    return TridiagonalLax(np.stack([L.diag for L in laxes]),
-                          np.stack([L.offdiag for L in laxes]))
-
-
 @pytest.mark.parametrize("k", [1, 2])
 def test_batched_ode_flow_matches_single_flows(k):
     starts = [random_lax(5, seed) for seed in (1, 2, 3)]
-    moved = toda_ode_flow(stack_of(starts), k, 0.3, 1e-2).matrix()
+    moved = toda_ode_flow(np.stack(starts), k, 0.3, 1e-2)
     for i, start in enumerate(starts):
-        alone = toda_ode_flow(start, k, 0.3, 1e-2).matrix()
+        alone = toda_ode_flow(start, k, 0.3, 1e-2)
         assert np.abs(moved[i] - alone).max() < 1e-15
 
 
 def test_batched_ode_guard_sees_one_bad_member():
     # the same start as test_ode_flow_guard_fires_mid_flow, beside a calm one
-    batch = stack_of([random_lax(6, 5), random_lax(6, 3)])
+    batch = np.stack([random_lax(6, 5), random_lax(6, 3)])
     with pytest.raises(StabilityError, match=r"drift .* at t=20;"):
         toda_ode_flow(batch, 1, 40.0, 0.1)
 
@@ -255,13 +255,13 @@ def test_batched_ode_guard_sees_one_bad_member():
 
 def factorized(L0, k, t):
     """L(t) by the factorization route: the last checkpoint."""
-    return toda_factorization_flow(L0, k, t).matrix()[-1]
+    return toda_factorization_flow(L0, k, t)[-1]
 
 
 def test_factorization_checkpoints_match_direct_calls():
     L0 = random_lax(6, 19)
     for t_end in (3.0, -1.0):
-        many = toda_factorization_flow(L0, 2, t_end).matrix()
+        many = toda_factorization_flow(L0, 2, t_end)
         assert len(many) == SEGMENTS + 1
         for j in (0, 1, 7, SEGMENTS):
             alone = factorized(L0, 2, t_end * j / SEGMENTS)
@@ -277,27 +277,27 @@ def test_factorization_holds_at_large_t():
         L0 = toda_measure_flow(pts, wts, 1, 0.0)
         for t_end in (30.0, 50.0):
             qr = factorized(L0, 1, t_end)
-            exact = toda_measure_flow(pts, wts, 1, t_end).matrix()
+            exact = toda_measure_flow(pts, wts, 1, t_end)
             assert np.abs(qr - exact).max() < 1e-12
 
 
 def test_factorization_t0_identity():
     L0 = random_lax(5, 2)
     out = factorized(L0, 1, 0.0)
-    assert np.abs(out - L0.matrix()).max() < 1e-12
+    assert np.abs(out - L0).max() < 1e-12
 
 
 def test_factorization_diagonal_fixed_point():
-    L0 = TridiagonalLax([2.0, 1.0, -1.0], [1e-13, 1e-13])
-    out = np.diagonal(factorized(L0, 1, 3.0))
-    assert np.abs(np.sort(out) - np.sort(L0.diag)).max() < 1e-9
+    L0 = jacobi_matrix([2.0, 1.0, -1.0], [1e-13, 1e-13])
+    out = diag(factorized(L0, 1, 3.0))
+    assert np.abs(np.sort(out) - np.sort(diag(L0))).max() < 1e-9
 
 
 def test_factorization_matches_ode():
     L0 = random_lax(6, 19)
     a = factorized(L0, 1, 1.0)
     b = toda_ode_flow(L0, 1, 1.0, 5e-4)
-    assert np.abs(a - b.matrix()).max() < 1e-6
+    assert np.abs(a - b).max() < 1e-6
 
 
 def test_factorization_scale_constant_taylor_match():
@@ -307,7 +307,7 @@ def test_factorization_scale_constant_taylor_match():
     L0 = random_lax(4, 23)
     eps = 1e-4
     a = factorized(L0, 2, eps)
-    b = toda_ode_flow(L0, 2, eps, eps / 8.0).matrix()
+    b = toda_ode_flow(L0, 2, eps, eps / 8.0)
     assert np.abs(a - b).max() < 1e-10
 
 
@@ -320,15 +320,15 @@ def test_three_route_agreement():
     wts = rng.uniform(0.5, 1.5, size=n)
     mu = np.array([np.dot(wts, pts ** j) for j in range(2 * n + 1)])
     L0 = toda_measure_flow(pts, wts, 1, 0.0)
-    diag, off = gram_schmidt_jacobi_oracle(mu, n)
-    assert np.abs(L0.diag - diag).max() < 1e-10
-    assert np.abs(L0.offdiag - off).max() < 1e-10
+    want_diag, want_off = gram_schmidt_jacobi_oracle(mu, n)
+    assert np.abs(diag(L0) - want_diag).max() < 1e-10
+    assert np.abs(offdiag(L0) - want_off).max() < 1e-10
     for k in (1, 2):
         via_tau = toda_measure_flow(pts, wts, k, 0.3)
         via_ode = toda_ode_flow(L0, k, 0.3, 1e-3)
         via_fac = factorized(L0, k, 0.3)
-        assert np.abs(via_tau.matrix() - via_ode.matrix()).max() < 1e-6
-        assert np.abs(via_fac - via_ode.matrix()).max() < 1e-6
+        assert np.abs(via_tau - via_ode).max() < 1e-6
+        assert np.abs(via_fac - via_ode).max() < 1e-6
 
 
 # ----- orthonormal polynomials -----
@@ -379,7 +379,7 @@ def test_orthopoly_matches_bordered_determinant(w):
 
 def test_eigenvector_property_three_term_recurrence():
     n = 6
-    L = jacobi(weight_recurrence(gaussian_weight(), n, ())).matrix()
+    L = jacobi(weight_recurrence(gaussian_weight(), n, ()))
     for z in (-1.3, 0.2, 2.1):
         p = np.array([orthopoly(gaussian_weight(), j, z) for j in range(n)])
         resid = L @ p - z * p

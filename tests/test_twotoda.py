@@ -19,7 +19,6 @@ from laxlab import twotoda
 from laxlab.mathcore import gauss_legendre_rule, lu_determinant, union_rule
 from laxlab.tau import logdet_partials
 from laxlab.twotoda import (
-    BiMoments,
     BoundaryOperators,
     bimoments,
     coupled_pde_residual,
@@ -108,24 +107,24 @@ def bimoment_series_oracle(c, E1, E2, N, order, v, degree):
 def test_mu00_closed_form():
     c = 0.4
     m = bimoments(c, N=2)
-    assert m.m[0, 0] == pytest.approx(
+    assert m[0, 0] == pytest.approx(
         2.0 * math.pi / math.sqrt(1.0 - c * c), rel=1e-12
     )
 
 
 def test_c0_factorizes():
     m = bimoments(0.0, N=4)
-    assert abs(m.m[1, 0]) < 1e-12
+    assert abs(m[1, 0]) < 1e-12
     # mu_{ij} = (1-D gaussian moment i) * (moment j)
     g = [math.sqrt(2.0 * math.pi), 0.0, math.sqrt(2.0 * math.pi)]
-    assert m.m[2, 2] == pytest.approx(g[2] * g[2], rel=1e-12)
+    assert m[2, 2] == pytest.approx(g[2] * g[2], rel=1e-12)
 
 
 def test_mu11_matches_mc_oracle():
     rng = np.random.default_rng(33)
     est, err = mc_mu11_oracle(0.5, rng)
     m = bimoments(0.5, N=2)
-    assert abs(m.m[1, 1] - est) < 3.0 * err
+    assert abs(m[1, 1] - est) < 3.0 * err
 
 
 def test_coupling_bound_enforced():
@@ -137,14 +136,14 @@ def test_coupling_bound_enforced():
 
 def test_evolution_identity_and_group_law():
     m = bimoments(0.3, N=40)
-    assert np.array_equal(bimoments(0.3, N=40, t=[0.0], s=[0.0]).m, m.m)
+    assert np.array_equal(bimoments(0.3, N=40, t=[0.0], s=[0.0]), m)
     t1, t2 = [0.04], [-0.02]
     s1, s2 = [0.03], [0.01]
     # moments at (t1, s1), moved on by (t2, s2) with the shift series
-    a = reference_evolution(bimoments(0.3, N=40, t=t1, s=s1).m, t2,
+    a = reference_evolution(bimoments(0.3, N=40, t=t1, s=s1), t2,
                             [-v for v in s2])
     b = bimoments(0.3, N=28, t=[t1[0] + t2[0]], s=[s1[0] + s2[0]])
-    assert np.abs(a - b.m).max() < 1e-12 * np.abs(b.m).max()
+    assert np.abs(a - b).max() < 1e-12 * np.abs(b).max()
 
 
 def test_evolution_matches_quadrature_on_box():
@@ -159,26 +158,26 @@ def test_evolution_matches_quadrature_on_box():
     for i in range(3):
         for j in range(3):
             direct = (wx * x ** i) @ kernel @ (wy * y ** j)
-            assert out.m[i, j] == pytest.approx(direct, abs=1e-9)
+            assert out[i, j] == pytest.approx(direct, abs=1e-9)
 
 
 # ----- tau determinants -----
 
 def test_tau1_is_mu00():
     m = bimoments(0.2, N=3)
-    assert lu_determinant(m.block(1)) == m.m[0, 0]
+    assert lu_determinant(m[:1, :1]) == m[0, 0]
 
 
 def test_tau2_matches_gram_schmidt_oracle():
     m = bimoments(0.5, N=5)
-    hs = gram_schmidt_h_oracle(m.m, 2)
-    assert lu_determinant(m.block(2)) == pytest.approx(hs[0] * hs[1], rel=1e-10)
+    hs = gram_schmidt_h_oracle(m, 2)
+    assert lu_determinant(m[:2, :2]) == pytest.approx(hs[0] * hs[1], rel=1e-10)
 
 
 def test_h_matches_tau_ratio():
     m = bimoments(0.5, N=6)
-    taus = [1.0] + [lu_determinant(m.block(k)) for k in range(1, 5)]
-    hs = gram_schmidt_h_oracle(m.m, 4)
+    taus = [1.0] + [lu_determinant(m[:k, :k]) for k in range(1, 5)]
+    hs = gram_schmidt_h_oracle(m, 4)
     for j in range(4):
         assert hs[j] == pytest.approx(taus[j + 1] / taus[j], rel=1e-10)
 
@@ -189,7 +188,7 @@ def test_dlog_first_order_against_fd():
     m = bimoments(0.5, N=30)
 
     def f(t1):
-        return math.log(lu_determinant(bimoments(0.5, N=2, t=[t1]).block(2)))
+        return math.log(lu_determinant(bimoments(0.5, N=2, t=[t1])))
 
     from laxlab.fd import central_diff
 
@@ -204,7 +203,7 @@ def test_dlog_tau2_matches_polarized_jets():
 
     def directional(d, order):  # d = (t1, t2, s1, s2)
         d = np.pad(d, (0, 4 - len(d)))
-        g = direction_matrices(m.m, 2, order, rows=d[:2], cols=-d[2:])
+        g = direction_matrices(m, 2, order, rows=d[:2], cols=-d[2:])
         return logdet_partials(g[0], lambda r: g[r[0]],
                                [(r,) for r in range(1, order + 1)])
 
@@ -216,10 +215,8 @@ def test_dlog_tau2_matches_polarized_jets():
 
 
 def test_dlog_tau2_singular_block_is_singular_tau_error():
-    E = IntervalUnion.full_line()
-    m = BiMoments(m=np.zeros((6, 6)), c=0.5, E1=E, E2=E)
     with pytest.raises(SingularTauError):
-        dlog_tau2(m, 2, tlist=(1,))
+        dlog_tau2(np.zeros((6, 6)), 2, tlist=(1,))
 
 
 def test_kp_in_t_and_s():
@@ -266,9 +263,8 @@ def test_quotient_identity_sees_a_wrong_derivative(monkeypatch):
 
 def test_wronskian_scale_invariance():
     m = bimoments(0.5, N=8)
-    doubled = BiMoments(m=2.0 * m.m, c=m.c, E1=m.E1, E2=m.E2)
     a = wronskian_identity_residual(m, 2)
-    b = wronskian_identity_residual(doubled, 2)
+    b = wronskian_identity_residual(2.0 * m, 2)
     assert a[0] == pytest.approx(b[0], abs=1e-10)
     assert a[1] == pytest.approx(b[1], abs=1e-10)
 
@@ -331,8 +327,8 @@ def gap_log_tau_ratio(n, order=48):
     def f(p):
         a, b, c = p
         E = (IntervalUnion.half_line_below(a), IntervalUnion.half_line_below(b))
-        restricted = np.linalg.slogdet(bimoments(c, E, N=n, order=order).m)
-        full = np.linalg.slogdet(bimoments(c, N=n, order=order).m)
+        restricted = np.linalg.slogdet(bimoments(c, E, N=n, order=order))
+        full = np.linalg.slogdet(bimoments(c, N=n, order=order))
         assert restricted[0] > 0 and full[0] > 0
         return (restricted[1] - full[1]) / n
 
@@ -377,7 +373,7 @@ def test_index_operators_match_the_directional_series(c):
         E = (IntervalUnion.half_line_below(a),
              IntervalUnion.half_line_below(b))
         coefficient = twotoda._bimoment_taylor(
-            bimoments(c, E, N=n + 3, order=order).m, c, n)
+            bimoments(c, E, N=n + 3, order=order), c, n)
         for v in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
                   (0.7, -1.3, 0.4), (-0.5, 0.2, -1.1)):
             series = bimoment_series_oracle(c, *E, n, order, v, 3)
@@ -396,9 +392,10 @@ def test_coupled_pde_residual_small():
 
 
 def test_coupled_pde_holds_through_n6():
-    # at the CLI's default a = b the residual sees only the a <-> b
-    # asymmetry of the rounding (see below); exact partials keep it under
-    # the CLI's 1e-3 gate at n = 6, where polarized jets did not (4.6e-3)
+    # at a = b, the CLI's first default point, the residual sees only the
+    # a <-> b asymmetry of the rounding (see below); exact partials keep it
+    # under the CLI's 1e-3 gate at n = 6, where polarized jets did not
+    # (4.6e-3)
     for n in range(1, 7):
         assert abs(coupled_pde_residual(0.5, 0.3, 0.3, n)) <= 1e-3
 
