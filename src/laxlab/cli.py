@@ -21,6 +21,7 @@ from . import aci, ensembles, fredholm, gapodes, pfaff, tau, toda, twotoda, vira
 from . import fd  # noqa: F401  (perfbench/tracer.py traces laxlab.fd)
 from .errors import NumericalError, UnderflowError, UsageError
 from .intervals import IntervalUnion
+from .mathcore import orthonormal_polys
 from .mathcore.ode import SEGMENTS, check_steps, segment_check
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_TOLERANCE = 0, 2, 3, 4
@@ -260,14 +261,14 @@ def run_toda_poly(args):
     ab = tau.refine_on_rule(w, w.support(), args.order, lambda x, wx: (
         toda.lanczos(x, wx * w.density(x), args.n + 1)))
     grid = parse_grid(args.grid)
-    vals = toda.orthopoly_eval(ab, grid)
+    vals = orthonormal_polys(ab, grid)[-1]
     if not np.all(np.isfinite(vals)):
         raise NumericalError(f"p_{args.n} overflows on the grid")
     rows = [{"z": z, "p_n": v} for z, v in zip(grid.tolist(), vals.tolist())]
     # on rules of 1.5 order 2^i nodes, none of them a rule behind ab
     norm = tau.refine_on_rule(
         w, w.support(), args.order + args.order // 2,
-        lambda x, wx: wx @ (toda.orthopoly_eval(ab, x) ** 2 * w.density(x)))
+        lambda x, wx: wx @ (orthonormal_polys(ab, x)[-1] ** 2 * w.density(x)))
     return _Result(rows, abs(norm - 1.0), tol=1e-8)
 
 

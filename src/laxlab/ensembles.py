@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, PrecisionError, UnderflowError, UsageError
-from .fredholm import hermite_functions
 from .gapodes import beta_ode_residual
 from .intervals import IntervalUnion
-from .mathcore import gauss_jacobi_rule, gauss_legendre_rule, lu_determinant, pfaffian
+from .mathcore import (gauss_jacobi_rule, gauss_legendre_rule, lu_determinant,
+                       orthonormal_polys, pfaffian)
 from .pfaff import skew_endpoint_series, skew_inner_products
 from .tau import (
     WeightSpec,
@@ -65,58 +65,29 @@ class EnsembleSpec:
             )
 
 
-def _laguerre_orthonormal(n, a, b, x):
-    """Rows k < n of c_k L_k^{(a)}(b x): orthonormal against x^a e^{-b x}."""
-    u = b * np.asarray(x, dtype=float)
-    polys = np.empty((n, len(u)))
-    polys[0] = 1.0
-    if n > 1:
-        polys[1] = 1.0 + a - u
-    for k in range(1, n - 1):
-        polys[k + 1] = (
-            (2.0 * k + 1.0 + a - u) * polys[k] - (k + a) * polys[k - 1]
-        ) / (k + 1.0)
-    for k in range(n):
-        scale = 0.5 * (
-            (a + 1.0) * math.log(b)
-            + math.lgamma(k + 1.0)
-            - math.lgamma(k + a + 1.0)
-        )
-        polys[k] *= math.exp(scale)
-    return polys
-
-
 def _gram_probability(e, E, order):
-    """det of the E-restricted Gram matrix of orthonormal functions.
+    """det of the E-restricted Gram matrix of the orthonormal polynomials.
 
     Over the full support the Gram matrix is the identity, so no
     normalizing integral is needed.
     """
     w, n = e.weight, e.n
+    gaussian = w.family == "gaussian"
+    cut = ((9.0 + n) / math.sqrt(w.b) if gaussian
+           else (70.0 + 10.0 * (n + w.a)) / w.b)
     G = np.zeros((n, n))
-    if w.family == "gaussian":
-        cut = (9.0 + float(n)) / math.sqrt(w.b)
-        for lo, hi in E.intervals:
-            lo, hi = max(lo, -cut), min(hi, cut)
-            if not lo < hi:
-                continue
-            x, wt = gauss_legendre_rule(order, (lo, hi))
-            f = hermite_functions(n, w.b, x)
-            G += (f * wt) @ f.T
-    else:
-        cut = (70.0 + 10.0 * (n + w.a)) / w.b
-        for lo, hi in E.intervals:
-            lo, hi = max(lo, 0.0), min(hi, cut)
-            if not lo < hi:
-                continue
-            if lo == 0.0 and w.a != 0.0:
-                x, wt = gauss_jacobi_rule(order, w.a, (lo, hi))
-            else:
-                x, wt = gauss_legendre_rule(order, (lo, hi))
-                wt = wt * x ** w.a
+    for lo, hi in E.intervals:
+        lo, hi = max(lo, -cut if gaussian else 0.0), min(hi, cut)
+        if not lo < hi:
+            continue
+        if lo == 0.0 and not gaussian and w.a != 0.0:
+            x, wt = gauss_jacobi_rule(order, w.a, (lo, hi))
             wt = wt * np.exp(-w.b * x)
-            f = _laguerre_orthonormal(n, w.a, w.b, x)
-            G += (f * wt) @ f.T
+        else:
+            x, wt = gauss_legendre_rule(order, (lo, hi))
+            wt = wt * w.density(x)
+        p = orthonormal_polys(w.recurrence(n), x)
+        G += (p * wt) @ p.T
     return lu_determinant(G)
 
 

@@ -28,7 +28,9 @@ from .mathcore import (
     gauss_jacobi_rule,
     gauss_legendre_rule,
     lu_determinant,
+    orthonormal_polys,
 )
+from .tau import WeightSpec
 
 # Ai(x)^2 < 1e-18 beyond this point; used to truncate (s, inf)
 AIRY_TAIL_CUT = 9.3
@@ -63,12 +65,11 @@ class KernelSpec:
 
 
 def _bessel_at_sqrt(nu, x):
-    """(sqrt x, J_nu(sqrt x), J_nu'(sqrt x)), one scalar call per entry."""
+    """(sqrt x, J_nu(sqrt x), J_nu'(sqrt x)) from J_nu and J_{nu+1}."""
     s = np.sqrt(x)
-    flat = s.ravel()
-    j = np.array([bessel_j(nu, t) for t in flat]).reshape(s.shape)
-    jp = np.array([bessel_j_prime(nu, t) for t in flat]).reshape(s.shape)
-    return s, j, jp
+    j = np.array([bessel_j(nu, t) for t in s.ravel()])
+    jp = np.array([bessel_j_prime(nu, t, jt) for t, jt in zip(s.ravel(), j)])
+    return s, j.reshape(s.shape), jp.reshape(s.shape)
 
 
 def _integrable(k, x):
@@ -87,20 +88,10 @@ def _integrable(k, x):
 
 def hermite_functions(N, b, z):
     """Orthonormal oscillator functions phi_k(z) = p_k(z) e^{-b z^2 / 2},
-    k < N, for the weight e^{-b z^2}, by the three-term recurrence."""
+    k < N, for the weight e^{-b z^2}, from its closed-form recurrence."""
     z = np.asarray(z, dtype=float)
-    u = math.sqrt(b) * z
-    phi = np.empty((N, len(z)))
-    phi0 = math.pi ** -0.25 * np.exp(-0.5 * u ** 2)
-    phi[0] = phi0
-    if N > 1:
-        phi[1] = math.sqrt(2.0) * u * phi0
-    for k in range(1, N - 1):
-        phi[k + 1] = (
-            u * phi[k] * math.sqrt(2.0 / (k + 1))
-            - phi[k - 1] * math.sqrt(k / (k + 1.0))
-        )
-    return b ** 0.25 * phi
+    return orthonormal_polys(WeightSpec("gaussian", b=b).recurrence(N), z,
+                             np.exp(-0.5 * b * z * z))
 
 
 def _hermite_kernel(N, b, y, z):

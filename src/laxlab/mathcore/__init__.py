@@ -14,6 +14,7 @@ from .quadrature import (
     gauss_legendre_rule,
     half_line_rule,
     interval_rule,
+    orthonormal_polys,
     union_rule,
 )
 from .special import (

@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules and the interval-union transforms built on them.
+"""Gauss rules, the interval-union transforms, orthonormal polynomials.
 
 Semi-infinite pieces are mapped algebraically, u = a + r*v/(1-v) with
 v in (0,1) and r the weight's decay length; the full line splits at 0.
@@ -80,6 +80,22 @@ def gauss_jacobi_rule(order, exponent, interval):
     except OverflowError as exc:
         raise NumericalError(f"jacobi weights overflow: {exc}") from exc
     return nodes, weights
+
+
+def orthonormal_polys(ab, z, scale=1.0):
+    """Rows scale * p_j(z), j <= m = ab.shape[1] - 1, from the recurrence
+    (a, b) = ab that toda.lanczos returns: p_0 = 1 / b_0 and b_{j+1} p_{j+1}
+    = (z - a_j) p_j - b_j p_{j-1}.  A weight factor in scale keeps a row
+    finite where p_j alone overflows; a value past the float range comes
+    back as inf or NaN, without a warning."""
+    a, b = ab
+    z = np.asarray(z, dtype=float)
+    p = np.empty((len(a),) + z.shape)
+    prev, p[0] = np.zeros_like(z), scale / b[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(a) - 1):
+            prev, p[j + 1] = p[j], ((z - a[j]) * p[j] - b[j] * prev) / b[j + 1]
+    return p
 
 
 def half_line_rule(endpoint, order, scale, increasing=True):

@@ -275,12 +275,11 @@ def bessel_j(nu, x):
     return _bessel_integral(nu, x)
 
 
-def bessel_j_prime(nu, x):
-    """Derivative J_nu'(x) via the two-sided recurrence."""
-    nu = float(nu)
-    if nu == 0.0:
-        return -bessel_j(1.0, x)
-    if nu - 1.0 <= -1.0:
-        # nu in (-1, 0) u {0}: use J' = J_{nu+1} shifted identity instead.
-        return bessel_j(nu + 1.0, x) * -1.0 + (nu / x) * bessel_j(nu, x)
-    return 0.5 * (bessel_j(nu - 1.0, x) - bessel_j(nu + 1.0, x))
+def bessel_j_prime(nu, x, j=None):
+    """Derivative J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x) for nu > -1 and
+    x > 0; j is J_nu(x), when the caller has it already."""
+    if not x > 0.0:
+        raise DomainError("bessel_j_prime requires x > 0")
+    if j is None:
+        j = bessel_j(nu, x)
+    return (nu / x) * j - bessel_j(nu + 1.0, x)

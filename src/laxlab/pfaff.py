@@ -67,6 +67,13 @@ class SkewMoments:
         return self.m[:n2, :n2]
 
 
+def _wronskian(mu, size):
+    """The Wronskian pairing (j - i) mu_{i+j-1}, i, j < size, of the moment
+    sequence mu: 0 on the diagonal, where the index is -1 at i = j = 0."""
+    i = np.arange(size)
+    return (i - i[:, None]) * mu[np.maximum(np.add.outer(i, i) - 1, 0)]
+
+
 def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
     """Skew moment matrix mu_{ij}, 0 <= i,j < 2N.
 
@@ -75,32 +82,25 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
     quadrature ever straddles the sign kink.
 
     alpha = +1: mu_{ij} = (j - i) * integral of y^{i+j-1} rho(y) over E
-    (the Wronskian pairing).
+    (the Wronskian pairing), from the refined moments of hankel_moments.
 
     The orientation of both pairings is pinned by requiring tau_2 > 0 for
     a positive weight, so that the Pfaffian tau functions match the
     positive ensemble integrals they represent.
     """
-    if E is None:
-        E = w.support()
-    else:
-        E = E.intersect(w.support())
+    E = w.support() if E is None else E.intersect(w.support())
     E.require_nonempty()
     if not w.has_decay() and not E.is_bounded():
         raise DivergenceError("weight does not decay on an unbounded domain")
     size = 2 * N
-    scale = w.decay_scale()
     mu = np.zeros((size, size))
-    nodes, weights = union_rule(E, order, scale)
     # an overflow below leaves inf or NaN in mu, which raises DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         if alpha == 1:
-            raw = weighted_powers(w, nodes, weights, 2 * size)
-            for i in range(size):
-                for j in range(i + 1, size):
-                    mu[i, j] = (j - i) * raw[i + j - 1]
-                    mu[j, i] = -mu[i, j]
+            mu = _wronskian(hankel_moments(w, E, 2 * size - 3, order).mu, size)
         elif alpha == -1:
+            scale = w.decay_scale()
+            nodes, weights = union_rule(E, order, scale)
             total = weighted_powers(w, nodes, weights, size)
             # antiderivative table: F_j(y) = int_{E, z < y} z^j rho(z) dz,
             # evaluated by the rule on E cut at y (integrands stay smooth)
@@ -116,10 +116,7 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
                 # int y^i rho(y) (T_j - 2 F_j(y)) dy for all j at once
                 ymoments[i] = outer @ inner
                 outer = outer * nodes
-            for i in range(size):
-                for j in range(i + 1, size):
-                    mu[i, j] = 0.5 * (ymoments[i, j] - ymoments[j, i])
-                    mu[j, i] = -mu[i, j]
+            mu = 0.5 * (ymoments - ymoments.T)
     if not np.all(np.isfinite(mu)):
         raise DivergenceError("skew moments diverge on this domain")
     return SkewMoments(m=mu, alpha=alpha, weight=w, E=E)
@@ -138,8 +135,7 @@ def skew_endpoint_series(m, c, sigma, order):
     i = np.arange(size)
     if m.alpha == 1:
         u = w.jet(c, 2 * size - 3, order)
-        idx = np.maximum(np.add.outer(i, i) - 1, 0)
-        return [replace(m, m=sigma * (i - i[:, None]) * u[idx, r - 1] / r)
+        return [replace(m, m=_wronskian(sigma * u[:, r - 1] / r, size))
                 for r in range(1, order + 1)]
     u = w.jet(c, size - 1, order)
 

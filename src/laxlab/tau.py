@@ -104,6 +104,26 @@ class WeightSpec:
     def has_decay(self):
         return self.family in ("gaussian", "laguerre")
 
+    def recurrence(self, n):
+        """The recurrence coefficients (a, b) of the first n orthonormal
+        polynomials, in toda.lanczos's format, in closed form: a_k = 0,
+        b_0 = (pi/b)^{1/4} and b_k = sqrt(k/(2b)) (gaussian), or
+        a_k = (2k + 1 + a)/b, b_0^2 = Gamma(a + 1) b^{-(a+1)} and
+        b_k = sqrt(k(k + a))/b (laguerre), at time 0 only."""
+        if self.family not in ("gaussian", "laguerre") or any(self.times):
+            raise UsageError(f"no closed-form recurrence for the {self.family} "
+                             "weight at these times")
+        k = np.arange(float(n))
+        if self.family == "gaussian":
+            ab = np.stack([np.zeros(n), np.sqrt(k / (2.0 * self.b))])
+            ab[1, 0] = (math.pi / self.b) ** 0.25
+        else:
+            ab = np.stack([(2.0 * k + 1.0 + self.a) / self.b,
+                           np.sqrt(k * (k + self.a)) / self.b])
+            ab[1, 0] = math.exp(0.5 * (math.lgamma(self.a + 1.0)
+                                       - (self.a + 1.0) * math.log(self.b)))
+        return ab
+
     def jet(self, c, kmax, order):
         """Taylor coefficients u[k, r] = [h^r] (c + h)^k rho(c + h) for
         k = 0..kmax and r < order, from rho(c + h) = rho(c) e^{-b(2ch + h^2)}

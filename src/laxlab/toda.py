@@ -142,16 +142,3 @@ def toda_factorization_flow(L0, k, t_end):
     q = np.stack(qs)
     return tridiagonal(q.swapaxes(-1, -2) @ L0 @ q)
 
-
-def orthopoly_eval(ab, z):
-    """p_m(z) for m = ab.shape[1] - 1, by the three-term recurrence on the
-    coefficients lanczos returns: <p_m, p_m> = 1 and the leading
-    coefficient is positive.  A value past the float range comes back as
-    inf or NaN, without a warning."""
-    a, b = ab
-    z = np.asarray(z, dtype=float)
-    prev, cur = np.zeros_like(z), np.full_like(z, 1.0 / b[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(a) - 1):
-            prev, cur = cur, ((z - a[j]) * cur - b[j] * prev) / b[j + 1]
-    return cur

@@ -449,6 +449,10 @@ def test_other_commands_exit_cleanly(argv):
     ("ensemble gap --beta 4 --n 6 --interval=-inf:-1.5", EXIT_NUMERICAL),
     # a report path that cannot be opened
     ("ensemble gap --out /nonexistent/x.json", EXIT_USAGE),
+    # the Wronskian moments reach z^13 on (-inf, 3.5], which a single
+    # order-64 rule resolves only to 4.9e-6 and 1.2e-3 against the gates
+    ("ensemble gap --beta 4 --interval=-inf:3.5", 0),
+    ("ensemble inductive --beta 4 --n 2 --grid 3:3:1", 0),
 ])
 def test_inputs_that_raised_tracebacks_exit_cleanly(argv, code):
     with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \

@@ -17,7 +17,7 @@ from laxlab.fredholm import (
     scaling_limit_error,
 )
 from laxlab.intervals import IntervalUnion
-from laxlab.mathcore import airy_ai_vec, gauss_legendre_rule
+from laxlab.mathcore import airy_ai_vec, gauss_legendre_rule, special
 from laxlab.tau import logdet_partials
 
 
@@ -143,6 +143,21 @@ def test_kernel_table_takes_the_diagonal_form_only_where_it_is_used(
     monkeypatch.undo()
     assert np.array_equal(np.diagonal(table),
                           [kernel_eval(KernelSpec("bessel"), v, v) for v in x])
+
+
+def test_bessel_nystrom_matrix_takes_two_scalar_calls_per_node(monkeypatch):
+    # J_nu and J_{nu+1} at each node: J_nu' reuses the caller's J_nu
+    calls = []
+    for module in (fredholm, special):
+        def counted(nu, x, real=module.bessel_j):
+            calls.append(nu)
+            return real(nu, x)
+
+        monkeypatch.setattr(module, "bessel_j", counted)
+    _, x, _ = nystrom_matrix(KernelSpec("bessel", nu=1.0),
+                             IntervalUnion([(0.0, 2.0)]), 8)
+    assert len(x) == 8
+    assert sorted(calls) == [1.0] * 8 + [2.0] * 8
 
 
 def test_kernel_spec_validation():

@@ -450,7 +450,7 @@ def test_bessel_against_mpmath():
 
 
 def test_bessel_prime_against_mpmath():
-    for nu in [0.0, 0.25]:
+    for nu in [-0.5, 0.0, 0.25, 1.0, 2.5]:
         for x in [0.5, 3.0, 12.0, 50.0]:
             ref = float(mpmath.besselj(nu, x, 1))
             assert abs(bessel_j_prime(nu, x) - ref) < 1e-11, (nu, x)
@@ -461,6 +461,8 @@ def test_bessel_domain_errors():
         bessel_j(-1.5, 1.0)
     with pytest.raises(DomainError):
         bessel_j(0.0, -1.0)
+    with pytest.raises(DomainError):
+        bessel_j_prime(1.0, 0.0)
 
 
 def test_airy_taylor_coefficients_match_mpmath():

@@ -25,7 +25,7 @@ from laxlab.pfaff import (
     skew_inner_products,
     skew_endpoint_series,
 )
-from laxlab.tau import WeightSpec
+from laxlab.tau import WeightSpec, weighted_powers
 from skew_reference import block_j, skew_from_matrix
 
 
@@ -150,12 +150,33 @@ def test_divergent_rejected():
         )
 
 
+def test_wronskian_moments_match_a_fine_rule():
+    # z^13 rho on (-inf, 3.5]: the entries reach 284, and a single order-64
+    # rule is off by 0.245
+    w, E, size = gaussian_weight(), IntervalUnion([(-math.inf, 3.5)]), 8
+    x, wx = union_rule(E, 1024, w.decay_scale())
+    raw = weighted_powers(w, x, wx, 2 * size)
+    want = np.zeros((size, size))
+    for i in range(size):
+        for j in range(i + 1, size):
+            want[i, j] = (j - i) * raw[i + j - 1]
+            want[j, i] = -want[i, j]
+    got = skew_inner_products(w, E, alpha=1, N=size // 2).m
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_overflowing_wronskian_moments_raise_without_a_warning():
-    # (j - i) raw_{i+j-1} overflows where raw itself is still finite
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError):
-            skew_inner_products(WeightSpec("laguerre"), alpha=1, N=48)
+    for w, N in (
+        # the moments reach z^189, past the float range
+        (WeightSpec("laguerre"), 48),
+        # every moment is finite, but 3 mu_2 is not
+        (WeightSpec("custom", func=lambda z: np.full_like(z, 5.6e307),
+                    custom_support=IntervalUnion([(0.5, 1.5)])), 2),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                skew_inner_products(w, alpha=1, N=N)
 
 
 def eps_moments_per_node(w, E, N, order):

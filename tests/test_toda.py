@@ -4,16 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from laxlab.errors import NumericalError, SingularTauError, StabilityError
+from laxlab.errors import (
+    NumericalError,
+    SingularTauError,
+    StabilityError,
+    UsageError,
+)
 from evolution_reference import reference_hankel
-from laxlab.mathcore import union_rule
+from laxlab.mathcore import orthonormal_polys, union_rule
 from laxlab.mathcore.ode import SEGMENTS
 from laxlab.tau import WeightSpec, hankel_moments, refine_on_rule
 from laxlab.toda import (
     FACTORIZATION_FLOW_SCALE,
     jacobi_matrix,
     lanczos,
-    orthopoly_eval,
     toda_factorization_flow,
     toda_measure_flow,
     toda_ode_flow,
@@ -334,7 +338,7 @@ def test_three_route_agreement():
 # ----- orthonormal polynomials -----
 
 def orthopoly(w, n, z):
-    return orthopoly_eval(weight_recurrence(w, n + 1, ()), z)
+    return orthonormal_polys(weight_recurrence(w, n + 1, ()), z)[-1]
 
 
 def test_orthopoly_degree_zero():
@@ -384,3 +388,22 @@ def test_eigenvector_property_three_term_recurrence():
         p = np.array([orthopoly(gaussian_weight(), j, z) for j in range(n)])
         resid = L @ p - z * p
         assert np.abs(resid[: n - 1]).max() < 1e-9
+
+
+@pytest.mark.parametrize("w", [
+    gaussian_weight(), gaussian_weight(2.5), WeightSpec("laguerre"),
+    WeightSpec("laguerre", a=1.0), WeightSpec("laguerre", a=2.5),
+])
+def test_closed_form_recurrence_matches_lanczos(w):
+    # lanczos on the weight's refined rule, as toda poly builds it
+    want = weight_recurrence(w, 8, ())
+    got = w.recurrence(8)
+    assert got.shape == (2, 8)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("w", [uniform_weight(),
+                               WeightSpec("gaussian", times=[0.0, 0.1])])
+def test_closed_form_recurrence_needs_a_classical_weight_at_time_0(w):
+    with pytest.raises(UsageError):
+        w.recurrence(4)
