@@ -28,13 +28,14 @@ from .errors import (
     StabilityError,
     UsageError,
 )
+from .mathcore.linalg import expm, sqrtm
 from .mathcore.ode import SEGMENTS, check_steps, rk4, segment_check
 
 SYSTEM_KINDS = ("euler", "geodesic", "neumann", "central_force")
 INVARIANT_DRIFT_TOL = 1e-6
 CONDITIONED_SIZE = 6
 # spectral-parameter values outside every Chebyshev grid of the curve fit
-HELD_OUT_H = (-1.0, 0.5, 1.0)
+HELD_OUT_H = np.array([-1.0, 0.5, 1.0])
 # AKS factorization: the block Toeplitz system has at most AKS_ROWS rows
 # (below 100, LAPACK's solve stays single-threaded in OpenBLAS, so the
 # result does not depend on the thread count); the circle carries 4 points
@@ -204,9 +205,9 @@ def aci_flow(a0, f_kind, t_end, step):
     return a0.like(rk4(rhs, a0.stack, t_end, step, guard))
 
 
-def _circle_spectrum(stack, radius, points):
-    """(h, a(h), eigenvalues of a(h) h^-m) at h = radius e^{2 pi i p /
-    points}; a non-finite sample raises NumericalError."""
+def _circle(stack, radius, points):
+    """(h, a(h), a(h) h^-m) at h = radius e^{2 pi i p / points}; a
+    non-finite sample raises NumericalError."""
     m = len(stack) - 1
     h = radius * np.exp(2j * np.pi * np.arange(points) / points)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,20 +215,25 @@ def _circle_spectrum(stack, radius, points):
         scaled = a_h / h[:, None, None] ** m
     if not np.all(np.isfinite(scaled)):
         raise NumericalError("Lax polynomial is not finite on the AKS circle")
+    return h, a_h, scaled
+
+
+def _circle_spectrum(stack, radius, points):
+    """(h, eigenvalues of a(h) h^-m) on the circle of _circle."""
+    h, _, scaled = _circle(stack, radius, points)
     try:
-        lam, vec = np.linalg.eig(scaled)
+        return h, np.linalg.eigvals(scaled)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"AKS spectrum: {exc}") from exc
-    return h, a_h, lam, vec
 
 
-def _f_prime(f_kind, lam):
-    """f' on complex eigenvalues: sqrt x, 1/x or x."""
+def _f_prime(f_kind, s):
+    """f' of each matrix of a (..., n, n) stack: sqrtm, inverse or itself."""
     if f_kind == "euler":
-        return np.sqrt(lam)
+        return sqrtm(s)
     if f_kind in ("geodesic", "central_force"):
-        return 1.0 / lam
-    return lam
+        return np.linalg.inv(s)
+    return s
 
 
 def _aks_rule(n):
@@ -254,16 +260,17 @@ def aks_plan(a, f_kind, t):
     radius = 1.0
     if f_kind != "neumann":
         for k in range(AKS_MAX_DOUBLINGS):
-            lam = _circle_spectrum(stack, 2.0 ** k, points)[2]
+            lam = _circle_spectrum(stack, 2.0 ** k, points)[1]
             if lam.real.min() > 0.0:
                 radius = 2.0 ** (k + math.ceil(52 / blocks))
                 break
         else:
             raise NumericalError(
                 "no AKS radius keeps the spectrum in f's domain")
-    h, _, lam, _ = _circle_spectrum(stack, radius, points)
+    h, lam = _circle_spectrum(stack, radius, points)
+    f_lam = _f_prime(f_kind, lam[..., None, None])[..., 0, 0]
     with np.errstate(over="ignore"):
-        need = abs(t) * np.abs(h[:, None] * _f_prime(f_kind, lam)).max()
+        need = abs(t) * np.abs(h[:, None] * f_lam).max()
     if not need <= AKS_GROWTH * AKS_MAX_SUBSTEPS:
         raise NumericalError(
             f"AKS flow needs more than {AKS_MAX_SUBSTEPS} sub-steps")
@@ -272,8 +279,8 @@ def aks_plan(a, f_kind, t):
 
 def _aks_step(stack, f_kind, tau, radius):
     """a(tau) = u^-1 a u with exp(tau h f'(a h^-m)) u = g_+ holomorphic
-    inside |h| = radius and u = I + sum_{k <= K} u_k h^-k: one batched eig,
-    one block Toeplitz (Wiener-Hopf) solve, FFTs.
+    inside |h| = radius and u = I + sum_{k <= K} u_k h^-k: one batched
+    expm of tau h f', one block Toeplitz (Wiener-Hopf) solve, FFTs.
 
     Returns the real coefficients of a(tau) and the tail: the largest
     Laurent coefficient of u^-1 a u on the circle outside h^0 .. h^m, or
@@ -283,14 +290,11 @@ def _aks_step(stack, f_kind, tau, radius):
     """
     m, n = len(stack) - 1, stack.shape[-1]
     blocks, points = _aks_rule(n)
-    h, a_h, lam, vec = _circle_spectrum(stack, radius, points)
+    h, a_h, scaled = _circle(stack, radius, points)
     k = np.arange(1, blocks + 1)
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            grow = np.exp(tau * h[:, None] * _f_prime(f_kind, lam))
-            # G = V diag(grow) V^-1 is the transpose of V^-T (diag(grow) V^T)
-            vt = vec.transpose(0, 2, 1)
-            g = np.linalg.solve(vt, grow[:, :, None] * vt).transpose(0, 2, 1)
+            g = expm(tau * h[:, None, None] * _f_prime(f_kind, scaled))
         # coef[j mod points] = G_j, the Laurent coefficient of w^j, h = R w
         coef = np.fft.fft(g, axis=0) / points
         toeplitz = coef[(k[None, :] - k[:, None]) % points]  # [l, k]: G_{k-l}
@@ -330,60 +334,71 @@ def aks_flow(a0, f_kind, t, plan=None):
     return a0.like(stack), total
 
 
-def spectral_curve_coeffs(a):
-    """Coefficients q_{k, l} of det(z I - a(h)) = z^N + sum q_{k, l} h^k z^l.
+def _char_polys(a, h):
+    """Rows [1, c_{N-1}, ..., c_0] of det(z I - a(h)), shape (batch, len(h),
+    N + 1), for a with one batch axis: one eigvals call, then np.poly's
+    product of the z - root, vectorised in its order of operations."""
+    try:
+        roots = -np.linalg.eigvals(a.like(a.stack[:, None])(h[:, None, None]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"spectral curve: {exc}") from exc
+    poly = np.zeros((2,) + roots.shape[:-1] + (a.size + 1,))  # re, im
+    poly[0, ..., 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # as np.poly's
+        for k in range(a.size):
+            r, i = roots.real[..., k, None], roots.imag[..., k, None]
+            re, im = poly[0, ..., :k + 1], poly[1, ..., :k + 1]
+            poly[:, ..., 1:k + 2] = (
+                (poly[0, ..., 1:k + 2] + re * r) - im * i,
+                (poly[1, ..., 1:k + 2] + im * r) + re * i)
+    return poly[0]
 
-    The characteristic polynomial is sampled on a Chebyshev grid in h and
-    each z-coefficient is recovered by a Vandermonde solve (exact up to
-    rounding for the polynomial degrees involved).  Non-finite
-    coefficients raise NumericalError.
-    """
+
+def _curve_fit(a):
+    """(keys (k, l), rows q_{k, l}) of det(z I - a(h)) = z^N + sum q_{k, l}
+    h^k z^l for a with one batch axis: char polys on a Chebyshev grid in h,
+    a Vandermonde solve per z-power.  A non-finite q raises NumericalError."""
     N, m = a.size, a.degree
     if N > CONDITIONED_SIZE:
-        warnings.warn(
-            f"spectral-curve extraction at size {N} > {CONDITIONED_SIZE} "
-            "may be ill-conditioned",
-            stacklevel=2,
-        )
-    hmax = m * N
-    nodes = np.array(
-        [math.cos(math.pi * (r + 0.5) / (hmax + 1)) for r in range(hmax + 1)]
-    )
-    # char poly coefficients, row r: [1, c_{N-1}, ..., c_0] at h = nodes[r]
-    try:
-        table = np.array([np.real(np.poly(a(h))) for h in nodes])
-    except np.linalg.LinAlgError as exc:  # a non-finite a(h)
-        raise NumericalError(f"spectral curve: {exc}") from exc
-    out = {(0, N): 1.0}
+        warnings.warn(f"spectral-curve extraction at size {N} > "
+                      f"{CONDITIONED_SIZE} may be ill-conditioned",
+                      stacklevel=3)
+    nodes = np.array([math.cos(math.pi * (r + 0.5) / (m * N + 1))
+                      for r in range(m * N + 1)])
+    table = _char_polys(a, nodes)
+    keys, rows = [(0, N)], [np.ones((len(table), 1))]
     for ell in range(N):
         deg = m * (N - ell)
-        pts = nodes[: deg + 1]
-        vand = np.vander(pts, deg + 1, increasing=True)
+        vand = np.vander(nodes[: deg + 1], deg + 1, increasing=True)
         try:
-            sol = np.linalg.solve(vand, table[: deg + 1, N - ell])
+            # single right-hand sides: a multi-column solve rounds otherwise
+            rows.append(np.linalg.solve(
+                vand, table[:, : deg + 1, N - ell, None])[..., 0])
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("singular Vandermonde system") from exc
-        for k, q in enumerate(sol):
-            out[(k, ell)] = float(q)
-    if not all(math.isfinite(q) for q in out.values()):
+        keys += [(k, ell) for k in range(deg + 1)]
+    rows = np.concatenate(rows, axis=1)
+    if not np.all(np.isfinite(rows)):
         raise NumericalError("spectral-curve coefficients are not finite")
-    return out
+    return keys, rows
+
+
+def spectral_curve_coeffs(a):
+    """Coefficients q_{k, l} of det(z I - a(h)) = z^N + sum q_{k, l} h^k z^l,
+    as a dict {(k, l): q}: the batch-of-one _curve_fit."""
+    keys, rows = _curve_fit(a.like(a.stack[None]))
+    return dict(zip(keys, rows[0].tolist()))
 
 
 def spectral_curve_residual(a, q):
     """max |sum_k q_{k, l} h^k - [z^l] det(z I - a(h))| over l and the
     points HELD_OUT_H, which no fit in spectral_curve_coeffs uses,
     relative to max(1, the largest coefficient of det(z I - a(h)))."""
-    N = a.size
-    worst = 0.0
-    scale = 1.0
-    for h in HELD_OUT_H:
-        direct = np.real(np.poly(a(h)))
-        scale = max(scale, float(np.abs(direct).max()))
-        for ell in range(N + 1):
-            fit = sum(v * h**k for (k, l), v in q.items() if l == ell)
-            worst = max(worst, abs(fit - direct[N - ell]))
-    return worst / scale
+    direct = _char_polys(a.like(a.stack[None]), HELD_OUT_H)[0]
+    fit = np.zeros_like(direct)
+    for (k, ell), v in q.items():
+        fit[:, a.size - ell] += v * HELD_OUT_H ** k
+    return float(np.abs(fit - direct).max() / max(1.0, np.abs(direct).max()))
 
 
 def route_report(a0, f_kind, t_end, step):
@@ -397,8 +412,6 @@ def route_report(a0, f_kind, t_end, step):
     (the summed AKS tail).
     """
     check_steps(t_end, step)
-    base = spectral_curve_coeffs(a0)
-    scale = max(1.0, max(abs(v) for v in base.values()))
     segment = t_end / SEGMENTS
     plan = aks_plan(a0, f_kind, segment)
     aks, tail = [a0], 0.0
@@ -410,8 +423,6 @@ def route_report(a0, f_kind, t_end, step):
     ends, gap = segment_check(
         lambda starts, seg: aci_flow(a0.like(starts), f_kind, seg, step).stack,
         stacks, segment)
-    drift = 0.0
-    for stack in (*stacks[1:], *ends):
-        now = spectral_curve_coeffs(a0.like(stack))
-        drift = max(drift, max(abs(now[key] - base[key]) for key in base))
-    return {"curve_drift": drift / scale, "aks_rk4_gap": gap, "aks_tail": tail}
+    q = _curve_fit(a0.like(np.concatenate([stacks, ends])))[1]
+    drift = np.abs(q[1:] - q[0]).max() / max(1.0, np.abs(q[0]).max())
+    return {"curve_drift": float(drift), "aks_rk4_gap": gap, "aks_tail": tail}

@@ -1,6 +1,7 @@
 """Dense linear algebra, quadrature, and special functions."""
 
 from .linalg import (
+    expm,
     lu_determinant,
     pfaffian,
     qr_decompose,

@@ -4,7 +4,7 @@ Standard factorizations (LU determinant, QR, symmetric eigensolve) wrap
 numpy's LAPACK bindings behind the conventions the rest of the library
 relies on.  The skew-symmetric pieces (Pfaffian via Parlett-Reid
 elimination, skew-Borel decomposition onto the block lower-triangular
-group) are implemented here directly.
+group) and the matrix exp and square root are implemented here directly.
 """
 
 import numpy as np
@@ -12,12 +12,19 @@ import numpy as np
 from ..errors import (
     DegenerateFlagError,
     DimensionError,
+    NumericalError,
     SingularMatrixError,
     SymmetryError,
 )
 
 SKEW_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
+# Pade-13 coefficients and reach (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+PADE13 = (64764752532480000, 32382376266240000, 7771770303897600,
+          1187353796428800, 129060195264000, 10559470521600, 670442572800,
+          33522128640, 1323241920, 40840800, 960960, 16380, 182, 1)
+THETA13 = 5.371920351148152
+SQRTM_MAX_ITERATIONS = 100
 
 
 def _as_square(m, stack=False):
@@ -166,3 +173,44 @@ def symmetric_eigensystem(m):
     """(eigenvalues, eigenvectors) of a symmetric matrix, ascending."""
     m = _require_symmetric(m)
     return np.linalg.eigh(m)
+
+
+def expm(a):
+    """exp of each matrix of a (..., n, n) stack: the Pade-13 approximant
+    of a / 2^s squared s times, s >= 0 least with 1-norm / 2^s < THETA13.
+    A non-finite matrix comes back non-finite."""
+    s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / THETA13)[1].clip(0)
+    a = a / (2.0 ** s)[..., None, None]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+
+    def part(c):  # the even (c = b_0, b_2, ...) or odd part's polynomial
+        return (a6 @ (c[6] * a6 + c[5] * a4 + c[4] * a2) + c[3] * a6
+                + c[2] * a4 + c[1] * a2 + c[0] * np.eye(a.shape[-1]))
+    u, v = a @ part(PADE13[1::2]), part(PADE13[::2])
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        r = np.where((s > k)[..., None, None], r @ r, r)
+    return r
+
+
+def sqrtm(a):
+    """Principal square root of each matrix of a (..., n, n) stack: from
+    Y = M = A, Y <- Y (I + M^-1) / 2 -> A^(1/2), M <- (I + (M + M^-1) / 2) / 2
+    -> I (product-form Denman-Beavers) until one step after max|M - I| <=
+    sqrt(eps), else NumericalError after SQRTM_MAX_ITERATIONS steps."""
+    y = m = a
+    ident = np.eye(m.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(SQRTM_MAX_ITERATIONS):
+            done = np.abs(m - ident).max(initial=0.0) <= np.sqrt(EPS)
+            try:
+                inv = np.linalg.inv(m)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"matrix square root: {exc}") from exc
+            y, m = 0.5 * (y @ (ident + inv)), 0.5 * (ident + 0.5 * (m + inv))
+            if done:
+                return y
+    raise NumericalError(
+        f"matrix square root: no convergence in {SQRTM_MAX_ITERATIONS} steps")

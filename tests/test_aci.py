@@ -257,6 +257,26 @@ def test_curve_conserved_along_flows():
         assert route_report(a0, f_kind, 2.0, 1e-3)["curve_drift"] < 1e-9
 
 
+def test_curve_pass_is_np_poly_to_the_bit():
+    # one eigvals call for every stack and node reproduces np.poly per
+    # matrix, and a batch (roots complex for one member, real for another)
+    # fits each member as it fits alone
+    for kind in SYSTEM_KINDS:
+        a0 = build_system(kind, ALPHA, x=X, y=Y)
+        batch = a0.like(np.stack([a0.stack, build_system(kind, ALPHA).stack,
+                                  aci_flow(a0, kind, 0.3, 1e-2).stack]))
+        h = np.array([-0.9, -0.25, 0.1, 0.6, 1.0])
+        table = aci._char_polys(batch, h)
+        for member, rows in zip(batch.stack, table):
+            a = a0.like(member)
+            want = np.array([np.real(np.poly(a(x))) for x in h])
+            assert np.array_equal(rows, want)
+        keys, rows = aci._curve_fit(batch)
+        for member, row in zip(batch.stack, rows):
+            alone = spectral_curve_coeffs(a0.like(member))
+            assert list(alone) == keys and list(alone.values()) == list(row)
+
+
 def test_curve_residual_sees_a_wrong_coefficient():
     for kind in ("euler", "neumann", "central_force"):
         a = build_system(kind, ALPHA, x=X, y=Y)
@@ -389,6 +409,47 @@ def test_route_report_plans_once(monkeypatch):
     assert len(calls) == 1 and calls[0][2] == 10.0 / SEGMENTS
 
 
+def test_route_report_eigensolves(monkeypatch):
+    # no eig anywhere, none in an AKS sub-step, one eigvals for the curves
+    calls, inside = [], {}
+    for name in ("eig", "eigvals"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for name in ("_aks_step", "_curve_fit"):
+        def watched(*args, _name=name, _real=getattr(aci, name)):
+            before = len(calls)
+            out = _real(*args)
+            inside.setdefault(_name, []).append(calls[before:])
+            return out
+        monkeypatch.setattr(aci, name, watched)
+    a0 = build_system("euler", ALPHA, x=X, y=Y)
+    route_report(a0, "euler", 10.0, 1e-2)
+    assert "eig" not in calls
+    assert len(inside["_aks_step"]) >= SEGMENTS
+    assert all(made == [] for made in inside["_aks_step"])
+    assert inside["_curve_fit"] == [["eigvals"]]
+
+
+@pytest.mark.parametrize("f_kind, f_prime", [
+    ("euler", np.sqrt),
+    ("geodesic", lambda lam: 1.0 / lam),
+    ("central_force", lambda lam: 1.0 / lam),
+    ("neumann", lambda lam: lam),
+])
+def test_f_prime_matrix_functions_match_the_eigen_route(f_kind, f_prime):
+    rng = np.random.default_rng(41)
+    v = np.eye(3) + 0.3 * (rng.normal(size=(6, 3, 3))
+                           + 1j * rng.normal(size=(6, 3, 3)))
+    lam = rng.uniform(0.5, 5.0, size=(6, 3)) * np.exp(
+        1j * rng.uniform(-1.3, 1.3, size=(6, 3)))
+    vinv = np.linalg.inv(v)
+    want = v @ (f_prime(lam)[:, :, None] * vinv)
+    got = aci._f_prime(f_kind, v @ (lam[:, :, None] * vinv))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_aks_flow_backward_returns_to_start():
     a0 = build_system("central_force", ALPHA, x=X, y=Y)
     there, _ = aks_flow(a0, "central_force", 1.5)
@@ -422,7 +483,7 @@ def test_aks_nonfinite_sample_is_numerical_error(monkeypatch):
     def failing(*args):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eig", failing)
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
     with pytest.raises(NumericalError, match="AKS spectrum"):
         aks_flow(a0, "neumann", 1.0)
 

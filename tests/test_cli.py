@@ -481,6 +481,18 @@ def test_aci_run_gates_on_the_route_gap():
         assert main(["aci", "run", "--step", "2e-3", "--check"]) == 0
 
 
+def test_aci_run_is_not_limited_by_eigenvector_conditioning():
+    # eigenvalues of a(h) h^-m coalesce on this flow's AKS circle: an
+    # eigendecomposition-based exp(tau h f'(a h^-m)) put the route gap at
+    # 8.8e-10 here, against the 1e-10 gate
+    report, code, _ = dispatch(
+        ["aci", "run", "--kind", "euler", "--f-kind", "geodesic", "--alpha",
+         "1.5,2", "--x", "0.3,2", "--y", "4,0", "--t-end=-0.5", "--check"])
+    rows = {row["metric"]: row["value"] for row in report.rows}
+    assert code == 0
+    assert rows["aks_rk4_gap"] <= 1e-12
+
+
 def test_aci_run_report_independent_of_blas_threads():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     outputs = set()

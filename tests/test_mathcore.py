@@ -8,11 +8,13 @@ from laxlab.errors import (
     DegenerateFlagError,
     DimensionError,
     DomainError,
+    NumericalError,
     SymmetryError,
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import quadrature
+from laxlab.mathcore.linalg import sqrtm
 from laxlab.mathcore.ode import GUARD_INTERVAL, MAX_STEPS, rk4
 from laxlab.mathcore.special import AIRY_MIN_ARG, AIRY_UNDERFLOW
 from laxlab.mathcore import (
@@ -24,6 +26,7 @@ from laxlab.mathcore import (
     bessel_j_prime,
     bessel_sqrt_taylor_coefficients,
     cut_rules,
+    expm,
     gauss_legendre_rule,
     interval_rule,
     lu_determinant,
@@ -251,6 +254,54 @@ def test_symmetric_eigen_trace_det():
 def test_symmetric_eigen_rejects_asymmetric():
     with pytest.raises(SymmetryError):
         symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# ----- matrix functions -----
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_expm_matches_scipy(n):
+    # 1-norms from 1e-3 to 1e2 in one batch, so both the unscaled Pade
+    # step and up to five squarings run
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(31 + n)
+    norms = np.logspace(-3, 2, 11)
+    a = rng.normal(size=(11, n, n)) + 1j * rng.normal(size=(11, n, n))
+    a *= (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+    got = expm(a)
+    for g, x in zip(got, a):
+        want = linalg.expm(x)
+        assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_expm_of_a_real_diagonal_stack_is_real_and_diagonal():
+    d = np.array([[0.0, -1.0, 2.0], [30.0, 0.5, -7.0]])
+    got = expm(d[:, :, None] * np.eye(3))
+    assert got.dtype == float
+    diag = np.diagonal(got, axis1=-2, axis2=-1)
+    assert np.all(got == diag[:, :, None] * np.eye(3))
+    assert np.abs(diag / np.exp(d) - 1.0).max() <= 1e-13
+
+
+def test_sqrtm_matches_the_eigen_square_root():
+    rng = np.random.default_rng(37)
+    v = np.eye(4) + 0.3 * rng.normal(size=(5, 4, 4))
+    lam = rng.uniform(0.5, 6.0, size=(5, 4)) * np.exp(
+        1j * rng.uniform(-1.2, 1.2, size=(5, 4)))
+    a = v @ (lam[:, :, None] * np.linalg.inv(v))
+    want = v @ (np.sqrt(lam)[:, :, None] * np.linalg.inv(v))
+    got = sqrtm(a)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(got @ got - a).max() <= 1e-13 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([-1.0, 2.0]),
+    np.array([[2.0, 1.0], [0.0, -1.5]]),
+    np.array([[math.nan, 0.0], [0.0, 1.0]]),
+])
+def test_sqrtm_off_the_principal_domain_is_numerical_error(m):
+    with pytest.raises(NumericalError, match="square root"):
+        sqrtm(m)
 
 
 # ----- quadrature -----
