@@ -397,26 +397,26 @@ def run_gapode_pii(args):
     grid = parse_grid(args.grid)
     res = gapodes.pii_residual(grid)
     rows = [{"A": a, "residual": abs(r)} for a, r in zip(grid.tolist(), res)]
-    return _Result(rows, float(np.abs(res).max()), tol=1e-4)
+    return _Result(rows, float(np.abs(res).max()), tol=1e-8)
 
 
 def run_gapode_pv(args):
     grid = parse_grid(args.grid)
     res = gapodes.pv_residual(args.nu, grid)
     rows = [{"A": a, "residual": abs(r)} for a, r in zip(grid.tolist(), res)]
-    return _Result(rows, float(np.abs(res).max()), tol=1e-4)
+    return _Result(rows, float(np.abs(res).max()), tol=1e-8)
 
 
 def run_gapode_airy_pde(args):
     E = IntervalUnion.parse(args.intervals)
     res = abs(gapodes.airy_pde_residual(E))
-    return _Result([{"intervals": args.intervals, "residual": res}], res, tol=1e-3)
+    return _Result([{"intervals": args.intervals, "residual": res}], res, tol=1e-10)
 
 
 def run_gapode_bessel_pde(args):
     E = IntervalUnion.parse(args.intervals)
     res = abs(gapodes.bessel_pde_residual(args.nu, E))
-    return _Result([{"intervals": args.intervals, "residual": res}], res, tol=1e-3)
+    return _Result([{"intervals": args.intervals, "residual": res}], res, tol=1e-10)
 
 
 def run_inductive(args):

@@ -11,9 +11,9 @@ Three layers:
 * two evaluators of those lists: ``apply`` on a tau function, for the
   constraint residual on ensembles.EnsembleTau of the weight evolved to
   the times t, whose time partials and endpoint derivatives are exact;
-  ``apply_poly`` on polynomials in t_1, t_2, ... with rational
-  coefficients, for the commutation relations and the central charge
-  without any rounding.
+  and the normal-ordered operator algebra (``as_operator``, ``compose``),
+  which checks the commutation relations and the central charge as
+  identities between operators, in exact rationals.
 
 Throughout, the multiplication-by-t terms carry the weight
 sigma = 1/beta: that weight is pinned by the translation and dilation
@@ -23,9 +23,10 @@ standard normalization.
 """
 
 import math
-import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -176,118 +177,52 @@ def virasoro_residual(w, beta, E, n, k, t=None, order=64):
 
 
 # ----------------------------------------------------------------------
-# exact polynomial algebra
+# exact operator algebra
 # ----------------------------------------------------------------------
 
-
-class TPoly:
-    """Polynomial in t_1, t_2, ... with rational coefficients, held as
-    integer numerators over one common positive denominator in lowest
-    terms; monomials are exponent tuples with trailing zeros trimmed."""
-
-    __slots__ = ("terms", "den")
-
-    def __init__(self, terms=None):
-        coeffs = {}
-        for exps, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                coeffs[_trim(exps)] = c
-        # reduced fractions over the lcm of their denominators are already
-        # in lowest terms
-        self.den = math.lcm(*(c.denominator for c in coeffs.values()))
-        self.terms = {e: c.numerator * (self.den // c.denominator)
-                      for e, c in coeffs.items()}
-
-    @classmethod
-    def _of(cls, terms, den):
-        """Nonzero numerators over den > 0, reduced to lowest terms."""
-        g = math.gcd(den, *terms.values())
-        if g > 1:
-            terms = {e: v // g for e, v in terms.items()}
-            den //= g
-        p = object.__new__(cls)
-        p.terms, p.den = terms, den
-        return p
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def max_index(self):
-        return max((len(e) for e in self.terms), default=0)
-
-    def max_abs_coeff(self):
-        return Fraction(max((abs(v) for v in self.terms.values()), default=0),
-                        self.den)
-
-    def _combine(self, other, sign):
-        den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        out = {e: v * fa for e, v in self.terms.items()}
-        for e, v in other.terms.items():
-            s = out.get(e, 0) + v * fb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return TPoly._of(out, den)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, Fraction):
-            scalar = Fraction(scalar)
-        if not scalar:
-            return TPoly()
-        num = scalar.numerator
-        return TPoly._of({e: num * v for e, v in self.terms.items()},
-                         self.den * scalar.denominator)
-
-    def mul_var(self, i):
-        """Multiply by t_i."""
-        out = {}
-        for e, v in self.terms.items():
-            e = e + (0,) * (i - len(e))
-            out[e[:i - 1] + (e[i - 1] + 1,) + e[i:]] = v
-        return TPoly._of(out, self.den)
-
-    def diff(self, i):
-        """d/dt_i."""
-        out = {}
-        for e, v in self.terms.items():
-            if i <= len(e) and e[i - 1] > 0:
-                out[_trim(e[:i - 1] + (e[i - 1] - 1,) + e[i:])] = v * e[i - 1]
-        return TPoly._of(out, self.den)
-
-    def __eq__(self, other):
-        return (isinstance(other, TPoly) and self.den == other.den
-                and self.terms == other.terms)
+COMMUTATOR_WINDOW = 6  # largest t and d/dt index of a compared monomial
 
 
-def _trim(exps):
-    exps = tuple(exps)
-    while exps and exps[-1] == 0:
-        exps = exps[:-1]
-    return exps
-
-
-def apply_poly(terms, p):
-    """The operator of a term list applied to a polynomial."""
-    out = TPoly()
+def as_operator(terms):
+    """A term list as a normal-ordered operator {(mul, diff): c}: every
+    t to the left of every d/dt, index tuples sorted, repeats summed."""
+    op = Counter()
     for c, mul, diff in terms:
-        q = p
-        for i in diff:
-            q = q.diff(i)
-        if q.is_zero:
-            continue
-        for i in mul:
-            q = q.mul_var(i)
-        out = out + c * q
+        op[tuple(sorted(mul)), tuple(sorted(diff))] += c
+    return op
+
+
+@cache
+def _normal_order(diff, mul):
+    """d/dt_diff prod t_mul in normal order, as (mul, diff, weight) with
+    integer weights: each d/dt_j either passes every t or takes one t_j."""
+    out = [(mul, (), 1)]
+    for j in diff:
+        step = []
+        for m, d, w in out:
+            step.append((m, d + (j,), w))
+            if j in m:
+                i = m.index(j)
+                step.append((m[:i] + m[i + 1:], d, w * m.count(j)))
+        out = step
+    return tuple(out)
+
+
+def compose(a, b):
+    """The operator a b (b acts first), normal-ordered."""
+    out = Counter()
+    for (m1, d1), c1 in a.items():
+        for (m2, d2), c2 in b.items():
+            c = c1 * c2
+            for m, d, w in _normal_order(d1, m2):
+                out[tuple(sorted(m1 + m)), tuple(sorted(d + d2))] += w * c
+    return out
+
+
+def commutator(a, b):
+    """[a, b] = a b - b a, normal-ordered."""
+    out = compose(a, b)
+    out.subtract(compose(b, a))
     return out
 
 
@@ -299,51 +234,36 @@ def central_charge(beta):
     return 1 - 3 * (beta - 2) ** 2 / beta
 
 
-def _random_poly(rng):
-    """Ten random monomials of degree <= 6 in t_1..t_6 (a repeat keeps the
-    last), with integer coefficients in [-9, 9]."""
-    terms = {}
-    for _ in range(10):
-        exps = [0] * 6
-        budget = rng.randint(0, 6)
-        while budget > 0:
-            i = rng.randrange(6)
-            exps[i] += 1
-            budget -= 1
-        terms[tuple(exps)] = Fraction(rng.randint(-9, 9))
-    return TPoly(terms)
+def virasoro_commutator_residuals(beta, pairs, n):
+    """Largest |coefficient|, for each (k, l) in pairs, of the operator
 
+        [V_k, V_l] - (k - l) V_{k+l} - c (k^3 - k)/12 delta_{k,-l}
 
-def virasoro_commutator_residuals(beta, pairs, n, trials=4):
-    """Max coefficient, for each (k, l) in pairs, over random test
-    polynomials, of
+    for the dressed operators, in exact rationals, over every
+    normal-ordered monomial whose t and d/dt indices are all at most
+    COMMUTATOR_WINDOW.
 
-        ([V_k, V_l] - (k - l) V_{k+l} - c (k^3 - k)/12 delta_{k,-l}) p
-
-    for the dressed operators, computed by exact rational polynomial
-    algebra.  Every pair meets the same test polynomials, and each
-    first-level V_j p is formed once for all of them."""
+    Each V_j is built once, with its dilation sums cut at
+    top = COMMUTATOR_WINDOW + max(|k|, |l|) over the pairs.  A term of
+    V_k V_l that reaches a monomial inside the window has every index at
+    most that top: an index that is not contracted lands in the monomial,
+    and a contracted d/dt_{m+k} leaves its t_m there.  dressed_terms(top)
+    holds every term whose d/dt index is at most top, so every compared
+    coefficient is exact, and a larger top changes none of them."""
     beta = Fraction(beta)
     c = central_charge(beta)
-    rng = random.Random(7)
-    worst = [Fraction(0)] * len(pairs)
-
-    def dressed(j, q):  # V_j q
-        return apply_poly(dressed_terms(j, beta, n, q.max_index()), q)
-
-    for _ in range(trials):
-        p = _random_poly(rng)
-        first = {}
-
-        def applied(j):  # V_j p, shared by the pairs
-            if j not in first:
-                first[j] = dressed(j, p)
-            return first[j]
-
-        for idx, (k, l) in enumerate(pairs):
-            res = (dressed(k, applied(l)) - dressed(l, applied(k))
-                   - (k - l) * applied(k + l))
-            if k + l == 0:
-                res = res - (c * Fraction(k ** 3 - k, 12)) * p
-            worst[idx] = max(worst[idx], res.max_abs_coeff())
-    return [float(v) for v in worst]
+    top = COMMUTATOR_WINDOW + max(max(abs(k), abs(l)) for k, l in pairs)
+    ops = {j: as_operator(dressed_terms(j, beta, n, top))
+           for j in {i for k, l in pairs for i in (k, l, k + l)}}
+    worst = []
+    for k, l in pairs:
+        res = commutator(ops[k], ops[l])
+        for key, v in ops[k + l].items():
+            res[key] -= (k - l) * v
+        if k + l == 0:
+            res[(), ()] -= c * Fraction(k ** 3 - k, 12)
+        worst.append(float(max(
+            (abs(v) for (mul, diff), v in res.items()
+             if max(mul + diff, default=0) <= COMMUTATOR_WINDOW),
+            default=0)))
+    return worst

@@ -6,13 +6,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxlab import aci, ensembles, pfaff, toda, twotoda
+from laxlab import aci, ensembles, gapodes, pfaff, toda, twotoda, virasoro
 from laxlab.cli import (
     EXIT_NUMERICAL,
     EXIT_TOLERANCE,
@@ -806,6 +807,40 @@ def test_virasoro_commutators_report():
     assert code == 0
     assert report.max_abs_residual == 0.0
     assert report.rows[-1]["central_charge"] == -2.0
+
+
+def test_a_mistuned_dressed_operator_fails_the_commutator_gate(monkeypatch):
+    # the dilation coefficient 2 sigma m (beta/2) at m = 2, off by 10 %
+    real = virasoro.dressed_terms
+
+    def mistuned(k, beta, n, top):
+        return [(c * Fraction(11, 10) if mul == (2,) and diff == (2 + k,)
+                 else c, mul, diff)
+                for c, mul, diff in real(k, beta, n, top)]
+
+    monkeypatch.setattr(virasoro, "dressed_terms", mistuned)
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["virasoro", "commutators", "--check"]) == EXIT_TOLERANCE
+
+
+@pytest.mark.parametrize("argv", [
+    "gapode pii --check",
+    "gapode pv --nu 1 --check",
+    "gapode airy-pde --intervals=-4:-1 --check",
+    "gapode bessel-pde --intervals 0:1.5,2:3 --check",
+])
+def test_a_top_jet_error_of_1e_6_fails_the_gapode_gates(argv, monkeypatch):
+    real = gapodes.logdet_partials
+
+    def bumped(*args):
+        jets = real(*args)
+        return jets[:-1] + [jets[-1] * (1 + 1e-6)]
+
+    monkeypatch.setattr(gapodes, "logdet_partials", bumped)
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv.split()) == EXIT_TOLERANCE
 
 
 def test_ensemble_gap_report():

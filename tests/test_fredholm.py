@@ -199,6 +199,17 @@ def test_det_order_self_consistency():
     assert 0.0 < val < 1.0
 
 
+@pytest.mark.parametrize("order", [64, 96])
+def test_hard_edge_det_at_nu_0_is_exponential(order):
+    # det(I - K_bessel on (0, s)) = exp(-s/4) at nu = 0: the smallest
+    # eigenvalue of a square Laguerre ensemble is exponential at the hard
+    # edge (Forrester, Nucl. Phys. B 402, 1993)
+    k = KernelSpec("bessel", nu=0.0)
+    for s in np.arange(0.5, 20.01, 0.5):
+        det = nystrom_det(k, IntervalUnion([(0.0, float(s))]), order)
+        assert det == pytest.approx(math.exp(-s / 4.0), rel=1e-12, abs=0.0)
+
+
 def test_trace_expansion_small_lambda():
     lam = 0.05
     E = IntervalUnion([(0.0, 1.0)])

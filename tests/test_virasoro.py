@@ -13,11 +13,11 @@ from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import gauss_legendre_rule
 from laxlab.tau import WeightSpec
 from laxlab.virasoro import (
-    TPoly,
-    _random_poly,
     apply,
-    apply_poly,
+    as_operator,
     central_charge,
+    commutator,
+    compose,
     dressed_terms,
     heisenberg_terms,
     virasoro_commutator_residuals,
@@ -284,125 +284,6 @@ def test_constraint_validation():
 
 # ----- exact operator algebra -----
 
-def test_commutators_close():
-    pairs = ((1, -1), (0, 1), (2, -1), (2, -2), (3, -3), (-1, 3))
-    for beta in (1, 2, 4):
-        assert max(virasoro_commutator_residuals(beta, pairs, n=3)) < 1e-10
-
-
-def test_central_charge_values():
-    assert central_charge(2) == 1
-    assert central_charge(1) == -2
-    assert central_charge(4) == -2
-    with pytest.raises(UsageError):
-        central_charge(0)
-
-
-def test_central_term_is_needed():
-    # dropping the central term (charge 0 instead of -2) must break the
-    # identity at an index pair where k^3 - k is nonzero
-    beta, k, l, n = 1, 2, -2, 3
-    rng = random.Random(7)
-    p = _random_poly(rng)
-    op = lambda kk, q: apply_poly(dressed_terms(kk, Fraction(beta), n,
-                                                q.max_index()), q)
-    res = op(k, op(l, p)) - op(l, op(k, p)) - (k - l) * op(k + l, p)
-    assert float(res.max_abs_coeff()) > 0.1
-    res = res - (central_charge(beta) * Fraction(k ** 3 - k, 12)) * p
-    assert res.is_zero
-
-
-def test_heisenberg_commutator():
-    rng = random.Random(3)
-    p = _random_poly(rng)
-    for beta in (1, 2, 4):
-        s = Fraction(1, beta)
-        op = lambda kk, q: apply_poly(heisenberg_terms(kk, s), q)
-        for k, l in ((1, -1), (2, -2), (1, 2)):
-            res = op(k, op(l, p)) - op(l, op(k, p))
-            expect = (Fraction(k) / beta) * p if k + l == 0 else TPoly()
-            assert (res - expect).is_zero
-
-
-def test_beta2_dressing_is_plain_sum():
-    # at beta = 2 the dressed operator collapses to J2 + 2n J1 + n^2 delta
-    rng = random.Random(11)
-    p = _random_poly(rng)
-    n = 3
-    for k in (-2, -1, 0, 1, 2):
-        top = p.max_index()
-        lhs = apply_poly(dressed_terms(k, Fraction(2), n, top), p)
-        # J2_k alone: at beta = 2, n = 0 the J1 and constant parts vanish
-        rhs = apply_poly(dressed_terms(k, Fraction(2), 0, top), p) + (
-            2 * n) * apply_poly(heisenberg_terms(k, Fraction(1, 2)), p)
-        if k == 0:
-            rhs = rhs + Fraction(n * n) * p
-        assert (lhs - rhs).is_zero
-
-
-def test_batched_commutators_match_one_pair_at_a_time():
-    pairs = [(1, -1), (0, 1), (2, -1), (2, -2), (3, -3), (-1, 3), (2, 1)]
-    for beta in (1, 2, 4):
-        batched = virasoro_commutator_residuals(beta, pairs, n=3)
-        assert batched == [virasoro_commutator_residuals(beta, [pair], n=3)[0]
-                           for pair in pairs]
-
-
-def test_commutators_form_each_first_level_operator_once(monkeypatch):
-    from laxlab import virasoro
-
-    calls, real = [], virasoro.dressed_terms
-
-    def counted(k, *args):
-        calls.append(k)
-        return real(k, *args)
-
-    monkeypatch.setattr(virasoro, "dressed_terms", counted)
-    pairs = [(1, -1), (0, 1), (2, -1), (2, -2), (3, -3), (-1, 3)]
-    virasoro_commutator_residuals(1, pairs, n=3, trials=2)
-    # per test polynomial: V_j p for j in {-3, ..., 3} once, then V_k V_l p
-    # and V_l V_k p for each pair
-    assert len(calls) == 2 * (7 + 2 * len(pairs))
-
-
-def evaluate(p, t):
-    """p at the point t, in exact rationals, rounded once; a time beyond
-    the end of t reads as zero."""
-    x = [Fraction(v) for v in t]
-    total = sum(v * math.prod((x[i] if i < len(x) else 0) ** e
-                              for i, e in enumerate(exps))
-                for exps, v in p.terms.items())
-    return float(Fraction(total, p.den))
-
-
-class PolyTau:
-    """A tau that is the polynomial p, at the times t, so that the numeric
-    evaluator apply acts on the same function as apply_poly."""
-
-    def __init__(self, p, t):
-        self.p, self.times = p, t
-
-    def derivative(self, ks):
-        q = self.p
-        for k in ks:
-            q = q.diff(k)
-        return evaluate(q, self.times)
-
-
-@pytest.mark.parametrize("beta", [1, 2, 4])
-def test_numeric_and_exact_evaluators_agree(beta):
-    rng = random.Random(5)
-    for _ in range(3):
-        p = _random_poly(rng)
-        t = np.array([rng.uniform(-1.0, 1.0) for _ in range(6)])
-        for k in range(-4, 5):
-            got = apply(PolyTau(p, t), dressed_terms(k, float(beta), 3,
-                                                     len(t)))
-            exact = dressed_terms(k, Fraction(beta), 3, p.max_index())
-            assert got == pytest.approx(evaluate(apply_poly(exact, p), t),
-                                        rel=1e-12)
-
-
 class FractionPoly:
     """Reference: a dict of exponent tuples (trailing zeros trimmed) to
     nonzero Fraction coefficients."""
@@ -443,45 +324,204 @@ class FractionPoly:
         return FractionPoly(out)
 
 
+def apply_op(op, p):
+    """The operator {(mul, diff): c} applied to a FractionPoly."""
+    out = FractionPoly({})
+    for (mul, diff), c in op.items():
+        q = p
+        for i in diff:
+            q = q.diff(i)
+        for i in mul:
+            q = q.mul_var(i)
+        out = out + q.scale(c)
+    return out
+
+
+def random_poly(rng):
+    """Ten random monomials of degree <= 6 in t_1..t_6 (a repeat keeps the
+    last), with integer coefficients in [-9, 9]."""
+    terms = {}
+    for _ in range(10):
+        exps = [0] * 6
+        for _ in range(rng.randint(0, 6)):
+            exps[rng.randrange(6)] += 1
+        terms[tuple(exps)] = rng.randint(-9, 9)
+    return FractionPoly(terms)
+
+
+def linear_combination(*scaled_ops):
+    """sum s * op over (s, op) pairs, zero coefficients dropped."""
+    out = {}
+    for s, op in scaled_ops:
+        for key, c in op.items():
+            out[key] = out.get(key, 0) + s * c
+    return {key: c for key, c in out.items() if c}
+
+
+PAIRS = [(1, -1), (0, 1), (2, -1), (2, -2), (3, -3), (-1, 3)]
+
+
+def test_commutators_close():
+    for beta in (1, 2, 4):
+        assert max(virasoro_commutator_residuals(beta, PAIRS, n=3)) < 1e-10
+
+
+def test_central_charge_values():
+    assert central_charge(2) == 1
+    assert central_charge(1) == -2
+    assert central_charge(4) == -2
+    with pytest.raises(UsageError):
+        central_charge(0)
+
+
+def test_central_term_is_needed(monkeypatch):
+    # dropping the central term (charge 0 instead of -2) must break the
+    # identity at an index pair where k^3 - k is nonzero
+    from laxlab import virasoro
+
+    assert virasoro_commutator_residuals(1, [(2, -2)], n=3) == [0.0]
+    monkeypatch.setattr(virasoro, "central_charge", lambda beta: 0)
+    assert virasoro_commutator_residuals(1, [(2, -2)], n=3)[0] > 0.1
+
+
+def test_heisenberg_commutator():
+    for beta in (1, 2, 4):
+        s = Fraction(1, beta)
+        for k, l in ((1, -1), (2, -2), (1, 2), (-1, -3)):
+            res = commutator(as_operator(heisenberg_terms(k, s)),
+                             as_operator(heisenberg_terms(l, s)))
+            expect = {((), ()): Fraction(k, beta)} if k + l == 0 else {}
+            assert linear_combination((1, res)) == expect
+
+
+def test_beta2_dressing_is_plain_sum():
+    # at beta = 2 the dressed operator collapses to J2 + 2n J1 + n^2 delta
+    n, top, two = 3, 6, Fraction(2)
+    for k in (-2, -1, 0, 1, 2):
+        lhs = as_operator(dressed_terms(k, two, n, top))
+        # J2_k alone: at beta = 2, n = 0 the J1 and constant parts vanish
+        rhs = linear_combination(
+            (1, as_operator(dressed_terms(k, two, 0, top))),
+            (2 * n, as_operator(heisenberg_terms(k, Fraction(1, 2)))),
+            (n * n if k == 0 else 0, {((), ()): 1}))
+        assert linear_combination((1, lhs)) == rhs
+
+
+def test_batched_commutators_match_one_pair_at_a_time():
+    pairs = PAIRS + [(2, 1)]
+    for beta in (1, 2, 4):
+        batched = virasoro_commutator_residuals(beta, pairs, n=3)
+        assert batched == [virasoro_commutator_residuals(beta, [pair], n=3)[0]
+                           for pair in pairs]
+
+
+def test_commutators_build_each_operator_once(monkeypatch):
+    from laxlab import virasoro
+
+    calls, real = [], virasoro.dressed_terms
+
+    def counted(k, *args):
+        calls.append(k)
+        return real(k, *args)
+
+    monkeypatch.setattr(virasoro, "dressed_terms", counted)
+    virasoro_commutator_residuals(1, PAIRS, n=3)
+    # V_k, V_l and V_{k+l} over the pairs are V_{-3} ... V_3
+    assert sorted(calls) == list(range(-3, 4))
+
+
+def scaled_dilation(real, factor, raise_top=0):
+    """dressed_terms with the dilation coefficient at m = 2 times factor,
+    and the dilation sums cut raise_top further out."""
+
+    def terms(k, beta, n, top):
+        return [(c * factor if mul == (2,) and diff == (2 + k,) else c,
+                 mul, diff)
+                for c, mul, diff in real(k, beta, n, top + raise_top)]
+
+    return terms
+
+
+def test_residuals_do_not_depend_on_a_cut_above_the_window(monkeypatch):
+    # every compared coefficient is exact at the cut, so cutting further
+    # out changes nothing, for a right operator and a wrong one alike
+    from laxlab import virasoro
+
+    real = virasoro.dressed_terms
+    for beta in (1, 4):
+        for factor in (1, Fraction(11, 10)):
+            seen = []
+            for raise_top in (0, 1, 5):
+                monkeypatch.setattr(virasoro, "dressed_terms",
+                                    scaled_dilation(real, factor, raise_top))
+                seen.append(virasoro_commutator_residuals(beta, PAIRS, n=3))
+            assert seen[0] == seen[1] == seen[2]
+            if factor == 1:
+                assert max(seen[0]) == 0.0
+            else:
+                assert min(seen[0]) > 0.1
+
+
+def evaluate(p, t):
+    """p at the point t, in exact rationals, rounded once; a time beyond
+    the end of t reads as zero."""
+    x = [Fraction(v) for v in t]
+    return float(sum(v * math.prod((x[i] if i < len(x) else 0) ** e
+                                   for i, e in enumerate(exps))
+                     for exps, v in p.terms.items()))
+
+
+class PolyTau:
+    """A tau that is the polynomial p, at the times t, so that the numeric
+    evaluator apply acts on the same function as the exact operator."""
+
+    def __init__(self, p, t):
+        self.p, self.times = p, t
+
+    def derivative(self, ks):
+        q = self.p
+        for k in ks:
+            q = q.diff(k)
+        return evaluate(q, self.times)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_numeric_and_exact_evaluators_agree(beta):
+    rng = random.Random(5)
+    for _ in range(3):
+        p = random_poly(rng)
+        t = np.array([rng.uniform(-1.0, 1.0) for _ in range(6)])
+        for k in range(-4, 5):
+            got = apply(PolyTau(p, t), dressed_terms(k, float(beta), 3,
+                                                     len(t)))
+            exact = as_operator(dressed_terms(k, Fraction(beta), 3, len(t)))
+            assert got == pytest.approx(evaluate(apply_op(exact, p), t),
+                                        rel=1e-12)
+
+
 FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 POLY_TERMS = st.dictionaries(
     st.lists(st.integers(0, 3), max_size=4).map(tuple), FRACTIONS,
     max_size=6)
-POLY_STEPS = st.lists(st.one_of(
-    st.tuples(st.just("diff"), st.integers(1, 5)),
-    st.tuples(st.just("mul_var"), st.integers(1, 5)),
-    st.tuples(st.just("scale"), FRACTIONS),
-    st.tuples(st.just("add"), POLY_TERMS),
-    st.tuples(st.just("sub"), POLY_TERMS),
-), max_size=12)
+INDICES = st.lists(st.integers(1, 4), max_size=3)
+TERM_LISTS = st.lists(st.tuples(FRACTIONS, INDICES, INDICES), max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
-@given(POLY_TERMS, POLY_STEPS)
-def test_tpoly_matches_a_fraction_dict(terms, steps):
-    p, ref = TPoly(terms), FractionPoly(terms)
-    for op, arg in steps:
-        if op == "scale":
-            p, ref = arg * p, ref.scale(arg)
-        elif op == "add":
-            p, ref = p + TPoly(arg), ref + FractionPoly(arg)
-        elif op == "sub":
-            p, ref = p - TPoly(arg), ref + FractionPoly(arg).scale(-1)
-        else:
-            p, ref = getattr(p, op)(arg), getattr(ref, op)(arg)
-        values = {e: Fraction(v, p.den) for e, v in p.terms.items()}
-        assert values == ref.terms
-        assert p.is_zero == (not ref.terms)
-        assert p.max_abs_coeff() == max(map(abs, ref.terms.values()),
-                                        default=0)
-        assert p == TPoly(ref.terms)
+@given(TERM_LISTS, TERM_LISTS, POLY_TERMS)
+def test_compose_is_applying_in_turn(a, b, terms):
+    a, b, p = as_operator(a), as_operator(b), FractionPoly(terms)
+    assert (apply_op(compose(a, b), p).terms
+            == apply_op(a, apply_op(b, p)).terms)
 
 
-def test_poly_algebra_basics():
-    p = TPoly({(2, 1): 3})  # 3 t1^2 t2
-    assert p.diff(1) == TPoly({(1, 1): 6})
-    assert p.mul_var(3) == TPoly({(2, 1, 1): 3})
-    assert (p - p).is_zero
-    half = Fraction(1, 2)
-    assert apply_poly(heisenberg_terms(0, half), p).is_zero
-    assert apply_poly(heisenberg_terms(-2, half), p) == TPoly({(2, 2): 3})
+def test_normal_order_basics():
+    d1, t1 = {((), (1,)): 1}, {((1,), ()): 1}
+    # d/dt_1 t_1 = t_1 d/dt_1 + 1, and d/dt_1 t_1^2 = t_1^2 d/dt_1 + 2 t_1
+    assert compose(d1, t1) == {((1,), (1,)): 1, ((), ()): 1}
+    assert compose(d1, compose(t1, t1)) == {((1, 1), (1,)): 1, ((1,), ()): 2}
+    # t_1 d/dt_1 is already in normal order; d/dt_2 passes t_1
+    assert compose(t1, d1) == {((1,), (1,)): 1}
+    assert compose({((), (2,)): 1}, t1) == {((1,), (2,)): 1}
+    assert as_operator([(2, (3, 1), ()), (1, (1, 3), ())]) == {((1, 3), ()): 3}
+    assert commutator(d1, t1) == {((1,), (1,)): 0, ((), ()): 1}
