@@ -1,6 +1,7 @@
 """Matrix Lax flows with a spectral parameter h.
 
-A Lax polynomial a(h) = alpha h^m + (gamma + lower) h^{m-1} + ... flows by
+A Lax polynomial a(h) = alpha h^m + (gamma + lower) h^{m-1} + ..., held
+as its (m+1, n, n) coefficient stack, constant coefficient first, flows by
 a' = [a, b + beta h] with beta = f'(alpha) diagonal and b built from the
 h^{m-1} coefficient.  Specializing the rank-two data x, y gives the Euler
 top (m = 1), the ellipsoidal geodesic / Neumann systems and the central
@@ -16,7 +17,6 @@ the one against the other.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,53 +46,22 @@ AKS_MAX_SUBSTEPS = 10 ** 4
 AKS_MAX_DOUBLINGS = 30  # r = 1, 2, 4, ..., 2^29
 
 
-@dataclass(frozen=True)
-class LaxPolynomial:
-    """a(h) = sum_j coeffs[j] h^j with diagonal leading coefficient.
+def _invariants(a):
+    """(alpha, gamma): the diagonals of the top two coefficients of a Lax
+    polynomial, a (..., m+1, n, n) coefficient stack, read from its first
+    member.  Every flow here conserves them."""
+    first = a[(0,) * (a.ndim - 3)]
+    return np.diagonal(first[-1]).copy(), np.diagonal(first[-2]).copy()
 
-    The coefficients may carry one leading batch axis: a stack of Lax
-    polynomials sharing alpha and gamma, which aci_flow advances at once.
-    """
 
-    coeffs: tuple
-    alpha: np.ndarray
-    gamma: np.ndarray
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def size(self):
-        return len(self.alpha)
-
-    @property
-    def stack(self):
-        """The coefficients as one (..., m+1, n, n) array."""
-        return np.stack(self.coeffs, axis=-3)
-
-    def like(self, stack):
-        """The Lax polynomial with this alpha and gamma and the coefficients
-        of a (..., m+1, n, n) stack."""
-        return LaxPolynomial(tuple(np.moveaxis(stack, -3, 0)), self.alpha,
-                             self.gamma)
-
-    def __call__(self, h):
-        """a(h); an overflow leaves inf or NaN in it, which its callers
-        report as NumericalError."""
-        out = np.zeros_like(self.coeffs[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in reversed(self.coeffs):
-                out = out * h + c
-        return out
-
-    def invariant_drift(self):
-        """Distance from the invariant manifold: the leading coefficient
-        must stay diag(alpha) and the next diagonal must stay gamma."""
-        top = np.abs(self.coeffs[-1] - np.diag(self.alpha)).max()
-        sub = np.abs(np.diagonal(self.coeffs[-2], axis1=-2, axis2=-1)
-                     - self.gamma).max()
-        return max(top, sub)
+def _evaluate(a, h):
+    """a(h) = sum_j a[..., j, :, :] h^j by Horner; an overflow leaves inf
+    or NaN in it, which its callers report as NumericalError."""
+    out = np.zeros_like(a[..., 0, :, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in reversed(range(a.shape[-3])):
+            out = out * h + a[..., j, :, :]
+    return out
 
 
 def _check_alpha(alpha):
@@ -118,7 +87,8 @@ def sym_pair(x, y):
 
 
 def build_system(kind, alpha, gamma=None, x=None, y=None):
-    """The Lax polynomial of one of the named mechanical systems."""
+    """The Lax polynomial of one of the named mechanical systems, as its
+    (m+1, n, n) coefficient stack, constant coefficient first."""
     if kind not in SYSTEM_KINDS:
         raise UsageError(f"unknown system kind {kind!r}")
     alpha = _check_alpha(alpha)
@@ -140,7 +110,7 @@ def build_system(kind, alpha, gamma=None, x=None, y=None):
             coeffs = (sym_pair(x, y) - np.diag(alpha), sub, np.diag(alpha))
     if not np.all(np.isfinite(coeffs)):
         raise NumericalError("Lax polynomial coefficients overflow")
-    return LaxPolynomial(coeffs=coeffs, alpha=alpha, gamma=gamma)
+    return np.array(coeffs)
 
 
 def _f_derivatives(f_kind, alpha):
@@ -170,23 +140,25 @@ def _divided_differences(alpha, beta):
 def b_from_a(a, f_kind):
     """b_ij = (f'(a_i) - f'(a_j)) / (a_i - a_j) (a_{m-1})_ij off the
     diagonal, gamma_i f''(a_i) on it."""
-    beta, fpp = _f_derivatives(f_kind, a.alpha)
-    return (_divided_differences(a.alpha, beta) * a.coeffs[-2]
-            + np.diag(a.gamma * fpp))
+    alpha, gamma = _invariants(a)
+    beta, fpp = _f_derivatives(f_kind, alpha)
+    return (_divided_differences(alpha, beta) * a[..., -2, :, :]
+            + np.diag(gamma * fpp))
 
 
 def aci_flow(a0, f_kind, t_end, step):
     """RK4 trajectory endpoint of a' = [a, b + beta h] at t_end (either
     sign), with b rebuilt from the current h^{m-1} coefficient at every
-    stage; the invariant drift is checked at rk4's guard cadence.  beta,
-    the divided differences, diag(gamma f''(alpha)) and the beta h mask
-    beta_j - beta_i depend only on alpha, gamma, so they are built once per
-    call; the coefficients ride as one (m+1, n, n) stack, or as one
-    (batch, m+1, n, n) stack when a0 is a batch.
+    stage; the drift from the alpha and gamma of a0's first member is
+    checked at rk4's guard cadence.  beta, the divided differences,
+    diag(gamma f''(alpha)) and the beta h mask beta_j - beta_i depend only
+    on alpha, gamma, so they are built once per call; a0 is one
+    (m+1, n, n) stack or a (batch, m+1, n, n) batch of them.
     """
-    beta, fpp = _f_derivatives(f_kind, a0.alpha)
-    ratio = _divided_differences(a0.alpha, beta)
-    bdiag = np.diag(a0.gamma * fpp)
+    alpha, gamma = _invariants(a0)
+    beta, fpp = _f_derivatives(f_kind, alpha)
+    ratio = _divided_differences(alpha, beta)
+    bdiag = np.diag(gamma * fpp)
     shift = beta[None, :] - beta[:, None]
 
     def rhs(c):
@@ -196,13 +168,17 @@ def aci_flow(a0, f_kind, t_end, step):
         d[..., 1:, :, :] += c[..., :-1, :, :] * shift
         return d
 
-    def guard(t, stack):
-        drift = a0.like(stack).invariant_drift()
+    def guard(t, c):
+        # distance from the invariant manifold: the leading coefficient
+        # must stay diag(alpha) and the next diagonal must stay gamma
+        drift = max(np.abs(c[..., -1, :, :] - np.diag(alpha)).max(),
+                    np.abs(np.diagonal(c[..., -2, :, :], axis1=-2, axis2=-1)
+                           - gamma).max())
         if not drift <= INVARIANT_DRIFT_TOL:  # NaN drift fails too
             raise StabilityError(
                 f"invariant manifold drift {drift:.2e} at t={t:.4g}")
 
-    return a0.like(rk4(rhs, a0.stack, t_end, step, guard))
+    return rk4(rhs, a0, t_end, step, guard)
 
 
 def _circle(stack, radius, points):
@@ -255,19 +231,20 @@ def aks_plan(a, f_kind, t):
     |tau| max|h f'(lambda(h))| <= AKS_GROWTH on that circle; more than
     AKS_MAX_SUBSTEPS raises NumericalError.
     """
-    _f_derivatives(f_kind, a.alpha)  # an unknown f or bad alpha raises
-    stack, (blocks, points) = a.stack, _aks_rule(a.size)
+    # an unknown f or a bad alpha raises
+    _f_derivatives(f_kind, _invariants(a)[0])
+    blocks, points = _aks_rule(a.shape[-1])
     radius = 1.0
     if f_kind != "neumann":
         for k in range(AKS_MAX_DOUBLINGS):
-            lam = _circle_spectrum(stack, 2.0 ** k, points)[1]
+            lam = _circle_spectrum(a, 2.0 ** k, points)[1]
             if lam.real.min() > 0.0:
                 radius = 2.0 ** (k + math.ceil(52 / blocks))
                 break
         else:
             raise NumericalError(
                 "no AKS radius keeps the spectrum in f's domain")
-    h, lam = _circle_spectrum(stack, radius, points)
+    h, lam = _circle_spectrum(a, radius, points)
     f_lam = _f_prime(f_kind, lam[..., None, None])[..., 0, 0]
     with np.errstate(over="ignore"):
         need = abs(t) * np.abs(h[:, None] * f_lam).max()
@@ -327,11 +304,11 @@ def aks_flow(a0, f_kind, t, plan=None):
     Algebraic Integrability, 2004; Reyman & Semenov-Tian-Shansky, 1994).
     """
     radius, count = aks_plan(a0, f_kind, t) if plan is None else plan
-    stack, total = a0.stack, 0.0
+    a, total = a0, 0.0
     for _ in range(count):
-        stack, tail = _aks_step(stack, f_kind, t / count, radius)
+        a, tail = _aks_step(a, f_kind, t / count, radius)
         total += tail
-    return a0.like(stack), total
+    return a, total
 
 
 def _char_polys(a, h):
@@ -339,13 +316,14 @@ def _char_polys(a, h):
     N + 1), for a with one batch axis: one eigvals call, then np.poly's
     product of the z - root, vectorised in its order of operations."""
     try:
-        roots = -np.linalg.eigvals(a.like(a.stack[:, None])(h[:, None, None]))
+        roots = -np.linalg.eigvals(_evaluate(a[:, None], h[:, None, None]))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"spectral curve: {exc}") from exc
-    poly = np.zeros((2,) + roots.shape[:-1] + (a.size + 1,))  # re, im
+    N = a.shape[-1]
+    poly = np.zeros((2,) + roots.shape[:-1] + (N + 1,))  # re, im
     poly[0, ..., 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # as np.poly's
-        for k in range(a.size):
+        for k in range(N):
             r, i = roots.real[..., k, None], roots.imag[..., k, None]
             re, im = poly[0, ..., :k + 1], poly[1, ..., :k + 1]
             poly[:, ..., 1:k + 2] = (
@@ -358,7 +336,7 @@ def _curve_fit(a):
     """(keys (k, l), rows q_{k, l}) of det(z I - a(h)) = z^N + sum q_{k, l}
     h^k z^l for a with one batch axis: char polys on a Chebyshev grid in h,
     a Vandermonde solve per z-power.  A non-finite q raises NumericalError."""
-    N, m = a.size, a.degree
+    N, m = a.shape[-1], a.shape[-3] - 1
     if N > CONDITIONED_SIZE:
         warnings.warn(f"spectral-curve extraction at size {N} > "
                       f"{CONDITIONED_SIZE} may be ill-conditioned",
@@ -386,7 +364,7 @@ def _curve_fit(a):
 def spectral_curve_coeffs(a):
     """Coefficients q_{k, l} of det(z I - a(h)) = z^N + sum q_{k, l} h^k z^l,
     as a dict {(k, l): q}: the batch-of-one _curve_fit."""
-    keys, rows = _curve_fit(a.like(a.stack[None]))
+    keys, rows = _curve_fit(a[None])
     return dict(zip(keys, rows[0].tolist()))
 
 
@@ -394,10 +372,10 @@ def spectral_curve_residual(a, q):
     """max |sum_k q_{k, l} h^k - [z^l] det(z I - a(h))| over l and the
     points HELD_OUT_H, which no fit in spectral_curve_coeffs uses,
     relative to max(1, the largest coefficient of det(z I - a(h)))."""
-    direct = _char_polys(a.like(a.stack[None]), HELD_OUT_H)[0]
+    direct = _char_polys(a[None], HELD_OUT_H)[0]
     fit = np.zeros_like(direct)
     for (k, ell), v in q.items():
-        fit[:, a.size - ell] += v * HELD_OUT_H ** k
+        fit[:, a.shape[-1] - ell] += v * HELD_OUT_H ** k
     return float(np.abs(fit - direct).max() / max(1.0, np.abs(direct).max()))
 
 
@@ -419,10 +397,9 @@ def route_report(a0, f_kind, t_end, step):
         nxt, seg_tail = aks_flow(aks[-1], f_kind, segment, plan)
         aks.append(nxt)
         tail += seg_tail
-    stacks = np.array([a.stack for a in aks])
+    stacks = np.array(aks)
     ends, gap = segment_check(
-        lambda starts, seg: aci_flow(a0.like(starts), f_kind, seg, step).stack,
-        stacks, segment)
-    q = _curve_fit(a0.like(np.concatenate([stacks, ends])))[1]
+        lambda starts, seg: aci_flow(starts, f_kind, seg, step), stacks, segment)
+    q = _curve_fit(np.concatenate([stacks, ends]))[1]
     drift = np.abs(q[1:] - q[0]).max() / max(1.0, np.abs(q[0]).max())
     return {"curve_drift": float(drift), "aks_rk4_gap": gap, "aks_tail": tail}

@@ -289,22 +289,15 @@ def run_pfaff_flow(args):
         args.k, args.t_end, args.step)
     gap = float(np.abs(L[:size, :size] - via_moments[:size, :size]).max())
     rows = [{"metric": "interior_supnorm", "value": gap}]
-    return _Result(rows, gap, tol=1e-6)
+    return _Result(rows, gap, tol=1e-6, err=gap)
 
 
 def run_pfaff_check_kp(args):
+    w, alpha = ((tau.WeightSpec("gaussian", b=args.b), -1) if args.beta == 1
+                else (tau.WeightSpec("laguerre", a=args.a, b=args.b), 1))
     rows = []
     for n in parse_ints(args.n_list):
-        if args.beta == 1:
-            m = pfaff.skew_inner_products(
-                tau.WeightSpec("gaussian", b=args.b), alpha=-1, N=n + 4,
-                order=args.order,
-            )
-        else:
-            m = pfaff.skew_inner_products(
-                tau.WeightSpec("laguerre", a=args.a, b=args.b),
-                alpha=1, N=n + 4, order=args.order,
-            )
+        m = pfaff.skew_inner_products(w, alpha=alpha, N=n + 4, order=args.order)
         res = abs(pfaff.pfaffkp_residual(m, n))
         rows.append({"n": n, "residual": res})
     return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-6)

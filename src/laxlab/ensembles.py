@@ -38,6 +38,8 @@ from .tau import (
     dlog_block,
     hankel_endpoint_series,
     hankel_moments,
+    hankel_rows,
+    leading_block,
     logdet_partials,
 )
 
@@ -111,25 +113,28 @@ class EnsembleTau:
         self.times = w.times
         if beta == 2:
             self.size, self._weights, self._half = n, (1.0, 0.0), 1.0
-            self._det, self._series = lu_determinant, hankel_endpoint_series
-            self._m = hankel_moments(w, E, M=2 * (n - 1) + depth, order=order)
-            self._array = self._m.rows(n)
+            self._det = lu_determinant
+            mu = hankel_moments(w, E, M=2 * (n - 1) + depth, order=order)
+            self._array = hankel_rows(mu, n)
+            self._series = lambda c, sigma, degree: [
+                hankel_rows(g, n)
+                for g in hankel_endpoint_series(w, mu, c, sigma, degree)]
         elif beta in (1, 4):
             if beta == 1 and n % 2:
                 raise UsageError("the beta = 1 Pfaffian form needs even n")
             self.size, alpha = (n, -1) if beta == 1 else (2 * n, 1)
             self._weights = (1.0, 1.0) if beta == 1 else (0.5, 0.5)
-            self._det, self._series = pfaffian, skew_endpoint_series
-            self._half = 0.5
-            self._m = skew_inner_products(w, E, alpha=alpha, order=order,
-                                          N=(self.size + depth + 1) // 2)
-            self._array = self._m.m
+            self._det, self._half = pfaffian, 0.5
+            self._array = skew_inner_products(w, E, alpha=alpha, order=order,
+                                              N=(self.size + depth + 1) // 2)
+            self._series = lambda c, sigma, degree: skew_endpoint_series(
+                w, E, alpha, len(self._array), c, sigma, degree)
         else:
             raise UsageError("beta must be 1, 2 or 4")
 
     def value(self):
         with np.errstate(over="ignore"):
-            tau = self._det(self._m.block(self.size))
+            tau = self._det(leading_block(self._array, self.size))
         if not math.isfinite(tau):
             raise DivergenceError("tau overflows: the moment block is too large")
         return tau
@@ -150,9 +155,9 @@ class EnsembleTau:
     def endpoint_jets(self, c, sigma, degree):
         """[D, ..., D^degree] of log tau as the finite endpoint c of E
         moves, an upper (sigma = +1) or a lower (sigma = -1) one."""
-        gs = [self._m] + self._series(self._m, c, sigma, degree)
-        jets = logdet_partials(self._m.block(self.size),
-                               lambda r: gs[r[0]].block(self.size),
+        gs = [self._array] + self._series(c, sigma, degree)
+        jets = logdet_partials(leading_block(self._array, self.size),
+                               lambda r: leading_block(gs[r[0]], self.size),
                                [(r,) for r in range(1, degree + 1)])
         return [self._half * v for v in jets]
 

@@ -31,13 +31,26 @@ MIN_ENDPOINT_GAP = 0.2  # the PDE checks need well-separated endpoints
 
 # ----- single-gap ODE residuals -----
 
+def _require_positive(det, E):
+    """UnderflowError, naming E's finite endpoints, unless det > 0."""
+    if not det > 0.0:
+        raise UnderflowError(
+            f"gap determinant {det:.2e} at the endpoints "
+            f"{E.finite_endpoints()} is not positive: the gap "
+            "probability is below the resolution of the Nystrom quadrature"
+        )
+
+
 def _check_det_accuracy(kernel, E, order):
-    err = abs(nystrom_det(kernel, E, order)
-              - nystrom_det(kernel, E, order + order // 2))
-    if err > 1e-10:
+    """det(I - K|_E) at 1.5 order must be positive, and the determinant at
+    order must agree with it to 1e-10 relative (PrecisionError)."""
+    fine = nystrom_det(kernel, E, order + order // 2)
+    _require_positive(fine, E)
+    err = abs(nystrom_det(kernel, E, order) - fine) / fine
+    if not err <= 1e-10:
         raise PrecisionError(
-            f"gap determinant self-reported error {err:.2e} exceeds the "
-            "1e-10 budget; raise the quadrature order"
+            f"gap determinant on {E} has relative self-reported error "
+            f"{err:.2e}, above the 1e-10 budget; raise the quadrature order"
         )
 
 
@@ -47,13 +60,7 @@ def _logdet_jets(kernel, E, quad_order, directions):
     the finite endpoints of E; UnderflowError when det(I - K|_E) <= 0."""
 
     def derivatives(g):
-        det = lu_determinant(g[0])
-        if not det > 0.0:
-            raise UnderflowError(
-                f"gap determinant {det:.2e} at the endpoints "
-                f"{E.finite_endpoints()} is not positive: the gap "
-                "probability is below the resolution of the Nystrom quadrature"
-            )
+        _require_positive(lu_determinant(g[0]), E)
         return logdet_partials(g[0], lambda n: g[n[0]],
                                [(r,) for r in range(1, len(g))])
 

@@ -13,12 +13,10 @@ exact, by tau.dlog_block.
 """
 
 import functools
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
-    DepthError,
     DivergenceError,
     SingularMatrixError,
     SingularTauError,
@@ -29,42 +27,22 @@ from .intervals import IntervalUnion
 from .mathcore import cut_rules, pfaffian, skew_borel, union_rule
 from .mathcore.ode import rk4
 from .tau import (
-    WeightSpec,
     dlog_block,
     hankel_moments,
     kp_normalized,
+    leading_block,
     weighted_powers,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class SkewMoments:
-    """Skew-symmetric float64 moment matrix of even size with its
-    provenance."""
-
-    m: np.ndarray
-    alpha: int
-    weight: WeightSpec
-    E: IntervalUnion
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        object.__setattr__(self, "m", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise UsageError("skew moment matrix must be square of even size")
-        if not np.abs(m + m.T).max() <= 1e-12 * max(1.0, np.abs(m).max()):
-            raise UsageError("moment matrix must be skew-symmetric")
-        if self.alpha not in (-1, 1):
-            raise UsageError("alpha must be -1 or +1")
-
-    @property
-    def size(self):
-        return self.m.shape[0]
-
-    def block(self, n2):
-        if n2 > self.size:
-            raise DepthError(f"need a {n2} block, matrix has size {self.size}")
-        return self.m[:n2, :n2]
+def _pairing_domain(w, E, alpha):
+    """E within the support of w (all of it for None), nonempty, for the
+    pairing alpha = -1 or +1."""
+    if alpha not in (-1, 1):
+        raise UsageError("alpha must be -1 or +1")
+    E = w.support() if E is None else E.intersect(w.support())
+    E.require_nonempty()
+    return E
 
 
 def _wronskian(mu, size):
@@ -88,17 +66,15 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
     a positive weight, so that the Pfaffian tau functions match the
     positive ensemble integrals they represent.
     """
-    E = w.support() if E is None else E.intersect(w.support())
-    E.require_nonempty()
+    E = _pairing_domain(w, E, alpha)
     if not w.has_decay() and not E.is_bounded():
         raise DivergenceError("weight does not decay on an unbounded domain")
     size = 2 * N
-    mu = np.zeros((size, size))
     # an overflow below leaves inf or NaN in mu, which raises DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         if alpha == 1:
-            mu = _wronskian(hankel_moments(w, E, 2 * size - 3, order).mu, size)
-        elif alpha == -1:
+            mu = _wronskian(hankel_moments(w, E, 2 * size - 3, order), size)
+        else:
             scale = w.decay_scale()
             nodes, weights = union_rule(E, order, scale)
             total = weighted_powers(w, nodes, weights, size)
@@ -119,29 +95,28 @@ def skew_inner_products(w, E=None, alpha=-1, N=4, order=64):
             mu = 0.5 * (ymoments - ymoments.T)
     if not np.all(np.isfinite(mu)):
         raise DivergenceError("skew moments diverge on this domain")
-    return SkewMoments(m=mu, alpha=alpha, weight=w, E=E)
+    return mu
 
 
-def skew_endpoint_series(m, c, sigma, order):
-    """Taylor matrices G_1..G_order of the skew moments m, as SkewMoments,
-    when the endpoint c of m.E moves by s (sigma as in
-    tau.hankel_endpoint_series; u = WeightSpec.jet).
+def skew_endpoint_series(w, E, alpha, size, c, sigma, order):
+    """Taylor matrices G_1..G_order of the size x size skew moments
+    skew_inner_products(w, E, alpha) when the endpoint c of E moves by s
+    (sigma as in tau.hankel_endpoint_series; u = WeightSpec.jet).
 
     alpha = +1: G_r[i, j] = (j - i) sigma [s^{r-1}] u_{i+j-1} / r.
     alpha = -1: d m_ij / ds = sigma (u_j S_i - u_i S_j), where
     S_i = int_E y^i sign(c + s - y) rho(y) dy starts at the moment of E
     below c minus the moment of E above c, and grows by int_0^s u_i."""
-    size, w = m.size, m.weight
-    i = np.arange(size)
-    if m.alpha == 1:
+    E = _pairing_domain(w, E, alpha)
+    if alpha == 1:
         u = w.jet(c, 2 * size - 3, order)
-        return [replace(m, m=_wronskian(sigma * u[:, r - 1] / r, size))
+        return [_wronskian(sigma * u[:, r - 1] / r, size)
                 for r in range(1, order + 1)]
     u = w.jet(c, size - 1, order)
 
     def moments(side):
-        part = m.E.intersect(side)
-        return 0.0 if part.is_empty else hankel_moments(w, part, size - 1).mu
+        part = E.intersect(side)
+        return 0.0 if part.is_empty else hankel_moments(w, part, size - 1)
 
     s = np.empty((size, order))
     s[:, 0] = (moments(IntervalUnion.half_line_below(c))
@@ -150,15 +125,15 @@ def skew_endpoint_series(m, c, sigma, order):
     out = []
     for r in range(1, order + 1):
         b = s[:, r - 1 :: -1] @ u[:, :r].T  # sum_p S_i[r-1-p] u_j[p]
-        out.append(replace(m, m=sigma * (b - b.T) / r))
+        out.append(sigma * (b - b.T) / r)
     return out
 
 
 def pfaff_lax(m):
     """L = Q Lambda Q^{-1} with Q the skew-Borel factor of the moments."""
-    q = skew_borel(m.m)
+    q = skew_borel(m)
     try:
-        return np.linalg.solve(q.T, (q @ np.eye(m.size, k=1)).T).T
+        return np.linalg.solve(q.T, (q @ np.eye(len(m), k=1)).T).T
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("skew-Borel factor is singular") from exc
 
@@ -209,7 +184,8 @@ def pfaff_ode_flow(L0, k, t_end, step):
 
 
 def pfaffkp_residual(m, n):
-    """Normalized residual of the first Pfaff-KP equation for tau_n:
+    """Normalized residual of the first Pfaff-KP equation for tau_n of the
+    skew moment array m:
 
         ((d/dt1)^4 + 3 (d/dt2)^2 - 4 d^2/dt1 dt3) log tau_n
         + 6 ((d/dt1)^2 log tau_n)^2 - 12 tau_{n-2} tau_{n+2} / tau_n^2 = 0,
@@ -219,11 +195,11 @@ def pfaffkp_residual(m, n):
     """
     if n < 2 or n % 2:
         raise UsageError("pfaffkp_residual needs even n >= 2")
-    tau_n = pfaffian(m.block(n))
+    tau_n = pfaffian(leading_block(m, n))
     if tau_n == 0.0:
         raise SingularTauError(f"tau_{n} vanishes")
-    tau_minus = 1.0 if n == 2 else pfaffian(m.block(n - 2))
-    tau_plus = pfaffian(m.block(n + 2))
+    tau_minus = 1.0 if n == 2 else pfaffian(leading_block(m, n - 2))
+    tau_plus = pfaffian(leading_block(m, n + 2))
     try:
         rhs = 12.0 * tau_minus * tau_plus / tau_n ** 2
     except OverflowError:  # tau_n ** 2 of a float
@@ -231,4 +207,4 @@ def pfaffkp_residual(m, n):
     if not np.all(np.isfinite([tau_minus, tau_n, tau_plus, rhs])):
         raise DivergenceError(f"tau_{n} or its neighbours overflow")
     return kp_normalized(lambda ks: 0.5 * dlog_block(
-        m.m, n, [(k, 1.0, 1.0) for k in ks]), -rhs)
+        m, n, [(k, 1.0, 1.0) for k in ks]), -rhs)

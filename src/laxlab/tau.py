@@ -10,8 +10,9 @@ moment built from the weight (Hankel, skew, endpoint series) evolves with
 no code of its own and no spare depth.
 
 The pieces every moment route shares live here too: the quadrature power
-sums, the order-doubling refinement of a value on a weight's quadrature
-rule, the one exact log-det partial kernel (``logdet_partials``: any
+sums, the leading block of a moment array (``leading_block``), the
+order-doubling refinement of a value on a weight's quadrature rule, the
+one exact log-det partial kernel (``logdet_partials``: any
 partial of log det G(x) at x = 0, in any number of variables, from the
 Taylor matrices of G), the exact mixed time partials of log det of a
 moment block it gives (``dlog_block``: a time moves the block by index
@@ -22,7 +23,7 @@ assembly on those partials.
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,10 +116,10 @@ class WeightSpec:
                              "weight at these times")
         k = np.arange(float(n))
         if self.family == "gaussian":
-            ab = np.stack([np.zeros(n), np.sqrt(k / (2.0 * self.b))])
+            ab = np.array([np.zeros(n), np.sqrt(k / (2.0 * self.b))])
             ab[1, 0] = (math.pi / self.b) ** 0.25
         else:
-            ab = np.stack([(2.0 * k + 1.0 + self.a) / self.b,
+            ab = np.array([(2.0 * k + 1.0 + self.a) / self.b,
                            np.sqrt(k * (k + self.a)) / self.b])
             ab[1, 0] = math.exp(0.5 * (math.lgamma(self.a + 1.0)
                                        - (self.a + 1.0) * math.log(self.b)))
@@ -158,31 +159,20 @@ class WeightSpec:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class HankelMoments:
-    """mu_m = int_E z^m rho(z) dz for m = 0..M."""
+def hankel_rows(mu, n):
+    """The tall array H[i, j] = mu_{i+j}, j < n, of the moments mu_0..mu_M,
+    as deep as they reach: time shifts its row index."""
+    i = np.arange(max(len(mu) - n + 1, 0))
+    return mu[np.add.outer(i, np.arange(n))]
 
-    mu: np.ndarray
-    weight: WeightSpec
-    E: IntervalUnion
 
-    @property
-    def depth(self):
-        return len(self.mu) - 1
-
-    def block(self, n):
-        """Leading n x n Hankel block."""
-        if 2 * (n - 1) > self.depth:
-            raise DepthError(
-                f"need moments to index {2 * (n - 1)}, have {self.depth}"
-            )
-        return np.array([[self.mu[i + j] for j in range(n)] for i in range(n)])
-
-    def rows(self, n):
-        """The tall array H[i, j] = mu_{i+j}, j < n, as deep as the moments
-        reach: time shifts its row index."""
-        i = np.arange(max(self.depth - n + 2, 0))
-        return self.mu[np.add.outer(i, np.arange(n))]
+def leading_block(m, n):
+    """The leading n x n block of a moment array: Hankel rows, skew or
+    bi-moments; DepthError past the array."""
+    if n > min(m.shape):
+        raise DepthError(f"need {n} x {n} moments, have "
+                         f"{m.shape[0]} x {m.shape[1]}")
+    return m[:n, :n]
 
 
 def weighted_powers(w, nodes, weights, count):
@@ -220,7 +210,8 @@ def refine_on_rule(w, E, order, value):
 
 
 def hankel_moments(w, E=None, M=16, order=64):
-    """Moments of a weight over an interval union, auto-refined."""
+    """Moments mu_m = int_E z^m rho(z) dz, m = 0..M, of a weight over an
+    interval union (its support for None), auto-refined."""
     if E is None:
         E = w.support()
     E = E.intersect(w.support())
@@ -229,17 +220,17 @@ def hankel_moments(w, E=None, M=16, order=64):
         raise DivergenceError(
             f"moments of the {w.family} weight diverge on an unbounded domain"
         )
-    mu = refine_on_rule(w, E, order,
-                        lambda x, wx: weighted_powers(w, x, wx, M + 1))
-    return HankelMoments(mu=mu, weight=w, E=E)
+    return refine_on_rule(w, E, order,
+                          lambda x, wx: weighted_powers(w, x, wx, M + 1))
 
 
-def hankel_endpoint_series(m, c, sigma, order):
-    """Taylor coefficients g_1..g_order of the moments m, as HankelMoments,
-    when the endpoint c of m.E moves by s (sigma = +1 at an upper endpoint,
-    -1 at a lower one): g_r = sigma [s^{r-1}] u_k / r, u = WeightSpec.jet."""
-    u = m.weight.jet(c, m.depth, order)
-    return [replace(m, mu=sigma * u[:, r - 1] / r) for r in range(1, order + 1)]
+def hankel_endpoint_series(w, mu, c, sigma, order):
+    """Rows g_1..g_order: the Taylor coefficients of the moments mu of the
+    weight w when an endpoint c of their domain moves by s (sigma = +1 at
+    an upper endpoint, -1 at a lower one): g_r = sigma [s^{r-1}] u_k / r,
+    u = WeightSpec.jet."""
+    u = w.jet(c, len(mu) - 1, order)
+    return (sigma * u / np.arange(1, order + 1)).T
 
 
 def evolution_coefficients(t):
@@ -324,12 +315,7 @@ def dlog_block(m, n, factors):
     scaled block singular to working precision raises SingularTauError:
     solving against it returns finite noise, not an error."""
 
-    def block(i, j):
-        if n + i > m.shape[0] or n + j > m.shape[1]:
-            raise DepthError(f"need a {n + i} x {n + j} moment array, have "
-                             f"{m.shape[0]} x {m.shape[1]}")
-        return m[i : i + n, j : j + n]
-
+    block = lambda i, j: leading_block(m[i:, j:], n)
     if not n:  # tau_0 = 1
         return 0.0
     d = np.ldexp(1.0, -(np.frexp(np.abs(block(0, 0)).max(axis=1))[1] // 2))
@@ -373,17 +359,17 @@ def kp_normalized(dlog, extra=0.0):
     return sum(terms) / scale if scale else 0.0
 
 
-def kp_residual(m0, n):
-    """Normalized residual of the first KP equation for log tau_n at the
-    times of m0's weight:
+def kp_residual(mu, n):
+    """Normalized residual of the first KP equation for log tau_n of the
+    moments mu, at the times of their weight:
 
         (d/dt1)^4 log tau + 3 (d/dt2)^2 log tau - 4 d^2/dt1 dt3 log tau
         + 6 (d^2/dt1^2 log tau)^2 = 0.
 
-    Every partial is exact: time shifts the row index of m0.rows(n).
+    Every partial is exact: time shifts the row index of hankel_rows(mu, n).
     """
     if n < 1:
         raise UsageError("kp_residual needs n >= 1")
-    rows = m0.rows(n)
+    rows = hankel_rows(mu, n)
     return kp_normalized(
         lambda ks: dlog_block(rows, n, [(k, 1.0, 0.0) for k in ks]))

@@ -139,6 +139,6 @@ def toda_factorization_flow(L0, k, t_end):
     qs = [np.eye(len(L0))]
     for _ in range(SEGMENTS):
         qs.append(qr_decompose(step @ qs[-1])[0])
-    q = np.stack(qs)
+    q = np.array(qs)
     return tridiagonal(q.swapaxes(-1, -2) @ L0 @ q)
 

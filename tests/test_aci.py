@@ -7,7 +7,6 @@ import pytest
 from laxlab import aci
 from laxlab.aci import (
     SYSTEM_KINDS,
-    LaxPolynomial,
     aci_flow,
     aks_flow,
     aks_plan,
@@ -66,22 +65,21 @@ def elementary_symmetric(vals, k):
 
 def test_euler_without_momentum_is_stationary():
     a = build_system("euler", ALPHA, x=X)  # y = 0 kills the rank-two part
-    assert np.abs(a.coeffs[0]).max() == 0.0
+    assert np.abs(a[0]).max() == 0.0
     moved = aci_flow(a, "euler", 0.5, 1e-2)
-    for c0, c1 in zip(a.coeffs, moved.coeffs):
-        assert np.abs(c0 - c1).max() < 1e-14
+    assert np.abs(a - moved).max() < 1e-14
 
 
 def test_neumann_constant_coefficient():
     a = build_system("neumann", ALPHA, x=X, y=Y)
-    head = a.coeffs[0]
+    head = a[0]
     assert np.linalg.matrix_rank(head) <= 1
     assert np.trace(head) == pytest.approx(-np.dot(X, X), abs=1e-14)
 
 
 def test_central_force_constant_coefficient_symmetric():
     a = build_system("central_force", ALPHA, x=X, y=Y)
-    assert np.abs(a.coeffs[0] - a.coeffs[0].T).max() == 0.0
+    assert np.abs(a[0] - a[0].T).max() == 0.0
 
 
 def test_mismatched_or_nonfinite_data_rejected():
@@ -140,16 +138,18 @@ def first_derivative(kind, alpha):
 def reference_rk4_step(a, kind, h):
     """One RK4 step of a_j' = [a_j, b] + [a_{j-1}, diag beta] with b
     rebuilt by b_from_a at every stage."""
-    beta = np.diag(first_derivative(kind, a.alpha))
+    beta = np.diag(first_derivative(kind, np.diag(a[-1])))
 
     def rhs(coeffs):
-        b = b_from_a(LaxPolynomial(tuple(coeffs), a.alpha, a.gamma), kind)
+        # b of the stage coefficients, with the alpha and gamma of a: those
+        # of a batch's first member
+        b = b_from_a(np.array([a, coeffs]), kind)[1]
         out = [c @ b - b @ c for c in coeffs]
         for j in range(1, len(coeffs)):
             out[j] = out[j] + coeffs[j - 1] @ beta - beta @ coeffs[j - 1]
         return out
 
-    y = list(a.coeffs)
+    y = list(a)
     k1 = rhs(y)
     k2 = rhs([c + 0.5 * h * k for c, k in zip(y, k1)])
     k3 = rhs([c + 0.5 * h * k for c, k in zip(y, k2)])
@@ -167,54 +167,50 @@ def test_one_flow_step_matches_reference_rhs(kind):
     lower = [rng.standard_normal((n, n)) for _ in range(degree - 1)]
     sub = rng.standard_normal((n, n))
     np.fill_diagonal(sub, gamma)
-    a0 = LaxPolynomial(tuple(lower) + (sub, np.diag(ALPHA)), ALPHA, gamma)
+    a0 = np.array(lower + [sub, np.diag(ALPHA)])
     h = 1e-3
     got = aci_flow(a0, kind, h, h)
     want = reference_rk4_step(a0, kind, h)
-    for c_got, c_want in zip(got.coeffs, want):
-        assert np.abs(c_got - c_want).max() < 1e-14
+    assert np.abs(got - want).max() < 1e-14
 
 
 def test_euler_flow_matches_classical_form():
     a0 = build_system("euler", ALPHA, x=X, y=Y)
     end = aci_flow(a0, "euler", 1.0, 1e-3)
     want = special_euler_flow(skew_pair(X, Y), np.sqrt(ALPHA), 1.0, 1e-3)
-    assert np.abs(end.coeffs[0] - want).max() < 1e-9
+    assert np.abs(end[0] - want).max() < 1e-9
 
 
 def test_diagonal_data_is_stationary():
     gamma = np.array([0.4, 0.1, -0.2])
     a0 = build_system("neumann", ALPHA, gamma=gamma)
     end = aci_flow(a0, "neumann", 1.0, 1e-2)
-    for c0, c1 in zip(a0.coeffs, end.coeffs):
-        assert np.abs(c0 - c1).max() < 1e-13
+    assert np.abs(a0 - end).max() < 1e-13
 
 
 def test_euler_trace_conserved():
     a0 = build_system("euler", ALPHA, x=X, y=Y)
     end = aci_flow(a0, "euler", 1.0, 1e-3)
     for power in (2, 3):
-        t0 = np.trace(np.linalg.matrix_power(a0.coeffs[0], power))
-        t1 = np.trace(np.linalg.matrix_power(end.coeffs[0], power))
+        t0 = np.trace(np.linalg.matrix_power(a0[0], power))
+        t1 = np.trace(np.linalg.matrix_power(end[0], power))
         assert abs(t1 - t0) < 1e-10
 
 
 def test_neumann_structure_preserved():
     a0 = build_system("neumann", ALPHA, x=X, y=Y)
     end = aci_flow(a0, "neumann", 1.0, 1e-3)
-    skew = end.coeffs[1]
-    sym = end.coeffs[0]
+    skew = end[1]
+    sym = end[0]
     assert np.abs(skew + skew.T).max() < 1e-9
     assert np.abs(sym - sym.T).max() < 1e-9
 
 
 def test_flow_detects_corrupted_invariants():
+    # a leading coefficient off the diagonal leaves the invariant manifold
     a0 = build_system("euler", ALPHA, x=X, y=Y)
-    bad = LaxPolynomial(
-        coeffs=(a0.coeffs[0] + 1e-3 * np.eye(3), a0.coeffs[1]),
-        alpha=a0.alpha,
-        gamma=a0.gamma,
-    )
+    bad = a0.copy()
+    bad[-1, 0, 1] = 1e-3
     with pytest.raises(StabilityError):
         aci_flow(bad, "euler", 0.1, 1e-2)
 
@@ -263,17 +259,17 @@ def test_curve_pass_is_np_poly_to_the_bit():
     # fits each member as it fits alone
     for kind in SYSTEM_KINDS:
         a0 = build_system(kind, ALPHA, x=X, y=Y)
-        batch = a0.like(np.stack([a0.stack, build_system(kind, ALPHA).stack,
-                                  aci_flow(a0, kind, 0.3, 1e-2).stack]))
+        batch = np.array([a0, build_system(kind, ALPHA),
+                          aci_flow(a0, kind, 0.3, 1e-2)])
         h = np.array([-0.9, -0.25, 0.1, 0.6, 1.0])
         table = aci._char_polys(batch, h)
-        for member, rows in zip(batch.stack, table):
-            a = a0.like(member)
-            want = np.array([np.real(np.poly(a(x))) for x in h])
+        for member, rows in zip(batch, table):
+            want = np.array([np.real(np.poly(aci._evaluate(member, x)))
+                             for x in h])
             assert np.array_equal(rows, want)
         keys, rows = aci._curve_fit(batch)
-        for member, row in zip(batch.stack, rows):
-            alone = spectral_curve_coeffs(a0.like(member))
+        for member, row in zip(batch, rows):
+            alone = spectral_curve_coeffs(member)
             assert list(alone) == keys and list(alone.values()) == list(row)
 
 
@@ -342,31 +338,28 @@ def test_flow_backward_returns_to_start():
     a0 = build_system("neumann", ALPHA, x=X, y=Y)
     there = aci_flow(a0, "neumann", 0.5, 1e-3)
     back = aci_flow(there, "neumann", -0.5, 1e-3)
-    for c0, c1 in zip(a0.coeffs, back.coeffs):
-        assert np.abs(c1 - c0).max() < 1e-12
+    assert np.abs(back - a0).max() < 1e-12
 
 
 # ----- batched RK4 -----
 
 def test_batched_flow_matches_single_flows():
+    # the batch reads alpha and gamma from its first member, a0; flowed
+    # alone, a1 reads its own, which differ from a0's by rounding only
     a0 = build_system("neumann", ALPHA, x=X, y=Y)
     a1 = aci_flow(a0, "neumann", 0.3, 1e-2)
-    batch = LaxPolynomial(
-        tuple(np.stack(pair) for pair in zip(a0.coeffs, a1.coeffs)),
-        ALPHA, a0.gamma,
-    )
-    moved = aci_flow(batch, "neumann", 0.2, 1e-2)
-    for i, start in enumerate((a0, a1)):
+    moved = aci_flow(np.array([a0, a1]), "neumann", 0.2, 1e-2)
+    for member, start in zip(moved, (a0, a1)):
         alone = aci_flow(start, "neumann", 0.2, 1e-2)
-        for c_batch, c_alone in zip(moved.coeffs, alone.coeffs):
-            assert np.abs(c_batch[i] - c_alone).max() < 1e-15
+        assert np.abs(member - alone).max() < 1e-15
 
 
 def test_batched_drift_guard_sees_one_bad_member():
+    # the second member's gamma is off the first member's by 1e-3
     a0 = build_system("euler", ALPHA, x=X, y=Y)
-    bad = a0.coeffs[0] + 1e-3 * np.eye(3)
-    batch = LaxPolynomial((np.stack([a0.coeffs[0], bad]),
-                           np.stack([a0.coeffs[1]] * 2)), ALPHA, a0.gamma)
+    bad = a0.copy()
+    bad[0] += 1e-3 * np.eye(3)
+    batch = np.array([a0, bad])
     with pytest.raises(StabilityError):
         aci_flow(batch, "euler", 0.1, 1e-2)
 
@@ -455,28 +448,27 @@ def test_aks_flow_backward_returns_to_start():
     there, _ = aks_flow(a0, "central_force", 1.5)
     back, tail = aks_flow(there, "central_force", -1.5)
     assert 0.0 < tail < 1e-12
-    for c0, c1 in zip(a0.coeffs, back.coeffs):
-        assert np.abs(c1 - c0).max() < 1e-12
+    assert np.abs(back - a0).max() < 1e-12
 
 
 def test_aks_step_at_the_singular_radius_is_numerical_error():
     # on |h| = 1 the spectrum of a(h)/h^2 meets the pole of f' = 1/x
     a0 = build_system("central_force", ALPHA, x=X, y=Y)
     with pytest.raises(NumericalError, match="tail"):
-        aci._aks_step(np.array(a0.coeffs), "central_force", 0.5, 1.0)
+        aci._aks_step(a0, "central_force", 0.5, 1.0)
 
 
 def test_aks_step_too_long_for_its_circle_is_numerical_error():
     # exp(t R |beta|) on |h| = 3 over t = 5, without sub-steps
     a0 = build_system("neumann", ALPHA, x=X, y=Y)
     with pytest.raises(NumericalError, match="tail"):
-        aci._aks_step(np.array(a0.coeffs), "neumann", 5.0, 3.0)
+        aci._aks_step(a0, "neumann", 5.0, 3.0)
 
 
 def test_aks_nonfinite_sample_is_numerical_error(monkeypatch):
     a0 = build_system("neumann", ALPHA, x=X, y=Y)
-    bad = LaxPolynomial((a0.coeffs[0] * math.nan,) + a0.coeffs[1:],
-                        ALPHA, a0.gamma)
+    bad = a0.copy()
+    bad[0] = math.nan
     with pytest.raises(NumericalError, match="not finite"):
         aks_flow(bad, "neumann", 1.0)
 

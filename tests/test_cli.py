@@ -689,6 +689,17 @@ def test_far_tail_gap_probabilities_exit_numerical(capsys):
     assert "error estimate" in capsys.readouterr().err
 
 
+def test_left_tail_determinant_past_its_relative_budget_exits_numerical(
+        capsys):
+    # det(I - K_airy) on (-8, inf) is 2e-19: its two orders differ by
+    # 2e-8 relative, far below any absolute budget
+    assert main(["gapode", "pii", "--grid=-8:3:0.25", "--check"]) == (
+        EXIT_NUMERICAL
+    )
+    err = capsys.readouterr().err
+    assert "-8:inf" in err and "relative" in err
+
+
 # ----- spot checks of a few subcommands -----
 
 def test_fredholm_gap_rows_are_the_grid():
@@ -742,6 +753,11 @@ def test_toda_flow_reports_its_largest_route_gap():
     gaps = [r["value"] for r in report.rows if r["metric"].startswith("sup")]
     assert report.self_reported_error == report.max_abs_residual == max(gaps)
     assert report.self_reported_error > 0.0
+
+
+def test_pfaff_flow_reports_its_route_gap():
+    report, _, _ = dispatch(["pfaff", "flow"])
+    assert report.self_reported_error == report.max_abs_residual > 0.0
 
 
 def test_toda_poly_uniform_at_degree_12():

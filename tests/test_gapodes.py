@@ -65,11 +65,11 @@ def pfaffian_probability_supplier(w, alpha, order=96):
         size = m if alpha == -1 else 2 * m
         E = IntervalUnion([(lo, x)])
         num = pfaffian(
-            skew_inner_products(w, E, alpha=alpha, N=size // 2, order=order).m
+            skew_inner_products(w, E, alpha=alpha, N=size // 2, order=order)
         )
         if m not in full_cache:
             full_cache[m] = pfaffian(
-                skew_inner_products(w, None, alpha=alpha, N=size // 2, order=order).m
+                skew_inner_products(w, None, alpha=alpha, N=size // 2, order=order)
             )
         return num / full_cache[m]
 

@@ -7,6 +7,7 @@ import pytest
 from laxlab.fd import central_diff
 from laxlab.errors import (
     DegenerateFlagError,
+    DepthError,
     DivergenceError,
     SingularMatrixError,
     SingularTauError,
@@ -17,7 +18,6 @@ from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import pfaffian, quadrature, skew_borel, union_rule
 from laxlab import pfaff
 from laxlab.pfaff import (
-    SkewMoments,
     pfaff_lax,
     pfaff_ode_flow,
     pfaffkp_residual,
@@ -25,8 +25,8 @@ from laxlab.pfaff import (
     skew_inner_products,
     skew_endpoint_series,
 )
-from laxlab.tau import WeightSpec, weighted_powers
-from skew_reference import block_j, skew_from_matrix
+from laxlab.tau import WeightSpec, leading_block, weighted_powers
+from skew_reference import block_j
 
 
 # ----- oracles -----
@@ -52,12 +52,12 @@ def mc_pf4_oracle(rng, count=400_000):
     return vals.mean() / 24.0, vals.std(ddof=1) / math.sqrt(count) / 24.0
 
 
-def quadrature_pairing(m, i, j, order=96):
-    """<q_i, q_j> recomputed by quadrature, independent of the moment
-    matrix: the Wronskian single integral for alpha=+1, the antiderivative
-    double integral for alpha=-1."""
-    q = skew_borel(m.m)
-    w = m.weight
+def quadrature_pairing(m, w, alpha, i, j, order=96):
+    """<q_i, q_j> over the support of w recomputed by quadrature,
+    independent of the moment matrix m: the Wronskian single integral for
+    alpha=+1, the antiderivative double integral for alpha=-1."""
+    q = skew_borel(m)
+    E = w.support()
     ci = q[i, : i + 1]
     cj = q[j, : j + 1]
 
@@ -67,9 +67,9 @@ def quadrature_pairing(m, i, j, order=96):
     def dpoly(c, x):
         return sum(k * ck * x ** (k - 1) for k, ck in enumerate(c) if k)
 
-    nodes, weights = union_rule(m.E, order, w.decay_scale())
+    nodes, weights = union_rule(E, order, w.decay_scale())
     rho = w.density(nodes)
-    if m.alpha == 1:
+    if alpha == 1:
         vals = poly(ci, nodes) * dpoly(cj, nodes) - dpoly(ci, nodes) * poly(cj, nodes)
         return float(np.dot(weights * rho, vals))
     # alpha = -1: int int qi(y) qj(z) sign(z-y) rho(y) rho(z)
@@ -77,7 +77,7 @@ def quadrature_pairing(m, i, j, order=96):
     fj = np.empty_like(nodes)
     tj = float(np.dot(weights * rho, poly(cj, nodes)))
     for idx, y in enumerate(nodes):
-        lower = m.E.intersect(IntervalUnion.half_line_below(float(y)))
+        lower = E.intersect(IntervalUnion.half_line_below(float(y)))
         if lower.is_empty:
             fj[idx] = 0.0
             continue
@@ -105,26 +105,26 @@ def pfaff_flow_moments(t=(), N=10):
 
 def test_wronskian_diagonal_vanishes():
     m = skew_inner_products(gaussian_weight(), alpha=1, N=3)
-    assert np.abs(np.diag(m.m)).max() == 0.0
+    assert np.abs(np.diag(m)).max() == 0.0
 
 
 def test_skewness_exact_by_construction():
     for alpha in (-1, 1):
         m = skew_inner_products(gaussian_weight(), alpha=alpha, N=3)
-        assert np.abs(m.m + m.m.T).max() == 0.0
+        assert np.abs(m + m.T).max() == 0.0
 
 
 def test_wronskian_mu01_closed_form():
     # mu_01 = (1-0) * int rho = sqrt(pi) for the b=1 gaussian
     m = skew_inner_products(gaussian_weight(), alpha=1, N=2)
-    assert m.m[0, 1] == pytest.approx(math.sqrt(math.pi), abs=1e-12)
+    assert m[0, 1] == pytest.approx(math.sqrt(math.pi), abs=1e-12)
 
 
 def test_eps_mu01_matches_mc_oracle():
     rng = np.random.default_rng(11)
     est, err = mc_eps_mu01_oracle(rng)
     m = skew_inner_products(gaussian_weight(), alpha=-1, N=2)
-    assert abs(m.m[0, 1] - est) < 3.0 * err
+    assert abs(m[0, 1] - est) < 3.0 * err
 
 
 def test_uniform_moments_match_closed_forms():
@@ -137,7 +137,7 @@ def test_uniform_moments_match_closed_forms():
     }
     for alpha, want in closed.items():
         m = skew_inner_products(uniform_weight(), alpha=alpha, N=10)
-        assert np.abs(m.m - want).max() < 1e-13, alpha
+        assert np.abs(m - want).max() < 1e-13, alpha
 
 
 def test_divergent_rejected():
@@ -161,7 +161,7 @@ def test_wronskian_moments_match_a_fine_rule():
         for j in range(i + 1, size):
             want[i, j] = (j - i) * raw[i + j - 1]
             want[j, i] = -want[i, j]
-    got = skew_inner_products(w, E, alpha=1, N=size // 2).m
+    got = skew_inner_products(w, E, alpha=1, N=size // 2)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -221,14 +221,14 @@ def eps_moments_per_node(w, E, N, order):
 def test_eps_moments_match_a_rule_per_node_bit_for_bit(w, E, order):
     E = w.support() if E is None else E.intersect(w.support())
     m = skew_inner_products(w, E, alpha=-1, N=5, order=order)
-    assert np.array_equal(m.m, eps_moments_per_node(w, E, 5, order))
+    assert np.array_equal(m, eps_moments_per_node(w, E, 5, order))
 
 
 def test_eps_moments_in_small_chunks_are_bit_for_bit_the_same(monkeypatch):
     w, E = gaussian_weight(), IntervalUnion.half_line_below(1.5)
-    whole = skew_inner_products(w, E, alpha=-1, N=5, order=64).m
+    whole = skew_inner_products(w, E, alpha=-1, N=5, order=64)
     monkeypatch.setattr(quadrature, "CUT_CHUNK", 300)  # 4 rows a chunk
-    chunked = skew_inner_products(w, E, alpha=-1, N=5, order=64).m
+    chunked = skew_inner_products(w, E, alpha=-1, N=5, order=64)
     assert np.array_equal(chunked, whole)
 
 
@@ -238,13 +238,13 @@ def test_evolve_zero_identity():
     m = skew_inner_products(uniform_weight(), alpha=-1, N=4)
     still = skew_inner_products(WeightSpec("uniform", times=[0.0]),
                                 alpha=-1, N=4)
-    assert np.array_equal(still.m, m.m)
+    assert np.array_equal(still, m)
 
 
 def test_evolve_preserves_skewness_exactly():
     out = skew_inner_products(WeightSpec("uniform", times=[0.05, -0.02]),
                               alpha=-1, N=4)
-    assert np.abs(out.m + out.m.T).max() == 0.0
+    assert np.abs(out + out.T).max() == 0.0
 
 
 def test_evolve_alpha_minus_matches_quadrature():
@@ -260,7 +260,7 @@ def test_evolve_alpha_minus_matches_quadrature():
         alpha=-1,
         N=3,
     )
-    assert np.abs(out.m[:6, :6] - shifted.m).max() < 1e-9
+    assert np.abs(out[:6, :6] - shifted).max() < 1e-9
 
 
 def test_evolve_alpha_plus_matches_quadrature():
@@ -276,20 +276,20 @@ def test_evolve_alpha_plus_matches_quadrature():
         alpha=1,
         N=3,
     )
-    assert np.abs(out.m[:6, :6] - shifted.m).max() < 1e-9
+    assert np.abs(out[:6, :6] - shifted).max() < 1e-9
 
 
 # ----- tau tables -----
 
 def test_tau2_is_mu01():
     m = skew_inner_products(gaussian_weight(), alpha=-1, N=3)
-    assert pfaffian(m.block(2)) == m.m[0, 1]
+    assert pfaffian(leading_block(m, 2)) == m[0, 1]
 
 
 def test_pf_squared_is_det():
     m = skew_inner_products(gaussian_weight(), alpha=-1, N=4)
     for n in (1, 2, 3, 4):
-        block = m.block(2 * n)
+        block = leading_block(m, 2 * n)
         assert pfaffian(block) ** 2 == pytest.approx(
             np.linalg.det(block), rel=1e-10
         )
@@ -299,7 +299,7 @@ def test_tau4_matches_mc_oracle():
     rng = np.random.default_rng(21)
     est, err = mc_pf4_oracle(rng)
     m = skew_inner_products(gaussian_weight(), alpha=-1, N=2)
-    tau4 = pfaffian(m.block(4))
+    tau4 = pfaffian(leading_block(m, 4))
     assert abs(tau4 - est) < 3.0 * err
 
 
@@ -309,7 +309,7 @@ def test_uniform_float_pivots_within_rounding_floor_raise():
     # deeper ones are positive noise
     m = skew_inner_products(uniform_weight(), alpha=-1, N=10)
     with pytest.raises(DegenerateFlagError, match=r"lies within it"):
-        skew_borel(m.m)
+        skew_borel(m)
 
 
 # ----- projections -----
@@ -358,8 +358,7 @@ def test_projection_equals_dense_formula_exactly(n):
 # ----- Lax matrix -----
 
 def test_lax_of_j_is_shift():
-    m = skew_from_matrix(block_j(8))
-    L = pfaff_lax(m)
+    L = pfaff_lax(block_j(8))
     assert np.abs(L - np.eye(8, k=1)).max() < 1e-12
 
 
@@ -434,13 +433,13 @@ def test_skew_orthopoly_pairing_is_j():
         j = block_j(6)
         for i in range(6):
             for k in range(6):
-                val = quadrature_pairing(m, i, k)
+                val = quadrature_pairing(m, gaussian_weight(), alpha, i, k)
                 assert val == pytest.approx(j[i, k], abs=1e-8)
 
 
 def skew_orthopoly(m, n, z):
     """q_n(z): row n of the skew-Borel factor applied to (1, z, ..., z^n)."""
-    return np.power.outer(z, np.arange(n + 1)) @ skew_borel(m.m)[n, : n + 1]
+    return np.power.outer(z, np.arange(n + 1)) @ skew_borel(m)[n, : n + 1]
 
 
 def test_skew_orthopoly_parity():
@@ -456,11 +455,11 @@ def test_skew_orthopoly_tau_shift_formula():
     # with the shifted tau computed from the exact moment combination
     # mu'_{ij} = mu_{ij} - (mu_{i+1,j} + mu_{i,j+1})/z + mu_{i+1,j+1}/z^2
     m = skew_inner_products(gaussian_weight(), alpha=-1, N=4)
-    taus = [pfaffian(m.block(2 * k)) for k in range(4)]
+    taus = [pfaffian(leading_block(m, 2 * k)) for k in range(4)]
     z = 1.7
     for n in (1, 2):
         n2 = 2 * n
-        mu = m.m
+        mu = m
         shifted = (
             mu[:n2, :n2]
             - (mu[1 : n2 + 1, :n2] + mu[:n2, 1 : n2 + 1]) / z
@@ -498,11 +497,10 @@ def test_pfaffkp_degenerate_tau_flagged():
     for (i, j), v in pairs.items():
         mat[i, j] = v
         mat[j, i] = -v
-    m = skew_from_matrix(mat)
     with pytest.raises(SingularTauError):
-        pfaffkp_residual(m, 4)
+        pfaffkp_residual(mat, 4)
     with pytest.raises(DegenerateFlagError):
-        pfaff_lax(m)
+        pfaff_lax(mat)
 
 
 def test_pfaff_lax_singular_factor_is_numerical_error(monkeypatch):
@@ -510,7 +508,7 @@ def test_pfaff_lax_singular_factor_is_numerical_error(monkeypatch):
     # can reach the solve
     monkeypatch.setattr(pfaff, "skew_borel", lambda m: np.zeros(m.shape))
     with pytest.raises(SingularMatrixError):
-        pfaff_lax(skew_from_matrix(block_j(4)))
+        pfaff_lax(block_j(4))
 
 
 def test_pfaffkp_odd_n_rejected():
@@ -520,13 +518,27 @@ def test_pfaffkp_odd_n_rejected():
 
 
 def test_skew_moments_validation():
+    # a moment array that is not skew fails at its first Pfaffian
     with pytest.raises(UsageError):
-        SkewMoments(
-            m=np.ones((4, 4)),
-            alpha=-1,
-            weight=gaussian_weight(),
-            E=IntervalUnion.full_line(),
-        )
+        pfaffkp_residual(np.ones((4, 4)), 2)
+
+
+def test_unknown_pairing_rejected():
+    E = IntervalUnion.half_line_below(1.0)
+    for alpha in (0, 2, -2):
+        with pytest.raises(UsageError):
+            skew_inner_products(gaussian_weight(), E, alpha=alpha, N=2)
+        with pytest.raises(UsageError):
+            skew_endpoint_series(gaussian_weight(), E, alpha, 4, 1.0, 1.0, 2)
+
+
+def test_blocks_past_the_skew_moments_raise_depth_error():
+    m = skew_inner_products(gaussian_weight(), alpha=-1, N=2)
+    assert leading_block(m, 4).shape == (4, 4)
+    with pytest.raises(DepthError):
+        leading_block(m, 6)
+    with pytest.raises(DepthError):
+        pfaffkp_residual(m, 4)  # tau_6 needs a 6 x 6 block
 
 
 # ----- endpoint Taylor matrices -----
@@ -549,14 +561,13 @@ def test_skew_endpoint_series_match_central_differences(alpha, w, pieces,
         def f(d):
             moved = [tuple(x + d if x == c else x for x in p) for p in pieces]
             return skew_inner_products(w, IntervalUnion(moved), alpha=alpha,
-                                       N=3, order=96).m[i, j]
+                                       N=3, order=96)[i, j]
         return f
 
-    gs = skew_endpoint_series(
-        skew_inner_products(w, E, alpha=alpha, N=3, order=96), c, sigma, 3)
+    gs = skew_endpoint_series(w, E, alpha, 6, c, sigma, 3)
     # wider steps at higher order keep the stencils' rounding small
     for r, h in ((1, 1e-3), (2, 1e-2), (3, 4e-2)):
         for i, j in ((0, 1), (1, 4), (2, 5)):
             fd = central_diff(entry(i, j), r, h, richardson=True, levels=2)
-            exact = math.factorial(r) * gs[r - 1].m[i, j]
+            exact = math.factorial(r) * gs[r - 1][i, j]
             assert exact == pytest.approx(fd, rel=1e-5, abs=1e-7), (r, i, j)

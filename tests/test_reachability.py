@@ -12,7 +12,10 @@ graph, so a def this test calls unreached is unreached for certain.
 
 The same walk backs a knob lint: every default parameter of a def must
 be passed, by keyword or by position, by some call in src/, tests/ or
-perfbench/; a default that nothing overrides is a constant.
+perfbench/; a default that nothing overrides is a constant.  An import
+lint rides along: every name a module imports must be mentioned in that
+module, except in package __init__ re-exports and on lines marked
+``# noqa: F401``.
 """
 
 import ast
@@ -275,3 +278,58 @@ def test_the_knob_lint_sees_calls():
     calls = _calls(["f(0, 1, d=4)\ng(*args)\nK(1)\nk.method(1)\n"
                     "K.static(1)\n"])
     assert _unset_defaults(defs, calls) == ["m.K.method:z", "m.f:c"]
+
+
+# ----- unused-import lint -----
+
+NOQA = "# noqa: F401"
+
+
+def _unused_imports(module, text):
+    """'module:name' of every name an import in the text binds that no
+    code of the module mentions, unless its line carries NOQA."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    mentioned = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            marked = NOQA in lines[node.lineno - 1] + lines[alias.lineno - 1]
+            if bound not in mentioned and not marked:
+                unused.append(f"{module}:{bound}")
+    return unused
+
+
+def test_every_import_is_used():
+    """Package __init__ files re-export, so only modules are linted."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "__init__.py":
+            module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+            unused += _unused_imports(module, path.read_text())
+    assert unused == []
+
+
+def test_the_import_lint_sees_mentions():
+    """A name counts as used when any code mentions it, as a bare name or
+    as the head of an attribute; a string or an attribute name does not
+    count."""
+    text = (
+        "import os\n"
+        "import numpy as np\n"
+        "import a.b\n"
+        "from m import (\n"
+        "    f,\n"
+        "    g,  # noqa: F401\n"
+        "    h,\n"
+        ")\n"
+        "from . import kept  # noqa: F401\n"
+        "def run():\n"
+        "    from x import y\n"
+        "    return np.zeros(f(a.b), 'os') + q.h + y\n"
+    )
+    assert _unused_imports("m", text) == ["m:os", "m:h"]

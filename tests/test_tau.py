@@ -19,13 +19,14 @@ from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import lu_determinant
 from laxlab.pfaff import skew_inner_products
 from laxlab.tau import (
-    HankelMoments,
     WeightSpec,
     dlog_block,
     evolution_coefficients,
     hankel_endpoint_series,
     hankel_moments,
+    hankel_rows,
     kp_residual,
+    leading_block,
     logdet_partials,
 )
 from laxlab.twotoda import bimoments
@@ -33,13 +34,9 @@ from laxlab.twotoda import bimoments
 
 # ----- oracles -----
 
-def hankel_from_sequence(mu):
-    """Wrap a raw moment sequence: a unit weight on the full line."""
-    return HankelMoments(
-        mu=np.asarray(mu, dtype=float),
-        weight=WeightSpec("custom", func=lambda z: np.ones_like(z)),
-        E=IntervalUnion.full_line(),
-    )
+def hankel_block(mu, n):
+    """The n x n Hankel block mu_{i+j} of the moments mu."""
+    return leading_block(hankel_rows(mu, n), n)
 
 
 def gaussian_moment_oracle(m, b=1.0):
@@ -77,18 +74,18 @@ def gaussian_weight(b=1.0):
 
 def test_uniform_moments_closed_form():
     m = hankel_moments(uniform_weight(), M=4)
-    assert np.allclose(m.mu, [1.0 / (k + 1) for k in range(5)], atol=1e-14)
+    assert np.allclose(m, [1.0 / (k + 1) for k in range(5)], atol=1e-14)
 
 
 def test_gaussian_odd_moment_vanishes():
     m = hankel_moments(gaussian_weight(), M=4)
-    assert abs(m.mu[1]) < 1e-14
+    assert abs(m[1]) < 1e-14
 
 
 def test_gaussian_moments_match_gamma_oracle():
     m = hankel_moments(gaussian_weight(), M=10)
     for k in range(11):
-        assert m.mu[k] == pytest.approx(gaussian_moment_oracle(k), abs=1e-12)
+        assert m[k] == pytest.approx(gaussian_moment_oracle(k), abs=1e-12)
 
 
 def test_divergent_moment_rejected():
@@ -105,7 +102,7 @@ def test_divergent_moment_rejected():
 def test_evolve_zero_is_identity():
     m = hankel_moments(uniform_weight(), M=10)
     m2 = hankel_moments(WeightSpec("uniform", times=[0.0, 0.0]), M=10)
-    assert np.array_equal(m.mu, m2.mu)
+    assert np.array_equal(m, m2)
 
 
 def test_evolve_t1_matches_quadrature():
@@ -118,7 +115,7 @@ def test_evolve_t1_matches_quadrature():
         E=IntervalUnion([(0.0, 1.0)]),
         M=10,
     )
-    assert np.abs(evolved.mu - shifted.mu).max() < 1e-10
+    assert np.abs(evolved - shifted).max() < 1e-10
 
 
 def test_evolution_semigroup():
@@ -130,7 +127,7 @@ def test_evolution_semigroup():
                                   custom_support=first.support(), times=t2),
                        M=30)
     b = hankel_moments(WeightSpec("uniform", times=t1 + t2), M=30)
-    assert np.abs(a.mu - b.mu).max() < 1e-12
+    assert np.abs(a - b).max() < 1e-12
 
 
 TIMES = st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
@@ -169,23 +166,23 @@ def test_evolve_hankel_matches_the_reference():
     # moments of the weight itself
     for (w, E), t in itertools.product(EVOLVED_WEIGHTS, EVOLUTION_TIMES):
         deep = hankel_moments(w, E, M=20 + shift_depth(t))
-        got = hankel_moments(evolved(w, t), E, M=20).mu
-        assert_close(got, reference_hankel(deep.mu, t))
+        got = hankel_moments(evolved(w, t), E, M=20)
+        assert_close(got, reference_hankel(deep, t))
 
 
 def test_evolve_skew_matches_the_reference():
     for (w, E), t in itertools.product(EVOLVED_WEIGHTS, EVOLUTION_TIMES[:2]):
         # the eps-pairing moves by t on both indices
         deep = skew_inner_products(w, E, alpha=-1, N=6 + shift_depth(t) // 2)
-        got = skew_inner_products(evolved(w, t), E, alpha=-1, N=6).m
-        assert_close(got, reference_evolution(deep.m, t, t))
+        got = skew_inner_products(evolved(w, t), E, alpha=-1, N=6)
+        assert_close(got, reference_evolution(deep, t, t))
         # the Wronskian pairing (j - i) r_{i+j-1} carries one weight factor:
         # r_k = m_{0,k+1} / (k + 1) moves as a Hankel sequence
         deep = skew_inner_products(w, E, alpha=1, N=12 + shift_depth(t) // 2)
-        r = reference_hankel(deep.m[0, 1:] / np.arange(1, deep.size), t)
+        r = reference_hankel(deep[0, 1:] / np.arange(1, len(deep)), t)
         i = np.arange(12)
         want = (i - i[:, None]) * r[np.maximum(np.add.outer(i, i) - 1, 0)]
-        got = skew_inner_products(evolved(w, t), E, alpha=1, N=6).m
+        got = skew_inner_products(evolved(w, t), E, alpha=1, N=6)
         assert_close(got, want)
 
 
@@ -204,49 +201,51 @@ def test_evolved_endpoint_series_match_the_reference():
     for (w, E), t in itertools.product(EVOLVED_WEIGHTS[2:], EVOLUTION_TIMES):
         c = E.intervals[-1][1]
         deep = hankel_moments(w, E, M=10 + shift_depth(t))
-        want = hankel_endpoint_series(deep, c, 1.0, 3)
-        got = hankel_endpoint_series(hankel_moments(evolved(w, t), E, M=10),
+        want = hankel_endpoint_series(w, deep, c, 1.0, 3)
+        moved = evolved(w, t)
+        got = hankel_endpoint_series(moved, hankel_moments(moved, E, M=10),
                                      c, 1.0, 3)
         for g, ref in zip(got, want):
-            assert_close(g.mu, reference_hankel(ref.mu, t))
+            assert_close(g, reference_hankel(ref, t))
 
 
 # ----- tau tables -----
 
 def test_tau_table_small_cases():
     m = hankel_moments(uniform_weight(), M=8)
-    assert lu_determinant(m.block(1)) == pytest.approx(1.0, abs=1e-14)
-    assert lu_determinant(m.block(2)) == pytest.approx(1.0 / 12.0, abs=1e-14)
+    assert lu_determinant(hankel_block(m, 1)) == pytest.approx(1.0, abs=1e-14)
+    assert lu_determinant(hankel_block(m, 2)) == pytest.approx(1.0 / 12.0,
+                                                               abs=1e-14)
 
 
 def test_tau3_matches_mc_oracle():
     rng = np.random.default_rng(42)
     est, err = mc_tau3_oracle(1.0, rng)
     m = hankel_moments(gaussian_weight(), M=8)
-    tau3 = lu_determinant(m.block(3))
+    tau3 = lu_determinant(hankel_block(m, 3))
     assert abs(tau3 - est) < 3.0 * err
 
 
 def test_hankel_positivity():
     m = hankel_moments(gaussian_weight(), M=14)
-    assert all(lu_determinant(m.block(n)) > 0 for n in range(1, 7))
+    assert all(lu_determinant(hankel_block(m, n)) > 0 for n in range(1, 7))
 
 
 # ----- derivatives -----
 
 def dlog_tau(m, n, ks):
     """d/dt_{k1} ... d/dt_{kr} log tau_n, exact: time shifts the rows."""
-    return dlog_block(m.rows(n), n, [(k, 1.0, 0.0) for k in ks])
+    return dlog_block(hankel_rows(m, n), n, [(k, 1.0, 0.0) for k in ks])
 
 
 def log_tau(m, n):
-    return math.log(lu_determinant(m.block(n)))
+    return math.log(lu_determinant(hankel_block(m, n)))
 
 
 def test_dlog_tau_first_order_trivial():
     m = hankel_moments(uniform_weight(), M=10)
-    assert dlog_tau(m, 1, [1]) == pytest.approx(m.mu[1] / m.mu[0], abs=1e-13)
-    assert dlog_tau(m, 1, [2]) == pytest.approx(m.mu[2] / m.mu[0], abs=1e-13)
+    assert dlog_tau(m, 1, [1]) == pytest.approx(m[1] / m[0], abs=1e-13)
+    assert dlog_tau(m, 1, [2]) == pytest.approx(m[2] / m[0], abs=1e-13)
 
 
 def test_dlog_tau_second_order_matches_fd_oracle():
@@ -284,13 +283,23 @@ def test_dlog_tau_mixed_partials_match_fd_of_first_order(orders):
 
 
 def test_dlog_block_shift_past_the_array_is_a_depth_error():
-    rows = hankel_moments(uniform_weight(), M=8).rows(3)  # mu_0..mu_8: 7 x 3
+    rows = hankel_rows(hankel_moments(uniform_weight(), M=8), 3)  # 7 x 3
     assert np.isfinite(dlog_block(rows, 3, [(1, 1.0, 0.0)] * 4))
     # numpy slicing would silently truncate the shifted block
     with pytest.raises(DepthError):
         dlog_block(rows, 3, [(1, 1.0, 0.0)] * 5)
     with pytest.raises(DepthError):
         dlog_block(rows, 3, [(1, 0.0, 1.0)])
+
+
+def test_blocks_past_the_hankel_rows_raise_depth_error():
+    # mu_0..mu_8 hold the Hankel blocks up to 5 x 5
+    mu = hankel_moments(uniform_weight(), M=8)
+    assert hankel_block(mu, 5).shape == (5, 5)
+    with pytest.raises(DepthError):
+        hankel_block(mu, 6)
+    with pytest.raises(DepthError):
+        leading_block(hankel_rows(mu, 3), 8)
 
 
 def test_empty_block_has_partial_zero():
@@ -392,8 +401,7 @@ def test_kp_residual_random_positive_hankel(n):
     pts = rng.uniform(-1.0, 1.0, size=12)
     wts = rng.uniform(0.1, 1.0, size=12)
     mu = np.array([np.dot(wts, pts ** k) for k in range(60)])
-    m = hankel_from_sequence(mu)
-    assert abs(kp_residual(m, n)) < 1e-6
+    assert abs(kp_residual(mu, n)) < 1e-6
 
 
 def test_kp_residual_gaussian_n3():
@@ -420,7 +428,7 @@ def test_kp_residual_uniform_is_at_rounding_level():
 
 def test_kp_residual_scale_invariant():
     m = hankel_moments(uniform_weight(), M=60)
-    doubled = hankel_from_sequence(2.0 * m.mu)
+    doubled = 2.0 * m
     a = kp_residual(m, 2)
     b = kp_residual(doubled, 2)
     assert a == pytest.approx(b, abs=1e-10)
