@@ -3,8 +3,9 @@
 Every subcommand runs one computation, prints a canonical JSON report
 (sorted keys, %.17g floats) to stdout or writes JSON/CSV to --out, and
 exits 0 on success, 2 on usage errors, 3 on numerical errors, and 4 when
---check finds the residual above its acceptance tolerance.  Reports with
-the same argv and seed are bytewise identical at any thread count.
+--check finds a gated value above its bound: the largest residual above
+--tol, or an extra gate of the command broken.  Reports with the same argv
+and seed are bytewise identical at any thread count.
 """
 
 import argparse
@@ -32,6 +33,7 @@ PFAFF_ODE_MARGIN = 12
 
 @dataclass
 class RunReport:
+    """One command's report: its fields are the JSON report's keys."""
     command: str
     params: dict
     rows: list
@@ -42,11 +44,16 @@ class RunReport:
 
 @dataclass
 class _Result:
+    """A handler's rows and what dispatch gates: the largest of `residual`,
+    a value or values (None: the rows' "residual" column), against --tol,
+    whose default is `bound` where the arguments set it, and the largest of
+    each (values, bound) of `gates` against its bound.  The largest of
+    `err` is the report's error estimate."""
     rows: list
-    residual: float
-    tol: float
-    err: float = 0.0
-    ok: bool = True
+    residual: object = None
+    err: object = 0.0
+    bound: float = None
+    gates: list = ()
 
 
 # ----- canonical serialization -----
@@ -102,22 +109,16 @@ def _cell_text(value):
 def emit_report(report, fmt):
     """Canonical bytes of the report: full JSON or rows-only CSV."""
     if fmt == "json":
-        payload = {
-            "command": report.command,
-            "params": report.params,
-            "rows": report.rows,
-            "max_abs_residual": report.max_abs_residual,
-            "self_reported_error": report.self_reported_error,
-            "seed": report.seed,
-        }
-        return (canonical_json(payload) + "\n").encode()
+        return (canonical_json(vars(report)) + "\n").encode()
     if fmt == "csv":
         if not report.rows:
             return b""
-        columns = list(report.rows[0].keys())
+        # every row's keys, in the order they first appear; a row without
+        # a column leaves its cell empty
+        columns = list(dict.fromkeys(k for row in report.rows for k in row))
         lines = [",".join(columns)]
         for row in report.rows:
-            lines.append(",".join(_cell_text(row[c]) for c in columns))
+            lines.append(",".join(_cell_text(row.get(c, "")) for c in columns))
         return ("\n".join(lines) + "\n").encode()
     raise UsageError(f"unknown report format {fmt!r}")
 
@@ -181,26 +182,52 @@ def parse_ints(text):
         raise UsageError(f"cannot parse integer list {text!r}") from exc
 
 
-def _interval_with_endpoint(template, s):
-    return IntervalUnion.parse(template.replace("s", "%.17g" % s))
-
-
 def _weight_from(args):
     return tau.WeightSpec(args.weight, a=args.a, b=args.b)
 
 
-def _weight_flags(p):
+def _weight_flags(p, n, beta=None):
+    """--weight, --a, --b and --n, and --beta where the command has one."""
     p.add_argument("--weight", default="gaussian",
                    choices=("gaussian", "laguerre", "uniform"))
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=n)
+    if beta is not None:
+        p.add_argument("--beta", type=int, default=beta, choices=(1, 2, 4))
+
+
+def _kernel_flags(p, N):
+    p.add_argument("--kernel", default="airy")
+    p.add_argument("--nu", type=float, default=0.0)
+    p.add_argument("--N", type=int, default=N)
+    p.add_argument("--b", type=float, default=1.0)
+
+
+def _aci_flags(p):
+    p.add_argument("--kind", default="neumann", choices=aci.SYSTEM_KINDS)
+    p.add_argument("--alpha", default="1,2,4")
+    p.add_argument("--x", default="0.6,-0.3,0.8")
+    p.add_argument("--y", default="0.2,0.5,-0.4")
 
 
 # ----- subcommand handlers -----
 
-def _largest(residuals):
-    """The largest residual, 0 for none, NaN if any is NaN: the gate fails."""
-    return float(np.max(residuals, initial=0.0))
+def _largest(values):
+    """The largest of a value or values, 0 for none, NaN if any is NaN."""
+    return float(np.max(values, initial=0.0))
+
+
+def _refined(compute, order, what):
+    """compute(1.5 order) and its distance from compute(order), the error
+    estimate.  Raise UnderflowError unless the value exceeds ten times that
+    error: a smaller value has no correct digit to report."""
+    value = compute(order + order // 2)
+    err = abs(compute(order) - value)
+    if not value > 10.0 * err:
+        raise UnderflowError(f"{what} is {value:.2e}, not larger than ten "
+                             f"times its error estimate {err:.2e}")
+    return value, err
 
 
 def run_toda_flow(args):
@@ -232,8 +259,7 @@ def run_toda_flow(args):
                     starts, k, segment, args.step),
                 checkpoints, args.t_end / SEGMENTS)
             routes["ode"] = ends[-1]
-    rows = []
-    gaps = [defect]  # gated even when ode is the only route
+    rows, gaps = [], [defect]  # the defect is gated even with ode alone
     names = sorted(routes)
     for i, p in enumerate(names):
         for q in names[i + 1:]:
@@ -243,14 +269,13 @@ def run_toda_flow(args):
             rows.append({"metric": f"supnorm:{p}-{q}", "value": gap})
             gaps.append(gap)
     base = np.linalg.eigvalsh(L0)
-    drift_ok = True
+    drifts = []
     for name in names:
         states = ends if name == "ode" else routes[name]  # every segment end
         drift = float(np.abs(np.linalg.eigvalsh(states) - base).max())
         rows.append({"metric": f"eig_drift:{name}", "value": drift})
-        drift_ok = drift_ok and drift < 1e-8
-    worst = _largest(gaps)
-    return _Result(rows, worst, tol=1e-6, err=worst, ok=drift_ok)
+        drifts.append(drift)
+    return _Result(rows, gaps, err=gaps, gates=[(drifts, 1e-8)])
 
 
 def run_toda_poly(args):
@@ -269,7 +294,7 @@ def run_toda_poly(args):
     norm = tau.refine_on_rule(
         w, w.support(), args.order + args.order // 2,
         lambda x, wx: wx @ (orthonormal_polys(ab, x)[-1] ** 2 * w.density(x)))
-    return _Result(rows, abs(norm - 1.0), tol=1e-8)
+    return _Result(rows, abs(norm - 1.0))
 
 
 def run_pfaff_flow(args):
@@ -288,8 +313,7 @@ def run_pfaff_flow(args):
         pfaff.pfaff_lax(moments((), size + PFAFF_ODE_MARGIN * args.k)),
         args.k, args.t_end, args.step)
     gap = float(np.abs(L[:size, :size] - via_moments[:size, :size]).max())
-    rows = [{"metric": "interior_supnorm", "value": gap}]
-    return _Result(rows, gap, tol=1e-6, err=gap)
+    return _Result([{"metric": "interior_supnorm", "value": gap}], gap, err=gap)
 
 
 def run_pfaff_check_kp(args):
@@ -298,9 +322,8 @@ def run_pfaff_check_kp(args):
     rows = []
     for n in parse_ints(args.n_list):
         m = pfaff.skew_inner_products(w, alpha=alpha, N=n + 4, order=args.order)
-        res = abs(pfaff.pfaffkp_residual(m, n))
-        rows.append({"n": n, "residual": res})
-    return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-6)
+        rows.append({"n": n, "residual": abs(pfaff.pfaffkp_residual(m, n))})
+    return _Result(rows)
 
 
 def run_twotoda_pde(args):
@@ -312,17 +335,13 @@ def run_twotoda_pde(args):
         res = abs(twotoda.coupled_pde_residual(args.c, a, b, args.n,
                                                order=args.order))
         rows.append({"a": a, "b": b, "residual": res})
-    return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-3)
+    return _Result(rows)
 
 
 def run_twotoda_identities(args):
     m = twotoda.bimoments(args.c, N=args.n + 8, order=args.order)
-    rows = []
-    for name, val in (
-        ("kp_t", twotoda.kp_in_t_residual(m, args.n, direction="t")),
-        ("kp_s", twotoda.kp_in_t_residual(m, args.n, direction="s")),
-    ):
-        rows.append({"identity": name, "residual": abs(val)})
+    rows = [{"identity": f"kp_{d}", "residual": abs(
+        twotoda.kp_in_t_residual(m, args.n, direction=d))} for d in "ts"]
     # at t = s = 0 the coupled Gaussian is symmetric under (x, y) -> (-x, -y)
     # and both sides of the quotient identities vanish; away from it they
     # do not.  The moments must reach the (n + 1)-blocks and the n-blocks
@@ -331,33 +350,22 @@ def run_twotoda_identities(args):
                               t=[0.1], s=[-0.07])
     for i, val in enumerate(twotoda.wronskian_identity_residual(moved, args.n)):
         rows.append({"identity": f"quotient_{i}", "residual": abs(val)})
-    rows.append({
-        "identity": "bracket",
-        "residual": abs(twotoda.wronskian_bracket_residual(moved, args.n)),
-    })
-    return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-8)
-
-
-def _require_resolved(value, err, what):
-    """Raise UnderflowError unless value exceeds ten times its refinement
-    error err: a smaller value has no correct digit to report."""
-    if not value > 10.0 * err:
-        raise UnderflowError(f"{what} is {value:.2e}, not larger than ten "
-                             f"times its error estimate {err:.2e}")
+    rows.append({"identity": "bracket", "residual": abs(
+        twotoda.wronskian_bracket_residual(moved, args.n))})
+    return _Result(rows)
 
 
 def run_fredholm_gap(args):
     spec = fredholm.KernelSpec(args.kernel, nu=args.nu, N=args.N, b=args.b,
                                lam=args.lam)
-    rows = []
+    rows, errors = [], []
     for s in parse_grid(args.s_grid).tolist():
-        E = _interval_with_endpoint(args.interval, s)
-        det = fredholm.nystrom_det(spec, E, args.order + args.order // 2)
-        err = abs(fredholm.nystrom_det(spec, E, args.order) - det)
-        _require_resolved(det, err, f"gap determinant at s = {s:g}")
+        E = IntervalUnion.parse(args.interval.replace("s", "%.17g" % s))
+        det, err = _refined(lambda order: fredholm.nystrom_det(spec, E, order),
+                            args.order, f"gap determinant at s = {s:g}")
         rows.append({"s": s, "det": det, "error": err})
-    worst_err = _largest([r["error"] for r in rows])
-    return _Result(rows, worst_err, tol=1e-10, err=worst_err)
+        errors.append(err)
+    return _Result(rows, errors, err=errors)
 
 
 def run_fredholm_kernel_table(args):
@@ -365,51 +373,38 @@ def run_fredholm_kernel_table(args):
     ys = parse_grid(args.y_grid)
     zs = parse_grid(args.z_grid)
     table = fredholm.kernel_eval(spec, ys[:, None], zs[None, :])
-    rows = [
-        {"y": float(y), "z": float(z), "K": float(table[i, j])}
-        for i, y in enumerate(ys)
-        for j, z in enumerate(zs)
-    ]
+    rows = [{"y": float(y), "z": float(z), "K": float(table[i, j])}
+            for i, y in enumerate(ys) for j, z in enumerate(zs)]
     sym = fredholm.kernel_eval(spec, zs[:, None], ys[None, :])
-    return _Result(rows, float(np.abs(table - sym.T).max()), tol=1e-10)
+    return _Result(rows, np.abs(table - sym.T))
 
 
 def run_fredholm_scaling(args):
     grid = parse_grid(args.grid)
-    rows = []
-    errs = []
-    for N in parse_ints(args.N_list):
-        err = fredholm.scaling_limit_error(N, args.regime, grid, b=args.b)
-        rows.append({"N": N, "sup_error": err})
-        errs.append(err)
-    decreasing = all(x > y for x, y in zip(errs, errs[1:])) or len(errs) == 1
-    return _Result(rows, errs[-1], tol=5e-2, ok=decreasing)
+    Ns = parse_ints(args.N_list)
+    errs = [fredholm.scaling_limit_error(N, args.regime, grid, b=args.b)
+            for N in Ns]
+    rows = [{"N": N, "sup_error": err} for N, err in zip(Ns, errs)]
+    # the number of steps in N at which the error does not fall
+    rises = sum(not x > y for x, y in zip(errs, errs[1:]))
+    return _Result(rows, errs[-1], gates=[(rises, 0)])
 
 
-def run_gapode_pii(args):
+def run_painleve(args):
+    """gapode pii and pv: the Painleve residual at each grid point."""
     grid = parse_grid(args.grid)
-    res = gapodes.pii_residual(grid)
-    rows = [{"A": a, "residual": abs(r)} for a, r in zip(grid.tolist(), res)]
-    return _Result(rows, float(np.abs(res).max()), tol=1e-8)
+    res = (gapodes.pii_residual(grid) if args.action == "pii"
+           else gapodes.pv_residual(args.nu, grid))
+    return _Result([{"A": a, "residual": abs(r)}
+                    for a, r in zip(grid.tolist(), res)])
 
 
-def run_gapode_pv(args):
-    grid = parse_grid(args.grid)
-    res = gapodes.pv_residual(args.nu, grid)
-    rows = [{"A": a, "residual": abs(r)} for a, r in zip(grid.tolist(), res)]
-    return _Result(rows, float(np.abs(res).max()), tol=1e-8)
-
-
-def run_gapode_airy_pde(args):
+def run_gap_pde(args):
+    """gapode airy-pde and bessel-pde: the PDE residual on the union."""
     E = IntervalUnion.parse(args.intervals)
-    res = abs(gapodes.airy_pde_residual(E))
-    return _Result([{"intervals": args.intervals, "residual": res}], res, tol=1e-10)
-
-
-def run_gapode_bessel_pde(args):
-    E = IntervalUnion.parse(args.intervals)
-    res = abs(gapodes.bessel_pde_residual(args.nu, E))
-    return _Result([{"intervals": args.intervals, "residual": res}], res, tol=1e-10)
+    res = (gapodes.airy_pde_residual(E) if args.action == "airy-pde"
+           else gapodes.bessel_pde_residual(args.nu, E))
+    return _Result([{"intervals": args.intervals, "residual": abs(res)}])
 
 
 def run_inductive(args):
@@ -417,11 +412,10 @@ def run_inductive(args):
     grid = parse_grid(args.grid)
     res = ensembles.inductive_relation_residual(
         args.weight, args.beta, args.n, grid, a=args.a, b=args.b,
-        order=args.order,
-    )
+        order=args.order)
     rows = [{"x": x, "residual": abs(r)} for x, r in zip(grid.tolist(), res)]
-    tol = 1e-5 if (args.beta == 2 and args.weight == "gaussian") else 1e-4
-    return _Result(rows, float(np.abs(res).max()), tol=tol)
+    gue = args.beta == 2 and args.weight == "gaussian"
+    return _Result(rows, bound=1e-5 if gue else 1e-4)
 
 
 def run_virasoro_check(args):
@@ -434,8 +428,7 @@ def run_virasoro_check(args):
         res = abs(virasoro.virasoro_residual(w, args.beta, E, args.n, k,
                                              order=args.order))
         rows.append({"k": k, "residual": res})
-    return _Result(rows, _largest([r["residual"] for r in rows]),
-                   tol=1e-6 if args.beta == 2 else 1e-4)
+    return _Result(rows, bound=1e-6 if args.beta == 2 else 1e-4)
 
 
 def run_virasoro_commutators(args):
@@ -444,31 +437,24 @@ def run_virasoro_commutators(args):
                                                        n=args.n)
     rows = [{"k": k, "l": l, "residual": res}
             for (k, l), res in zip(pairs, residuals)]
-    worst = _largest(residuals)
-    charge = virasoro.central_charge(args.beta)
-    rows.append({"k": 0, "l": 0, "residual": 0.0,
-                 "central_charge": float(charge)})
+    charge = float(virasoro.central_charge(args.beta))
+    rows.append({"k": 0, "l": 0, "residual": 0.0, "central_charge": charge})
     expect = {1: -2.0, 2: 1.0, 4: -2.0}[args.beta]
-    return _Result(rows, worst, tol=1e-10, ok=float(charge) == expect)
-
-
-def _ensemble_from(args):
-    return ensembles.EnsembleSpec(args.beta, _weight_from(args), args.n)
+    return _Result(rows, gates=[(abs(charge - expect), 0.0)])
 
 
 def run_ensemble_gap(args):
-    e = _ensemble_from(args)
+    e = ensembles.EnsembleSpec(args.beta, _weight_from(args), args.n)
     E = IntervalUnion.parse(args.interval)
-    p = ensembles.gap_probability(e, E, order=args.order)
-    refined = ensembles.gap_probability(e, E, order=args.order + args.order // 2)
-    err = abs(p - refined)
-    _require_resolved(p, err, "gap probability")
-    rows = [{"interval": args.interval, "probability": p}]
-    return _Result(rows, err, tol=1e-8, err=err)
+    p, err = _refined(
+        lambda order: ensembles.gap_probability(e, E, order=order),
+        args.order, "gap probability")
+    return _Result([{"interval": args.interval, "probability": p}], err,
+                   err=err)
 
 
 def run_ensemble_sample(args):
-    e = _ensemble_from(args)
+    e = ensembles.EnsembleSpec(args.beta, _weight_from(args), args.n)
     E = IntervalUnion.parse(args.interval)
     # the quadrature before any draw: it rejects an ensemble it cannot
     # integrate at once
@@ -480,7 +466,7 @@ def run_ensemble_sample(args):
         "interval": args.interval, "empirical": frac, "stderr": err,
         "quadrature": exact, "abs_diff": abs(frac - exact),
     }]
-    return _Result(rows, abs(frac - exact), tol=3.0 * sigma, err=err)
+    return _Result(rows, abs(frac - exact), err=err, bound=3.0 * sigma)
 
 
 def _aci_system(args):
@@ -491,24 +477,21 @@ def _aci_system(args):
 
 
 def run_aci_run(args):
-    a0 = _aci_system(args)
-    report = aci.route_report(a0, args.f_kind or args.kind,
+    report = aci.route_report(_aci_system(args), args.f_kind or args.kind,
                               args.t_end, args.step)
     rows = [{"metric": key, "value": value} for key, value in report.items()]
-    gap, tail = report["aks_rk4_gap"], report["aks_tail"]
-    return _Result(rows, gap, tol=1e-10, err=max(tail, gap),
-                   ok=report["curve_drift"] <= 1e-9)
+    gap = report["aks_rk4_gap"]
+    return _Result(rows, gap, err=[report["aks_tail"], gap],
+                   gates=[(report["curve_drift"], 1e-9)])
 
 
 def run_aci_curve(args):
     a0 = _aci_system(args)
     q = aci.spectral_curve_coeffs(a0)
-    rows = [
-        {"h_power": k, "z_power": ell, "q": val}
-        for (k, ell), val in sorted(q.items())
-    ]
+    rows = [{"h_power": k, "z_power": ell, "q": val}
+            for (k, ell), val in sorted(q.items())]
     residual = aci.spectral_curve_residual(a0, q)
-    return _Result(rows, residual, tol=1e-12, err=residual)
+    return _Result(rows, residual, err=residual)
 
 
 def run_tau_kp_check(args):
@@ -525,16 +508,20 @@ def run_tau_kp_check(args):
             for label, m in ms.items():
                 rows.append({"family": family, "n": n, "t": label,
                              "residual": abs(tau.kp_residual(m, n))})
-    return _Result(rows, _largest([r["residual"] for r in rows]), tol=1e-6)
+    return _Result(rows)
 
 
 # ----- parser construction -----
 
-def _common(p, handler, **read):
-    """Flags every command takes, and --seed/--order where it reads them."""
+def _common(p, handler, tol, **read):
+    """Flags every command takes, and --seed/--order where it reads them.
+    tol is the --check bound, or the rule by which the handler sets it
+    from the arguments."""
     p.add_argument("--out", default=None)
     p.add_argument("--check", action="store_true")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float,
+                   default=None if isinstance(tol, str) else tol,
+                   help=f"the --check bound (default {tol})")
     for name, default in read.items():
         p.add_argument(f"--{name}", default=default,
                        type=seed_int if name == "seed" else int)
@@ -548,6 +535,7 @@ def build_parser():
     to the cyclic garbage collector, growing the heap of a long run."""
     top = _Parser(prog="laxlab", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
+    gue = "1e-5 for beta 2 gaussian, else 1e-4"
 
     g = groups.add_parser("toda").add_subparsers(dest="action", required=True)
     p = g.add_parser("flow")
@@ -556,12 +544,11 @@ def build_parser():
     p.add_argument("--t-end", type=finite_float, default=1.0)
     p.add_argument("--step", type=finite_float, default=1e-3)
     p.add_argument("--routes", default="tau,ode,qr")
-    _common(p, run_toda_flow, seed=42)
+    _common(p, run_toda_flow, 1e-6, seed=42)
     p = g.add_parser("poly")
-    _weight_flags(p)
-    p.add_argument("--n", type=int, default=3)
+    _weight_flags(p, 3)
     p.add_argument("--grid", default="-2:2:0.5")
-    _common(p, run_toda_poly, order=64)
+    _common(p, run_toda_poly, 1e-8, order=64)
 
     g = groups.add_parser("pfaff").add_subparsers(dest="action", required=True)
     p = g.add_parser("flow")
@@ -569,13 +556,13 @@ def build_parser():
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--t-end", type=finite_float, default=0.1)
     p.add_argument("--step", type=finite_float, default=1e-3)
-    _common(p, run_pfaff_flow, order=96)
+    _common(p, run_pfaff_flow, 1e-6, order=96)
     p = g.add_parser("check-kp")
     p.add_argument("--beta", type=int, default=1, choices=(1, 4))
     p.add_argument("--n-list", default="2,4")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.0)
-    _common(p, run_pfaff_check_kp, order=64)
+    _common(p, run_pfaff_check_kp, 1e-6, order=64)
 
     g = groups.add_parser("twotoda").add_subparsers(dest="action", required=True)
     p = g.add_parser("pde")
@@ -583,151 +570,127 @@ def build_parser():
     p.add_argument("--a-list", default="0.3,0.3")
     p.add_argument("--b-list", default="0.3,0.2")
     p.add_argument("--n", type=int, default=1)
-    _common(p, run_twotoda_pde, order=48)
+    _common(p, run_twotoda_pde, 1e-3, order=48)
     p = g.add_parser("identities")
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--n", type=int, default=2)
-    _common(p, run_twotoda_identities, order=64)
+    _common(p, run_twotoda_identities, 1e-8, order=64)
 
     g = groups.add_parser("fredholm").add_subparsers(dest="action", required=True)
     p = g.add_parser("gap")
-    p.add_argument("--kernel", default="airy")
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--b", type=float, default=1.0)
+    _kernel_flags(p, 1)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--interval", default="s:inf")
     p.add_argument("--s-grid", default="-6:2:0.25")
-    _common(p, run_fredholm_gap, order=64)
+    _common(p, run_fredholm_gap, 1e-10, order=64)
     p = g.add_parser("kernel-table")
-    p.add_argument("--kernel", default="airy")
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--b", type=float, default=1.0)
+    _kernel_flags(p, 10)
     p.add_argument("--y-grid", default="-2:2:1")
     p.add_argument("--z-grid", default="-2:2:1")
-    _common(p, run_fredholm_kernel_table)
+    _common(p, run_fredholm_kernel_table, 1e-10)
     p = g.add_parser("scaling")
     p.add_argument("--regime", default="edge", choices=("bulk", "edge"))
     p.add_argument("--N-list", default="20,50,80")
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--grid", default="-2:2:0.25")
-    _common(p, run_fredholm_scaling)
+    _common(p, run_fredholm_scaling, 5e-2)
 
     g = groups.add_parser("gapode").add_subparsers(dest="action", required=True)
     p = g.add_parser("pii")
     p.add_argument("--grid", default="-6:2:0.25")
-    _common(p, run_gapode_pii)
+    _common(p, run_painleve, 1e-8)
     p = g.add_parser("pv")
     p.add_argument("--nu", type=float, default=0.0)
     p.add_argument("--grid", default="0.5:5:0.5")
-    _common(p, run_gapode_pv)
+    _common(p, run_painleve, 1e-8)
     p = g.add_parser("airy-pde")
     p.add_argument("--intervals", default="-4:-1,1:inf")
-    _common(p, run_gapode_airy_pde)
+    _common(p, run_gap_pde, 1e-10)
     p = g.add_parser("bessel-pde")
     p.add_argument("--nu", type=float, default=0.0)
     p.add_argument("--intervals", default="0.5:1.5,2:3")
-    _common(p, run_gapode_bessel_pde)
+    _common(p, run_gap_pde, 1e-10)
     p = g.add_parser("beta-ode")
-    _weight_flags(p)
-    p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
-    p.add_argument("--n", type=int, default=2)
+    _weight_flags(p, 2, beta=2)
     p.add_argument("--grid", default="-2:2:1")
-    _common(p, run_inductive, order=64)
+    _common(p, run_inductive, gue, order=64)
 
     g = groups.add_parser("virasoro").add_subparsers(dest="action", required=True)
     p = g.add_parser("check")
-    _weight_flags(p)
-    p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
-    p.add_argument("--n", type=int, default=3)
+    _weight_flags(p, 3, beta=2)
     p.add_argument("--k-list", default="-1,0,1,2")
     p.add_argument("--x", type=float, default=0.7)
     p.add_argument("--full-range", action="store_true")
-    _common(p, run_virasoro_check, order=64)
+    _common(p, run_virasoro_check, "1e-6 at beta 2, else 1e-4", order=64)
     p = g.add_parser("commutators")
     p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
     p.add_argument("--n", type=int, default=3)
-    _common(p, run_virasoro_commutators)
+    _common(p, run_virasoro_commutators, 1e-10)
 
     g = groups.add_parser("ensemble").add_subparsers(dest="action", required=True)
     p = g.add_parser("gap")
-    _weight_flags(p)
-    p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
-    p.add_argument("--n", type=int, default=2)
+    _weight_flags(p, 2, beta=2)
     p.add_argument("--interval", default="-inf:0")
-    _common(p, run_ensemble_gap, order=64)
+    _common(p, run_ensemble_gap, 1e-8, order=64)
     p = g.add_parser("sample")
-    _weight_flags(p)
-    p.add_argument("--beta", type=int, default=2, choices=(1, 2, 4))
-    p.add_argument("--n", type=int, default=2)
+    _weight_flags(p, 2, beta=2)
     p.add_argument("--count", type=int, default=100000)
     p.add_argument("--interval", default="-inf:0")
-    _common(p, run_ensemble_sample, seed=7, order=64)
+    _common(p, run_ensemble_sample, "3 standard errors of the estimate",
+            seed=7, order=64)
     p = g.add_parser("inductive")
-    _weight_flags(p)
-    p.add_argument("--beta", type=int, default=1, choices=(1, 2, 4))
-    p.add_argument("--n", type=int, default=2)
+    _weight_flags(p, 2, beta=1)
     p.add_argument("--grid", default="-1:1.5:0.5")
-    _common(p, run_inductive, order=64)
+    _common(p, run_inductive, gue, order=64)
 
     g = groups.add_parser("aci").add_subparsers(dest="action", required=True)
     p = g.add_parser("run")
-    p.add_argument("--kind", default="neumann",
-                   choices=aci.SYSTEM_KINDS)
+    _aci_flags(p)
     p.add_argument("--f-kind", default=None, choices=aci.SYSTEM_KINDS)
-    p.add_argument("--alpha", default="1,2,4")
-    p.add_argument("--x", default="0.6,-0.3,0.8")
-    p.add_argument("--y", default="0.2,0.5,-0.4")
     p.add_argument("--t-end", type=finite_float, default=10.0)
     p.add_argument("--step", type=finite_float, default=1e-3)
-    _common(p, run_aci_run)
+    _common(p, run_aci_run, 1e-10)
     p = g.add_parser("curve")
-    p.add_argument("--kind", default="neumann", choices=aci.SYSTEM_KINDS)
-    p.add_argument("--alpha", default="1,2,4")
-    p.add_argument("--x", default="0.6,-0.3,0.8")
-    p.add_argument("--y", default="0.2,0.5,-0.4")
-    _common(p, run_aci_curve)
+    _aci_flags(p)
+    _common(p, run_aci_curve, 1e-12)
 
     g = groups.add_parser("tau").add_subparsers(dest="action", required=True)
     p = g.add_parser("kp-check")
     p.add_argument("--n-max", type=int, default=5)
-    _common(p, run_tau_kp_check, seed=1, order=64)
+    _common(p, run_tau_kp_check, 1e-6, seed=1, order=64)
 
     return top
 
 
-def _echo_params(args):
-    skip = {"handler", "group", "action", "out", "check", "tol"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        out[key] = value
-    return out
-
-
 def dispatch(argv):
-    """Run one subcommand; returns (RunReport, exit_code, out_path)."""
+    """Run one subcommand; returns (RunReport, exit_code, out_path).
+
+    The one gate rule: under --check a command passes when the largest of
+    each of its gated values is at most its bound, a NaN failing.  The
+    first is the handler's residual (by default the rows' "residual"
+    column) against --tol, whose default is the command's bound; a handler
+    may add extra (values, bound) gates, which --tol does not change.
+    """
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     result = args.handler(args)
     elapsed = time.perf_counter() - start
     print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
+    residual = _largest([row["residual"] for row in result.rows]
+                        if result.residual is None else result.residual)
+    skip = {"handler", "group", "action", "out", "check", "tol"}
     report = RunReport(
         command=" ".join(argv),
-        params=_echo_params(args),
+        params={k: v for k, v in vars(args).items() if k not in skip},
         rows=result.rows,
-        max_abs_residual=float(result.residual),
-        self_reported_error=float(result.err),
+        max_abs_residual=residual,
+        self_reported_error=_largest(result.err),
         seed=getattr(args, "seed", 0),
     )
-    code = EXIT_OK
-    if args.check:
-        tol = args.tol if args.tol is not None else result.tol
-        if not (result.residual <= tol) or not result.ok:
-            code = EXIT_TOLERANCE
-    return report, code, args.out
+    tol = result.bound if args.tol is None else args.tol
+    failed = not all(_largest(values) <= bound
+                     for values, bound in [(residual, tol), *result.gates])
+    return report, EXIT_TOLERANCE if args.check and failed else EXIT_OK, args.out
 
 
 def main(argv=None):

@@ -677,6 +677,18 @@ def test_out_file_and_format(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_csv_keeps_every_column(tmp_path, capsys):
+    # only the last row has a central charge: the other rows leave its
+    # cell empty, and the last line no longer reads as a residual row
+    out = tmp_path / "c.csv"
+    assert main(["virasoro", "commutators", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "k,l,residual,central_charge"
+    assert all(line.count(",") == 3 for line in lines)
+    assert lines[1].endswith(",") and lines[-1] == "0,0,0,1"
+    capsys.readouterr()
+
+
 def test_far_tail_gap_probabilities_exit_numerical(capsys):
     # below the Nystrom resolution the determinant comes out negative
     assert main(["gapode", "pii", "--grid", "-14:-12:1", "--check"]) == (
