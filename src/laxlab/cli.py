@@ -20,7 +20,7 @@ import numpy as np
 
 from . import aci, ensembles, fredholm, gapodes, pfaff, tau, toda, twotoda, virasoro
 from . import fd  # noqa: F401  (perfbench/tracer.py traces laxlab.fd)
-from .errors import NumericalError, UnderflowError, UsageError
+from .errors import NumericalError, UsageError
 from .intervals import IntervalUnion
 from .mathcore import orthonormal_polys
 from .mathcore.ode import SEGMENTS, check_steps, segment_check
@@ -218,18 +218,6 @@ def _largest(values):
     return float(np.max(values, initial=0.0))
 
 
-def _refined(compute, order, what):
-    """compute(1.5 order) and its distance from compute(order), the error
-    estimate.  Raise UnderflowError unless the value exceeds ten times that
-    error: a smaller value has no correct digit to report."""
-    value = compute(order + order // 2)
-    err = abs(compute(order) - value)
-    if not value > 10.0 * err:
-        raise UnderflowError(f"{what} is {value:.2e}, not larger than ten "
-                             f"times its error estimate {err:.2e}")
-    return value, err
-
-
 def run_toda_flow(args):
     n, k = args.n, args.k
     if n < 1 or k < 1:
@@ -361,8 +349,9 @@ def run_fredholm_gap(args):
     rows, errors = [], []
     for s in parse_grid(args.s_grid).tolist():
         E = IntervalUnion.parse(args.interval.replace("s", "%.17g" % s))
-        det, err = _refined(lambda order: fredholm.nystrom_det(spec, E, order),
-                            args.order, f"gap determinant at s = {s:g}")
+        det, err = tau.refined(
+            lambda order: fredholm.nystrom_det(spec, E, order), args.order,
+            f"gap determinant at s = {s:g}")
         rows.append({"s": s, "det": det, "error": err})
         errors.append(err)
     return _Result(rows, errors, err=errors)
@@ -421,8 +410,6 @@ def run_inductive(args):
 def run_virasoro_check(args):
     w = _weight_from(args)
     E = None if args.full_range else IntervalUnion.half_line_below(args.x)
-    if args.weight == "laguerre" and E is not None:
-        E = IntervalUnion([(0.0, args.x)])
     rows = []
     for k in parse_ints(args.k_list):
         res = abs(virasoro.virasoro_residual(w, args.beta, E, args.n, k,
@@ -446,7 +433,7 @@ def run_virasoro_commutators(args):
 def run_ensemble_gap(args):
     e = ensembles.EnsembleSpec(args.beta, _weight_from(args), args.n)
     E = IntervalUnion.parse(args.interval)
-    p, err = _refined(
+    p, err = tau.refined(
         lambda order: ensembles.gap_probability(e, E, order=order),
         args.order, "gap probability")
     return _Result([{"interval": args.interval, "probability": p}], err,

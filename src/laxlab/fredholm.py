@@ -8,11 +8,14 @@ moving endpoint, so the determinant stays smooth in the endpoints.  The
 Airy and Bessel kernels are integrable, K(y, z) = (f(y) g(z) - g(y) f(z))
 / (y - z); each is written once, as (f, g, diagonal) at given points, for
 the kernel table and the Nystrom matrix alike, and nystrom_series gives
-the exact Taylor series of that matrix as the finite endpoints move.
+the exact Taylor matrices of that matrix, over a box of multi-indices, as
+the finite endpoints move along several directions at once.
 nystrom_det returns one determinant; a caller that wants an error
 estimate compares two orders.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,13 +37,6 @@ from .tau import WeightSpec
 
 # Ai(x)^2 < 1e-18 beyond this point; used to truncate (s, inf)
 AIRY_TAIL_CUT = 9.3
-
-# highest order of the endpoint series: the node scales' series
-# (_SQRT_BINOMIAL) stop at four
-SERIES_DEGREE = 4
-
-# binomial coefficients C(1/2, j): the series of (1 + z)^{1/2}
-_SQRT_BINOMIAL = (1.0, 0.5, -0.125, 0.0625, -0.0390625)
 
 
 @dataclass(frozen=True)
@@ -202,14 +198,36 @@ def nystrom_det(k, E, order=64):
     return lu_determinant(np.eye(mat.shape[0]) - k.lam * mat)
 
 
-def _cauchy(a, b):
-    """Truncated product of two equal-shaped stacks of per-node power
-    series (row j holds the coefficients of eps^j)."""
-    out = np.zeros(a.shape)
-    for j in range(len(out)):
-        for i in range(j + 1):
-            out[j] += a[i] * b[j - i]
-    return out
+@functools.cache
+def _box_table(box):
+    """The multi-indices n <= box in lexicographic order and, per n, the
+    pairs (a, n - a) for a <= n in that order and the (i, n - e_i) for
+    n_i > 0, each n - a and n - e_i given by its position in the order."""
+    index = list(itertools.product(*(range(k + 1) for k in box)))
+    where = {n: pos for pos, n in enumerate(index)}
+    pairs = [np.array([(where[a], where[tuple(i - j for i, j in zip(n, a))])
+                       for a in itertools.product(*(range(k + 1) for k in n))
+                       ]).T for n in index]
+    down = [[(i, where[n[:i] + (k - 1,) + n[i + 1:]])
+             for i, k in enumerate(n) if k] for n in index]
+    return index, pairs, down
+
+
+def _cauchy(a, b, pairs):
+    """Truncated product of two per-node power series over a box (row j
+    holds the coefficients of eps^n for the box's j-th n)."""
+    return np.array([(a[left] * b[right]).sum(axis=0)
+                     for left, right in pairs])
+
+
+def _affine(u, box):
+    """Rows (|n|! / prod n_i!) prod_i u_i^{n_i} over the box: the share of
+    (sum_i eps_i u_i)^|n| that falls on eps^n."""
+    powers = [ui ** np.arange(k + 1)[:, None] for ui, k in zip(u, box)]
+    return np.array([
+        math.factorial(sum(n)) // math.prod(map(math.factorial, n))
+        * np.prod([p[k] for p, k in zip(powers, n)], axis=0)
+        for n in _box_table(box)[0]])
 
 
 def _node_motion(k, E, x, order, d):
@@ -242,72 +260,35 @@ def _node_motion(k, E, x, order, d):
     return vel, rate
 
 
-def _series_matrices(k, x, r, taylor, diff, vel, rate, degree):
-    """[G_0, ..., G_degree] for one direction, from the Taylor
-    coefficients of f at the nodes and the node motion."""
-    steps = np.arange(degree + 1)[:, None]
-    powers = vel ** steps
-    f = taylor[:degree + 1] * powers
-    fp = (steps + 1) * taylor[1:degree + 2] * powers
-    fpp = (steps + 1) * (steps + 2) * taylor[2:degree + 3] * powers
-    if k.kind == "airy":
-        g, gp = fp, fpp
-    else:
-        xs = np.zeros_like(f)
-        xs[0] = x
-        xs[1:2] = vel
-        g = _cauchy(xs, fp)
-        gp = fp + _cauchy(xs, fpp)
-    scale = r * np.array(_SQRT_BINOMIAL[:degree + 1])[:, None] * rate ** steps
-    p = _cauchy(scale, f)
-    q = _cauchy(scale, g)
-    diag = _cauchy(_cauchy(scale, scale), _cauchy(g, fp) - _cauchy(f, gp))
-    dvel = vel[:, None] - vel[None, :]
-    mats = []
-    for j in range(degree + 1):
-        # (x - y + eps (v_x - v_y)) M(eps) = numerator series, off the
-        # diagonal
-        m = p[:j + 1].T @ q[j::-1] - q[:j + 1].T @ p[j::-1]
-        if j:
-            m -= dvel * mats[-1]
-        m /= diff
-        np.fill_diagonal(m, diag[j])
-        mats.append(m)
-    for m in mats:
-        m *= -k.lam
-    mats[0][np.diag_indices(len(x))] += 1.0
-    return mats
-
-
-def nystrom_series(k, E, order, directions):
+def nystrom_series(k, E, order, directions, box):
     """Taylor matrices of I - lambda sqrt(w) K sqrt(w), the matrix that
-    nystrom_det factors, as the finite endpoints c of E move to c + eps d.
-
-    ``directions`` lists (d, degree) pairs: d has one component per
-    finite endpoint, in the order of E.finite_endpoints(), and
-    degree <= SERIES_DEGREE.  Returns an iterator that gives, for each
-    pair in turn, [G_0, ..., G_degree] with
-    I - lambda M(eps) = sum_j eps^j G_j + O(eps^(degree + 1)).  It builds
-    a direction's matrices only when it reaches it, so a caller that drops
-    them before asking for the next keeps one direction's matrices alive.
-    Airy and Bessel kernels only; the arguments are checked and the
-    special functions evaluated before this returns.
+    nystrom_det factors, as the finite endpoints c of E move to
+    c + sum_i eps_i directions[i]: {n: G_n} for every multi-index n <= box,
+    componentwise.  A direction has one component per finite endpoint, in
+    the order of E.finite_endpoints(), and the box one exponent per
+    direction.  Airy and Bessel kernels only.
 
     Nodes and interval lengths, the Airy tail cut included, are affine in
-    the endpoints, so a node moves as x + eps v and its scale
-    sqrt(w) x^{-nu/2} as r (1 + eps a)^{1/2}, a being the relative growth
-    rate of its interval's length.  Both kernels are integrable,
-    K(x, y) = (f(x) g(y) - g(x) f(y)) / (x - y) with diagonal
-    g f' - f g', for (f, g) = (Ai, Ai') and (J_nu(sqrt x), x f'); the
-    series of f at each node come from its ODE recurrence, so the special
-    functions are evaluated once per node and shared by every direction.
+    the endpoints, so a node moves as x + sum_i eps_i v_i and its scale
+    sqrt(w) x^{-nu/2} as r (1 + sum_i eps_i a_i)^{1/2}, a_i the relative
+    growth rate of its interval's length.  A function of x + sum_i eps_i v_i
+    has at eps^n its one-variable Taylor coefficient of degree |n| times
+    (|n|! / prod n_i!) prod_i v_i^{n_i}; the scale likewise, with C(1/2, |n|)
+    and the rates.  Both kernels are integrable,
+    K(x, y) = (f(x) g(y) - g(x) f(y)) / (x - y) with diagonal g f' - f g',
+    for (f, g) = (Ai, Ai') and (J_nu(sqrt x), x f'); the series of f at a
+    node come from its ODE recurrence, so the special functions are
+    evaluated once per node.  Products are Cauchy sums over the box, and
+    off the diagonal (x - y) M_n = N_n - sum_i (v_i(x) - v_i(y)) M_{n - e_i},
+    N the numerator's series.
     """
     if k.kind not in ("airy", "bessel"):
         raise UsageError("endpoint series need the airy or bessel kernel")
     E.require_nonempty()
-    degree = max(deg for _, deg in directions)
-    if min(deg for _, deg in directions) < 0 or degree > SERIES_DEGREE:
-        raise UsageError(f"series degrees must lie in 0..{SERIES_DEGREE}")
+    box = tuple(box)
+    if not box or len(box) != len(directions) or min(box) < 0:
+        raise UsageError("a series box needs one exponent >= 0 per direction")
+    degree = sum(box)
     x, w = _nystrom_nodes(k, E, order)
     r = np.sqrt(w)
     if k.kind == "airy":
@@ -320,13 +301,43 @@ def nystrom_series(k, E, order, directions):
         )
         if k.nu != 0.0:
             r = r * x ** (-0.5 * k.nu)
-    motions = [(_node_motion(k, E, x, order, d), deg) for d, deg in directions]
+    vel, rate = zip(*(_node_motion(k, E, x, order, d) for d in directions))
+    index, pairs, down = _box_table(box)
+    at = [sum(n) for n in index]
+    steps = np.arange(degree + 1)[:, None]
+    motion = _affine(vel, box)
+    f = taylor[at] * motion
+    fp = ((steps + 1) * taylor[1:degree + 2])[at] * motion
+    fpp = ((steps + 1) * (steps + 2) * taylor[2:degree + 3])[at] * motion
+    if k.kind == "airy":
+        g, gp = fp, fpp
+    else:
+        # the node itself, x + sum_i eps_i v_i
+        xs = np.where(steps[at] == 0, x, steps[at] == 1) * motion
+        g = _cauchy(xs, fp, pairs)
+        gp = fp + _cauchy(xs, fpp, pairs)
+    # C(1/2, j) = C(1/2, j - 1) (3/2 - j) / j: the series of (1 + z)^{1/2}
+    sqrt_binomial = np.cumprod(np.r_[1.0, (1.5 - steps[1:, 0]) / steps[1:, 0]])
+    scale = r * sqrt_binomial[at, None] * _affine(rate, box)
+    p = _cauchy(scale, f, pairs)
+    q = _cauchy(scale, g, pairs)
+    diag = _cauchy(_cauchy(scale, scale, pairs),
+                   _cauchy(g, fp, pairs) - _cauchy(f, gp, pairs), pairs)
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    return (
-        _series_matrices(k, x, r, taylor, diff, vel, rate, deg)
-        for (vel, rate), deg in motions
-    )
+    mats = []
+    for j, (left, right) in enumerate(pairs):
+        m = p[left].T @ q[right]
+        m -= q[left].T @ p[right]
+        for i, below in down[j]:
+            m -= (vel[i][:, None] - vel[i][None, :]) * mats[below]
+        m /= diff
+        np.fill_diagonal(m, diag[j])
+        mats.append(m)
+    for m in mats:
+        m *= -k.lam
+    mats[0][np.diag_indices(len(x))] += 1.0
+    return dict(zip(index, mats))
 
 
 def scaling_limit_error(N, regime, grid, b=1.0):

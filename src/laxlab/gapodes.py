@@ -3,10 +3,10 @@
 The Painleve II / V single-gap ODEs and their multi-interval PDE
 generalizations apply the moving-boundary operators
 A_n = sum_i coeff(A_i) d/dA_i to F = log det(I - K|_E).  Their endpoint
-derivatives, up to total order four, are exact: the Taylor series of the
-Nystrom matrix along a constant endpoint direction
-(fredholm.nystrom_series) gives the directional derivatives of F through
-tau.logdet_partials, and polarization gives the mixed ones.
+derivatives, up to total order four, are exact: one Taylor box of the
+Nystrom matrix in the endpoint directions an equation needs
+(fredholm.nystrom_series) gives every partial of F it names, mixed ones
+included, through one tau.logdet_partials call.
 The beta-ensemble (Gaussian / Laguerre) ODE, with its invariant
 coefficients, is assembled here from given x-derivatives of log P_n;
 ensembles.gap_log_jets supplies them exactly from the endpoint Taylor
@@ -22,7 +22,7 @@ from .errors import DomainError, PrecisionError, UnderflowError, UsageError
 from .fredholm import KernelSpec, nystrom_det, nystrom_series
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant
-from .tau import logdet_partials
+from .tau import logdet_partials, refined
 
 ODE_ORDER = 96  # quadrature order of the Painleve II / V checks
 PDE_ORDER = 64  # and of the multi-interval PDE checks
@@ -31,42 +31,38 @@ MIN_ENDPOINT_GAP = 0.2  # the PDE checks need well-separated endpoints
 
 # ----- single-gap ODE residuals -----
 
-def _require_positive(det, E):
-    """UnderflowError, naming E's finite endpoints, unless det > 0."""
+def _check_det_accuracy(kernel, E, order):
+    """det(I - K|_E) at order and at the finer order of tau.refined must
+    agree to 1e-10 relative (PrecisionError)."""
+    det, err = refined(lambda order: nystrom_det(kernel, E, order), order,
+                       f"gap determinant at the endpoints "
+                       f"{E.finite_endpoints()}")
+    if not err <= 1e-10 * det:
+        raise PrecisionError(
+            f"gap determinant on {E} has relative self-reported error "
+            f"{err / det:.2e}, above the 1e-10 budget; raise the quadrature "
+            "order")
+
+
+def _logdet_partials(kernel, E, order, directions, monomials):
+    """Exact partials of F = log det(I - K|_E) at each multi-index of
+    ``monomials``, the finite endpoints of E moving along ``directions``,
+    from one Taylor box; UnderflowError when det(I - K|_E) <= 0."""
+    box = tuple(map(max, zip(*monomials)))
+    g = nystrom_series(kernel, E, order, directions, box)
+    # the box's matrices under no requested partial are dropped at once
+    g = {n: g[n] for n in g
+         if any(np.all(np.less_equal(n, top)) for top in monomials)}
+    g0 = g.pop((0,) * len(box))
+    det = lu_determinant(g0)
     if not det > 0.0:
         raise UnderflowError(
             f"gap determinant {det:.2e} at the endpoints "
             f"{E.finite_endpoints()} is not positive: the gap "
             "probability is below the resolution of the Nystrom quadrature"
         )
-
-
-def _check_det_accuracy(kernel, E, order):
-    """det(I - K|_E) at 1.5 order must be positive, and the determinant at
-    order must agree with it to 1e-10 relative (PrecisionError)."""
-    fine = nystrom_det(kernel, E, order + order // 2)
-    _require_positive(fine, E)
-    err = abs(nystrom_det(kernel, E, order) - fine) / fine
-    if not err <= 1e-10:
-        raise PrecisionError(
-            f"gap determinant on {E} has relative self-reported error "
-            f"{err:.2e}, above the 1e-10 budget; raise the quadrature order"
-        )
-
-
-def _logdet_jets(kernel, E, quad_order, directions):
-    """Exact directional derivatives [D_d F, ..., D_d^degree F] of
-    F = log det(I - K|_E) for each (d, degree) in directions, d moving
-    the finite endpoints of E; UnderflowError when det(I - K|_E) <= 0."""
-
-    def derivatives(g):
-        _require_positive(lu_determinant(g[0]), E)
-        return logdet_partials(g[0], lambda n: g[n[0]],
-                               [(r,) for r in range(1, len(g))])
-
-    # map drops each direction's matrices before the next are built
-    series = nystrom_series(kernel, E, quad_order, directions)
-    return list(map(derivatives, series))
+    # pop drops each Taylor matrix once it is solved against G_0
+    return logdet_partials(g0, g.pop, monomials)
 
 
 def pii_residual(s_grid):
@@ -79,10 +75,11 @@ def pii_residual(s_grid):
     )
     out = []
     for a in s_grid:
-        (d,) = _logdet_jets(
-            kernel, IntervalUnion([(a, math.inf)]), ODE_ORDER, [((1.0,), 4)]
+        d1, d2, d4 = _logdet_partials(
+            kernel, IntervalUnion([(a, math.inf)]), ODE_ORDER, [(1.0,)],
+            [(1,), (2,), (4,)],
         )
-        terms = [d[3], -4.0 * a * d[1], 2.0 * d[0], 6.0 * d[1] ** 2]
+        terms = [d4, -4.0 * a * d2, 2.0 * d1, 6.0 * d2 ** 2]
         out.append(sum(terms) / max(1.0, max(abs(t) for t in terms)))
     return np.array(out)
 
@@ -100,8 +97,9 @@ def pv_residual(nu, a_grid):
     )
     out = []
     for a in a_grid:
-        (d,) = _logdet_jets(
-            kernel, IntervalUnion([(0.0, a)]), ODE_ORDER, [((0.0, 1.0), 4)]
+        d = _logdet_partials(
+            kernel, IntervalUnion([(0.0, a)]), ODE_ORDER, [(0.0, 1.0)],
+            [(1,), (2,), (3,), (4,)],
         )
         r = -a * d[0]
         rp = -(d[0] + a * d[1])
@@ -123,8 +121,6 @@ def pv_residual(nu, a_grid):
 #
 # D_v is the derivative along the constant endpoint vector v, so a
 # boundary operator sum_i coeff(c_i) d/dc_i is D_coeff(c) at the point c.
-# Mixed second derivatives come from two jets by polarization,
-# D_u D_v F = (D_{u+v}^2 F - D_{u-v}^2 F) / 4.
 
 def _require_separated(c):
     if len(c) > 1 and np.diff(c).min() <= MIN_ENDPOINT_GAP:
@@ -142,13 +138,11 @@ def airy_pde_residual(E):
     A3 A1 F = D_c D_1 F."""
     c = np.asarray(E.finite_endpoints())
     _require_separated(c)
-    one = np.ones_like(c)
-    d1, plus, minus = _logdet_jets(
-        KernelSpec("airy"), E, PDE_ORDER,
-        [(one, 4), (c + one, 2), (c - one, 2)],
+    r, a1r, a3r, a1cube_r = _logdet_partials(
+        KernelSpec("airy"), E, PDE_ORDER, [np.ones_like(c), c],
+        [(1, 0), (2, 0), (1, 1), (4, 0)],
     )
-    a3r = (plus[1] - minus[1]) / 4.0
-    terms = [d1[3], -4.0 * a3r, 2.0 * d1[0], 6.0 * d1[1] ** 2]
+    terms = [a1cube_r, -4.0 * a3r, 2.0 * r, 6.0 * a1r ** 2]
     return sum(terms) / max(1.0, max(abs(t) for t in terms))
 
 
@@ -166,25 +160,15 @@ def bessel_pde_residual(nu, E):
             raise DomainError("hard-edge gap set must lie in [0, inf)")
     c = np.asarray(E.finite_endpoints())
     _require_separated(c)
-    e, plus, minus = _logdet_jets(
-        KernelSpec("bessel", nu=nu), E, PDE_ORDER,
-        [(c, 4), (c * c + c, 2), (c * c - c, 2)],
+    e1, e2, e3, a3, mixed, e4 = _logdet_partials(
+        KernelSpec("bessel", nu=nu), E, PDE_ORDER, [c, c * c],
+        [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (4, 0)],
     )
-    p1 = e[0]
-    p2 = e[0] + e[1]
-    p3 = e[0] + 3.0 * e[1] + e[2]
-    p4 = e[0] + 7.0 * e[1] + 6.0 * e[2] + e[3]
-    a3 = (plus[0] + minus[0]) / 2.0
-    a3a1 = a3 + (plus[1] - minus[1]) / 4.0
-    terms = [
-        p4,
-        -2.0 * p3,
-        (1.0 - nu * nu) * p2,
-        a3a1,
-        -0.5 * a3,
-        -4.0 * p1 * p2,
-        6.0 * p2 ** 2,
-    ]
+    p2 = e1 + e2
+    p3 = e1 + 3.0 * e2 + e3
+    p4 = e1 + 7.0 * e2 + 6.0 * e3 + e4
+    terms = [p4, -2.0 * p3, (1.0 - nu * nu) * p2, a3 + mixed, -0.5 * a3,
+             -4.0 * e1 * p2, 6.0 * p2 ** 2]
     return sum(terms) / max(1.0, max(abs(t) for t in terms))
 
 

@@ -11,7 +11,8 @@ no code of its own and no spare depth.
 
 The pieces every moment route shares live here too: the quadrature power
 sums, the leading block of a moment array (``leading_block``), the
-order-doubling refinement of a value on a weight's quadrature rule, the
+order-doubling refinement of a value on a weight's quadrature rule and
+the two-order error estimate of any quadrature value (``refined``), the
 one exact log-det partial kernel (``logdet_partials``: any
 partial of log det G(x) at x = 0, in any number of variables, from the
 Taylor matrices of G), the exact mixed time partials of log det of a
@@ -32,6 +33,7 @@ from .errors import (
     DivergenceError,
     DomainError,
     SingularTauError,
+    UnderflowError,
     UsageError,
 )
 from .intervals import IntervalUnion
@@ -207,6 +209,19 @@ def refine_on_rule(w, E, order, value):
     if not np.all(np.isfinite(current)):
         raise DivergenceError("non-finite value on the quadrature rule")
     return current
+
+
+def refined(compute, order, what):
+    """compute at order + max(order // 2, 1) and its distance from
+    compute(order), the error estimate.  Raise UnderflowError unless the
+    value exceeds ten times that error: a smaller value has no correct
+    digit to report."""
+    value = compute(order + max(order // 2, 1))
+    err = abs(compute(order) - value)
+    if not value > 10.0 * err:
+        raise UnderflowError(f"{what} is {value:.2e}, not larger than ten "
+                             f"times its error estimate {err:.2e}")
+    return value, err
 
 
 def hankel_moments(w, E=None, M=16, order=64):

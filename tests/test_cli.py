@@ -880,6 +880,27 @@ def test_ensemble_gap_report():
     assert report.rows[0]["probability"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    "fredholm gap --order 1 --s-grid=-2:0:1 --check",
+    "ensemble gap --beta 1 --order 1 --check",
+    "ensemble gap --beta 4 --order 1 --check",
+])
+def test_order_1_refines_on_a_finer_rule(argv):
+    # 1 + 1 // 2 is 1: a refinement at that order compared the route with
+    # itself, an error of 0, and each of these passed on a wrong value
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv.split()) != 0
+
+
+def test_laguerre_virasoro_check_below_the_support_is_empty():
+    argv = "virasoro check --weight laguerre --a 1 --x=-1 --check".split()
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(argv) == EXIT_USAGE
+    assert "interval union is empty" in err.getvalue()
+
+
 def test_twotoda_pde_rejects_unequal_lists():
     # zip would drop the unmatched 0.4 and pass on one row
     argv = "twotoda pde --a-list 0.3,0.4 --b-list 0.3 --check".split()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from evolution_reference import polarized
 from laxlab import fredholm
 from laxlab.errors import DomainError, UsageError
 from laxlab.fd import central_diff
@@ -319,8 +320,8 @@ def moved(E, d, eps):
 
 
 def jets(g):
-    """[D, D^2, ...] of log det from the Taylor matrices g along D."""
-    return logdet_partials(g[0], lambda n: g[n[0]],
+    """[D, D^2, ...] of log det from a 1-D box of Taylor matrices."""
+    return logdet_partials(g[(0,)], g.__getitem__,
                            [(r,) for r in range(1, len(g))])
 
 
@@ -345,8 +346,7 @@ ENDPOINT_SERIES_CASES = [
 @pytest.mark.parametrize("kernel,intervals,d", ENDPOINT_SERIES_CASES)
 def test_series_derivatives_match_finite_differences(kernel, intervals, d):
     E = IntervalUnion.parse(intervals)
-    (g,) = nystrom_series(kernel, E, 64, [(d, 4)])
-    jet = jets(g)
+    jet = jets(nystrom_series(kernel, E, 64, [d], (4,)))
     fd = fd_logdet_derivatives(kernel, E, d)
     for k, (a, b) in enumerate(zip(jet, fd), start=1):
         assert abs(a - b) < 1e-4 * max(1.0, abs(b)), (k, a, b)
@@ -358,31 +358,49 @@ def test_series_follow_the_moving_airy_tail_cut():
     # differ from those of a fixed cut
     kernel = KernelSpec("airy", lam=1e16)
     E = IntervalUnion([(9.2, math.inf)])
-    (g,) = nystrom_series(kernel, E, 64, [((1.0,), 4)])
-    jet = jets(g)
+    jet = jets(nystrom_series(kernel, E, 64, [(1.0,)], (4,)))
     fd = fd_logdet_derivatives(kernel, E, (1.0,))
     for k, (a, b) in enumerate(zip(jet, fd), start=1):
         assert abs(a - b) < 1e-4 * max(1e-2, abs(b)), (k, a, b)
-    (fixed,) = nystrom_series(kernel, IntervalUnion([(9.2, 9.7)]), 64,
-                              [((1.0, 0.0), 1)])
+    fixed = nystrom_series(kernel, IntervalUnion([(9.2, 9.7)]), 64,
+                           [(1.0, 0.0)], (1,))
     assert abs(jets(fixed)[0] - jet[0]) > 1e-2 * jet[0]
 
 
 @pytest.mark.parametrize("kernel,intervals,d", ENDPOINT_SERIES_CASES)
 def test_series_constant_term_is_the_nystrom_matrix(kernel, intervals, d):
     E = IntervalUnion.parse(intervals)
-    (g,) = nystrom_series(kernel, E, 64, [(d, 2)])
-    want = np.eye(len(g[0])) - kernel.lam * nystrom_matrix(kernel, E, 64)[0]
-    assert np.abs(g[0] - want).max() <= 1e-14 * np.abs(want).max()
+    g0 = nystrom_series(kernel, E, 64, [d], (2,))[(0,)]
+    want = np.eye(len(g0)) - kernel.lam * nystrom_matrix(kernel, E, 64)[0]
+    assert np.abs(g0 - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kernel,intervals,u", ENDPOINT_SERIES_CASES)
+def test_mixed_partial_matches_polarized_jets(kernel, intervals, u):
+    # v keeps u's first component, so a fixed hard edge stays fixed
+    v = u[:1] + u[:0:-1]
+    E = IntervalUnion.parse(intervals)
+    box = nystrom_series(kernel, E, 64, [u, v], (4, 1))
+    (mixed,) = logdet_partials(box[(0, 0)], box.__getitem__, [(1, 1)])
+
+    def directional(ab, order):  # D_w, ..., D_w^order, w = a u + b v
+        w = ab[0] * np.asarray(u) + ab[1] * np.asarray(v)
+        return jets(nystrom_series(kernel, E, 64, [w], (order,)))
+
+    assert mixed == pytest.approx(polarized(directional, [1, 2]), rel=1e-10)
+    # the first axis of the box is the 1-D box along u
+    along_u = nystrom_series(kernel, E, 64, [u], (4,))
+    for j in range(5):
+        assert np.array_equal(box[(j, 0)], along_u[(j,)])
 
 
 def test_series_validate_input():
     E = IntervalUnion([(0.0, 2.0)])
     with pytest.raises(UsageError):
-        nystrom_series(KernelSpec("sine"), E, 32, [((0.0, 1.0), 2)])
+        nystrom_series(KernelSpec("sine"), E, 32, [(0.0, 1.0)], (2,))
     with pytest.raises(UsageError):
-        nystrom_series(KernelSpec("bessel"), E, 32, [((0.0, 1.0), 5)])
+        nystrom_series(KernelSpec("bessel"), E, 32, [(0.0, 1.0)], (2, 1))
     with pytest.raises(UsageError):
-        nystrom_series(KernelSpec("bessel"), E, 32, [((1.0,), 2)])
+        nystrom_series(KernelSpec("bessel"), E, 32, [(1.0,)], (2,))
     with pytest.raises(DomainError):
-        nystrom_series(KernelSpec("bessel"), E, 32, [((1.0, 1.0), 2)])
+        nystrom_series(KernelSpec("bessel"), E, 32, [(1.0, 1.0)], (2,))
