@@ -133,7 +133,9 @@ class EnsembleTau:
             raise UsageError("beta must be 1, 2 or 4")
 
     def value(self):
-        with np.errstate(over="ignore"):
+        # a determinant that underflows to 0 is left to the callers'
+        # UnderflowError
+        with np.errstate(over="ignore", divide="ignore"):
             tau = self._det(leading_block(self._array, self.size))
         if not math.isfinite(tau):
             raise DivergenceError("tau overflows: the moment block is too large")

@@ -19,8 +19,6 @@ from .quadrature import (
     union_rule,
 )
 from .special import (
-    airy_ai,
-    airy_ai_prime,
     airy_ai_vec,
     airy_taylor_coefficients,
     bessel_j,

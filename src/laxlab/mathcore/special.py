@@ -1,20 +1,24 @@
 """Airy and Bessel functions built from series, asymptotics and stable
 Taylor marching (no delegation, so results are bit-reproducible).
 
-The scalar Airy routine ``_airy_pair`` is the reference.  The vectorised
-``airy_ai_vec`` takes each point one Taylor step of |h| <= 0.25, with a
-fixed 32 terms, from the nearest anchor at a multiple of 0.5; each
-anchor's (Ai, Ai') comes from ``_airy_pair`` once, on first use.
+One Airy recurrence serves every value.  ``airy_ai_vec`` takes each point
+one Taylor step of |h| <= 0.25, with a fixed 32 terms, from the nearest
+anchor at a multiple of 0.5.  Anchors from AIRY_MARCH_TOP = 9 up come
+from the asymptotic expansion; those below are marched down from its
+value at 9 in steps of 0.25 by the same Taylor step, once, on first use.
+Ai grows in the marching direction on [0, 9] and oscillates below 0, so
+the march does not amplify rounding.
 
-Accuracy targets: absolute error <= 1e-12 for Airy on [-15, 15] and for
-J_nu (nu > -1) on [0, 100]; both degrade gracefully outside.  Airy
-raises DomainError below AIRY_MIN_ARG, where the errors against 40-digit
-mpmath are 5.9e-13 (Ai) and 9.0e-12 (Ai'), and is (0, -0) from
-AIRY_UNDERFLOW on, where e^{-zeta} underflows.
+Accuracy against 40-digit mpmath: absolute error <= 1e-14 on [-200, 0],
+relative <= 1e-14 on [0, 9.3] and <= 1e-12 on [9.3, 100]; J_nu (nu > -1)
+is accurate to 1e-12 absolute on [0, 100].  Airy raises DomainError
+below AIRY_MIN_ARG and is (0, -0) from AIRY_UNDERFLOW on, where
+e^{-zeta} underflows.
 """
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -23,120 +27,30 @@ from .quadrature import gauss_legendre_rule
 
 _SQRT_PI = math.sqrt(math.pi)
 
-AIRY_MIN_ARG = -200.0  # the march from -4.5 loses digits beyond
+AIRY_MIN_ARG = -200.0  # the march from AIRY_MARCH_TOP ends here
 AIRY_UNDERFLOW = 108.0  # zeta = (2/3) x^{3/2} > 748 from here on
-AIRY_TAYLOR_TERMS = 300  # cap on the terms of one Taylor step
-
-# Ai(0) and Ai'(0) from the Gamma-function closed forms.
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-
-
-def _airy_taylor(x0, y, yp, h):
-    """Taylor series of the Airy ODE y'' = x y about x0, evaluated at x0+h.
-
-    Coefficients follow c_{n+2} = (x0*c_n + c_{n-1}) / ((n+1)(n+2)); the sum
-    runs until successive terms fall below 1e-20 of the running scale.
-    """
-    if h == 0.0:
-        return y, yp
-    c = [y, yp]
-    val = y + yp * h
-    der = yp
-    scale = max(abs(val), abs(y), 1e-300)
-    hn = h  # h**n for the value term just added
-    quiet = 0
-    for n in range(AIRY_TAYLOR_TERMS):
-        prev = c[n - 1] if n >= 1 else 0.0
-        cn = (x0 * c[n] + prev) / ((n + 1) * (n + 2))
-        c.append(cn)
-        hn *= h
-        term = cn * hn
-        val += term
-        der += (n + 2) * cn * hn / h
-        scale = max(scale, abs(val))
-        if abs(term) < 1e-20 * scale and abs((n + 2) * term) < 1e-18 * scale:
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    return val, der
+AIRY_MARCH_TOP = 9.0  # anchors below are marched down from here
 
 
 def _airy_asymptotic(x):
     """Asymptotic expansion for large positive x (optimally truncated)."""
     zeta = (2.0 / 3.0) * x ** 1.5
-    u = 1.0
-    s_val = 1.0
-    s_der = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        u *= (6 * k + 1) * (6 * k + 5) / (72.0 * (k + 1))
-        k += 1
+    u = term = s_val = s_der = 1.0
+    for k in range(1, 62):
+        u *= (6 * k - 5) * (6 * k - 1) / (72.0 * k)
         new = u / zeta ** k
-        if new >= abs(term) or new < 1e-18:
-            if new < 1e-18:
-                sign = -1.0 if k % 2 else 1.0
-                s_val += sign * new
-                s_der += sign * new * (6 * k + 1) / (1 - 6 * k)
+        if new >= term:
             break
         sign = -1.0 if k % 2 else 1.0
         s_val += sign * new
         s_der += sign * new * (6 * k + 1) / (1 - 6 * k)
-        term = new
-        if k > 60:
+        if new < 1e-18:
             break
+        term = new
     front = math.exp(-zeta) / (2.0 * _SQRT_PI * x ** 0.25)
     ai = front * s_val
     aip = -(x ** 0.25) * math.exp(-zeta) / (2.0 * _SQRT_PI) * s_der
     return ai, aip
-
-
-def _airy_pair(x):
-    """(Ai(x), Ai'(x)) by regime: series, asymptotics, or stable marching."""
-    if not math.isfinite(x) or x < AIRY_MIN_ARG:
-        raise DomainError(
-            f"Airy functions need a finite argument >= {AIRY_MIN_ARG:g}, "
-            f"not {x}"
-        )
-    if x >= AIRY_UNDERFLOW:
-        return 0.0, -0.0
-    if x >= 9.0:
-        return _airy_asymptotic(x)
-    if x > 4.5:
-        # Seed well inside the asymptotic regime and march down; Ai grows
-        # in the marching direction, so the recurrence is stable.
-        xs = x + 6.0
-        y, yp = _airy_asymptotic(xs)
-        pos = xs
-        while pos - x > 1e-12:
-            h = -min(0.75, pos - x)
-            y, yp = _airy_taylor(pos, y, yp, h)
-            pos += h
-        return y, yp
-    if x >= -4.5:
-        return _airy_taylor(0.0, _AI0, _AIP0, x)
-    # Oscillatory side: march down from -4.5; no growing mode to amplify
-    # rounding, so long marches stay accurate.
-    y, yp = _airy_taylor(0.0, _AI0, _AIP0, -4.5)
-    pos = -4.5
-    while pos - x > 1e-12:
-        h = -min(0.75, pos - x)
-        y, yp = _airy_taylor(pos, y, yp, h)
-        pos += h
-    return y, yp
-
-
-def airy_ai(x):
-    """The Airy function Ai(x)."""
-    return _airy_pair(float(x))[0]
-
-
-def airy_ai_prime(x):
-    """Derivative Ai'(x)."""
-    return _airy_pair(float(x))[1]
 
 
 # airy_ai_vec steps from anchors at multiples of AIRY_ANCHOR_SPACING, so
@@ -145,11 +59,43 @@ def airy_ai_prime(x):
 AIRY_ANCHOR_SPACING = 0.5
 AIRY_STEP_TERMS = 32
 
+# (Ai, Ai') at AIRY_MARCH_TOP - i * AIRY_ANCHOR_SPACING / 2, filled by
+# _airy_anchor as far down as it has been asked for; the lock keeps two
+# threads from appending the same step twice
+_march = []
+_march_lock = threading.Lock()
+
+
+def _airy_horner(c, h):
+    """(Ai, Ai') at x + h from the Taylor coefficients c of Ai about x
+    (airy_taylor_coefficients), by Horner sums."""
+    ai = c[-1]
+    aip = (len(c) - 1) * c[-1]
+    for n in range(len(c) - 2, 0, -1):
+        ai = ai * h + c[n]
+        aip = aip * h + n * c[n]
+    return ai * h + c[0], aip
+
 
 @functools.cache
 def _airy_anchor(k):
     """(Ai, Ai') at the anchor k * AIRY_ANCHOR_SPACING, k an int."""
-    return _airy_pair(k * AIRY_ANCHOR_SPACING)
+    x = k * AIRY_ANCHOR_SPACING
+    if x >= AIRY_UNDERFLOW:
+        return 0.0, -0.0
+    if x >= AIRY_MARCH_TOP:
+        return _airy_asymptotic(x)
+    h = -0.5 * AIRY_ANCHOR_SPACING
+    i = round((x - AIRY_MARCH_TOP) / h)
+    with _march_lock:
+        if not _march:
+            _march.append(_airy_asymptotic(AIRY_MARCH_TOP))
+        while len(_march) <= i:
+            c = airy_taylor_coefficients(
+                AIRY_MARCH_TOP + (len(_march) - 1) * h, *_march[-1],
+                AIRY_STEP_TERMS)
+            _march.append(_airy_horner(c, h))
+        return _march[i]
 
 
 def airy_ai_vec(xs):
@@ -157,33 +103,30 @@ def airy_ai_vec(xs):
 
     Each point x takes one Taylor step h = x - x_k, |h| <= 0.25, from its
     nearest anchor x_k = 0.5 k, summing AIRY_STEP_TERMS terms of the
-    recurrence of airy_taylor_coefficients.  Anchors are evaluated by the
-    scalar routine when first needed and cached.
+    recurrence of airy_taylor_coefficients.  Anchors are evaluated when
+    first needed and cached.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)) or np.any(xs < AIRY_MIN_ARG):
         raise DomainError(
             f"Airy functions need finite arguments >= {AIRY_MIN_ARG:g}"
         )
-    k, where = np.unique(np.rint(xs.ravel() / AIRY_ANCHOR_SPACING),
+    # every anchor from AIRY_UNDERFLOW on is (0, -0); clipping keeps
+    # x / AIRY_ANCHOR_SPACING finite
+    x = np.minimum(xs.ravel(), AIRY_UNDERFLOW)
+    k, where = np.unique(np.rint(x / AIRY_ANCHOR_SPACING),
                          return_inverse=True)
     x0 = k * AIRY_ANCHOR_SPACING
     ai0, aip0 = np.array([_airy_anchor(int(j)) for j in k]).reshape(-1, 2).T
     c = airy_taylor_coefficients(x0, ai0, aip0, AIRY_STEP_TERMS)[:, where]
-    h = xs.ravel() - x0[where]
-    ai = c[-1]
-    aip = (AIRY_STEP_TERMS - 1) * c[-1]
-    for n in range(AIRY_STEP_TERMS - 2, 0, -1):
-        ai = ai * h + c[n]
-        aip = aip * h + n * c[n]
-    ai = ai * h + c[0]
+    ai, aip = _airy_horner(c, x - x0[where])
     return ai.reshape(xs.shape), aip.reshape(xs.shape)
 
 
 def airy_taylor_coefficients(x, ai, aip, count):
     """Taylor coefficients c_0..c_{count-1} of Ai about each point of x,
     from the values ai = Ai(x) and aip = Ai'(x) there; row n holds
-    Ai^{(n)}(x) / n! by the recurrence of _airy_taylor,
+    Ai^{(n)}(x) / n! by the recurrence
     c_{n+2} = (x c_n + c_{n-1}) / ((n+1)(n+2))."""
     x = np.asarray(x, dtype=float)
     c = np.zeros((max(count, 2),) + x.shape)

@@ -21,6 +21,7 @@ from .errors import (
     SingularMatrixError,
     SingularTauError,
     StabilityError,
+    UnderflowError,
     UsageError,
 )
 from .intervals import IntervalUnion
@@ -204,6 +205,8 @@ def pfaffkp_residual(m, n):
         rhs = 12.0 * tau_minus * tau_plus / tau_n ** 2
     except OverflowError:  # tau_n ** 2 of a float
         rhs = np.inf
+    except ZeroDivisionError:
+        raise UnderflowError(f"tau_{n} ** 2 underflows to 0") from None
     if not np.all(np.isfinite([tau_minus, tau_n, tau_plus, rhs])):
         raise DivergenceError(f"tau_{n} or its neighbours overflow")
     return kp_normalized(lambda ks: 0.5 * dlog_block(

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxlab import aci, ensembles, gapodes, pfaff, toda, twotoda, virasoro
@@ -271,6 +271,12 @@ def skew_and_algebra_argv(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(skew_and_algebra_argv())
+# tau_16 ** 2 underflows to 0
+@example(["pfaff", "check-kp", "--beta", "1", "--n-list", "16", "--a", "-1",
+          "--b", "1e3", "--check"])
+# the normalizing tau underflows to 0, and its determinant must not warn
+@example(["ensemble", "gap", "--beta", "2", "--weight", "laguerre", "--a", "0",
+          "--b", "1e3", "--n", "182", "--interval", "-inf:inf", "--check"])
 def test_skew_and_algebra_commands_exit_cleanly(argv):
     assert_exits_cleanly(argv)
 

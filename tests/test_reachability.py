@@ -28,9 +28,6 @@ CALLERS = ("src", "tests", "perfbench")
 # Kept although no command reaches them: each is the reference a test
 # compares the library against, or a name the benchmark tracer lists.
 REFERENCES = {
-    # the scalar Airy routine behind the vectorised airy_ai_vec
-    "mathcore.special.airy_ai",
-    "mathcore.special.airy_ai_prime",
     # aci_flow's right-hand side, written out once
     "aci.b_from_a",
     # finite differences for the exact jets; perfbench/tracer.py lists fd
