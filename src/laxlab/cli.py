@@ -29,6 +29,7 @@ EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_TOLERANCE = 0, 2, 3, 4
 # rows per unit of k beyond the compared block that pfaff flow's Lax ODE
 # carries: with none, its interior is off by 0.093 at t = 0.1
 PFAFF_ODE_MARGIN = 12
+GAP_BUDGET = 1e-8  # fredholm gap's and ensemble gap's tau.refined budget
 
 
 @dataclass
@@ -351,7 +352,7 @@ def run_fredholm_gap(args):
         E = IntervalUnion.parse(args.interval.replace("s", "%.17g" % s))
         det, err = tau.refined(
             lambda order: fredholm.nystrom_det(spec, E, order), args.order,
-            f"gap determinant at s = {s:g}")
+            f"gap determinant at s = {s:g}", GAP_BUDGET)
         rows.append({"s": s, "det": det, "error": err})
         errors.append(err)
     return _Result(rows, errors, err=errors)
@@ -435,7 +436,7 @@ def run_ensemble_gap(args):
     E = IntervalUnion.parse(args.interval)
     p, err = tau.refined(
         lambda order: ensembles.gap_probability(e, E, order=order),
-        args.order, "gap probability")
+        args.order, "gap probability", GAP_BUDGET)
     return _Result([{"interval": args.interval, "probability": p}], err,
                    err=err)
 

@@ -25,9 +25,8 @@ from .errors import DomainError, NumericalError, UsageError
 from .mathcore import (
     airy_ai_vec,
     airy_taylor_coefficients,
-    bessel_j,
-    bessel_j_prime,
     bessel_sqrt_taylor_coefficients,
+    bessel_sqrt_vec,
     gauss_jacobi_rule,
     gauss_legendre_rule,
     lu_determinant,
@@ -60,14 +59,6 @@ class KernelSpec:
             raise DomainError("hermite kernel requires N >= 1 and b > 0")
 
 
-def _bessel_at_sqrt(nu, x):
-    """(sqrt x, J_nu(sqrt x), J_nu'(sqrt x)) from J_nu and J_{nu+1}."""
-    s = np.sqrt(x)
-    j = np.array([bessel_j(nu, t) for t in s.ravel()])
-    jp = np.array([bessel_j_prime(nu, t, jt) for t, jt in zip(s.ravel(), j)])
-    return s, j.reshape(s.shape), jp.reshape(s.shape)
-
-
 def _integrable(k, x):
     """(f, g, K(x, x)) at the points x for the integrable kernels
     K(y, z) = (f(y) g(z) - g(y) f(z)) / (y - z): (Ai, Ai') for airy and
@@ -77,9 +68,8 @@ def _integrable(k, x):
         return ai, aip, aip ** 2 - x * ai ** 2
     if np.any(x <= 0.0):
         raise DomainError("bessel kernel needs arguments > 0")
-    s, j, jp = _bessel_at_sqrt(k.nu, x)
-    diag = 0.25 * (jp ** 2 + (1.0 - k.nu * k.nu / x) * j ** 2)
-    return j, 0.5 * s * jp, diag
+    f, g = bessel_sqrt_vec(k.nu, x)
+    return f, g, (g ** 2 + 0.25 * (x - k.nu * k.nu) * f ** 2) / x
 
 
 def hermite_functions(N, b, z):
@@ -295,10 +285,9 @@ def nystrom_series(k, E, order, directions, box):
         ai, aip = airy_ai_vec(x)
         taylor = airy_taylor_coefficients(x, ai, aip, degree + 3)
     else:
-        s, j, jp = _bessel_at_sqrt(k.nu, x)
-        taylor = bessel_sqrt_taylor_coefficients(
-            k.nu, x, j, 0.5 * jp / s, degree + 3
-        )
+        f, g = bessel_sqrt_vec(k.nu, x)
+        taylor = bessel_sqrt_taylor_coefficients(k.nu, x, f, g / x,
+                                                 degree + 3)
         if k.nu != 0.0:
             r = r * x ** (-0.5 * k.nu)
     vel, rate = zip(*(_node_motion(k, E, x, order, d) for d in directions))

@@ -21,7 +21,6 @@ from .quadrature import (
 from .special import (
     airy_ai_vec,
     airy_taylor_coefficients,
-    bessel_j,
-    bessel_j_prime,
     bessel_sqrt_taylor_coefficients,
+    bessel_sqrt_vec,
 )

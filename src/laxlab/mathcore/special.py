@@ -1,19 +1,24 @@
-"""Airy and Bessel functions built from series, asymptotics and stable
-Taylor marching (no delegation, so results are bit-reproducible).
+"""Airy and Bessel functions from series, asymptotics and Taylor marching
+(no delegation, so results are bit-reproducible).
 
-One Airy recurrence serves every value.  ``airy_ai_vec`` takes each point
-one Taylor step of |h| <= 0.25, with a fixed 32 terms, from the nearest
-anchor at a multiple of 0.5.  Anchors from AIRY_MARCH_TOP = 9 up come
-from the asymptotic expansion; those below are marched down from its
-value at 9 in steps of 0.25 by the same Taylor step, once, on first use.
-Ai grows in the marching direction on [0, 9] and oscillates below 0, so
-the march does not amplify rounding.
+One recurrence serves every value of each: ``airy_ai_vec`` and
+``bessel_sqrt_vec`` take a point one 32-term Taylor step, at most 0.25
+(in sqrt x for Bessel), from the nearest anchor, and ``_marched`` fills
+the anchors once, on first use, by the same step, where the function
+grows or oscillates, so that rounding is not amplified.  Airy anchors lie
+at multiples of 0.5: from AIRY_MARCH_TOP = 9 up the asymptotic expansion
+gives them, below 9 they are marched down in steps of 0.25.  Bessel
+anchors, for the kernel pair (J_nu(sqrt x), x d/dx J_nu(sqrt x)), lie at
+sqrt x = 8 + 0.5 j, marched up from the ascending series, which gives
+sqrt x <= 8 directly.
 
-Accuracy against 40-digit mpmath: absolute error <= 1e-14 on [-200, 0],
-relative <= 1e-14 on [0, 9.3] and <= 1e-12 on [9.3, 100]; J_nu (nu > -1)
-is accurate to 1e-12 absolute on [0, 100].  Airy raises DomainError
-below AIRY_MIN_ARG and is (0, -0) from AIRY_UNDERFLOW on, where
-e^{-zeta} underflows.
+Accuracy against mpmath: Ai within 1e-14 absolute on [-200, 0],
+1e-14 relative on [0, 9.3] and 1e-12 relative on [9.3, 100]; J_nu and
+J_nu' (-1 < nu <= 120) within 3e-14 absolute on 0.01 <= sqrt x <= 1000.
+DomainError below AIRY_MIN_ARG, past BESSEL_MAX_ARG (sqrt x = 1000) and,
+past the series, above BESSEL_MAX_MARCH_NU = 120, where the first steps
+of the march lose digits (2e-11 at nu = 160).  Ai is (0, -0) from
+AIRY_UNDERFLOW on, where e^{-zeta} underflows.
 """
 
 import functools
@@ -23,7 +28,6 @@ import threading
 import numpy as np
 
 from ..errors import DomainError
-from .quadrature import gauss_legendre_rule
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -54,27 +58,41 @@ def _airy_asymptotic(x):
 
 
 # airy_ai_vec steps from anchors at multiples of AIRY_ANCHOR_SPACING, so
-# |h| <= 0.25; AIRY_STEP_TERMS Taylor terms reach full precision there up
-# to x = 104, where Ai underflows.
+# |h| <= 0.25; STEP_TERMS Taylor terms reach full precision there up
+# to x = 104, where Ai underflows.  Bessel steps take as many.
 AIRY_ANCHOR_SPACING = 0.5
-AIRY_STEP_TERMS = 32
+STEP_TERMS = 32
 
-# (Ai, Ai') at AIRY_MARCH_TOP - i * AIRY_ANCHOR_SPACING / 2, filled by
-# _airy_anchor as far down as it has been asked for; the lock keeps two
-# threads from appending the same step twice
-_march = []
+# (Ai, Ai') at AIRY_MARCH_TOP - i * AIRY_ANCHOR_SPACING / 2, i = 0, 1, ...
+_airy_march = []
 _march_lock = threading.Lock()
 
 
-def _airy_horner(c, h):
-    """(Ai, Ai') at x + h from the Taylor coefficients c of Ai about x
-    (airy_taylor_coefficients), by Horner sums."""
-    ai = c[-1]
-    aip = (len(c) - 1) * c[-1]
+def _taylor_horner(c, h):
+    """(value, derivative) at x + h of the function whose Taylor
+    coefficients about x are the rows of c, by Horner sums."""
+    val = c[-1]
+    der = (len(c) - 1) * c[-1]
     for n in range(len(c) - 2, 0, -1):
-        ai = ai * h + c[n]
-        aip = aip * h + n * c[n]
-    return ai * h + c[0], aip
+        val = val * h + c[n]
+        der = der * h + n * c[n]
+    return val * h + c[0], der
+
+
+def _marched(march, i, x_at, coefficients, start):
+    """Entry i of march, the (value, derivative) at x_at(0), x_at(1), ...:
+    start at x_at(0), then one Taylor step from each entry to the next, of
+    STEP_TERMS coefficients(x, value, derivative, count).  Filled as far
+    as asked, once; the lock keeps two threads from appending a step
+    twice."""
+    with _march_lock:
+        if not march:
+            march.append(start)
+        while len(march) <= i:
+            x = x_at(len(march) - 1)
+            c = coefficients(x, *march[-1], STEP_TERMS)
+            march.append(_taylor_horner(c, x_at(len(march)) - x))
+        return march[i]
 
 
 @functools.cache
@@ -85,24 +103,17 @@ def _airy_anchor(k):
         return 0.0, -0.0
     if x >= AIRY_MARCH_TOP:
         return _airy_asymptotic(x)
-    h = -0.5 * AIRY_ANCHOR_SPACING
-    i = round((x - AIRY_MARCH_TOP) / h)
-    with _march_lock:
-        if not _march:
-            _march.append(_airy_asymptotic(AIRY_MARCH_TOP))
-        while len(_march) <= i:
-            c = airy_taylor_coefficients(
-                AIRY_MARCH_TOP + (len(_march) - 1) * h, *_march[-1],
-                AIRY_STEP_TERMS)
-            _march.append(_airy_horner(c, h))
-        return _march[i]
+    h = 0.5 * AIRY_ANCHOR_SPACING
+    return _marched(_airy_march, round((AIRY_MARCH_TOP - x) / h),
+                    lambda i: AIRY_MARCH_TOP - i * h, airy_taylor_coefficients,
+                    _airy_asymptotic(AIRY_MARCH_TOP))
 
 
 def airy_ai_vec(xs):
     """Vectorized (Ai, Ai') over an array of points.
 
     Each point x takes one Taylor step h = x - x_k, |h| <= 0.25, from its
-    nearest anchor x_k = 0.5 k, summing AIRY_STEP_TERMS terms of the
+    nearest anchor x_k = 0.5 k, summing STEP_TERMS terms of the
     recurrence of airy_taylor_coefficients.  Anchors are evaluated when
     first needed and cached.
     """
@@ -118,8 +129,8 @@ def airy_ai_vec(xs):
                          return_inverse=True)
     x0 = k * AIRY_ANCHOR_SPACING
     ai0, aip0 = np.array([_airy_anchor(int(j)) for j in k]).reshape(-1, 2).T
-    c = airy_taylor_coefficients(x0, ai0, aip0, AIRY_STEP_TERMS)[:, where]
-    ai, aip = _airy_horner(c, x - x0[where])
+    c = airy_taylor_coefficients(x0, ai0, aip0, STEP_TERMS)[:, where]
+    ai, aip = _taylor_horner(c, x - x0[where])
     return ai.reshape(xs.shape), aip.reshape(xs.shape)
 
 
@@ -163,66 +174,70 @@ def bessel_sqrt_taylor_coefficients(nu, x, f, fp, count):
     return c[:count]
 
 
+# bessel_sqrt_vec sums the series up to BESSEL_SERIES_TOP (sqrt x = 8) and
+# steps at most a quarter in sqrt x beyond: a step bounded in x alone
+# spans ever more periods of J_nu (x / 4 is 11 radians at sqrt x = 100)
+BESSEL_SERIES_TOP = 64.0
+BESSEL_SERIES_TERMS = 32
+BESSEL_ANCHOR_SPACING = 0.5  # in sqrt x
+BESSEL_MAX_ARG = 1e6  # sqrt x = 1000: the march ends here
+# a larger nu makes J_nu grow too fast for the first steps of the march
+BESSEL_MAX_MARCH_NU = 120.0
+
+# per nu, (J_nu(sqrt x), d/dx J_nu(sqrt x)) at the anchors j = 0, 1, ...
+_bessel_march = {}
+
+
 def _bessel_series(nu, x):
-    """Ascending series; accurate for x <= 8 (cancellation stays mild)."""
-    if x == 0.0:
-        if nu == 0:
-            return 1.0
-        return 0.0 if nu > 0 else math.inf
-    half = 0.5 * x
-    log_front = nu * math.log(half) - math.lgamma(nu + 1.0)
-    term = math.exp(log_front)
-    total = term
-    q = -half * half
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (nu + k))
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-30) or k > 200:
-            return total
+    """(J_nu(sqrt x), x d/dx J_nu(sqrt x)) from BESSEL_SERIES_TERMS terms
+    of (x/4)^{nu/2} sum_k a_k, a_k = (-x/4)^k / (k! Gamma(nu + k + 1)),
+    and of x d/dx, which takes a_k to (nu/2 + k) a_k."""
+    q = 0.25 * x
+    with np.errstate(divide="ignore"):  # x = 0: J_nu(0) is 0, 1 or inf
+        front = (np.exp(0.5 * nu * np.log(q) - math.lgamma(nu + 1.0))
+                 if nu else 1.0)
+    term = np.ones_like(x)
+    f = term.copy()
+    g = 0.5 * nu * term
+    for k in range(1, BESSEL_SERIES_TERMS):
+        term = term * -q / (k * (nu + k))
+        f += term
+        g += (0.5 * nu + k) * term
+    return front * f, front * g
 
 
-def _bessel_integral(nu, x):
-    """Schlaefli integral representation, for x > 8.
-
-    J_nu(x) = (1/pi) Int_0^pi cos(nu*t - x*sin t) dt
-              - sin(nu*pi)/pi Int_0^inf exp(-nu*t - x*sinh t) dt
-    """
-    order = 80 + int(1.2 * x)
-    t, w = gauss_legendre_rule(order, (0.0, math.pi))
-    first = float(np.dot(w, np.cos(nu * t - x * np.sin(t)))) / math.pi
-    s = math.sin(nu * math.pi)
-    if abs(s) < 1e-300:
-        return first
-    # Truncate where the integrand has decayed below 1e-20.
-    upper = math.asinh(60.0 / x)
-    for _ in range(4):
-        upper = math.asinh((60.0 + max(-nu, 0.0) * upper) / x)
-    upper += 0.5
-    t2, w2 = gauss_legendre_rule(96, (0.0, upper))
-    second = float(np.dot(w2, np.exp(-nu * t2 - x * np.sinh(t2)))) / math.pi
-    return first - s * second
+def _bessel_anchor_x(j):
+    """x at the anchors j, (8 + j * BESSEL_ANCHOR_SPACING)^2, exactly."""
+    return (8.0 + j * BESSEL_ANCHOR_SPACING) ** 2
 
 
-def bessel_j(nu, x):
-    """Bessel function J_nu(x) for nu > -1, x >= 0."""
-    nu = float(nu)
-    x = float(x)
-    if nu <= -1.0:
-        raise DomainError("bessel_j requires nu > -1")
-    if x < 0.0:
-        raise DomainError("bessel_j requires x >= 0")
-    if x <= 8.0:
-        return _bessel_series(nu, x)
-    return _bessel_integral(nu, x)
-
-
-def bessel_j_prime(nu, x, j=None):
-    """Derivative J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x) for nu > -1 and
-    x > 0; j is J_nu(x), when the caller has it already."""
-    if not x > 0.0:
-        raise DomainError("bessel_j_prime requires x > 0")
-    if j is None:
-        j = bessel_j(nu, x)
-    return (nu / x) * j - bessel_j(nu + 1.0, x)
+def bessel_sqrt_vec(nu, x):
+    """(J_nu(sqrt x), x d/dx J_nu(sqrt x)) over an array x, for nu > -1 and
+    0 <= x <= BESSEL_MAX_ARG (nu <= BESSEL_MAX_MARCH_NU past the series):
+    the series up to BESSEL_SERIES_TOP, beyond it one Taylor step of
+    bessel_sqrt_taylor_coefficients from the anchor nearest in sqrt x."""
+    x = np.asarray(x, dtype=float)
+    top = BESSEL_MAX_ARG if nu <= BESSEL_MAX_MARCH_NU else BESSEL_SERIES_TOP
+    if not (nu > -1.0 and np.all((x >= 0.0) & (x <= top))):
+        raise DomainError(f"J_nu(sqrt x) at nu = {nu:g} needs nu > -1 and "
+                          f"finite 0 <= x <= {top:g}")
+    flat = x.ravel()
+    f, g = _bessel_series(nu, np.minimum(flat, BESSEL_SERIES_TOP))
+    far = flat > BESSEL_SERIES_TOP
+    if np.any(far):
+        xf = flat[far]
+        j, where = np.unique(
+            np.rint((np.sqrt(xf) - 8.0) / BESSEL_ANCHOR_SPACING),
+            return_inverse=True)
+        # (f, f') at anchor 0, from the series
+        start = np.divide(_bessel_series(nu, np.array(BESSEL_SERIES_TOP)),
+                          (1.0, BESSEL_SERIES_TOP))
+        march = _bessel_march.setdefault(float(nu), [])
+        step = functools.partial(bessel_sqrt_taylor_coefficients, nu)
+        f0, fp0 = np.array([_marched(march, int(i), _bessel_anchor_x, step,
+                                     start) for i in j]).T
+        x0 = _bessel_anchor_x(j)
+        c = step(x0, f0, fp0, STEP_TERMS)[:, where]
+        f[far], fp = _taylor_horner(c, xf - x0[where])
+        g[far] = xf * fp
+    return f.reshape(x.shape), g.reshape(x.shape)

@@ -211,16 +211,16 @@ def refine_on_rule(w, E, order, value):
     return current
 
 
-def refined(compute, order, what):
+def refined(compute, order, what, budget):
     """compute at order + max(order // 2, 1) and its distance from
-    compute(order), the error estimate.  Raise UnderflowError unless the
-    value exceeds ten times that error: a smaller value has no correct
-    digit to report."""
+    compute(order), the error estimate.  Raise UnderflowError unless that
+    error is at most budget times the value: a tail value that misses its
+    relative budget has too few correct digits to report."""
     value = compute(order + max(order // 2, 1))
     err = abs(compute(order) - value)
-    if not value > 10.0 * err:
-        raise UnderflowError(f"{what} is {value:.2e}, not larger than ten "
-                             f"times its error estimate {err:.2e}")
+    if not err <= budget * value:
+        raise UnderflowError(f"{what} is {value:.2e} with the error estimate "
+                             f"{err:.2e}, above its relative budget {budget:g}")
     return value, err
 
 

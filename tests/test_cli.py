@@ -454,6 +454,11 @@ def test_other_commands_exit_cleanly(argv):
     ("ensemble gap --beta 4 --n 6 --interval=-inf:-1.62", EXIT_NUMERICAL),
     # p = 4.57e-34 against an error of 2.06e-34: no digit of p is known
     ("ensemble gap --beta 4 --n 6 --interval=-inf:-1.5", EXIT_NUMERICAL),
+    # p = 5.6e-48 at 4.3e-4 relative, and det = 8.5e-55 at 2.5e-3
+    # relative: both above the relative budget of 1e-8
+    ("ensemble gap --n 6 --interval=-inf:-3", EXIT_NUMERICAL),
+    ("fredholm gap --kernel sine --interval=-s:s --s-grid 5:5.5:0.5",
+     EXIT_NUMERICAL),
     # a report path that cannot be opened
     ("ensemble gap --out /nonexistent/x.json", EXIT_USAGE),
     # the Wronskian moments reach z^13 on (-inf, 3.5], which a single

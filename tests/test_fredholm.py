@@ -18,7 +18,7 @@ from laxlab.fredholm import (
     scaling_limit_error,
 )
 from laxlab.intervals import IntervalUnion
-from laxlab.mathcore import airy_ai_vec, gauss_legendre_rule, special
+from laxlab.mathcore import airy_ai_vec, gauss_legendre_rule
 from laxlab.tau import logdet_partials
 
 
@@ -127,38 +127,37 @@ def test_kernel_eval_broadcasts_like_an_elementwise_function(spec):
     assert np.array_equal(got, np.diagonal(table))
 
 
-def test_kernel_table_takes_the_diagonal_form_only_where_it_is_used(
-        monkeypatch):
-    # a 6 x 6 Bessel table: one J_nu per point of each axis, and one at the
-    # midpoint of each of the 6 pairs with y = z
-    calls, real = [], fredholm.bessel_j
+def counted_bessel(monkeypatch):
+    """The sizes of the point arrays fredholm hands to bessel_sqrt_vec."""
+    sizes, real = [], fredholm.bessel_sqrt_vec
 
     def counted(nu, x):
-        calls.append(x)
+        sizes.append(np.size(x))
         return real(nu, x)
 
-    monkeypatch.setattr(fredholm, "bessel_j", counted)
+    monkeypatch.setattr(fredholm, "bessel_sqrt_vec", counted)
+    return sizes
+
+
+def test_kernel_table_takes_the_diagonal_form_only_where_it_is_used(
+        monkeypatch):
+    # a 6 x 6 Bessel table: one point per entry of each axis, and one at
+    # the midpoint of each of the 6 pairs with y = z
+    sizes = counted_bessel(monkeypatch)
     x = np.arange(0.5, 3.01, 0.5)
     table = kernel_eval(KernelSpec("bessel"), x[:, None], x[None, :])
-    assert len(calls) == 18
+    assert sum(sizes) == 18
     monkeypatch.undo()
     assert np.array_equal(np.diagonal(table),
                           [kernel_eval(KernelSpec("bessel"), v, v) for v in x])
 
 
-def test_bessel_nystrom_matrix_takes_two_scalar_calls_per_node(monkeypatch):
-    # J_nu and J_{nu+1} at each node: J_nu' reuses the caller's J_nu
-    calls = []
-    for module in (fredholm, special):
-        def counted(nu, x, real=module.bessel_j):
-            calls.append(nu)
-            return real(nu, x)
-
-        monkeypatch.setattr(module, "bessel_j", counted)
+def test_bessel_nystrom_matrix_takes_one_call_on_its_nodes(monkeypatch):
+    sizes = counted_bessel(monkeypatch)
     _, x, _ = nystrom_matrix(KernelSpec("bessel", nu=1.0),
                              IntervalUnion([(0.0, 2.0)]), 8)
     assert len(x) == 8
-    assert sorted(calls) == [1.0] * 8 + [2.0] * 8
+    assert sizes == [8]
 
 
 def test_kernel_spec_validation():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -14,16 +16,21 @@ from laxlab.errors import (
     UsageError,
 )
 from laxlab.intervals import IntervalUnion
-from laxlab.mathcore import quadrature
+from laxlab.mathcore import quadrature, special
 from laxlab.mathcore.linalg import sqrtm
 from laxlab.mathcore.ode import GUARD_INTERVAL, MAX_STEPS, rk4
-from laxlab.mathcore.special import AIRY_MIN_ARG, AIRY_UNDERFLOW
+from laxlab.mathcore.special import (
+    AIRY_MIN_ARG,
+    AIRY_UNDERFLOW,
+    BESSEL_MAX_ARG,
+    BESSEL_MAX_MARCH_NU,
+    BESSEL_SERIES_TOP,
+)
 from laxlab.mathcore import (
     airy_ai_vec,
     airy_taylor_coefficients,
-    bessel_j,
-    bessel_j_prime,
     bessel_sqrt_taylor_coefficients,
+    bessel_sqrt_vec,
     cut_rules,
     expm,
     gauss_legendre_rule,
@@ -505,31 +512,118 @@ def test_airy_negative_envelope():
     assert np.all(np.abs(airy_ai_vec(x)[0]) < bound)
 
 
+def bessel_at(nu, s):
+    """(J_nu(s), J_nu'(s)) from the kernel pair at x = s^2:
+    x d/dx J_nu(sqrt x) = (s / 2) J_nu'(s)."""
+    s = np.asarray(s, dtype=float)
+    f, g = bessel_sqrt_vec(nu, s * s)
+    return f, 2.0 * g / s
+
+
 def test_bessel_j0_at_zero():
-    assert bessel_j(0, 0.0) == pytest.approx(1.0)
+    assert bessel_sqrt_vec(0, 0.0) == (1.0, 0.0)
 
 
 def test_bessel_against_mpmath():
+    s = [0.1, 1.0, 4.0, 7.9, 8.1, 15.0, 40.0, 100.0]
     for nu in [0.0, 0.25, 1.0, -0.75, 2.5]:
-        for x in [0.1, 1.0, 4.0, 7.9, 8.1, 15.0, 40.0, 100.0]:
+        got = bessel_at(nu, s)[0]
+        for x, j in zip(s, got):
             ref = float(mpmath.besselj(nu, x))
-            assert abs(bessel_j(nu, x) - ref) < 1e-12, (nu, x)
+            assert abs(j - ref) < 1e-12, (nu, x)
 
 
 def test_bessel_prime_against_mpmath():
+    s = [0.5, 3.0, 12.0, 50.0]
     for nu in [-0.5, 0.0, 0.25, 1.0, 2.5]:
-        for x in [0.5, 3.0, 12.0, 50.0]:
+        got = bessel_at(nu, s)[1]
+        for x, jp in zip(s, got):
             ref = float(mpmath.besselj(nu, x, 1))
-            assert abs(bessel_j_prime(nu, x) - ref) < 1e-11, (nu, x)
+            assert abs(jp - ref) < 1e-11, (nu, x)
+
+
+@pytest.mark.parametrize("nu", [20.0, 100.0, BESSEL_MAX_MARCH_NU])
+def test_bessel_at_large_order_past_the_seam(nu):
+    # the series ends at sqrt x = 8; the march climbs from there through
+    # the growth of J_nu up to its turning point sqrt x = nu and beyond
+    s = np.array([7.99, 8.0, 8.01, 8.25, 8.26, 30.0, 0.9 * nu, nu,
+                  1.1 * nu, 250.0])
+    j, jp = bessel_at(nu, s)
+    with mpmath.workdps(40):
+        for i, x in enumerate(s):
+            assert abs(j[i] - float(mpmath.besselj(nu, x))) < 1e-12, x
+            assert abs(jp[i] - float(mpmath.besselj(nu, x, 1))) < 1e-11, x
+
+
+def test_bessel_batch_is_single_points_to_the_bit(monkeypatch):
+    # on a cleared anchor cache the point at sqrt x = 100 marches first
+    monkeypatch.setattr(special, "_bessel_march", {})
+    x = np.array([1e4, 0.0, 1e-3, 0.5, 63.9, BESSEL_SERIES_TOP, 64.1, 70.0,
+                  72.25, 400.0, 2500.0])
+    single = [bessel_sqrt_vec(0.25, t) for t in x]
+    f, g = bessel_sqrt_vec(0.25, x.reshape(1, -1))
+    assert f.shape == g.shape == (1, x.size)
+    assert np.array_equal(f[0], [p[0] for p in single])
+    assert np.array_equal(g[0], [p[1] for p in single])
+
+
+def test_bessel_march_is_filled_once_under_threads(monkeypatch):
+    # more threads than cores, switching often, on a cleared cache: each
+    # anchor is appended once, so every thread reads the serial values
+    monkeypatch.setattr(special, "_bessel_march", {})
+    x = np.array([1e4, 4e3, 900.0])
+    serial = bessel_sqrt_vec(1.0, x)
+    march = list(special._bessel_march[1.0])
+    special._bessel_march.clear()
+    results = []
+    threads = [threading.Thread(
+        target=lambda: results.append(bessel_sqrt_vec(1.0, x)))
+        for _ in range(8)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 8
+    assert np.array_equal(special._bessel_march[1.0], march)
+    for f, g in results:
+        assert np.array_equal(f, serial[0]) and np.array_equal(g, serial[1])
 
 
 def test_bessel_domain_errors():
     with pytest.raises(DomainError):
-        bessel_j(-1.5, 1.0)
+        bessel_sqrt_vec(-1.5, 1.0)
     with pytest.raises(DomainError):
-        bessel_j(0.0, -1.0)
-    with pytest.raises(DomainError):
-        bessel_j_prime(1.0, 0.0)
+        bessel_sqrt_vec(0.0, -1.0)
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bessel_sqrt_vec(1.0, [1.0, x])
+
+
+def test_bessel_rejects_arguments_past_the_cap(monkeypatch):
+    # nothing is marched for a rejected call
+    monkeypatch.setattr(special, "_bessel_march", {})
+    for x in (np.nextafter(BESSEL_MAX_ARG, math.inf), 1e7, 1e300):
+        with pytest.raises(DomainError, match="1e\\+06"):
+            bessel_sqrt_vec(0.0, [1.0, x])
+    with pytest.raises(DomainError, match="x <= 64"):
+        bessel_sqrt_vec(np.nextafter(BESSEL_MAX_MARCH_NU, math.inf),
+                        [1.0, np.nextafter(BESSEL_SERIES_TOP, math.inf)])
+    assert special._bessel_march == {}
+    # up to the series' end a large order needs no march
+    assert bessel_sqrt_vec(1e3, BESSEL_SERIES_TOP) == (0.0, 0.0)
+
+
+def test_bessel_accuracy_at_the_cap():
+    s = math.sqrt(BESSEL_MAX_ARG)
+    with mpmath.workdps(40):
+        ref = float(mpmath.besselj(0.5, s)), float(mpmath.besselj(0.5, s, 1))
+    j, jp = bessel_at(0.5, [s])
+    assert abs(j[0] - ref[0]) < 1e-13 and abs(jp[0] - ref[1]) < 1e-13
 
 
 def test_airy_taylor_coefficients_match_mpmath():
@@ -547,10 +641,8 @@ def test_bessel_sqrt_taylor_coefficients_match_mpmath():
     # they are compared in the scaled form c_n x^n
     xs = np.array([0.01, 0.3, 2.0, 9.0])
     for nu in (0.0, 0.25, -0.5, 1.0):
-        s = np.sqrt(xs)
-        f = np.array([bessel_j(nu, t) for t in s])
-        fp = np.array([bessel_j_prime(nu, t) for t in s]) / (2.0 * s)
-        coef = bessel_sqrt_taylor_coefficients(nu, xs, f, fp, 7)
+        f, g = bessel_sqrt_vec(nu, xs)
+        coef = bessel_sqrt_taylor_coefficients(nu, xs, f, g / xs, 7)
         with mpmath.workdps(40):
             for i, x in enumerate(xs):
                 g = lambda t: mpmath.besselj(nu, mpmath.sqrt(t))
