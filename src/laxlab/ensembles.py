@@ -10,12 +10,12 @@ ODE jets and the Virasoro constraints.  At beta = 2 P_n(E) is also,
 independently, the determinant of the Gram matrix of orthonormal
 weighted polynomials restricted to E.  Monte Carlo samplers of the
 matching tridiagonal beta-ensemble models provide cross-validation: the
-Monte Carlo estimator draws fixed-size blocks from counter-based per-block
-random streams and counts, block by block, the draws whose eigenvalues
-all lie in E by Sturm inertia (the signs of the LDL^T pivots of T - sI at
-each finite endpoint), so no eigensolve is needed, memory does not grow
-with the sample count and the estimate is bitwise reproducible at any
-thread count.
+Monte Carlo estimator draws fixed-size blocks, each from its own SFC64
+stream spawned from the seed, and counts, block by block, the draws whose
+eigenvalues all lie in E by Sturm inertia (the signs of the LDL^T pivots
+of T - sI at each finite endpoint, from the squared off-diagonals), so
+no eigensolve is needed, memory does not grow with the sample count and
+the estimate is bitwise reproducible at any thread count.
 The single-boundary gap ODE takes exact x-derivatives of log P_n from
 EnsembleTau.endpoint_jets (gap_log_jets).
 """
@@ -196,8 +196,22 @@ def gap_probability(e, E, order=64):
 # ----- Monte Carlo samplers -----
 
 def _block_rng(seed, block):
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The stream of draw block `block`: SFC64 seeded by the SeedSequence of
+    seed with spawn key (block,), so each (seed, block) pair has its own."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(block,))))
+
+
+def _chi_square(rng, dof, rows):
+    """(rows, len(dof)) chi-square draws of the positive integer degrees
+    dof, one contiguous column at a time with a scalar shape: chi^2_k =
+    2 Gamma(k // 2), + N(0, 1)^2 when k is odd."""
+    out = np.empty((rows, len(dof)), order="F")
+    for col, k in zip(out.T, dof):
+        col[:] = 2.0 * rng.standard_gamma(k // 2, rows) if k > 1 else 0.0
+        if k % 2:
+            col += rng.standard_normal(rows) ** 2
+    return out
 
 
 def _wishart_shape(beta, a, n):
@@ -220,10 +234,10 @@ def _wishart_shape(beta, a, n):
 
 
 def _sample_block(e, seed, block):
-    """(diag, off) of SAMPLE_BLOCK symmetric tridiagonal draws from the
-    models of Dumitriu and Edelman (Matrix models for beta-ensembles,
-    J. Math. Phys. 43, 2002), whose eigenvalues have the joint density
-    |Delta|^beta prod w exactly.
+    """(diag, off2): the diagonals and squared off-diagonals of SAMPLE_BLOCK
+    symmetric tridiagonal draws from the models of Dumitriu and Edelman
+    (Matrix models for beta-ensembles, J. Math. Phys. 43, 2002), whose
+    eigenvalues have the joint density |Delta|^beta prod w exactly.
 
     With s = 1/sqrt(2b) and k = 1..n-1: the Gaussian model has diagonal
     s N(0, 1) and off-diagonal (s/sqrt 2) chi_{beta(n-k)}; the Laguerre
@@ -232,21 +246,17 @@ def _sample_block(e, seed, block):
     """
     rng = _block_rng(seed, block)
     n, beta = e.n, e.beta
-    s = math.sqrt(1.0 / (2.0 * e.weight.b))
-    shape = (SAMPLE_BLOCK, n - 1)
+    s2 = 1.0 / (2.0 * e.weight.b)
     sub_dof = beta * np.arange(n - 1, 0, -1)
     if e.weight.family == "gaussian":
-        diag = s * rng.standard_normal((SAMPLE_BLOCK, n))
-        off = (s / math.sqrt(2.0)) * np.sqrt(rng.chisquare(sub_dof, shape))
-    else:
-        p = _wishart_shape(beta, e.weight.a, n)
-        d = s * np.sqrt(rng.chisquare(beta * np.arange(p, p - n, -1),
-                                      (SAMPLE_BLOCK, n)))
-        sub = s * np.sqrt(rng.chisquare(sub_dof, shape))
-        diag = d * d
-        diag[:, 1:] += sub * sub
-        off = sub * d[:, :-1]
-    return diag, off
+        diag = math.sqrt(s2) * rng.standard_normal((SAMPLE_BLOCK, n))
+        return diag, (0.5 * s2) * _chi_square(rng, sub_dof, SAMPLE_BLOCK)
+    p = _wishart_shape(beta, e.weight.a, n)
+    diag = s2 * _chi_square(rng, beta * np.arange(p, p - n, -1), SAMPLE_BLOCK)
+    sub = s2 * _chi_square(rng, sub_dof, SAMPLE_BLOCK)
+    off2 = sub * diag[:, :-1]
+    diag[:, 1:] += sub
+    return diag, off2
 
 
 def thread_count():
@@ -266,41 +276,41 @@ def thread_count():
     return os.cpu_count() or 1
 
 
-def _count_at_most(diag, off2, s):
-    """Per row, the number of eigenvalues <= s of the tridiagonal matrix
-    with diagonal diag and squared off-diagonal off2: the number of LDL^T
-    pivots of T - sI that are <= pivmin.  As in LAPACK dstebz, such a
-    pivot is replaced by -pivmin, pivmin = tiny * max(1, max off2), so a
-    zero pivot counts as an eigenvalue at s and the next quotient stays
-    finite (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)."""
-    pivmin = np.finfo(float).tiny * np.max(off2, axis=1, initial=1.0)
-    count = np.zeros(len(diag), dtype=np.int64)
-    q = diag[:, 0] - s
-    for j in range(diag.shape[1]):
-        if j:
-            q = (diag[:, j] - s) - off2[:, j - 1] / q
-        low = q <= pivmin
-        count += low
-        q = np.where(low, np.minimum(q, -pivmin), q)
-    return count
-
-
-def _block_hits(diag, off, E):
-    """The number of rows of (diag, off), the diagonals and off-diagonals
-    of symmetric tridiagonal matrices, with every eigenvalue in E.
+def _block_hits(diag, off2, E):
+    """The number of rows of (diag, off2), the diagonals and squared
+    off-diagonals of symmetric tridiagonal matrices, with every eigenvalue
+    in E.
 
     The pieces of E are closed.  The eigenvalues of a row in [lo, hi]
-    number #(<= hi) - #(< lo), where #(< lo) of T is n - #(<= -lo) of -T;
-    both come from _count_at_most.
+    number #(<= hi) - #(< lo), where #(< lo) of T is n - #(<= -lo) of -T.
+    #(<= s) is the number of LDL^T pivots of T - sI that are <= pivmin =
+    tiny * max(1, max off2) per row.  As in LAPACK dstebz, a pivot in
+    [-pivmin, pivmin] before a quotient is replaced by -pivmin, so a zero
+    pivot counts as an eigenvalue at s and the next quotient stays finite
+    (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  One recurrence
+    runs every finite endpoint at once, T - hi I and -T + lo I stacked.
     """
-    n = diag.shape[1]
-    off2 = off ** 2
-    inside = np.zeros(len(diag), dtype=np.int64)
-    for a, b in E.intervals:
-        inside += _count_at_most(diag, off2, b) if b < math.inf else n
-        if a > -math.inf:
-            inside -= n - _count_at_most(-diag, off2, -a)
-    return int(np.count_nonzero(inside == n))
+    n, rows = diag.shape[1], len(diag)
+    hi = np.array([b for _, b in E.intervals if b < math.inf])
+    lo = np.array([a for a, _ in E.intervals if a > -math.inf])
+    pivmin = np.finfo(float).tiny * np.max(off2, axis=1, initial=1.0)
+    # q[j, k]: pivot j of T - hi_k I, then of -T + lo_k I (lo - d is
+    # -(d - lo) exactly)
+    q = np.empty((n, len(hi) + len(lo), rows))
+    cols = diag.T[:, None, :]
+    np.subtract(cols, hi[:, None], out=q[:, :len(hi)])
+    np.subtract(lo[:, None], cols, out=q[:, len(hi):])
+    for j in range(1, n):
+        last = q[j - 1]
+        tie = np.abs(last) <= pivmin
+        if tie.any():
+            last = np.where(tie, -pivmin, last)
+        q[j] -= off2[:, j - 1] / last
+    # summed over the pieces, #(<= hi) (n at hi = inf) + #(<= -lo) of -T
+    # - n (0 at lo = -inf) is n exactly when every eigenvalue is in E
+    low = (q <= pivmin).sum(axis=(0, 1), dtype=np.int32)
+    want = n * (1 + len(lo) + len(hi) - len(E.intervals))
+    return int(np.count_nonzero(low == want))
 
 
 def check_sample(e, count):
@@ -315,11 +325,11 @@ def sample_ensemble(e, count, seed, E):
     """(fraction of count draws of the ensemble with every eigenvalue in E,
     binomial stderr).
 
-    Draws come in fixed-size blocks; block i uses the counter-based stream
-    keyed by (seed, i).  Worker w of k draws blocks w, w + k, ... one at a
-    time, trims the partial last one and sums their integer hit counts, so
-    nothing of size count is held and the estimate is bitwise identical
-    for any thread count.
+    Draws come in fixed-size blocks; block i uses the stream _block_rng
+    spawns from seed with key i.  Worker w of k draws blocks w, w + k, ...
+    one at a time, trims the partial last one and sums their integer hit
+    counts, so nothing of size count is held and the estimate is bitwise
+    identical for any thread count.
     """
     check_sample(e, count)
     if E is None:
@@ -333,9 +343,9 @@ def sample_ensemble(e, count, seed, E):
     def hits(first):
         total = 0
         for block in range(first, blocks, workers):
-            diag, off = _sample_block(e, seed, block)
+            diag, off2 = _sample_block(e, seed, block)
             rows = count - block * SAMPLE_BLOCK
-            total += _block_hits(diag[:rows], off[:rows], E)
+            total += _block_hits(diag[:rows], off2[:rows], E)
         return total
 
     if workers > 1:

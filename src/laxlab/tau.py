@@ -21,6 +21,7 @@ shifts, one variable per derivative factor), and the four-term KP
 assembly on those partials.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -285,30 +286,42 @@ def logdet_partials(g0, coefficient, monomials):
     polarization nothing cancels, so a partial that vanishes by symmetry
     stays at its own rounding level.  A 0 x 0 G0 (tau_0 = 1) has every
     partial 0."""
-    monomials = [tuple(n) for n in monomials]
+    ys, vs, terms = _partials_plan(tuple(map(tuple, monomials)))
+    try:
+        y = {b: np.linalg.solve(g0, coefficient(b)) for b in ys}
+    except np.linalg.LinAlgError as exc:
+        raise SingularTauError("tau vanishes at the expansion point") from exc
+    v = {}
+    for m, pairs in vs:
+        if not any(m):
+            v[m] = np.eye(len(g0))
+        else:  # the b = m term is Y_m V_0 = Y_m
+            v[m] = -y[m] - sum(y[b] @ v[rest] for b, rest in pairs)
+    # tr(A B) as the sum of A * B^T: no product is formed
+    return [float(sum(bq * (v[rest] * y[b].T).sum() for bq, b, rest in pairs))
+            * factor for pairs, factor in terms]
+
+
+@functools.cache
+def _partials_plan(monomials):
+    """logdet_partials' index plan for a tuple of monomials: the Y orders;
+    each V_m in build order with its pairs (b, m - b); per monomial n, the
+    triples (b_q, b, n - b) of its trace sum and prod n_i! / n_q."""
     first = [next(i for i, k in enumerate(n) if k) for n in monomials]
     box = lambda n: itertools.product(*(range(k + 1) for k in n))  # 0 first
     minus = lambda n, b: tuple(map(operator.sub, n, b))
     # lexicographic order puts every m - b before m
     needed = lambda tops: sorted({m for top in tops for m in box(top)})
-    try:
-        y = {b: np.linalg.solve(g0, coefficient(b))
-             for b in needed(monomials) if any(b)}
-    except np.linalg.LinAlgError as exc:
-        raise SingularTauError("tau vanishes at the expansion point") from exc
-    v = {}
-    for m in needed(tuple(k - (i == q) for i, k in enumerate(n))
-                    for n, q in zip(monomials, first)):
-        if not any(m):
-            v[m] = np.eye(len(g0))
-        else:  # the b = m term is Y_m V_0 = Y_m
-            v[m] = -y[m] - sum(y[b] @ v[minus(m, b)]
-                               for b in box(m) if any(b) and b != m)
-    # tr(A B) as the sum of A * B^T: no product is formed
-    return [float(sum(b[q] * (v[minus(n, b)] * y[b].T).sum()
-                      for b in box(n) if b[q]))
-            * (math.prod(map(math.factorial, n)) // n[q])
-            for n, q in zip(monomials, first)]
+    # tuples: the cache hands the same plan to every call
+    ys = tuple(b for b in needed(monomials) if any(b))
+    vs = tuple((m, tuple((b, minus(m, b)) for b in box(m)
+                         if any(b) and b != m))
+               for m in needed(tuple(k - (i == q) for i, k in enumerate(n))
+                               for n, q in zip(monomials, first)))
+    terms = tuple((tuple((b[q], b, minus(n, b)) for b in box(n) if b[q]),
+                   math.prod(map(math.factorial, n)) // n[q])
+                  for n, q in zip(monomials, first))
+    return ys, vs, terms
 
 
 def dlog_block(m, n, factors):

@@ -12,11 +12,12 @@ from laxlab.ensembles import SAMPLE_BLOCK, _sample_block
 
 def dense_draws(e, count, seed):
     """(diag (count, n), off (count, n - 1)): row r holds the diagonal and
-    off-diagonal of draw r, from the stream keyed by (seed, r // SAMPLE_BLOCK)."""
+    off-diagonal of draw r, from the stream of block r // SAMPLE_BLOCK; the
+    off-diagonal is the square root of the sampler's squared one."""
     blocks = [_sample_block(e, seed, block)
               for block in range((count + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK)]
     diag = np.concatenate([d for d, _ in blocks])[:count]
-    off = np.concatenate([o for _, o in blocks])[:count]
+    off = np.sqrt(np.concatenate([o for _, o in blocks])[:count])
     return diag, off
 
 

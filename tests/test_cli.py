@@ -170,6 +170,28 @@ def test_sampling_report_thread_invariant():
     assert serial == threaded
 
 
+@pytest.mark.parametrize("args", [
+    # odd chi-square degrees 3 and 1
+    ["--beta", "1", "--n", "4"],
+    # even degree 4
+    ["--beta", "4"],
+    # degrees 7 down to 1 (odd n has no beta = 1 quadrature route)
+    ["--beta", "1", "--weight", "laguerre", "--a", "1", "--n", "4",
+     "--interval", "0:8"],
+])
+def test_sampling_report_thread_invariant_every_chi_path(args, monkeypatch):
+    # 10,000 draws are three blocks, one per worker at 3 threads
+    argv = ["ensemble", "sample", *args, "--count", "10000", "--seed", "9",
+            "--check"]
+    reports = set()
+    for threads in ("1", "3"):
+        monkeypatch.setenv("LAXLAB_THREADS", threads)
+        report, code = run_bytes(argv)
+        assert code == 0
+        reports.add(report)
+    assert len(reports) == 1
+
+
 # ----- exit codes -----
 
 def assert_exits_cleanly(argv):

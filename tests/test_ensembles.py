@@ -13,6 +13,8 @@ from laxlab.ensembles import (
     EnsembleSpec,
     EnsembleTau,
     _block_hits,
+    _block_rng,
+    _chi_square,
     _sample_block,
     gap_log_jets,
     gap_probability,
@@ -252,6 +254,19 @@ def within_four_stderr(values, want):
     return abs(values.mean() - want) < 4.0 * stderr
 
 
+def test_chi_square_by_integer_degree():
+    # chi^2_k has mean k and variance 2k, odd k included
+    draws = _chi_square(_block_rng(17, 0), np.arange(1, 9), 200_000)
+    for k, col in enumerate(draws.T, start=1):
+        assert within_four_stderr(col, k), k
+        assert within_four_stderr((col - k) ** 2, 2.0 * k), k
+    # an even degree is 2 Gamma(k / 2), numpy's own chi-square, to the bit
+    for k in (2, 4, 6, 8):
+        ours, numpys = _block_rng(17, k), _block_rng(17, k)
+        assert np.array_equal(_chi_square(ours, [k], 1000)[:, 0],
+                              numpys.chisquare(k, 1000)), k
+
+
 def test_sample_gaussian_second_moment_all_betas():
     # density |Delta|^beta prod e^{-b z^2}: E sum z^2 = (n/2b)(1 + beta(n-1)/2)
     b = 2.0
@@ -336,12 +351,13 @@ def test_sturm_counts_match_eigenvalue_counts(case):
     # eigenvalue route cannot resolve; the exact ties are tested below
     gaps = np.abs(eigenvalues(diag, off)[..., None] - np.array(finite))
     assume(gaps.size == 0 or gaps.min() > 1e-9)
-    assert _block_hits(diag, off, E) == eigenvalue_hits(diag, off, E)
+    assert _block_hits(diag, off ** 2, E) == eigenvalue_hits(diag, off, E)
 
 
 def test_sturm_counts_close_intervals_at_exact_ties():
     def hit_fraction(draws, text):
-        return _block_hits(*draws, IntervalUnion.parse(text)) / len(draws[0])
+        diag, off = draws
+        return _block_hits(diag, off ** 2, IntervalUnion.parse(text)) / len(diag)
 
     # eigenvalues 0 and 2: the last pivot of T - sI is 0 at s = 0 and 2
     two = draws_of([[1.0, 1.0]], [[1.0]])
