@@ -41,6 +41,7 @@ from .tau import (
     hankel_rows,
     leading_block,
     logdet_partials,
+    solved,
 )
 
 SAMPLE_BLOCK = 4096
@@ -158,9 +159,10 @@ class EnsembleTau:
         """[D, ..., D^degree] of log tau as the finite endpoint c of E
         moves, an upper (sigma = +1) or a lower (sigma = -1) one."""
         gs = [self._array] + self._series(c, sigma, degree)
-        jets = logdet_partials(leading_block(self._array, self.size),
-                               lambda r: leading_block(gs[r[0]], self.size),
-                               [(r,) for r in range(1, degree + 1)])
+        jets = logdet_partials(
+            solved(leading_block(self._array, self.size),
+                   lambda r: leading_block(gs[r[0]], self.size)),
+            [(r,) for r in range(1, degree + 1)])
         return [self._half * v for v in jets]
 
 

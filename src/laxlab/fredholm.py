@@ -190,24 +190,30 @@ def nystrom_det(k, E, order=64):
 
 @functools.cache
 def _box_table(box):
-    """The multi-indices n <= box in lexicographic order and, per n, the
-    pairs (a, n - a) for a <= n in that order and the (i, n - e_i) for
-    n_i > 0, each n - a and n - e_i given by its position in the order."""
+    """The multi-indices n <= box in lexicographic order; per n, the
+    (i, n - e_i) for n_i > 0; the pairs (a, n - a), a <= n, of every n end
+    to end, with where each n starts; and mixers C_n with [p; q]^T C_n
+    [p; q] = sum_a p_a q_{n-a}^T - q_a p_{n-a}^T; indices by position."""
     index = list(itertools.product(*(range(k + 1) for k in box)))
     where = {n: pos for pos, n in enumerate(index)}
-    pairs = [np.array([(where[a], where[tuple(i - j for i, j in zip(n, a))])
-                       for a in itertools.product(*(range(k + 1) for k in n))
-                       ]).T for n in index]
+    owner, left, right = np.array([
+        (where[n], where[a], where[tuple(i - j for i, j in zip(n, a))])
+        for n in index for a in itertools.product(*(range(k + 1) for k in n))
+    ]).T
     down = [[(i, where[n[:i] + (k - 1,) + n[i + 1:]])
              for i, k in enumerate(n) if k] for n in index]
-    return index, pairs, down
+    mixer = np.zeros((len(index), 2 * len(index), 2 * len(index)))
+    mixer[owner, left, len(index) + right] = 1.0
+    mixer[owner, len(index) + left, right] = -1.0
+    starts = np.unique(owner, return_index=True)[1]
+    return index, down, (left, right, starts), mixer
 
 
 def _cauchy(a, b, pairs):
     """Truncated product of two per-node power series over a box (row j
     holds the coefficients of eps^n for the box's j-th n)."""
-    return np.array([(a[left] * b[right]).sum(axis=0)
-                     for left, right in pairs])
+    left, right, starts = pairs
+    return np.add.reduceat(a[left] * b[right], starts, axis=0)
 
 
 def _affine(u, box):
@@ -216,7 +222,7 @@ def _affine(u, box):
     powers = [ui ** np.arange(k + 1)[:, None] for ui, k in zip(u, box)]
     return np.array([
         math.factorial(sum(n)) // math.prod(map(math.factorial, n))
-        * np.prod([p[k] for p, k in zip(powers, n)], axis=0)
+        * math.prod(p[k] for p, k in zip(powers, n))
         for n in _box_table(box)[0]])
 
 
@@ -291,7 +297,7 @@ def nystrom_series(k, E, order, directions, box):
         if k.nu != 0.0:
             r = r * x ** (-0.5 * k.nu)
     vel, rate = zip(*(_node_motion(k, E, x, order, d) for d in directions))
-    index, pairs, down = _box_table(box)
+    index, down, pairs, mixer = _box_table(box)
     at = [sum(n) for n in index]
     steps = np.arange(degree + 1)[:, None]
     motion = _affine(vel, box)
@@ -312,17 +318,17 @@ def nystrom_series(k, E, order, directions, box):
     q = _cauchy(scale, g, pairs)
     diag = _cauchy(_cauchy(scale, scale, pairs),
                    _cauchy(g, fp, pairs) - _cauchy(f, gp, pairs), pairs)
+    # one product per numerator N_n, each its own array for callers to drop
+    pq = np.concatenate([p, q])
+    mats = [t @ pq for t in pq.T @ mixer]
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    mats = []
-    for j, (left, right) in enumerate(pairs):
-        m = p[left].T @ q[right]
-        m -= q[left].T @ p[right]
+    spread = [v[:, None] - v[None, :] for v in vel]
+    for j, m in enumerate(mats):
         for i, below in down[j]:
-            m -= (vel[i][:, None] - vel[i][None, :]) * mats[below]
+            m -= spread[i] * mats[below]
         m /= diff
         np.fill_diagonal(m, diag[j])
-        mats.append(m)
     for m in mats:
         m *= -k.lam
     mats[0][np.diag_indices(len(x))] += 1.0

@@ -6,7 +6,8 @@ A_n = sum_i coeff(A_i) d/dA_i to F = log det(I - K|_E).  Their endpoint
 derivatives, up to total order four, are exact: one Taylor box of the
 Nystrom matrix in the endpoint directions an equation needs
 (fredholm.nystrom_series) gives every partial of F it names, mixed ones
-included, through one tau.logdet_partials call.
+included, through one inverse of its well-conditioned constant term
+G_0 = I - K and one tau.logdet_partials call.
 The beta-ensemble (Gaussian / Laguerre) ODE, with its invariant
 coefficients, is assembled here from given x-derivatives of log P_n;
 ensembles.gap_log_jets supplies them exactly from the endpoint Taylor
@@ -45,17 +46,19 @@ def _logdet_partials(kernel, E, order, directions, monomials):
     g = nystrom_series(kernel, E, order, directions, box)
     # the box's matrices under no requested partial are dropped at once
     g = {n: g[n] for n in g
-         if any(np.all(np.less_equal(n, top)) for top in monomials)}
-    g0 = g.pop((0,) * len(box))
-    det = lu_determinant(g0)
+         if any(all(a <= b for a, b in zip(n, top)) for top in monomials)}
+    det = lu_determinant(g[(0,) * len(box)])
     if not det > 0.0:
         raise UnderflowError(
             f"gap determinant {det:.2e} at the endpoints "
             f"{E.finite_endpoints()} is not positive: the gap "
             "probability is below the resolution of the Nystrom quadrature"
         )
-    # pop drops each Taylor matrix once it is solved against G_0
-    return logdet_partials(g0, g.pop, monomials)
+    # G_0 = I - K is well conditioned: one inverse, not a solve per Taylor
+    # matrix (det > 0, so no LU pivot is 0), and pop drops each matrix,
+    # G_0 first, once it is used
+    inverse = np.linalg.inv(g.pop((0,) * len(box)))
+    return logdet_partials(lambda b: inverse @ g.pop(b), monomials)
 
 
 def pii_residual(s_grid):

@@ -4,6 +4,7 @@ Semi-infinite pieces are mapped algebraically, u = a + r*v/(1-v) with
 v in (0,1) and r the weight's decay length; the full line splits at 0.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -11,21 +12,37 @@ import numpy as np
 from ..errors import DomainError, NumericalError, UsageError
 from ..intervals import IntervalUnion
 
-_BASE_RULES = {}
 # entries (rows x nodes) in one chunk of cut_rules; the ε-pairing rules
 # of every default order fit in one
 CUT_CHUNK = 2 ** 16
 
 
-def _base_rule(order):
+@functools.cache
+def _base_rule(order, nu=0.0):
+    """The Gauss rule of (1 + x)^nu on (-1, 1), once per (order, nu):
+    Legendre nodes and weights at nu = 0, else the eigenvalues of the
+    one-sided Jacobi matrix and the squared first components of their
+    eigenvectors (Golub-Welsch).  Callers build new arrays from these."""
     if order < 1:
         raise UsageError("quadrature order must be >= 1")
-    rule = _BASE_RULES.get(order)
-    if rule is None:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        rule = (nodes, weights)
-        _BASE_RULES[order] = rule
-    return rule
+    if nu == 0.0:
+        return np.polynomial.legendre.leggauss(order)
+    ns = np.arange(order, dtype=float)
+    diag = nu * nu / ((2.0 * ns + nu) * (2.0 * ns + nu + 2.0))
+    ns_off = np.arange(1, order, dtype=float)
+    off = np.sqrt(
+        4.0
+        * ns_off ** 2
+        * (ns_off + nu) ** 2
+        / (
+            (2.0 * ns_off + nu) ** 2
+            * (2.0 * ns_off + nu + 1.0)
+            * (2.0 * ns_off + nu - 1.0)
+        )
+    )
+    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    vals, vecs = np.linalg.eigh(jac)
+    return vals, vecs[0] ** 2
 
 
 def gauss_legendre_rule(order, interval=(-1.0, 1.0)):
@@ -52,31 +69,15 @@ def gauss_jacobi_rule(order, exponent, interval):
         raise UsageError(f"interval [{lo}, {hi}] is not a finite interval")
     if exponent <= -1.0:
         raise DomainError("jacobi exponent must exceed -1")
-    if order < 1:
-        raise UsageError("quadrature order must be >= 1")
     if exponent == 0.0:
         return gauss_legendre_rule(order, (lo, hi))
     nu = float(exponent)
-    ns = np.arange(order, dtype=float)
-    diag = nu * nu / ((2.0 * ns + nu) * (2.0 * ns + nu + 2.0))
-    ns_off = np.arange(1, order, dtype=float)
-    off = np.sqrt(
-        4.0
-        * ns_off ** 2
-        * (ns_off + nu) ** 2
-        / (
-            (2.0 * ns_off + nu) ** 2
-            * (2.0 * ns_off + nu + 1.0)
-            * (2.0 * ns_off + nu - 1.0)
-        )
-    )
-    jac = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    vals, vecs = np.linalg.eigh(jac)
+    vals, first = _base_rule(order, nu)
     half = 0.5 * (hi - lo)
     nodes = lo + half * (vals + 1.0)
     try:
         mu0 = 2.0 ** (nu + 1.0) / (nu + 1.0)
-        weights = half ** (nu + 1.0) * mu0 * vecs[0] ** 2
+        weights = half ** (nu + 1.0) * mu0 * first
     except OverflowError as exc:
         raise NumericalError(f"jacobi weights overflow: {exc}") from exc
     return nodes, weights

@@ -271,35 +271,41 @@ def evolution_factor(t):
     return np.polynomial.Polynomial(evolution_coefficients(t))
 
 
-def logdet_partials(g0, coefficient, monomials):
+def logdet_partials(y_of, monomials):
     """Partials d^n log det G(x) at x = 0, exact, for each exponent tuple n
-    in ``monomials``; ``coefficient(n)`` is the Taylor matrix G_n of G at
-    x^n, and G0 = G_{(0, ..., 0)}.
+    in ``monomials``; ``y_of(b)`` is Y_b = G0^{-1} G_b, G_b the Taylor
+    matrix of G at x^b and G0 = G_{(0, ..., 0)} (``solved`` builds y_of).
 
-    With Y_n = G0^{-1} G_n, G^{-1} G0 = sum_n V_n x^n has V_0 = I and
-    V_n = -sum_{0 < b <= n} Y_b V_{n-b}.  d/dx_q log det G = tr(G^{-1}
-    d/dx_q G), so with q the first variable of n, the Taylor coefficient
-    c_n of log det G has n_q c_n = sum_{b <= n, b_q > 0} b_q tr(V_{n-b} Y_b),
-    and the partial is c_n prod_i n_i!.  Y and V are kept per tuple and
-    built only as the requested partials need them: the partial at n
-    needs every Y_b, b <= n, and every V_m, m <= n with m_q < n_q.  Unlike
-    polarization nothing cancels, so a partial that vanishes by symmetry
-    stays at its own rounding level.  A 0 x 0 G0 (tau_0 = 1) has every
-    partial 0."""
+    G^{-1} G0 = sum_n V_n x^n has V_0 = I and V_n = -sum_{0 < b <= n}
+    Y_b V_{n-b}.  d/dx_q log det G = tr(G^{-1} d/dx_q G), so with q the
+    first variable of n, the Taylor coefficient c_n of log det G has
+    n_q c_n = sum_{b <= n, b_q > 0} b_q tr(V_{n-b} Y_b), and the partial
+    is c_n prod_i n_i!.  Y and V are kept per tuple and built only as the
+    requested partials need them: the partial at n needs every Y_b,
+    b <= n, and every V_m, m <= n with m_q < n_q.  Unlike polarization
+    nothing cancels, so a partial that vanishes by symmetry stays at its
+    own rounding level.  A 0 x 0 G0 (tau_0 = 1) has every partial 0."""
     ys, vs, terms = _partials_plan(tuple(map(tuple, monomials)))
     try:
-        y = {b: np.linalg.solve(g0, coefficient(b)) for b in ys}
+        y = {b: y_of(b) for b in ys}
     except np.linalg.LinAlgError as exc:
         raise SingularTauError("tau vanishes at the expansion point") from exc
     v = {}
     for m, pairs in vs:
         if not any(m):
-            v[m] = np.eye(len(g0))
+            v[m] = np.eye(len(y[ys[0]]))
         else:  # the b = m term is Y_m V_0 = Y_m
             v[m] = -y[m] - sum(y[b] @ v[rest] for b, rest in pairs)
     # tr(A B) as the sum of A * B^T: no product is formed
     return [float(sum(bq * (v[rest] * y[b].T).sum() for bq, b, rest in pairs))
             * factor for pairs, factor in terms]
+
+
+def solved(g0, coefficient):
+    """b -> G0^{-1} G_b, G_b = coefficient(b), by one LU solve per b: a
+    moment block is ill conditioned, and forming G0^{-1} would lose digits
+    that a solve keeps.  A well-conditioned G0 may be inverted once."""
+    return lambda b: np.linalg.solve(g0, coefficient(b))
 
 
 @functools.cache
@@ -370,7 +376,7 @@ def dlog_block(m, n, factors):
                 terms = step
         return scaled(sum(w * block(r, c) for (r, c), w in terms.items()))
 
-    return logdet_partials(g0, coefficient, [(1,) * len(factors)])[0]
+    return logdet_partials(solved(g0, coefficient), [(1,) * len(factors)])[0]
 
 
 def kp_normalized(dlog, extra=0.0):

@@ -24,6 +24,7 @@ from .tau import (
     evolution_factor,
     kp_normalized,
     logdet_partials,
+    solved,
 )
 
 
@@ -215,9 +216,10 @@ def gap_log_tau_ratio_taylor(c, a, b, n, order=48):
     if not min(taus) > 0.0:
         raise SingularTauError("tau must stay positive for the log")
     monomials = np.argwhere((_DEGREE >= 1) & (_DEGREE <= 3)).tolist()
-    partials = logdet_partials(restricted[:n, :n],
-                               _bimoment_taylor(restricted, c, n), monomials)
-    full = logdet_partials(mu[:n, :n], _bimoment_taylor(mu, c, n),
+    partials = logdet_partials(
+        solved(restricted[:n, :n], _bimoment_taylor(restricted, c, n)),
+        monomials)
+    full = logdet_partials(solved(mu[:n, :n], _bimoment_taylor(mu, c, n)),
                            [(0, 0, 1), (0, 0, 2), (0, 0, 3)])
     f = np.zeros((4, 4, 4))
     f[0, 0, 0] = math.log(taus[0] / taus[1]) / n

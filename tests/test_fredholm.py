@@ -19,7 +19,7 @@ from laxlab.fredholm import (
 )
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import airy_ai_vec, gauss_legendre_rule
-from laxlab.tau import logdet_partials
+from laxlab.tau import logdet_partials, solved
 
 
 # ----- oracles -----
@@ -320,7 +320,7 @@ def moved(E, d, eps):
 
 def jets(g):
     """[D, D^2, ...] of log det from a 1-D box of Taylor matrices."""
-    return logdet_partials(g[(0,)], g.__getitem__,
+    return logdet_partials(solved(g[(0,)], g.__getitem__),
                            [(r,) for r in range(1, len(g))])
 
 
@@ -380,7 +380,8 @@ def test_mixed_partial_matches_polarized_jets(kernel, intervals, u):
     v = u[:1] + u[:0:-1]
     E = IntervalUnion.parse(intervals)
     box = nystrom_series(kernel, E, 64, [u, v], (4, 1))
-    (mixed,) = logdet_partials(box[(0, 0)], box.__getitem__, [(1, 1)])
+    (mixed,) = logdet_partials(solved(box[(0, 0)], box.__getitem__),
+                               [(1, 1)])
 
     def directional(ab, order):  # D_w, ..., D_w^order, w = a u + b v
         w = ab[0] * np.asarray(u) + ab[1] * np.asarray(v)

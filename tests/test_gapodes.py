@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from laxlab import gapodes
 from laxlab.ensembles import (
     EnsembleSpec,
+    EnsembleTau,
     gap_log_jets,
     inductive_relation_residual,
 )
@@ -21,7 +23,7 @@ from laxlab.gapodes import (
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import gauss_legendre_rule, pfaffian
 from laxlab.pfaff import skew_inner_products
-from laxlab.tau import WeightSpec
+from laxlab.tau import WeightSpec, dlog_block, hankel_moments, hankel_rows
 from duality_reference import assert_beta_duality
 
 
@@ -187,6 +189,66 @@ def test_pii_far_tail_underflows():
     with pytest.raises(UnderflowError, match="-14"):
         pii_residual([-14.0, -13.0, -12.0])
 
+
+
+# ----- one inverse per Fredholm Taylor box -----
+
+PII_GRID = np.arange(-6.0, 2.125, 0.25)  # the default gapode grids
+PV_GRID = np.arange(0.5, 5.25, 0.5)
+
+
+def test_painleve_residuals_stay_at_their_pinned_levels():
+    assert np.abs(pii_residual(PII_GRID)).max() <= 2e-11
+    for nu in (0.0, 1.0):
+        assert np.abs(pv_residual(nu, PV_GRID)).max() <= 1e-13
+    # gapode beta-ode: moment blocks, whose Y_b stay on LU solves
+    assert np.abs(inductive_relation_residual(
+        "gaussian", 2, 2, np.arange(-2.0, 3.0), order=64)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_1e_6_error_in_one_y_jet_fails_the_painleve_gates(order,
+                                                            monkeypatch):
+    # Y_b = G_0^{-1} G_b scaled by 1 + 1e-6 at b = order alone
+    real = gapodes.logdet_partials
+
+    def scaled(y_of, monomials):
+        return real(lambda b: y_of(b) * (1.0 + 1e-6 * (b == (order,))),
+                    monomials)
+
+    monkeypatch.setattr(gapodes, "logdet_partials", scaled)
+    assert np.abs(pii_residual(PII_GRID)).max() > 1e-8
+    assert np.abs(pv_residual(1.0, PV_GRID)).max() > 1e-8
+
+
+def test_a_fredholm_box_inverts_once_and_moment_blocks_solve(monkeypatch):
+    calls, inside = [], []
+    for name in ("inv", "det", "solve"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    real = gapodes._logdet_partials
+
+    def watched(*args):
+        before = len(calls)
+        out = real(*args)
+        inside.append(calls[before:])
+        return out
+
+    monkeypatch.setattr(gapodes, "_logdet_partials", watched)
+    pii_residual([-2.0])
+    assert inside == [["det", "inv"]]
+    # moment blocks are ill conditioned: one LU solve per Taylor matrix
+    w = WeightSpec("gaussian")
+    tau = EnsembleTau(w, IntervalUnion([(-math.inf, 0.7)]), 2, 2, depth=4)
+    for dlog in (lambda: tau.dlog((1, 2)),
+                 lambda: dlog_block(hankel_rows(hankel_moments(w, M=8), 3), 3,
+                                    [(1, 1.0, 0.0)] * 2),
+                 lambda: tau.endpoint_jets(0.7, 1.0, 4)):
+        del calls[:]
+        dlog()
+        assert "solve" in calls and "inv" not in calls
 
 # ----- invariant coefficients -----
 

@@ -33,6 +33,7 @@ from laxlab.mathcore import (
     bessel_sqrt_vec,
     cut_rules,
     expm,
+    gauss_jacobi_rule,
     gauss_legendre_rule,
     interval_rule,
     lu_determinant,
@@ -407,6 +408,48 @@ def test_cut_rules_put_cuts_on_the_left_end_first():
                                                 64)[0])
     assert x.shape[1] == 128
 
+
+
+def gauss_jacobi_reference(order, nu, interval):
+    """Golub-Welsch for (y - lo)^nu dy on a finite interval, built afresh on
+    every call, in gauss_jacobi_rule's order of float operations."""
+    lo, hi = interval
+    ns = np.arange(order, dtype=float)
+    diag = nu * nu / ((2.0 * ns + nu) * (2.0 * ns + nu + 2.0))
+    k = np.arange(1, order, dtype=float)
+    off = np.sqrt(4.0 * k ** 2 * (k + nu) ** 2 / (
+        (2.0 * k + nu) ** 2 * (2.0 * k + nu + 1.0) * (2.0 * k + nu - 1.0)))
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                + np.diag(off, -1))
+    half = 0.5 * (hi - lo)
+    mu0 = 2.0 ** (nu + 1.0) / (nu + 1.0)
+    return lo + half * (vals + 1.0), half ** (nu + 1.0) * mu0 * vecs[0] ** 2
+
+
+@pytest.mark.parametrize("order", [64, 96, 144])
+@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0])
+def test_cached_gauss_jacobi_rule_is_bit_identical(order, nu, monkeypatch):
+    quadrature._base_rule.cache_clear()
+    solves = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: solves.append(m) or real(m))
+    for interval in ((0.0, 2.5), (0.0, 7.0), (1.0, 1.5), (0.0, 2.5)):
+        x, w = gauss_jacobi_rule(order, nu, interval)
+        x_ref, w_ref = gauss_jacobi_reference(order, nu, interval)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        # writing through a returned rule leaves the cached one intact
+        x[:] = 0.0
+        w[:] = 0.0
+    assert len(solves) == 1 + 4  # the rule's once, the reference's each time
+
+
+def test_gauss_jacobi_rule_errors_outlive_the_cache():
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="overflow"):
+            gauss_jacobi_rule(64, 1e3, (0.0, 10.0))
+        with pytest.raises(UsageError, match="order"):
+            gauss_jacobi_rule(0, 1.0, (0.0, 1.0))
 
 # ----- special functions -----
 

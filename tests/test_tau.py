@@ -28,6 +28,7 @@ from laxlab.tau import (
     kp_residual,
     leading_block,
     logdet_partials,
+    solved,
 )
 from laxlab.twotoda import bimoments
 
@@ -332,7 +333,7 @@ def test_logdet_partials_at_any_order():
     p = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
     g = [p @ np.diag(a ** j / math.factorial(j)) @ np.linalg.inv(p)
          for j in range(7)]
-    jets = logdet_partials(g[0], lambda n: g[n[0]],
+    jets = logdet_partials(solved(g[0], lambda n: g[n[0]]),
                            [(j,) for j in range(1, 7)])
     assert len(jets) == 6
     assert jets[0] == pytest.approx(a.sum(), abs=1e-13)
@@ -356,8 +357,8 @@ def test_logdet_partials_closed_form_in_three_variables():
                  if 1 <= sum(n) <= 3]
     assert (2, 1, 0) in monomials and (1, 1, 1) in monomials
     partials = dict(zip(monomials,
-                        logdet_partials(coefficient((0, 0, 0)), coefficient,
-                                        monomials)))
+                        logdet_partials(solved(coefficient((0, 0, 0)),
+                                               coefficient), monomials)))
     for v in range(3):
         first = tuple(int(i == v) for i in range(3))
         assert partials.pop(first) == pytest.approx(a[:, v].sum(), abs=1e-13)
@@ -365,8 +366,8 @@ def test_logdet_partials_closed_form_in_three_variables():
     # G(x) = P diag(1 + sum_v a_iv x_v) P^{-1}: the partial at n of
     # log det G is sum_i (-1)^{|n|-1} (|n|-1)! prod_v a_iv^{n_v}
     linear = lambda n: coefficient(n) if sum(n) == 1 else np.zeros((4, 4))
-    for n, partial in zip(monomials, logdet_partials(np.eye(4), linear,
-                                                     monomials)):
+    partials = logdet_partials(solved(np.eye(4), linear), monomials)
+    for n, partial in zip(monomials, partials):
         exact = (-1) ** (sum(n) - 1) * math.factorial(sum(n) - 1) * np.prod(
             a ** np.array(n), axis=1).sum()
         assert partial == pytest.approx(exact, rel=1e-12, abs=1e-14)
@@ -380,7 +381,8 @@ def test_logdet_partials_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        logdet_partials(g[0], lambda n: g[n[0]], [(1,), (2,), (3,), (4,)])
+        logdet_partials(solved(g[0], lambda n: g[n[0]]),
+                        [(1,), (2,), (3,), (4,)])
         dlog_block(np.vstack(g), 3, [(3, 1.0, 0.0)] * 2)
         assert gc.collect() == 0
     finally:

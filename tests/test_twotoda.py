@@ -17,7 +17,7 @@ from laxlab.errors import (
 from laxlab.intervals import IntervalUnion
 from laxlab import twotoda
 from laxlab.mathcore import gauss_legendre_rule, lu_determinant, union_rule
-from laxlab.tau import logdet_partials
+from laxlab.tau import logdet_partials, solved
 from laxlab.twotoda import (
     BoundaryOperators,
     bimoments,
@@ -204,7 +204,7 @@ def test_dlog_tau2_matches_polarized_jets():
     def directional(d, order):  # d = (t1, t2, s1, s2)
         d = np.pad(d, (0, 4 - len(d)))
         g = direction_matrices(m, 2, order, rows=d[:2], cols=-d[2:])
-        return logdet_partials(g[0], lambda r: g[r[0]],
+        return logdet_partials(solved(g[0], lambda r: g[r[0]]),
                                [(r,) for r in range(1, order + 1)])
 
     for tlist, slist in (((1,), (1,)), ((1,), (2,)), ((2,), (1,)),
