@@ -182,10 +182,10 @@ def aci_flow(a0, f_kind, t_end, step):
 
 
 def _circle(stack, radius, points):
-    """(h, a(h), a(h) h^-m) at h = radius e^{2 pi i p / points}; a
-    non-finite sample raises NumericalError."""
+    """(h, a(h), a(h) h^-m) at h = radius e^{2 pi i p / points}, 0 <= p <=
+    points / 2 (a is real); a non-finite sample raises NumericalError."""
     m = len(stack) - 1
-    h = radius * np.exp(2j * np.pi * np.arange(points) / points)
+    h = radius * np.exp(2j * np.pi * np.arange(points // 2 + 1) / points)
     with np.errstate(over="ignore", invalid="ignore"):
         a_h = np.einsum("pj,jkl->pkl", h[:, None] ** np.arange(m + 1), stack)
         scaled = a_h / h[:, None, None] ** m
@@ -195,7 +195,7 @@ def _circle(stack, radius, points):
 
 
 def _circle_spectrum(stack, radius, points):
-    """(h, eigenvalues of a(h) h^-m) on the circle of _circle."""
+    """(h, eigenvalues of a(h) h^-m) on the half circle of _circle."""
     h, _, scaled = _circle(stack, radius, points)
     try:
         return h, np.linalg.eigvals(scaled)
@@ -257,13 +257,14 @@ def aks_plan(a, f_kind, t):
 def _aks_step(stack, f_kind, tau, radius):
     """a(tau) = u^-1 a u with exp(tau h f'(a h^-m)) u = g_+ holomorphic
     inside |h| = radius and u = I + sum_{k <= K} u_k h^-k: one batched
-    expm of tau h f', one block Toeplitz (Wiener-Hopf) solve, FFTs.
+    expm of tau h f' on the half circle, one real block Toeplitz
+    (Wiener-Hopf) solve, real FFTs.  Every Laurent coefficient is real,
+    so hfft reads them from the half circle and rfft puts u back on it.
 
-    Returns the real coefficients of a(tau) and the tail: the largest
-    Laurent coefficient of u^-1 a u on the circle outside h^0 .. h^m, or
-    imaginary part inside, all of which vanish exactly.  A tail above
-    INVARIANT_DRIFT_TOL max(1, max|a|), or a failed solve, raises
-    NumericalError.
+    Returns the coefficients of a(tau) and the tail: the largest Laurent
+    coefficient of u^-1 a u outside h^0 .. h^m, all of which vanish
+    exactly.  A tail above INVARIANT_DRIFT_TOL max(1, max|a|), or a failed
+    solve, raises NumericalError.
     """
     m, n = len(stack) - 1, stack.shape[-1]
     blocks, points = _aks_rule(n)
@@ -273,23 +274,23 @@ def _aks_step(stack, f_kind, tau, radius):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = expm(tau * h[:, None, None] * _f_prime(f_kind, scaled))
         # coef[j mod points] = G_j, the Laurent coefficient of w^j, h = R w
-        coef = np.fft.fft(g, axis=0) / points
+        coef = np.fft.hfft(g, n=points, axis=0) / points
         toeplitz = coef[(k[None, :] - k[:, None]) % points]  # [l, k]: G_{k-l}
         u_k = np.linalg.solve(
             toeplitz.transpose(0, 2, 1, 3).reshape(blocks * n, blocks * n),
             -coef[-k].reshape(blocks * n, n),
         ).reshape(blocks, n, n)
-        u = np.fft.fft(np.concatenate([np.eye(n)[None], u_k]), n=points, axis=0)
+        u = np.fft.rfft(np.concatenate([np.eye(n)[None], u_k]), points, 0)
         moved = np.linalg.solve(u, a_h @ u)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"AKS factorization: {exc}") from exc
-    out = np.fft.fft(moved, axis=0) / points
-    tail = float(max(np.abs(out[m + 1:]).max(), np.abs(out[:m + 1].imag).max()))
+    out = np.fft.hfft(moved, n=points, axis=0) / points
+    tail = float(np.abs(out[m + 1:]).max())
     limit = INVARIANT_DRIFT_TOL * max(1.0, float(np.abs(stack).max()))
     if not tail <= limit:  # NaN fails too
         raise NumericalError(f"AKS factorization tail {tail:.2e}")
     scale = radius ** -np.arange(m + 1)
-    return out[:m + 1].real * scale[:, None, None], tail
+    return out[:m + 1] * scale[:, None, None], tail
 
 
 def aks_flow(a0, f_kind, t, plan=None):

@@ -10,6 +10,7 @@ and seed are bytewise identical at any thread count.
 
 import argparse
 import functools
+import itertools
 import math
 import re
 import sys
@@ -26,8 +27,10 @@ from .mathcore import orthonormal_polys
 from .mathcore.ode import SEGMENTS, check_steps, segment_check
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_TOLERANCE = 0, 2, 3, 4
-# rows per unit of k beyond the compared block that pfaff flow's Lax ODE
-# carries: with none, its interior is off by 0.093 at t = 0.1
+# rows per unit of k beyond the compared block that pfaff flow's AKS and ODE
+# routes carry: with none, both solve the lattice truncated at that block's
+# border, so they agree to 2e-13 there but miss the moment route by 0.093
+# at t = 0.1 and by 7.9 at t = 1
 PFAFF_ODE_MARGIN = 12
 GAP_BUDGET = 1e-8  # fredholm gap's and ensemble gap's tau.refined budget
 
@@ -219,6 +222,19 @@ def _largest(values):
     return float(np.max(values, initial=0.0))
 
 
+def _route_gaps(routes, defect):
+    """(supnorm:p-q rows, gaps) of every pair of routes; an ode gap is at
+    least the largest segment defect, gated even with ode alone."""
+    rows, gaps = [], [defect]
+    for p, q in itertools.combinations(sorted(routes), 2):
+        gap = float(np.abs(routes[p] - routes[q]).max())
+        if "ode" in (p, q):
+            gap = max(gap, defect)
+        rows.append({"metric": f"supnorm:{p}-{q}", "value": gap})
+        gaps.append(gap)
+    return rows, gaps
+
+
 def run_toda_flow(args):
     n, k = args.n, args.k
     if n < 1 or k < 1:
@@ -248,18 +264,10 @@ def run_toda_flow(args):
                     starts, k, segment, args.step),
                 checkpoints, args.t_end / SEGMENTS)
             routes["ode"] = ends[-1]
-    rows, gaps = [], [defect]  # the defect is gated even with ode alone
-    names = sorted(routes)
-    for i, p in enumerate(names):
-        for q in names[i + 1:]:
-            gap = float(np.abs(routes[p] - routes[q]).max())
-            if p == "ode":  # the largest segment defect counts too
-                gap = max(gap, defect)
-            rows.append({"metric": f"supnorm:{p}-{q}", "value": gap})
-            gaps.append(gap)
+    rows, gaps = _route_gaps(routes, defect)
     base = np.linalg.eigvalsh(L0)
     drifts = []
-    for name in names:
+    for name in sorted(routes):
         states = ends if name == "ode" else routes[name]  # every segment end
         drift = float(np.abs(np.linalg.eigvalsh(states) - base).max())
         rows.append({"metric": f"eig_drift:{name}", "value": drift})
@@ -290,19 +298,26 @@ def run_pfaff_flow(args):
     size = args.size
     if size < 1 or args.k < 1:
         raise UsageError("--size and --k must be at least 1")
+    check_steps(args.t_end, args.step)
     # a wide gaussian keeps the high moments O(1) so the skew-Borel pivots
-    # stay well away from zero; each route has one spare block, the ODE's
-    # matrix a margin too, as its truncation pollutes L from the bottom up
+    # stay well away from zero; each route has one spare block
     moments = lambda times, rows: pfaff.skew_inner_products(
         tau.WeightSpec("gaussian", b=4.0, times=times), alpha=-1,
         N=rows // 2 + 1, order=args.order)
     via_moments = pfaff.pfaff_lax(
         moments([0.0] * (args.k - 1) + [args.t_end], size))
-    L = pfaff.pfaff_ode_flow(
+    # AKS at t_j = j t_end / SEGMENTS; each starts one RK4 segment
+    checkpoints = pfaff.pfaff_aks_flow(
         pfaff.pfaff_lax(moments((), size + PFAFF_ODE_MARGIN * args.k)),
-        args.k, args.t_end, args.step)
-    gap = float(np.abs(L[:size, :size] - via_moments[:size, :size]).max())
-    return _Result([{"metric": "interior_supnorm", "value": gap}], gap, err=gap)
+        args.k, args.t_end)
+    ends, defect = segment_check(
+        lambda starts, segment: pfaff.pfaff_ode_flow(
+            starts, args.k, segment, args.step)[..., :size, :size],
+        checkpoints, args.t_end / SEGMENTS)
+    rows, gaps = _route_gaps({"aks": checkpoints[-1, :size, :size],
+                              "moments": via_moments[:size, :size],
+                              "ode": ends[-1]}, defect)
+    return _Result(rows, gaps, err=gaps)
 
 
 def run_pfaff_check_kp(args):

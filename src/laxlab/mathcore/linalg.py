@@ -36,12 +36,13 @@ def _as_square(m, stack=False):
     return m
 
 
-def _require_skew(m):
-    m = _as_square(m)
-    scale = np.abs(m).max() if m.size else 0.0
+def _require_skew(m, stack=False):
+    m = _as_square(m, stack)
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
     # halves first, so entries near the float range cannot overflow
-    half, half_t = 0.5 * m, 0.5 * m.T
-    if scale and np.abs(half + half_t).max() > 0.5 * SKEW_TOL * scale:
+    half, half_t = 0.5 * m, 0.5 * m.swapaxes(-1, -2)
+    if np.any(np.abs(half + half_t).max(axis=(-2, -1), initial=0.0)
+              > 0.5 * SKEW_TOL * scale):
         raise SymmetryError("matrix is not skew-symmetric")
     return half - half_t
 
@@ -100,53 +101,54 @@ def pfaffian(m):
 
 
 def skew_borel(m):
-    """Skew-Borel factor Q with Q m Q^T = J, i.e. m = Q^{-1} J Q^{-T}.
+    """Skew-Borel factor Q with Q m Q^T = J, i.e. m = Q^{-1} J Q^{-T}, of
+    one matrix or of each of a (..., n, n) stack.
 
     Q is lower triangular with 2x2 diagonal blocks proportional to the
-    identity.  Built by skew Gram-Schmidt against the form <x,y> = x m y^T,
-    normalizing consecutive pairs.  A nonpositive pair pivot (ratio of
-    consecutive leading Pfaffians) cannot be scaled onto +J by a real
+    identity.  Built by block skew-LDL^T elimination: block k's pair pivot
+    d is entry (2k, 2k+1) of the skew Schur complement a, and its columns
+    x, y below the pair go by a <- a - (x y^T - y x^T) / d; the same row
+    operations, scaled by 1/sqrt(d), build Q.  A nonpositive pivot (ratio
+    of consecutive leading Pfaffians) cannot be scaled onto +J by a real
     block of this shape and raises the degenerate flag.  Each pivot must
     also exceed its rounding floor, the amount by which rounding the
     entries of m alone can move it; a failing pivot is reported against
-    that floor.
+    that floor, with its stack member.
     """
-    m = _require_skew(m)
-    n = m.shape[0]
+    m = _require_skew(m, stack=True)
+    n = m.shape[-1]
     if n % 2:
         raise DimensionError("skew_borel requires even dimension")
-    q = np.zeros((n, n))
-    scale = np.abs(m).max() if n else 1.0
-    threshold = SKEW_TOL * max(scale, 1.0) * 1e-4
-
-    def form(x, y):
-        return float(x @ m @ y)
-
+    mag = np.abs(m)
+    threshold = SKEW_TOL * 1e-4 * mag.max(axis=(-2, -1), initial=1.0)
+    a, q = m.copy(), np.broadcast_to(np.eye(n), m.shape).copy()
     for k in range(0, n, 2):
-        u = np.zeros(n)
-        v = np.zeros(n)
-        u[k] = 1.0
-        v[k + 1] = 1.0
-        for i in range(0, k, 2):
-            qa, qb = q[i], q[i + 1]
-            u = u - form(u, qb) * qa + form(u, qa) * qb
-            v = v - form(v, qb) * qa + form(v, qa) * qb
-        d = form(u, v)
-        floor = n * EPS * float(np.abs(u) @ np.abs(m) @ np.abs(v))
-        if not (d > threshold and d > floor):
+        d = a[..., k, k + 1]
+        u, v = np.abs(q[..., k, None, :]), np.abs(q[..., k + 1, :, None])
+        floor = n * EPS * (u @ mag @ v)[..., 0, 0]
+        bad = ~((d > threshold) & (d > floor))
+        if np.any(bad):
+            at = tuple(int(i) for i in np.argwhere(bad)[0])
+            d, floor, limit = d[at], floor[at], threshold[at]
             if abs(d) <= floor:
                 verdict = "lies within it, so float64 cannot resolve it"
             elif d < 0:
                 verdict = "is clearly negative"
             else:
-                verdict = f"is below the degeneracy threshold {threshold:.3g}"
+                verdict = f"is below the degeneracy threshold {limit:.3g}"
+            member = f" in stack member {', '.join(map(str, at))}" if at else ""
             raise DegenerateFlagError(
                 f"skew-Borel pair pivot at block {k // 2} is {d:.3g}; its "
-                f"float64 rounding floor is {floor:.3g} and the pivot {verdict}"
-            )
-        s = np.sqrt(d)
-        q[k] = u / s
-        q[k + 1] = v / s
+                f"float64 rounding floor is {floor:.3g} and the pivot "
+                f"{verdict}{member}")
+        d = d[..., None, None]
+        root = np.sqrt(d)
+        q[..., k:k + 2, :k + 2] /= root
+        x, y = a[..., k + 2:, k, None], a[..., k + 2:, k + 1, None]
+        a[..., k + 2:, k + 2:] -= (x * y.swapaxes(-1, -2)
+                                   - y * x.swapaxes(-1, -2)) / d
+        q[..., k + 2:, :k + 2] -= (y * q[..., k, None, :k + 2]
+                                   - x * q[..., k + 1, None, :k + 2]) / root
     return q
 
 

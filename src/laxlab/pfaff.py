@@ -1,6 +1,6 @@
 """The Pfaff lattice: skew moment matrices, the skew-Borel route to the
-Lax matrix, the projected Lax flow, and the Pfaff-KP residual of the
-Pfaffian tau functions.
+Lax matrix, the projected Lax flow and its AKS factorization, and the
+Pfaff-KP residual of the Pfaffian tau functions.
 
 Two constructions feed the same machinery: ``alpha = -1`` builds the
 sign-kernel double integral (symmetric-ensemble route) and ``alpha = +1``
@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DivergenceError,
+    NumericalError,
     SingularMatrixError,
     SingularTauError,
     StabilityError,
@@ -25,8 +26,8 @@ from .errors import (
     UsageError,
 )
 from .intervals import IntervalUnion
-from .mathcore import cut_rules, pfaffian, skew_borel, union_rule
-from .mathcore.ode import rk4
+from .mathcore import cut_rules, expm, pfaffian, skew_borel, union_rule
+from .mathcore.ode import SEGMENTS, rk4
 from .tau import (
     dlog_block,
     hankel_moments,
@@ -139,6 +140,30 @@ def pfaff_lax(m):
         raise SingularMatrixError("skew-Borel factor is singular") from exc
 
 
+def pfaff_aks_flow(L0, k, t_end):
+    """pfaff_ode_flow's flow by the AKS factorization (Adler & van Moerbeke,
+    Duke Math. J. 112, 2002), exact at every size: the stack of L(t_j) =
+    K_j L0 K_j^-1, t_j = j t_end / SEGMENTS, j = 0..SEGMENTS, K_j the
+    skew-Borel factor of E_j J E_j^T, E_j = exp(t_j L0^k), from one batched
+    expm and one stacked skew_borel; a non-finite E_j J E_j^T raises."""
+    x = np.linalg.matrix_power(L0, k)
+    mag = np.abs(x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # one exact balancing sweep (powers of 2) keeps each row of E within
+        # 2e-14 relative at 26 rows and |t| <= 1.5, against 4e-11 without it
+        d = np.exp2(np.round(0.5 * np.log2(mag.sum(axis=1) / mag.sum(axis=0))))
+        d = np.where(np.isfinite(d) & (d > 0.0), d, 1.0)
+        t = t_end / SEGMENTS * np.arange(SEGMENTS + 1)[:, None, None]
+        e = (d[:, None] / d) * expm(t * (x * d / d[:, None]))
+        ej = np.stack([-e[..., 1::2], e[..., ::2]], axis=-1).reshape(e.shape)
+        m = ej @ e.swapaxes(-1, -2)  # E J E^T, made exactly skew below
+    if not np.all(np.isfinite(m)):
+        raise NumericalError(f"the AKS route overflows by t={t_end:.4g}")
+    # K has a positive diagonal, so the solve cannot fail
+    kt = skew_borel(0.5 * (m - m.swapaxes(-1, -2))).swapaxes(-1, -2)
+    return np.linalg.solve(kt, L0.T @ kt).swapaxes(-1, -2)
+
+
 @functools.cache
 def _block_grid(n):
     """Read-only weights of the 2x2-block grid (1 below, 1/2 on, 0 above
@@ -161,13 +186,16 @@ def project_plus(a):
     splitting: (a_- - J a_+^T J) + (a_0 - J a_0^T J) / 2, where a_-, a_0,
     a_+ are the strictly-lower, diagonal, and strictly-upper parts in the
     2x2-block grid; as J x^T J mirrors the grid, that is a - J a^T J
-    weighted 1 below, 1/2 on and 0 above the diagonal blocks."""
-    weight, index, sign = _block_grid(a.shape[0])
-    return weight * (a - sign * a.take(index))
+    weighted 1 below, 1/2 on and 0 above the diagonal blocks.  a is one
+    matrix or a (..., n, n) stack."""
+    weight, index, sign = _block_grid(a.shape[-1])
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return weight * (a - sign * flat.take(index, axis=-1))
 
 
 def pfaff_ode_flow(L0, k, t_end, step):
     """Integrate dL/dt_k = [-P_+(L^k), L] by RK4; t_end may be negative.
+    L0 is one Lax matrix or a stack of them, advanced at once.
 
     Truncation pollutes the bottom border of L, so no invariant of L is
     checked here (callers compare routes instead); a non-finite L at rk4's

@@ -389,6 +389,39 @@ def test_aks_agrees_with_rk4_for_every_flow():
         assert report["curve_drift"] <= 1e-12, (kind, f_kind)
 
 
+def full_circle_aks_step(stack, f_kind, tau, radius):
+    """The AKS step on the whole circle in complex arithmetic: the
+    coefficients of a(tau), as aci._aks_step computed them before it moved
+    onto the half circle."""
+    m, n = len(stack) - 1, stack.shape[-1]
+    blocks, points = aci._aks_rule(n)
+    h = radius * np.exp(2j * np.pi * np.arange(points) / points)
+    a_h = np.einsum("pj,jkl->pkl", h[:, None] ** np.arange(m + 1), stack)
+    scaled = a_h / h[:, None, None] ** m
+    k = np.arange(1, blocks + 1)
+    g = aci.expm(tau * h[:, None, None] * aci._f_prime(f_kind, scaled))
+    coef = np.fft.fft(g, axis=0) / points
+    toeplitz = coef[(k[None, :] - k[:, None]) % points]
+    u_k = np.linalg.solve(
+        toeplitz.transpose(0, 2, 1, 3).reshape(blocks * n, blocks * n),
+        -coef[-k].reshape(blocks * n, n),
+    ).reshape(blocks, n, n)
+    u = np.fft.fft(np.concatenate([np.eye(n)[None], u_k]), n=points, axis=0)
+    out = np.fft.fft(np.linalg.solve(u, a_h @ u), axis=0) / points
+    return out[:m + 1].real * (radius ** -np.arange(m + 1))[:, None, None]
+
+
+def test_half_circle_step_matches_the_full_circle():
+    for kind, f_kind in itertools.product(SYSTEM_KINDS, repeat=2):
+        a0 = build_system(kind, ALPHA, x=X, y=Y)
+        radius, count = aks_plan(a0, f_kind, 2.0)
+        want = full_circle_aks_step(a0, f_kind, 2.0 / count, radius)
+        got, tail = aci._aks_step(a0, f_kind, 2.0 / count, radius)
+        assert got.dtype == np.float64 and tail < 1e-13
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), \
+            (kind, f_kind)
+
+
 def test_route_report_plans_once(monkeypatch):
     calls, real = [], aci.aks_plan
 

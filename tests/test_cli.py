@@ -590,6 +590,7 @@ def test_a_wrong_right_hand_side_fails_the_route_check(argv, monkeypatch):
 @pytest.mark.parametrize("argv", [
     "toda flow --t-end 30 --step 2e-5 --routes ode --check",
     "aci run --t-end 30 --step 2e-5 --check",
+    "pfaff flow --t-end 30 --step 2e-5 --check",
 ])
 def test_step_cap_bounds_the_whole_segmented_run(argv, monkeypatch, capsys):
     # 1.5e6 steps in all, but only 6e4 in each segment
@@ -598,6 +599,7 @@ def test_step_cap_bounds_the_whole_segmented_run(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(toda, "toda_factorization_flow", no_work)
     monkeypatch.setattr(aci, "aks_plan", no_work)
+    monkeypatch.setattr(pfaff, "pfaff_aks_flow", no_work)
     assert main(argv.split()) == EXIT_USAGE
     assert "steps" in capsys.readouterr().err
 
@@ -803,6 +805,25 @@ def test_toda_flow_reports_its_largest_route_gap():
 def test_pfaff_flow_reports_its_route_gap():
     report, _, _ = dispatch(["pfaff", "flow"])
     assert report.self_reported_error == report.max_abs_residual > 0.0
+
+
+def test_pfaff_flow_ode_rows_carry_the_segment_defect(monkeypatch):
+    # segments that miss their AKS checkpoints fail the check even when
+    # the last one lands on its checkpoint
+    real = pfaff.pfaff_ode_flow
+
+    def all_but_last_off(starts, k, t_end, step):
+        ends = real(starts, k, t_end, step)
+        ends[:-1] += 1e-3
+        return ends
+
+    monkeypatch.setattr(pfaff, "pfaff_ode_flow", all_but_last_off)
+    report, code, _ = dispatch("pfaff flow --check".split())
+    rows = {row["metric"]: row["value"] for row in report.rows}
+    assert code == EXIT_TOLERANCE
+    assert rows["supnorm:aks-moments"] < 1e-10
+    assert rows["supnorm:aks-ode"] >= 1e-3
+    assert rows["supnorm:moments-ode"] >= 1e-3
 
 
 def test_toda_poly_uniform_at_degree_12():

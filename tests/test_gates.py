@@ -29,7 +29,7 @@ INDUCTIVE = ["ensembles.gap_log_jets", "ensembles.gap_probability"]
 SAMPLE = ["ensembles.gap_probability", "ensembles.sample_ensemble"]
 TODA = ["toda.toda_factorization_flow", "toda.toda_ode_flow"]
 POLY = ["toda.lanczos", "tau.refine_on_rule"]
-PFAFF = ["pfaff.pfaff_lax", "pfaff.pfaff_ode_flow"]
+PFAFF = ["pfaff.pfaff_lax", "pfaff.pfaff_aks_flow", "pfaff.pfaff_ode_flow"]
 PFAFF_KP = ["pfaff.dlog_block", "pfaff.pfaffian"]
 VIRASORO = ["ensembles.EnsembleTau.dlog", "ensembles.EnsembleTau.endpoint_jets"]
 COMMUTATORS = ["virasoro.dressed_terms", "virasoro.central_charge"]

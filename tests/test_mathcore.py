@@ -209,6 +209,36 @@ def test_skew_borel_flag_names_block_pivot_and_floor():
         skew_borel(vanishing)
 
 
+def random_skew_stack(rng, count, n):
+    """count well-conditioned skew matrices: J plus a small skew part."""
+    raw = rng.normal(size=(count, n, n))
+    return block_j(n) + 0.05 * (raw - raw.swapaxes(-1, -2))
+
+
+def test_skew_borel_stack_reconstructs_j():
+    m = random_skew_stack(np.random.default_rng(17), 20, 10)
+    q = skew_borel(m)
+    assert q.shape == m.shape
+    assert np.abs(q @ m @ q.swapaxes(-1, -2) - block_j(10)).max() < 1e-13
+
+
+def test_skew_borel_stack_members_match_single_calls_bitwise():
+    m = random_skew_stack(np.random.default_rng(19), 12, 8).reshape(3, 4, 8, 8)
+    q = skew_borel(m)
+    for at in np.ndindex(3, 4):
+        assert np.array_equal(q[at], skew_borel(m[at]))
+
+
+def test_skew_borel_stack_names_the_block_of_a_bad_member():
+    m = random_skew_stack(np.random.default_rng(23), 5, 6)
+    m[3] = block_j(6)
+    m[3, 2, 3], m[3, 3, 2] = -1.0, 1.0
+    with pytest.raises(DegenerateFlagError,
+                       match=r"block 1 is -1; .*clearly negative in stack "
+                             r"member 3$"):
+        skew_borel(m)
+
+
 # ----- qr -----
 
 def test_qr_identity():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from laxlab.fd import central_diff
+from laxlab.cli import dispatch
 from laxlab.errors import (
     DegenerateFlagError,
     DepthError,
     DivergenceError,
+    NumericalError,
     SingularMatrixError,
     SingularTauError,
     StabilityError,
@@ -17,7 +19,9 @@ from laxlab.errors import (
 from laxlab.intervals import IntervalUnion
 from laxlab.mathcore import pfaffian, quadrature, skew_borel, union_rule
 from laxlab import pfaff
+from laxlab.mathcore.ode import SEGMENTS
 from laxlab.pfaff import (
+    pfaff_aks_flow,
     pfaff_lax,
     pfaff_ode_flow,
     pfaffkp_residual,
@@ -423,6 +427,66 @@ def test_one_ode_step_matches_reference(k):
     want = L0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     got = pfaff_ode_flow(L0, k, h, h)
     assert np.abs(got - want).max() < 1e-14
+
+
+def test_stacked_ode_flow_matches_single_flows():
+    L0 = pfaff_lax(pfaff_flow_moments(N=6))
+    stack = np.array([L0, 0.5 * L0, L0.T])
+    assert np.array_equal(project_plus(stack),
+                          np.array([project_plus(a) for a in stack]))
+    got = pfaff_ode_flow(stack, 1, 0.05, 1e-2)
+    for member, start in zip(got, stack):
+        want = pfaff_ode_flow(start, 1, 0.05, 1e-2)
+        assert np.abs(member - want).max() < 1e-13
+
+
+# ----- AKS factorization route -----
+
+def aks_ode_gap(L0, k, t, size, step):
+    """Largest interior (size x size) gap between the AKS route's last
+    checkpoint and one RK4 run over the whole of t."""
+    aks = pfaff_aks_flow(L0, k, t)
+    assert aks.shape == (SEGMENTS + 1,) + L0.shape
+    assert np.abs(aks[0] - L0).max() < 1e-13
+    ode = pfaff_ode_flow(L0, k, t, step)
+    return np.abs(aks[-1, :size, :size] - ode[:size, :size]).max()
+
+
+@pytest.mark.parametrize("t", [-1.5, -1.0, 0.5, 1.0, 1.5])
+def test_aks_route_matches_the_ode_on_the_interior(t):
+    # pfaff flow's default: 12 rows compared, PFAFF_ODE_MARGIN = 12 more
+    L0 = pfaff_lax(pfaff_flow_moments(N=13))
+    assert aks_ode_gap(L0, 1, t, 12, 1e-3) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [-0.05, 0.05])
+def test_aks_route_matches_the_ode_at_k2(t):
+    # L0^2 is larger, so RK4 needs a shorter step: at 1e-3 its own error
+    # on the interior is 1.6e-11 at t = -0.05
+    L0 = pfaff_lax(pfaff_flow_moments(N=9))  # 18 rows
+    assert aks_ode_gap(L0, 2, t, 12, 2.5e-4) <= 1e-11
+
+
+def test_aks_route_overflow_is_numerical_error():
+    L0 = pfaff_lax(pfaff_flow_moments(N=6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflows"):
+            pfaff_aks_flow(L0, 1, 1e5)
+
+
+def test_pfaff_flow_checks_its_ode_by_segments(monkeypatch):
+    # 40 RK4 steps of 4 stages on one stack of 25 segment starts, not
+    # 1,000 sequential steps
+    shapes, real = [], pfaff.project_plus
+
+    def counted(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(pfaff, "project_plus", counted)
+    assert dispatch("pfaff flow --t-end 1 --check".split())[1] == 0
+    assert shapes == [(SEGMENTS, 26, 26)] * 160
 
 
 # ----- skew-orthogonal polynomials -----
