@@ -296,8 +296,9 @@ def run_toda_poly(args):
 
 def run_pfaff_flow(args):
     size = args.size
-    if size < 1 or args.k < 1:
-        raise UsageError("--size and --k must be at least 1")
+    # a 1 x 1 interior reads 0 on every route: it compares nothing
+    if size < 2 or args.k < 1:
+        raise UsageError("--size must be at least 2 and --k at least 1")
     check_steps(args.t_end, args.step)
     # a wide gaussian keeps the high moments O(1) so the skew-Borel pivots
     # stay well away from zero; each route has one spare block
@@ -424,6 +425,8 @@ def run_inductive(args):
 
 
 def run_virasoro_check(args):
+    if args.n < 1:  # tau_0 = 1 meets every constraint
+        raise UsageError("--n must be at least 1")
     w = _weight_from(args)
     E = None if args.full_range else IntervalUnion.half_line_below(args.x)
     rows = []
@@ -498,6 +501,8 @@ def run_aci_curve(args):
 
 
 def run_tau_kp_check(args):
+    if args.n_max < 1:
+        raise UsageError("--n-max must be at least 1")
     rng = np.random.default_rng(args.seed)
     small_t = (0.02 * rng.standard_normal(3)).tolist()
     rows = []

@@ -35,13 +35,12 @@ from .mathcore import (gauss_jacobi_rule, gauss_legendre_rule, lu_determinant,
 from .pfaff import skew_endpoint_series, skew_inner_products
 from .tau import (
     WeightSpec,
+    block_partials,
     dlog_block,
     hankel_endpoint_series,
     hankel_moments,
     hankel_rows,
     leading_block,
-    logdet_partials,
-    solved,
 )
 
 SAMPLE_BLOCK = 4096
@@ -142,26 +141,28 @@ class EnsembleTau:
             raise DivergenceError("tau overflows: the moment block is too large")
         return tau
 
-    def dlog(self, ks):
-        """d/dt_{k_1} ... d/dt_{k_r} log tau."""
-        return self._half * dlog_block(
-            self._array, self.size, [(k, *self._weights) for k in ks])
+    def dlog(self, partials):
+        """d/dt_{k_1} ... d/dt_{k_r} log tau for each (k_1, ..., k_r) of
+        partials, from one tau.dlog_block call."""
+        return [self._half * v for v in dlog_block(
+            self._array, self.size,
+            [[(k, *self._weights) for k in ks] for ks in partials])]
 
     def derivative(self, ks):
         """d/dt_{k_1} ... d/dt_{k_r} tau, r <= 2."""
         value = self.value()
         if len(ks) == 2:
-            i, j = ks
-            return value * (self.dlog(ks) + self.dlog((i,)) * self.dlog((j,)))
-        return value * self.dlog(ks) if ks else value
+            d, di, dj = self.dlog([ks, ks[:1], ks[1:]])
+            return value * (d + di * dj)
+        return value * self.dlog([ks])[0] if ks else value
 
     def endpoint_jets(self, c, sigma, degree):
         """[D, ..., D^degree] of log tau as the finite endpoint c of E
         moves, an upper (sigma = +1) or a lower (sigma = -1) one."""
         gs = [self._array] + self._series(c, sigma, degree)
-        jets = logdet_partials(
-            solved(leading_block(self._array, self.size),
-                   lambda r: leading_block(gs[r[0]], self.size)),
+        jets = block_partials(
+            leading_block(self._array, self.size),
+            lambda r: leading_block(gs[r[0]], self.size),
             [(r,) for r in range(1, degree + 1)])
         return [self._half * v for v in jets]
 

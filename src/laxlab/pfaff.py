@@ -9,7 +9,7 @@ weight evolved to the times t are the evolved moments, with one weight
 factor per variable: the sign-kernel ones move by e^{sum t_k Lambda^k} on
 both indices, the Wronskian ones by half of that, so t_k shifts both
 indices with the weight 1/2.  Time partials of log pf = (1/2) log det are
-exact, by tau.dlog_block.
+exact, by tau.dlog_block through tau.kp_normalized.
 """
 
 import functools
@@ -28,13 +28,7 @@ from .errors import (
 from .intervals import IntervalUnion
 from .mathcore import cut_rules, expm, pfaffian, skew_borel, union_rule
 from .mathcore.ode import SEGMENTS, rk4
-from .tau import (
-    dlog_block,
-    hankel_moments,
-    kp_normalized,
-    leading_block,
-    weighted_powers,
-)
+from .tau import hankel_moments, kp_normalized, leading_block, weighted_powers
 
 
 def _pairing_domain(w, E, alpha):
@@ -237,5 +231,4 @@ def pfaffkp_residual(m, n):
         raise UnderflowError(f"tau_{n} ** 2 underflows to 0") from None
     if not np.all(np.isfinite([tau_minus, tau_n, tau_plus, rhs])):
         raise DivergenceError(f"tau_{n} or its neighbours overflow")
-    return kp_normalized(lambda ks: 0.5 * dlog_block(
-        m, n, [(k, 1.0, 1.0) for k in ks]), -rhs)
+    return kp_normalized(m, n, (1.0, 1.0), -rhs, half=0.5)

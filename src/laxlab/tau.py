@@ -15,10 +15,11 @@ order-doubling refinement of a value on a weight's quadrature rule and
 the two-order error estimate of any quadrature value (``refined``), the
 one exact log-det partial kernel (``logdet_partials``: any
 partial of log det G(x) at x = 0, in any number of variables, from the
-Taylor matrices of G), the exact mixed time partials of log det of a
-moment block it gives (``dlog_block``: a time moves the block by index
-shifts, one variable per derivative factor), and the four-term KP
-assembly on those partials.
+Taylor matrices of G), the one route from a moment block to it
+(``block_partials``: scaled, tested for singularity, solved against), the
+exact mixed time partials of log det of a moment block (``dlog_block``: a
+time moves the block by index shifts, one variable per derivative
+factor), and the four-term KP assembly on those partials.
 """
 
 import functools
@@ -274,7 +275,7 @@ def evolution_factor(t):
 def logdet_partials(y_of, monomials):
     """Partials d^n log det G(x) at x = 0, exact, for each exponent tuple n
     in ``monomials``; ``y_of(b)`` is Y_b = G0^{-1} G_b, G_b the Taylor
-    matrix of G at x^b and G0 = G_{(0, ..., 0)} (``solved`` builds y_of).
+    matrix of G at x^b and G0 = G_{(0, ..., 0)}.
 
     G^{-1} G0 = sum_n V_n x^n has V_0 = I and V_n = -sum_{0 < b <= n}
     Y_b V_{n-b}.  d/dx_q log det G = tr(G^{-1} d/dx_q G), so with q the
@@ -301,13 +302,6 @@ def logdet_partials(y_of, monomials):
             * factor for pairs, factor in terms]
 
 
-def solved(g0, coefficient):
-    """b -> G0^{-1} G_b, G_b = coefficient(b), by one LU solve per b: a
-    moment block is ill conditioned, and forming G0^{-1} would lose digits
-    that a solve keeps.  A well-conditioned G0 may be inverted once."""
-    return lambda b: np.linalg.solve(g0, coefficient(b))
-
-
 @functools.cache
 def _partials_plan(monomials):
     """logdet_partials' index plan for a tuple of monomials: the Y orders;
@@ -330,31 +324,22 @@ def _partials_plan(monomials):
     return ys, vs, terms
 
 
-def dlog_block(m, n, factors):
-    """Mixed partial of log det of the leading n x n block of the moment
-    array m, one factor (k, a, b) per derivative: the time t_k moves m to
-    e^{t_k a Lambda^k} m e^{t_k b Lambda^{T k}}, Lambda the index shift, so
-    it shifts the row index by k with weight a and the column index by k
-    with weight b.  Each factor is a variable of its own, so the partial
-    needs only the square-free Taylor matrices: for a set of factors, the
-    sum over every split of them between rows and columns of the block
-    shifted by the row sum and the column sum, times the weights.  Exact,
-    by logdet_partials; a shift past the array raises DepthError.
-
-    The block and its Taylor matrices are taken as D G D, D_ii a power of
-    2 within a factor 2 of the inverse square root of row i's largest
-    entry of the block.  That is exact and leaves every partial unchanged,
-    but it evens out much of the growth of a moment block along its index,
-    which alone would make the test below judge the block singular.  A
-    scaled block singular to working precision raises SingularTauError:
-    solving against it returns finite noise, not an error."""
-
-    block = lambda i, j: leading_block(m[i:, j:], n)
-    if not n:  # tau_0 = 1
-        return 0.0
-    d = np.ldexp(1.0, -(np.frexp(np.abs(block(0, 0)).max(axis=1))[1] // 2))
+def block_partials(g0, taylor, monomials):
+    """logdet_partials of the moment block g0 with the Taylor matrices
+    taylor(b): the one route from a moment block to its partials.  Each
+    matrix is taken as D G D, D_ii a power of 2 within a factor 2 of the
+    inverse square root of row i's largest entry of g0: exact, and it
+    evens out the growth of a moment block along its index, which alone
+    would make the SVD test judge it singular.  A scaled g0 singular to
+    working precision raises SingularTauError, since a solve against it
+    returns finite noise; else each Y_b is one LU solve, which keeps the
+    digits a formed inverse of the ill-conditioned block would lose.  A
+    0 x 0 g0 (tau_0 = 1) has every partial 0."""
+    if not len(g0):
+        return [0.0] * len(monomials)
+    d = np.ldexp(1.0, -(np.frexp(np.abs(g0).max(axis=1))[1] // 2))
     scaled = lambda g: d[:, None] * g * d
-    g0 = scaled(block(0, 0))
+    g0 = scaled(g0)
     try:
         sv = np.linalg.svd(g0, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # the SVD of a non-finite block
@@ -362,6 +347,25 @@ def dlog_block(m, n, factors):
     if not sv[-1] > np.finfo(float).eps * sv[0]:
         raise SingularTauError("tau vanishes to working precision at the "
                                "expansion point")
+    return logdet_partials(lambda b: np.linalg.solve(g0, scaled(taylor(b))),
+                           monomials)
+
+
+def dlog_block(m, n, partials):
+    """Mixed partials of log det of the leading n x n block of the moment
+    array m, one list of factors (k, a, b) per partial: the time t_k moves
+    m to e^{t_k a Lambda^k} m e^{t_k b Lambda^{T k}}, Lambda the index
+    shift, so it shifts the row index by k with weight a and the column
+    index by k with weight b.  Every factor is a variable of its own, side
+    by side in call order, and each partial is the square-free monomial of
+    its own factors: its Taylor matrices are, for each set of them, the
+    sum over every split between rows and columns of the block shifted by
+    the row sum and the column sum, times the weights.  Exact, all from
+    one block_partials call; a shift past the array raises DepthError."""
+    factors = [f for fs in partials for f in fs]
+    monomials = np.repeat(np.eye(len(partials), dtype=int),
+                          [len(fs) for fs in partials], axis=1).tolist()
+    block = lambda i, j: leading_block(m[i:, j:], n)
 
     def coefficient(chosen):
         # the product of the chosen factors, {(row, column shift): weight}
@@ -374,21 +378,25 @@ def dlog_block(m, n, factors):
                         if x:
                             step[key] = step.get(key, 0.0) + w * x
                 terms = step
-        return scaled(sum(w * block(r, c) for (r, c), w in terms.items()))
+        return sum(w * block(r, c) for (r, c), w in terms.items())
 
-    return logdet_partials(solved(g0, coefficient), [(1,) * len(factors)])[0]
+    return block_partials(block(0, 0), coefficient, monomials)
 
 
-def kp_normalized(dlog, extra=0.0):
-    """The first KP equation for a log tau whose partials ``dlog(ks)`` =
-    d/dt_{k_1} ... d/dt_{k_r} log tau are given, plus ``extra``:
+def kp_normalized(m, n, weights, extra=0.0, half=1.0):
+    """The first KP equation for half log det of the leading n x n block
+    of the moment array m, t_k moving it by dlog_block's factor
+    (k, *weights), plus ``extra``:
 
         (d/dt1)^4 + 3 (d/dt2)^2 - 4 d^2/dt1 dt3 + 6 (d^2/dt1^2)^2 + extra,
 
-    normalized by its largest term (0 if every term vanishes).
+    its four partials from one dlog_block call, normalized by its largest
+    term (0 if every term vanishes).
     """
-    terms = [dlog((1, 1, 1, 1)), 3.0 * dlog((2, 2)), -4.0 * dlog((1, 3)),
-             6.0 * dlog((1, 1)) ** 2, extra]
+    d1111, d22, d13, d11 = (half * v for v in dlog_block(
+        m, n, [[(k, *weights) for k in ks]
+               for ks in ((1, 1, 1, 1), (2, 2), (1, 3), (1, 1))]))
+    terms = [d1111, 3.0 * d22, -4.0 * d13, 6.0 * d11 ** 2, extra]
     scale = max(abs(v) for v in terms)
     return sum(terms) / scale if scale else 0.0
 
@@ -404,6 +412,4 @@ def kp_residual(mu, n):
     """
     if n < 1:
         raise UsageError("kp_residual needs n >= 1")
-    rows = hankel_rows(mu, n)
-    return kp_normalized(
-        lambda ks: dlog_block(rows, n, [(k, 1.0, 0.0) for k in ks]))
+    return kp_normalized(hankel_rows(mu, n), n, (1.0, 0.0))

@@ -8,7 +8,7 @@ residuals in t and s, exact Wronskian tau identities, and the third-order
 boundary PDE satisfied by the joint gap probability of the coupled
 ensemble, whose (a, b, c) partials are exact too: the endpoint motion of
 the restricted bi-moments is a set of index operators on one bi-moment
-matrix, and tau.logdet_partials turns their Taylor matrices into every
+matrix, and tau.block_partials turns their Taylor matrices into every
 partial of log tau up to order 3.
 """
 
@@ -16,22 +16,19 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, PrecisionError, SingularTauError, UsageError
+from .errors import (DivergenceError, DomainError, PrecisionError,
+                     SingularTauError, UsageError)
 from .intervals import IntervalUnion
 from .mathcore import lu_determinant, union_rule
-from .tau import (
-    dlog_block,
-    evolution_factor,
-    kp_normalized,
-    logdet_partials,
-    solved,
-)
+from .tau import block_partials, dlog_block, evolution_factor, kp_normalized
 
 
 def bimoments(c, E=None, N=6, order=64, t=(), s=()):
     """mu_{ij} = double integral of x^i y^j e^{-(x^2+y^2)/2 + c x y} over
     E1 x E2 by tensor quadrature, the weight times E_t(x) E_{-s}(y) at the
     times (t, s), as an N x N array; requires |c| < 1."""
+    if not math.isfinite(c):
+        raise DomainError(f"the coupling c = {c} is not finite")
     if abs(c) >= 1.0:
         raise DivergenceError("the coupled Gaussian needs |c| < 1")
     if E is None:
@@ -58,12 +55,14 @@ def bimoments(c, E=None, N=6, order=64, t=(), s=()):
 
 # ----- exact log-tau derivatives in (t, s) -----
 
-def dlog_tau2(m, n, tlist=(), slist=()):
-    """Exact mixed partial of log tau_n w.r.t. the listed t and s indices
-    (total order <= 3; 0 for n = 0): t_a shifts the row index of the
+def dlog_tau2(m, n, partials):
+    """Exact mixed partials of log tau_n, one for each (tlist, slist) of
+    partials, w.r.t. the listed t and s indices (total order <= 3; 0 for
+    n = 0), from one tau.dlog_block call: t_a shifts the row index of the
     bi-moments by a, s_b the column index by b with a minus sign."""
-    factors = [(a, 1.0, 0.0) for a in tlist] + [(b, 0.0, -1.0) for b in slist]
-    if not 1 <= len(factors) <= 3:
+    factors = [[(a, 1.0, 0.0) for a in tlist] + [(b, 0.0, -1.0) for b in slist]
+               for tlist, slist in partials]
+    if not all(1 <= len(fs) <= 3 for fs in factors):
         raise UsageError("total derivative order must be 1..3")
     return dlog_block(m, n, factors)
 
@@ -76,9 +75,7 @@ def kp_in_t_residual(m, n, direction="t"):
         raise UsageError("kp_in_t_residual needs n >= 1")
     if direction not in ("t", "s"):
         raise UsageError("direction must be 't' or 's'")
-    weights = (1.0, 0.0) if direction == "t" else (0.0, -1.0)
-    return kp_normalized(
-        lambda ks: dlog_block(m, n, [(k, *weights) for k in ks]))
+    return kp_normalized(m, n, (1.0, 0.0) if direction == "t" else (0.0, -1.0))
 
 
 def wronskian_identity_residual(m, n):
@@ -91,15 +88,17 @@ def wronskian_identity_residual(m, n):
 
     both normalized by the larger side; the shared denominator is reported
     through a small-denominator error if it collapses."""
-    den = dlog_tau2(m, n, tlist=(1,), slist=(1,))
+    den, d12, d21 = dlog_tau2(m, n, [((1,), (1,)), ((1,), (2,)),
+                                     ((2,), (1,))])
     if abs(den) < 1e-6:
         raise PrecisionError(
             f"d2 log tau_{n} / dt1 ds1 = {den:.2e} is too close to zero"
         )
-    lhs1 = -(dlog_tau2(m, n + 1, slist=(1,)) - dlog_tau2(m, n - 1, slist=(1,)))
-    rhs1 = dlog_tau2(m, n, tlist=(1,), slist=(2,)) / den
-    lhs2 = dlog_tau2(m, n + 1, tlist=(1,)) - dlog_tau2(m, n - 1, tlist=(1,))
-    rhs2 = dlog_tau2(m, n, tlist=(2,), slist=(1,)) / den
+    # d/ds1 and d/dt1 of log tau at n + 1 and at n - 1
+    (s_up, t_up), (s_down, t_down) = (
+        dlog_tau2(m, size, [((), (1,)), ((1,), ())]) for size in (n + 1, n - 1))
+    lhs1, rhs1 = -(s_up - s_down), d12 / den
+    lhs2, rhs2 = t_up - t_down, d21 / den
     r1 = (lhs1 - rhs1) / max(abs(lhs1), abs(rhs1), 1e-30)
     r2 = (lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-30)
     return r1, r2
@@ -112,13 +111,9 @@ def wronskian_bracket_residual(m, n):
         + {d2 log tau/ds1 dt2, d2 log tau/dt1 ds1}_{s1} = 0,
 
     with {f, g}_x = (df/dx) g - f (dg/dx); all derivatives exact."""
-    f = dlog_tau2(m, n, tlist=(1,), slist=(2,))
-    g = dlog_tau2(m, n, tlist=(1,), slist=(1,))
-    ft1 = dlog_tau2(m, n, tlist=(1, 1), slist=(2,))
-    gt1 = dlog_tau2(m, n, tlist=(1, 1), slist=(1,))
-    p = dlog_tau2(m, n, tlist=(2,), slist=(1,))
-    ps1 = dlog_tau2(m, n, tlist=(2,), slist=(1, 1))
-    gs1 = dlog_tau2(m, n, tlist=(1,), slist=(1, 1))
+    f, g, ft1, gt1, p, ps1, gs1 = dlog_tau2(m, n, [
+        ((1,), (2,)), ((1,), (1,)), ((1, 1), (2,)), ((1, 1), (1,)),
+        ((2,), (1,)), ((2,), (1, 1)), ((1,), (1, 1))])
     total = (ft1 * g - f * gt1) + (ps1 * g - p * gs1)
     scale = max(abs(ft1 * g), abs(f * gt1), abs(ps1 * g), abs(p * gs1), 1e-30)
     return total / scale
@@ -206,7 +201,7 @@ def gap_log_tau_ratio_taylor(c, a, b, n, order=48):
 
         F_n = (1/n) log( tau_n^E / tau_n ),  E = (-inf, a] x (-inf, b],
 
-    for the coupled Gaussian, every partial exact by tau.logdet_partials
+    for the coupled Gaussian, every partial exact by tau.block_partials
     on the Taylor matrices of _bimoment_taylor: the restricted bi-moments
     move with (a, b, c), the full-line ones with c alone."""
     E = (IntervalUnion.half_line_below(a), IntervalUnion.half_line_below(b))
@@ -216,11 +211,10 @@ def gap_log_tau_ratio_taylor(c, a, b, n, order=48):
     if not min(taus) > 0.0:
         raise SingularTauError("tau must stay positive for the log")
     monomials = np.argwhere((_DEGREE >= 1) & (_DEGREE <= 3)).tolist()
-    partials = logdet_partials(
-        solved(restricted[:n, :n], _bimoment_taylor(restricted, c, n)),
-        monomials)
-    full = logdet_partials(solved(mu[:n, :n], _bimoment_taylor(mu, c, n)),
-                           [(0, 0, 1), (0, 0, 2), (0, 0, 3)])
+    partials = block_partials(restricted[:n, :n],
+                              _bimoment_taylor(restricted, c, n), monomials)
+    full = block_partials(mu[:n, :n], _bimoment_taylor(mu, c, n),
+                          [(0, 0, 1), (0, 0, 2), (0, 0, 3)])
     f = np.zeros((4, 4, 4))
     f[0, 0, 0] = math.log(taus[0] / taus[1]) / n
     for (i, j, k), d in zip(monomials, partials):

@@ -487,6 +487,15 @@ def test_other_commands_exit_cleanly(argv):
     # order-64 rule resolves only to 4.9e-6 and 1.2e-3 against the gates
     ("ensemble gap --beta 4 --interval=-inf:3.5", 0),
     ("ensemble inductive --beta 4 --n 2 --grid 3:3:1", 0),
+    # a non-finite coupling is malformed, not a divergent integral
+    ("twotoda pde --c nan", EXIT_USAGE),
+    ("twotoda identities --c nan", EXIT_USAGE),
+    ("twotoda identities --c inf", EXIT_USAGE),
+    # checks that would compare nothing: no rows, a 1 x 1 interior that
+    # reads 0 on every route, and tau_0 = 1
+    ("tau kp-check --n-max 0", EXIT_USAGE),
+    ("pfaff flow --size 1", EXIT_USAGE),
+    ("virasoro check --n 0", EXIT_USAGE),
 ])
 def test_inputs_that_raised_tracebacks_exit_cleanly(argv, code):
     with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \

@@ -158,6 +158,17 @@ def test_lower_endpoint_jets_match_central_differences(beta, w, lo, hi):
         assert abs(e - fd) <= tol * max(1.0, abs(fd)), (r, e, fd)
 
 
+def test_endpoint_jets_of_a_singular_block_raise():
+    # the 16 x 16 Hankel block on (-inf, 0.5] is singular to working
+    # precision: its time partials raise, and so must its endpoint jets,
+    # where a solve against it returned finite noise
+    tau = EnsembleTau(GAUSSIAN, below(0.5), 2, 16, depth=2)
+    with pytest.raises(SingularTauError):
+        tau.dlog([(1,)])
+    with pytest.raises(SingularTauError):
+        tau.endpoint_jets(0.5, 1.0, 2)
+
+
 # ----- samplers -----
 
 def test_sampling_is_reproducible(monkeypatch):

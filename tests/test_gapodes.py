@@ -242,9 +242,9 @@ def test_a_fredholm_box_inverts_once_and_moment_blocks_solve(monkeypatch):
     # moment blocks are ill conditioned: one LU solve per Taylor matrix
     w = WeightSpec("gaussian")
     tau = EnsembleTau(w, IntervalUnion([(-math.inf, 0.7)]), 2, 2, depth=4)
-    for dlog in (lambda: tau.dlog((1, 2)),
+    for dlog in (lambda: tau.dlog([(1, 2)]),
                  lambda: dlog_block(hankel_rows(hankel_moments(w, M=8), 3), 3,
-                                    [(1, 1.0, 0.0)] * 2),
+                                    [[(1, 1.0, 0.0)] * 2]),
                  lambda: tau.endpoint_jets(0.7, 1.0, 4)):
         del calls[:]
         dlog()

@@ -30,7 +30,7 @@ SAMPLE = ["ensembles.gap_probability", "ensembles.sample_ensemble"]
 TODA = ["toda.toda_factorization_flow", "toda.toda_ode_flow"]
 POLY = ["toda.lanczos", "tau.refine_on_rule"]
 PFAFF = ["pfaff.pfaff_lax", "pfaff.pfaff_aks_flow", "pfaff.pfaff_ode_flow"]
-PFAFF_KP = ["pfaff.dlog_block", "pfaff.pfaffian"]
+PFAFF_KP = ["tau.dlog_block", "pfaff.pfaffian"]
 VIRASORO = ["ensembles.EnsembleTau.dlog", "ensembles.EnsembleTau.endpoint_jets"]
 COMMUTATORS = ["virasoro.dressed_terms", "virasoro.central_charge"]
 ACI = ["aci.aks_flow", "aci.aci_flow"]
@@ -92,7 +92,7 @@ SELF_REFINEMENT = ("the refinement compares the route at --order with "
 SURVIVORS = {
     ("fredholm kernel-table", "fredholm.kernel_eval"):
         "one route: K(y, z) against K(z, y) is a symmetry check",
-    ("pfaff check-kp --beta 4", "pfaff.dlog_block"):
+    ("pfaff check-kp --beta 4", "tau.dlog_block"):
         "a shift c of every log-tau partial cancels from the linear part of "
         "the KP equation (1 + 3 - 4 = 0) and moves 6 (d1^2 log tau)^2 by "
         "12 c d1^2 log tau = 4e-7 of its largest term, 1,152 at n = 2",

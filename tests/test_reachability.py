@@ -330,3 +330,48 @@ def test_the_import_lint_sees_mentions():
         "    return np.zeros(f(a.b), 'os') + q.h + y\n"
     )
     assert _unused_imports("m", text) == ["m:os", "m:h"]
+
+
+# ----- jet-kernel lint -----
+
+# the defs that may call tau.logdet_partials: a moment block reaches it
+# only through the scaling and singularity test of tau.block_partials, a
+# Fredholm box through the one inverse of I - K in gapodes._logdet_partials
+JET_CALLERS = {"tau.block_partials", "gapodes._logdet_partials"}
+
+
+def _jet_callers(sources):
+    """The defs that mention logdet_partials, and the modules whose
+    imports or top-level code name it."""
+    sources = list(sources)
+    defs, _ = _collect(sources)
+    modules = set()
+    for module, text in sources:
+        tree = ast.parse(text)
+        names = _mentions(s for s in tree.body if not isinstance(s, _DEFS))
+        names |= {a.asname or a.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for a in node.names}
+        if "logdet_partials" in names:
+            modules.add(module)
+    return {q for q, d in defs.items() if "logdet_partials" in d.names}, modules
+
+
+def test_only_the_guarded_kernels_call_logdet_partials():
+    assert _jet_callers(_sources()) == (JET_CALLERS, {"gapodes"})
+
+
+def test_the_jet_lint_sees_calls():
+    """A call inside a lambda or a nested def counts, and so does an
+    import; a docstring does not."""
+    assert _jet_callers([
+        ("tau", "def logdet_partials():\n"
+                "    pass\n"
+                "def block_partials():\n"
+                "    return logdet_partials()\n"),
+        ("ens", "'''calls logdet_partials'''\n"
+                "from .tau import logdet_partials\n"
+                "def jets():\n"
+                "    f = lambda: logdet_partials()\n"
+                "    def inner():\n"
+                "        return tau.logdet_partials()\n"),
+    ]) == ({"tau.block_partials", "ens.jets", "ens.jets.inner"}, {"ens"})

@@ -13,6 +13,7 @@ from evolution_reference import (
     reference_shift_coefficients,
     shift_depth,
 )
+from laxlab.cli import dispatch
 from laxlab.errors import DepthError, DivergenceError
 from laxlab.fd import central_diff
 from laxlab.intervals import IntervalUnion
@@ -20,6 +21,7 @@ from laxlab.mathcore import lu_determinant
 from laxlab.pfaff import skew_inner_products
 from laxlab.tau import (
     WeightSpec,
+    block_partials,
     dlog_block,
     evolution_coefficients,
     hankel_endpoint_series,
@@ -28,7 +30,6 @@ from laxlab.tau import (
     kp_residual,
     leading_block,
     logdet_partials,
-    solved,
 )
 from laxlab.twotoda import bimoments
 
@@ -236,7 +237,7 @@ def test_hankel_positivity():
 
 def dlog_tau(m, n, ks):
     """d/dt_{k1} ... d/dt_{kr} log tau_n, exact: time shifts the rows."""
-    return dlog_block(hankel_rows(m, n), n, [(k, 1.0, 0.0) for k in ks])
+    return dlog_block(hankel_rows(m, n), n, [[(k, 1.0, 0.0) for k in ks]])[0]
 
 
 def log_tau(m, n):
@@ -285,12 +286,12 @@ def test_dlog_tau_mixed_partials_match_fd_of_first_order(orders):
 
 def test_dlog_block_shift_past_the_array_is_a_depth_error():
     rows = hankel_rows(hankel_moments(uniform_weight(), M=8), 3)  # 7 x 3
-    assert np.isfinite(dlog_block(rows, 3, [(1, 1.0, 0.0)] * 4))
+    assert np.isfinite(dlog_block(rows, 3, [[(1, 1.0, 0.0)] * 4]))
     # numpy slicing would silently truncate the shifted block
     with pytest.raises(DepthError):
-        dlog_block(rows, 3, [(1, 1.0, 0.0)] * 5)
+        dlog_block(rows, 3, [[(1, 1.0, 0.0)] * 5])
     with pytest.raises(DepthError):
-        dlog_block(rows, 3, [(1, 0.0, 1.0)])
+        dlog_block(rows, 3, [[(1, 0.0, 1.0)]])
 
 
 def test_blocks_past_the_hankel_rows_raise_depth_error():
@@ -305,7 +306,8 @@ def test_blocks_past_the_hankel_rows_raise_depth_error():
 
 def test_empty_block_has_partial_zero():
     # tau_0 = 1
-    assert dlog_block(np.ones((4, 4)), 0, [(1, 1.0, 0.0)]) == 0.0
+    assert dlog_block(np.ones((4, 4)), 0, [[(1, 1.0, 0.0)]]) == [0.0]
+    assert block_partials(np.ones((0, 0)), None, [(1,), (2, 1)]) == [0.0, 0.0]
 
 
 def test_dlog_block_judges_the_scaled_block():
@@ -323,7 +325,8 @@ def test_dlog_block_judges_the_scaled_block():
     graded = np.vstack([d @ g @ d for g in (a, c, c.T)])
     for r in (1, 2):
         factors = [(3, 1.0, 0.0)] * r
-        assert dlog_block(graded, 3, factors) == dlog_block(plain, 3, factors)
+        assert dlog_block(graded, 3, [factors]) == dlog_block(plain, 3,
+                                                              [factors])
 
 
 def test_logdet_partials_at_any_order():
@@ -333,7 +336,7 @@ def test_logdet_partials_at_any_order():
     p = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
     g = [p @ np.diag(a ** j / math.factorial(j)) @ np.linalg.inv(p)
          for j in range(7)]
-    jets = logdet_partials(solved(g[0], lambda n: g[n[0]]),
+    jets = logdet_partials(lambda n: np.linalg.solve(g[0], g[n[0]]),
                            [(j,) for j in range(1, 7)])
     assert len(jets) == 6
     assert jets[0] == pytest.approx(a.sum(), abs=1e-13)
@@ -357,8 +360,9 @@ def test_logdet_partials_closed_form_in_three_variables():
                  if 1 <= sum(n) <= 3]
     assert (2, 1, 0) in monomials and (1, 1, 1) in monomials
     partials = dict(zip(monomials,
-                        logdet_partials(solved(coefficient((0, 0, 0)),
-                                               coefficient), monomials)))
+                        logdet_partials(lambda n: np.linalg.solve(
+                            coefficient((0, 0, 0)), coefficient(n)),
+                            monomials)))
     for v in range(3):
         first = tuple(int(i == v) for i in range(3))
         assert partials.pop(first) == pytest.approx(a[:, v].sum(), abs=1e-13)
@@ -366,7 +370,8 @@ def test_logdet_partials_closed_form_in_three_variables():
     # G(x) = P diag(1 + sum_v a_iv x_v) P^{-1}: the partial at n of
     # log det G is sum_i (-1)^{|n|-1} (|n|-1)! prod_v a_iv^{n_v}
     linear = lambda n: coefficient(n) if sum(n) == 1 else np.zeros((4, 4))
-    partials = logdet_partials(solved(np.eye(4), linear), monomials)
+    partials = logdet_partials(lambda n: np.linalg.solve(np.eye(4), linear(n)),
+                               monomials)
     for n, partial in zip(monomials, partials):
         exact = (-1) ** (sum(n) - 1) * math.factorial(sum(n) - 1) * np.prod(
             a ** np.array(n), axis=1).sum()
@@ -381,9 +386,9 @@ def test_logdet_partials_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        logdet_partials(solved(g[0], lambda n: g[n[0]]),
+        logdet_partials(lambda n: np.linalg.solve(g[0], g[n[0]]),
                         [(1,), (2,), (3,), (4,)])
-        dlog_block(np.vstack(g), 3, [(3, 1.0, 0.0)] * 2)
+        dlog_block(np.vstack(g), 3, [[(3, 1.0, 0.0)] * 2])
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -434,3 +439,19 @@ def test_kp_residual_scale_invariant():
     a = kp_residual(m, 2)
     b = kp_residual(doubled, 2)
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_kp_check_tests_each_block_once_and_solves(monkeypatch):
+    # one singularity test per KP residual, for 2 weights x 2 times x
+    # n = 1..5, where each of its four partials had one; moment blocks
+    # are ill conditioned, so every Taylor matrix is solved against the
+    # block, never multiplied by a formed inverse
+    calls = []
+    for name in ("svd", "inv", "solve"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert dispatch(["tau", "kp-check", "--seed", "0"])[1] == 0
+    assert calls.count("svd") == 20
+    assert "solve" in calls and "inv" not in calls
